@@ -42,7 +42,7 @@ from .smoothing import (
     smooth,
 )
 from .surface import SmoothedSurvivalSurface, assemble_surface
-from .optim import MinimizeResult, SolverConfig, minimize_box_multistart, nelder_mead_box
+from .optim import CERT_TOL, MinimizeResult, minimize_box_multistart
 from .estimator import (
     EstimationError,
     FrontierEstimates,
@@ -55,6 +55,7 @@ from .estimator import (
     fit_curve,
     naive_curve,
     objective,
+    residual_system,
     residual_vector,
 )
 from .derived import (

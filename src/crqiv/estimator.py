@@ -9,9 +9,10 @@ vector
 
 over the box prod_l [0, y1_hat_l), where y1_hat_l is the largest follow-up
 time observed with a primary-cause event at level l.  Results are reported
-only below the estimated identification frontier u_hat: the first grid
+only below the estimated identification frontier u_hat, the first grid
 point where some coordinate of the solution comes within a cushion
-delta_l of its box edge.
+delta_l of its box edge, and only where the solve is certified: its
+objective is at most ``optim.CERT_TOL``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .optim import SolverConfig, minimize_box_multistart
+from .optim import CERT_TOL, minimize_box_multistart
 from .smoothing import default_bandwidth
 from .surface import SmoothedSurvivalSurface, assemble_surface
 from .survival import _cell_process, incidence_from
@@ -34,6 +35,7 @@ __all__ = [
     "QuantileCurveFit",
     "residual_vector",
     "objective",
+    "residual_system",
     "estimate_y1",
     "default_delta",
     "estimate_caps",
@@ -135,7 +137,7 @@ class QuantileCurveFit:
     grid: QuantileGrid
     theta: np.ndarray  # (M, L) solution vectors
     objective: np.ndarray  # (M,) attained minima
-    converged: np.ndarray  # (M,) bool
+    converged: np.ndarray  # (M,) bool: objective <= CERT_TOL
     reported_mask: np.ndarray  # (M,) bool: u < u_hat and converged
     frontiers: FrontierEstimates
     treatment_levels: list
@@ -244,54 +246,43 @@ def _resolve_delta(delta, data: Dataset, L: int) -> np.ndarray:
     return arr
 
 
-def _fast_objective_factory(surface, V: WeightingPolicy | None):
-    """Build u -> (theta_list -> float) closures over cheap cell evaluators."""
+def residual_system(surface, V: WeightingPolicy | None = None):
+    """u -> f, where f(theta) = (weighted residual vector, its Jacobian).
+
+    J[k, l] is the slope of cell (l, k) at theta_l: p_hat(l, k) times the
+    slope of the cell curve's segment there.  With a weighting V(u) = C C'
+    both are premultiplied by C', so ||C' r||^2 = r' V(u) r is the objective.
+    """
     L, K = surface.n_treatment_levels, surface.n_instrument_levels
-    ev_by_k = [[surface.cell_eval(l, k) for l in range(L)] for k in range(K)]
-    identity = V is None or V.is_identity
-    rng_l = range(L)
-    rng_k = range(K)
+    cells = [[surface.cell_value_slope(l, k) for l in range(L)] for k in range(K)]
 
-    def make(u: float):
+    def at(u: float):
         target = 1.0 - u
-        if identity:
-            def obj(theta):
-                s = 0.0
-                for k in rng_k:
-                    evk = ev_by_k[k]
-                    r = -target
-                    for l in rng_l:
-                        r += evk[l](theta[l])
-                    s += r * r
-                return s
-        else:
-            vm = V.matrix(u, K).tolist()
+        ct = None if V is None or V.is_identity else np.linalg.cholesky(V.matrix(u, K)).T
 
-            def obj(theta):
-                r = [0.0] * K
-                for k in rng_k:
-                    evk = ev_by_k[k]
-                    acc = -target
-                    for l in rng_l:
-                        acc += evk[l](theta[l])
-                    r[k] = acc
-                s = 0.0
-                for i in rng_k:
-                    vi = vm[i]
-                    ri = r[i]
-                    for j in rng_k:
-                        s += ri * vi[j] * r[j]
-                return s
-        return obj
+        def f(theta):
+            th = theta.tolist()
+            r = np.empty(K)
+            J = np.empty((K, L))
+            for k, row in enumerate(cells):
+                acc = -target
+                for l, ev in enumerate(row):
+                    v, J[k, l] = ev(th[l])
+                    acc += v
+                r[k] = acc
+            if ct is None:
+                return r, J
+            return ct @ r, ct @ J
 
-    return make
+        return f
+
+    return at
 
 
 def fit_curve(
     data: Dataset,
     grid: QuantileGrid | None = None,
     V: WeightingPolicy | None = None,
-    solver: SolverConfig | None = None,
     bandwidth=None,
     delta=None,
     kind: str = "local_linear",
@@ -300,13 +291,15 @@ def fit_curve(
 ) -> QuantileCurveFit:
     """Sweep the quantile grid and solve the instrumental system at each point.
 
-    Grid points are processed in increasing order; each solve is seeded
-    with the previous solution plus a coarse lattice of starts.  With
+    Grid points are processed in increasing order; each solve starts from
+    the previous solution.  Until the frontier cushion is hit, a solve
+    without a certified root restarts from a lattice of box points; past
+    it no root exists, so it does not.  A point is reported only below
+    the frontier and with objective at most ``CERT_TOL``.  With
     ``stop_at_frontier`` the sweep stops once the frontier cushion is hit,
     which is enough for anything that only consumes reported points.
     """
     grid = grid or QuantileGrid.default()
-    solver = solver or SolverConfig()
     if surface is None:
         surface = assemble_surface(data, bandwidth=bandwidth, kind=kind)
     L = data.n_treatment_levels
@@ -319,43 +312,41 @@ def fit_curve(
     converged = np.zeros(M, dtype=bool)
     warnings: list[str] = []
 
-    lower = [0.0] * L
-    upper = (y_hat * (1.0 - BOX_CLAMP)).tolist()
-    make_obj = _fast_objective_factory(surface, V)
+    lower = np.zeros(L)
+    upper = y_hat * (1.0 - BOX_CLAMP)
+    system = residual_system(surface, V)
 
     m_hat = -1
     warm = None
     for m, u in enumerate(grid.points):
-        res = minimize_box_multistart(make_obj(float(u)), lower, upper, solver, warm=warm)
-        theta[m] = res.x
+        res = minimize_box_multistart(system(float(u)), lower, upper, warm=warm, restart=m_hat < 0)
+        theta[m] = warm = res.x
         obj_vals[m] = res.fun
         converged[m] = res.converged
-        if res.converged:
-            warm = res.x
         if m_hat < 0 and np.any(theta[m] >= y_hat - deltas):
             m_hat = m
             if stop_at_frontier:
                 break
 
-    n_failed = int(np.count_nonzero(~converged[: (m_hat + 1) if (m_hat >= 0 and stop_at_frontier) else M]))
-    if n_failed:
-        warnings.append(f"solver did not converge at {n_failed} grid point(s); they are not reported")
-
-    if m_hat >= 0:
-        u_hat = float(grid.points[m_hat])
-        u_prev = float(grid.points[m_hat - 1]) if m_hat > 0 else 0.0
-        reported = (np.arange(M) < m_hat) & converged
-        triggered = True
-    else:
+    triggered = m_hat >= 0
+    if not triggered:
         m_hat = M - 1
-        u_hat = float(grid.points[-1])
-        u_prev = float(grid.points[-2]) if M > 1 else 0.0
-        reported = converged.copy()
-        triggered = False
+    before = (np.arange(M) < m_hat) | (not triggered)
+    reported = converged & before
+    missed = before & ~converged
+    if missed.any():
+        warnings.append(
+            f"no certified root (objective > {CERT_TOL:g}) at u = "
+            + ", ".join(f"{u:g}" for u in grid.points[missed])
+            + f" (largest objective {obj_vals[missed].max():.3g}); they are not reported"
+        )
+    if not triggered:
         warnings.append(
             "frontier cushion never reached on the grid; reporting the whole grid "
             "(the identification frontier may exceed the grid range)"
         )
+    u_hat = float(grid.points[m_hat])
+    u_prev = float(grid.points[m_hat - 1]) if m_hat > 0 else 0.0
 
     frontiers = FrontierEstimates(y_hat, deltas, u_hat, m_hat, u_prev, triggered)
     return QuantileCurveFit(

@@ -25,15 +25,14 @@ class QuantileIVEstimator:
     trailing underscore. get_params/set_params allow generic tuning loops.
     """
 
-    _PARAM_NAMES = ("grid_size", "bandwidth", "delta", "kind", "V", "solver")
+    _PARAM_NAMES = ("grid_size", "bandwidth", "delta", "kind", "V")
 
-    def __init__(self, grid_size=100, bandwidth=None, delta=None, kind="local_linear", V=None, solver=None):
+    def __init__(self, grid_size=100, bandwidth=None, delta=None, kind="local_linear", V=None):
         self.grid_size = grid_size
         self.bandwidth = bandwidth
         self.delta = delta
         self.kind = kind
         self.V = V
-        self.solver = solver
 
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._PARAM_NAMES}
@@ -50,7 +49,6 @@ class QuantileIVEstimator:
             data,
             grid=QuantileGrid.default(self.grid_size),
             V=self.V,
-            solver=self.solver,
             bandwidth=self.bandwidth,
             delta=self.delta,
             kind=self.kind,
@@ -77,7 +75,6 @@ class QuantileIVEstimator:
                 swap_causes(self.data_),
                 grid=self.fit_.grid,
                 V=self.V,
-                solver=self.solver,
                 bandwidth=self.bandwidth,
                 delta=self.delta,
                 kind=self.kind,
@@ -101,7 +98,6 @@ class QuantileIVEstimator:
             fit=self.fit_,
             grid=self.fit_.grid,
             V=self.V,
-            solver=self.solver,
             bandwidth=self.bandwidth,
             delta=self.delta,
             kind=self.kind,

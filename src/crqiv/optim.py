@@ -1,35 +1,34 @@
-"""Derivative-free bounded minimization: Nelder-Mead on a box, multi-start.
+"""Certified bounded least squares: projected Gauss-Newton on a box.
 
-The simplex search clips every trial point to the box, so iterates always
-stay feasible.  The driver seeds the search from a warm-start point (the
-previous grid point's solution during a quantile sweep) plus a fixed
-coarse lattice of box fractions, and keeps the best result.  Everything is
-deterministic; the config seed is carried only so that stochastic
-extensions keep a stable interface.
+The caller supplies ``f(x) -> (r, J)``: a residual vector and its Jacobian.
+The objective is ||r(x)||^2 over the box [lower, upper].  Each step holds
+fixed the coordinates that sit on a box face with the gradient pointing out
+of the box, solves the linearized least-squares problem on the others,
+clips the step back into the box, and halves it until the objective
+decreases.  With as many residuals as unknowns the step is Newton's; on
+piecewise-linear residuals it lands on the root once every coordinate sits
+on the root's segment.
 
-The objective is called with a plain list of floats.  This module is the
-hot path of the whole package; it deliberately avoids numpy in the inner
-loop because dimensions are tiny (L <= 4).
+A result is ``converged`` only when its objective is at most ``CERT_TOL``:
+a certified root, not a stalled search.  A run that ends above it is
+restarted, when allowed, from a fixed lattice of box fractions, and the
+best run is kept.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
-__all__ = ["SolverConfig", "MinimizeResult", "nelder_mead_box", "minimize_box_multistart"]
+import numpy as np
 
+__all__ = ["CERT_TOL", "MinimizeResult", "minimize_box_multistart"]
 
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iter: int = 500
-    tol: float = 1e-12  # stop when a full iteration improves the best value by less
-    stall_iters: int = 5  # require this many consecutive sub-tol iterations
-    xtol: float = 1e-9  # simplex diameter threshold, in box units
-    init_step: float = 0.08  # initial simplex step as a fraction of box width
-    lattice_fractions: tuple = (0.0, 0.5, 1.0)
-    n_multistart: int = 2  # Nelder-Mead runs seeded from the best lattice points
-    seed: int = 0
+CERT_TOL = 1e-10  # objective at or below which a point counts as solved
+_RESTART_FRACTIONS = (0.05, 0.5, 0.95)
+_MAX_STEPS = 50
+_MAX_HALVINGS = 20
+_XTOL = 1e-13  # a step shorter than this, relative to the box, ends a run
 
 
 @dataclass
@@ -37,132 +36,63 @@ class MinimizeResult:
     x: list
     fun: float
     converged: bool
-    n_eval: int
-    n_restarts: int = 1
+    n_eval: int  # calls of f over every run
+    n_restarts: int = 1  # Gauss-Newton runs made, the first included
 
 
-def _clip(x: list, lower: list, upper: list) -> list:
-    return [lo if v < lo else (hi if v > hi else v) for v, lo, hi in zip(x, lower, upper)]
-
-
-def nelder_mead_box(f, x0, lower, upper, config: SolverConfig = SolverConfig()) -> MinimizeResult:
-    """Nelder-Mead restricted to the box [lower, upper] (clip projection)."""
-    d = len(x0)
-    lower = [float(v) for v in lower]
-    upper = [float(v) for v in upper]
-    x0 = _clip([float(v) for v in x0], lower, upper)
-
-    n_eval = 0
-
-    def call(x):
-        nonlocal n_eval
-        n_eval += 1
-        return f(x)
-
-    # initial simplex: step into the box from x0 along each axis
-    verts = [x0]
-    for i in range(d):
-        step = config.init_step * (upper[i] - lower[i])
-        v = list(x0)
-        if v[i] + step > upper[i]:
-            step = -step
-        v[i] = min(max(v[i] + step, lower[i]), upper[i])
-        verts.append(v)
-    fvals = [call(v) for v in verts]
-
-    stall = 0
-    converged = False
-    for _ in range(config.max_iter):
-        order = sorted(range(d + 1), key=lambda i: fvals[i])
-        verts = [verts[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        best_prev = fvals[0]
-
-        # termination on a collapsed simplex
-        diam = max(
-            abs(verts[i][j] - verts[0][j]) for i in range(1, d + 1) for j in range(d)
-        )
-        spread = fvals[-1] - fvals[0]
-        if diam < config.xtol and spread < config.tol * (1.0 + abs(fvals[0])):
-            converged = True
+def _gauss_newton(f, x, lower, upper, xtol):
+    """One projected Gauss-Newton run from x; returns (x, fun, n_eval)."""
+    r, J = f(x)
+    fun = float(r @ r)
+    n_eval = 1
+    for _ in range(_MAX_STEPS):
+        g = J.T @ r
+        free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+        if not free.any():
             break
-
-        centroid = [sum(verts[i][j] for i in range(d)) / d for j in range(d)]
-        worst = verts[-1]
-        refl = _clip([2.0 * c - w for c, w in zip(centroid, worst)], lower, upper)
-        f_refl = call(refl)
-
-        if f_refl < fvals[0]:
-            # try to expand
-            exp = _clip([3.0 * c - 2.0 * w for c, w in zip(centroid, worst)], lower, upper)
-            f_exp = call(exp)
-            if f_exp < f_refl:
-                verts[-1], fvals[-1] = exp, f_exp
-            else:
-                verts[-1], fvals[-1] = refl, f_refl
-        elif f_refl < fvals[-2]:
-            verts[-1], fvals[-1] = refl, f_refl
-        else:
-            # contract (outside if the reflection helped at all, else inside)
-            if f_refl < fvals[-1]:
-                con = [1.5 * c - 0.5 * w for c, w in zip(centroid, worst)]
-            else:
-                con = [0.5 * (c + w) for c, w in zip(centroid, worst)]
-            con = _clip(con, lower, upper)
-            f_con = call(con)
-            if f_con < min(f_refl, fvals[-1]):
-                verts[-1], fvals[-1] = con, f_con
-            else:
-                # shrink toward the best vertex
-                best = verts[0]
-                for i in range(1, d + 1):
-                    verts[i] = [0.5 * (b + v) for b, v in zip(best, verts[i])]
-                    fvals[i] = call(verts[i])
-
-        improvement = best_prev - min(fvals)
-        if improvement < config.tol * (1.0 + abs(best_prev)):
-            stall += 1
-            if stall >= config.stall_iters:
-                converged = True
+        step = np.zeros_like(x)
+        step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.minimum(np.maximum(x + t * step, lower), upper)
+            if abs(trial - x).max() <= xtol:
+                return x, fun, n_eval
+            r_t, J_t = f(trial)
+            n_eval += 1
+            fun_t = float(r_t @ r_t)
+            if fun_t < fun:
                 break
+            t *= 0.5
         else:
-            stall = 0
-
-    i_best = min(range(d + 1), key=lambda i: fvals[i])
-    return MinimizeResult(list(verts[i_best]), fvals[i_best], converged, n_eval)
-
-
-def lattice_points(lower, upper, fractions) -> list[list]:
-    """Fixed coarse grid of starting points: per-axis box fractions."""
-    axes = [[lo + fr * (hi - lo) for fr in fractions] for lo, hi in zip(lower, upper)]
-    return [list(p) for p in product(*axes)]
+            break
+        x, r, J, fun = trial, r_t, J_t, fun_t
+    return x, fun, n_eval
 
 
-def minimize_box_multistart(
-    f, lower, upper, config: SolverConfig = SolverConfig(), warm=None
-) -> MinimizeResult:
-    """Best of several Nelder-Mead runs: warm start plus lattice starts.
+def minimize_box_multistart(f, lower, upper, warm=None, restart=True) -> MinimizeResult:
+    """Minimize ||r||^2 over the box, where ``f(x) -> (r, J)``.
 
-    All lattice points are scored once; full searches run from the warm
-    start (when given) and from the ``n_multistart`` best lattice points.
+    The first run starts from ``warm`` clipped into the box, or from the
+    first lattice point when there is none.  While no run is certified and
+    ``restart`` holds, the next run starts from the next point of the
+    lattice ``_RESTART_FRACTIONS ** L`` of box fractions.
     """
-    starts = []
-    if warm is not None:
-        starts.append(_clip([float(v) for v in warm], [float(v) for v in lower], [float(v) for v in upper]))
-    pts = lattice_points(lower, upper, config.lattice_fractions)
-    scored = sorted(enumerate(f(p) for p in pts), key=lambda t: (t[1], t[0]))
-    n_eval = len(pts)
-    for idx, _ in scored[: max(config.n_multistart, 0)]:
-        starts.append(pts[idx])
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    xtol = _XTOL * max(1.0, float(np.max(upper - lower)))
+    lattice = (
+        lower + np.asarray(fr) * (upper - lower)
+        for fr in product(_RESTART_FRACTIONS, repeat=lower.size)
+    )
+    first = [] if warm is None else [np.clip(np.asarray(warm, dtype=np.float64), lower, upper)]
 
-    best: MinimizeResult | None = None
-    for s in starts:
-        res = nelder_mead_box(f, s, lower, upper, config)
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:  # no warm start and n_multistart == 0
-        idx, fv = scored[0]
-        best = MinimizeResult(pts[idx], fv, False, 0)
-    best.n_eval += n_eval
-    best.n_restarts = len(starts)
-    return best
+    best_x, best_fun, n_eval, runs = None, np.inf, 0, 0
+    for x0 in chain(first, lattice):
+        x, fun, n = _gauss_newton(f, x0, lower, upper, xtol)
+        n_eval += n
+        runs += 1
+        if best_x is None or fun < best_fun:
+            best_x, best_fun = x, fun
+        if best_fun <= CERT_TOL or not restart:
+            break
+    return MinimizeResult([float(v) for v in best_x], best_fun, best_fun <= CERT_TOL, n_eval, runs)

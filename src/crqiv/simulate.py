@@ -42,6 +42,7 @@ _P_CAUSE1 = (0.5, 0.75)
 _CENSOR_WINDOW = {1: (1.0 / 3.0, 2.0 / 3.0), 2: (1.0 / 3.0, 1.5)}
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SLOPE_STEP = 1e-7  # forward-difference step of TrueSurface slopes
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,15 @@ class TrueSurface:
         out = np.array(flat).reshape(arr.shape)
         return out if arr.shape else float(out)
 
-    def cell_eval(self, z: int, w: int):
+    def cell_value_slope(self, z: int, w: int):
+        """Closure t -> (S1(t, z | w), forward-difference slope in t)."""
         s1 = self.truth.s1
-        return lambda t: s1(t, z, w)
+
+        def ev(t: float):
+            v = s1(t, z, w)
+            return v, (s1(t + _SLOPE_STEP, z, w) - v) / _SLOPE_STEP
+
+        return ev
 
     def level_knots(self, z: int) -> np.ndarray:
         hi = self.truth.y1[z]

@@ -20,7 +20,7 @@ evaluation cheap and deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,21 +92,29 @@ class SmoothedCurve:
     def __call__(self, t):
         return np.interp(t, self.knots, self.values)
 
-    def fast_eval(self):
-        """Scalar evaluation closure; much faster than __call__ in hot loops."""
+    def value_slope(self, scale: float = 1.0):
+        """Scalar closure t -> (scale * curve(t), scale * slope at t), for hot loops.
+
+        The slope is that of the segment (k_i, k_i+1] holding t, and of the
+        first segment at the first knot, so a box face on an end knot sees
+        the slope on the box's side.  It is 0 outside the knot range, where
+        the curve is flat.
+        """
         kn = self.knots.tolist()
-        vv = self.values.tolist()
+        vv = (self.values * scale).tolist()
+        sl = (np.diff(self.values) / np.diff(self.knots) * scale).tolist()
         n = len(kn)
 
-        def ev(t: float) -> float:
-            i = bisect_right(kn, t)
-            if i == 0:
-                return vv[0]
+        def ev(t: float):
+            i = bisect_left(kn, t)
             if i == n:
-                return vv[-1]
-            x0 = kn[i - 1]
-            v0 = vv[i - 1]
-            return v0 + (t - x0) / (kn[i] - x0) * (vv[i] - v0)
+                return vv[-1], 0.0
+            if i == 0:
+                if t < kn[0]:
+                    return vv[0], 0.0
+                i = 1
+            s = sl[i - 1]
+            return vv[i - 1] + (t - kn[i - 1]) * s, s
 
         return ev
 

@@ -49,14 +49,12 @@ class SmoothedSurvivalSurface:
             return np.zeros_like(np.asarray(t, dtype=np.float64)) + 0.0
         return curve(t) * self.p_hat[z, w]
 
-    def cell_eval(self, z: int, w: int):
-        """Scalar closure computing S1_hat(t, z | w), for hot loops."""
+    def cell_value_slope(self, z: int, w: int):
+        """Scalar closure t -> (S1_hat(t, z | w), its slope in t), for hot loops."""
         curve = self.curves.get(CellIndex(z, w))
         if curve is None:
-            return lambda t: 0.0
-        ev = curve.fast_eval()
-        p = float(self.p_hat[z, w])
-        return lambda t: ev(t) * p
+            return lambda t: (0.0, 0.0)
+        return curve.value_slope(float(self.p_hat[z, w]))
 
     def level_knots(self, z: int) -> np.ndarray:
         """Union of curve knots across instrument levels, for set tiling."""

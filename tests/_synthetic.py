@@ -37,9 +37,6 @@ class StepSurface:
         out = np.where(idx < 0, self.starts[(z, w)], vs[np.clip(idx, 0, vs.size - 1)])
         return out if np.ndim(t) else float(out[0])
 
-    def cell_eval(self, z, w):
-        return lambda t: self.evaluate(t, z, w)
-
     def level_knots(self, z):
         return np.unique(np.concatenate([self.knots[(z, w)] for w in range(self._K)]))
 

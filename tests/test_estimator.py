@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crqiv.data import Dataset
+from crqiv.data import CellIndex, Dataset
 from crqiv.estimator import (
     EstimationError,
     QuantileGrid,
@@ -14,9 +16,13 @@ from crqiv.estimator import (
     fit_curve,
     naive_curve,
     objective,
+    residual_system,
     residual_vector,
 )
+from crqiv.optim import CERT_TOL, minimize_box_multistart
 from crqiv.simulate import DgpSpec, GroundTruth, generate
+from crqiv.smoothing import SmoothedCurve
+from crqiv.surface import SmoothedSurvivalSurface, assemble_surface
 
 # population pooled-by-treatment quantiles of the cause-1 incidence for
 # design 2, from quadrature on the latent model (no censoring binds there)
@@ -123,19 +129,133 @@ def test_objective_scales_with_weighting():
 
 @pytest.mark.parametrize("design", [1, 2])
 def test_population_solution_recovered(design):
-    # minimize the exact-surface objective cold (no warm start) and compare
+    # solve the exact-surface system cold (no warm start) and compare
     # against the known structural quantiles
-    from crqiv.optim import minimize_box_multistart
-
     truth = GroundTruth(design)
-    surf = truth.surface()
+    system = residual_system(truth.surface())
     hi = [truth.y1[0], truth.y1[1]]
     for u in np.arange(0.05, truth.u_y - 0.02, 0.05):
-        res = minimize_box_multistart(
-            lambda th, u=u: objective(th, float(u), surf), [0.0, 0.0], hi
-        )
+        res = minimize_box_multistart(system(float(u)), [0.0, 0.0], hi)
         want = [truth.phi1(0, u), truth.phi1(1, u)]
         assert res.x == pytest.approx(want, abs=1e-2)
+
+
+def _linear_surface(starts, ends, p_hat):
+    """Surface whose cell (l, k) falls linearly from starts[l][k] at 0 to ends[l][k] at 1."""
+    curves = {
+        CellIndex(l, k): SmoothedCurve(np.array([0.0, 1.0]), np.array([starts[l][k], ends[l][k]]), 0.1, "local_linear")
+        for l in range(len(starts))
+        for k in range(len(starts[0]))
+    }
+    return SmoothedSurvivalSurface(curves, np.asarray(p_hat, dtype=np.float64), {}, "local_linear")
+
+
+def test_overidentified_weighted_least_squares_minimum():
+    # K=3 > L=2 with affine residuals r = A theta - c: the minimum of
+    # r' V r over the box is the weighted least-squares solution
+    starts = [[1.0, 0.9, 0.8], [1.0, 0.7, 0.95]]
+    ends = [[0.2, 0.3, 0.1], [0.5, 0.1, 0.4]]
+    p_hat = [[0.6, 0.5, 0.3], [0.4, 0.5, 0.7]]
+    surf = _linear_surface(starts, ends, p_hat)
+    V = WeightingPolicy([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]])
+    u = 0.4
+    p = np.asarray(p_hat)
+    A = (p * (np.asarray(ends) - np.asarray(starts))).T
+    c = (1.0 - u) - (p * np.asarray(starts)).sum(axis=0)
+    Vm = V.matrix(u, 3)
+    want = np.linalg.solve(A.T @ Vm @ A, A.T @ Vm @ c)
+    assert np.all((want > 0.05) & (want < 0.95))  # interior: the box does not bind
+    min_obj = float((A @ want - c) @ Vm @ (A @ want - c))
+    assert min_obj > CERT_TOL  # no root: the system is overidentified
+
+    res = minimize_box_multistart(residual_system(surf, V)(u), [0.0, 0.0], [1.0, 1.0], warm=[0.9, 0.1])
+    assert res.x == pytest.approx(want, abs=1e-10)
+    assert res.fun == pytest.approx(min_obj, rel=1e-10)
+    assert res.fun == pytest.approx(objective(res.x, u, surf, V), rel=1e-12)
+    assert not res.converged
+
+
+@st.composite
+def planted_root_surfaces(draw):
+    """Random decreasing piecewise-linear 2x2 surface with a root planted at theta*.
+
+    The share of cell (1, 0) is capped so that |J00 J11| > |J01 J10| at
+    every theta: det J > 0 on the whole box, so by the Gale-Nikaido
+    univalence theorem theta* is the system's only root there.
+    """
+    unit = st.floats(0.05, 0.95)
+    curves, steepest, flattest = {}, {}, {}
+    for l in range(2):
+        for k in range(2):
+            inner = sorted(draw(st.sets(st.integers(1, 19), max_size=6)))
+            knots = np.array([0.0] + [i / 20 for i in inner] + [1.0])
+            drops = np.array(draw(st.lists(unit, min_size=knots.size - 1, max_size=knots.size - 1)))
+            top = draw(st.floats(0.5, 1.0))
+            values = top - np.concatenate(([0.0], np.cumsum(drops))) * (draw(unit) * top / drops.sum())
+            slopes = -np.diff(values) / np.diff(knots)
+            curves[CellIndex(l, k)] = SmoothedCurve(knots, values, 0.1, "local_linear")
+            steepest[l, k], flattest[l, k] = slopes.max(), slopes.min()
+    p_hat = np.array([[draw(unit), draw(unit)], [draw(unit), draw(unit)]])
+    dominance = p_hat[0, 0] * p_hat[1, 1] * flattest[0, 0] * flattest[1, 1]
+    p_hat[1, 0] = min(p_hat[1, 0], draw(unit) * dominance / (p_hat[0, 1] * steepest[1, 0] * steepest[0, 1]))
+    theta_star = np.array([draw(unit), draw(unit)])
+    # rescale the k=1 shares so both instrument levels share the level 1 - u
+    level = [sum(p_hat[l, k] * float(curves[CellIndex(l, k)](theta_star[l])) for l in range(2)) for k in range(2)]
+    p_hat[:, 1] *= level[0] / level[1]
+    surf = SmoothedSurvivalSurface(curves, p_hat, {}, "local_linear")
+    warm = [draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))]
+    return surf, 1.0 - level[0], theta_star, warm
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(planted_root_surfaces())
+def test_random_monotone_surfaces_certify_planted_root(case):
+    surf, u, theta_star, warm = case
+    assert np.all(np.abs(residual_vector(theta_star, u, surf)) < 1e-12)
+    res = minimize_box_multistart(residual_system(surf)(u), [0.0, 0.0], [1.0, 1.0], warm=warm)
+    assert res.converged
+    assert objective(res.x, u, surf) <= CERT_TOL
+    assert res.x == pytest.approx(theta_star, abs=1e-4)
+
+
+@pytest.mark.parametrize("design", [1, 2])
+def test_every_reported_point_is_certified(design):
+    # the objective at each reported point, recomputed through the
+    # surface's vectorized evaluator, is within the certificate
+    for seed in range(4):
+        data, _ = generate(DgpSpec(design=design, n=4_000, seed=seed))
+        surf = assemble_surface(data)
+        fit = fit_curve(data, surface=surf)
+        assert fit.reported_mask.sum() >= 10
+        for m in np.flatnonzero(fit.reported_mask):
+            u = float(fit.grid.points[m])
+            assert fit.objective[m] <= CERT_TOL
+            assert objective(fit.theta[m], u, surf) <= CERT_TOL
+
+
+def test_design2_seed0_lowest_point_certified():
+    # a clip-projected simplex stalled here on the theta_0 = 0 face with
+    # objective 1e-4; the root sits on the theta_1 = 0 face instead
+    data, _ = generate(DgpSpec(design=2, n=10_000, seed=0))
+    fit = fit_curve(data, stop_at_frontier=True)
+    assert fit.grid.points[0] == pytest.approx(0.01)
+    assert fit.converged[0] and fit.reported_mask[0]
+    assert fit.objective[0] <= CERT_TOL
+    assert fit.theta[0] == pytest.approx([0.019, 0.0], abs=1e-3)
+
+
+def test_uncertified_points_named_in_warning():
+    # at n=4000 this draw has no exact root at a few low quantile levels
+    data, _ = generate(DgpSpec(design=2, n=4_000, seed=5))
+    fit = fit_curve(data, stop_at_frontier=True)
+    before = np.arange(fit.grid.size) < fit.frontiers.m_hat
+    missed = before & ~fit.converged
+    assert missed.any()
+    assert not fit.reported_mask[missed].any()
+    assert np.all(fit.objective[missed] > CERT_TOL)
+    us = ", ".join(f"{u:g}" for u in fit.grid.points[missed])
+    want = f"no certified root (objective > 1e-10) at u = {us} (largest objective {fit.objective[missed].max():.3g})"
+    assert any(w.startswith(want) for w in fit.warnings), fit.warnings
 
 
 # -- support bounds ---------------------------------------------------------

@@ -1,79 +1,122 @@
 import math
 
+import numpy as np
 import pytest
 
-from crqiv.optim import (
-    MinimizeResult,
-    SolverConfig,
-    lattice_points,
-    minimize_box_multistart,
-    nelder_mead_box,
-)
+from crqiv.optim import CERT_TOL, MinimizeResult, minimize_box_multistart
 
 
-def sphere(center):
+def shift(center):
+    """Residual x - center with identity Jacobian: objective ||x - center||^2."""
+    c = np.asarray(center, dtype=np.float64)
+
     def f(x):
-        return sum((xi - ci) ** 2 for xi, ci in zip(x, center))
+        return x - c, np.eye(c.size)
+    return f
+
+
+def ramp(flat_until, root):
+    """1-D residual flat at 0.5 on [0, flat_until], then linear through a root."""
+    slope = -0.5 / (root - flat_until)
+
+    def f(x):
+        t = float(x[0])
+        if t <= flat_until:
+            return np.array([0.5]), np.array([[0.0]])
+        return np.array([0.5 + slope * (t - flat_until)]), np.array([[slope]])
     return f
 
 
 def test_interior_quadratic_minimum():
-    res = nelder_mead_box(sphere([0.3, 0.7]), [0.9, 0.1], [0.0, 0.0], [1.0, 1.0])
+    res = minimize_box_multistart(shift([0.3, 0.7]), [0.0, 0.0], [1.0, 1.0], warm=[0.9, 0.1])
     assert res.converged
-    assert res.fun < 1e-12
-    assert res.x == pytest.approx([0.3, 0.7], abs=1e-5)
+    assert res.fun < 1e-20
+    assert res.x == pytest.approx([0.3, 0.7], abs=1e-12)
+    assert res.n_restarts == 1
 
 
 def test_minimum_clipped_to_box_face():
     # unconstrained minimum at (2, 0.5) lies outside; solution sits on x0=1
-    res = nelder_mead_box(sphere([2.0, 0.5]), [0.5, 0.5], [0.0, 0.0], [1.0, 1.0])
-    assert res.fun == pytest.approx(1.0, abs=1e-8)
-    assert res.x[0] == pytest.approx(1.0, abs=1e-6)
-    assert res.x[1] == pytest.approx(0.5, abs=1e-4)
+    res = minimize_box_multistart(shift([2.0, 0.5]), [0.0, 0.0], [1.0, 1.0], warm=[0.5, 0.5])
+    assert res.fun == pytest.approx(1.0, abs=1e-12)
+    assert res.x == pytest.approx([1.0, 0.5], abs=1e-12)
+    assert not res.converged  # no root in the box: not certified
 
 
 def test_iterates_never_leave_box():
     seen = []
 
     def f(x):
-        seen.append(list(x))
-        return (x[0] - 5.0) ** 2 + (x[1] + 3.0) ** 2
+        seen.append(x.copy())
+        return np.array([x[0] - 5.0, x[1] + 3.0, x[0] * x[1] - 9.0]), np.array(
+            [[1.0, 0.0], [0.0, 1.0], [x[1], x[0]]]
+        )
 
-    nelder_mead_box(f, [0.2, 0.8], [0.0, 0.0], [1.0, 1.0])
-    assert seen
+    minimize_box_multistart(f, [0.0, 0.0], [1.0, 1.0], warm=[0.2, 0.8])
+    assert len(seen) > 1
     for p in seen:
-        assert -1e-15 <= p[0] <= 1.0 + 1e-15
-        assert -1e-15 <= p[1] <= 1.0 + 1e-15
+        assert 0.0 <= p[0] <= 1.0
+        assert 0.0 <= p[1] <= 1.0
 
 
 def test_result_fields_populated():
-    res = nelder_mead_box(sphere([0.5]), [0.1], [0.0], [1.0])
+    res = minimize_box_multistart(shift([0.5]), [0.0], [1.0], warm=[0.1])
     assert isinstance(res, MinimizeResult)
     assert isinstance(res.x, list) and len(res.x) == 1
+    assert all(type(v) is float for v in res.x)
     assert math.isfinite(res.fun)
+    assert res.converged is True
     assert res.n_eval > 0
     assert res.n_restarts == 1
 
 
+def test_n_eval_counts_every_call_including_restarts():
+    calls = [0]
+    inner = ramp(0.3, 0.65)
+
+    def f(x):
+        calls[0] += 1
+        return inner(x)
+
+    res = minimize_box_multistart(f, [0.0], [1.0], warm=[0.1])
+    assert res.n_restarts > 1
+    assert res.n_eval == calls[0]
+
+
 def test_lattice_points_full_product():
-    pts = lattice_points([0.0, 0.0], [2.0, 4.0], (0.0, 0.5, 1.0))
-    assert len(pts) == 9
-    assert [0.0, 0.0] in pts
-    assert [1.0, 2.0] in pts
-    assert [2.0, 4.0] in pts
+    # with no root anywhere, every start of the restart lattice is tried:
+    # the warm start, then the product of box fractions (0.05, 0.5, 0.95)
+    starts = []
+
+    def f(x):
+        starts.append(tuple(x))
+        return np.array([1.0]), np.zeros((1, 2))
+
+    res = minimize_box_multistart(f, [0.0, 0.0], [2.0, 4.0], warm=[1.0, 1.0])
+    assert not res.converged
+    assert res.n_restarts == 1 + 9
+    assert res.n_eval == len(starts) == 10
+    axes = [[0.1, 1.0, 1.9], [0.2, 2.0, 3.8]]
+    want = [(1.0, 1.0)] + [(a, b) for a in axes[0] for b in axes[1]]
+    assert np.allclose(starts, want, atol=1e-15)
 
 
 def test_multistart_escapes_decoy_basin():
-    # shallow decoy near the origin, global minimum near the far corner
-    def f(x):
-        d_decoy = (x[0] - 0.05) ** 2 + (x[1] - 0.05) ** 2
-        d_true = (x[0] - 0.93) ** 2 + (x[1] - 0.91) ** 2
-        return min(0.5 + 5 * d_decoy, d_true)
+    # from the warm start the residual is flat (zero slope): Gauss-Newton
+    # cannot move and the restart lattice must find the root at 0.65
+    res = minimize_box_multistart(ramp(0.3, 0.65), [0.0], [1.0], warm=[0.1])
+    assert res.converged
+    assert res.fun <= CERT_TOL
+    assert res.x == pytest.approx([0.65], abs=1e-12)
+    assert res.n_restarts == 3  # warm start, lattice 0.05 (flat), lattice 0.5
 
-    res = minimize_box_multistart(f, [0.0, 0.0], [1.0, 1.0])
-    assert res.fun < 1e-10
-    assert res.x == pytest.approx([0.93, 0.91], abs=1e-4)
-    assert res.n_restarts >= 1
+
+def test_no_restart_keeps_the_first_run():
+    res = minimize_box_multistart(ramp(0.3, 0.65), [0.0], [1.0], warm=[0.1], restart=False)
+    assert not res.converged
+    assert res.x == [0.1]
+    assert res.n_restarts == 1
+    assert res.n_eval == 1
 
 
 def test_warm_start_is_used():
@@ -81,37 +124,59 @@ def test_warm_start_is_used():
 
     def f(x):
         calls.append(tuple(x))
-        return (x[0] - 0.42) ** 2
+        return np.array([x[0] - 0.42]), np.array([[1.0]])
 
     res = minimize_box_multistart(f, [0.0], [1.0], warm=[0.42])
-    assert (0.42,) in calls
-    assert res.fun < 1e-16
+    assert calls[0] == (0.42,)
+    assert res.fun < 1e-30
+    assert res.n_eval == 1
 
 
 def test_warm_start_outside_box_is_clipped():
-    res = minimize_box_multistart(sphere([0.9]), [0.0], [1.0], warm=[7.0])
-    assert res.fun < 1e-12
+    calls = []
+    inner = shift([0.9])
+
+    def f(x):
+        calls.append(float(x[0]))
+        return inner(x)
+
+    res = minimize_box_multistart(f, [0.0], [1.0], warm=[7.0])
+    assert calls[0] == 1.0
+    assert res.fun < 1e-20
+    assert res.n_restarts == 1
 
 
 def test_multistart_deterministic():
     def f(x):
-        return math.sin(9 * x[0]) * math.cos(7 * x[1]) + (x[0] - 0.3) ** 2
+        r = np.array([math.sin(9 * x[0]) * math.cos(7 * x[1]) + x[0] - 0.3, x[1] ** 2 - 0.2])
+        J = np.array([
+            [9 * math.cos(9 * x[0]) * math.cos(7 * x[1]) + 1.0, -7 * math.sin(9 * x[0]) * math.sin(7 * x[1])],
+            [0.0, 2 * x[1]],
+        ])
+        return r, J
 
     a = minimize_box_multistart(f, [0.0, 0.0], [1.0, 1.0])
     b = minimize_box_multistart(f, [0.0, 0.0], [1.0, 1.0])
     assert a.x == b.x
     assert a.fun == b.fun
     assert a.n_eval == b.n_eval
+    assert a.converged
 
 
-def test_zero_multistart_falls_back_to_best_lattice_point():
-    cfg = SolverConfig(n_multistart=0)
-    res = minimize_box_multistart(sphere([0.5, 0.5]), [0.0, 0.0], [1.0, 1.0], config=cfg)
-    assert res.x == [0.5, 0.5]
+def test_uncertified_falls_back_to_best_run():
+    # no root: the residual's norm is smallest at the upper corner
+    def f(x):
+        return np.array([2.0 - x[0] - x[1]]), np.array([[-1.0, -1.0]])
+
+    res = minimize_box_multistart(f, [0.0, 0.0], [0.5, 0.5], warm=[0.0, 0.0])
     assert not res.converged
+    assert res.x == [0.5, 0.5]
+    assert res.fun == pytest.approx(1.0, abs=1e-15)
+    assert res.n_restarts == 10
 
 
 def test_degenerate_box_single_point():
-    res = nelder_mead_box(sphere([0.7]), [0.5], [0.5], [0.5])
+    res = minimize_box_multistart(shift([0.7]), [0.5], [0.5], warm=[0.5], restart=False)
     assert res.x == [0.5]
     assert res.fun == pytest.approx(0.04, abs=1e-15)
+    assert res.n_eval == 1

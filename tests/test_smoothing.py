@@ -149,9 +149,21 @@ def test_fast_eval_matches_call(kind):
     jumps = np.sort(rng.uniform(0.1, 2.0, size=5))
     vals = np.sort(rng.uniform(0, 1, size=5))[::-1]
     curve = smooth(StepFunction(jumps, np.ascontiguousarray(vals), 1.0), 0.3, kind=kind)
-    ev = curve.fast_eval()
-    for t in rng.uniform(-0.5, 3.0, size=200):
-        assert ev(float(t)) == pytest.approx(float(curve(t)), abs=1e-14)
+    ev = curve.value_slope()
+    ts = np.concatenate((rng.uniform(-0.5, 3.0, size=200), curve.knots[::7]))
+    for t in ts:
+        v, s = ev(float(t))
+        assert v == pytest.approx(float(curve(t)), abs=1e-14)
+        # the slope is that of the segment (a, b] holding t, [a, b] for the first
+        i = max(int(np.searchsorted(curve.knots, t, side="left")), int(t == curve.knots[0]))
+        if 0 < i < curve.knots.size:
+            a, b = curve.knots[i - 1], curve.knots[i]
+            assert s == pytest.approx((float(curve(b)) - float(curve(a))) / (b - a), rel=1e-9, abs=1e-12)
+            assert s <= 0.0
+        else:
+            assert s == 0.0
+    scaled = curve.value_slope(0.25)
+    assert scaled(0.7) == pytest.approx(tuple(0.25 * x for x in ev(0.7)), abs=1e-15)
 
 
 def test_unknown_kind_rejected():

@@ -50,9 +50,14 @@ def test_design2_values_near_population(d2_surface):
 def test_cell_eval_matches_evaluate(d2_surface):
     for z in (0, 1):
         for w in (0, 1):
-            ev = d2_surface.cell_eval(z, w)
+            ev = d2_surface.cell_value_slope(z, w)
             for t in (0.0, 0.17, 0.3, 1.0, 5.0):
-                assert ev(t) == pytest.approx(float(d2_surface.evaluate(t, z, w)), abs=1e-13)
+                v, s = ev(t)
+                assert v == pytest.approx(float(d2_surface.evaluate(t, z, w)), abs=1e-13)
+                # slopes belong to segments closed on the right, the first closed on both ends
+                a, b = (t, t + 1e-9) if t == 0.0 else (t - 1e-9, t)
+                fd = (float(d2_surface.evaluate(b, z, w)) - float(d2_surface.evaluate(a, z, w))) / (b - a)
+                assert s == pytest.approx(fd, abs=1e-5)
 
 
 def test_structural_zero_cell_is_identically_zero():
@@ -64,8 +69,8 @@ def test_structural_zero_cell_is_identically_zero():
     surf = assemble_surface(data, bandwidth=0.3)
     assert CellIndex(1, 0) not in surf.curves
     assert np.all(surf.evaluate(np.linspace(0, 2, 9), 1, 0) == 0.0)
-    ev = surf.cell_eval(1, 0)
-    assert ev(0.4) == 0.0
+    ev = surf.cell_value_slope(1, 0)
+    assert ev(0.4) == (0.0, 0.0)
     # the reachable cell carries the whole share for that instrument level
     assert surf.p_hat[0, 0] == 1.0
     assert surf.p_hat[1, 0] == 0.0

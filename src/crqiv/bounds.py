@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .estimator import QuantileCurveFit, estimate_caps, estimate_y1
+from .estimator import QuantileCurveFit, estimate_caps, estimate_y1, residual_vector
 
 __all__ = [
     "IntervalProduct",
@@ -101,26 +101,18 @@ class BoundFrontiers:
 
 
 def capped_residual(theta, u: float, surface, caps) -> np.ndarray:
-    """Instrument-level residuals with evaluation capped at the support."""
-    caps = np.asarray(caps, dtype=np.float64)
-    th = np.minimum(np.asarray(theta, dtype=np.float64), caps)
-    L = caps.size
-    K = surface.n_instrument_levels
-    out = np.empty(K)
-    for k in range(K):
-        s = 0.0
-        for l in range(L):
-            s += float(surface.evaluate(th[l], l, k))
-        out[k] = s - (1.0 - u)
-    return out
+    """``residual_vector`` with evaluation capped at the support; batched likewise."""
+    return residual_vector(np.minimum(theta, caps), u, surface)
 
 
-def verify_membership(theta, u: float, surface, frontiers: BoundFrontiers) -> bool:
-    """Direct evaluation of the two membership conditions (the slow oracle)."""
+def verify_membership(theta, u: float, surface, frontiers: BoundFrontiers):
+    """Direct check of both membership conditions: theta (..., L) -> verdicts (...)."""
     theta = np.asarray(theta, dtype=np.float64)
-    if not np.any(theta >= frontiers.y1):
-        return False
-    return bool(np.min(capped_residual(theta, u, surface, frontiers.caps)) >= 0.0)
+    member = np.asarray(np.any(theta >= frontiers.y1, axis=-1))
+    # residuals only where the point left the box; the rest are not members
+    r = capped_residual(theta[member], u, surface, frontiers.caps)
+    member[member] = np.min(r, axis=-1) >= 0.0
+    return member if member.ndim else bool(member)
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,14 @@ _THREADS_ENV = "CRQIV_THREADS"
 
 def _default_threads() -> int:
     env = os.environ.get(_THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        if int(env) >= 1:
+            return int(env)
+    except ValueError:
+        pass
+    raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {env!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -221,7 +223,7 @@ def cmd_bounds(cfg: dict) -> int:
         frontiers = BoundFrontiers(frontiers.y1, frontiers.caps, u_y)
         inputs = [data_path, fit_path]
     else:
-        fit = fit_curve(data, stop_at_frontier=True, **_fit_kwargs(cfg))
+        fit = fit_curve(data, stop_at_frontier=True, surface=surface, **_fit_kwargs(cfg))
         frontiers = BoundFrontiers.from_data(data, fit)
         inputs = [data_path]
 
@@ -230,17 +232,14 @@ def cmd_bounds(cfg: dict) -> int:
         os_ = outer_set(u, surface, frontiers)
         sets.append(os_.to_dict())
         if cfg.get("lattice", 0) > 0:
-            npts = cfg["lattice"]
-            axes = [np.linspace(0.0, 1.5 * frontiers.y1[l], npts) for l in range(frontiers.y1.size)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            rows = []
-            for idx in np.ndindex(*mesh[0].shape):
-                theta = [float(ax[i]) for ax, i in zip(axes, idx)]
-                rows.append(theta + [int(verify_membership(theta, u, surface, frontiers))])
+            npts, L = cfg["lattice"], frontiers.y1.size
+            axes = [np.linspace(0.0, 1.5 * frontiers.y1[l], npts) for l in range(L)]
+            lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L)
+            member = verify_membership(lattice, u, surface, frontiers)
             _write_csv(
                 out / f"bounds_lattice_u{u:g}.csv",
-                [f"theta_{l}" for l in range(frontiers.y1.size)] + ["member"],
-                rows,
+                [f"theta_{l}" for l in range(L)] + ["member"],
+                (theta + [int(m)] for theta, m in zip(lattice.tolist(), member)),
             )
     _write_json(out / "bounds.json", {"u_y": frontiers.u_y, "sets": sets})
     _write_manifest(out, "bounds", cfg, cfg["seed"], inputs)

@@ -14,6 +14,7 @@ from .data import Dataset, swap_causes
 from .derived import derived_quantities
 from .estimator import QuantileGrid, fit_curve
 from .inference import BootstrapConfig, bootstrap_band
+from .surface import assemble_surface
 
 __all__ = ["QuantileIVEstimator"]
 
@@ -45,13 +46,13 @@ class QuantileIVEstimator:
         return self
 
     def fit(self, data: Dataset) -> "QuantileIVEstimator":
+        self.surface_ = assemble_surface(data, bandwidth=self.bandwidth, kind=self.kind)
         self.fit_ = fit_curve(
             data,
             grid=QuantileGrid.default(self.grid_size),
             V=self.V,
-            bandwidth=self.bandwidth,
             delta=self.delta,
-            kind=self.kind,
+            surface=self.surface_,
         )
         self.data_ = data
         self.u_hat_ = self.fit_.frontiers.u_hat
@@ -83,11 +84,7 @@ class QuantileIVEstimator:
 
     def bounds_at(self, u: float):
         self._require_fit()
-        from .surface import assemble_surface
-
-        frontiers = BoundFrontiers.from_data(self.data_, self.fit_)
-        surface = assemble_surface(self.data_, bandwidth=self.bandwidth, kind=self.kind)
-        return outer_set(u, surface, frontiers)
+        return outer_set(u, self.surface_, BoundFrontiers.from_data(self.data_, self.fit_))
 
     def confidence_band(self, boot: BootstrapConfig | None = None, contrast=(1, 0)):
         self._require_fit()

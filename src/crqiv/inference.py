@@ -34,7 +34,6 @@ class BootstrapConfig:
     draws: int = 200
     seed: int = 0
     level: float = 0.95
-    method: str = "percentile"
     report_threshold: float = 0.5  # min fraction of replicates reporting a point
     workers: int = 1
 
@@ -43,8 +42,6 @@ class BootstrapConfig:
             raise ValueError("draws must be >= 2")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must be in (0, 1)")
-        if self.method != "percentile":
-            raise ValueError(f"unknown interval method {self.method!r}")
         if not (0.0 < self.report_threshold <= 1.0):
             raise ValueError("report_threshold must be in (0, 1]")
         if self.workers < 1:

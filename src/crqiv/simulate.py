@@ -18,7 +18,6 @@ standard normal CDF, exposed as an exact surface for oracle tests.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,6 +317,7 @@ def mc_study(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     from .estimator import QuantileGrid, fit_curve, naive_curve
+    from .inference import _map_indexed
 
     grid = grid or QuantileGrid.default()
     M = grid.size
@@ -329,11 +329,7 @@ def mc_study(
         nv = naive_curve(data, grid) if naive else None
         return fit, nv
 
-    if workers <= 1:
-        results = [one_rep(r) for r in range(reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_rep, range(reps)))
+    results = _map_indexed(one_rep, reps, workers)
 
     L = results[0][0].theta.shape[1]
     out = McResult(

@@ -90,12 +90,11 @@ def compare_on_lattice(surface, y1, caps, u, points_per_dim=30):
         return False
 
     axes = lattice_axes(caps, points_per_dim)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    verdicts = verify_membership(lattice, u, surface, frontiers)
     checked = disagreements = excused = 0
-    for idx in np.ndindex(*mesh[0].shape):
-        theta = [float(ax[i]) for ax, i in zip(axes, idx)]
+    for theta, want in zip(lattice.tolist(), verdicts.tolist()):
         checked += 1
-        want = verify_membership(theta, u, surface, frontiers)
         got = os_.contains(theta)
         if want != got:
             if near_edge(theta):

@@ -15,7 +15,9 @@ from crqiv.bounds import (
     outer_set_recursive,
     verify_membership,
 )
+from crqiv.estimator import estimate_caps, estimate_y1, residual_vector
 from crqiv.simulate import DgpSpec, GroundTruth, generate
+from crqiv.surface import assemble_surface
 from tests._synthetic import StepSurface, compare_on_lattice, random_step_surface
 
 # bisection extents on the exact population surfaces (quadrature + brentq)
@@ -256,6 +258,44 @@ def test_saturation_invariance_random_surfaces():
         r0 = capped_residual(base, u, surface, caps)
         bumped = np.where(base >= caps, base * 3, base)
         assert capped_residual(bumped, u, surface, caps) == pytest.approx(r0, abs=1e-15)
+
+
+def _batch_case(name):
+    """(surface, y1, caps) for the batched-oracle check."""
+    if name == "step3":
+        return random_step_surface(stream(35, "test"), L=3, K=3)
+    if name == "true":
+        truth = GroundTruth(2)
+        y1 = np.asarray(truth.y1)
+        return truth.surface(), y1, 1.5 * y1
+    data, _ = generate(DgpSpec(design=2, n=2_000, seed=4))
+    return assemble_surface(data, kind=name), estimate_y1(data), estimate_caps(data)
+
+
+@pytest.mark.parametrize("name", ["local_linear", "convolution", "true", "step3"])
+def test_batched_oracle_equals_row_by_row(name):
+    surface, y1, caps = _batch_case(name)
+    fr = BoundFrontiers(y1, caps)
+    rng = stream(36, "test")
+    pts = rng.uniform(0.0, 1.3, size=(300, y1.size)) * caps
+    pts[:10] = caps  # exact caps and a saturated point
+    pts[10] = math.inf
+    u = 0.8
+    rows = list(pts)
+    assert np.array_equal(
+        residual_vector(pts, u, surface), np.array([residual_vector(t, u, surface) for t in rows])
+    )
+    assert np.array_equal(
+        capped_residual(pts, u, surface, caps),
+        np.array([capped_residual(t, u, surface, caps) for t in rows]),
+    )
+    member = verify_membership(pts, u, surface, fr)
+    assert member.shape == (300,) and member.any() and not member.all()
+    assert np.array_equal(member, [verify_membership(t, u, surface, fr) for t in rows])
+    # leading batch axes are kept
+    grid = pts[:12].reshape(3, 4, y1.size)
+    assert capped_residual(grid, u, surface, caps).shape == (3, 4, surface.n_instrument_levels)
+    assert verify_membership(grid, u, surface, fr).shape == (3, 4)
 
 
 def test_recursive_u1_three_half_slabs():

@@ -236,6 +236,47 @@ def test_bounds_missing_fit_json_exits_2(tmp_path, sim_dir):
     assert code == 2
 
 
+def test_bounds_assembles_the_surface_once(tmp_path, sim_dir, monkeypatch):
+    import crqiv.cli
+    import crqiv.estimator
+    from crqiv.surface import assemble_surface
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble_surface(*args, **kwargs)
+
+    monkeypatch.setattr(crqiv.cli, "assemble_surface", counted)
+    monkeypatch.setattr(crqiv.estimator, "assemble_surface", counted)
+    code = run([
+        "bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b",
+        "--u", 0.9, "--grid", 25,
+    ])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3"])
+def test_bad_threads_env_exits_1(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("CRQIV_THREADS", value)
+    out = tmp_path / "sim"
+    code = run(["simulate", "--design", 1, "--n", 50, "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "CRQIV_THREADS" in err and repr(value) in err
+    assert not out.exists()
+
+
+def test_threads_env_sets_the_default(monkeypatch):
+    from crqiv.cli import _default_threads
+
+    monkeypatch.setenv("CRQIV_THREADS", "3")
+    assert _default_threads() == 3
+    monkeypatch.delenv("CRQIV_THREADS")
+    assert _default_threads() >= 1
+
+
 # -- mc -------------------------------------------------------------------------
 
 

@@ -75,6 +75,23 @@ def test_bounds_wiring(fitted):
         est.bounds_at(0.01)
 
 
+def test_bounds_reuse_the_fitted_surface(fitted, monkeypatch):
+    import crqiv.facade
+    import crqiv.surface
+    from crqiv.bounds import BoundFrontiers, outer_set
+
+    data, est = fitted
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("surface rebuilt")
+
+    monkeypatch.setattr(crqiv.facade, "assemble_surface", refuse)
+    monkeypatch.setattr(crqiv.surface, "assemble_surface", refuse)
+    got = est.bounds_at(0.9)
+    want = outer_set(0.9, est.surface_, BoundFrontiers.from_data(data, est.fit_))
+    assert got.to_dict() == want.to_dict()
+
+
 def test_derived_wiring(fitted):
     _, est = fitted
     base = est.derived()

@@ -73,6 +73,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_columns(path: Path, header: list[str], columns: list[list]) -> None:
+    """``_write_csv`` for columns of ints and finite floats, without a ``_fmt`` call per cell.
+
+    ``str.format`` writes a float as its repr and an int as its digits, so
+    the bytes equal ``_fmt``'s for such values.
+    """
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(map(row.format, *columns)))
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -236,10 +248,11 @@ def cmd_bounds(cfg: dict) -> int:
             axes = [np.linspace(0.0, 1.5 * frontiers.y1[l], npts) for l in range(L)]
             lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L)
             member = verify_membership(lattice, u, surface, frontiers)
-            _write_csv(
+            # finite: BoundFrontiers keeps y1 positive and finite
+            _write_columns(
                 out / f"bounds_lattice_u{u:g}.csv",
                 [f"theta_{l}" for l in range(L)] + ["member"],
-                (theta + [int(m)] for theta, m in zip(lattice.tolist(), member)),
+                [*lattice.T.tolist(), member.astype(np.int64).tolist()],
             )
     _write_json(out / "bounds.json", {"u_y": frontiers.u_y, "sets": sets})
     _write_manifest(out, "bounds", cfg, cfg["seed"], inputs)

@@ -15,7 +15,10 @@ probability zero.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import mmap
+import operator
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -237,6 +240,15 @@ def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
 
 # -- CSV ingestion and serialization -----------------------------------
 
+# Bytes on which np.loadtxt and the csv module can read a file differently:
+# quotes; NUL (csv rejects it before Python 3.11, and numpy text drops it at
+# the end of a field); the separators \x1c-\x1f, which np.loadtxt strips
+# around a number and float() does not; and blank lines, which both skip but
+# which make np.loadtxt warn on text columns.
+_ROW_BY_ROW = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\n\n", b"\r\r", b"\n\r")
+_LOADTXT = {"delimiter": ",", "comments": None, "skiprows": 1, "encoding": "utf-8"}
+_SAVE_CHUNK = 1 << 16
+
 
 def _coerce_labels(raw: list[str]) -> list:
     try:
@@ -247,6 +259,22 @@ def _coerce_labels(raw: list[str]) -> list:
         return [float(s) for s in raw]
     except ValueError:
         return raw
+
+
+def _first_appearance(labels: Iterable) -> list:
+    seen: list = []
+    for v in labels:
+        if v not in seen:
+            seen.append(v)
+    return seen
+
+
+def _given_order(explicit: Sequence | None, side: dict | None, side_key: str) -> list | None:
+    if explicit is not None:
+        return list(explicit)
+    if side is not None and side_key in side:
+        return list(side[side_key])
+    return None
 
 
 def load_csv(
@@ -266,6 +294,12 @@ def load_csv(
     ``structural_zeros`` lists (treatment_label, instrument_label) pairs of
     cells that are unreachable by design. ``event_labels`` optionally maps
     raw event strings to codes in {0, 1, 2}.
+
+    Columns are parsed by numpy's C reader. A file that reader could read
+    differently from the csv module (quoted fields, blank lines, number
+    text such as ``2_0``), or that fails a check, is read row by row
+    instead, which accepts it as before or names the offending row.
+    ``path`` must name a regular file, as it is read more than once.
     """
     cols = dict(DEFAULT_COLUMNS)
     if schema:
@@ -283,17 +317,111 @@ def load_csv(
         pass
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataValidationError("missing header row")
-        for logical, name in cols.items():
-            if name not in reader.fieldnames:
-                raise DataValidationError(f"missing column '{name}' (for '{logical}')")
+        header = csv.DictReader(fh).fieldnames
+    if header is None:
+        raise DataValidationError("missing header row")
+    for logical, name in cols.items():
+        if name not in header:
+            raise DataValidationError(f"missing column '{name}' (for '{logical}')")
+
+    t_order = _given_order(treatment_order, side, "treatment_levels")
+    i_order = _given_order(instrument_order, side, "instrument_levels")
+    # a repeated column name reads as its last copy, as in csv.DictReader
+    position = {name: i for i, name in enumerate(header)}
+    usecols = [position[cols[key]] for key in ("y", "event", "z", "w")]
+    try:
+        parsed = _read_columns(path, usecols, event_labels, t_order, i_order)
+    except (ValueError, TypeError):
+        parsed = None
+    if parsed is None:
+        parsed = _read_rows(path, cols, event_labels, t_order, i_order)
+    y, event, z_idx, w_idx, t_levels, i_levels = parsed
+
+    zeros: set[tuple[int, int]] = set()
+    declared = structural_zeros
+    if declared is None and side is not None:
+        declared = [tuple(p) for p in side.get("structural_zeros", [])]
+    if declared:
+        for z_lab, w_lab in declared:
+            if z_lab not in t_levels or w_lab not in i_levels:
+                raise DataValidationError(f"structural zero ({z_lab!r}, {w_lab!r}) names unknown levels")
+            zeros.add((t_levels.index(z_lab), i_levels.index(w_lab)))
+
+    return Dataset(y, event, z_idx, w_idx, t_levels, i_levels, zeros)
+
+
+def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, i_order: list | None):
+    """``_read_rows``'s result without a Python object per row.
+
+    np.loadtxt parses the time column as float64 and the event, treatment
+    and instrument columns as text; only their distinct strings reach
+    Python. Returns None, or raises ValueError or TypeError, wherever the
+    row loop could read the file differently or would raise, so that it
+    runs instead.
+    """
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
+        declined = any(raw.find(b) >= 0 for b in _ROW_BY_ROW)
+        # past the first LF, else the first CR; nothing after it means no
+        # records, on which np.loadtxt warns (a mixed-ending file that this
+        # misjudges is read row by row)
+        start = raw.find(b"\n") + 1 or raw.find(b"\r") + 1
+        if declined or not 0 < start < len(raw):
+            return None
+
+    iy, ie, iz, iw = usecols
+    y = np.loadtxt(path, dtype=np.float64, usecols=iy, ndmin=1, **_LOADTXT)
+    if not (np.isfinite(y) & (y >= 0)).all():
+        return None
+    text = np.loadtxt(path, dtype=str, usecols=(ie, iz, iw), ndmin=2, **_LOADTXT)
+
+    strings, inverse = np.unique(text[:, 0], return_inverse=True)
+    codes = [
+        int(event_labels[s]) if event_labels is not None and s in event_labels else int(s)
+        for s in strings.tolist()
+    ]
+    if not set(codes) <= {CENSORED, CAUSE1, CAUSE2}:
+        return None
+    event = np.array(codes, dtype=np.int64)[inverse]
+
+    z = _level_codes(text[:, 1], t_order)
+    w = _level_codes(text[:, 2], i_order)
+    if z is None or w is None:
+        return None
+    return y, event, z[1], w[1], z[0], w[0]
+
+
+def _level_codes(text: np.ndarray, order: list | None):
+    """(registry, per-row index) of one label column, from its distinct strings.
+
+    None where the row loop could differ: a NaN label, which it enters in a
+    first-appearance registry once per row, or a label missing from
+    ``order``, whose first row it names.
+    """
+    strings, first, inverse = np.unique(text, return_index=True, return_inverse=True)
+    labels = _coerce_labels(strings.tolist())
+    if any(lab != lab for lab in labels):
+        return None
+    if order is None:
+        # a label's first row is the earliest row of any string coercing to it
+        order = _first_appearance(labels[j] for j in np.argsort(first).tolist())
+    lookup = {lab: i for i, lab in enumerate(order)}
+    if any(lab not in lookup for lab in labels):
+        return None
+    return order, np.array([lookup[lab] for lab in labels], dtype=np.int64)[inverse]
+
+
+def _read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: list | None):
+    """``load_csv``'s body parsed one csv row at a time.
+
+    The reference for ``_read_columns``, and the path that reads what it
+    declines: it names the first offending row of a bad file.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         y_raw: list[float] = []
         e_raw: list[int] = []
         z_raw: list[str] = []
         w_raw: list[str] = []
-        for i, row in enumerate(reader, start=1):
+        for i, row in enumerate(csv.DictReader(fh), start=1):
             s = row[cols["y"]]
             try:
                 yv = float(s)
@@ -321,20 +449,8 @@ def load_csv(
 
     z_labels = _coerce_labels(z_raw)
     w_labels = _coerce_labels(w_raw)
-
-    def registry(values: list, explicit: Sequence | None, side_key: str) -> list:
-        if explicit is not None:
-            return list(explicit)
-        if side is not None and side_key in side:
-            return list(side[side_key])
-        seen: list = []
-        for v in values:
-            if v not in seen:
-                seen.append(v)
-        return seen
-
-    t_levels = registry(z_labels, treatment_order, "treatment_levels")
-    i_levels = registry(w_labels, instrument_order, "instrument_levels")
+    t_levels = _first_appearance(z_labels) if t_order is None else t_order
+    i_levels = _first_appearance(w_labels) if i_order is None else i_order
 
     def index_of(labels: list, registry_: list, what: str) -> np.ndarray:
         lookup = {lab: i for i, lab in enumerate(registry_)}
@@ -347,32 +463,34 @@ def load_csv(
 
     z_idx = index_of(z_labels, t_levels, "treatment")
     w_idx = index_of(w_labels, i_levels, "instrument")
+    return np.array(y_raw), np.array(e_raw), z_idx, w_idx, t_levels, i_levels
 
-    zeros: set[tuple[int, int]] = set()
-    declared = structural_zeros
-    if declared is None and side is not None:
-        declared = [tuple(p) for p in side.get("structural_zeros", [])]
-    if declared:
-        for z_lab, w_lab in declared:
-            if z_lab not in t_levels or w_lab not in i_levels:
-                raise DataValidationError(f"structural zero ({z_lab!r}, {w_lab!r}) names unknown levels")
-            zeros.add((t_levels.index(z_lab), i_levels.index(w_lab)))
 
-    return Dataset(np.array(y_raw), np.array(e_raw), z_idx, w_idx, t_levels, i_levels, zeros)
+def _csv_line(fields: list) -> str:
+    """One row as csv.writer writes it, line end included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
 
 
 def save_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV plus a level-registry JSON sidecar.
 
     Follow-up times are written with shortest round-tripping decimal form,
-    so load_csv(save_csv(d)) reproduces record values bit-exactly.
+    so load_csv(save_csv(d)) reproduces record values bit-exactly. The rest
+    of each row is one of the few (event, treatment, instrument) tails,
+    each formatted once by csv.writer, so labels holding commas or quotes
+    stay quoted; rows are written a bounded chunk at a time.
     """
+    t_levels, i_levels = data.treatment_levels, data.instrument_levels
+    tails = [_csv_line(["", ev, zl, wl]) for ev in (CENSORED, CAUSE1, CAUSE2) for zl in t_levels for wl in i_levels]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "event", "treatment", "instrument"])
-        t_levels, i_levels = data.treatment_levels, data.instrument_levels
-        for yv, ev, zi, wi in zip(data.y, data.event, data.z, data.w):
-            writer.writerow([repr(float(yv)), int(ev), t_levels[zi], i_levels[wi]])
+        fh.write(_csv_line(["time", "event", "treatment", "instrument"]))
+        for lo in range(0, data.n, _SAVE_CHUNK):
+            part = slice(lo, lo + _SAVE_CHUNK)
+            key = (data.event[part] * len(t_levels) + data.z[part]) * len(i_levels) + data.w[part]
+            times = map(repr, data.y[part].tolist())
+            fh.write("".join(map(operator.add, times, map(tails.__getitem__, key.tolist()))))
     sidecar = {
         "treatment_levels": data.treatment_levels,
         "instrument_levels": data.instrument_levels,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crqiv.cli import _fmt, build_parser, main
+from crqiv.cli import _fmt, _write_columns, _write_csv, build_parser, main
 from crqiv.data import load_csv
 
 
@@ -43,6 +43,20 @@ def test_fmt_cells():
     assert _fmt(1 / 3) == repr(1 / 3)
     assert _fmt(7) == "7"
     assert _fmt("x") == "x"
+
+
+def test_column_writer_matches_row_writer(tmp_path):
+    # the lattice writer's reference is the cell-by-cell _fmt writer
+    rng = np.random.default_rng(0)
+    theta = np.concatenate([
+        rng.uniform(0.0, 3.0, 500), np.linspace(0.0, 1.5 * 0.7, 150),
+        [0.0, -0.0, 1e16, 1e-300, 5e-324, 2.0000000000000004, 1 / 3, 123456789.0],
+    ])
+    columns = [theta.tolist(), theta[::-1].tolist(), (theta > 1.0).astype(np.int64).tolist()]
+    header = ["theta_0", "theta_1", "member"]
+    _write_columns(tmp_path / "cols.csv", header, columns)
+    _write_csv(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_parser_requires_command_and_flags(capsys):

@@ -1,8 +1,15 @@
+import csv
+import io
+import json
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crqiv import data as data_module
 from crqiv.data import (
     DataValidationError,
     Dataset,
@@ -12,6 +19,7 @@ from crqiv.data import (
     save_csv,
     swap_causes,
 )
+from crqiv.simulate import DgpSpec, generate
 
 
 def toy(y=(1.0, 2.0, 3.0, 4.0), event=(1, 2, 0, 1), z=(0, 1, 0, 1), w=(0, 0, 1, 1)):
@@ -211,3 +219,184 @@ def test_csv_round_trip_property(tmp_path_factory, rows):
     back = load_csv(p)
     assert np.array_equal(back.y, d.y)
     assert np.array_equal(back.event, d.event)
+
+
+# -- columnar reader against the row loop --------------------------------
+
+
+def _outcome(path, **kwargs):
+    """What load_csv returns, bit for bit, or the error it raises; a warning is an error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = load_csv(path, **kwargs)
+    except Exception as exc:  # both readers must fail alike, whatever the error
+        return ("error", type(exc).__name__, str(exc))
+    arrays = tuple((a.dtype.str, a.tobytes()) for a in (d.y, d.event, d.z, d.w))
+    return ("ok", arrays, repr(d.treatment_levels), repr(d.instrument_levels), sorted(d.structural_zeros))
+
+
+def _row_loop_outcome(path, **kwargs):
+    with mock.patch.object(data_module, "_read_columns", return_value=None):
+        return _outcome(path, **kwargs)
+
+
+# odd field text: each either read alike by both readers or declined by the columnar one
+_TIME_TEXT = st.sampled_from([
+    "1", "2.5", "0", "-0.0", " 3", "4 ", "\t7", "2_0", "1e3", "+5", ".5", "#5", "1e-400",
+    "nan", "inf", "-inf", "-1", "", "x", "1\x1c", "\x1f2", "\u0663", "\xa08", "5\x00",
+])
+_EVENT_TEXT = st.sampled_from(
+    ["0", "1", "2", "1.0", "+1", " 1", "2 ", "01", "3", "03", "+3", "-1", "", "x", "fail", "cens", "1_0", "nan"]
+)
+_LABEL_TEXT = st.sampled_from([
+    "0", "1", "2", "01", "+1", " 1", "1.0", "1.5", "-0.0", "0.0", "a", "b", "a,b",
+    'say "hi"', "#x", "x#", "nan", "NaN", "inf", "\xe9", "", "1_0", "b\x00",
+])
+_LEVEL_PAIRS = [("0", "1"), ("a", "b"), ("a,b", 'say "hi"'), ("1", "01"), ("-0.0", "0.0"), ("0", "1.5"), ("b", "a"),
+                ("nan", "1.5"), ("a", "a\x00")]
+
+
+def _orders(pair):
+    """None (first appearance), the pair's labels in either order, or an ordering that misses one."""
+    labels = data_module._coerce_labels(list(pair))
+    return st.sampled_from([None, None, labels, labels[::-1], [labels[0], "other"]])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text that the row loop reads or rejects, and load_csv keyword arguments."""
+    names = {"y": "time", "event": "event", "z": "treatment", "w": "instrument"}
+    kwargs = {}
+    if draw(st.booleans()):
+        names = {"y": "dur", "event": "status", "z": "arm", "w": "assigned"}
+        kwargs["schema"] = dict(names)
+    header = draw(st.permutations([*names.values(), *draw(st.sampled_from([[], ["note"], ["note", "time"]]))]))
+    # a block covering every (z, w) cell and clean rows, so that many draws
+    # load; a few odd rows, so that many do not
+    z_pair, w_pair = draw(st.sampled_from(_LEVEL_PAIRS)), draw(st.sampled_from(_LEVEL_PAIRS))
+    rows = [{"y": "1.5", "event": "1", "z": zl, "w": wl} for zl in z_pair for wl in w_pair]
+    rows += draw(st.lists(
+        st.fixed_dictionaries({
+            "y": st.floats(min_value=0.0, max_value=1e9, allow_nan=False).map(repr),
+            "event": st.sampled_from(["0", "1", "2"]),
+            "z": st.sampled_from(z_pair),
+            "w": st.sampled_from(w_pair),
+        }),
+        max_size=8,
+    ))
+    odd = st.one_of(
+        st.tuples(st.just("y"), _TIME_TEXT),
+        st.tuples(st.just("event"), _EVENT_TEXT),
+        st.tuples(st.just("z"), _LABEL_TEXT),
+        st.tuples(st.just("w"), _LABEL_TEXT),
+    )
+    rows = draw(st.permutations(rows))
+    for key, text in draw(st.booleans()) * draw(st.lists(odd, max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = {**rows[i], key: text}
+    column_of = {name: key for key, name in names.items()}
+    last = {name: i for i, name in enumerate(header)}  # the copy of a repeated name that is read
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="")
+    quoted = draw(st.booleans())
+
+    def line(fields):
+        if not quoted:
+            return ",".join(fields)
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(fields)
+        return buf.getvalue()
+
+    nl = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [line(header)] + [
+        line([row[column_of[c]] if c in column_of and last[c] == i else "7" for i, c in enumerate(header)])
+        for row in rows
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    bom = draw(st.sampled_from(["", "", "", "", "", "\ufeff"]))
+    text = bom + nl.join(lines) + draw(st.sampled_from(["", nl, nl, nl + nl]))
+
+    if draw(st.booleans()):
+        kwargs["event_labels"] = {"fail": 1, "cens": 0, "01": 2}
+    kwargs["treatment_order"] = draw(_orders(z_pair))
+    kwargs["instrument_order"] = draw(_orders(w_pair))
+    kwargs["structural_zeros"] = draw(st.sampled_from([None, None, [], [(z_pair[0], "other")]]))
+    sidecar = draw(st.sampled_from([
+        None,
+        None,
+        {"treatment_levels": data_module._coerce_labels(list(z_pair))[::-1]},
+        {"instrument_levels": [0, 1], "structural_zeros": [[1, 0]]},
+    ]))
+    return text, {k: v for k, v in kwargs.items() if v is not None}, sidecar
+
+
+def _case(*rows, header="time,event,treatment,instrument", nl="\n", **kwargs):
+    """A file with one cell-covering block of clean rows after ``rows``."""
+    block = ["1.5,1,0,0", "2.5,1,0,1", "3.5,2,1,0", "4.5,0,1,1"]
+    return header + nl + nl.join([*rows, *block]) + nl, kwargs, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files())
+@example(("time,event,treatment,instrument\r\n", {}, None))
+@example(_case("1\x1c,1,0,0"))  # np.loadtxt reads 1.0, float() rejects it
+@example(_case("2_0,1,0,0"))  # float() reads 20.0, np.loadtxt rejects it
+@example(_case("-1,1,0,0"))
+@example(_case("nan,1,0,0"))
+@example(_case("3,+3,0,0"))
+@example(_case("3,1.0,0,0"))
+@example(_case("3, 1 ,0 ,\t1"))
+@example(_case('3,1,"0",1', '3,1,"1,0",1'))
+@example(_case('3,1,0,"say ""hi"""', '3,1,1,"say ""hi"""'))
+@example(_case("3,1,0,1\x00"))
+@example(_case("3,1,0,#x", "3,1,0,#x", "", nl="\r\n"))
+@example(_case("3,1,nan,0", "3,1,nan,1"))
+@example(_case("3,1,0,0,extra", "", header="\ufefftime,event,treatment,instrument", schema={"y": "\ufefftime"}))
+@example(_case("3,1,0,0", header="x,event,treatment,instrument,time", event_labels={"1": 2}))
+def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
+    text, kwargs, sidecar = case
+    p = tmp_path_factory.mktemp("diff") / "d.csv"
+    p.write_bytes(text.encode("utf-8"))
+    if sidecar is not None:
+        (p.parent / "d.csv.levels.json").write_text(json.dumps(sidecar))
+    assert _outcome(p, **kwargs) == _row_loop_outcome(p, **kwargs)
+
+
+def test_round_trip_with_quoted_levels_reads_row_by_row(tmp_path):
+    d = Dataset((1.0, 2.5, 0.25, 4.0), (1, 2, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), ["a,b", 'say "hi"'], ["x", "y"])
+    p = tmp_path / "q.csv"
+    save_csv(d, p)
+    assert '"a,b"' in p.read_text() and '"say ""hi"""' in p.read_text()
+    assert data_module._read_columns(p, [0, 1, 2, 3], None, None, None) is None  # quotes: the row loop reads it
+    back = load_csv(p)
+    assert back.treatment_levels == ["a,b", 'say "hi"']
+    for a, b in ((back.y, d.y), (back.event, d.event), (back.z, d.z), (back.w, d.w)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_simulated_1e5_rows_read_alike_by_both_paths(tmp_path):
+    d, _ = generate(DgpSpec(design=1, n=100_000, seed=3))
+    p = tmp_path / "sim.csv"
+    save_csv(d, p)
+    assert data_module._read_columns(p, [0, 1, 2, 3], None, None, None) is not None
+    fast = _outcome(p)
+    assert fast[0] == "ok"
+    assert fast == _row_loop_outcome(p)
+    assert fast[1][0][1] == d.y.tobytes() and fast[1][1][1] == d.event.tobytes()
+
+
+def test_save_csv_matches_row_by_row_csv_writer(tmp_path):
+    d, _ = generate(DgpSpec(design=2, n=10_000, seed=4))
+    p = tmp_path / "new.csv"
+    save_csv(d, p)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "event", "treatment", "instrument"])
+        for yv, ev, zi, wi in zip(d.y, d.event, d.z, d.w):
+            writer.writerow([repr(float(yv)), int(ev), d.treatment_levels[zi], d.instrument_levels[wi]])
+    assert p.read_bytes() == ref.read_bytes()

@@ -231,8 +231,7 @@ def rank_condition_diagnostic(
     t1 = np.asarray(t1_grid, dtype=np.float64)
     t2 = np.asarray(t2_grid, dtype=np.float64)
     if diff_step is None:
-        bws = [c.bandwidth for c in surface.curves.values()]
-        diff_step = 0.5 * max(bws) if bws else 0.05 * max(t1.max(), t2.max())
+        diff_step = 0.5 * max(surface.bandwidths.values(), default=0.0)
         if diff_step <= 0:
             diff_step = 0.05 * max(t1.max(), t2.max())
 

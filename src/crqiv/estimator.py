@@ -11,8 +11,9 @@ over the box prod_l [0, y1_hat_l), where y1_hat_l is the largest follow-up
 time observed with a primary-cause event at level l.  Results are reported
 only below the estimated identification frontier u_hat, the first grid
 point where some coordinate of the solution comes within a cushion
-delta_l of its box edge, and only where the solve is certified: its
-objective is at most ``optim.CERT_TOL``.
+delta_l of its box edge, and only where the solve is certified: every
+component of its residual is at most ``optim.CERT_TOL`` = 1e-12 in absolute
+value, a root to machine precision rather than a near-root on a box face.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
 from .smoothing import default_bandwidth
-from .surface import SmoothedSurvivalSurface, assemble_surface
+from .surface import EstimationError, SmoothedSurvivalSurface, assemble_surface
 from .survival import _cell_process, incidence_from
 
 __all__ = [
@@ -46,10 +47,6 @@ __all__ = [
 # relative clamp representing the half-open box [0, y1_hat): the optimizer
 # works on the closed box [0, y1_hat * (1 - BOX_CLAMP)]
 BOX_CLAMP = 1e-9
-
-
-class EstimationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,8 @@ class QuantileCurveFit:
     grid: QuantileGrid
     theta: np.ndarray  # (M, L) solution vectors
     objective: np.ndarray  # (M,) attained minima
-    converged: np.ndarray  # (M,) bool: objective <= CERT_TOL
+    residual: np.ndarray  # (M,) max |r_k| at theta
+    converged: np.ndarray  # (M,) bool: residual <= CERT_TOL
     reported_mask: np.ndarray  # (M,) bool: u < u_hat and converged
     frontiers: FrontierEstimates
     treatment_levels: list
@@ -159,6 +157,7 @@ class QuantileCurveFit:
             "instrument_levels": [str(v) for v in self.instrument_levels],
             "theta": [[_json_float(v) for v in row] for row in self.theta],
             "objective": [_json_float(v) for v in self.objective],
+            "residual": [_json_float(v) for v in self.residual],
             "converged": self.converged.astype(bool).tolist(),
             "reported": self.reported_mask.astype(bool).tolist(),
             "u_hat": fr.u_hat,
@@ -225,7 +224,10 @@ def estimate_y1(data: Dataset) -> np.ndarray:
 def default_delta(data: Dataset, level: int) -> float:
     """Frontier cushion: bandwidth rule on the level's primary-cause event times."""
     mask = (data.z == level) & (data.event == 1)
-    return default_bandwidth(data.y[mask])
+    try:
+        return default_bandwidth(data.y[mask])
+    except ValueError as exc:
+        raise EstimationError(f"frontier cushion at treatment level {data.treatment_levels[level]!r}: {exc}") from None
 
 
 def estimate_caps(data: Dataset) -> np.ndarray:
@@ -302,9 +304,11 @@ def fit_curve(
     the previous solution.  Until the frontier cushion is hit, a solve
     without a certified root restarts from a lattice of box points; past
     it no root exists, so it does not.  A point is reported only below
-    the frontier and with objective at most ``CERT_TOL``.  With
-    ``stop_at_frontier`` the sweep stops once the frontier cushion is hit,
-    which is enough for anything that only consumes reported points.
+    the frontier and with every residual component (of C' r under a
+    weighting V = C C') at most ``CERT_TOL`` in absolute value; a near-root
+    on a box face, where no root lies inside the box, is not reported.
+    With ``stop_at_frontier`` the sweep stops once the frontier cushion is
+    hit, which is enough for anything that only consumes reported points.
     """
     grid = grid or QuantileGrid.default()
     if surface is None:
@@ -316,6 +320,7 @@ def fit_curve(
     M = grid.size
     theta = np.full((M, L), np.nan)
     obj_vals = np.full(M, np.nan)
+    resid = np.full(M, np.nan)
     converged = np.zeros(M, dtype=bool)
     warnings: list[str] = []
 
@@ -329,6 +334,7 @@ def fit_curve(
         res = minimize_box_multistart(system(float(u)), lower, upper, warm=warm, restart=m_hat < 0)
         theta[m] = warm = res.x
         obj_vals[m] = res.fun
+        resid[m] = res.residual
         converged[m] = res.converged
         if m_hat < 0 and np.any(theta[m] >= y_hat - deltas):
             m_hat = m
@@ -343,9 +349,9 @@ def fit_curve(
     missed = before & ~converged
     if missed.any():
         warnings.append(
-            f"no certified root (objective > {CERT_TOL:g}) at u = "
+            f"no certified root (residual > {CERT_TOL:g}) at u = "
             + ", ".join(f"{u:g}" for u in grid.points[missed])
-            + f" (largest objective {obj_vals[missed].max():.3g}); they are not reported"
+            + f" (largest residual {resid[missed].max():.3g}); they are not reported"
         )
     if not triggered:
         warnings.append(
@@ -360,6 +366,7 @@ def fit_curve(
         grid,
         theta,
         obj_vals,
+        resid,
         converged,
         reported,
         frontiers,

@@ -9,8 +9,9 @@ decreases.  With as many residuals as unknowns the step is Newton's; on
 piecewise-linear residuals it lands on the root once every coordinate sits
 on the root's segment.
 
-A result is ``converged`` only when its objective is at most ``CERT_TOL``:
-a certified root, not a stalled search.  A run that ends above it is
+A result is ``converged`` only when every component of its residual is at
+most ``CERT_TOL`` in absolute value: a root to machine precision, not a
+stalled search or a near-root on a box face.  A run that ends above it is
 restarted, when allowed, from a fixed lattice of box fractions, and the
 best run is kept.  Everything is deterministic.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 __all__ = ["CERT_TOL", "MinimizeResult", "minimize_box_multistart"]
 
-CERT_TOL = 1e-10  # objective at or below which a point counts as solved
+CERT_TOL = 1e-12  # max |r| at or below which a point counts as solved
 _RESTART_FRACTIONS = (0.05, 0.5, 0.95)
 _MAX_STEPS = 50
 _MAX_HALVINGS = 20
@@ -35,13 +36,14 @@ _XTOL = 1e-13  # a step shorter than this, relative to the box, ends a run
 class MinimizeResult:
     x: list
     fun: float
+    residual: float  # max |r| at x
     converged: bool
     n_eval: int  # calls of f over every run
     n_restarts: int = 1  # Gauss-Newton runs made, the first included
 
 
 def _gauss_newton(f, x, lower, upper, xtol):
-    """One projected Gauss-Newton run from x; returns (x, fun, n_eval)."""
+    """One projected Gauss-Newton run from x; returns (x, r, n_eval)."""
     r, J = f(x)
     fun = float(r @ r)
     n_eval = 1
@@ -56,7 +58,7 @@ def _gauss_newton(f, x, lower, upper, xtol):
         for _ in range(_MAX_HALVINGS):
             trial = np.minimum(np.maximum(x + t * step, lower), upper)
             if abs(trial - x).max() <= xtol:
-                return x, fun, n_eval
+                return x, r, n_eval
             r_t, J_t = f(trial)
             n_eval += 1
             fun_t = float(r_t @ r_t)
@@ -66,7 +68,7 @@ def _gauss_newton(f, x, lower, upper, xtol):
         else:
             break
         x, r, J, fun = trial, r_t, J_t, fun_t
-    return x, fun, n_eval
+    return x, r, n_eval
 
 
 def minimize_box_multistart(f, lower, upper, warm=None, restart=True) -> MinimizeResult:
@@ -86,13 +88,14 @@ def minimize_box_multistart(f, lower, upper, warm=None, restart=True) -> Minimiz
     )
     first = [] if warm is None else [np.clip(np.asarray(warm, dtype=np.float64), lower, upper)]
 
-    best_x, best_fun, n_eval, runs = None, np.inf, 0, 0
+    best_x, best_r, n_eval, runs = None, None, 0, 0
     for x0 in chain(first, lattice):
-        x, fun, n = _gauss_newton(f, x0, lower, upper, xtol)
+        x, r, n = _gauss_newton(f, x0, lower, upper, xtol)
         n_eval += n
         runs += 1
-        if best_x is None or fun < best_fun:
-            best_x, best_fun = x, fun
-        if best_fun <= CERT_TOL or not restart:
+        if best_x is None or r @ r < best_r @ best_r:
+            best_x, best_r = x, r
+        if abs(best_r).max() <= CERT_TOL or not restart:
             break
-    return MinimizeResult([float(v) for v in best_x], best_fun, best_fun <= CERT_TOL, n_eval, runs)
+    res = float(abs(best_r).max())
+    return MinimizeResult([float(v) for v in best_x], float(best_r @ best_r), res, res <= CERT_TOL, n_eval, runs)

@@ -177,7 +177,7 @@ class TrueSurface:
         self.truth = truth
         self.treatment_levels = [0, 1]
         self.instrument_levels = [0, 1]
-        self.curves = {}
+        self.bandwidths = {}  # exact: nothing is smoothed
         self.p_hat = np.array(
             [
                 [1.0, 1.0 - truth.p_treated_given_w1],

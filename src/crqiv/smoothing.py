@@ -13,14 +13,15 @@ step function's value at 0 and converges to the fixed-bandwidth smoother
 for t >= eps.  Output is clipped to [0, 1] and made non-increasing with a
 running minimum.
 
-Curves are stored as dense piecewise-linear interpolants (the knot grid
-always contains the input's jump times), which makes downstream
-evaluation cheap and deterministic.
+Curves are stored as piecewise-linear interpolants on a grid the caller
+chooses; the surface passes one fixed-size uniform grid shared by all its
+cells, so the stored size does not grow with the sample.  A curve is held
+flat past its own range, the last jump plus the bandwidth, where it has
+reached its final value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,7 @@ __all__ = [
 
 SMOOTHER_KINDS = ("local_linear", "convolution")
 
-# density of the internal grids, per bandwidth window and overall
-_UNIFORM_KNOTS = 601
+# density of the local-linear smoother's internal sample grid
 _SAMPLE_POINTS = 512
 
 
@@ -63,9 +63,7 @@ def default_bandwidth(sample) -> float:
     Raises ValueError on degenerate samples (fewer than 2 points or zero
     spread); pass an explicit bandwidth in that case.
     """
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1:
-        x = x.ravel()
+    x = np.asarray(sample, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValueError(
             "bandwidth rule needs at least 2 observations; pass an explicit bandwidth"
@@ -82,7 +80,7 @@ def default_bandwidth(sample) -> float:
 
 @dataclass(frozen=True)
 class SmoothedCurve:
-    """Piecewise-linear curve on a dense knot grid, flat beyond the ends."""
+    """Piecewise-linear curve on a knot grid, flat beyond the ends."""
 
     knots: np.ndarray
     values: np.ndarray
@@ -92,51 +90,13 @@ class SmoothedCurve:
     def __call__(self, t):
         return np.interp(t, self.knots, self.values)
 
-    def value_slope(self, scale: float = 1.0):
-        """Scalar closure t -> (scale * curve(t), scale * slope at t), for hot loops.
-
-        The slope is that of the segment (k_i, k_i+1] holding t, and of the
-        first segment at the first knot, so a box face on an end knot sees
-        the slope on the box's side.  It is 0 outside the knot range, where
-        the curve is flat.
-        """
-        kn = self.knots.tolist()
-        vv = (self.values * scale).tolist()
-        sl = (np.diff(self.values) / np.diff(self.knots) * scale).tolist()
-        n = len(kn)
-
-        def ev(t: float):
-            i = bisect_left(kn, t)
-            if i == n:
-                return vv[-1], 0.0
-            if i == 0:
-                if t < kn[0]:
-                    return vv[0], 0.0
-                i = 1
-            s = sl[i - 1]
-            return vv[i - 1] + (t - kn[i - 1]) * s, s
-
-        return ev
-
-
-def _knot_grid(step: StepFunction, bandwidth: float) -> np.ndarray:
-    t_max = (step.jump_times[-1] if step.jump_times.size else 0.0) + bandwidth
-    grid = np.linspace(0.0, t_max, _UNIFORM_KNOTS)
-    return np.unique(np.concatenate((grid, step.jump_times)))
-
-
-def _postprocess(values: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(np.clip(values, 0.0, 1.0))
-
 
 def _smooth_convolution(step: StepFunction, bandwidth: float, knots: np.ndarray) -> np.ndarray:
     jumps = step.jump_times
-    if jumps.size == 0:
-        return np.full(knots.shape, step.value_at_zero)
-    deltas = np.diff(np.concatenate(([step.value_at_zero], step.values)))
+    padded = np.concatenate(([step.value_at_zero], step.values))
+    deltas = np.diff(padded)
     h = np.minimum(bandwidth, knots)
     out = np.empty(knots.shape)
-    padded = np.concatenate(([step.value_at_zero], step.values))
     for i, (t, ht) in enumerate(zip(knots, h)):
         if ht <= 0.0:
             out[i] = step(t)
@@ -151,8 +111,9 @@ def _smooth_convolution(step: StepFunction, bandwidth: float, knots: np.ndarray)
     return out
 
 
-def _smooth_local_linear(step: StepFunction, bandwidth: float, knots: np.ndarray) -> np.ndarray:
-    t_max = knots[-1]
+def _smooth_local_linear(
+    step: StepFunction, bandwidth: float, knots: np.ndarray, t_max: float
+) -> np.ndarray:
     xs = np.unique(
         np.concatenate((np.linspace(0.0, t_max, _SAMPLE_POINTS), step.jump_times))
     )
@@ -199,24 +160,28 @@ def _smooth_local_linear(step: StepFunction, bandwidth: float, knots: np.ndarray
         beta0 = (s2 * u0 - s1 * u1) / det
         local_const = u0 / s0
 
-    out = np.where(np.isfinite(beta0), beta0, np.nan)
     # fall back to local-constant, then to the raw step, where the window
     # holds too few points for a degree-1 fit
     det_ok = np.isfinite(det) & (det > 1e-12 * np.maximum(s0 * s2, 1e-300))
-    out = np.where(det_ok, out, np.where(np.isfinite(local_const) & (s0 > 0), local_const, np.nan))
-    raw = step(knots)
-    return np.where(np.isfinite(out), out, raw)
+    out = np.where(det_ok, beta0, np.where(np.isfinite(local_const) & (s0 > 0), local_const, np.nan))
+    return np.where(np.isfinite(out), out, step(knots))
 
 
-def smooth(step: StepFunction, bandwidth: float, kind: str = "local_linear") -> SmoothedCurve:
-    """Smooth a step function into a continuous non-increasing curve in [0, 1]."""
+def smooth(step: StepFunction, bandwidth: float, kind: str, grid: np.ndarray) -> SmoothedCurve:
+    """Smooth a step function into a continuous non-increasing curve in [0, 1].
+
+    The curve is evaluated on ``grid`` (ascending, from 0), clamped at the
+    step's own range so that it stays flat beyond it.
+    """
     if bandwidth <= 0 or not np.isfinite(bandwidth):
         raise ValueError("bandwidth must be positive")
     if kind not in SMOOTHER_KINDS:
         raise ValueError(f"unknown smoother kind {kind!r}; options: {SMOOTHER_KINDS}")
-    knots = _knot_grid(step, bandwidth)
+    own_range = step.jump_times.max(initial=0.0) + bandwidth
+    knots = np.minimum(grid, own_range)
     if kind == "convolution":
         values = _smooth_convolution(step, bandwidth, knots)
     else:
-        values = _smooth_local_linear(step, bandwidth, knots)
-    return SmoothedCurve(knots, _postprocess(values), float(bandwidth), kind)
+        values = _smooth_local_linear(step, bandwidth, knots, own_range)
+    values = np.minimum.accumulate(np.clip(values, 0.0, 1.0))
+    return SmoothedCurve(grid, values, float(bandwidth), kind)

@@ -6,11 +6,15 @@ knots, and is flat from the last knot (placed at the level's support
 bound) onward. Piecewise-constant inputs make the outer-set construction
 exact away from bisection brackets, so constructed-set membership can be
 compared to direct verification on a lattice with no statistical slack.
+
+``surface_on_union_grid`` puts piecewise-linear cell curves with knots of
+their own onto one estimated-surface grid.
 """
 
 import numpy as np
 
 from crqiv.bounds import BISECT_RTOL, BoundFrontiers, outer_set, verify_membership
+from crqiv.surface import SmoothedSurvivalSurface
 
 
 class StepSurface:
@@ -102,3 +106,19 @@ def compare_on_lattice(surface, y1, caps, u, points_per_dim=30):
             else:
                 disagreements += 1
     return checked, disagreements, excused
+
+
+def surface_on_union_grid(curves, p_hat, kind="local_linear"):
+    """SmoothedSurvivalSurface from per-cell curves, keyed by (z, w).
+
+    The shared grid is the union of the curves' knots, on which each
+    piecewise-linear curve is represented exactly; a cell missing from
+    ``curves`` is a row of zeros.
+    """
+    p_hat = np.asarray(p_hat, dtype=np.float64)
+    grid = np.unique(np.concatenate([c.knots for c in curves.values()]))
+    values = np.zeros(p_hat.shape + grid.shape)
+    for (z, w), curve in curves.items():
+        values[z, w] = curve(grid) * p_hat[z, w]
+    bandwidths = {cell: curve.bandwidth for cell, curve in curves.items()}
+    return SmoothedSurvivalSurface(grid, values, p_hat, bandwidths, kind)

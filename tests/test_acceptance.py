@@ -182,6 +182,7 @@ def test_criterion_6_qte_accuracy(record, mc_design1, mc_design2):
             assert np.mean(np.abs(qte_all - (-u))) <= 0.03, f"design {res.design}, u={u}"
 
 
+@pytest.mark.slow
 def test_criterion_7_coverage(record):
     if FULL:
         n, reps, lo, hi, label = 10_000, 100, 0.90, 0.99, "full"

@@ -107,6 +107,8 @@ def test_estimate_outputs(est_dir):
     assert len(fit["grid"]) == 20
     assert 0 < fit["u_hat"] <= 1
     assert len(fit["theta"]) == 20
+    assert len(fit["residual"]) == 20
+    assert all(r <= 1e-12 for r, rep in zip(fit["residual"], fit["reported"]) if rep)
 
     curves = (est_dir / "curves.csv").read_text().splitlines()
     assert curves[0] == "u,theta_0,theta_1,reported,naive_0,naive_1"

@@ -34,6 +34,7 @@ def make_fit(u_pts, theta, reported=None):
         QuantileGrid(u_pts),
         theta,
         np.zeros(M),
+        np.zeros(M),
         np.ones(M, dtype=bool),
         np.asarray(reported, dtype=bool),
         fr,
@@ -186,7 +187,7 @@ def test_single_point_level_has_nan_slope():
 class ProportionalSurface:
     """Densities factor as a(z, w) * exp(-t): the system is uninformative."""
 
-    curves = {}
+    bandwidths = {}
     n_treatment_levels = 2
     n_instrument_levels = 2
 
@@ -199,7 +200,7 @@ class ProportionalSurface:
 
 def test_rank_screen_not_applicable_off_2x2():
     class ThreeLevel:
-        curves = {}
+        bandwidths = {}
         n_treatment_levels = 3
         n_instrument_levels = 2
 

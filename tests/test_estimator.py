@@ -22,7 +22,8 @@ from crqiv.estimator import (
 from crqiv.optim import CERT_TOL, minimize_box_multistart
 from crqiv.simulate import DgpSpec, GroundTruth, generate
 from crqiv.smoothing import SmoothedCurve
-from crqiv.surface import SmoothedSurvivalSurface, assemble_surface
+from crqiv.surface import assemble_surface
+from tests._synthetic import surface_on_union_grid
 
 # population pooled-by-treatment quantiles of the cause-1 incidence for
 # design 2, from quadrature on the latent model (no censoring binds there)
@@ -147,7 +148,7 @@ def _linear_surface(starts, ends, p_hat):
         for l in range(len(starts))
         for k in range(len(starts[0]))
     }
-    return SmoothedSurvivalSurface(curves, np.asarray(p_hat, dtype=np.float64), {}, "local_linear")
+    return surface_on_union_grid(curves, p_hat)
 
 
 def test_overidentified_weighted_least_squares_minimum():
@@ -166,7 +167,7 @@ def test_overidentified_weighted_least_squares_minimum():
     want = np.linalg.solve(A.T @ Vm @ A, A.T @ Vm @ c)
     assert np.all((want > 0.05) & (want < 0.95))  # interior: the box does not bind
     min_obj = float((A @ want - c) @ Vm @ (A @ want - c))
-    assert min_obj > CERT_TOL  # no root: the system is overidentified
+    assert np.abs(A @ want - c).max() > CERT_TOL  # no root: the system is overidentified
 
     res = minimize_box_multistart(residual_system(surf, V)(u), [0.0, 0.0], [1.0, 1.0], warm=[0.9, 0.1])
     assert res.x == pytest.approx(want, abs=1e-10)
@@ -202,7 +203,7 @@ def planted_root_surfaces(draw):
     # rescale the k=1 shares so both instrument levels share the level 1 - u
     level = [sum(p_hat[l, k] * float(curves[CellIndex(l, k)](theta_star[l])) for l in range(2)) for k in range(2)]
     p_hat[:, 1] *= level[0] / level[1]
-    surf = SmoothedSurvivalSurface(curves, p_hat, {}, "local_linear")
+    surf = surface_on_union_grid(curves, p_hat)
     warm = [draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))]
     return surf, 1.0 - level[0], theta_star, warm
 
@@ -214,13 +215,13 @@ def test_random_monotone_surfaces_certify_planted_root(case):
     assert np.all(np.abs(residual_vector(theta_star, u, surf)) < 1e-12)
     res = minimize_box_multistart(residual_system(surf)(u), [0.0, 0.0], [1.0, 1.0], warm=warm)
     assert res.converged
-    assert objective(res.x, u, surf) <= CERT_TOL
+    assert np.abs(residual_vector(res.x, u, surf)).max() <= CERT_TOL
     assert res.x == pytest.approx(theta_star, abs=1e-4)
 
 
 @pytest.mark.parametrize("design", [1, 2])
 def test_every_reported_point_is_certified(design):
-    # the objective at each reported point, recomputed through the
+    # the residual at each reported point, recomputed through the
     # surface's vectorized evaluator, is within the certificate
     for seed in range(4):
         data, _ = generate(DgpSpec(design=design, n=4_000, seed=seed))
@@ -229,19 +230,23 @@ def test_every_reported_point_is_certified(design):
         assert fit.reported_mask.sum() >= 10
         for m in np.flatnonzero(fit.reported_mask):
             u = float(fit.grid.points[m])
-            assert fit.objective[m] <= CERT_TOL
-            assert objective(fit.theta[m], u, surf) <= CERT_TOL
+            assert fit.residual[m] <= CERT_TOL
+            assert np.abs(residual_vector(fit.theta[m], u, surf)).max() <= CERT_TOL
 
 
-def test_design2_seed0_lowest_point_certified():
-    # a clip-projected simplex stalled here on the theta_0 = 0 face with
-    # objective 1e-4; the root sits on the theta_1 = 0 face instead
+def test_design2_seed0_lowest_point_has_no_root():
+    # no root lies in the box here: the w = 1 arm would need theta_1 < 0.
+    # The best point sits on the theta_1 = 0 face with a residual of order
+    # 1e-6: its objective is below 1e-10, so only a residual bound rejects it
     data, _ = generate(DgpSpec(design=2, n=10_000, seed=0))
     fit = fit_curve(data, stop_at_frontier=True)
     assert fit.grid.points[0] == pytest.approx(0.01)
-    assert fit.converged[0] and fit.reported_mask[0]
-    assert fit.objective[0] <= CERT_TOL
+    assert not fit.converged[0] and not fit.reported_mask[0]
+    assert 1e-7 < fit.residual[0] < 1e-5
+    assert fit.objective[0] <= 1e-10
     assert fit.theta[0] == pytest.approx([0.019, 0.0], abs=1e-3)
+    assert fit.converged[1:10].all()
+    assert any(w.startswith("no certified root (residual > 1e-12) at u = 0.01 (") for w in fit.warnings), fit.warnings
 
 
 def test_uncertified_points_named_in_warning():
@@ -252,9 +257,9 @@ def test_uncertified_points_named_in_warning():
     missed = before & ~fit.converged
     assert missed.any()
     assert not fit.reported_mask[missed].any()
-    assert np.all(fit.objective[missed] > CERT_TOL)
+    assert np.all(fit.residual[missed] > CERT_TOL)
     us = ", ".join(f"{u:g}" for u in fit.grid.points[missed])
-    want = f"no certified root (objective > 1e-10) at u = {us} (largest objective {fit.objective[missed].max():.3g})"
+    want = f"no certified root (residual > 1e-12) at u = {us} (largest residual {fit.residual[missed].max():.3g})"
     assert any(w.startswith(want) for w in fit.warnings), fit.warnings
 
 

@@ -165,6 +165,43 @@ def test_failed_replicates_counted(small_band):
     assert any("failed" in note for note in band.notes)
 
 
+def thin_cell_data():
+    """Design 2 at n=400 with cell (0, 1) cut to 3 records; the full fit works."""
+    data, _ = generate(DgpSpec(design=2, n=400, seed=0))
+    keep = ~data.cell_mask((0, 1))
+    keep[np.flatnonzero(data.cell_mask((0, 1)))[:3]] = True
+    return Dataset(data.y[keep], data.event[keep], data.z[keep], data.w[keep],
+                   data.treatment_levels, data.instrument_levels,
+                   structural_zeros=data.structural_zeros)
+
+
+def test_thin_cell_resample_is_a_failed_replicate():
+    # some resamples hold fewer than 2 records of the thin cell, or only
+    # copies of one, so its bandwidth rule has nothing to work on
+    data = thin_cell_data()
+    assert fit_curve(data, stop_at_frontier=True).reported_mask.any()
+    band = bootstrap_band(data, BootstrapConfig(draws=40, seed=0))
+    assert 0 < band.n_failed_replicates < 40
+    assert f"{band.n_failed_replicates} of 40 bootstrap replicates failed and were dropped" in band.notes
+
+
+def test_thin_cell_and_level_errors_name_them():
+    data = thin_cell_data()
+    one = ~data.cell_mask((0, 1))
+    one[np.flatnonzero(data.cell_mask((0, 1)))[0]] = True
+    thin = Dataset(data.y[one], data.event[one], data.z[one], data.w[one], [0, 1], [0, 1],
+                   structural_zeros=data.structural_zeros)
+    with pytest.raises(EstimationError, match=r"cell \(treatment 0, instrument 1\): .*at least 2"):
+        fit_curve(thin)
+    # one primary-cause event at level 1: no spread for the frontier cushion
+    e = data.event.copy()
+    level1 = np.flatnonzero((data.z == 1) & (data.event == 1))
+    e[level1[1:]] = 2
+    sparse = Dataset(data.y, e, data.z, data.w, [0, 1], [0, 1], structural_zeros=data.structural_zeros)
+    with pytest.raises(EstimationError, match="frontier cushion at treatment level 1: .*at least 2"):
+        fit_curve(sparse, bandwidth=0.3)
+
+
 def test_all_replicates_failing_raises(small_band):
     data, _, _ = small_band
 

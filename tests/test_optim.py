@@ -65,6 +65,7 @@ def test_result_fields_populated():
     assert isinstance(res.x, list) and len(res.x) == 1
     assert all(type(v) is float for v in res.x)
     assert math.isfinite(res.fun)
+    assert res.residual <= CERT_TOL
     assert res.converged is True
     assert res.n_eval > 0
     assert res.n_restarts == 1
@@ -106,7 +107,7 @@ def test_multistart_escapes_decoy_basin():
     # cannot move and the restart lattice must find the root at 0.65
     res = minimize_box_multistart(ramp(0.3, 0.65), [0.0], [1.0], warm=[0.1])
     assert res.converged
-    assert res.fun <= CERT_TOL
+    assert res.residual <= CERT_TOL
     assert res.x == pytest.approx([0.65], abs=1e-12)
     assert res.n_restarts == 3  # warm start, lattice 0.05 (flat), lattice 0.5
 

@@ -11,9 +11,11 @@ from crqiv.smoothing import (
     rule_of_thumb_bandwidth,
     smooth,
 )
+from crqiv.surface import SmoothedSurvivalSurface
 from crqiv.survival import StepFunction
 
 KINDS = ("local_linear", "convolution")
+GRID = np.linspace(0.0, 4.0, 601)  # holds 0.5 and 1.0 exactly
 
 
 # -- kernel CDF ----------------------------------------------------------
@@ -77,21 +79,21 @@ def unit_step(t0=1.0):
 @pytest.mark.parametrize("kind", KINDS)
 def test_constant_step_stays_constant(kind):
     step = StepFunction(np.empty(0), np.empty(0), 1.0)
-    curve = smooth(step, 0.3, kind=kind)
+    curve = smooth(step, 0.3, kind, GRID)
     ts = np.linspace(0, 2, 50)
     assert np.allclose(curve(ts), 1.0, atol=1e-12)
 
 
 def test_convolution_halves_at_jump():
     # symmetric kernel centred at the jump averages the two plateau levels
-    curve = smooth(unit_step(1.0), 0.2, kind="convolution")
+    curve = smooth(unit_step(1.0), 0.2, "convolution", GRID)
     assert curve(1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_exact_far_from_jumps(kind):
     bw = 0.2
-    curve = smooth(unit_step(1.0), bw, kind=kind)
+    curve = smooth(unit_step(1.0), bw, kind, GRID)
     assert curve(0.5) == pytest.approx(1.0, abs=1e-12)
     assert curve(1.0 + 2 * bw) == pytest.approx(0.0, abs=1e-12)
 
@@ -99,7 +101,7 @@ def test_exact_far_from_jumps(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_boundary_shrinkage_is_exact_at_origin(kind):
     # the window shrinks to nothing at t = 0, so the raw value is recovered
-    curve = smooth(unit_step(0.05), 0.5, kind=kind)
+    curve = smooth(unit_step(0.05), 0.5, kind, GRID)
     assert curve(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -118,7 +120,7 @@ def random_step(draw):
 @settings(max_examples=40, deadline=None)
 @given(random_step(), st.sampled_from(KINDS), st.floats(min_value=0.05, max_value=0.8))
 def test_range_and_monotone(step, kind, bw):
-    curve = smooth(step, bw, kind=kind)
+    curve = smooth(step, bw, kind, GRID)
     ts = np.linspace(0.0, 4.0, 200)
     vals = curve(ts)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -132,7 +134,7 @@ def test_window_oscillation_bound(step, kind, bw):
     # the (boundary-shrunk) window; the linear fit rings at discontinuities,
     # but by well under 5% of the step's total variation
     slack = 0.0 if kind == "convolution" else 0.05 * (1.0 - float(step.values.min()))
-    curve = smooth(step, bw, kind=kind)
+    curve = smooth(step, bw, kind, GRID)
     ts = curve.knots
     h = np.minimum(bw, ts)
     lo = step(ts + h)
@@ -145,30 +147,46 @@ def test_window_oscillation_bound(step, kind, bw):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_fast_eval_matches_call(kind):
+    # a smoothed curve on a surface row: the scalar closure agrees with the
+    # vectorized evaluation, with the slopes of right-closed segments
     rng = stream(11, "test")
     jumps = np.sort(rng.uniform(0.1, 2.0, size=5))
     vals = np.sort(rng.uniform(0, 1, size=5))[::-1]
-    curve = smooth(StepFunction(jumps, np.ascontiguousarray(vals), 1.0), 0.3, kind=kind)
-    ev = curve.value_slope()
-    ts = np.concatenate((rng.uniform(-0.5, 3.0, size=200), curve.knots[::7]))
+    curve = smooth(StepFunction(jumps, np.ascontiguousarray(vals), 1.0), 0.3, kind, GRID)
+    surf = SmoothedSurvivalSurface(GRID, 0.25 * curve.values[None, None], np.array([[0.25]]), {}, kind)
+    ev = surf.cell_value_slope(0, 0)
+    ts = np.concatenate((rng.uniform(-0.5, 5.0, size=200), GRID[::7]))
     for t in ts:
         v, s = ev(float(t))
-        assert v == pytest.approx(float(curve(t)), abs=1e-14)
+        assert v == pytest.approx(0.25 * float(curve(t)), abs=1e-14)
+        assert v == pytest.approx(float(surf.evaluate(t, 0, 0)), abs=1e-14)
         # the slope is that of the segment (a, b] holding t, [a, b] for the first
-        i = max(int(np.searchsorted(curve.knots, t, side="left")), int(t == curve.knots[0]))
-        if 0 < i < curve.knots.size:
-            a, b = curve.knots[i - 1], curve.knots[i]
-            assert s == pytest.approx((float(curve(b)) - float(curve(a))) / (b - a), rel=1e-9, abs=1e-12)
+        i = max(int(np.searchsorted(GRID, t, side="left")), int(t == GRID[0]))
+        if 0 < i < GRID.size:
+            a, b = GRID[i - 1], GRID[i]
+            assert s == pytest.approx(0.25 * (float(curve(b)) - float(curve(a))) / (b - a), rel=1e-9, abs=1e-12)
             assert s <= 0.0
         else:
             assert s == 0.0
-    scaled = curve.value_slope(0.25)
-    assert scaled(0.7) == pytest.approx(tuple(0.25 * x for x in ev(0.7)), abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_curve_held_flat_past_its_own_range(kind):
+    # the grid runs past the step's last jump + bandwidth: the curve keeps
+    # its value there, and its values inside its own range do not
+    # depend on how far the grid runs
+    step = StepFunction(np.array([0.4, 0.9]), np.array([0.6, 0.2]), 1.0)
+    own = 0.9 + 0.3
+    long = smooth(step, 0.3, kind, GRID)
+    short = smooth(step, 0.3, kind, GRID[GRID <= own])
+    assert np.array_equal(long.values[: short.values.size], short.values)
+    held = long.values[GRID >= own]
+    assert np.all(held == held[0])
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
-        smooth(unit_step(), 0.3, kind="cubic")
+        smooth(unit_step(), 0.3, "cubic", GRID)
 
 
 def test_smoothed_curve_is_plain_interpolator():

@@ -2,18 +2,23 @@
 
 The estimand is the vector of per-treatment-level quantile functions of
 the primary-cause duration, evaluated on a grid of quantile levels u.  At
-each u the estimator minimizes a weighted quadratic form of the residual
-vector
+each u the estimator solves, over the box prod_l [0, y1_hat_l), the
+system r(theta) = 0 with
 
     r_k(theta) = sum_l S1_hat(theta_l, z_l | w_k) - (1 - u),
 
-over the box prod_l [0, y1_hat_l), where y1_hat_l is the largest follow-up
-time observed with a primary-cause event at level l.  Results are reported
-only below the estimated identification frontier u_hat, the first grid
-point where some coordinate of the solution comes within a cushion
-delta_l of its box edge, and only where the solve is certified: every
-component of its residual is at most ``optim.CERT_TOL`` = 1e-12 in absolute
-value, a root to machine precision rather than a near-root on a box face.
+where y1_hat_l is the largest follow-up time observed with a
+primary-cause event at level l.  When the system is square and its zero
+cells make it triangular (one-sided noncompliance, as in both designs),
+every unknown is an exact generalized inverse of one cell curve, taken
+over the whole grid at once; otherwise projected Gauss-Newton minimizes
+the weighted quadratic form r' V(u) r point by point.  Results are
+reported only below the estimated identification frontier u_hat, the
+first grid point where some coordinate of the solution comes within a
+cushion delta_l of its box edge, and only where the solution is
+certified: every component of its residual is at most ``optim.CERT_TOL``
+= 1e-12 in absolute value, a root to machine precision rather than a
+near-root on a box face.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ class FrontierEstimates:
 class QuantileCurveFit:
     grid: QuantileGrid
     theta: np.ndarray  # (M, L) solution vectors
-    objective: np.ndarray  # (M,) attained minima
+    objective: np.ndarray  # (M,) r' V r at theta
     residual: np.ndarray  # (M,) max |r_k| at theta
     converged: np.ndarray  # (M,) bool: residual <= CERT_TOL
     reported_mask: np.ndarray  # (M,) bool: u < u_hat and converged
@@ -179,11 +184,12 @@ def _json_float(v: float):
     return v
 
 
-def residual_vector(theta, u: float, surface: SmoothedSurvivalSurface) -> np.ndarray:
+def residual_vector(theta, u, surface: SmoothedSurvivalSurface) -> np.ndarray:
     """Instrument-level residuals at (theta, u), batched: theta (..., L) -> (..., K).
 
-    Cells are evaluated on whole theta columns and summed over l in order
-    from 0.0, so each row equals its single-point result bit for bit.
+    ``u`` is a float or an array of theta's leading shape, one level per
+    row.  Cells are evaluated on whole theta columns and summed over l in
+    order from 0.0, so each row equals its single-point result bit for bit.
     """
     theta = np.asarray(theta, dtype=np.float64)
     L, K = surface.n_treatment_levels, surface.n_instrument_levels
@@ -258,9 +264,11 @@ def residual_system(surface, V: WeightingPolicy | None = None):
     J[k, l] is the slope of cell (l, k) at theta_l: p_hat(l, k) times the
     slope of the cell curve's segment there.  With a weighting V(u) = C C'
     both are premultiplied by C', so ||C' r||^2 = r' V(u) r is the objective.
-    It keeps its own scalar sum rather than ``residual_vector``: it needs the
-    slopes, and its cost per call bounds the fit; ``residual_vector`` on one
-    point costs about three times as much as this closure.
+    Only the Gauss-Newton path of ``fit_curve`` (systems without a
+    triangular order, or with more instrument than treatment levels) builds
+    it.  It keeps its own scalar sum rather than ``residual_vector`` because
+    it needs the slopes and is called once per solver step, where
+    ``residual_vector`` on one point costs about three times as much.
     """
     L, K = surface.n_treatment_levels, surface.n_instrument_levels
     cells = [[surface.cell_value_slope(l, k) for l in range(L)] for k in range(K)]
@@ -288,6 +296,107 @@ def residual_system(surface, V: WeightingPolicy | None = None):
     return at
 
 
+def _triangular_order(p_hat: np.ndarray):
+    """Equation-by-equation order [(k, l), ...] of a square triangular system.
+
+    Each step takes an instrument level k whose equation has exactly one
+    unsolved treatment level l among its nonzero cells, and solves it for
+    theta_l.  None when the system is not square or no such order exists.
+    """
+    L, K = p_hat.shape
+    if L != K:
+        return None
+    nonzero = p_hat != 0.0
+    solved = np.zeros(L, dtype=bool)
+    left, order = list(range(K)), []
+    while left:
+        for k in left:
+            free = np.flatnonzero(nonzero[:, k] & ~solved)
+            if free.size == 1:
+                break
+        else:
+            return None
+        order.append((k, int(free[0])))
+        solved[free[0]] = True
+        left.remove(k)
+    return order
+
+
+def _generalized_inverse(grid: np.ndarray, row: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """inf{t >= 0 : v(t) <= target} per target, v the piecewise-linear row on grid.
+
+    ``np.searchsorted`` on the negated running minimum of the row finds the
+    first knot at or below the target; the crossing is then interpolated
+    inside the segment ending there.  A target at or above v(0) gives 0, so
+    a flat stretch at the target gives its left end; a target below every
+    value gives inf.
+    """
+    low = np.minimum.accumulate(row)
+    i = np.searchsorted(-low, -target)
+    hi = np.minimum(i, grid.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = grid[hi] - (target - row[hi]) / (row[lo] - row[hi]) * (grid[hi] - grid[lo])
+    return np.where(i == 0, 0.0, np.where(i == grid.size, np.inf, t))
+
+
+def _triangular_sweep(surface: SmoothedSurvivalSurface, order, u: np.ndarray, upper: np.ndarray):
+    """theta (M, L) solving a triangular system over the whole grid u, clipped to [0, upper].
+
+    Also returns, per grid point, the first step whose inversion left the
+    box as (k, l, face) with face "below" or "above", or None.
+    """
+    theta = np.zeros((u.size, surface.n_treatment_levels))
+    no_root = [None] * u.size
+    for k, l in order:
+        target = 1.0 - u
+        for j in np.flatnonzero(surface.p_hat[:, k]):
+            if j != l:
+                target = target - surface.evaluate(theta[:, j], j, k)
+        raw = _generalized_inverse(surface.grid, surface.values[l, k], target)
+        theta[:, l] = np.clip(raw, 0.0, upper[l])
+        for face, out in (("below", target > surface.evaluate(0.0, l, k)), ("above", raw > upper[l])):
+            for m in np.flatnonzero(out):
+                no_root[m] = no_root[m] or (k, l, face)
+    return theta, no_root
+
+
+def _weighted(r: np.ndarray, u: np.ndarray, V: WeightingPolicy | None) -> np.ndarray:
+    """Rows r_m premultiplied by C' where V(u_m) = C C'."""
+    if V is None or V.is_identity:
+        return r
+    K = r.shape[-1]
+    return np.stack([np.linalg.cholesky(V.matrix(float(x), K)).T @ row for x, row in zip(u, r)])
+
+
+def _gauss_newton_sweep(surface, V, u: np.ndarray, y_hat, deltas, upper, stop_at_frontier: bool):
+    """Per-point projected Gauss-Newton solves, each warm-started from the last.
+
+    Returns (theta, objective, residual, converged, m_hat), with m_hat the
+    first point whose solution hits the frontier cushion, or -1.
+    """
+    M, L = u.size, y_hat.size
+    theta = np.full((M, L), np.nan)
+    obj_vals = np.full(M, np.nan)
+    resid = np.full(M, np.nan)
+    converged = np.zeros(M, dtype=bool)
+    lower = np.zeros(L)
+    system = residual_system(surface, V)
+    m_hat = -1
+    warm = None
+    for m in range(M):
+        res = minimize_box_multistart(system(float(u[m])), lower, upper, warm=warm, restart=m_hat < 0)
+        theta[m] = warm = res.x
+        obj_vals[m] = res.fun
+        resid[m] = res.residual
+        converged[m] = res.converged
+        if m_hat < 0 and np.any(theta[m] >= y_hat - deltas):
+            m_hat = m
+            if stop_at_frontier:
+                break
+    return theta, obj_vals, resid, converged, m_hat
+
+
 def fit_curve(
     data: Dataset,
     grid: QuantileGrid | None = None,
@@ -298,17 +407,28 @@ def fit_curve(
     stop_at_frontier: bool = False,
     surface: SmoothedSurvivalSurface | None = None,
 ) -> QuantileCurveFit:
-    """Sweep the quantile grid and solve the instrumental system at each point.
+    """Solve the instrumental system at every point of the quantile grid.
 
-    Grid points are processed in increasing order; each solve starts from
-    the previous solution.  Until the frontier cushion is hit, a solve
-    without a certified root restarts from a lattice of box points; past
-    it no root exists, so it does not.  A point is reported only below
-    the frontier and with every residual component (of C' r under a
-    weighting V = C C') at most ``CERT_TOL`` in absolute value; a near-root
-    on a box face, where no root lies inside the box, is not reported.
-    With ``stop_at_frontier`` the sweep stops once the frontier cushion is
-    hit, which is enough for anything that only consumes reported points.
+    When the system is square and the zero cells of ``surface.p_hat`` admit
+    a triangular order (one-sided noncompliance, as in both designs), each
+    unknown is one generalized inverse inf{t : S1_hat(t, z_l | w_k) <= target}
+    of a cell curve, taken over the whole grid at once, with the unknowns
+    solved before it moved into the target.  A flat stretch at the target
+    gives its left end.  Where a target has no crossing in the box the
+    unknown is clipped to the box face, whatever V is, and the fit's
+    warnings name the instrument level, treatment level and face.  Other
+    systems (no triangular order, or more instrument than treatment levels)
+    run projected Gauss-Newton point by point in increasing u, each solve
+    starting from the previous solution; until the frontier cushion is hit
+    a solve without a certified root restarts from a lattice of box points,
+    and past it, where no root exists, it does not.
+
+    On either path a point is reported only below the frontier and with
+    every residual component (of C' r under a weighting V = C C') at most
+    ``CERT_TOL`` in absolute value; a near-root on a box face, where no root
+    lies inside the box, is not reported.  With ``stop_at_frontier`` the
+    results past the first point that hits the frontier cushion are left
+    NaN, which is enough for anything that only consumes reported points.
     """
     grid = grid or QuantileGrid.default()
     if surface is None:
@@ -316,30 +436,27 @@ def fit_curve(
     L = data.n_treatment_levels
     y_hat = estimate_y1(data)
     deltas = _resolve_delta(delta, data, L)
-
+    upper = y_hat * (1.0 - BOX_CLAMP)
+    u = grid.points
     M = grid.size
-    theta = np.full((M, L), np.nan)
-    obj_vals = np.full(M, np.nan)
-    resid = np.full(M, np.nan)
-    converged = np.zeros(M, dtype=bool)
     warnings: list[str] = []
 
-    lower = np.zeros(L)
-    upper = y_hat * (1.0 - BOX_CLAMP)
-    system = residual_system(surface, V)
-
-    m_hat = -1
-    warm = None
-    for m, u in enumerate(grid.points):
-        res = minimize_box_multistart(system(float(u)), lower, upper, warm=warm, restart=m_hat < 0)
-        theta[m] = warm = res.x
-        obj_vals[m] = res.fun
-        resid[m] = res.residual
-        converged[m] = res.converged
-        if m_hat < 0 and np.any(theta[m] >= y_hat - deltas):
-            m_hat = m
-            if stop_at_frontier:
-                break
+    order = _triangular_order(surface.p_hat)
+    if order is None:
+        theta, obj_vals, resid, converged, m_hat = _gauss_newton_sweep(
+            surface, V, u, y_hat, deltas, upper, stop_at_frontier
+        )
+        no_root = [None] * M
+    else:
+        theta, no_root = _triangular_sweep(surface, order, u, upper)
+        r = _weighted(residual_vector(theta, u, surface), u, V)
+        obj_vals = np.einsum("mk,mk->m", r, r)
+        resid = np.abs(r).max(axis=1)
+        hit = np.flatnonzero((theta >= y_hat - deltas).any(axis=1))
+        m_hat = int(hit[0]) if hit.size else -1
+        if stop_at_frontier and m_hat >= 0:
+            theta[m_hat + 1 :] = obj_vals[m_hat + 1 :] = resid[m_hat + 1 :] = np.nan
+        converged = resid <= CERT_TOL
 
     triggered = m_hat >= 0
     if not triggered:
@@ -350,16 +467,28 @@ def fit_curve(
     if missed.any():
         warnings.append(
             f"no certified root (residual > {CERT_TOL:g}) at u = "
-            + ", ".join(f"{u:g}" for u in grid.points[missed])
+            + ", ".join(f"{x:g}" for x in u[missed])
             + f" (largest residual {resid[missed].max():.3g}); they are not reported"
+        )
+    reasons: dict = {}
+    for m in np.flatnonzero(missed):
+        if no_root[m] is not None:
+            reasons.setdefault(no_root[m], []).append(u[m])
+    for (k, l, face), us in reasons.items():
+        bound = "0" if face == "below" else f"{y_hat[l]:g}"
+        warnings.append(
+            "no root in the box at u = "
+            + ", ".join(f"{x:g}" for x in us)
+            + f": instrument level {data.instrument_levels[k]} needs treatment level "
+            + f"{data.treatment_levels[l]} {face} {bound}"
         )
     if not triggered:
         warnings.append(
             "frontier cushion never reached on the grid; reporting the whole grid "
             "(the identification frontier may exceed the grid range)"
         )
-    u_hat = float(grid.points[m_hat])
-    u_prev = float(grid.points[m_hat - 1]) if m_hat > 0 else 0.0
+    u_hat = float(u[m_hat])
+    u_prev = float(u[m_hat - 1]) if m_hat > 0 else 0.0
 
     frontiers = FrontierEstimates(y_hat, deltas, u_hat, m_hat, u_prev, triggered)
     return QuantileCurveFit(

@@ -1,5 +1,10 @@
 """Certified bounded least squares: projected Gauss-Newton on a box.
 
+``fit_curve`` solves a triangular square system (one-sided noncompliance,
+as in both designs) exactly and calls this solver only for systems with
+no triangular order and for overidentified ones (more instrument than
+treatment levels).
+
 The caller supplies ``f(x) -> (r, J)``: a residual vector and its Jacobian.
 The objective is ||r(x)||^2 over the box [lower, upper].  Each step holds
 fixed the coordinates that sit on a box face with the gradient pointing out

@@ -99,7 +99,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: list[Path]) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: list[Path], extra=None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -107,6 +107,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: lis
         "version": __version__,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        **(extra or {}),
     }
     _write_json(out_dir / "manifest.json", manifest)
 
@@ -154,6 +155,7 @@ def cmd_estimate(cfg: dict) -> int:
     out = _outdir(cfg)
     data, data_path = _load_data(cfg)
     kwargs = _fit_kwargs(cfg)
+    extra = {}
     fit = fit_curve(data, **kwargs)
     u = fit.grid.points
     L = fit.theta.shape[1]
@@ -211,12 +213,12 @@ def cmd_estimate(cfg: dict) -> int:
             draws=cfg["boot_draws"],
             seed=cfg["seed"],
             level=cfg["level"],
-            workers=cfg["threads"],
         )
         band = bootstrap_band(data, boot, fit=fit, **kwargs)
         _write_csv(out / "band.csv", ["u", "lower", "point", "upper", "n_reported"], band.rows())
+        extra["bootstrap_failures"] = [[b, reason] for b, reason in band.failures]
 
-    _write_manifest(out, "estimate", cfg, cfg["seed"], [data_path])
+    _write_manifest(out, "estimate", cfg, cfg["seed"], [data_path], extra)
     print(f"estimate done: u_hat={fit.frontiers.u_hat} -> {out}")
     return 0
 
@@ -263,8 +265,7 @@ def cmd_bounds(cfg: dict) -> int:
 def cmd_mc(cfg: dict) -> int:
     out = _outdir(cfg)
     spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
-    res = mc_study(spec, cfg["reps"], grid=_grid(cfg), workers=cfg["threads"],
-                   bandwidth=cfg.get("bandwidth"), delta=cfg.get("delta"))
+    res = mc_study(spec, cfg["reps"], grid=_grid(cfg), bandwidth=cfg.get("bandwidth"), delta=cfg.get("delta"))
 
     means, counts = res.mean_qte()
     naive_means = res.mean_naive_qte()
@@ -299,13 +300,11 @@ def cmd_mc(cfg: dict) -> int:
             draws=cfg["boot_draws"],
             seed=cfg["seed"],
             level=cfg["level"],
-            workers=1,
         )
         cov = coverage_study(
             spec,
             cfg["reps"],
             boot,
-            workers=cfg["threads"],
             grid=_grid(cfg),
             bandwidth=cfg.get("bandwidth"),
             delta=cfg.get("delta"),
@@ -333,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; entries override flags")
         p.add_argument("--threads", type=_positive_int, default=None,
-                       help=f"worker threads (default: ${_THREADS_ENV} or CPU count)")
+                       help=f"recorded in the manifest; changes neither results nor speed "
+                            f"(default: ${_THREADS_ENV} or CPU count)")
         if with_fit_flags:
             p.add_argument("--grid", type=_positive_int, default=100, help="quantile grid size M")
             p.add_argument("--bandwidth", type=float, default=None)

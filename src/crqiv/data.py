@@ -142,11 +142,19 @@ class Dataset:
         for zw in self.structural_zeros:
             if not (0 <= zw[0] < L and 0 <= zw[1] < K):
                 raise DataValidationError(f"structural zero cell {zw} out of range")
-        # cell occupancy: empty only if declared, declared must be empty
         occupied = np.zeros((L, K), dtype=bool)
         occupied[self.z, self.w] = True
-        for zi in range(L):
-            for wi in range(K):
+        self.check_occupancy(occupied)
+
+    def check_occupancy(self, occupied: np.ndarray) -> None:
+        """Raise unless exactly the undeclared cells are occupied.
+
+        ``occupied`` is an (L, K) bool array, the sample's own or that of a
+        count-weighted replicate of it; the first bad cell in (z, w) order
+        is named.
+        """
+        for zi in range(self.n_treatment_levels):
+            for wi in range(self.n_instrument_levels):
                 if occupied[zi, wi] and (zi, wi) in self.structural_zeros:
                     raise DataValidationError(
                         f"cell (z={self.treatment_levels[zi]}, w={self.instrument_levels[wi]}) "
@@ -224,7 +232,10 @@ def cell_counts(data: Dataset) -> dict[CellIndex, int]:
 def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
     """Bootstrap resample of whole records, i.i.d. with replacement.
 
-    Raises DataValidationError if the resample empties an undeclared cell.
+    The default bootstrap fitter takes the same draw as record counts,
+    ``np.bincount(idx, minlength=n)``, and copies nothing; this copy is for
+    fitters that need a dataset.  Raises DataValidationError if the
+    resample empties an undeclared cell.
     """
     idx = rng.integers(0, data.n, data.n)
     return Dataset(
@@ -372,33 +383,50 @@ def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, 
     y = np.loadtxt(path, dtype=np.float64, usecols=iy, ndmin=1, **_LOADTXT)
     if not (np.isfinite(y) & (y >= 0)).all():
         return None
-    text = np.loadtxt(path, dtype=str, usecols=(ie, iz, iw), ndmin=2, **_LOADTXT)
+    ev_col, z_col, w_col = _distinct_text(path, [ie, iz, iw])
 
-    strings, inverse = np.unique(text[:, 0], return_inverse=True)
+    strings, _, inverse = ev_col
     codes = [
         int(event_labels[s]) if event_labels is not None and s in event_labels else int(s)
-        for s in strings.tolist()
+        for s in strings
     ]
     if not set(codes) <= {CENSORED, CAUSE1, CAUSE2}:
         return None
     event = np.array(codes, dtype=np.int64)[inverse]
 
-    z = _level_codes(text[:, 1], t_order)
-    w = _level_codes(text[:, 2], i_order)
+    z = _level_codes(z_col, t_order)
+    w = _level_codes(w_col, i_order)
     if z is None or w is None:
         return None
     return y, event, z[1], w[1], z[0], w[0]
 
 
-def _level_codes(text: np.ndarray, order: list | None):
+def _distinct_text(path, usecols: list[int]) -> list[tuple]:
+    """(distinct strings, first row of each, per-row index into them) per text column.
+
+    The columns are read as 8-byte strings, through latin-1 so that every
+    byte of the UTF-8 file passes as it is, and only the distinct values are
+    decoded. A distinct value that fills the 8 bytes may have been cut, and
+    then the columns are read again as Python strings.
+    """
+    text = np.loadtxt(path, dtype="S8", usecols=usecols, ndmin=2, **{**_LOADTXT, "encoding": "latin1"})
+    cols = [np.unique(col, return_index=True, return_inverse=True) for col in text.T]
+    if any(len(s) == 8 for strings, _, _ in cols for s in strings.tolist()):
+        text = np.loadtxt(path, dtype=str, usecols=usecols, ndmin=2, **_LOADTXT)
+        cols = [np.unique(col, return_index=True, return_inverse=True) for col in text.T]
+        return [(strings.tolist(), first, inverse) for strings, first, inverse in cols]
+    return [([s.decode("utf-8") for s in strings.tolist()], first, inverse) for strings, first, inverse in cols]
+
+
+def _level_codes(column: tuple, order: list | None):
     """(registry, per-row index) of one label column, from its distinct strings.
 
     None where the row loop could differ: a NaN label, which it enters in a
     first-appearance registry once per row, or a label missing from
     ``order``, whose first row it names.
     """
-    strings, first, inverse = np.unique(text, return_index=True, return_inverse=True)
-    labels = _coerce_labels(strings.tolist())
+    strings, first, inverse = column
+    labels = _coerce_labels(strings)
     if any(lab != lab for lab in labels):
         return None
     if order is None:

@@ -31,7 +31,7 @@ from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
 from .smoothing import default_bandwidth
 from .surface import EstimationError, SmoothedSurvivalSurface, assemble_surface
-from .survival import _cell_process, incidence_from
+from .survival import _cell_process, incidence_from, presort
 
 __all__ = [
     "EstimationError",
@@ -213,25 +213,41 @@ def objective(theta, u: float, surface, V: WeightingPolicy | None = None) -> flo
     return float(r @ m @ r)
 
 
-def estimate_y1(data: Dataset) -> np.ndarray:
-    """Largest follow-up time with a primary-cause event, per treatment level."""
+def _cause1_times(data: Dataset, level: int, counts):
+    """A level's primary-cause event times, and their counts (None: once each).
+
+    With counts the times are in ascending order, as ``default_bandwidth``
+    needs them with counts.
+    """
+    if counts is None:
+        return data.y[(data.z == level) & (data.event == 1)], None
+    idx = presort(data).cause1[level]
+    return data.y[idx], counts[idx]
+
+
+def estimate_y1(data: Dataset, counts: np.ndarray | None = None) -> np.ndarray:
+    """Largest follow-up time with a primary-cause event, per treatment level.
+
+    ``counts`` gives each record's multiplicity (None counts each once).
+    """
     out = np.empty(data.n_treatment_levels)
     for zi in range(data.n_treatment_levels):
-        mask = (data.z == zi) & (data.event == 1)
-        if not mask.any():
+        times, c = _cause1_times(data, zi, counts)
+        if c is not None:
+            times = times[c > 0]
+        if not times.size:
             raise EstimationError(
                 f"treatment level {data.treatment_levels[zi]!r} has no primary-cause events; "
                 "its quantile support bound cannot be estimated"
             )
-        out[zi] = data.y[mask].max()
+        out[zi] = times.max()
     return out
 
 
-def default_delta(data: Dataset, level: int) -> float:
+def default_delta(data: Dataset, level: int, counts: np.ndarray | None = None) -> float:
     """Frontier cushion: bandwidth rule on the level's primary-cause event times."""
-    mask = (data.z == level) & (data.event == 1)
     try:
-        return default_bandwidth(data.y[mask])
+        return default_bandwidth(*_cause1_times(data, level, counts))
     except ValueError as exc:
         raise EstimationError(f"frontier cushion at treatment level {data.treatment_levels[level]!r}: {exc}") from None
 
@@ -247,9 +263,9 @@ def estimate_caps(data: Dataset) -> np.ndarray:
     return out
 
 
-def _resolve_delta(delta, data: Dataset, L: int) -> np.ndarray:
+def _resolve_delta(delta, data: Dataset, L: int, counts) -> np.ndarray:
     if delta is None:
-        return np.array([default_delta(data, l) for l in range(L)])
+        return np.array([default_delta(data, l, counts) for l in range(L)])
     arr = np.asarray(delta, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(L, float(arr))
@@ -406,6 +422,7 @@ def fit_curve(
     kind: str = "local_linear",
     stop_at_frontier: bool = False,
     surface: SmoothedSurvivalSurface | None = None,
+    counts: np.ndarray | None = None,
 ) -> QuantileCurveFit:
     """Solve the instrumental system at every point of the quantile grid.
 
@@ -429,13 +446,18 @@ def fit_curve(
     lies inside the box, is not reported.  With ``stop_at_frontier`` the
     results past the first point that hits the frontier cushion are left
     NaN, which is enough for anything that only consumes reported points.
+
+    ``counts`` gives each record's multiplicity, so that a bootstrap
+    replicate is fitted on the sample itself with no resampled copy; None
+    counts every record once.  It enters every sample statistic: the
+    surface (unless one is given), the support bounds and the cushions.
     """
     grid = grid or QuantileGrid.default()
     if surface is None:
-        surface = assemble_surface(data, bandwidth=bandwidth, kind=kind)
+        surface = assemble_surface(data, bandwidth=bandwidth, kind=kind, counts=counts)
     L = data.n_treatment_levels
-    y_hat = estimate_y1(data)
-    deltas = _resolve_delta(delta, data, L)
+    y_hat = estimate_y1(data, counts)
+    deltas = _resolve_delta(delta, data, L, counts)
     upper = y_hat * (1.0 - BOX_CLAMP)
     u = grid.points
     M = grid.size

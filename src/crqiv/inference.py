@@ -4,13 +4,16 @@ Resampling unit: whole records, i.i.d. with replacement (pairs bootstrap).
 Intervals are pointwise percentile intervals over the replicates that
 report the grid point; points reported by too few replicates are masked.
 Every replicate draws from its own counter-based stream keyed by
-(seed, replicate index), so results do not depend on worker count.
+(seed, replicate index).  A replicate is the count of each record in its
+draw: it is fitted as count weights on the one sample, sorted once, with
+no resampled copy, which is an exchangeably weighted bootstrap with
+multinomial weights and the same statistic as the resampled dataset.
+Replicates and Monte Carlo repetitions run one after another.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +38,7 @@ class BootstrapConfig:
     seed: int = 0
     level: float = 0.95
     report_threshold: float = 0.5  # min fraction of replicates reporting a point
-    workers: int = 1
+    workers: int = 1  # accepted and checked; changes neither results nor speed
 
     def __post_init__(self):
         if self.draws < 2:
@@ -83,6 +86,7 @@ class ConfidenceBand:
     raw_containment: float = math.nan
     n_failed_replicates: int = 0
     notes: list = field(default_factory=list)
+    failures: list = field(default_factory=list)  # (replicate index, reason) per failed replicate
 
     def __post_init__(self):
         ok = self.valid & np.isfinite(self.point)
@@ -108,13 +112,6 @@ def _default_fit_fn(data: Dataset, **fit_kwargs):
     return fit_curve(data, stop_at_frontier=True, **fit_kwargs)
 
 
-def _map_indexed(fn, n: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def bootstrap_band(
     data: Dataset,
     boot: BootstrapConfig | None = None,
@@ -128,12 +125,19 @@ def bootstrap_band(
 
     ``fit`` may carry a precomputed full-sample fit to reuse as the point
     estimate; ``fit_fn(dataset, **fit_kwargs)`` overrides the replicate
-    fitter (the default runs the standard fit, stopping at the frontier).
-    Replicates whose resample is degenerate (an estimation or validation
-    error) are dropped and counted.
+    fitter.  The default fitter runs the standard fit, stopping at the
+    frontier, on each replicate's record counts over ``data``, so no
+    replicate is copied or sorted.  A replicate is resampled into a
+    ``Dataset`` only for a ``fit_fn`` or a callable bandwidth, which need
+    one.  A replicate whose estimation or validation fails (an emptied
+    cell, a cell too thin for the bandwidth rule, a level without
+    primary-cause events) is dropped; ``failures`` holds its index and
+    the error's text.  A replicate that fits but reports no point is not
+    a failure.
     """
     boot = boot or BootstrapConfig()
     default_fitter = fit_fn is None
+    weighted = default_fitter and not callable(fit_kwargs.get("bandwidth"))
     if default_fitter:
         fit_fn = _default_fit_fn
     if fit is None:
@@ -152,18 +156,20 @@ def bootstrap_band(
     grid_pts = fit.grid.points
     M = grid_pts.size
 
-    def one_replicate(b: int) -> np.ndarray:
+    vals = np.full((boot.draws, M), np.nan)
+    failures = []
+    for b in range(boot.draws):
         rng = stream(boot.seed, "bootstrap", b)
         try:
-            redata = resample(data, rng)
-            refit = fit_fn(redata, **fit_kwargs)
-            return np.asarray(refit.qte(level_hi, level_lo), dtype=np.float64)
-        except (DataValidationError, EstimationError):
-            return np.full(M, np.nan)
-
-    rows = _map_indexed(one_replicate, boot.draws, boot.workers)
-    vals = np.vstack(rows)
-    n_failed = int(np.count_nonzero(np.all(np.isnan(vals), axis=1)))
+            if weighted:
+                counts = np.bincount(rng.integers(0, data.n, data.n), minlength=data.n)
+                refit = fit_fn(data, counts=counts, **fit_kwargs)
+            else:
+                refit = fit_fn(resample(data, rng), **fit_kwargs)
+            vals[b] = refit.qte(level_hi, level_lo)
+        except (DataValidationError, EstimationError) as exc:
+            failures.append((b, str(exc)))
+    n_failed = len(failures)
     if n_failed == boot.draws:
         raise RuntimeError("every bootstrap replicate failed")
 
@@ -190,6 +196,7 @@ def bootstrap_band(
     notes = []
     if n_failed:
         notes.append(f"{n_failed} of {boot.draws} bootstrap replicates failed and were dropped")
+        notes.append(f"first failed replicate: {failures[0][0]}: {failures[0][1]}")
     if raw_total and raw_hits < raw_total:
         notes.append(
             f"raw percentile interval missed the point estimate at {raw_total - raw_hits} "
@@ -208,6 +215,7 @@ def bootstrap_band(
         raw_containment,
         n_failed,
         notes,
+        failures,
     )
 
 
@@ -240,7 +248,6 @@ def coverage_study(
     truth=None,
     contrast: tuple[int, int] = (1, 0),
     band_fn=None,
-    workers: int = 1,
     **fit_kwargs,
 ) -> CoverageResult:
     """Fraction of fresh-data replications whose band covers the truth.
@@ -250,6 +257,8 @@ def coverage_study(
     ``truth`` maps a quantile level to the true contrast value; it is
     inferred for simulation specs and required otherwise. ``band_fn``
     replaces the band constructor (same signature as bootstrap_band).
+    Repetitions run in turn, each with its own data and bootstrap seeds
+    derived from its index.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -271,12 +280,11 @@ def coverage_study(
         def make_data(r: int) -> Dataset:
             return generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))[0]
 
-    def one_rep(r: int):
-        data = make_data(r)
-        rep_boot = replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r))
-        return band_fn(data, boot=rep_boot, contrast=contrast, **fit_kwargs)
-
-    bands = _map_indexed(one_rep, reps, workers)
+    bands = [
+        band_fn(make_data(r), boot=replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)),
+                contrast=contrast, **fit_kwargs)
+        for r in range(reps)
+    ]
     u = bands[0].u
     M = u.size
     hits = np.zeros(M)

@@ -305,19 +305,17 @@ def mc_study(
     reps: int,
     grid=None,
     naive: bool = True,
-    workers: int = 1,
     **fit_kwargs,
 ) -> McResult:
     """Replicate generate -> fit on fresh seeds and stack the results.
 
     Each replication derives its own child seed from (seed, index), so
-    any subset of replications can be reproduced in isolation and worker
-    count never changes the output.
+    any subset of replications can be reproduced in isolation.
+    Replications run in turn.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     from .estimator import QuantileGrid, fit_curve, naive_curve
-    from .inference import _map_indexed
 
     grid = grid or QuantileGrid.default()
     M = grid.size
@@ -329,7 +327,7 @@ def mc_study(
         nv = naive_curve(data, grid) if naive else None
         return fit, nv
 
-    results = _map_indexed(one_rep, reps, workers)
+    results = [one_rep(r) for r in range(reps)]
 
     L = results[0][0].theta.shape[1]
     out = McResult(

@@ -57,25 +57,51 @@ def rule_of_thumb_bandwidth(sigma: float, n: int) -> float:
     return 2.34 * float(sigma) * float(n) ** (-0.2)
 
 
-def default_bandwidth(sample) -> float:
+def default_bandwidth(sample, counts=None) -> float:
     """Rule-of-thumb bandwidth with robust scale min(sd, IQR/1.349).
 
-    Raises ValueError on degenerate samples (fewer than 2 points or zero
-    spread); pass an explicit bandwidth in that case.
+    ``counts`` gives each sample point's multiplicity, as in a bootstrap
+    replicate; the sample must then be in ascending order, and the
+    quartiles are its exact order statistics under numpy's default
+    ``linear`` percentile rule.  Raises ValueError on degenerate samples
+    (fewer than 2 points or zero spread); pass an explicit bandwidth in
+    that case.
     """
     x = np.asarray(sample, dtype=np.float64).ravel()
-    if x.size < 2:
+    size = x.size if counts is None else int(counts.sum())
+    if size < 2:
         raise ValueError(
             "bandwidth rule needs at least 2 observations; pass an explicit bandwidth"
         )
-    sd = float(np.std(x, ddof=1))
-    q75, q25 = np.percentile(x, [75.0, 25.0])
+    if counts is None:
+        sd = float(np.std(x, ddof=1))
+        q75, q25 = np.percentile(x, [75.0, 25.0])
+    else:
+        mean = float(counts @ x) / size
+        sd = float(np.sqrt(counts @ (x - mean) ** 2 / (size - 1)))
+        cum = np.cumsum(counts)
+        q75, q25 = (_weighted_percentile(x, cum, size, q) for q in (0.75, 0.25))
     sigma = min(sd, (q75 - q25) / 1.349)
     if sigma <= 0 or not np.isfinite(sigma):
         raise ValueError(
             "degenerate sample (zero spread); pass an explicit bandwidth"
         )
-    return rule_of_thumb_bandwidth(sigma, x.size)
+    return rule_of_thumb_bandwidth(sigma, size)
+
+
+def _weighted_percentile(x: np.ndarray, cum: np.ndarray, size: int, q: float) -> float:
+    """np.percentile(.., 100 q) of ascending x with point i repeated as cum's increments.
+
+    Interpolates between the order statistics at floor and floor + 1 of the
+    virtual index (size - 1) q, both found on the cumulative counts, in
+    numpy's own lerp form, so the result is numpy's to the bit.
+    """
+    virtual = (size - 1) * q
+    lo = int(np.floor(virtual))
+    a, b = x[np.searchsorted(cum, [lo, lo + 1], side="right")]
+    gamma = virtual - lo
+    diff = b - a
+    return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import CellIndex, Dataset
 from .smoothing import default_bandwidth, smooth
-from .survival import aalen_johansen_cause1, build_counting_processes
+from .survival import aalen_johansen_cause1, build_counting_processes, presort
 
 __all__ = ["EstimationError", "SmoothedSurvivalSurface", "assemble_surface"]
 
@@ -86,16 +86,23 @@ class SmoothedSurvivalSurface:
         return self.grid
 
 
-def _resolve_bandwidth(policy, data: Dataset, cell: CellIndex) -> float:
+def _resolve_bandwidth(policy, data: Dataset, cell: CellIndex, counts) -> float:
     if policy is None:
+        if counts is None:
+            sample, weights = data.y[data.cell_mask(cell)], None
+        else:
+            sc = presort(data).cells[cell]
+            sample, weights = sc.y, counts[sc.order]
         try:
-            return default_bandwidth(data.y[data.cell_mask(cell)])
+            return default_bandwidth(sample, weights)
         except ValueError as exc:
             z, w = data.treatment_levels[cell.z], data.instrument_levels[cell.w]
             raise EstimationError(f"cell (treatment {z!r}, instrument {w!r}): {exc}") from None
     if isinstance(policy, dict):
         return float(policy[tuple(cell)])
     if callable(policy):
+        if counts is not None:
+            raise ValueError("a callable bandwidth needs the replicate as a dataset; pass it resampled")
         return float(policy(data, cell))
     return float(policy)
 
@@ -104,15 +111,18 @@ def assemble_surface(
     data: Dataset,
     bandwidth=None,
     kind: str = "local_linear",
+    counts: np.ndarray | None = None,
 ) -> SmoothedSurvivalSurface:
     """Estimate the full surface from a dataset.
 
     ``bandwidth`` may be None (per-cell rule of thumb on the cell's
     follow-up times), a number applied to every cell, a dict keyed by
     (z, w), or a callable (data, cell) -> float.  A cell too thin for the
-    rule of thumb raises ``EstimationError``.
+    rule of thumb raises ``EstimationError``.  ``counts`` gives each
+    record's multiplicity, a bootstrap replicate without a resampled copy
+    (None counts every record once); a callable bandwidth cannot take it.
     """
-    cp = build_counting_processes(data)
+    cp = build_counting_processes(data, counts)
     L, K = data.n_treatment_levels, data.n_instrument_levels
     p_hat = np.zeros((L, K))
     steps = {}
@@ -122,7 +132,7 @@ def assemble_surface(
             continue
         p_hat[cell.z, cell.w] = cp.cell(cell).size / cp.instrument_sizes[cell.w]
         steps[cell] = aalen_johansen_cause1(cp, cell)
-        bandwidths[cell] = _resolve_bandwidth(bandwidth, data, cell)
+        bandwidths[cell] = _resolve_bandwidth(bandwidth, data, cell, counts)
     t_max = max(s.jump_times.max(initial=0.0) + bandwidths[cell] for cell, s in steps.items())
     grid = np.linspace(0.0, t_max, GRID_POINTS)
     values = np.zeros((L, K, GRID_POINTS))

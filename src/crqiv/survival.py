@@ -8,11 +8,19 @@ functions.
 Ties at a time point are handled with the standard convention that
 failures are processed before censorings: the at-risk count at t includes
 every record with y >= t, and all failures at t leave together.
+
+A bootstrap replicate may be given as per-record counts on the sample
+instead of as a resampled dataset.  Its counting processes then come from
+the sample's cells sorted once by follow-up time (``presort``): dN by a
+weighted ``bincount`` over each cell's failure-time groups, at-risk counts
+by a reverse cumulative sum, and the times no counted record fails at are
+dropped, so the result equals that of the resampled dataset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -22,6 +30,9 @@ __all__ = [
     "StepFunction",
     "CellProcess",
     "CountingProcesses",
+    "SortedCell",
+    "Presorted",
+    "presort",
     "build_counting_processes",
     "product_limit_survival",
     "incidence_from",
@@ -105,13 +116,93 @@ def _cell_process(y: np.ndarray, event: np.ndarray) -> CellProcess:
     return CellProcess(times, dn1, dn, at_risk.astype(np.float64), size)
 
 
-def build_counting_processes(data: Dataset) -> CountingProcesses:
+def _by_y(data: Dataset, records: np.ndarray) -> np.ndarray:
+    return records[np.argsort(data.y[records], kind="stable")]
+
+
+@dataclass(frozen=True)
+class SortedCell:
+    """One cell's records in ascending follow-up time, with its failure-time groups."""
+
+    order: np.ndarray  # record indices, ascending y (stable)
+    y: np.ndarray  # y[order]
+    times: np.ndarray  # distinct failure times (any cause)
+    failing: np.ndarray  # positions in order of the failing records
+    group: np.ndarray  # index into times of each failing record
+    cause1: np.ndarray  # 1.0 for each failing record of cause 1, else 0.0
+    first_at_risk: np.ndarray  # first position in order with y >= times[j]
+
+    @classmethod
+    def of(cls, data: Dataset, records: np.ndarray) -> "SortedCell":
+        order = _by_y(data, records)
+        y, event = data.y[order], data.event[order]
+        failing = np.flatnonzero(event != 0)
+        times, group = np.unique(y[failing], return_inverse=True)
+        cause1 = (event[failing] == 1).astype(np.float64)
+        return cls(order, y, times, failing, group, cause1, np.searchsorted(y, times, side="left"))
+
+    def process(self, counts: np.ndarray) -> CellProcess:
+        """The cell's counting processes with record i counted counts[i] times."""
+        c = counts[self.order]
+        cf = c[self.failing].astype(np.float64)
+        dn = np.bincount(self.group, weights=cf, minlength=self.times.size)
+        dn1 = np.bincount(self.group, weights=cf * self.cause1, minlength=self.times.size)
+        at_risk = np.cumsum(c[::-1])[::-1][self.first_at_risk]
+        keep = dn > 0
+        return CellProcess(
+            self.times[keep], dn1[keep], dn[keep], at_risk[keep].astype(np.float64), int(c.sum())
+        )
+
+
+@dataclass(frozen=True)
+class Presorted:
+    """A dataset's sort orders, built once for count-weighted replicates of it."""
+
+    cells: dict[CellIndex, SortedCell]  # every cell not declared a structural zero
+    cause1: list  # per treatment level: its primary-cause record indices, ascending y
+
+
+_PRESORTED: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def presort(data: Dataset) -> Presorted:
+    """The dataset's ``Presorted``, built on first use and kept while the dataset lives."""
+    out = _PRESORTED.get(data)
+    if out is None:
+        cells = {
+            cell: SortedCell.of(data, np.flatnonzero(data.cell_mask(cell)))
+            for cell in data.cells()
+            if cell not in data.structural_zeros
+        }
+        cause1 = [
+            _by_y(data, np.flatnonzero((data.z == zi) & (data.event == 1)))
+            for zi in range(data.n_treatment_levels)
+        ]
+        out = _PRESORTED[data] = Presorted(cells, cause1)
+    return out
+
+
+def build_counting_processes(data: Dataset, counts: np.ndarray | None = None) -> CountingProcesses:
+    """Counting processes of every cell; ``counts`` gives each record's multiplicity.
+
+    ``counts=None`` counts every record once.  With counts, a cell that is
+    not declared a structural zero but holds no counted record raises
+    ``DataValidationError``, as a dataset with that cell empty would.
+    """
     cells: dict[CellIndex, CellProcess] = {}
     for cell in data.cells():
-        mask = data.cell_mask(cell)
-        cells[cell] = _cell_process(data.y[mask], data.event[mask])
+        if counts is None or cell in data.structural_zeros:
+            mask = data.cell_mask(cell)
+            cells[cell] = _cell_process(data.y[mask], data.event[mask])
+        else:
+            cells[cell] = presort(data).cells[cell].process(counts)
+    if counts is not None:
+        occupied = np.zeros((data.n_treatment_levels, data.n_instrument_levels), dtype=bool)
+        for cell, proc in cells.items():
+            occupied[cell] = proc.size > 0
+        data.check_occupancy(occupied)
     inst_sizes = {
-        wi: int(np.count_nonzero(data.w == wi)) for wi in range(data.n_instrument_levels)
+        wi: sum(c.size for cell, c in cells.items() if cell.w == wi) for wi in range(data.n_instrument_levels)
     }
     return CountingProcesses(cells, inst_sizes, data.n)
 

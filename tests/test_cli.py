@@ -132,6 +132,24 @@ def test_estimate_outputs(est_dir):
     manifest = json.loads((est_dir / "manifest.json").read_text())
     assert manifest["command"] == "estimate"
     assert len(manifest["inputs"]) == 1
+    assert manifest["bootstrap_failures"] == []
+
+
+def test_estimate_manifest_names_failed_replicates(tmp_path):
+    from crqiv.data import save_csv
+    from test_inference import thin_cell_data
+
+    save_csv(thin_cell_data(), tmp_path / "thin.csv")
+    out = tmp_path / "est"
+    code = run(["estimate", "--data", tmp_path / "thin.csv", "--out", out,
+                "--grid", 20, "--boot-draws", 40, "--seed", 0])
+    assert code == 0
+    failures = json.loads((out / "manifest.json").read_text())["bootstrap_failures"]
+    assert 0 < len(failures) < 40
+    for b, reason in failures:
+        assert 0 <= b < 40
+        assert reason.startswith(("cell (treatment 0, instrument 1): ", "empty cell (z=0, w=1); "))
+    assert (out / "band.csv").read_text().splitlines()[0] == "u,lower,point,upper,n_reported"
 
 
 def test_estimate_band_rows_consistent(est_dir):

@@ -252,9 +252,11 @@ _EVENT_TEXT = st.sampled_from(
 _LABEL_TEXT = st.sampled_from([
     "0", "1", "2", "01", "+1", " 1", "1.0", "1.5", "-0.0", "0.0", "a", "b", "a,b",
     'say "hi"', "#x", "x#", "nan", "NaN", "inf", "\xe9", "", "1_0", "b\x00",
+    "abcdefg", "abcdefgh", "abcdefghi", "caf\xe9 au", "\u20ac\u20ac\u20ac",
 ])
 _LEVEL_PAIRS = [("0", "1"), ("a", "b"), ("a,b", 'say "hi"'), ("1", "01"), ("-0.0", "0.0"), ("0", "1.5"), ("b", "a"),
-                ("nan", "1.5"), ("a", "a\x00")]
+                ("nan", "1.5"), ("a", "a\x00"), ("control", "treated"), ("placebo_a", "placebo_b"),
+                ("\xe9t\xe9", "hiver"), ("abcdefgh1", "abcdefgh2")]
 
 
 def _orders(pair):
@@ -364,6 +366,25 @@ def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
     if sidecar is not None:
         (p.parent / "d.csv.levels.json").write_text(json.dumps(sidecar))
     assert _outcome(p, **kwargs) == _row_loop_outcome(p, **kwargs)
+
+
+@pytest.mark.parametrize("labels", [
+    ["placebo_a", "placebo_b"],  # 9 bytes, alike in the first 8: read again as str
+    ["abcdefgh", "abcdefg"],  # exactly 8 bytes
+    ["\xe9t\xe9", "\u20ac"],  # non-ASCII, under 8 bytes
+    ["\u20ac\u20ac\u20ac", "\u20ac\u20ac\u20ac\u20ac"],  # non-ASCII, 9 and 12 bytes
+])
+def test_long_and_non_ascii_labels_read_alike(tmp_path, labels):
+    d = Dataset((1.0, 2.5, 0.25, 4.0, 3.0), (1, 2, 0, 1, 2), (0, 1, 0, 1, 0), (0, 0, 1, 1, 1), labels, labels[::-1])
+    p = tmp_path / "long.csv"
+    save_csv(d, p)
+    (tmp_path / "long.csv.levels.json").unlink()
+    assert data_module._read_columns(p, [0, 1, 2, 3], None, None, None) is not None
+    fast = _outcome(p)
+    assert fast[0] == "ok" and fast == _row_loop_outcome(p)
+    back = load_csv(p)
+    assert back.treatment_levels == labels and back.instrument_levels == labels[::-1]
+    assert back.z.tolist() == d.z.tolist() and back.w.tolist() == d.w.tolist()
 
 
 def test_round_trip_with_quoted_levels_reads_row_by_row(tmp_path):

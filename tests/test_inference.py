@@ -162,6 +162,8 @@ def test_failed_replicates_counted(small_band):
 
     band = bootstrap_band(data, BootstrapConfig(draws=12, seed=5), fit_fn=flaky)
     assert band.n_failed_replicates == 4
+    # the first call is the full-sample fit, so replicates 1, 4, 7 and 10 fail
+    assert band.failures == [(b, "synthetic failure") for b in (1, 4, 7, 10)]
     assert any("failed" in note for note in band.notes)
 
 
@@ -183,6 +185,41 @@ def test_thin_cell_resample_is_a_failed_replicate():
     band = bootstrap_band(data, BootstrapConfig(draws=40, seed=0))
     assert 0 < band.n_failed_replicates < 40
     assert f"{band.n_failed_replicates} of 40 bootstrap replicates failed and were dropped" in band.notes
+    # every failed replicate is listed with the error that dropped it
+    assert len(band.failures) == band.n_failed_replicates
+    indices = [b for b, _ in band.failures]
+    assert indices == sorted(set(indices)) and 0 <= indices[0] and indices[-1] < 40
+    for _, reason in band.failures:
+        assert reason.startswith(("cell (treatment 0, instrument 1): ", "empty cell (z=0, w=1); "))
+    first, reason = band.failures[0]
+    assert f"first failed replicate: {first}: {reason}" in band.notes
+
+
+def test_replicate_reporting_no_point_is_not_a_failure(small_band):
+    # a replicate that fits but whose frontier comes at the first grid point
+    # reports nothing; the band is then invalid there, with nothing dropped
+    data, _, _ = small_band
+    calls = {"n": 0}
+
+    class NoPoint:
+        grid = GRID13
+
+        def qte(self, a=1, b=0):
+            return np.full(GRID13.size, np.nan)
+
+    def every_other(d, **kw):
+        calls["n"] += 1
+        return NoPoint() if calls["n"] % 2 else fit_curve(d, grid=GRID13, stop_at_frontier=True)
+
+    first = fit_curve(data, grid=GRID13, stop_at_frontier=True)
+    half = bootstrap_band(data, BootstrapConfig(draws=6, seed=0), fit=first, fit_fn=every_other)
+    assert half.n_failed_replicates == 0 and half.failures == []
+    assert half.n_reported.max() == 3
+    assert not any("failed" in note for note in half.notes)
+    none = bootstrap_band(data, BootstrapConfig(draws=6, seed=0), fit=first, fit_fn=lambda d, **kw: NoPoint())
+    assert none.n_failed_replicates == 0 and none.failures == []
+    assert not none.valid.any() and (none.n_reported == 0).all()
+    assert np.isnan(none.lower).all() and np.isnan(none.upper).all()
 
 
 def test_thin_cell_and_level_errors_name_them():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from crqiv.estimator import QuantileGrid
+from crqiv._rng import substream_seed
+from crqiv.estimator import QuantileGrid, fit_curve, naive_curve
 from crqiv.simulate import (
     DgpSpec,
     GroundTruth,
@@ -185,13 +186,19 @@ def test_mc_study_shapes_and_determinism():
 
 
 def test_mc_study_worker_invariance():
+    # replications run in turn, with no worker count to vary: the parameter
+    # is gone, and each replication is the fit of its own data set alone
     spec = DgpSpec(design=1, n=300, seed=6)
     grid = QuantileGrid(np.linspace(0.1, 1.0, 6))
-    one = mc_study(spec, reps=4, grid=grid, workers=1)
-    many = mc_study(spec, reps=4, grid=grid, workers=3)
-    assert np.array_equal(one.theta, many.theta)
-    assert np.array_equal(one.u_hat, many.u_hat)
-    assert np.array_equal(one.naive, many.naive)
+    res = mc_study(spec, reps=4, grid=grid)
+    with pytest.raises(TypeError, match="workers"):
+        mc_study(spec, reps=4, grid=grid, workers=3)
+    for r in range(4):
+        data, _ = generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))
+        fit = fit_curve(data, grid=grid)
+        assert np.array_equal(res.theta[r], fit.theta, equal_nan=True)
+        assert res.u_hat[r] == fit.frontiers.u_hat
+        assert np.array_equal(res.naive[r], naive_curve(data, grid))
 
 
 def test_mc_study_prefix_property():

@@ -34,23 +34,25 @@ __all__ = ["main", "build_parser"]
 _THREADS_ENV = "CRQIV_THREADS"
 
 
+def _at_least(low: int, what: str):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text}")
+        return value
+    return integer
+
+
+_positive_int, _non_negative_int = _at_least(1, "positive"), _at_least(0, "non-negative")
+
+
 def _default_threads() -> int:
     env = os.environ.get(_THREADS_ENV)
-    if not env:
-        return os.cpu_count() or 1
     try:
-        if int(env) >= 1:
-            return int(env)
-    except ValueError:
-        pass
-    raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {env!r}")
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+        return _positive_int(env) if env else (os.cpu_count() or 1)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {env!r}") from None
 
 
 def _fmt(v) -> str:
@@ -73,16 +75,27 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_columns(path: Path, header: list[str], columns: list[list]) -> None:
-    """``_write_csv`` for columns of ints and finite floats, without a ``_fmt`` call per cell.
+def _lattice_rows(axes: list[np.ndarray]) -> list[str]:
+    """Coordinate text ``"theta_0,...,theta_{L-1},"`` of each lattice row.
 
-    ``str.format`` writes a float as its repr and an int as its digits, so
-    the bytes equal ``_fmt``'s for such values.
+    Rows follow ``np.meshgrid(*axes, indexing="ij")`` in C order (last axis
+    fastest). Each axis value is formatted once, as ``_fmt`` formats a finite
+    float.
     """
-    row = ",".join(["{}"] * len(columns)) + "\n"
+    rows = [""]
+    for axis in axes:
+        cells = [repr(v) + "," for v in axis.tolist()]
+        rows = [r + c for r in rows for c in cells]
+    return rows
+
+
+def _write_lattice(path: Path, header: list[str], rows: list[str], member: np.ndarray) -> None:
+    """``_write_csv`` of each lattice row plus its 0/1 verdict, joined 4,096 rows at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(map(row.format, *columns)))
+        for a in range(0, len(rows), 4096):
+            verdicts = member[a:a + 4096].tolist()
+            fh.write("".join([r + ("0\n", "1\n")[m] for r, m in zip(rows[a:a + 4096], verdicts)]))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -189,19 +202,11 @@ def cmd_estimate(cfg: dict) -> int:
     if cfg.get("derived"):
         cause2 = fit_curve(swap_causes(data), **kwargs)
         levels = derived_quantities(fit, cause2)
-        rows = []
-        for l, d in sorted(levels.items()):
-            for i in range(d.u.size):
-                rows.append(
-                    (
-                        d.label,
-                        float(d.u[i]),
-                        float(d.t[i]),
-                        float(d.density[i]),
-                        float(d.subdist_hazard[i]),
-                        float(d.cause_hazard[i]),
-                    )
-                )
+        rows = [
+            (d.label, *(float(c[i]) for c in (d.u, d.t, d.density, d.subdist_hazard, d.cause_hazard)))
+            for _, d in sorted(levels.items())
+            for i in range(d.u.size)
+        ]
         _write_csv(
             out / "derived.csv",
             ["level", "u", "t", "density", "subdist_hazard", "cause_hazard"],
@@ -209,11 +214,7 @@ def cmd_estimate(cfg: dict) -> int:
         )
 
     if cfg.get("boot_draws", 0) > 0:
-        boot = BootstrapConfig(
-            draws=cfg["boot_draws"],
-            seed=cfg["seed"],
-            level=cfg["level"],
-        )
+        boot = BootstrapConfig(draws=cfg["boot_draws"], seed=cfg["seed"], level=cfg["level"])
         band = bootstrap_band(data, boot, fit=fit, **kwargs)
         _write_csv(out / "band.csv", ["u", "lower", "point", "upper", "n_reported"], band.rows())
         extra["bootstrap_failures"] = [[b, reason] for b, reason in band.failures]
@@ -224,6 +225,13 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_bounds(cfg: dict) -> int:
+    npts = cfg.get("lattice", 0)
+    if type(npts) is not int or npts < 0:
+        raise ValueError(f"lattice must be a non-negative integer, got {npts!r}")
+    names = [f"bounds_lattice_u{u:g}.csv" for u in cfg["u"]] if npts else []
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"u={cfg['u'][names.index(name)]!r} and u={cfg['u'][i]!r} would both write {name}")
     out = _outdir(cfg)
     data, data_path = _load_data(cfg)
     surface = assemble_surface(data, bandwidth=cfg.get("bandwidth"), kind=cfg.get("kind", "local_linear"))
@@ -241,21 +249,18 @@ def cmd_bounds(cfg: dict) -> int:
         frontiers = BoundFrontiers.from_data(data, fit)
         inputs = [data_path]
 
+    if npts:
+        L = frontiers.y1.size
+        axes = [np.linspace(0.0, 1.5 * frontiers.y1[l], npts) for l in range(L)]
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L)
+        # BoundFrontiers keeps y1 positive and finite, so every coordinate is finite
+        rows, header = _lattice_rows(axes), [f"theta_{l}" for l in range(L)] + ["member"]
     sets = []
     for u in cfg["u"]:
-        os_ = outer_set(u, surface, frontiers)
-        sets.append(os_.to_dict())
-        if cfg.get("lattice", 0) > 0:
-            npts, L = cfg["lattice"], frontiers.y1.size
-            axes = [np.linspace(0.0, 1.5 * frontiers.y1[l], npts) for l in range(L)]
-            lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L)
+        sets.append(outer_set(u, surface, frontiers).to_dict())
+        if npts:
             member = verify_membership(lattice, u, surface, frontiers)
-            # finite: BoundFrontiers keeps y1 positive and finite
-            _write_columns(
-                out / f"bounds_lattice_u{u:g}.csv",
-                [f"theta_{l}" for l in range(L)] + ["member"],
-                [*lattice.T.tolist(), member.astype(np.int64).tolist()],
-            )
+            _write_lattice(out / f"bounds_lattice_u{u:g}.csv", header, rows, member)
     _write_json(out / "bounds.json", {"u_y": frontiers.u_y, "sets": sets})
     _write_manifest(out, "bounds", cfg, cfg["seed"], inputs)
     print(f"wrote {out / 'bounds.json'} ({len(sets)} quantile(s))")
@@ -265,7 +270,8 @@ def cmd_bounds(cfg: dict) -> int:
 def cmd_mc(cfg: dict) -> int:
     out = _outdir(cfg)
     spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
-    res = mc_study(spec, cfg["reps"], grid=_grid(cfg), bandwidth=cfg.get("bandwidth"), delta=cfg.get("delta"))
+    fit_kwargs = {"grid": _grid(cfg), "bandwidth": cfg.get("bandwidth"), "delta": cfg.get("delta")}
+    res = mc_study(spec, cfg["reps"], **fit_kwargs)
 
     means, counts = res.mean_qte()
     naive_means = res.mean_naive_qte()
@@ -296,19 +302,8 @@ def cmd_mc(cfg: dict) -> int:
     )
 
     if cfg.get("boot_draws", 0) > 0:
-        boot = BootstrapConfig(
-            draws=cfg["boot_draws"],
-            seed=cfg["seed"],
-            level=cfg["level"],
-        )
-        cov = coverage_study(
-            spec,
-            cfg["reps"],
-            boot,
-            grid=_grid(cfg),
-            bandwidth=cfg.get("bandwidth"),
-            delta=cfg.get("delta"),
-        )
+        boot = BootstrapConfig(draws=cfg["boot_draws"], seed=cfg["seed"], level=cfg["level"])
+        cov = coverage_study(spec, cfg["reps"], boot, **fit_kwargs)
         _write_csv(out / "mc_coverage.csv", ["u", "coverage", "hits", "n_valid"], cov.rows())
 
     _write_manifest(out, "mc", cfg, cfg["seed"], [])
@@ -361,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quantile level (repeatable)")
     p.add_argument("--fit-json", dest="fit_json",
                    help="fit.json from a previous estimate run (reuses its frontier)")
-    p.add_argument("--lattice", type=int, default=0,
+    p.add_argument("--lattice", type=_non_negative_int, default=0,
                    help="emit a membership lattice CSV with this many points per axis")
     common(p)
     p.set_defaults(func=cmd_bounds)

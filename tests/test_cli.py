@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crqiv.cli import _fmt, _write_columns, _write_csv, build_parser, main
+import crqiv
+from crqiv.cli import _fmt, _lattice_rows, _write_csv, _write_lattice, build_parser, main
 from crqiv.data import load_csv
 
 
@@ -45,18 +50,31 @@ def test_fmt_cells():
     assert _fmt("x") == "x"
 
 
-def test_column_writer_matches_row_writer(tmp_path):
+def test_lattice_writer_matches_row_writer(tmp_path):
     # the lattice writer's reference is the cell-by-cell _fmt writer
     rng = np.random.default_rng(0)
-    theta = np.concatenate([
-        rng.uniform(0.0, 3.0, 500), np.linspace(0.0, 1.5 * 0.7, 150),
-        [0.0, -0.0, 1e16, 1e-300, 5e-324, 2.0000000000000004, 1 / 3, 123456789.0],
-    ])
-    columns = [theta.tolist(), theta[::-1].tolist(), (theta > 1.0).astype(np.int64).tolist()]
-    header = ["theta_0", "theta_1", "member"]
-    _write_columns(tmp_path / "cols.csv", header, columns)
-    _write_csv(tmp_path / "rows.csv", header, zip(*columns))
-    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    cases = [
+        ([0.7, 1.3], 150, "random"),
+        ([0.7, 1.3, 2.1], 20, "random"),
+        ([0.7, 1.3], 1, "random"),
+        ([1e-5, 1e16], 9, "random"),  # axis values whose repr has an exponent
+        ([1e-5, 0.5, 1e16], 4, "random"),
+        ([0.7, 1.3], 70, "zeros"),  # more rows than one write chunk
+        ([0.7, 1.3, 2.1], 7, "ones"),
+    ]
+    for y1, npts, verdicts in cases:
+        axes = [np.linspace(0.0, 1.5 * y, npts) for y in y1]
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(y1))
+        if verdicts == "random":
+            member = rng.uniform(size=len(lattice)) < 0.5
+        else:
+            member = np.full(len(lattice), verdicts == "ones")
+        header = [f"theta_{l}" for l in range(len(y1))] + ["member"]
+        _write_lattice(tmp_path / "lattice.csv", header, _lattice_rows(axes), member)
+        _write_csv(tmp_path / "rows.csv", header, zip(*lattice.T.tolist(), member.astype(int).tolist()))
+        got = (tmp_path / "lattice.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes(), (y1, npts, verdicts)
+        assert got.count(b"\n") == npts ** len(y1) + 1
 
 
 def test_parser_requires_command_and_flags(capsys):
@@ -76,6 +94,15 @@ def test_version_flag(capsys):
         build_parser().parse_args(["--version"])
     assert exc.value.code == 0
     assert "crqiv" in capsys.readouterr().out
+
+
+def test_python_m_crqiv_runs_the_cli():
+    src = str(Path(crqiv.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for module in ("crqiv", "crqiv.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "--version"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("crqiv "), module
 
 
 # -- simulate -------------------------------------------------------------------
@@ -237,6 +264,40 @@ def test_bounds_outputs(tmp_path, sim_dir):
     assert lat[0] == "theta_0,theta_1,member"
     assert len(lat) == 37
     assert {r.rsplit(",", 1)[1] for r in lat[1:]} <= {"0", "1"}
+
+
+@pytest.mark.parametrize("us", [(0.6, 0.6000001), (0.8, 0.9, 0.8)])
+def test_bounds_rejects_colliding_lattice_files(tmp_path, sim_dir, capsys, us):
+    out = tmp_path / "b"
+    argv = ["bounds", "--data", sim_dir / "data.csv", "--out", out, "--lattice", 5]
+    code = run(argv + [a for u in us for a in ("--u", u)])
+    assert code == 1
+    err = capsys.readouterr().err
+    first, second = us[0], us[-1]
+    assert f"u={first!r}" in err and f"u={second!r}" in err
+    assert f"bounds_lattice_u{first:g}.csv" in err
+    assert not out.exists()
+    # without a lattice no file is written, so the same u values are fine
+    assert run(argv[:-2] + [a for u in us for a in ("--u", u)] + ["--grid", 25]) == 0
+    assert len(json.loads((out / "bounds.json").read_text())["sets"]) == len(us)
+
+
+def test_bounds_negative_lattice_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["bounds", "--data", "d.csv", "--out", "o", "--u", "0.9", "--lattice", "-3"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [-3, 2.5, "6", True])
+def test_bounds_bad_lattice_in_config_exits_1(tmp_path, sim_dir, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": value}))
+    out = tmp_path / "b"
+    code = run(["bounds", "--data", sim_dir / "data.csv", "--out", out, "--u", 0.9, "--config", cfg])
+    assert code == 1
+    assert f"lattice must be a non-negative integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bounds_below_frontier_exits_1(tmp_path, sim_dir, capsys):

@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,8 +30,6 @@ from .surface import assemble_surface
 
 __all__ = ["main", "build_parser"]
 
-_THREADS_ENV = "CRQIV_THREADS"
-
 
 def _at_least(low: int, what: str):
     """argparse type: an integer no smaller than ``low``."""
@@ -47,12 +44,12 @@ def _at_least(low: int, what: str):
 _positive_int, _non_negative_int = _at_least(1, "positive"), _at_least(0, "non-negative")
 
 
-def _default_threads() -> int:
-    env = os.environ.get(_THREADS_ENV)
-    try:
-        return _positive_int(env) if env else (os.cpu_count() or 1)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {env!r}") from None
+def _count(cfg: dict, key: str) -> int:
+    """``cfg[key]`` (0 when absent), checked: a --config value bypasses argparse."""
+    value = cfg.get(key, 0)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _fmt(v) -> str:
@@ -151,6 +148,12 @@ def _fit_kwargs(cfg: dict) -> dict:
     }
 
 
+def _boot(cfg: dict) -> BootstrapConfig | None:
+    """The bootstrap settings, or None when ``boot_draws`` is 0 (no band)."""
+    draws = _count(cfg, "boot_draws")
+    return BootstrapConfig(draws=draws, seed=cfg["seed"], level=cfg["level"]) if draws else None
+
+
 # -- commands ----------------------------------------------------------
 
 
@@ -165,6 +168,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_estimate(cfg: dict) -> int:
+    boot = _boot(cfg)
     out = _outdir(cfg)
     data, data_path = _load_data(cfg)
     kwargs = _fit_kwargs(cfg)
@@ -213,8 +217,7 @@ def cmd_estimate(cfg: dict) -> int:
             rows,
         )
 
-    if cfg.get("boot_draws", 0) > 0:
-        boot = BootstrapConfig(draws=cfg["boot_draws"], seed=cfg["seed"], level=cfg["level"])
+    if boot is not None:
         band = bootstrap_band(data, boot, fit=fit, **kwargs)
         _write_csv(out / "band.csv", ["u", "lower", "point", "upper", "n_reported"], band.rows())
         extra["bootstrap_failures"] = [[b, reason] for b, reason in band.failures]
@@ -225,16 +228,15 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_bounds(cfg: dict) -> int:
-    npts = cfg.get("lattice", 0)
-    if type(npts) is not int or npts < 0:
-        raise ValueError(f"lattice must be a non-negative integer, got {npts!r}")
+    npts = _count(cfg, "lattice")
     names = [f"bounds_lattice_u{u:g}.csv" for u in cfg["u"]] if npts else []
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"u={cfg['u'][names.index(name)]!r} and u={cfg['u'][i]!r} would both write {name}")
     out = _outdir(cfg)
     data, data_path = _load_data(cfg)
-    surface = assemble_surface(data, bandwidth=cfg.get("bandwidth"), kind=cfg.get("kind", "local_linear"))
+    kwargs = _fit_kwargs(cfg)
+    surface = assemble_surface(data, bandwidth=kwargs["bandwidth"], kind=kwargs["kind"])
     if cfg.get("fit_json"):
         fit_path = Path(cfg["fit_json"])
         if not fit_path.exists():
@@ -245,7 +247,7 @@ def cmd_bounds(cfg: dict) -> int:
         frontiers = BoundFrontiers(frontiers.y1, frontiers.caps, u_y)
         inputs = [data_path, fit_path]
     else:
-        fit = fit_curve(data, stop_at_frontier=True, surface=surface, **_fit_kwargs(cfg))
+        fit = fit_curve(data, stop_at_frontier=True, surface=surface, **kwargs)
         frontiers = BoundFrontiers.from_data(data, fit)
         inputs = [data_path]
 
@@ -268,9 +270,10 @@ def cmd_bounds(cfg: dict) -> int:
 
 
 def cmd_mc(cfg: dict) -> int:
+    boot = _boot(cfg)
     out = _outdir(cfg)
     spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
-    fit_kwargs = {"grid": _grid(cfg), "bandwidth": cfg.get("bandwidth"), "delta": cfg.get("delta")}
+    fit_kwargs = _fit_kwargs(cfg)
     res = mc_study(spec, cfg["reps"], **fit_kwargs)
 
     means, counts = res.mean_qte()
@@ -301,8 +304,7 @@ def cmd_mc(cfg: dict) -> int:
         ],
     )
 
-    if cfg.get("boot_draws", 0) > 0:
-        boot = BootstrapConfig(draws=cfg["boot_draws"], seed=cfg["seed"], level=cfg["level"])
+    if boot is not None:
         cov = coverage_study(spec, cfg["reps"], boot, **fit_kwargs)
         _write_csv(out / "mc_coverage.csv", ["u", "coverage", "hits", "n_valid"], cov.rows())
 
@@ -327,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; entries override flags")
         p.add_argument("--threads", type=_positive_int, default=None,
-                       help=f"recorded in the manifest; changes neither results nor speed "
-                            f"(default: ${_THREADS_ENV} or CPU count)")
+                       help="recorded in the manifest as given; changes neither results nor speed")
         if with_fit_flags:
             p.add_argument("--grid", type=_positive_int, default=100, help="quantile grid size M")
             p.add_argument("--bandwidth", type=float, default=None)
@@ -345,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--naive", action="store_true", help="include the treatment-only comparator")
     p.add_argument("--derived", action="store_true", help="emit incidence/hazard curves")
-    p.add_argument("--boot-draws", type=int, default=0, dest="boot_draws")
+    p.add_argument("--boot-draws", type=_non_negative_int, default=0, dest="boot_draws",
+                   help="bootstrap draws for the band (0: no band)")
     p.add_argument("--level", type=float, default=0.95)
     common(p)
     p.set_defaults(func=cmd_estimate)
@@ -365,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", type=int, choices=[1, 2], required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--reps", type=_positive_int, required=True)
-    p.add_argument("--boot-draws", type=int, default=0, dest="boot_draws")
+    p.add_argument("--boot-draws", type=_non_negative_int, default=0, dest="boot_draws",
+                   help="bootstrap draws per repetition for coverage (0: no coverage)")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--bins", type=_positive_int, default=20)
     common(p)
@@ -388,8 +391,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(overrides)
-    if cfg.get("threads") is None:
-        cfg["threads"] = _default_threads()
     return cfg
 
 

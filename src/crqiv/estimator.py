@@ -139,7 +139,7 @@ class QuantileCurveFit:
     grid: QuantileGrid
     theta: np.ndarray  # (M, L) solution vectors
     objective: np.ndarray  # (M,) r' V r at theta
-    residual: np.ndarray  # (M,) max |r_k| at theta
+    residual: np.ndarray  # (M,) max |(C' r)_k| at theta, V = C C'
     converged: np.ndarray  # (M,) bool: residual <= CERT_TOL
     reported_mask: np.ndarray  # (M,) bool: u < u_hat and converged
     frontiers: FrontierEstimates
@@ -282,16 +282,17 @@ def residual_system(surface, V: WeightingPolicy | None = None):
     both are premultiplied by C', so ||C' r||^2 = r' V(u) r is the objective.
     Only the Gauss-Newton path of ``fit_curve`` (systems without a
     triangular order, or with more instrument than treatment levels) builds
-    it.  It keeps its own scalar sum rather than ``residual_vector`` because
-    it needs the slopes and is called once per solver step, where
-    ``residual_vector`` on one point costs about three times as much.
+    it, to propose theta; ``fit_curve`` certifies the result through
+    ``residual_vector``.  It keeps its own scalar sum because it needs the
+    slopes and is called once per solver step, where ``residual_vector`` on
+    one point costs about three times as much.
     """
     L, K = surface.n_treatment_levels, surface.n_instrument_levels
     cells = [[surface.cell_value_slope(l, k) for l in range(L)] for k in range(K)]
 
     def at(u: float):
         target = 1.0 - u
-        ct = None if V is None or V.is_identity else np.linalg.cholesky(V.matrix(u, K)).T
+        ct = _weight_factor(V, u, K)
 
         def f(theta):
             th = theta.tolist()
@@ -377,40 +378,30 @@ def _triangular_sweep(surface: SmoothedSurvivalSurface, order, u: np.ndarray, up
     return theta, no_root
 
 
-def _weighted(r: np.ndarray, u: np.ndarray, V: WeightingPolicy | None) -> np.ndarray:
-    """Rows r_m premultiplied by C' where V(u_m) = C C'."""
+def _weight_factor(V: WeightingPolicy | None, u: float, K: int):
+    """C' where V(u) = C C', or None for the identity weighting."""
     if V is None or V.is_identity:
-        return r
-    K = r.shape[-1]
-    return np.stack([np.linalg.cholesky(V.matrix(float(x), K)).T @ row for x, row in zip(u, r)])
+        return None
+    return np.linalg.cholesky(V.matrix(u, K)).T
 
 
-def _gauss_newton_sweep(surface, V, u: np.ndarray, y_hat, deltas, upper, stop_at_frontier: bool):
-    """Per-point projected Gauss-Newton solves, each warm-started from the last.
+def _gauss_newton_sweep(surface, V, u: np.ndarray, edge: np.ndarray, upper, stop_at_frontier: bool):
+    """theta (M, L) from per-point projected Gauss-Newton solves, each warm-started from the last.
 
-    Returns (theta, objective, residual, converged, m_hat), with m_hat the
-    first point whose solution hits the frontier cushion, or -1.
+    Once a solution reaches the cushion edge the later solves make no
+    restarts; with ``stop_at_frontier`` they are not made and stay NaN.
     """
-    M, L = u.size, y_hat.size
-    theta = np.full((M, L), np.nan)
-    obj_vals = np.full(M, np.nan)
-    resid = np.full(M, np.nan)
-    converged = np.zeros(M, dtype=bool)
-    lower = np.zeros(L)
+    theta = np.full((u.size, edge.size), np.nan)
+    lower = np.zeros(edge.size)
     system = residual_system(surface, V)
-    m_hat = -1
-    warm = None
-    for m in range(M):
-        res = minimize_box_multistart(system(float(u[m])), lower, upper, warm=warm, restart=m_hat < 0)
+    past, warm = False, None
+    for m in range(u.size):
+        res = minimize_box_multistart(system(float(u[m])), lower, upper, warm=warm, restart=not past)
         theta[m] = warm = res.x
-        obj_vals[m] = res.fun
-        resid[m] = res.residual
-        converged[m] = res.converged
-        if m_hat < 0 and np.any(theta[m] >= y_hat - deltas):
-            m_hat = m
-            if stop_at_frontier:
-                break
-    return theta, obj_vals, resid, converged, m_hat
+        past = past or bool(np.any(theta[m] >= edge))
+        if past and stop_at_frontier:
+            break
+    return theta
 
 
 def fit_curve(
@@ -440,12 +431,14 @@ def fit_curve(
     a solve without a certified root restarts from a lattice of box points,
     and past it, where no root exists, it does not.
 
-    On either path a point is reported only below the frontier and with
-    every residual component (of C' r under a weighting V = C C') at most
-    ``CERT_TOL`` in absolute value; a near-root on a box face, where no root
-    lies inside the box, is not reported.  With ``stop_at_frontier`` the
-    results past the first point that hits the frontier cushion are left
-    NaN, which is enough for anything that only consumes reported points.
+    Either path only proposes theta; the frontier, the NaN rows past it and
+    the certificate are then taken once, from one batched residual.  A
+    point is reported only below the frontier and with every residual
+    component (of C' r under a weighting V = C C') at most ``CERT_TOL`` in
+    absolute value; a near-root on a box face, where no root lies inside
+    the box, is not reported.  With ``stop_at_frontier`` the results past
+    the first point that hits the frontier cushion are left NaN, which is
+    enough for anything that only consumes reported points.
 
     ``counts`` gives each record's multiplicity, so that a bootstrap
     replicate is fitted on the sample itself with no resampled copy; None
@@ -459,30 +452,30 @@ def fit_curve(
     y_hat = estimate_y1(data, counts)
     deltas = _resolve_delta(delta, data, L, counts)
     upper = y_hat * (1.0 - BOX_CLAMP)
+    edge = y_hat - deltas  # the frontier cushion
     u = grid.points
     M = grid.size
     warnings: list[str] = []
 
     order = _triangular_order(surface.p_hat)
     if order is None:
-        theta, obj_vals, resid, converged, m_hat = _gauss_newton_sweep(
-            surface, V, u, y_hat, deltas, upper, stop_at_frontier
-        )
+        theta = _gauss_newton_sweep(surface, V, u, edge, upper, stop_at_frontier)
         no_root = [None] * M
     else:
         theta, no_root = _triangular_sweep(surface, order, u, upper)
-        r = _weighted(residual_vector(theta, u, surface), u, V)
-        obj_vals = np.einsum("mk,mk->m", r, r)
-        resid = np.abs(r).max(axis=1)
-        hit = np.flatnonzero((theta >= y_hat - deltas).any(axis=1))
-        m_hat = int(hit[0]) if hit.size else -1
-        if stop_at_frontier and m_hat >= 0:
-            theta[m_hat + 1 :] = obj_vals[m_hat + 1 :] = resid[m_hat + 1 :] = np.nan
-        converged = resid <= CERT_TOL
 
-    triggered = m_hat >= 0
-    if not triggered:
-        m_hat = M - 1
+    hit = np.flatnonzero((theta >= edge).any(axis=1))
+    triggered = hit.size > 0
+    m_hat = int(hit[0]) if triggered else M - 1
+    if stop_at_frontier:
+        theta[m_hat + 1 :] = np.nan
+    r = residual_vector(theta, u, surface)
+    factors = [_weight_factor(V, float(x), r.shape[1]) for x in u]
+    if factors[0] is not None:
+        r = np.stack([ct @ row for ct, row in zip(factors, r)])
+    obj_vals = np.einsum("mk,mk->m", r, r)
+    resid = np.abs(r).max(axis=1)
+    converged = resid <= CERT_TOL
     before = (np.arange(M) < m_hat) | (not triggered)
     reported = converged & before
     missed = before & ~converged

@@ -352,24 +352,36 @@ def test_bounds_assembles_the_surface_once(tmp_path, sim_dir, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("value", ["two", "0", "-3"])
-def test_bad_threads_env_exits_1(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("CRQIV_THREADS", value)
-    out = tmp_path / "sim"
-    code = run(["simulate", "--design", 1, "--n", 50, "--out", out])
+def test_threads_recorded_as_given(tmp_path):
+    for threads in (None, 3):
+        out = tmp_path / f"sim{threads}"
+        extra = [] if threads is None else ["--threads", threads]
+        assert run(["simulate", "--design", 1, "--n", 50, "--out", out] + extra) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == threads
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc"])
+def test_negative_boot_draws_flag_is_rejected(capsys, command):
+    args = {"estimate": ["--data", "d.csv"], "mc": ["--design", "2", "--n", "500", "--reps", "2"]}[command]
+    argv = [command, *args, "--out", "o", "--boot-draws"]
+    assert build_parser().parse_args(argv + ["0"]).boot_draws == 0
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc"])
+@pytest.mark.parametrize("value", [-5, 2.5, "6"])
+def test_bad_boot_draws_in_config_exits_1(tmp_path, sim_dir, capsys, command, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"boot_draws": value}))
+    out = tmp_path / "o"
+    args = {"estimate": ["--data", sim_dir / "data.csv"], "mc": ["--design", 2, "--n", 500, "--reps", 2]}[command]
+    code = run([command, *args, "--out", out, "--grid", 10, "--config", cfg])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "CRQIV_THREADS" in err and repr(value) in err
+    assert f"boot_draws must be a non-negative integer, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_threads_env_sets_the_default(monkeypatch):
-    from crqiv.cli import _default_threads
-
-    monkeypatch.setenv("CRQIV_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.delenv("CRQIV_THREADS")
-    assert _default_threads() >= 1
 
 
 # -- mc -------------------------------------------------------------------------
@@ -392,6 +404,15 @@ def test_mc_outputs(tmp_path):
     assert frontier[0] == "rep,u_hat,u_prev,triggered,y1_hat_0,y1_hat_1"
     assert len(frontier) == 4
     assert not (out / "mc_coverage.csv").exists()
+
+
+def test_mc_honours_kind(tmp_path):
+    common = ["mc", "--design", 2, "--n", 500, "--reps", 2, "--grid", 10, "--seed", 0]
+    qte = {}
+    for kind in ("convolution", "local_linear"):
+        assert run(common + ["--kind", kind, "--out", tmp_path / kind]) == 0
+        qte[kind] = (tmp_path / kind / "mc_qte.csv").read_bytes()
+    assert qte["convolution"] != qte["local_linear"]
 
 
 def test_mc_coverage_and_thread_invariance(tmp_path):

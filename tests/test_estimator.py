@@ -23,6 +23,7 @@ from crqiv.optim import CERT_TOL, minimize_box_multistart
 from crqiv.simulate import DgpSpec, GroundTruth, generate
 from crqiv.smoothing import SmoothedCurve
 from crqiv.surface import assemble_surface
+from test_replicate_counts import no_structural_zero
 from tests._synthetic import surface_on_union_grid
 
 # population pooled-by-treatment quantiles of the cause-1 incidence for
@@ -219,19 +220,31 @@ def test_random_monotone_surfaces_certify_planted_root(case):
     assert res.x == pytest.approx(theta_star, abs=1e-4)
 
 
-@pytest.mark.parametrize("design", [1, 2])
-def test_every_reported_point_is_certified(design):
-    # the residual at each reported point, recomputed through the
-    # surface's vectorized evaluator, is within the certificate
+@pytest.mark.parametrize(
+    "design, n, V",
+    [(1, 4_000, None), (2, 4_000, None)]
+    + [("two-sided", n, V) for n in (2_000, 10_000) for V in (None, WeightingPolicy([[2.0, 0.3], [0.3, 1.0]]))],
+    ids=["1", "2", "two-sided-2000", "two-sided-2000-V", "two-sided-10000", "two-sided-10000-V"],
+)
+def test_every_reported_point_is_certified(design, n, V):
+    # the weighted residual C' r at each reported point, recomputed through
+    # the surface's vectorized evaluator, is within the certificate, and the
+    # fit's objective is its squared norm.  The two-sided data have no
+    # triangular order, so they run the Gauss-Newton path
+    ct = np.eye(2) if V is None else np.linalg.cholesky(V.matrix(0.5, 2)).T
     for seed in range(4):
-        data, _ = generate(DgpSpec(design=design, n=4_000, seed=seed))
+        if design == "two-sided":
+            data = no_structural_zero(n, seed)
+        else:
+            data, _ = generate(DgpSpec(design=design, n=n, seed=seed))
         surf = assemble_surface(data)
-        fit = fit_curve(data, surface=surf)
+        fit = fit_curve(data, V=V, surface=surf)
         assert fit.reported_mask.sum() >= 10
         for m in np.flatnonzero(fit.reported_mask):
-            u = float(fit.grid.points[m])
+            cr = ct @ residual_vector(fit.theta[m], float(fit.grid.points[m]), surf)
             assert fit.residual[m] <= CERT_TOL
-            assert np.abs(residual_vector(fit.theta[m], u, surf)).max() <= CERT_TOL
+            assert np.abs(cr).max() <= CERT_TOL
+            assert fit.objective[m] == pytest.approx(cr @ cr, rel=1e-12, abs=0.0)
 
 
 def test_design2_seed0_lowest_point_has_no_root():

@@ -391,6 +391,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(overrides)
+        if cfg["threads"] is not None:
+            # a config value bypasses argparse, so it takes the flag's check here
+            try:
+                cfg["threads"] = _positive_int(str(cfg["threads"]))
+            except (argparse.ArgumentTypeError, ValueError):
+                raise ValueError(f"threads must be a positive integer, got {cfg['threads']!r}") from None
     return cfg
 
 

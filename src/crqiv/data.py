@@ -19,6 +19,8 @@ import io
 import json
 import mmap
 import operator
+import os
+import re
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -253,11 +255,15 @@ def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
 
 # Bytes on which np.loadtxt and the csv module can read a file differently:
 # quotes; NUL (csv rejects it before Python 3.11, and numpy text drops it at
-# the end of a field); the separators \x1c-\x1f, which np.loadtxt strips
-# around a number and float() does not; and blank lines, which both skip but
-# which make np.loadtxt warn on text columns.
-_ROW_BY_ROW = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\n\n", b"\r\r", b"\n\r")
-_LOADTXT = {"delimiter": ",", "comments": None, "skiprows": 1, "encoding": "utf-8"}
+# the end of a field); and the separators \x1c-\x1f, which np.loadtxt strips
+# around a number and float() does not. Blank lines need no guard: both
+# readers skip them, and the structured pass does so without a warning.
+_ROW_BY_ROW = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# a line end followed by a line that is not blank: the header has a record after it
+_RECORD = re.compile(rb"[\r\n]+[^\r\n]")
+# latin-1 passes every byte of the UTF-8 file to the parser as it is
+_LOADTXT = {"delimiter": ",", "comments": None, "skiprows": 1, "encoding": "latin1", "ndmin": 1}
+_FIELDS = np.dtype([("y", "f8"), ("event", "S8"), ("z", "S8"), ("w", "S8")])
 _SAVE_CHUNK = 1 << 16
 
 
@@ -306,11 +312,15 @@ def load_csv(
     cells that are unreachable by design. ``event_labels`` optionally maps
     raw event strings to codes in {0, 1, 2}.
 
-    Columns are parsed by numpy's C reader. A file that reader could read
-    differently from the csv module (quoted fields, blank lines, number
-    text such as ``2_0``), or that fails a check, is read row by row
-    instead, which accepts it as before or names the offending row.
-    ``path`` must name a regular file, as it is read more than once.
+    The body is parsed by one pass of numpy's C reader, with the time as
+    float64 and the other three columns as 8-byte strings (a column with a
+    longer label is read again, wider). A file that reader could read
+    differently from the csv module (quotes, NUL or the bytes \\x1c-\\x1f
+    anywhere in it, number text such as ``2_0``), or that fails a check, is
+    read row by row instead, which accepts it as before or names the
+    offending row. ``path`` must name a regular file, as it is read more
+    than once; anything else, such as a directory or a pipe, is rejected
+    before it is opened.
     """
     cols = dict(DEFAULT_COLUMNS)
     if schema:
@@ -318,6 +328,8 @@ def load_csv(
         if unknown:
             raise DataValidationError(f"unknown schema keys: {sorted(unknown)}")
         cols.update(schema)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise DataValidationError(f"not a regular file: {path}")
 
     sidecar = f"{path}.levels.json"
     side = None
@@ -364,26 +376,28 @@ def load_csv(
 def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, i_order: list | None):
     """``_read_rows``'s result without a Python object per row.
 
-    np.loadtxt parses the time column as float64 and the event, treatment
-    and instrument columns as text; only their distinct strings reach
-    Python. Returns None, or raises ValueError or TypeError, wherever the
-    row loop could read the file differently or would raise, so that it
-    runs instead.
+    The file is mapped and searched for single bytes only: it goes to the
+    row loop if it holds a quote, NUL or one of \\x1c-\\x1f, or no record
+    after the header, and a byte that is not UTF-8 raises. Then one
+    np.loadtxt pass parses the time column as float64 and the event,
+    treatment and instrument columns as 8-byte strings; only their distinct
+    values reach Python. Returns None, or raises ValueError or TypeError,
+    wherever the row loop could read the file differently or would raise,
+    so that it runs instead.
     """
     with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
-        declined = any(raw.find(b) >= 0 for b in _ROW_BY_ROW)
-        # past the first LF, else the first CR; nothing after it means no
-        # records, on which np.loadtxt warns (a mixed-ending file that this
-        # misjudges is read row by row)
-        start = raw.find(b"\n") + 1 or raw.find(b"\r") + 1
-        if declined or not 0 < start < len(raw):
+        if any(raw.find(b) >= 0 for b in _ROW_BY_ROW) or not _RECORD.search(raw):
             return None
+        if np.frombuffer(raw, np.uint8).max() >= 0x80:
+            str(raw, "utf-8")  # the row loop raises on a byte that is not UTF-8, in any column
 
-    iy, ie, iz, iw = usecols
-    y = np.loadtxt(path, dtype=np.float64, usecols=iy, ndmin=1, **_LOADTXT)
+    parsed = np.loadtxt(path, dtype=_FIELDS, usecols=usecols, **_LOADTXT)
+    # owned copies, so that the record array is freed before np.unique
+    y, *text = (parsed[name].copy() for name in _FIELDS.names)
+    del parsed
     if not (np.isfinite(y) & (y >= 0)).all():
         return None
-    ev_col, z_col, w_col = _distinct_text(path, [ie, iz, iw])
+    ev_col, z_col, w_col = _distinct_text(path, usecols[1:], text)
 
     strings, _, inverse = ev_col
     codes = [
@@ -401,21 +415,30 @@ def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, 
     return y, event, z[1], w[1], z[0], w[0]
 
 
-def _distinct_text(path, usecols: list[int]) -> list[tuple]:
+def _distinct_text(path, usecols: list[int], columns: list[np.ndarray]) -> list[tuple]:
     """(distinct strings, first row of each, per-row index into them) per text column.
 
-    The columns are read as 8-byte strings, through latin-1 so that every
-    byte of the UTF-8 file passes as it is, and only the distinct values are
-    decoded. A distinct value that fills the 8 bytes may have been cut, and
-    then the columns are read again as Python strings.
+    ``columns`` are the columns at ``usecols`` as 8-byte strings, parsed
+    through latin-1 so that every byte of the UTF-8 file passes as it is;
+    the list is emptied as it goes, so that each column is freed once its
+    distinct values are taken. Those are found on the 8 bytes viewed as one
+    integer, so no strings are sorted, and only they are decoded. A
+    distinct value that fills the width may have been cut; then that column
+    alone is read again, four times as wide, until none does.
     """
-    text = np.loadtxt(path, dtype="S8", usecols=usecols, ndmin=2, **{**_LOADTXT, "encoding": "latin1"})
-    cols = [np.unique(col, return_index=True, return_inverse=True) for col in text.T]
-    if any(len(s) == 8 for strings, _, _ in cols for s in strings.tolist()):
-        text = np.loadtxt(path, dtype=str, usecols=usecols, ndmin=2, **_LOADTXT)
-        cols = [np.unique(col, return_index=True, return_inverse=True) for col in text.T]
-        return [(strings.tolist(), first, inverse) for strings, first, inverse in cols]
-    return [([s.decode("utf-8") for s in strings.tolist()], first, inverse) for strings, first, inverse in cols]
+    out = []
+    for usecol in usecols:
+        col = columns.pop(0)
+        distinct, first, inverse = np.unique(col.view("<u8"), return_index=True, return_inverse=True)
+        strings = distinct.view(col.dtype).tolist()
+        width = col.dtype.itemsize
+        while any(len(s) == width for s in strings):
+            width *= 4
+            wide = np.loadtxt(path, dtype=f"S{width}", usecols=usecol, **_LOADTXT)
+            distinct, first, inverse = np.unique(wide, return_index=True, return_inverse=True)
+            strings = distinct.tolist()
+        out.append(([s.decode("utf-8") for s in strings], first, inverse))
+    return out
 
 
 def _level_codes(column: tuple, order: list | None):

@@ -206,6 +206,12 @@ def test_estimate_missing_data_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_estimate_data_directory_exits_1(tmp_path, capsys):
+    code = run(["estimate", "--data", tmp_path, "--out", tmp_path / "o"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: not a regular file: {tmp_path}\n"
+
+
 def test_config_file_overrides_flags(tmp_path, sim_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": 10, "seed": 42}))
@@ -358,6 +364,23 @@ def test_threads_recorded_as_given(tmp_path):
         extra = [] if threads is None else ["--threads", threads]
         assert run(["simulate", "--design", 1, "--n", 50, "--out", out] + extra) == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == threads
+
+
+@pytest.mark.parametrize("value", [-4, 0, 2.5, True, "x"])
+def test_bad_threads_in_config_exits_1(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": value}))
+    out = tmp_path / "o"
+    assert run(["simulate", "--design", 1, "--n", 50, "--out", out, "--config", cfg]) == 1
+    assert f"threads must be a positive integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_in_config_recorded_as_the_flag_would_be(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 4}))
+    assert run(["simulate", "--design", 1, "--n", 50, "--out", tmp_path / "o", "--threads", 2, "--config", cfg]) == 0
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["threads"] == 4
 
 
 @pytest.mark.parametrize("command", ["estimate", "mc"])

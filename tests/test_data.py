@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import signal
 import warnings
 from unittest import mock
 
@@ -359,17 +361,26 @@ def _case(*rows, header="time,event,treatment,instrument", nl="\n", **kwargs):
 @example(_case("3,1,nan,0", "3,1,nan,1"))
 @example(_case("3,1,0,0,extra", "", header="\ufefftime,event,treatment,instrument", schema={"y": "\ufefftime"}))
 @example(_case("3,1,0,0", header="x,event,treatment,instrument,time", event_labels={"1": 2}))
+@example(_case("3,1,0,0", "", "", "3,1,1,1", "", nl="\r\n"))  # blank lines between records
+@example(_case("3,1,0,0", "", "", "3,1,1,1", "", nl="\r"))
+@example(("time,event,treatment,instrument\r\n\r\n\n", {}, None))  # blank lines and no record
+@example(_case("3,1,0,0", " ", "3,1,1,1"))  # a whitespace-only line
+@example(_case("3,1,abcdefgh,0", "3,1,abcdefgh,1"))  # an 8-byte label beside 1-byte ones
+@example(_case("3,censored_x,0,0", event_labels={"censored_x": 0}))  # an event label past 8 bytes
+# a byte that is not UTF-8, in a column neither reader parses, past the header's first 8 KiB read
+@example((b"time,event,treatment,instrument,note\n1.5,1,0,1," + b"x" * 9000 + b"\n3,1,0,0,\xff\n3.5,2,1,0,x\n4.5,0,1,1,x\n",
+          {}, None))
 def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
     text, kwargs, sidecar = case
     p = tmp_path_factory.mktemp("diff") / "d.csv"
-    p.write_bytes(text.encode("utf-8"))
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     if sidecar is not None:
         (p.parent / "d.csv.levels.json").write_text(json.dumps(sidecar))
     assert _outcome(p, **kwargs) == _row_loop_outcome(p, **kwargs)
 
 
 @pytest.mark.parametrize("labels", [
-    ["placebo_a", "placebo_b"],  # 9 bytes, alike in the first 8: read again as str
+    ["placebo_a", "placebo_b"],  # 9 bytes, alike in the first 8: read again, wider
     ["abcdefgh", "abcdefg"],  # exactly 8 bytes
     ["\xe9t\xe9", "\u20ac"],  # non-ASCII, under 8 bytes
     ["\u20ac\u20ac\u20ac", "\u20ac\u20ac\u20ac\u20ac"],  # non-ASCII, 9 and 12 bytes
@@ -408,6 +419,36 @@ def test_simulated_1e5_rows_read_alike_by_both_paths(tmp_path):
     assert fast[0] == "ok"
     assert fast == _row_loop_outcome(p)
     assert fast[1][0][1] == d.y.tobytes() and fast[1][1][1] == d.event.tobytes()
+
+
+def test_loaded_columns_own_their_data(tmp_path):
+    # no column is a view onto the parse buffer, which would keep all of it alive
+    d, _ = generate(DgpSpec(design=1, n=2000, seed=3))
+    p = tmp_path / "sim.csv"
+    save_csv(d, p)
+    with mock.patch.object(data_module, "_read_columns", return_value=None):
+        row_by_row = load_csv(p)
+    for back in (load_csv(p), row_by_row):
+        for a in (back.y, back.event, back.z, back.w):
+            assert a.flags.c_contiguous and not a.flags.writeable and a.base is None
+
+
+def test_path_that_is_not_a_regular_file_is_rejected_unopened(tmp_path):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)  # opening it would block until a writer came
+
+    def blocked(signum, frame):
+        raise TimeoutError("load_csv blocked opening the pipe")
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(10)
+    try:
+        for path in (fifo, tmp_path):
+            with pytest.raises(DataValidationError, match="not a regular file"):
+                load_csv(path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_save_csv_matches_row_by_row_csv_writer(tmp_path):

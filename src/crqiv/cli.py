@@ -43,13 +43,9 @@ def _at_least(low: int, what: str):
 
 _positive_int, _non_negative_int = _at_least(1, "positive"), _at_least(0, "non-negative")
 
-
-def _count(cfg: dict, key: str) -> int:
-    """``cfg[key]`` (0 when absent), checked: a --config value bypasses argparse."""
-    value = cfg.get(key, 0)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
-    return value
+# integer options and their least value; a --config value bypasses argparse,
+# so it gets the flag's check in ``_resolve_config``
+_INTEGER_KEYS = {"grid": 1, "n": 1, "reps": 1, "bins": 1, "threads": 1, "lattice": 0, "boot_draws": 0}
 
 
 def _fmt(v) -> str:
@@ -150,7 +146,7 @@ def _fit_kwargs(cfg: dict) -> dict:
 
 def _boot(cfg: dict) -> BootstrapConfig | None:
     """The bootstrap settings, or None when ``boot_draws`` is 0 (no band)."""
-    draws = _count(cfg, "boot_draws")
+    draws = cfg["boot_draws"]
     return BootstrapConfig(draws=draws, seed=cfg["seed"], level=cfg["level"]) if draws else None
 
 
@@ -228,7 +224,7 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_bounds(cfg: dict) -> int:
-    npts = _count(cfg, "lattice")
+    npts = cfg["lattice"]
     names = [f"bounds_lattice_u{u:g}.csv" for u in cfg["u"]] if npts else []
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -242,7 +238,10 @@ def cmd_bounds(cfg: dict) -> int:
         if not fit_path.exists():
             raise FileNotFoundError(f"fit file not found: {fit_path}")
         with open(fit_path, encoding="utf-8") as fh:
-            u_y = float(json.load(fh)["u_hat"])
+            fit_doc = json.load(fh)
+        u_y = fit_doc.get("u_hat") if isinstance(fit_doc, dict) else None
+        if type(u_y) not in (int, float) or not math.isfinite(u_y):
+            raise ValueError(f"{fit_path}: u_hat must be a number, got {u_y!r}")
         frontiers = BoundFrontiers.from_data(data)
         frontiers = BoundFrontiers(frontiers.y1, frontiers.caps, u_y)
         inputs = [data_path, fit_path]
@@ -390,13 +389,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(overrides) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in overrides.items():
+            low = _INTEGER_KEYS.get(key)
+            if low is None or (key == "threads" and value is None):
+                continue
+            if type(value) is not int or value < low:
+                kind = "positive" if low else "non-negative"
+                raise ValueError(f"{key} must be a {kind} integer, got {value!r}")
         cfg.update(overrides)
-        if cfg["threads"] is not None:
-            # a config value bypasses argparse, so it takes the flag's check here
-            try:
-                cfg["threads"] = _positive_int(str(cfg["threads"]))
-            except (argparse.ArgumentTypeError, ValueError):
-                raise ValueError(f"threads must be a positive integer, got {cfg['threads']!r}") from None
     return cfg
 
 
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(cfg)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input path that is missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataValidationError, EstimationError, ValueError, RuntimeError) as exc:

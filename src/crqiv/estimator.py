@@ -83,43 +83,54 @@ class WeightingPolicy:
     """Residual weighting V(u): symmetric positive definite K x K.
 
     ``value`` may be None (identity), a constant matrix, or a callable
-    u -> matrix. Constant matrices are checked at configuration time.
+    u -> matrix. A constant matrix is checked and factored once, at
+    configuration time; a callable's matrix once per evaluation.
     """
 
     def __init__(self, value=None):
         self._callable = None
-        self._matrix = None
+        self._matrix = self._factor = None
         if value is None:
             pass
         elif callable(value):
             self._callable = value
         else:
-            self._matrix = self._checked(np.asarray(value, dtype=np.float64))
+            self._matrix = np.asarray(value, dtype=np.float64)
+            self._factor = self._checked_factor(self._matrix)
 
     @staticmethod
-    def _checked(m: np.ndarray) -> np.ndarray:
+    def _checked_factor(m: np.ndarray) -> np.ndarray:
+        """C' with m = C C', C lower triangular; raises unless m is symmetric positive definite."""
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("weighting matrix must be square")
         if not np.allclose(m, m.T, atol=1e-10):
             raise ValueError("weighting matrix must be symmetric")
         try:
-            np.linalg.cholesky(m)
+            return np.linalg.cholesky(m).T
         except np.linalg.LinAlgError:
             raise ValueError("weighting matrix must be positive definite") from None
-        return m
 
     @property
     def is_identity(self) -> bool:
         return self._callable is None and self._matrix is None
 
-    def matrix(self, u: float, k: int) -> np.ndarray:
+    def _at(self, u: float, k: int):
+        """(V(u), C') for a system of k instrument levels, both None for the identity."""
+        m, ct = self._matrix, self._factor
         if self._callable is not None:
-            return self._checked(np.asarray(self._callable(u), dtype=np.float64))
-        if self._matrix is not None:
-            if self._matrix.shape[0] != k:
-                raise ValueError(f"weighting matrix is {self._matrix.shape[0]}x..., need {k}")
-            return self._matrix
-        return np.eye(k)
+            m = np.asarray(self._callable(u), dtype=np.float64)
+            ct = self._checked_factor(m)
+        if m is not None and m.shape[0] != k:
+            raise ValueError(f"weighting matrix is {m.shape[0]}x..., need {k}")
+        return m, ct
+
+    def matrix(self, u: float, k: int) -> np.ndarray:
+        m = self._at(u, k)[0]
+        return np.eye(k) if m is None else m
+
+    def factor(self, u: float, k: int) -> np.ndarray | None:
+        """C' with V(u) = C C', so that r' V(u) r = ||C' r||^2; None for the identity."""
+        return self._at(u, k)[1]
 
 
 @dataclass(frozen=True)
@@ -205,12 +216,12 @@ def residual_vector(theta, u, surface: SmoothedSurvivalSurface) -> np.ndarray:
 
 
 def objective(theta, u: float, surface, V: WeightingPolicy | None = None) -> float:
-    """Weighted squared norm r(theta)' V(u) r(theta); zero iff r = 0."""
+    """Weighted squared norm r(theta)' V(u) r(theta) = ||C' r||^2, V(u) = C C'; zero iff r = 0."""
     r = residual_vector(theta, u, surface)
-    if V is None or V.is_identity:
-        return float(r @ r)
-    m = V.matrix(u, r.size)
-    return float(r @ m @ r)
+    ct = None if V is None else V.factor(u, r.size)
+    if ct is not None:
+        r = ct @ r
+    return float(r @ r)
 
 
 def _cause1_times(data: Dataset, level: int, counts):
@@ -275,38 +286,24 @@ def _resolve_delta(delta, data: Dataset, L: int, counts) -> np.ndarray:
 
 
 def residual_system(surface, V: WeightingPolicy | None = None):
-    """u -> f, where f(theta) = (weighted residual vector, its Jacobian).
+    """u -> f, where f(theta) = (C' r, C' J) with V(u) = C C' (C' = I unweighted).
 
-    J[k, l] is the slope of cell (l, k) at theta_l: p_hat(l, k) times the
-    slope of the cell curve's segment there.  With a weighting V(u) = C C'
-    both are premultiplied by C', so ||C' r||^2 = r' V(u) r is the objective.
-    Only the Gauss-Newton path of ``fit_curve`` (systems without a
+    r is ``residual_vector`` at (theta, u) and J its Jacobian,
+    ``surface.slopes(theta)``: J[k, l] is the slope of cell (l, k)'s
+    segment at theta_l.  So ||C' r||^2 = r' V(u) r is the objective, and
+    f's residual at theta is the one ``fit_curve`` certifies there, bit for
+    bit.  Only the Gauss-Newton path of ``fit_curve`` (systems without a
     triangular order, or with more instrument than treatment levels) builds
-    it, to propose theta; ``fit_curve`` certifies the result through
-    ``residual_vector``.  It keeps its own scalar sum because it needs the
-    slopes and is called once per solver step, where ``residual_vector`` on
-    one point costs about three times as much.
+    it, to propose theta.
     """
-    L, K = surface.n_treatment_levels, surface.n_instrument_levels
-    cells = [[surface.cell_value_slope(l, k) for l in range(L)] for k in range(K)]
+    K = surface.n_instrument_levels
 
     def at(u: float):
-        target = 1.0 - u
-        ct = _weight_factor(V, u, K)
+        ct = None if V is None else V.factor(u, K)
 
         def f(theta):
-            th = theta.tolist()
-            r = np.empty(K)
-            J = np.empty((K, L))
-            for k, row in enumerate(cells):
-                acc = -target
-                for l, ev in enumerate(row):
-                    v, J[k, l] = ev(th[l])
-                    acc += v
-                r[k] = acc
-            if ct is None:
-                return r, J
-            return ct @ r, ct @ J
+            r, J = residual_vector(theta, u, surface), surface.slopes(theta)
+            return (r, J) if ct is None else (ct @ r, ct @ J)
 
         return f
 
@@ -376,13 +373,6 @@ def _triangular_sweep(surface: SmoothedSurvivalSurface, order, u: np.ndarray, up
             for m in np.flatnonzero(out):
                 no_root[m] = no_root[m] or (k, l, face)
     return theta, no_root
-
-
-def _weight_factor(V: WeightingPolicy | None, u: float, K: int):
-    """C' where V(u) = C C', or None for the identity weighting."""
-    if V is None or V.is_identity:
-        return None
-    return np.linalg.cholesky(V.matrix(u, K)).T
 
 
 def _gauss_newton_sweep(surface, V, u: np.ndarray, edge: np.ndarray, upper, stop_at_frontier: bool):
@@ -470,9 +460,8 @@ def fit_curve(
     if stop_at_frontier:
         theta[m_hat + 1 :] = np.nan
     r = residual_vector(theta, u, surface)
-    factors = [_weight_factor(V, float(x), r.shape[1]) for x in u]
-    if factors[0] is not None:
-        r = np.stack([ct @ row for ct, row in zip(factors, r)])
+    if V is not None and not V.is_identity:
+        r = np.stack([V.factor(float(x), r.shape[1]) @ row for x, row in zip(u, r)])
     obj_vals = np.einsum("mk,mk->m", r, r)
     resid = np.abs(r).max(axis=1)
     converged = resid <= CERT_TOL

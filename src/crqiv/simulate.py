@@ -199,15 +199,15 @@ class TrueSurface:
         out = np.array(flat).reshape(arr.shape)
         return out if arr.shape else float(out)
 
-    def cell_value_slope(self, z: int, w: int):
-        """Closure t -> (S1(t, z | w), forward-difference slope in t)."""
-        s1 = self.truth.s1
-
-        def ev(t: float):
-            v = s1(t, z, w)
-            return v, (s1(t + _SLOPE_STEP, z, w) - v) / _SLOPE_STEP
-
-        return ev
+    def slopes(self, theta) -> np.ndarray:
+        """Forward-difference slope in t of S1(t, l | k) at t = theta_l: theta (..., 2) -> (..., 2, 2)."""
+        theta = np.asarray(theta, dtype=np.float64)
+        out = np.empty(theta.shape[:-1] + (2, 2))
+        for k in range(2):
+            for l in range(2):
+                t = theta[..., l]
+                out[..., k, l] = (self.evaluate(t + _SLOPE_STEP, l, k) - self.evaluate(t, l, k)) / _SLOPE_STEP
+        return out
 
     def level_knots(self, z: int) -> np.ndarray:
         hi = self.truth.y1[z]

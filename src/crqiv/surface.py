@@ -15,8 +15,8 @@ size.  Cells declared structurally unreachable are rows of zeros.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,29 +57,32 @@ class SmoothedSurvivalSurface:
         """S1_hat(t, z | w); vectorized over t, flat beyond the grid."""
         return np.interp(t, self.grid, self.values[z, w])
 
-    def cell_value_slope(self, z: int, w: int):
-        """Scalar closure t -> (S1_hat(t, z | w), its slope in t), for hot loops.
+    def slopes(self, theta) -> np.ndarray:
+        """Slope in t of S1_hat(t, l | k) at t = theta_l, batched: theta (..., L) -> (..., K, L).
 
-        The slope is that of the segment (g_i-1, g_i] holding t, and of the
-        first segment at the first knot, so a box face on a knot sees the
-        slope on the box's side.  It is 0 outside the grid, where the cell
-        is flat.
+        Entry [k, l] is the slope of the segment (g_i-1, g_i] holding
+        theta_l on row (l, k) of the value array, and that of the first
+        segment at the first knot, so a box face on a knot sees the slope on
+        the box's side.  It is 0 outside the grid, where the cell is flat.
+        This is the Jacobian of the residual vector in theta.
         """
-        kn, vv, n = self.grid.tolist(), self.values[z, w].tolist(), self.grid.size
-        sl = (np.diff(self.values[z, w]) / np.diff(self.grid)).tolist()
+        knots, table = self._slope_table
+        s = table[np.arange(self.n_treatment_levels), np.searchsorted(knots, theta)]
+        return np.swapaxes(s, -1, -2)
 
-        def ev(t: float):
-            i = bisect_left(kn, t)
-            if i == n:
-                return vv[-1], 0.0
-            if i == 0:
-                if t < kn[0]:
-                    return vv[0], 0.0
-                i = 1
-            s = sl[i - 1]
-            return vv[i - 1] + (t - kn[i - 1]) * s, s
-
-        return ev
+    @cached_property
+    def _slope_table(self):
+        """(knots, table) for ``slopes``: table[l, i] holds the K slopes of
+        level l's cells on the segment ending at knot i, a zero row before the
+        grid and one past it.  The first knot is moved down one ulp, so that
+        ``searchsorted`` puts t = g_0 on the first segment and t < g_0 on the
+        zero row."""
+        L, K, G = self.values.shape
+        table = np.zeros((L, G + 1, K))
+        table[:, 1:G] = np.swapaxes(np.diff(self.values, axis=-1) / np.diff(self.grid), 1, 2)
+        knots = self.grid.copy()
+        knots[0] = np.nextafter(knots[0], -np.inf)
+        return knots, table
 
     def level_knots(self, z: int) -> np.ndarray:
         """Knots on which every cell of level z is piecewise linear, for set tiling."""

@@ -246,6 +246,30 @@ def test_config_missing_file_exits_2(tmp_path, sim_dir):
     assert code == 2
 
 
+def test_config_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["simulate", "--design", 1, "--n", 50, "--out", out, "--config", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, command", [("grid", "estimate"), ("n", "simulate"), ("reps", "mc"), ("bins", "mc")])
+@pytest.mark.parametrize("value", ["5", 0, -2, 2.5, True])
+def test_bad_integer_in_config_exits_1(tmp_path, sim_dir, capsys, key, command, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "o"
+    args = {
+        "estimate": ["--data", sim_dir / "data.csv"],
+        "simulate": ["--design", 2, "--n", 50],
+        "mc": ["--design", 2, "--n", 500, "--reps", 2],
+    }[command]
+    assert run([command, *args, "--out", out, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be a positive integer, got {value!r}\n"
+    assert not out.exists()
+
+
 # -- bounds ---------------------------------------------------------------------
 
 
@@ -335,6 +359,24 @@ def test_bounds_missing_fit_json_exits_2(tmp_path, sim_dir):
         "--u", 0.9, "--fit-json", tmp_path / "nope.json",
     ])
     assert code == 2
+
+
+def test_bounds_fit_json_directory_exits_2(tmp_path, sim_dir, capsys):
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    code = run(["bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b", "--u", 0.9, "--fit-json", fit_dir])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(fit_dir) in err
+
+
+@pytest.mark.parametrize("doc", [{"grid": [0.5, 1.0]}, {"u_hat": None}, {"u_hat": "0.5"}, {"u_hat": True}, [0.5]])
+def test_bounds_fit_json_without_numeric_u_hat_exits_1(tmp_path, sim_dir, capsys, doc):
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(json.dumps(doc))
+    code = run(["bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b", "--u", 0.9, "--fit-json", fit_path])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {fit_path}: u_hat must be a number, got ")
 
 
 def test_bounds_assembles_the_surface_once(tmp_path, sim_dir, monkeypatch):

@@ -64,6 +64,11 @@ def test_weighting_identity_and_matrix():
     assert v.matrix(0.1, 2)[0, 0] == 2.0
     with pytest.raises(ValueError, match="need 3"):
         v.matrix(0.1, 3)
+    # a constant matrix is factored once: every u gets the same C', V = C C'
+    ct = v.factor(0.1, 2)
+    assert v.factor(0.7, 2) is ct
+    assert ct.T @ ct == pytest.approx(v.matrix(0.1, 2), abs=1e-15)
+    assert WeightingPolicy().factor(0.3, 2) is None
 
 
 def test_weighting_validation():
@@ -81,6 +86,12 @@ def test_weighting_callable_checked_per_call():
     bad = WeightingPolicy(lambda u: [[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="positive definite"):
         bad.matrix(0.5, 2)
+    # a callable's matrix of the wrong size gets the constant policy's message
+    wrong = WeightingPolicy(lambda u: 2.0 * np.eye(3))
+    system = residual_system(GroundTruth(1).surface(), wrong)
+    for use in (lambda: wrong.matrix(0.5, 2), lambda: wrong.factor(0.5, 2), lambda: system(0.5)):
+        with pytest.raises(ValueError, match=r"weighting matrix is 3x\.\.\., need 2"):
+            use()
 
 
 # -- residuals and objective on the exact population surface ----------------
@@ -245,6 +256,22 @@ def test_every_reported_point_is_certified(design, n, V):
             assert fit.residual[m] <= CERT_TOL
             assert np.abs(cr).max() <= CERT_TOL
             assert fit.objective[m] == pytest.approx(cr @ cr, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("V", [None, WeightingPolicy([[2.0, 0.3], [0.3, 1.0]])], ids=["identity", "V"])
+def test_solver_residual_is_the_certified_residual(V):
+    # Gauss-Newton's restart test and fit_curve's certificate read the same
+    # bits: f's residual at each reported point is C' residual_vector there
+    for seed in range(2):
+        data = no_structural_zero(2_000, seed)
+        surf = assemble_surface(data)
+        fit = fit_curve(data, V=V, surface=surf)
+        system = residual_system(surf, V)
+        assert fit.reported_mask.sum() >= 10
+        for m in np.flatnonzero(fit.reported_mask):
+            r, J = system(float(fit.grid.points[m]))(fit.theta[m])
+            assert np.abs(r).max() == fit.residual[m]
+            assert J.shape == (2, 2)
 
 
 def test_design2_seed0_lowest_point_has_no_root():

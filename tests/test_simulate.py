@@ -91,9 +91,10 @@ def test_true_surface_wraps_closed_form():
     ts = np.array([0.0, 0.3, 0.9])
     got = surf.evaluate(ts, 0, 1)
     assert got == pytest.approx([g.s1(t, 0, 1) for t in ts], abs=1e-15)
-    v, s = surf.cell_value_slope(1, 1)(0.3)
+    v, s = surf.evaluate(0.3, 1, 1), surf.slopes([0.1, 0.3])[1, 1]
     assert v == pytest.approx(g.s1(0.3, 1, 1), abs=1e-15)
     assert s == pytest.approx((g.s1(0.3 + 1e-6, 1, 1) - v) / 1e-6, abs=1e-5)
+    assert np.array_equal(surf.slopes([[0.1, 0.3], [0.2, 0.3]])[:, 1, 1], [s, s])
     assert np.all(np.diff(surf.level_knots(0)) > 0)
 
 

@@ -147,19 +147,18 @@ def test_window_oscillation_bound(step, kind, bw):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_fast_eval_matches_call(kind):
-    # a smoothed curve on a surface row: the scalar closure agrees with the
-    # vectorized evaluation, with the slopes of right-closed segments
+    # a smoothed curve on a surface row: its value is the curve's, and the
+    # batched slopes are those of right-closed segments
     rng = stream(11, "test")
     jumps = np.sort(rng.uniform(0.1, 2.0, size=5))
     vals = np.sort(rng.uniform(0, 1, size=5))[::-1]
     curve = smooth(StepFunction(jumps, np.ascontiguousarray(vals), 1.0), 0.3, kind, GRID)
     surf = SmoothedSurvivalSurface(GRID, 0.25 * curve.values[None, None], np.array([[0.25]]), {}, kind)
-    ev = surf.cell_value_slope(0, 0)
     ts = np.concatenate((rng.uniform(-0.5, 5.0, size=200), GRID[::7]))
-    for t in ts:
-        v, s = ev(float(t))
+    slopes = surf.slopes(ts[:, None])[:, 0, 0]
+    for t, s in zip(ts, slopes):
+        v = float(surf.evaluate(t, 0, 0))
         assert v == pytest.approx(0.25 * float(curve(t)), abs=1e-14)
-        assert v == pytest.approx(float(surf.evaluate(t, 0, 0)), abs=1e-14)
         # the slope is that of the segment (a, b] holding t, [a, b] for the first
         i = max(int(np.searchsorted(GRID, t, side="left")), int(t == GRID[0]))
         if 0 < i < GRID.size:

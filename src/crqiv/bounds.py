@@ -163,18 +163,33 @@ def _check_u(u: float, frontiers: BoundFrontiers) -> None:
         )
 
 
-def _bisect_extent(g, lo: float, hi: float, tol: float) -> float:
-    """Largest x with g(x) >= 0 for nonincreasing g, given g(lo) >= 0 > g(hi).
+def _extents(u: float, surface, caps, points, c: int, top: float, tol: float) -> np.ndarray:
+    """Per row of ``points``, the largest x in [0, top] where min_k R >= 0 with theta_c = x.
 
-    Returns the certified-nonnegative end of the final bracket.
+    R is nonincreasing in x. A row gets NaN where R < 0 already at 0, inf
+    where R >= 0 still at ``top``, and otherwise the certified-nonnegative
+    end of the final bisection bracket. Every row starts from [0, top] with
+    the same ``tol``, so all rows are bisected together and each gets the
+    bits of a one-row bisection.
     """
-    while hi - lo > tol:
+    theta = np.array(points, dtype=np.float64)
+
+    def nonneg(x):
+        theta[:, c] = x
+        return np.min(capped_residual(theta, u, surface, caps), axis=-1) >= 0.0
+
+    start, stop = nonneg(0.0), nonneg(top)
+    out = np.where(start, math.inf, math.nan)
+    inner = start & ~stop
+    theta = theta[inner]
+    lo, hi = np.zeros(theta.shape[0]), np.full(theta.shape[0], float(top))
+    while (wide := hi - lo > tol).any():
         mid = 0.5 * (lo + hi)
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        keep = nonneg(mid)
+        lo = np.where(wide & keep, mid, lo)
+        hi = np.where(wide & ~keep, mid, hi)
+    out[inner] = lo
+    return out
 
 
 def outer_set_2d(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
@@ -189,14 +204,11 @@ def outer_set_2d(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
     if frontiers.y1.size != 2:
         raise ValueError("outer_set_2d needs exactly 2 treatment levels")
     _check_u(u, frontiers)
-    y0, y1v = float(frontiers.y1[0]), float(frontiers.y1[1])
+    y0, y1v = frontiers.y1.tolist()
     caps = frontiers.caps
     inf = math.inf
 
-    def rmin(a, b):
-        return float(np.min(capped_residual((a, b), u, surface, caps)))
-
-    if rmin(y0, y1v) >= 0.0:
+    if np.min(capped_residual(frontiers.y1, u, surface, caps)) >= 0.0:
         pieces = (
             IntervalProduct((0.0, y1v), (y0, inf)),
             IntervalProduct((y0, 0.0), (inf, y1v)),
@@ -204,15 +216,15 @@ def outer_set_2d(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
         )
         return OuterSet(pieces, u, "i", frontiers)
 
+    # the corner is negative, so each edge's extent is finite, or NaN for none
+    (top_ext,) = _extents(u, surface, caps, [(0.0, y1v)], 0, y0, BISECT_RTOL * y0).tolist()
+    (right_ext,) = _extents(u, surface, caps, [(y0, 0.0)], 1, y1v, BISECT_RTOL * y1v).tolist()
+    top, right = not math.isnan(top_ext), not math.isnan(right_ext)
     pieces = []
-    top = rmin(0.0, y1v) >= 0.0
-    right = rmin(y0, 0.0) >= 0.0
     if top:
-        ext = _bisect_extent(lambda x: rmin(x, y1v), 0.0, y0, BISECT_RTOL * y0)
-        pieces.append(IntervalProduct((0.0, y1v), (ext, inf)))
+        pieces.append(IntervalProduct((0.0, y1v), (top_ext, inf)))
     if right:
-        ext = _bisect_extent(lambda x: rmin(y0, x), 0.0, y1v, BISECT_RTOL * y1v)
-        pieces.append(IntervalProduct((y0, 0.0), (inf, ext)))
+        pieces.append(IntervalProduct((y0, 0.0), (inf, right_ext)))
     if top and right:
         case = "ii"
     elif right:
@@ -234,69 +246,38 @@ def _level_knots(surface, level: int, cap: float) -> np.ndarray:
     return np.unique(np.concatenate(([0.0], knots)))
 
 
-def _nonneg_region(u, surface, caps, template, free, tol_scale):
-    """Cover of {theta_free : min_k R >= 0} by interval products (free coords).
-
-    Residuals are nonincreasing per coordinate and flat past the caps.
-    One free coordinate is bisected directly. With more, the first free
-    coordinate is tiled into strips between consecutive surface knots;
-    each strip is resolved at its left edge, which is exact for
-    piecewise-constant surfaces and a conservative cover otherwise.
-    """
-    c = free[0]
-    cap_c = float(caps[c])
-
-    def rmin_at(x):
-        th = template.copy()
-        th[c] = x
-        return float(np.min(capped_residual(th, u, surface, caps)))
-
-    if len(free) == 1:
-        if rmin_at(0.0) < 0.0:
-            return []
-        if rmin_at(cap_c) >= 0.0:
-            return [{c: (0.0, math.inf)}]
-        ext = _bisect_extent(rmin_at, 0.0, cap_c, BISECT_RTOL * tol_scale)
-        return [{c: (0.0, ext)}]
-
-    edges = _level_knots(surface, c, cap_c)
-    out = []
-    for i, left in enumerate(edges):
-        hi = np.nextafter(edges[i + 1], -math.inf) if i + 1 < edges.size else math.inf
-        sub_template = template.copy()
-        sub_template[c] = left
-        for sub in _nonneg_region(u, surface, caps, sub_template, free[1:], tol_scale):
-            sub[c] = (float(left), float(hi))
-            out.append(sub)
-    return out
-
-
 def outer_set_recursive(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
     """Outer set for three or more treatment levels.
 
     Union over levels l of the region where coordinate l sits at or above
     its support bound: there the surface is flat in theta_l, so theta_l
     can be pinned to the bound and the remaining coordinates swept for
-    nonnegative residuals. Two levels fall back to the boundary scan.
+    nonnegative residuals. Every free coordinate but the last is tiled
+    into strips between consecutive surface knots, and each product of
+    strips is resolved at its lower corner, which is exact for
+    piecewise-constant surfaces and a conservative cover otherwise; the
+    last coordinate is bisected for all products at once. Pieces follow
+    the strips in C order. Two levels fall back to the boundary scan.
     """
     L = frontiers.y1.size
     if L == 2:
         return outer_set_2d(u, surface, frontiers)
     _check_u(u, frontiers)
-    caps = frontiers.caps
-    tol_scale = float(np.max(frontiers.y1))
+    y1, caps = frontiers.y1, frontiers.caps
+    tol = BISECT_RTOL * float(np.max(y1))
     pieces = []
     for l in range(L):
-        template = np.zeros(L)
-        template[l] = float(frontiers.y1[l])
-        free = [j for j in range(L) if j != l]
-        for region in _nonneg_region(u, surface, caps, template, free, tol_scale):
-            lo = [0.0] * L
-            hi = [math.inf] * L
-            lo[l] = float(frontiers.y1[l])
-            for j, (a, b) in region.items():
-                lo[j], hi[j] = a, b
-            pieces.append(IntervalProduct(tuple(lo), tuple(hi)))
+        *tiled, last = [j for j in range(L) if j != l]
+        edges = [_level_knots(surface, j, float(caps[j])) for j in tiled]
+        ends = [np.append(np.nextafter(e[1:], -math.inf), math.inf) for e in edges]
+        lower = np.zeros((math.prod(e.size for e in edges), L))
+        upper = np.full(lower.shape, math.inf)
+        lower[:, l] = y1[l]
+        lower[:, tiled] = np.stack([g.ravel() for g in np.meshgrid(*edges, indexing="ij")], axis=-1)
+        upper[:, tiled] = np.stack([g.ravel() for g in np.meshgrid(*ends, indexing="ij")], axis=-1)
+        upper[:, last] = _extents(u, surface, caps, lower, last, float(caps[last]), tol)
+        found = ~np.isnan(upper[:, last])
+        pieces += [IntervalProduct(a, b) for a, b in zip(lower[found].tolist(), upper[found].tolist())]
     note = "" if pieces else (
         "residuals negative on every boundary stratum: no admissible theta at this u"
     )
@@ -304,7 +285,5 @@ def outer_set_recursive(u: float, surface, frontiers: BoundFrontiers) -> OuterSe
 
 
 def outer_set(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
-    """Dispatch on the number of treatment levels."""
-    return outer_set_2d(u, surface, frontiers) if frontiers.y1.size == 2 else outer_set_recursive(
-        u, surface, frontiers
-    )
+    """Outer set at u for any number of treatment levels."""
+    return outer_set_recursive(u, surface, frontiers)

@@ -45,7 +45,7 @@ _positive_int, _non_negative_int = _at_least(1, "positive"), _at_least(0, "non-n
 
 # integer options and their least value; a --config value bypasses argparse,
 # so it gets the flag's check in ``_resolve_config``
-_INTEGER_KEYS = {"grid": 1, "n": 1, "reps": 1, "bins": 1, "threads": 1, "lattice": 0, "boot_draws": 0}
+_INTEGER_KEYS = {"grid": 1, "n": 1, "reps": 1, "bins": 1, "threads": 1, "lattice": 0, "boot_draws": 0, "seed": 0}
 
 
 def _fmt(v) -> str:
@@ -118,6 +118,16 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: lis
     _write_json(out_dir / "manifest.json", manifest)
 
 
+def _read_json(path: Path, what: str):
+    if not path.exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON syntax or text that is not UTF-8
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _outdir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -154,8 +164,9 @@ def _boot(cfg: dict) -> BootstrapConfig | None:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
     out = _outdir(cfg)
-    data, _ = generate(DgpSpec(cfg["design"], cfg["n"], cfg["seed"]))
+    data, _ = generate(spec)
     data_path = out / "data.csv"
     save_csv(data, data_path)
     _write_manifest(out, "simulate", cfg, cfg["seed"], [])
@@ -165,7 +176,6 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_estimate(cfg: dict) -> int:
     boot = _boot(cfg)
-    out = _outdir(cfg)
     data, data_path = _load_data(cfg)
     kwargs = _fit_kwargs(cfg)
     extra = {}
@@ -175,6 +185,7 @@ def cmd_estimate(cfg: dict) -> int:
 
     fit_json = fit.to_dict()
     fit_json["n"] = data.n
+    out = _outdir(cfg)
     _write_json(out / "fit.json", fit_json)
 
     theta_cols = [f"theta_{lbl}" for lbl in fit.treatment_levels]
@@ -229,26 +240,20 @@ def cmd_bounds(cfg: dict) -> int:
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"u={cfg['u'][names.index(name)]!r} and u={cfg['u'][i]!r} would both write {name}")
-    out = _outdir(cfg)
-    data, data_path = _load_data(cfg)
-    kwargs = _fit_kwargs(cfg)
-    surface = assemble_surface(data, bandwidth=kwargs["bandwidth"], kind=kwargs["kind"])
-    if cfg.get("fit_json"):
-        fit_path = Path(cfg["fit_json"])
-        if not fit_path.exists():
-            raise FileNotFoundError(f"fit file not found: {fit_path}")
-        with open(fit_path, encoding="utf-8") as fh:
-            fit_doc = json.load(fh)
+    fit_path = Path(cfg["fit_json"]) if cfg.get("fit_json") else None
+    if fit_path is not None:
+        fit_doc = _read_json(fit_path, "fit")
         u_y = fit_doc.get("u_hat") if isinstance(fit_doc, dict) else None
         if type(u_y) not in (int, float) or not math.isfinite(u_y):
             raise ValueError(f"{fit_path}: u_hat must be a number, got {u_y!r}")
-        frontiers = BoundFrontiers.from_data(data)
-        frontiers = BoundFrontiers(frontiers.y1, frontiers.caps, u_y)
-        inputs = [data_path, fit_path]
-    else:
-        fit = fit_curve(data, stop_at_frontier=True, surface=surface, **kwargs)
-        frontiers = BoundFrontiers.from_data(data, fit)
-        inputs = [data_path]
+    data, data_path = _load_data(cfg)
+    kwargs = _fit_kwargs(cfg)
+    surface = assemble_surface(data, bandwidth=kwargs["bandwidth"], kind=kwargs["kind"])
+    if fit_path is None:
+        u_y = fit_curve(data, stop_at_frontier=True, surface=surface, **kwargs).frontiers.u_hat
+    frontiers = BoundFrontiers.from_data(data)
+    frontiers = BoundFrontiers(frontiers.y1, frontiers.caps, u_y)
+    inputs = [data_path] if fit_path is None else [data_path, fit_path]
 
     if npts:
         L = frontiers.y1.size
@@ -256,12 +261,10 @@ def cmd_bounds(cfg: dict) -> int:
         lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L)
         # BoundFrontiers keeps y1 positive and finite, so every coordinate is finite
         rows, header = _lattice_rows(axes), [f"theta_{l}" for l in range(L)] + ["member"]
-    sets = []
-    for u in cfg["u"]:
-        sets.append(outer_set(u, surface, frontiers).to_dict())
-        if npts:
-            member = verify_membership(lattice, u, surface, frontiers)
-            _write_lattice(out / f"bounds_lattice_u{u:g}.csv", header, rows, member)
+    sets = [outer_set(u, surface, frontiers).to_dict() for u in cfg["u"]]
+    out = _outdir(cfg)
+    for u, name in zip(cfg["u"], names):
+        _write_lattice(out / name, header, rows, verify_membership(lattice, u, surface, frontiers))
     _write_json(out / "bounds.json", {"u_y": frontiers.u_y, "sets": sets})
     _write_manifest(out, "bounds", cfg, cfg["seed"], inputs)
     print(f"wrote {out / 'bounds.json'} ({len(sets)} quantile(s))")
@@ -270,8 +273,8 @@ def cmd_bounds(cfg: dict) -> int:
 
 def cmd_mc(cfg: dict) -> int:
     boot = _boot(cfg)
-    out = _outdir(cfg)
     spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
+    out = _outdir(cfg)
     fit_kwargs = _fit_kwargs(cfg)
     res = mc_study(spec, cfg["reps"], **fit_kwargs)
 
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_fit_flags=True):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; entries override flags")
         p.add_argument("--threads", type=_positive_int, default=None,
@@ -379,11 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     if args.config:
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise FileNotFoundError(f"config file not found: {cfg_path}")
-        with open(cfg_path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = _read_json(Path(args.config), "config")
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(overrides) - set(cfg)
@@ -396,6 +395,16 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             if type(value) is not int or value < low:
                 kind = "positive" if low else "non-negative"
                 raise ValueError(f"{key} must be a {kind} integer, got {value!r}")
+        # the float flags --level and the repeated --u; a bool is not a number
+        if "level" in overrides:
+            if type(overrides["level"]) not in (int, float):
+                raise ValueError(f"level must be a number, got {overrides['level']!r}")
+            overrides["level"] = float(overrides["level"])
+        if "u" in overrides:
+            us = overrides["u"]
+            if not (isinstance(us, list) and us and all(type(v) in (int, float) for v in us)):
+                raise ValueError(f"u must be a non-empty list of numbers, got {us!r}")
+            overrides["u"] = [float(v) for v in us]
         cfg.update(overrides)
     return cfg
 

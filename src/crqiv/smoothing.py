@@ -1,11 +1,17 @@
 """Kernel smoothing of step functions with an Epanechnikov kernel.
 
 Two smoother kinds are provided.  The convolution kind evaluates
-integral step(t - s*eps) K(s) ds in closed form over the step function's
-pieces.  The local-linear kind fits a degree-1 weighted least squares
-polynomial to the step function sampled on a dense internal grid; the
-window moment sums are accumulated with prefix sums, so the whole curve
-costs O(grid size).
+integral step(t - s*eps) K(s) ds in closed form: K's CDF is a cubic, so
+each value is the step below the window plus moments 0, 1 and 3 of the
+jump sizes inside it.  The local-linear kind fits a degree-1 weighted
+least squares polynomial to the step function sampled on a dense internal
+grid, from moments 0-4 of the sample and 0-3 of the step over each window.
+Both kinds take their window moments from prefix sums on the abscissa
+scaled to the curve's own range (``_window_sums``), so a whole curve costs
+O(jumps + grid size) whatever the bandwidth.  For the convolution kind this
+rounds differently from summing each window's jumps, by up to about
+eps (range / bandwidth)^3: within 1e-10 at rule-of-thumb bandwidths up to
+a million records.
 
 Both kinds use a boundary-shrinking bandwidth h(t) = min(eps, t) so the
 kernel window never crosses zero: the smoothed curve starts exactly at the
@@ -22,6 +28,7 @@ reached its final value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,24 +124,42 @@ class SmoothedCurve:
         return np.interp(t, self.knots, self.values)
 
 
-def _smooth_convolution(step: StepFunction, bandwidth: float, knots: np.ndarray) -> np.ndarray:
-    jumps = step.jump_times
+def _window_sums(x, w, t, lo, hi, degree: int) -> list:
+    """Sums of w * (x - t)^p over each window x[lo:hi], one array per p = 0..degree.
+
+    Each power expands binomially into prefix sums of w * x^k, so every
+    window costs O(1) whatever its width. ``x`` should be scaled to about
+    [0, 1] to keep the expansion's cancellation small.
+    """
+    prefix = [np.concatenate(([0.0], np.cumsum(w * x**k))) for k in range(degree + 1)]
+    m = [pk[hi] - pk[lo] for pk in prefix]
+    tj = [t**j for j in range(degree + 1)]
+    sums = []
+    for p in range(degree + 1):
+        acc = m[p]
+        for j in range(1, p + 1):
+            term = math.comb(p, j) * tj[j] * m[p - j]
+            acc = acc - term if j % 2 else acc + term
+        sums.append(acc)
+    return sums
+
+
+def _smooth_convolution(
+    step: StepFunction, bandwidth: float, knots: np.ndarray, t_max: float
+) -> np.ndarray:
+    # with d = s - t over jumps s strictly inside the window, K's CDF at
+    # -d/h is 1/2 - 3/4 d/h + 1/4 (d/h)^3; jumps below the window count whole
+    x = step.jump_times / t_max
+    tq = knots / t_max
+    h = np.minimum(bandwidth / t_max, tq)
     padded = np.concatenate(([step.value_at_zero], step.values))
-    deltas = np.diff(padded)
-    h = np.minimum(bandwidth, knots)
-    out = np.empty(knots.shape)
-    for i, (t, ht) in enumerate(zip(knots, h)):
-        if ht <= 0.0:
-            out[i] = step(t)
-            continue
-        jlo = np.searchsorted(jumps, t - ht, side="right")
-        jhi = np.searchsorted(jumps, t + ht, side="left")
-        base = padded[jlo]  # value after all jumps fully below the window
-        if jhi > jlo:
-            g = epanechnikov_cdf((t - jumps[jlo:jhi]) / ht)
-            base = base + float(np.dot(deltas[jlo:jhi], g))
-        out[i] = base
-    return out
+    lo = np.searchsorted(x, tq - h, side="right")
+    hi = np.maximum(np.searchsorted(x, tq + h, side="left"), lo)
+    c0, c1, _, c3 = _window_sums(x, np.diff(padded), tq, lo, hi, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = padded[lo] + 0.5 * c0 - 0.75 * c1 / h + 0.25 * c3 / h**3
+    # a zero-width window at t = 0 is the step's own value there
+    return np.where(h > 0.0, out, padded[lo])
 
 
 def _smooth_local_linear(
@@ -146,34 +171,14 @@ def _smooth_local_linear(
     g = step(xs)
 
     # normalize the abscissa so high-order moment sums stay well conditioned
-    scale = t_max if t_max > 0 else 1.0
-    x = xs / scale
-    tq = knots / scale
-    h = np.minimum(bandwidth / scale, tq)
-
-    powers = [np.ones_like(x), x, x**2, x**3, x**4]
-    pm = [np.concatenate(([0.0], np.cumsum(p))) for p in powers]
-    pg = [np.concatenate(([0.0], np.cumsum(g * p))) for p in powers[:4]]
+    x = xs / t_max
+    tq = knots / t_max
+    h = np.minimum(bandwidth / t_max, tq)
 
     lo = np.searchsorted(x, tq - h, side="left")
     hi = np.searchsorted(x, tq + h, side="right")
-
-    def wsum(prefix, j):
-        return prefix[j][hi] - prefix[j][lo]
-
-    m0, m1, m2, m3, m4 = (wsum(pm, j) for j in range(5))
-    g0, g1, g2, g3 = (wsum(pg, j) for j in range(4))
-
-    t1, t2, t3, t4 = tq, tq**2, tq**3, tq**4
-    d0 = m0
-    d1 = m1 - t1 * m0
-    d2 = m2 - 2 * t1 * m1 + t2 * m0
-    d3 = m3 - 3 * t1 * m2 + 3 * t2 * m1 - t3 * m0
-    d4 = m4 - 4 * t1 * m3 + 6 * t2 * m2 - 4 * t3 * m1 + t4 * m0
-    e0 = g0
-    e1 = g1 - t1 * g0
-    e2 = g2 - 2 * t1 * g1 + t2 * g0
-    e3 = g3 - 3 * t1 * g2 + 3 * t2 * g1 - t3 * g0
+    d0, d1, d2, d3, d4 = _window_sums(x, np.ones_like(x), tq, lo, hi, 4)
+    e0, e1, e2, e3 = _window_sums(x, g, tq, lo, hi, 3)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         h2 = h**2
@@ -206,7 +211,7 @@ def smooth(step: StepFunction, bandwidth: float, kind: str, grid: np.ndarray) ->
     own_range = step.jump_times.max(initial=0.0) + bandwidth
     knots = np.minimum(grid, own_range)
     if kind == "convolution":
-        values = _smooth_convolution(step, bandwidth, knots)
+        values = _smooth_convolution(step, bandwidth, knots, own_range)
     else:
         values = _smooth_local_linear(step, bandwidth, knots, own_range)
     values = np.minimum.accumulate(np.clip(values, 0.0, 1.0))

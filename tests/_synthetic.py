@@ -9,11 +9,27 @@ compared to direct verification on a lattice with no statistical slack.
 
 ``surface_on_union_grid`` puts piecewise-linear cell curves with knots of
 their own onto one estimated-surface grid.
+
+``reference_outer_set`` is the outer-set construction one point at a time:
+scalar bisection of each box edge, and for three or more levels a recursion
+over one strip per knot. The batched ``crqiv.bounds`` code must match it bit
+for bit.
 """
+
+import math
 
 import numpy as np
 
-from crqiv.bounds import BISECT_RTOL, BoundFrontiers, outer_set, verify_membership
+from crqiv.bounds import (
+    BISECT_RTOL,
+    BoundFrontiers,
+    IntervalProduct,
+    OuterSet,
+    _level_knots,
+    capped_residual,
+    outer_set,
+    verify_membership,
+)
 from crqiv.surface import SmoothedSurvivalSurface
 
 
@@ -96,16 +112,14 @@ def compare_on_lattice(surface, y1, caps, u, points_per_dim=30):
     axes = lattice_axes(caps, points_per_dim)
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     verdicts = verify_membership(lattice, u, surface, frontiers)
-    checked = disagreements = excused = 0
-    for theta, want in zip(lattice.tolist(), verdicts.tolist()):
-        checked += 1
-        got = os_.contains(theta)
-        if want != got:
-            if near_edge(theta):
-                excused += 1
-            else:
-                disagreements += 1
-    return checked, disagreements, excused
+    # OuterSet.contains over every lattice point at once
+    lower = np.array([p.lower for p in os_.pieces]).reshape(-1, len(axes))
+    upper = np.array([p.upper for p in os_.pieces]).reshape(-1, len(axes))
+    inside = (lower <= lattice[:, None]) & (lattice[:, None] <= upper)
+    got = inside.all(axis=-1).any(axis=-1)
+    mismatched = lattice[got != verdicts].tolist()
+    excused = sum(near_edge(theta) for theta in mismatched)
+    return len(lattice), len(mismatched) - excused, excused
 
 
 def surface_on_union_grid(curves, p_hat, kind="local_linear"):
@@ -122,3 +136,92 @@ def surface_on_union_grid(curves, p_hat, kind="local_linear"):
         values[z, w] = curve(grid) * p_hat[z, w]
     bandwidths = {cell: curve.bandwidth for cell, curve in curves.items()}
     return SmoothedSurvivalSurface(grid, values, p_hat, bandwidths, kind)
+
+
+def _bisect_extent(g, lo, hi, tol):
+    """Largest x with g(x) >= 0 for nonincreasing g, given g(lo) >= 0 > g(hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _nonneg_region(u, surface, caps, template, free, tol_scale):
+    """Cover of {theta_free : min_k R >= 0}, one strip per knot of free[0]."""
+    c = free[0]
+    cap_c = float(caps[c])
+
+    def rmin_at(x):
+        th = template.copy()
+        th[c] = x
+        return float(np.min(capped_residual(th, u, surface, caps)))
+
+    if len(free) == 1:
+        if rmin_at(0.0) < 0.0:
+            return []
+        if rmin_at(cap_c) >= 0.0:
+            return [{c: (0.0, math.inf)}]
+        return [{c: (0.0, _bisect_extent(rmin_at, 0.0, cap_c, BISECT_RTOL * tol_scale))}]
+
+    edges = _level_knots(surface, c, cap_c)
+    out = []
+    for i, left in enumerate(edges):
+        hi = np.nextafter(edges[i + 1], -math.inf) if i + 1 < edges.size else math.inf
+        sub_template = template.copy()
+        sub_template[c] = left
+        for sub in _nonneg_region(u, surface, caps, sub_template, free[1:], tol_scale):
+            sub[c] = (float(left), float(hi))
+            out.append(sub)
+    return out
+
+
+def reference_outer_set(u, surface, frontiers):
+    """``crqiv.bounds.outer_set`` computed one residual call at a time."""
+    caps, y1 = frontiers.caps, frontiers.y1
+    L, inf = y1.size, math.inf
+    if L == 2:
+        y0, y1v = float(y1[0]), float(y1[1])
+
+        def rmin(a, b):
+            return float(np.min(capped_residual((a, b), u, surface, caps)))
+
+        if rmin(y0, y1v) >= 0.0:
+            pieces = (
+                IntervalProduct((0.0, y1v), (y0, inf)),
+                IntervalProduct((y0, 0.0), (inf, y1v)),
+                IntervalProduct((y0, y1v), (inf, inf)),
+            )
+            return OuterSet(pieces, u, "i", frontiers)
+        pieces = []
+        top, right = rmin(0.0, y1v) >= 0.0, rmin(y0, 0.0) >= 0.0
+        if top:
+            ext = _bisect_extent(lambda x: rmin(x, y1v), 0.0, y0, BISECT_RTOL * y0)
+            pieces.append(IntervalProduct((0.0, y1v), (ext, inf)))
+        if right:
+            ext = _bisect_extent(lambda x: rmin(y0, x), 0.0, y1v, BISECT_RTOL * y1v)
+            pieces.append(IntervalProduct((y0, 0.0), (inf, ext)))
+        case = {(True, True): "ii", (False, True): "iii", (True, False): "iv"}.get((top, right), "empty")
+        note = "" if pieces else (
+            "residuals negative along both box edges: no admissible theta at this u "
+            "(numerically inconsistent surface/quantile combination)"
+        )
+        return OuterSet(tuple(pieces), u, case, frontiers, note)
+
+    pieces = []
+    for l in range(L):
+        template = np.zeros(L)
+        template[l] = float(y1[l])
+        free = [j for j in range(L) if j != l]
+        for region in _nonneg_region(u, surface, caps, template, free, float(np.max(y1))):
+            lo, hi = [0.0] * L, [inf] * L
+            lo[l] = float(y1[l])
+            for j, (a, b) in region.items():
+                lo[j], hi[j] = a, b
+            pieces.append(IntervalProduct(tuple(lo), tuple(hi)))
+    note = "" if pieces else (
+        "residuals negative on every boundary stratum: no admissible theta at this u"
+    )
+    return OuterSet(tuple(pieces), u, "recursive" if pieces else "empty", frontiers, note)

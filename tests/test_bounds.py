@@ -17,8 +17,8 @@ from crqiv.bounds import (
 )
 from crqiv.estimator import estimate_caps, estimate_y1, residual_vector
 from crqiv.simulate import DgpSpec, GroundTruth, generate
-from crqiv.surface import assemble_surface
-from tests._synthetic import StepSurface, compare_on_lattice, random_step_surface
+from crqiv.surface import SmoothedSurvivalSurface, assemble_surface
+from tests._synthetic import StepSurface, compare_on_lattice, random_step_surface, reference_outer_set
 
 # bisection extents on the exact population surfaces (quadrature + brentq)
 D1_U040_RIGHT_EXTENT = 0.42873399962782166
@@ -246,6 +246,57 @@ def test_lattice_agreement_three_levels():
         checked, bad, excused = compare_on_lattice(surface, y1, caps, u, points_per_dim=12)
         assert checked == 12**3
         assert bad == 0, f"trial {trial}: {bad} disagreements (u={u})"
+
+
+def test_lattice_agreement_four_levels():
+    rng = stream(37, "test")
+    for trial in range(4):
+        surface, y1, caps = random_step_surface(rng, L=4, K=4)
+        u = float(rng.uniform(0.05, 1.0))
+        checked, bad, excused = compare_on_lattice(surface, y1, caps, u, points_per_dim=8)
+        assert checked == 8**4
+        assert bad == 0, f"trial {trial}: {bad} disagreements (u={u})"
+
+
+def grid_surface(rng, L, K, points=601):
+    """SmoothedSurvivalSurface with random nonincreasing cells on one uniform grid."""
+    grid = np.linspace(0.0, 2.0, points)
+    p_hat = rng.dirichlet(np.full(L, 2.0), size=K).T
+    drops = rng.exponential(size=(L, K, points - 1)) * rng.uniform(0.0, 1.0, size=(L, K, points - 1)) ** 4
+    tail = rng.uniform(0.0, 0.6, size=(L, K, 1))
+    curves = 1.0 - (1.0 - tail) * np.cumsum(drops, axis=-1) / drops.sum(axis=-1, keepdims=True)
+    values = p_hat[..., None] * np.concatenate((np.ones((L, K, 1)), curves), axis=-1)
+    return SmoothedSurvivalSurface(grid, values, p_hat, {}, "local_linear")
+
+
+def _reference_cases():
+    """(name, surface, frontiers, u values) on which the batched sets must equal the reference."""
+    rng = stream(38, "test")
+    # K = 2 at L = 4 keeps the reference to about 150 strips per level
+    for L, K, trials in ((2, 2, 10), (3, 3, 4), (4, 2, 3)):
+        for trial in range(trials):
+            surface, y1, caps = random_step_surface(rng, L=L, K=K)
+            yield f"step{L}-{trial}", surface, BoundFrontiers(y1, caps), rng.uniform(0.05, 1.0, size=2)
+    for design in (1, 2):
+        truth, fr = population_frontiers(design)
+        yield f"true{design}", truth.surface(), BoundFrontiers(fr.y1, fr.caps), (0.4, 0.55, 0.7, 0.9, 1.0)
+        data, _ = generate(DgpSpec(design=design, n=2_000, seed=design))
+        surface = assemble_surface(data)
+        yield f"estimated{design}", surface, BoundFrontiers.from_data(data), (0.4, 0.55, 0.7, 0.9)
+    surface = grid_surface(rng, 3, 3)
+    y1 = np.array([1.2, 1.5, 1.0])
+    yield "grid601", surface, BoundFrontiers(y1, 1.2 * y1), (0.5, 0.8)
+
+
+def test_pieces_match_the_one_point_reference():
+    cases = {"i", "ii", "iii", "iv", "empty", "recursive"}
+    seen = set()
+    for name, surface, fr, us in _reference_cases():
+        for u in us:
+            got = outer_set(float(u), surface, fr)
+            seen.add(got.case)
+            assert got.to_dict() == reference_outer_set(float(u), surface, fr).to_dict(), (name, u)
+    assert seen == cases
 
 
 def test_saturation_invariance_random_surfaces():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import crqiv
-from crqiv.cli import _fmt, _lattice_rows, _write_csv, _write_lattice, build_parser, main
+from crqiv.cli import _fmt, _lattice_rows, _resolve_config, _write_csv, _write_lattice, build_parser, main
 from crqiv.data import load_csv
 
 
@@ -204,6 +204,14 @@ def test_estimate_missing_data_exits_2(tmp_path, capsys):
     code = run(["estimate", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o"])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bounds_missing_data_exits_2(tmp_path, capsys):
+    code = run(["bounds", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o", "--u", 0.9])
+    assert code == 2
+    assert "not found" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_estimate_data_directory_exits_1(tmp_path, capsys):
@@ -244,6 +252,64 @@ def test_config_missing_file_exits_2(tmp_path, sim_dir):
         "--config", tmp_path / "missing.json",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--config", "--fit-json"])
+def test_file_that_is_not_json_is_named_exits_1(tmp_path, sim_dir, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    out = tmp_path / "o"
+    code = run(["bounds", "--data", sim_dir / "data.csv", "--out", out, "--u", 0.9, flag, bad])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON: Expecting value")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("estimate", {"level": "0.9"}, "level must be a number, got '0.9'"),
+    ("estimate", {"level": None}, "level must be a number, got None"),
+    ("bounds", {"u": 0.6}, "u must be a non-empty list of numbers, got 0.6"),
+    ("bounds", {"u": ["0.6"]}, "u must be a non-empty list of numbers, got ['0.6']"),
+    ("bounds", {"u": [0.9, True]}, "u must be a non-empty list of numbers, got [0.9, True]"),
+    ("bounds", {"u": []}, "u must be a non-empty list of numbers, got []"),
+    ("simulate", {"seed": True}, "seed must be a non-negative integer, got True"),
+    ("simulate", {"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ("estimate", {"seed": -1}, "seed must be a non-negative integer, got -1"),
+])
+def test_bad_number_in_config_exits_1(tmp_path, sim_dir, capsys, command, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    args = {
+        "estimate": ["--data", sim_dir / "data.csv", "--boot-draws", 10],
+        "bounds": ["--data", sim_dir / "data.csv", "--u", 0.9],
+        "simulate": ["--design", 2, "--n", 50],
+    }[command]
+    assert run([command, *args, "--out", out, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["simulate", "--design", "1", "--n", "50", "--out", "o", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_config_u_and_level_are_read_as_the_flags_are(tmp_path, sim_dir):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u": [1, 0.9]}))
+    out = tmp_path / "o"
+    assert run(["bounds", "--data", sim_dir / "data.csv", "--out", out, "--u", 0.5, "--grid", 25, "--config", cfg]) == 0
+    # a JSON 1 is read as 1.0, as the flag would read "1"
+    sets = json.loads((out / "bounds.json").read_text())["sets"]
+    assert [(type(s["u"]), s["u"]) for s in sets] == [(float, 1.0), (float, 0.9)]
+    assert json.loads((out / "manifest.json").read_text())["config"]["u"] == [1.0, 0.9]
+    args = build_parser().parse_args(["estimate", "--data", "d.csv", "--out", "o", "--config", str(cfg)])
+    cfg.write_text(json.dumps({"level": 1}))
+    level = _resolve_config(args)["level"]
+    assert type(level) is float and level == 1.0
 
 
 def test_config_directory_exits_2(tmp_path, capsys):
@@ -337,6 +403,7 @@ def test_bounds_below_frontier_exits_1(tmp_path, sim_dir, capsys):
     ])
     assert code == 1
     assert "point-identified" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_bounds_reuses_fit_json(tmp_path, sim_dir, est_dir):
@@ -377,6 +444,7 @@ def test_bounds_fit_json_without_numeric_u_hat_exits_1(tmp_path, sim_dir, capsys
     code = run(["bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b", "--u", 0.9, "--fit-json", fit_path])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {fit_path}: u_hat must be a number, got ")
+    assert not (tmp_path / "b").exists()
 
 
 def test_bounds_assembles_the_surface_once(tmp_path, sim_dir, monkeypatch):

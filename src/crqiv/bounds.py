@@ -225,14 +225,7 @@ def outer_set_2d(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
         pieces.append(IntervalProduct((0.0, y1v), (top_ext, inf)))
     if right:
         pieces.append(IntervalProduct((y0, 0.0), (inf, right_ext)))
-    if top and right:
-        case = "ii"
-    elif right:
-        case = "iii"
-    elif top:
-        case = "iv"
-    else:
-        case = "empty"
+    case = {(True, True): "ii", (False, True): "iii", (True, False): "iv"}.get((top, right), "empty")
     note = "" if pieces else (
         "residuals negative along both box edges: no admissible theta at this u "
         "(numerically inconsistent surface/quantile combination)"
@@ -247,7 +240,7 @@ def _level_knots(surface, level: int, cap: float) -> np.ndarray:
 
 
 def outer_set_recursive(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
-    """Outer set for three or more treatment levels.
+    """Outer set at u for any number of treatment levels.
 
     Union over levels l of the region where coordinate l sits at or above
     its support bound: there the surface is flat in theta_l, so theta_l
@@ -257,7 +250,8 @@ def outer_set_recursive(u: float, surface, frontiers: BoundFrontiers) -> OuterSe
     strips is resolved at its lower corner, which is exact for
     piecewise-constant surfaces and a conservative cover otherwise; the
     last coordinate is bisected for all products at once. Pieces follow
-    the strips in C order. Two levels fall back to the boundary scan.
+    the strips in C order. Two levels take the boundary scan,
+    ``outer_set_2d``.
     """
     L = frontiers.y1.size
     if L == 2:
@@ -284,6 +278,5 @@ def outer_set_recursive(u: float, surface, frontiers: BoundFrontiers) -> OuterSe
     return OuterSet(tuple(pieces), u, "recursive" if pieces else "empty", frontiers, note)
 
 
-def outer_set(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
-    """Outer set at u for any number of treatment levels."""
-    return outer_set_recursive(u, surface, frontiers)
+# the entry point for any number of treatment levels
+outer_set = outer_set_recursive

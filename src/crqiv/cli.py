@@ -23,7 +23,7 @@ from . import __version__
 from .bounds import BoundFrontiers, outer_set, verify_membership
 from .data import DataValidationError, load_csv, save_csv, swap_causes
 from .derived import derived_quantities
-from .estimator import EstimationError, QuantileGrid, fit_curve, naive_curve
+from .estimator import EstimationError, QuantileGrid, estimate_caps, estimate_y1, fit_curve, naive_curve
 from .inference import BootstrapConfig, bootstrap_band, coverage_study
 from .simulate import DgpSpec, generate, mc_study
 from .surface import assemble_surface
@@ -251,8 +251,7 @@ def cmd_bounds(cfg: dict) -> int:
     surface = assemble_surface(data, bandwidth=kwargs["bandwidth"], kind=kwargs["kind"])
     if fit_path is None:
         u_y = fit_curve(data, stop_at_frontier=True, surface=surface, **kwargs).frontiers.u_hat
-    frontiers = BoundFrontiers.from_data(data)
-    frontiers = BoundFrontiers(frontiers.y1, frontiers.caps, u_y)
+    frontiers = BoundFrontiers(estimate_y1(data), estimate_caps(data), u_y)
     inputs = [data_path] if fit_path is None else [data_path, fit_path]
 
     if npts:

@@ -3,15 +3,10 @@
 Two smoother kinds are provided.  The convolution kind evaluates
 integral step(t - s*eps) K(s) ds in closed form: K's CDF is a cubic, so
 each value is the step below the window plus moments 0, 1 and 3 of the
-jump sizes inside it.  The local-linear kind fits a degree-1 weighted
-least squares polynomial to the step function sampled on a dense internal
-grid, from moments 0-4 of the sample and 0-3 of the step over each window.
-Both kinds take their window moments from prefix sums on the abscissa
-scaled to the curve's own range (``_window_sums``), so a whole curve costs
-O(jumps + grid size) whatever the bandwidth.  For the convolution kind this
-rounds differently from summing each window's jumps, by up to about
-eps (range / bandwidth)^3: within 1e-10 at rule-of-thumb bandwidths up to
-a million records.
+jumps inside it.  The local-linear kind fits a degree-1 weighted least
+squares polynomial to the step function sampled on a dense internal grid.
+Both take their window moments from prefix sums (``_window_sums``), so a
+whole curve costs O(jumps + grid size) whatever the bandwidth.
 
 Both kinds use a boundary-shrinking bandwidth h(t) = min(eps, t) so the
 kernel window never crosses zero: the smoothed curve starts exactly at the
@@ -124,23 +119,38 @@ class SmoothedCurve:
         return np.interp(t, self.knots, self.values)
 
 
-def _window_sums(x, w, t, lo, hi, degree: int) -> list:
+def _window_sums(x, w, t, lo, hi, degree: int, width=None) -> list:
     """Sums of w * (x - t)^p over each window x[lo:hi], one array per p = 0..degree.
 
-    Each power expands binomially into prefix sums of w * x^k, so every
-    window costs O(1) whatever its width. ``x`` should be scaled to about
-    [0, 1] to keep the expansion's cancellation small.
+    Ascending ``x`` is cut into blocks [b width, (b + 1) width), or is one
+    block from 0 without ``width``.  A window's piece in each block expands
+    binomially about the block's left edge into prefix sums of
+    w * (x - edge)^k, so a window costs O(1), and for windows up to 2 width
+    wide the rounding stays near eps |w| width^p whatever the range of x.
     """
-    prefix = [np.concatenate(([0.0], np.cumsum(w * x**k))) for k in range(degree + 1)]
-    m = [pk[hi] - pk[lo] for pk in prefix]
-    tj = [t**j for j in range(degree + 1)]
-    sums = []
-    for p in range(degree + 1):
-        acc = m[p]
-        for j in range(1, p + 1):
-            term = math.comb(p, j) * tj[j] * m[p - j]
-            acc = acc - term if j % 2 else acc + term
-        sums.append(acc)
+    if x.size == 0:
+        return [np.zeros(t.shape) for _ in range(degree + 1)]
+    block = np.zeros(x.size, np.intp) if width is None else (x // width).astype(np.intp)
+    edge = 0.0 if width is None else width * block
+    prefix = [np.concatenate(([0.0], np.cumsum(w * (x - edge) ** k))) for k in range(degree + 1)]
+    # the blocks each nonempty window touches: first .. first + span at most
+    first = block[np.minimum(lo, x.size - 1)]
+    span = np.max(block[np.maximum(hi - 1, 0)] - first, where=hi > lo, initial=0)
+    sums = None
+    for r in range(int(span) + 1):
+        q = first + r
+        a = np.maximum(lo, np.searchsorted(block, q))
+        b = np.maximum(np.minimum(hi, np.searchsorted(block, q + 1)), a)
+        m = [pk[b] - pk[a] for pk in prefix]
+        d = t if width is None else t - width * q
+        piece = []
+        for p in range(degree + 1):
+            acc = m[p]
+            for j in range(1, p + 1):
+                term = math.comb(p, j) * d**j * m[p - j]
+                acc = acc - term if j % 2 else acc + term
+            piece.append(acc)
+        sums = piece if sums is None else [s + c for s, c in zip(sums, piece)]
     return sums
 
 
@@ -155,7 +165,7 @@ def _smooth_convolution(
     padded = np.concatenate(([step.value_at_zero], step.values))
     lo = np.searchsorted(x, tq - h, side="right")
     hi = np.maximum(np.searchsorted(x, tq + h, side="left"), lo)
-    c0, c1, _, c3 = _window_sums(x, np.diff(padded), tq, lo, hi, 3)
+    c0, c1, _, c3 = _window_sums(x, np.diff(padded), tq, lo, hi, 3, bandwidth / t_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = padded[lo] + 0.5 * c0 - 0.75 * c1 / h + 0.25 * c3 / h**3
     # a zero-width window at t = 0 is the step's own value there

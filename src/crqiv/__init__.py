@@ -93,6 +93,5 @@ from .simulate import (
     mc_study,
     true_phi,
 )
-from .facade import QuantileIVEstimator
 
 __version__ = "0.1.0"

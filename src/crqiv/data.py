@@ -26,6 +26,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "CENSORED",
+    "CAUSE1",
+    "CAUSE2",
     "DataValidationError",
     "ObservationRecord",
     "CellIndex",

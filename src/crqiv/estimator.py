@@ -157,6 +157,8 @@ class QuantileCurveFit:
     treatment_levels: list
     instrument_levels: list
     warnings: list = field(default_factory=list)
+    # the surface solved on; left out of repr, ==, and to_dict()
+    surface: SmoothedSurvivalSurface | None = field(default=None, repr=False, compare=False)
 
     def qte(self, level: int = 1, baseline: int = 0, only_reported: bool = True) -> np.ndarray:
         """Quantile treatment effect curve; NaN outside the reported range."""
@@ -434,6 +436,10 @@ def fit_curve(
     replicate is fitted on the sample itself with no resampled copy; None
     counts every record once.  It enters every sample statistic: the
     surface (unless one is given), the support bounds and the cushions.
+
+    The fit keeps the surface it solved on, the one given or the one
+    built, as ``fit.surface``, so outer sets and diagnostics taken after
+    the fit need not build it again.
     """
     grid = grid or QuantileGrid.default()
     if surface is None:
@@ -506,6 +512,7 @@ def fit_curve(
         list(data.treatment_levels),
         list(data.instrument_levels),
         warnings,
+        surface,
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -254,9 +255,10 @@ def coverage_study(
 
     ``dgp`` is either a simulation spec (anything with design/n/seed, run
     through the bundled generator) or a callable rep_index -> Dataset.
-    ``truth`` maps a quantile level to the true contrast value; it is
-    inferred for simulation specs and required otherwise. ``band_fn``
-    replaces the band constructor (same signature as bootstrap_band).
+    ``truth`` maps a quantile level to the true contrast value; for a
+    simulation spec it defaults to the design's true ``contrast``, and it is
+    required otherwise. ``band_fn`` replaces the band constructor (same
+    signature as bootstrap_band).
     Repetitions run in turn, each with its own data and bootstrap seeds
     derived from its index.
     """
@@ -275,7 +277,7 @@ def coverage_study(
 
         spec = dgp if isinstance(dgp, DgpSpec) else DgpSpec(dgp.design, dgp.n, dgp.seed)
         if truth is None:
-            truth = GroundTruth(spec.design).qte
+            truth = partial(GroundTruth(spec.design).qte, level=contrast[0], baseline=contrast[1])
 
         def make_data(r: int) -> Dataset:
             return generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))[0]

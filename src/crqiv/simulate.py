@@ -105,13 +105,6 @@ def true_phi(design: int, z: int, u: float) -> float:
     return u if u <= 0.75 else math.inf
 
 
-def _true_phi2(z: int, u: float) -> float:
-    """Structural u-th rank value of the cause-2 duration (finite branch)."""
-    if z == 0:
-        return u - 0.5 if u >= 0.5 else math.inf
-    return 2.0 * (u - 0.75) if u >= 0.75 else math.inf
-
-
 class GroundTruth:
     """Closed-form population quantities for one design."""
 
@@ -133,11 +126,9 @@ class GroundTruth:
     def phi1(self, z: int, u: float) -> float:
         return true_phi(self.design, z, u)
 
-    def phi2(self, z: int, u: float) -> float:
-        return _true_phi2(z, u)
-
-    def qte(self, u: float) -> float:
-        a, b = self.phi1(1, u), self.phi1(0, u)
+    def qte(self, u: float, level: int = 1, baseline: int = 0) -> float:
+        """phi1(level, u) - phi1(baseline, u), as ``QuantileCurveFit.qte``; NaN where both are infinite."""
+        a, b = self.phi1(level, u), self.phi1(baseline, u)
         if math.isinf(a) and math.isinf(b):
             return math.nan
         return a - b

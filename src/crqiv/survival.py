@@ -30,9 +30,6 @@ __all__ = [
     "StepFunction",
     "CellProcess",
     "CountingProcesses",
-    "SortedCell",
-    "Presorted",
-    "presort",
     "build_counting_processes",
     "product_limit_survival",
     "incidence_from",

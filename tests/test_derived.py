@@ -10,7 +10,8 @@ from crqiv.derived import (
     pava_nondecreasing,
     rank_condition_diagnostic,
 )
-from crqiv.estimator import FrontierEstimates, QuantileCurveFit, QuantileGrid
+from crqiv.data import swap_causes
+from crqiv.estimator import FrontierEstimates, QuantileCurveFit, QuantileGrid, fit_curve
 from crqiv.simulate import DgpSpec, GroundTruth, generate
 from crqiv.surface import assemble_surface
 
@@ -142,6 +143,15 @@ def test_cause_specific_hazard_with_secondary_fit(truth_fit):
     assert lv1.cause_hazard == pytest.approx(
         [1.0810810810810811, 1.1764705882352942, 1.2903225806451613], rel=1e-12
     )
+
+
+def test_secondary_fit_from_swapped_causes():
+    data, _ = generate(DgpSpec(design=2, n=2_000, seed=6))
+    fit = fit_curve(data, grid=QuantileGrid.default(25))
+    base = derived_quantities(fit)
+    assert not any(lv.cause_hazard_valid.any() for lv in base.values())
+    with_c2 = derived_quantities(fit, fit_curve(swap_causes(data), grid=fit.grid))
+    assert any(lv.cause_hazard_valid.any() for lv in with_c2.values())
 
 
 def test_cause_hazard_invalid_past_secondary_range(truth_fit):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crqiv.bounds import BoundFrontiers, outer_set
 from crqiv.data import CellIndex, Dataset
 from crqiv.estimator import (
     EstimationError,
@@ -428,6 +429,46 @@ def test_to_dict_is_json_ready(d2_fit):
     assert back["u_hat"] == fit.frontiers.u_hat
     assert len(back["theta"]) == fit.grid.size
     assert back["treatment_levels"] == ["0", "1"]
+
+
+# -- the fitted surface -------------------------------------------------------
+
+
+def test_fit_keeps_the_surface_it_was_given(d2_fit):
+    data, fit = d2_fit
+    surface = assemble_surface(data)
+    given = fit_curve(data, grid=fit.grid, surface=surface)
+    assert given.surface is surface
+    assert given.to_dict() == fit.to_dict()
+    assert "surface" not in repr(given)
+
+
+def test_fit_keeps_the_surface_it_built(d2_fit, monkeypatch):
+    import crqiv.estimator
+
+    data, _ = d2_fit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble_surface(*args, **kwargs)
+
+    monkeypatch.setattr(crqiv.estimator, "assemble_surface", counted)
+    fit = fit_curve(data, grid=QuantileGrid.default(25), kind="convolution")
+    assert len(calls) == 1
+    assert np.array_equal(fit.surface.values, assemble_surface(data, kind="convolution").values)
+    assert "surface" not in fit.to_dict()
+
+
+def test_outer_set_on_the_fitted_surface(d2_fit):
+    data, fit = d2_fit
+    frontiers = BoundFrontiers.from_data(data, fit)
+    got = outer_set(0.9, fit.surface, frontiers)
+    assert got.to_dict() == outer_set(0.9, assemble_surface(data), frontiers).to_dict()
+    assert got.case in ("i", "ii", "iii", "iv")
+    assert not got.is_empty
+    with pytest.raises(ValueError, match="point-identified"):
+        outer_set(0.01, fit.surface, frontiers)
 
 
 # -- treatment-only benchmark ------------------------------------------------

@@ -314,6 +314,19 @@ def test_coverage_with_injected_truth_band():
     assert np.all(res.n_valid == 3)
 
 
+def test_coverage_truth_follows_the_contrast():
+    # the default truth of a simulation spec is the contrast asked for: with
+    # 20 draws at 95% the band is the replicates' range, so swapping the
+    # contrast negates every band and covers exactly as often
+    kwargs = dict(reps=3, boot=BootstrapConfig(draws=20, seed=0), grid=QuantileGrid(np.array([0.1, 0.2, 0.3])))
+    spec = DgpSpec(design=2, n=2_000, seed=0)
+    forward = coverage_study(spec, contrast=(1, 0), **kwargs)
+    backward = coverage_study(spec, contrast=(0, 1), **kwargs)
+    assert forward.hits.sum() > 0
+    assert np.array_equal(backward.hits, forward.hits)
+    assert np.array_equal(backward.n_valid, forward.n_valid)
+
+
 def test_coverage_custom_generator_and_truth():
     base, _ = generate(DgpSpec(design=2, n=500, seed=3))
 

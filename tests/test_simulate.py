@@ -56,6 +56,7 @@ def test_ground_truth_frontiers():
     assert g2.y1 == pytest.approx((1.0, 0.75))
     assert g1.qte(0.25) == pytest.approx(-0.25)
     assert g2.qte(0.4) == pytest.approx(-0.4)
+    assert g2.qte(0.4, level=0, baseline=1) == pytest.approx(0.4)
     assert math.isnan(g2.qte(0.9))
 
 

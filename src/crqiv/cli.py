@@ -306,7 +306,7 @@ def cmd_mc(cfg: dict) -> int:
     )
 
     if boot is not None:
-        cov = coverage_study(spec, cfg["reps"], boot, **fit_kwargs)
+        cov = coverage_study(spec, cfg["reps"], boot, fits=res.fits, **fit_kwargs)
         _write_csv(out / "mc_coverage.csv", ["u", "coverage", "hits", "n_valid"], cov.rows())
 
     _write_manifest(out, "mc", cfg, cfg["seed"], [])

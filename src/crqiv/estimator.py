@@ -29,8 +29,8 @@ import numpy as np
 
 from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
-from .smoothing import default_bandwidth
-from .surface import EstimationError, SmoothedSurvivalSurface, assemble_surface
+from .smoothing import bandwidth_rows, default_bandwidth
+from .surface import EstimationError, SmoothedSurvivalSurface, assemble_surface, assemble_surfaces
 from .survival import _cell_process, incidence_from, presort
 
 __all__ = [
@@ -226,43 +226,58 @@ def objective(theta, u: float, surface, V: WeightingPolicy | None = None) -> flo
     return float(r @ r)
 
 
-def _cause1_times(data: Dataset, level: int, counts):
-    """A level's primary-cause event times, and their counts (None: once each).
-
-    With counts the times are in ascending order, as ``default_bandwidth``
-    needs them with counts.
-    """
-    if counts is None:
-        return data.y[(data.z == level) & (data.event == 1)], None
-    idx = presort(data).cause1[level]
-    return data.y[idx], counts[idx]
-
-
-def estimate_y1(data: Dataset, counts: np.ndarray | None = None) -> np.ndarray:
-    """Largest follow-up time with a primary-cause event, per treatment level.
-
-    ``counts`` gives each record's multiplicity (None counts each once).
-    """
+def estimate_y1(data: Dataset) -> np.ndarray:
+    """Largest follow-up time with a primary-cause event, per treatment level."""
     out = np.empty(data.n_treatment_levels)
     for zi in range(data.n_treatment_levels):
-        times, c = _cause1_times(data, zi, counts)
-        if c is not None:
-            times = times[c > 0]
+        times = data.y[(data.z == zi) & (data.event == 1)]
         if not times.size:
-            raise EstimationError(
-                f"treatment level {data.treatment_levels[zi]!r} has no primary-cause events; "
-                "its quantile support bound cannot be estimated"
-            )
+            raise _no_primary_events(data, zi)
         out[zi] = times.max()
     return out
 
 
-def default_delta(data: Dataset, level: int, counts: np.ndarray | None = None) -> float:
+def _no_primary_events(data: Dataset, level: int) -> EstimationError:
+    return EstimationError(
+        f"treatment level {data.treatment_levels[level]!r} has no primary-cause events; "
+        "its quantile support bound cannot be estimated"
+    )
+
+
+def default_delta(data: Dataset, level: int) -> float:
     """Frontier cushion: bandwidth rule on the level's primary-cause event times."""
     try:
-        return default_bandwidth(*_cause1_times(data, level, counts))
+        return default_bandwidth(data.y[(data.z == level) & (data.event == 1)])
     except ValueError as exc:
-        raise EstimationError(f"frontier cushion at treatment level {data.treatment_levels[level]!r}: {exc}") from None
+        raise _no_cushion(data, level, exc) from None
+
+
+def _no_cushion(data: Dataset, level: int, reason) -> EstimationError:
+    return EstimationError(f"frontier cushion at treatment level {data.treatment_levels[level]!r}: {reason}")
+
+
+def _frontier_rows(data: Dataset, counts: np.ndarray, delta) -> tuple:
+    """``estimate_y1`` and the cushions under each row of counts (B, n): (y1 (B, L), delta (B, L), errors).
+
+    errors[b] is the first error row b meets, in the order ``fit_curve``
+    meets them (support bounds, then cushions, level by level), or None.
+    """
+    B, L = len(counts), data.n_treatment_levels
+    y1, deltas = np.full((B, L), np.nan), np.full((B, L), np.nan)
+    bound_errors, cushion_errors = [None] * B, [None] * B
+    for level, idx in enumerate(presort(data).cause1):
+        times, c = data.y[idx], counts[:, idx]
+        y1[:, level] = np.where(c > 0, times, -np.inf).max(axis=1, initial=-np.inf)
+        for b in np.flatnonzero(~(c > 0).any(axis=1)).tolist():
+            bound_errors[b] = bound_errors[b] or _no_primary_events(data, level)
+        if delta is None:
+            deltas[:, level], reasons = bandwidth_rows(times, c)
+            for b, reason in enumerate(reasons):
+                if reason:
+                    cushion_errors[b] = cushion_errors[b] or _no_cushion(data, level, reason)
+    if delta is not None:
+        deltas[:] = _resolve_delta(delta, data, L)
+    return y1, deltas, [a or b for a, b in zip(bound_errors, cushion_errors)]
 
 
 def estimate_caps(data: Dataset) -> np.ndarray:
@@ -276,9 +291,9 @@ def estimate_caps(data: Dataset) -> np.ndarray:
     return out
 
 
-def _resolve_delta(delta, data: Dataset, L: int, counts) -> np.ndarray:
+def _resolve_delta(delta, data: Dataset, L: int) -> np.ndarray:
     if delta is None:
-        return np.array([default_delta(data, l, counts) for l in range(L)])
+        return np.array([default_delta(data, l) for l in range(L)])
     arr = np.asarray(delta, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(L, float(arr))
@@ -435,18 +450,59 @@ def fit_curve(
     ``counts`` gives each record's multiplicity, so that a bootstrap
     replicate is fitted on the sample itself with no resampled copy; None
     counts every record once.  It enters every sample statistic: the
-    surface (unless one is given), the support bounds and the cushions.
+    surface, the support bounds and the cushions.  Such a fit is
+    ``fit_replicates``' block of one row, and takes no ``surface``.
 
     The fit keeps the surface it solved on, the one given or the one
     built, as ``fit.surface``, so outer sets and diagnostics taken after
     the fit need not build it again.
     """
     grid = grid or QuantileGrid.default()
+    if counts is not None:
+        if surface is not None:
+            raise ValueError("a surface cannot be given with counts; the counts build it")
+        (fit,) = fit_replicates(data, np.asarray(counts)[None], grid, V, bandwidth, delta, kind, stop_at_frontier)
+        if isinstance(fit, Exception):
+            raise fit
+        return fit
     if surface is None:
-        surface = assemble_surface(data, bandwidth=bandwidth, kind=kind, counts=counts)
-    L = data.n_treatment_levels
-    y_hat = estimate_y1(data, counts)
-    deltas = _resolve_delta(delta, data, L, counts)
+        surface = assemble_surface(data, bandwidth=bandwidth, kind=kind)
+    y_hat = estimate_y1(data)
+    return _solve(data, surface, y_hat, _resolve_delta(delta, data, data.n_treatment_levels), grid, V,
+                  stop_at_frontier)
+
+
+def fit_replicates(
+    data: Dataset,
+    counts: np.ndarray,
+    grid: QuantileGrid | None = None,
+    V: WeightingPolicy | None = None,
+    bandwidth=None,
+    delta=None,
+    kind: str = "local_linear",
+    stop_at_frontier: bool = False,
+) -> list:
+    """``fit_curve`` of each count-weighted replicate of ``data``, one per row of counts (B, n).
+
+    The surfaces, support bounds and cushions are taken for the whole block
+    at once (``assemble_surfaces``); then each row is solved on its own
+    surface.  Every row gets the bits of ``fit_curve`` on its resampled
+    dataset.  An entry is the row's ``QuantileCurveFit``, or the
+    ``DataValidationError`` or ``EstimationError`` that stops it, with
+    the text its resampled dataset would raise.
+    """
+    grid = grid or QuantileGrid.default()
+    out = assemble_surfaces(data, counts, bandwidth, kind)
+    y1, deltas, errors = _frontier_rows(data, counts, delta)
+    for b, surface in enumerate(out):
+        if not isinstance(surface, Exception):
+            out[b] = errors[b] or _solve(data, surface, y1[b], deltas[b], grid, V, stop_at_frontier)
+    return out
+
+
+def _solve(data: Dataset, surface, y_hat: np.ndarray, deltas: np.ndarray, grid: QuantileGrid, V,
+           stop_at_frontier: bool) -> QuantileCurveFit:
+    """``fit_curve`` on a surface with the given support bounds and cushions."""
     upper = y_hat * (1.0 - BOX_CLAMP)
     edge = y_hat - deltas  # the frontier cushion
     u = grid.points

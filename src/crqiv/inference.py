@@ -8,7 +8,10 @@ Every replicate draws from its own counter-based stream keyed by
 draw: it is fitted as count weights on the one sample, sorted once, with
 no resampled copy, which is an exchangeably weighted bootstrap with
 multinomial weights and the same statistic as the resampled dataset.
-Replicates and Monte Carlo repetitions run one after another.
+Replicates are fitted in blocks: ``block_size(n)`` draws form one (B, n)
+count matrix that every stage carries along its rows, so the fixed cost
+of a fit is paid once per block, and each row gets the bits it would get
+alone, whatever B is.  Monte Carlo repetitions run one after another.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from functools import partial
 import numpy as np
 
 from ._rng import stream, substream_seed
-from .data import DataValidationError, Dataset, resample
-from .estimator import EstimationError, fit_curve
+from .data import Dataset
+from .estimator import fit_curve, fit_replicates
 
 __all__ = [
     "BootstrapConfig",
@@ -55,15 +58,20 @@ class BootstrapConfig:
 def percentile_bounds(sorted_values: np.ndarray, level: float) -> tuple[float, float]:
     """Percentile interval endpoints: order statistics at ranks
     ceil(alpha/2 * B) and ceil((1 - alpha/2) * B), 1-indexed, B = len(values)."""
-    b = sorted_values.size
-    if b == 0:
+    if sorted_values.size == 0:
         return math.nan, math.nan
+    lo_rank, hi_rank = _ranks(np.array([sorted_values.size]), level)
+    return float(sorted_values[lo_rank[0] - 1]), float(sorted_values[hi_rank[0] - 1])
+
+
+def _ranks(b: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """1-indexed percentile ranks ceil(alpha/2 * b) and ceil((1 - alpha/2) * b), clamped to [1, b]."""
     alpha = 1.0 - level
     # guard the ceilings against float fuzz: 1 - 0.95 is slightly above
     # 0.05, which would otherwise bump an exact-integer rank by one
-    lo_rank = max(1, math.ceil(0.5 * alpha * b - 1e-8))
-    hi_rank = min(b, math.ceil((1.0 - 0.5 * alpha) * b - 1e-8))
-    return float(sorted_values[lo_rank - 1]), float(sorted_values[hi_rank - 1])
+    lo = np.maximum(1, np.ceil(0.5 * alpha * b - 1e-8).astype(np.intp))
+    hi = np.minimum(b, np.ceil((1.0 - 0.5 * alpha) * b - 1e-8).astype(np.intp))
+    return lo, hi
 
 
 @dataclass
@@ -109,8 +117,15 @@ class ConfidenceBand:
                 yield (float(self.u[m]), math.nan, float(self.point[m]), math.nan, int(self.n_reported[m]))
 
 
-def _default_fit_fn(data: Dataset, **fit_kwargs):
-    return fit_curve(data, stop_at_frontier=True, **fit_kwargs)
+# bytes of one float64 row block: B replicates of n records and of the
+# local-linear smoother's 512 sample points; a smaller block costs more
+# fixed overhead per replicate, a larger one more peak memory per block
+BLOCK_BYTES = 1 << 18
+
+
+def block_size(n: int) -> int:
+    """Replicates per block: every (B, n + 512) float64 working array within BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * (n + 512)))
 
 
 def bootstrap_band(
@@ -118,32 +133,29 @@ def bootstrap_band(
     boot: BootstrapConfig | None = None,
     contrast: tuple[int, int] = (1, 0),
     fit=None,
-    fit_fn=None,
     **fit_kwargs,
 ) -> ConfidenceBand:
     """Pairs-bootstrap percentile band for the quantile contrast
     theta_[contrast[0]] - theta_[contrast[1]] at every grid point.
 
     ``fit`` may carry a precomputed full-sample fit to reuse as the point
-    estimate; ``fit_fn(dataset, **fit_kwargs)`` overrides the replicate
-    fitter.  The default fitter runs the standard fit, stopping at the
-    frontier, on each replicate's record counts over ``data``, so no
-    replicate is copied or sorted.  A replicate is resampled into a
-    ``Dataset`` only for a ``fit_fn`` or a callable bandwidth, which need
-    one.  A replicate whose estimation or validation fails (an emptied
-    cell, a cell too thin for the bandwidth rule, a level without
-    primary-cause events) is dropped; ``failures`` holds its index and
-    the error's text.  A replicate that fits but reports no point is not
-    a failure.
+    estimate.  Replicate b is the record counts of its draw from
+    ``stream(seed, "bootstrap", b)``, fitted on ``data`` itself with no
+    resampled copy; ``block_size(n)`` replicates at a time are fitted as
+    one (B, n) count block (``fit_replicates``), and each gets the bits it
+    would get alone.  A callable bandwidth, which needs each replicate as
+    a dataset, is rejected.  A replicate whose estimation or validation
+    fails (an emptied cell, a cell too thin for the bandwidth rule, a
+    level without primary-cause events) is dropped; ``failures`` holds its
+    index and the error's text.  A replicate that fits but reports no
+    point is not a failure.
     """
     boot = boot or BootstrapConfig()
-    default_fitter = fit_fn is None
-    weighted = default_fitter and not callable(fit_kwargs.get("bandwidth"))
-    if default_fitter:
-        fit_fn = _default_fit_fn
+    if callable(fit_kwargs.get("bandwidth")):
+        raise ValueError("a callable bandwidth needs each replicate as a dataset; the band fits record counts")
     if fit is None:
-        fit = fit_fn(data, **fit_kwargs)
-    elif default_fitter:
+        fit = fit_curve(data, stop_at_frontier=True, **fit_kwargs)
+    else:
         # replicates must live on the precomputed fit's grid
         grid = fit_kwargs.get("grid")
         if grid is None:
@@ -159,40 +171,38 @@ def bootstrap_band(
 
     vals = np.full((boot.draws, M), np.nan)
     failures = []
-    for b in range(boot.draws):
-        rng = stream(boot.seed, "bootstrap", b)
-        try:
-            if weighted:
-                counts = np.bincount(rng.integers(0, data.n, data.n), minlength=data.n)
-                refit = fit_fn(data, counts=counts, **fit_kwargs)
+    # blocks of near-equal size, none above block_size(n)
+    for block in np.array_split(np.arange(boot.draws), -(-boot.draws // block_size(data.n))):
+        counts = np.empty((block.size, data.n), np.int32)  # a record's count is at most n
+        for row, b in zip(counts, block.tolist()):
+            row[:] = np.bincount(stream(boot.seed, "bootstrap", b).integers(0, data.n, data.n), minlength=data.n)
+        refits = fit_replicates(data, counts, stop_at_frontier=True, **fit_kwargs)
+        for b, refit in zip(block.tolist(), refits):
+            if isinstance(refit, Exception):
+                failures.append((b, str(refit)))
             else:
-                refit = fit_fn(resample(data, rng), **fit_kwargs)
-            vals[b] = refit.qte(level_hi, level_lo)
-        except (DataValidationError, EstimationError) as exc:
-            failures.append((b, str(exc)))
+                vals[b] = refit.qte(level_hi, level_lo)
     n_failed = len(failures)
     if n_failed == boot.draws:
         raise RuntimeError("every bootstrap replicate failed")
 
+    # the percentile ranks of every column at once: its reported values
+    # sorted to the top, NaN below them
     n_reported = np.count_nonzero(np.isfinite(vals), axis=0)
     valid = n_reported / boot.draws >= boot.report_threshold - 1e-12
+    lo_rank, hi_rank = _ranks(n_reported, boot.level)
+    cols = np.flatnonzero(valid & (n_reported > 0))
+    ordered = np.sort(vals[:, cols], axis=0)
     lower = np.full(M, np.nan)
     upper = np.full(M, np.nan)
-    raw_hits = 0
-    raw_total = 0
-    for m in range(M):
-        col = vals[:, m]
-        col = np.sort(col[np.isfinite(col)])
-        if col.size == 0 or not valid[m]:
-            continue
-        lo, hi = percentile_bounds(col, boot.level)
-        if np.isfinite(point[m]):
-            raw_total += 1
-            if lo <= point[m] <= hi:
-                raw_hits += 1
-            lo = min(lo, float(point[m]))
-            hi = max(hi, float(point[m]))
-        lower[m], upper[m] = lo, hi
+    lower[cols] = ordered[lo_rank[cols] - 1, np.arange(cols.size)]
+    upper[cols] = ordered[hi_rank[cols] - 1, np.arange(cols.size)]
+    scored = np.zeros(M, bool)
+    scored[cols] = np.isfinite(point[cols])
+    raw_total = int(np.count_nonzero(scored))
+    raw_hits = int(np.count_nonzero(scored & (lower <= point) & (point <= upper)))
+    lower[scored] = np.minimum(lower[scored], point[scored])
+    upper[scored] = np.maximum(upper[scored], point[scored])
     raw_containment = raw_hits / raw_total if raw_total else math.nan
     notes = []
     if n_failed:
@@ -249,6 +259,7 @@ def coverage_study(
     truth=None,
     contrast: tuple[int, int] = (1, 0),
     band_fn=None,
+    fits=None,
     **fit_kwargs,
 ) -> CoverageResult:
     """Fraction of fresh-data replications whose band covers the truth.
@@ -258,7 +269,10 @@ def coverage_study(
     ``truth`` maps a quantile level to the true contrast value; for a
     simulation spec it defaults to the design's true ``contrast``, and it is
     required otherwise. ``band_fn`` replaces the band constructor (same
-    signature as bootstrap_band).
+    signature as bootstrap_band).  ``fits`` may carry each repetition's
+    full-sample fit, such as ``McResult.fits`` of the same spec and grid:
+    each band then takes it as its point estimate instead of fitting the
+    repetition's data again.
     Repetitions run in turn, each with its own data and bootstrap seeds
     derived from its index.
     """
@@ -284,7 +298,7 @@ def coverage_study(
 
     bands = [
         band_fn(make_data(r), boot=replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)),
-                contrast=contrast, **fit_kwargs)
+                contrast=contrast, fit=None if fits is None else fits[r], **fit_kwargs)
         for r in range(reps)
     ]
     u = bands[0].u

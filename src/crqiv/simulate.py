@@ -18,7 +18,7 @@ standard normal CDF, exposed as an exact surface for oracle tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -270,6 +270,9 @@ class McResult:
     reported: np.ndarray  # (R, M) bool
     qte: np.ndarray  # (R, M), NaN outside reported ranges
     naive: np.ndarray | None  # (R, M, L), inf past attained incidence
+    # each replication's fit, for a coverage pass that bands the same fits;
+    # left out of repr and ==
+    fits: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def reps(self) -> int:
@@ -333,6 +336,7 @@ def mc_study(
         reported=np.stack([f.reported_mask for f, _ in results]),
         qte=np.stack([f.qte() for f, _ in results]),
         naive=np.stack([nv for _, nv in results]) if naive else None,
+        fits=[f for f, _ in results],
     )
     assert out.theta.shape == (reps, M, L)
     return out

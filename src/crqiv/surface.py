@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import CellIndex, Dataset
-from .smoothing import default_bandwidth, smooth
-from .survival import aalen_johansen_cause1, build_counting_processes, presort
+from .data import CellIndex, DataValidationError, Dataset
+from .smoothing import bandwidth_rows, default_bandwidth, left_pack, smooth_rows
+from .survival import aalen_johansen_cause1, build_counting_processes, incidence_values, presort
 
 __all__ = ["EstimationError", "SmoothedSurvivalSurface", "assemble_surface"]
 
@@ -89,59 +89,123 @@ class SmoothedSurvivalSurface:
         return self.grid
 
 
-def _resolve_bandwidth(policy, data: Dataset, cell: CellIndex, counts) -> float:
+def _resolve_bandwidth(policy, data: Dataset, cell: CellIndex) -> float:
     if policy is None:
-        if counts is None:
-            sample, weights = data.y[data.cell_mask(cell)], None
-        else:
-            sc = presort(data).cells[cell]
-            sample, weights = sc.y, counts[sc.order]
         try:
-            return default_bandwidth(sample, weights)
+            return default_bandwidth(data.y[data.cell_mask(cell)])
         except ValueError as exc:
-            z, w = data.treatment_levels[cell.z], data.instrument_levels[cell.w]
-            raise EstimationError(f"cell (treatment {z!r}, instrument {w!r}): {exc}") from None
+            raise _thin_cell(data, cell, exc) from None
     if isinstance(policy, dict):
         return float(policy[tuple(cell)])
     if callable(policy):
-        if counts is not None:
-            raise ValueError("a callable bandwidth needs the replicate as a dataset; pass it resampled")
         return float(policy(data, cell))
     return float(policy)
+
+
+def _thin_cell(data: Dataset, cell: CellIndex, reason) -> EstimationError:
+    z, w = data.treatment_levels[cell.z], data.instrument_levels[cell.w]
+    return EstimationError(f"cell (treatment {z!r}, instrument {w!r}): {reason}")
 
 
 def assemble_surface(
     data: Dataset,
     bandwidth=None,
     kind: str = "local_linear",
-    counts: np.ndarray | None = None,
 ) -> SmoothedSurvivalSurface:
     """Estimate the full surface from a dataset.
 
     ``bandwidth`` may be None (per-cell rule of thumb on the cell's
     follow-up times), a number applied to every cell, a dict keyed by
     (z, w), or a callable (data, cell) -> float.  A cell too thin for the
-    rule of thumb raises ``EstimationError``.  ``counts`` gives each
-    record's multiplicity, a bootstrap replicate without a resampled copy
-    (None counts every record once); a callable bandwidth cannot take it.
+    rule of thumb raises ``EstimationError``.  Count-weighted replicates
+    of the data take ``assemble_surfaces``.
     """
-    cp = build_counting_processes(data, counts)
+    cp = build_counting_processes(data)
     L, K = data.n_treatment_levels, data.n_instrument_levels
-    p_hat = np.zeros((L, K))
-    steps = {}
-    bandwidths: dict[CellIndex, float] = {}
+    p_hat = np.zeros((1, L, K))
+    jumps, bandwidths = {}, {}
     for cell in data.cells():
         if cell in data.structural_zeros:
             continue
-        p_hat[cell.z, cell.w] = cp.cell(cell).size / cp.instrument_sizes[cell.w]
-        steps[cell] = aalen_johansen_cause1(cp, cell)
-        bandwidths[cell] = _resolve_bandwidth(bandwidth, data, cell, counts)
-    t_max = max(s.jump_times.max(initial=0.0) + bandwidths[cell] for cell, s in steps.items())
-    grid = np.linspace(0.0, t_max, GRID_POINTS)
-    values = np.zeros((L, K, GRID_POINTS))
-    for cell, step in steps.items():
-        curve = smooth(step, bandwidths[cell], kind, grid)
-        values[cell.z, cell.w] = curve.values * p_hat[cell.z, cell.w]
-    return SmoothedSurvivalSurface(
-        grid, values, p_hat, bandwidths, kind, list(data.treatment_levels), list(data.instrument_levels)
-    )
+        p_hat[0, cell.z, cell.w] = cp.cell(cell).size / cp.instrument_sizes[cell.w]
+        step = aalen_johansen_cause1(cp, cell)
+        jumps[cell] = step.jump_times[None], step.values[None]
+        bandwidths[cell] = np.array([_resolve_bandwidth(bandwidth, data, cell)])
+    return _surfaces(data, p_hat, jumps, bandwidths, kind)[0]
+
+
+def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: str = "local_linear") -> list:
+    """The surface of each count-weighted replicate of ``data``, one per row of counts (B, n).
+
+    Every stage runs on the whole block along its rows, and each row gets
+    the bits of its own resampled dataset.  An entry is the row's
+    ``SmoothedSurvivalSurface``, or the error that stops it: a
+    ``DataValidationError`` for an emptied cell, an ``EstimationError``
+    for a cell too thin for the bandwidth rule, with the text its
+    resampled dataset would raise.  ``bandwidth`` is as for
+    ``assemble_surface``, except that a callable, which needs each
+    replicate as a dataset, is rejected.
+    """
+    if callable(bandwidth):
+        raise ValueError("a callable bandwidth needs the replicate as a dataset; pass it resampled")
+    B, L, K = len(counts), data.n_treatment_levels, data.n_instrument_levels
+    cells = presort(data).cells
+    sizes = np.zeros((B, L, K), np.int64)
+    empty = np.zeros(B, bool)
+    bandwidths, thin = {}, {}
+    for cell, sc in cells.items():
+        c = counts[:, sc.order]
+        sizes[:, cell.z, cell.w] = c.sum(axis=1)
+        empty |= sizes[:, cell.z, cell.w] == 0
+        if bandwidth is None:
+            bandwidths[cell], thin[cell] = bandwidth_rows(sc.y, c)
+        else:
+            bandwidths[cell] = np.full(B, float(bandwidth[tuple(cell)] if isinstance(bandwidth, dict) else bandwidth))
+    # a row's first error, in the order its resampled dataset meets them:
+    # an emptied cell, then the first cell too thin for the bandwidth rule
+    out: list = [None] * B
+    for b in np.flatnonzero(empty).tolist():
+        try:
+            data.check_occupancy(sizes[b] > 0)
+        except DataValidationError as exc:
+            out[b] = exc
+    for cell, reasons in thin.items():
+        for b, reason in enumerate(reasons):
+            if reason and out[b] is None:
+                out[b] = _thin_cell(data, cell, reason)
+    live = np.array([o is None for o in out], dtype=bool)
+    if not live.any():
+        return out
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_hat = sizes[live] / sizes[live].sum(axis=1, keepdims=True)
+    jumps = {}
+    for cell, sc in cells.items():
+        proc = sc.process(counts[live])
+        # a row's jumps are the times its counted records fail at by cause 1
+        jumping = proc.dn1 > 0
+        inc = incidence_values(proc, proc.dn1)
+        jumps[cell] = left_pack(jumping, proc.times, np.inf), left_pack(jumping, 1.0 - inc, 0.0)
+        del proc, inc
+    surfaces = _surfaces(data, p_hat, jumps, {cell: h[live] for cell, h in bandwidths.items()}, kind)
+    for b, surface in zip(np.flatnonzero(live).tolist(), surfaces):
+        out[b] = surface
+    return out
+
+
+def _surfaces(data: Dataset, p_hat: np.ndarray, jumps: dict, bandwidths: dict, kind: str) -> list:
+    """Surfaces from per-row cell shares (B, L, K), cause-1 step rows and bandwidths (B,) per cell."""
+    B = len(p_hat)
+    # every cell's own range is its last jump plus its bandwidth
+    t_max = np.max([np.max(j, axis=1, where=np.isfinite(j), initial=0.0) + bandwidths[cell]
+                    for cell, (j, _) in jumps.items()], axis=0)
+    grid = np.linspace(0.0, t_max, GRID_POINTS, axis=-1)
+    values = np.zeros(p_hat.shape + (GRID_POINTS,))
+    for cell, (j, v) in jumps.items():
+        curves = smooth_rows(j, v, np.ones(B), bandwidths[cell], kind, grid)
+        values[:, cell.z, cell.w] = curves * p_hat[:, cell.z, cell.w, None]
+    levels = list(data.treatment_levels), list(data.instrument_levels)
+    return [
+        SmoothedSurvivalSurface(grid[b], values[b], p_hat[b], {cell: float(h[b]) for cell, h in bandwidths.items()},
+                                kind, *levels)
+        for b in range(B)
+    ]

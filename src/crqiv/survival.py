@@ -10,11 +10,14 @@ failures are processed before censorings: the at-risk count at t includes
 every record with y >= t, and all failures at t leave together.
 
 A bootstrap replicate may be given as per-record counts on the sample
-instead of as a resampled dataset.  Its counting processes then come from
-the sample's cells sorted once by follow-up time (``presort``): dN by a
-weighted ``bincount`` over each cell's failure-time groups, at-risk counts
-by a reverse cumulative sum, and the times no counted record fails at are
-dropped, so the result equals that of the resampled dataset.
+instead of as a resampled dataset, and a block of B replicates as a (B, n)
+count matrix.  Their counting processes then come from the sample's cells
+sorted once by follow-up time (``presort``): dN by one ``add.reduceat``
+over each cell's failure-time groups, at-risk counts by a cumulative sum,
+both along each row.  A block keeps every sample failure time;
+one that no counted record fails at has dN = 0, adds exactly 0 to the
+cumulative incidence, and is no jump of it, so each row's step function
+equals that of its resampled dataset.
 """
 
 from __future__ import annotations
@@ -125,8 +128,8 @@ class SortedCell:
     y: np.ndarray  # y[order]
     times: np.ndarray  # distinct failure times (any cause)
     failing: np.ndarray  # positions in order of the failing records
-    group: np.ndarray  # index into times of each failing record
-    cause1: np.ndarray  # 1.0 for each failing record of cause 1, else 0.0
+    starts: np.ndarray  # index into failing of the first record failing at each time
+    cause1: np.ndarray  # 1 for each failing record of cause 1, else 0
     first_at_risk: np.ndarray  # first position in order with y >= times[j]
 
     @classmethod
@@ -134,21 +137,29 @@ class SortedCell:
         order = _by_y(data, records)
         y, event = data.y[order], data.event[order]
         failing = np.flatnonzero(event != 0)
-        times, group = np.unique(y[failing], return_inverse=True)
-        cause1 = (event[failing] == 1).astype(np.float64)
-        return cls(order, y, times, failing, group, cause1, np.searchsorted(y, times, side="left"))
+        times, starts = np.unique(y[failing], return_index=True)
+        cause1 = (event[failing] == 1).astype(np.int64)
+        return cls(order, y, times, failing, starts, cause1, np.searchsorted(y, times, side="left"))
 
     def process(self, counts: np.ndarray) -> CellProcess:
-        """The cell's counting processes with record i counted counts[i] times."""
-        c = counts[self.order]
-        cf = c[self.failing].astype(np.float64)
-        dn = np.bincount(self.group, weights=cf, minlength=self.times.size)
-        dn1 = np.bincount(self.group, weights=cf * self.cause1, minlength=self.times.size)
-        at_risk = np.cumsum(c[::-1])[::-1][self.first_at_risk]
-        keep = dn > 0
-        return CellProcess(
-            self.times[keep], dn1[keep], dn[keep], at_risk[keep].astype(np.float64), int(c.sum())
-        )
+        """The cell's counting processes under each row of counts (B, n), record i counted counts[b, i] times.
+
+        dn1, dn and at_risk are (B, T) on the sample's failure times, size is (B,).
+        Every entry is a whole count, so each is exact.
+        """
+        c = counts[:, self.order]
+        cum = np.cumsum(c, axis=1)
+        size = cum[:, -1]
+        # Y(t) = size - the counted records below t
+        at_risk = size[:, None] - np.where(self.first_at_risk > 0, cum[:, self.first_at_risk - 1], 0)
+        del cum
+        if not self.times.size:
+            empty = np.zeros((len(c), 0))
+            return CellProcess(self.times, empty, empty, empty, size)
+        failed = c[:, self.failing]
+        dn = np.add.reduceat(failed, self.starts, axis=1).astype(np.float64)
+        dn1 = np.add.reduceat(failed * self.cause1, self.starts, axis=1).astype(np.float64)
+        return CellProcess(self.times, dn1, dn, at_risk.astype(np.float64), size)
 
 
 @dataclass(frozen=True)
@@ -163,7 +174,11 @@ _PRESORTED: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def presort(data: Dataset) -> Presorted:
-    """The dataset's ``Presorted``, built on first use and kept while the dataset lives."""
+    """The dataset's ``Presorted``, built on first use.
+
+    It is kept while the dataset lives and until another dataset is
+    presorted: replicates of one sample at a time need no more.
+    """
     out = _PRESORTED.get(data)
     if out is None:
         cells = {
@@ -175,29 +190,20 @@ def presort(data: Dataset) -> Presorted:
             _by_y(data, np.flatnonzero((data.z == zi) & (data.event == 1)))
             for zi in range(data.n_treatment_levels)
         ]
+        _PRESORTED.clear()
         out = _PRESORTED[data] = Presorted(cells, cause1)
     return out
 
 
-def build_counting_processes(data: Dataset, counts: np.ndarray | None = None) -> CountingProcesses:
-    """Counting processes of every cell; ``counts`` gives each record's multiplicity.
+def build_counting_processes(data: Dataset) -> CountingProcesses:
+    """Counting processes of every cell, each record counted once.
 
-    ``counts=None`` counts every record once.  With counts, a cell that is
-    not declared a structural zero but holds no counted record raises
-    ``DataValidationError``, as a dataset with that cell empty would.
+    A count-weighted replicate's come from ``presort(data)``'s cells.
     """
     cells: dict[CellIndex, CellProcess] = {}
     for cell in data.cells():
-        if counts is None or cell in data.structural_zeros:
-            mask = data.cell_mask(cell)
-            cells[cell] = _cell_process(data.y[mask], data.event[mask])
-        else:
-            cells[cell] = presort(data).cells[cell].process(counts)
-    if counts is not None:
-        occupied = np.zeros((data.n_treatment_levels, data.n_instrument_levels), dtype=bool)
-        for cell, proc in cells.items():
-            occupied[cell] = proc.size > 0
-        data.check_occupancy(occupied)
+        mask = data.cell_mask(cell)
+        cells[cell] = _cell_process(data.y[mask], data.event[mask])
     inst_sizes = {
         wi: sum(c.size for cell, c in cells.items() if cell.w == wi) for wi in range(data.n_instrument_levels)
     }
@@ -227,16 +233,28 @@ def incidence_from(proc: CellProcess, cause: int) -> StepFunction:
     """
     if cause not in (1, 2):
         raise ValueError("cause must be 1 or 2")
-    if proc.times.size == 0:
-        return StepFunction(np.empty(0), np.empty(0), 0.0)
-    surv = np.cumprod(1.0 - proc.dn / proc.at_risk)
-    surv_left = np.concatenate(([1.0], surv[:-1]))
     dnj = proc.dn1 if cause == 1 else proc.dn - proc.dn1
-    inc = np.cumsum(surv_left * dnj / proc.at_risk)
     keep = dnj > 0
-    if not keep.any():
-        return StepFunction(np.empty(0), np.empty(0), 0.0)
-    return StepFunction(proc.times[keep], inc[keep], 0.0)
+    return StepFunction(proc.times[keep], incidence_values(proc, dnj)[keep], 0.0)
+
+
+def incidence_values(proc: CellProcess, dnj: np.ndarray) -> np.ndarray:
+    """The cumulative incidence of the failures dnj at each of proc's times, along the last axis.
+
+    A time with dN = 0 (a block's sample failure time that no counted
+    record fails at, where Y may be 0 too) multiplies the survival by
+    exactly 1 and adds exactly 0.
+    """
+    surv = np.divide(proc.dn, proc.at_risk, out=np.zeros(proc.dn.shape), where=proc.dn > 0)
+    np.subtract(1.0, surv, out=surv)
+    np.cumprod(surv, axis=-1, out=surv)
+    # S(s-) dN_j(s): the survival just before s, 1 before the first time
+    inc = np.empty(dnj.shape)
+    inc[..., :1] = dnj[..., :1]
+    np.multiply(surv[..., :-1], dnj[..., 1:], out=inc[..., 1:])
+    del surv
+    np.divide(inc, proc.at_risk, out=inc, where=inc > 0)
+    return np.cumsum(inc, axis=-1, out=inc)
 
 
 def aalen_johansen_incidence(

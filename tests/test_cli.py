@@ -559,3 +559,52 @@ def test_mc_coverage_and_thread_invariance(tmp_path):
     cov = (a / "mc_coverage.csv").read_text().splitlines()
     assert cov[0] == "u,coverage,hits,n_valid"
     assert len(cov) == 9
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_mc_fits_each_repetition_once(tmp_path, monkeypatch, seed):
+    # the coverage pass bands mc_study's own data and fits: one point fit per
+    # repetition, and mc_coverage.csv as a pass that generates and fits again
+    import crqiv.estimator
+    import crqiv.inference
+    from crqiv.inference import BootstrapConfig, coverage_study
+    from crqiv.simulate import DgpSpec
+
+    calls = []
+    real = crqiv.estimator.fit_curve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    out = tmp_path / "mc"
+    with monkeypatch.context() as mp:
+        mp.setattr(crqiv.estimator, "fit_curve", counted)
+        mp.setattr(crqiv.inference, "fit_curve", counted)
+        assert run(["mc", "--design", 2, "--n", 2000, "--reps", 3, "--grid", 20,
+                    "--boot-draws", 10, "--seed", seed, "--out", out]) == 0
+    assert len(calls) == 3
+    grid = crqiv.estimator.QuantileGrid.default(20)
+    again = coverage_study(DgpSpec(2, 2000, seed), 3, BootstrapConfig(draws=10, seed=seed), grid=grid)
+    _write_csv(tmp_path / "again.csv", ["u", "coverage", "hits", "n_valid"], again.rows())
+    assert (out / "mc_coverage.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
+
+
+def test_band_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # design 2 at n = 3e4 has cells above 10,000 records, where OpenBLAS
+    # splits a long dot product across its threads; the band's moments are
+    # fixed-order reductions, so one and two threads write the same bytes
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 or more CPUs: on one, OpenBLAS runs one thread whatever it is told")
+    assert run(["simulate", "--design", 2, "--n", 30_000, "--seed", 1, "--out", tmp_path]) == 0
+    src = str(Path(crqiv.__file__).resolve().parents[1])
+    bands = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "crqiv.cli", "estimate", "--data", str(tmp_path / "data.csv"),
+                        "--grid", "20", "--boot-draws", "8", "--seed", "1", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        bands.append((out / "band.csv").read_bytes())
+    assert bands[0] == bands[1]

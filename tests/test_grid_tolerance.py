@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from crqiv.estimator import QuantileGrid, fit_curve
-from crqiv.inference import BootstrapConfig, bootstrap_band
+from crqiv.inference import BootstrapConfig
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import smooth
 from crqiv.surface import assemble_surface
 from crqiv.survival import aalen_johansen_cause1, build_counting_processes
+from tests._reference_band import reference_band
 from tests._synthetic import surface_on_union_grid
 
 SURFACE_TOL = 5e-4  # S1_hat(t, z | w) at every knot of either grid
@@ -77,7 +78,7 @@ def test_bootstrap_band_within_tolerance_of_jump_merged(seed):
         return lambda d, **kw: fit_curve(d, surface=make_surface(d), stop_at_frontier=True, **kw)
 
     got, want = (
-        bootstrap_band(data, boot, fit_fn=fit_on(make), grid=grid)
+        reference_band(data, boot, fit_fn=fit_on(make), grid=grid)
         for make in (assemble_surface, lambda d: jump_merged_surface(d, "local_linear"))
     )
     low = grid.points <= 0.05

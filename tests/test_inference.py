@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crqiv import inference
 from crqiv.data import Dataset
 from crqiv.estimator import EstimationError, QuantileGrid, fit_curve
 from crqiv.inference import (
@@ -132,7 +133,7 @@ def test_band_inherits_grid_from_precomputed_fit(small_band):
         bootstrap_band(data, boot, fit=fit, grid=QuantileGrid.default(7))
 
 
-def test_zero_width_band_from_constant_fit_fn(small_band):
+def test_zero_width_band_from_constant_replicates(small_band, monkeypatch):
     data, _, _ = small_band
 
     class FixedFit:
@@ -142,27 +143,35 @@ def test_zero_width_band_from_constant_fit_fn(small_band):
         def qte(self, a=1, b=0):
             return np.full(GRID13.size, -0.25)
 
-    band = bootstrap_band(data, BootstrapConfig(draws=10, seed=0), fit_fn=lambda d: FixedFit())
+    monkeypatch.setattr(inference, "fit_replicates", lambda d, counts, **kw: [FixedFit()] * len(counts))
+    band = bootstrap_band(data, BootstrapConfig(draws=10, seed=0), fit=FixedFit())
     assert np.all(band.lower == -0.25)
     assert np.all(band.upper == -0.25)
     assert band.raw_containment == 1.0
     assert band.n_failed_replicates == 0
 
 
-def test_failed_replicates_counted(small_band):
+def replace_rows(monkeypatch, make):
+    """Route the band's replicate fits through make(replicate index, its fit or error)."""
+    real, seen = inference.fit_replicates, []
+
+    def patched(data, counts, **kw):
+        out = []
+        for fit in real(data, counts, **kw):
+            out.append(make(len(seen), fit))
+            seen.append(1)
+        return out
+
+    monkeypatch.setattr(inference, "fit_replicates", patched)
+
+
+def test_failed_replicates_counted(small_band, monkeypatch):
     data, _, _ = small_band
-    calls = {"n": 0}
-    real_fit = lambda d, **kw: fit_curve(d, grid=GRID13, stop_at_frontier=True, **kw)
-
-    def flaky(d, **kw):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise EstimationError("synthetic failure")
-        return real_fit(d, **kw)
-
-    band = bootstrap_band(data, BootstrapConfig(draws=12, seed=5), fit_fn=flaky)
+    # three blocks of four replicates; every third replicate fails
+    monkeypatch.setattr(inference, "BLOCK_BYTES", 8 * 4 * (data.n + 512))
+    replace_rows(monkeypatch, lambda b, fit: EstimationError("synthetic failure") if b % 3 == 1 else fit)
+    band = bootstrap_band(data, BootstrapConfig(draws=12, seed=5), grid=GRID13)
     assert band.n_failed_replicates == 4
-    # the first call is the full-sample fit, so replicates 1, 4, 7 and 10 fail
     assert band.failures == [(b, "synthetic failure") for b in (1, 4, 7, 10)]
     assert any("failed" in note for note in band.notes)
 
@@ -195,11 +204,10 @@ def test_thin_cell_resample_is_a_failed_replicate():
     assert f"first failed replicate: {first}: {reason}" in band.notes
 
 
-def test_replicate_reporting_no_point_is_not_a_failure(small_band):
+def test_replicate_reporting_no_point_is_not_a_failure(small_band, monkeypatch):
     # a replicate that fits but whose frontier comes at the first grid point
     # reports nothing; the band is then invalid there, with nothing dropped
     data, _, _ = small_band
-    calls = {"n": 0}
 
     class NoPoint:
         grid = GRID13
@@ -207,16 +215,15 @@ def test_replicate_reporting_no_point_is_not_a_failure(small_band):
         def qte(self, a=1, b=0):
             return np.full(GRID13.size, np.nan)
 
-    def every_other(d, **kw):
-        calls["n"] += 1
-        return NoPoint() if calls["n"] % 2 else fit_curve(d, grid=GRID13, stop_at_frontier=True)
-
     first = fit_curve(data, grid=GRID13, stop_at_frontier=True)
-    half = bootstrap_band(data, BootstrapConfig(draws=6, seed=0), fit=first, fit_fn=every_other)
+    with monkeypatch.context() as mp:
+        replace_rows(mp, lambda b, fit: fit if b % 2 else NoPoint())
+        half = bootstrap_band(data, BootstrapConfig(draws=6, seed=0), fit=first)
     assert half.n_failed_replicates == 0 and half.failures == []
     assert half.n_reported.max() == 3
     assert not any("failed" in note for note in half.notes)
-    none = bootstrap_band(data, BootstrapConfig(draws=6, seed=0), fit=first, fit_fn=lambda d, **kw: NoPoint())
+    replace_rows(monkeypatch, lambda b, fit: NoPoint())
+    none = bootstrap_band(data, BootstrapConfig(draws=6, seed=0), fit=first)
     assert none.n_failed_replicates == 0 and none.failures == []
     assert not none.valid.any() and (none.n_reported == 0).all()
     assert np.isnan(none.lower).all() and np.isnan(none.upper).all()
@@ -239,15 +246,12 @@ def test_thin_cell_and_level_errors_name_them():
         fit_curve(sparse, bandwidth=0.3)
 
 
-def test_all_replicates_failing_raises(small_band):
+def test_all_replicates_failing_raises(small_band, monkeypatch):
     data, _, _ = small_band
-
-    def always_fail(d, **kw):
-        raise EstimationError("nope")
-
     first = fit_curve(data, grid=GRID13, stop_at_frontier=True)
+    replace_rows(monkeypatch, lambda b, fit: EstimationError("nope"))
     with pytest.raises(RuntimeError, match="every bootstrap replicate failed"):
-        bootstrap_band(data, BootstrapConfig(draws=5, seed=0), fit=first, fit_fn=always_fail)
+        bootstrap_band(data, BootstrapConfig(draws=5, seed=0), fit=first)
 
 
 def test_contrast_negation(small_band):

@@ -1,48 +1,33 @@
-"""Bootstrap replicates fitted as record counts against resampled datasets.
+"""Bootstrap replicates fitted as blocks of record counts.
 
-The reference fitter is handed a ``Dataset`` built by ``resample`` for
-every replicate; the default fitter gets the same draw as per-record
-counts on the one presorted sample. Both must give the same band to
-1e-10 and fail on the same replicates for the same reasons.
+``bootstrap_band`` fits ``block_size(n)`` replicates at a time as one
+(B, n) count matrix.  Its band must equal the one-replicate-at-a-time
+reference (``tests/_reference_band.py``) to 1e-10 when each replicate is
+a resampled ``Dataset``, and bit for bit when each is a count block of one
+row; both must fail on the same replicates for the same reasons.
 """
 
 import numpy as np
 import pytest
 
 from crqiv import inference
-from crqiv.data import Dataset, resample
-from crqiv.estimator import QuantileGrid, WeightingPolicy, fit_curve
-from crqiv.inference import BootstrapConfig, bootstrap_band
+from crqiv.data import DataValidationError, Dataset, resample
+from crqiv.estimator import EstimationError, QuantileGrid, WeightingPolicy, fit_curve, fit_replicates
+from crqiv.inference import BootstrapConfig, block_size, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
-from crqiv.smoothing import default_bandwidth
-from crqiv.survival import build_counting_processes
+from crqiv.smoothing import bandwidth_rows, default_bandwidth, rule_of_thumb_bandwidth
+from crqiv.survival import build_counting_processes, presort
 
 from test_inference import thin_cell_data
-
-
-def reference_fit(data, **kw):
-    return fit_curve(data, stop_at_frontier=True, **kw)
-
-
-def never(*args, **kwargs):
-    raise AssertionError("the default band resampled a replicate")
+from tests._reference_band import assert_same_band, reference_band
 
 
 def compare(data, boot, **kw):
-    """Both bands, after checking that they agree; the weights path must not resample."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "resample", never)
-        weighted = bootstrap_band(data, boot, **kw)
-    ref = bootstrap_band(data, boot, fit_fn=reference_fit, **kw)
-    for a, b in ((weighted.lower, ref.lower), (weighted.point, ref.point), (weighted.upper, ref.upper)):
-        assert np.array_equal(np.isnan(a), np.isnan(b))
-        ok = ~np.isnan(a)
-        assert np.abs(a[ok] - b[ok]).max(initial=0.0) <= 1e-10
-    assert np.array_equal(weighted.n_reported, ref.n_reported)
-    assert np.array_equal(weighted.valid, ref.valid)
-    assert weighted.n_failed_replicates == ref.n_failed_replicates
-    assert weighted.failures == ref.failures
-    return weighted, ref
+    """The band, after checking it against both one-at-a-time references."""
+    band = bootstrap_band(data, boot, **kw)
+    assert_same_band(band, reference_band(data, boot, **kw), tol=1e-10)
+    assert_same_band(band, reference_band(data, boot, counts=True, **kw))
+    return band
 
 
 def three_by_three(n=3000, seed=0):
@@ -73,7 +58,7 @@ def no_structural_zero(n=2000, seed=0):
 @pytest.mark.parametrize("design", [1, 2])
 def test_designs_at_n2000(design):
     data, _ = generate(DgpSpec(design=design, n=2_000, seed=0))
-    band, _ = compare(data, BootstrapConfig(draws=20, seed=0), grid=QuantileGrid.default(50))
+    band = compare(data, BootstrapConfig(draws=20, seed=0), grid=QuantileGrid.default(50))
     assert band.valid.sum() >= 10
 
 
@@ -84,26 +69,20 @@ def test_estimate_boot_settings(seed):
     grid = QuantileGrid.default(100)
     fit = fit_curve(data, grid=grid)
     boot = BootstrapConfig(draws=40, seed=1)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "resample", never)
-        weighted = bootstrap_band(data, boot, fit=fit)
-    ref = bootstrap_band(data, boot, fit=fit, fit_fn=reference_fit, grid=grid)
-    assert np.array_equal(weighted.n_reported, ref.n_reported)
-    assert np.array_equal(weighted.valid, ref.valid)
-    assert weighted.n_failed_replicates == ref.n_failed_replicates == 0
-    ok = weighted.valid
-    assert ok.sum() >= 20
-    assert np.abs(weighted.lower[ok] - ref.lower[ok]).max() <= 1e-10
-    assert np.abs(weighted.upper[ok] - ref.upper[ok]).max() <= 1e-10
+    band = bootstrap_band(data, boot, fit=fit)
+    assert_same_band(band, reference_band(data, boot, fit=fit, grid=grid), tol=1e-10)
+    assert_same_band(band, reference_band(data, boot, fit=fit, grid=grid, counts=True))
+    assert band.n_failed_replicates == 0
+    assert band.valid.sum() >= 20
 
 
 def test_triangular_three_levels():
-    band, _ = compare(three_by_three(), BootstrapConfig(draws=20, seed=0), grid=QuantileGrid.default(30))
+    band = compare(three_by_three(), BootstrapConfig(draws=20, seed=0), grid=QuantileGrid.default(30))
     assert band.valid.any()
 
 
 def test_gauss_newton_path():
-    band, _ = compare(no_structural_zero(), BootstrapConfig(draws=12, seed=0), grid=QuantileGrid.default(20))
+    band = compare(no_structural_zero(), BootstrapConfig(draws=12, seed=0), grid=QuantileGrid.default(20))
     assert band.valid.any()
 
 
@@ -125,42 +104,107 @@ def test_constant_weighting():
 
 
 def test_thin_cell_failures_match():
-    band, _ = compare(thin_cell_data(), BootstrapConfig(draws=40, seed=1), grid=QuantileGrid.default(50))
+    band = compare(thin_cell_data(), BootstrapConfig(draws=40, seed=1), grid=QuantileGrid.default(50))
     reasons = {reason.split(";")[0].split(":")[0] for _, reason in band.failures}
     # emptied cells and cells too thin for the bandwidth rule both occur
     assert reasons == {"empty cell (z=0, w=1)", "cell (treatment 0, instrument 1)"}
 
 
-def test_sparse_primary_cause_level_failures_match():
-    # three primary-cause events at treatment level 1: some replicates keep
-    # none of them, or copies of one, so its support bound or cushion fails
+def sparse_level_data():
+    """Design 2 at n=600 with three primary-cause events left at treatment level 1."""
     data, _ = generate(DgpSpec(design=2, n=600, seed=0))
     e = data.event.copy()
     level1 = np.flatnonzero((data.z == 1) & (data.event == 1))
     e[level1[3:]] = 2
-    sparse = Dataset(data.y, e, data.z, data.w, [0, 1], [0, 1], structural_zeros=data.structural_zeros)
-    band, _ = compare(sparse, BootstrapConfig(draws=40, seed=0), grid=QuantileGrid.default(20))
+    return Dataset(data.y, e, data.z, data.w, [0, 1], [0, 1], structural_zeros=data.structural_zeros)
+
+
+def test_sparse_primary_cause_level_failures_match():
+    # some replicates keep none of the three events, or copies of one, so
+    # its support bound or cushion fails
+    band = compare(sparse_level_data(), BootstrapConfig(draws=40, seed=0), grid=QuantileGrid.default(20))
     reasons = " ".join(reason for _, reason in band.failures)
     assert "treatment level 1 has no primary-cause events" in reasons
     assert "frontier cushion at treatment level 1" in reasons
 
 
-def test_callable_bandwidth_resamples():
+def test_block_size_budget():
+    # every (B, n + 512) float64 working array of a block fits the budget,
+    # or the block is one replicate
+    assert [block_size(n) for n in (2_000, 10_000, 100_000, 10**6)] == [13, 3, 1, 1]
+    for n in (2_000, 10_000, 30_000):
+        assert 8 * block_size(n) * (n + 512) <= inference.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("make, draws", [(thin_cell_data, 40), (sparse_level_data, 40), (three_by_three, 9)])
+def test_band_bits_do_not_depend_on_block_size(make, draws, monkeypatch):
+    data = make()
+    boot = BootstrapConfig(draws=draws, seed=1)
+    grid = QuantileGrid.default(30)
+    bands = []
+    for B in (1, 3, draws):
+        monkeypatch.setattr(inference, "BLOCK_BYTES", 8 * B * (data.n + 512))
+        assert block_size(data.n) == B
+        bands.append(bootstrap_band(data, boot, grid=grid))
+    for band in bands[1:]:
+        assert_same_band(band, bands[0])
+
+
+def test_failing_rows_inside_a_block():
+    # one block: healthy rows beside rows that empty a cell, leave a cell
+    # too thin for the bandwidth rule, leave treatment level 1 without
+    # primary-cause events, or leave it one for the cushion
+    data = thin_cell_data()
+    thin = np.flatnonzero(data.cell_mask((0, 1)))
+    level1 = np.flatnonzero((data.z == 1) & (data.event == 1))
+    rng = np.random.default_rng(3)
+    rows = [np.bincount(rng.integers(0, data.n, data.n), minlength=data.n) for _ in range(6)]
+    for row in rows:
+        row[thin] = 1  # the thin cell's three records once each: enough for the rule
+    rows[1][thin] = 0  # empty cell (0, 1)
+    rows[2][thin] = [2, 0, 0]  # one record of it, twice: zero spread
+    rows[3][thin] = [1, 0, 0]  # one record of it: fewer than 2
+    rows[4][level1] = 0  # no primary-cause event at level 1
+    rows[5][level1] = 0
+    rows[5][level1[0]] = 3  # one event at level 1, thrice: no spread for the cushion
+    counts = np.stack(rows + [np.ones(data.n, np.int64)])
+    grid = QuantileGrid.default(30)
+    fits = fit_replicates(data, counts, grid, stop_at_frontier=True)
+    kinds = [type(f) for f in fits]
+    assert kinds[1] is DataValidationError and kinds[4] is kinds[5] is EstimationError
+    texts = [None if not isinstance(f, Exception) else str(f) for f in fits]
+    assert texts[2].startswith("cell (treatment 0, instrument 1): degenerate sample")
+    assert texts[3].startswith("cell (treatment 0, instrument 1): bandwidth rule needs at least 2")
+    assert "frontier cushion at treatment level 1" in texts[5]
+    for b, c in enumerate(counts):
+        def resampled():
+            re = Dataset(data.y.repeat(c), data.event.repeat(c), data.z.repeat(c), data.w.repeat(c),
+                         data.treatment_levels, data.instrument_levels, structural_zeros=data.structural_zeros)
+            return fit_curve(re, grid=grid, stop_at_frontier=True)
+
+        if texts[b] is not None:
+            for fitter in (resampled,
+                           lambda: fit_curve(data, grid=grid, stop_at_frontier=True, counts=c)):
+                with pytest.raises((DataValidationError, EstimationError)) as exc:
+                    fitter()
+                assert str(exc.value) == texts[b]
+            continue
+        alone = fit_curve(data, grid=grid, stop_at_frontier=True, counts=c)
+        assert fits[b].theta.tobytes() == alone.theta.tobytes()
+        assert fits[b].reported_mask.tobytes() == alone.reported_mask.tobytes()
+        ref = resampled()
+        assert np.array_equal(fits[b].reported_mask, ref.reported_mask)
+        rep = fits[b].reported_mask
+        assert np.abs(fits[b].theta[rep] - ref.theta[rep]).max(initial=0.0) <= 1e-10
+    assert [t is None for t in texts] == [True, False, False, False, False, False, True]
+
+
+def test_callable_bandwidth_is_rejected():
     # a callable bandwidth needs each replicate as a dataset
     data, _ = generate(DgpSpec(design=2, n=800, seed=0))
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return resample(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "resample", counted)
-        band = bootstrap_band(data, BootstrapConfig(draws=5, seed=0), grid=QuantileGrid.default(20),
-                              bandwidth=lambda d, cell: 0.05)
-    assert len(calls) == 5
-    ref = bootstrap_band(data, BootstrapConfig(draws=5, seed=0), grid=QuantileGrid.default(20), bandwidth=0.05)
-    assert np.array_equal(band.lower, ref.lower, equal_nan=True)
+    with pytest.raises(ValueError, match="callable bandwidth"):
+        bootstrap_band(data, BootstrapConfig(draws=5, seed=0), grid=QuantileGrid.default(20),
+                       bandwidth=lambda d, cell: 0.05)
     # counts on the full sample would hand the callable the wrong records
     with pytest.raises(ValueError, match="callable bandwidth"):
         fit_curve(data, bandwidth=lambda d, cell: 0.05, counts=np.ones(data.n, dtype=np.int64))
@@ -168,21 +212,23 @@ def test_callable_bandwidth_resamples():
 
 def test_counts_reproduce_the_resampled_statistics():
     data, _ = generate(DgpSpec(design=2, n=1_500, seed=5))
-    rng = np.random.default_rng(7)
-    idx = rng.integers(0, data.n, data.n)
-    counts = np.bincount(idx, minlength=data.n)
-    re = resample(data, np.random.default_rng(7))
-    weighted, direct = build_counting_processes(data, counts), build_counting_processes(re)
-    assert weighted.instrument_sizes == direct.instrument_sizes
-    for cell in data.cells():
-        a, b = weighted.cell(cell), direct.cell(cell)
-        assert a.size == b.size
-        for x, y in ((a.times, b.times), (a.dn, b.dn), (a.dn1, b.dn1), (a.at_risk, b.at_risk)):
-            assert x.tobytes() == y.tobytes()
+    draws = [np.random.default_rng(s).integers(0, data.n, data.n) for s in (7, 8, 9)]
+    counts = np.stack([np.bincount(idx, minlength=data.n) for idx in draws])
+    for cell, sc in presort(data).cells.items():
+        block = sc.process(counts)
+        for b in range(len(counts)):
+            re = resample(data, np.random.default_rng(7 + b))
+            direct = build_counting_processes(re).cell(cell)
+            keep = block.dn[b] > 0  # a time no counted record fails at is no time of the replicate
+            assert block.size[b] == direct.size
+            for x, y in ((block.times[keep], direct.times), (block.dn[b, keep], direct.dn),
+                         (block.dn1[b, keep], direct.dn1), (block.at_risk[b, keep], direct.at_risk)):
+                assert x.tobytes() == y.tobytes()
     # the bandwidth rule's quartiles are numpy's to the bit; its sd to rounding
+    re = resample(data, np.random.default_rng(7))
     mask = data.cell_mask((0, 1))
     order = np.argsort(data.y[mask], kind="stable")
-    h = default_bandwidth(data.y[mask][order], counts[mask][order])
+    h = default_bandwidth(data.y[mask][order], counts[0][mask][order])
     assert h == pytest.approx(default_bandwidth(re.y[re.cell_mask((0, 1))]), rel=1e-13)
     ties = np.array([0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 0.7])
     c = np.array([3, 0, 2, 1, 0, 4, 1])
@@ -191,3 +237,23 @@ def test_counts_reproduce_the_resampled_statistics():
         default_bandwidth(ties, np.array([2, 5, 0, 0, 0, 0, 0]))
     with pytest.raises(ValueError, match="at least 2"):
         default_bandwidth(ties, np.array([0, 0, 0, 1, 0, 0, 0]))
+
+
+def test_weighted_moments_are_fixed_order_reductions():
+    # the rule's mean and sd are plain left-to-right ufunc reductions of
+    # contiguous 1-D arrays, never a BLAS dot product, so a row's bits
+    # depend neither on the thread count nor on the other rows of a block
+    rng = np.random.default_rng(11)
+    for size in (7, 300, 5_000, 40_000):
+        x = np.sort(rng.gamma(2.0, size=size))
+        counts = rng.integers(0, 4, (4, size))
+        h, reasons = bandwidth_rows(x, counts)
+        for b, c in enumerate(counts):
+            m = int(c.sum())
+            mean = float(np.add.reduce(np.ascontiguousarray(c * x))) / m
+            sq = np.ascontiguousarray(c * (x - mean) ** 2)
+            sd = float(np.sqrt(np.add.reduce(sq) / (m - 1)))
+            q75, q25 = np.percentile(np.repeat(x, c), [75.0, 25.0])
+            want = rule_of_thumb_bandwidth(min(sd, (q75 - q25) / 1.349), m)
+            assert reasons[b] is None
+            assert h[b] == want == default_bandwidth(x, c)

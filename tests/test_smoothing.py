@@ -207,12 +207,8 @@ def test_smoothed_curve_is_plain_interpolator():
 # -- convolution kind against its one-knot-at-a-time reference ----------------
 
 
-def convolution_loop(step, bandwidth, knots, t_max=None):
-    """The convolution smoother knot by knot: each window's jumps weighted by K's CDF.
-
-    Takes ``_smooth_convolution``'s arguments; ``t_max`` (the abscissa scale)
-    does not enter.
-    """
+def convolution_loop(step, bandwidth, knots):
+    """The convolution smoother knot by knot: each window's jumps weighted by K's CDF."""
     jumps = step.jump_times
     padded = np.concatenate(([step.value_at_zero], step.values))
     deltas = np.diff(padded)
@@ -229,6 +225,16 @@ def convolution_loop(step, bandwidth, knots, t_max=None):
             g = epanechnikov_cdf((t - jumps[jlo:jhi]) / ht)
             base = base + float(np.dot(deltas[jlo:jhi], g))
         out[i] = base
+    return out
+
+
+def convolution_loop_rows(jumps, padded, bandwidth, knots, t_max):
+    """``convolution_loop`` row by row, on ``_smooth_convolution``'s padded rows."""
+    out = np.empty(knots.shape)
+    for b, row in enumerate(jumps):
+        own = np.isfinite(row)
+        step = StepFunction(row[own], padded[b, 1 : 1 + own.sum()], padded[b, 0])
+        out[b] = convolution_loop(step, bandwidth[b], knots[b])
     return out
 
 
@@ -308,7 +314,7 @@ def test_convolution_fit_and_band_match_knot_loop(monkeypatch):
     boot = BootstrapConfig(draws=10, seed=0)
     fit = fit_curve(data, **kwargs)
     band = bootstrap_band(data, boot, fit=fit, **kwargs)
-    monkeypatch.setattr(smoothing, "_smooth_convolution", convolution_loop)
+    monkeypatch.setattr(smoothing, "_smooth_convolution", convolution_loop_rows)
     ref = fit_curve(data, **kwargs)
     ref_band = bootstrap_band(data, boot, fit=ref, **kwargs)
     assert fit.frontiers.u_hat == ref.frontiers.u_hat

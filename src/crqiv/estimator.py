@@ -420,7 +420,6 @@ def fit_curve(
     kind: str = "local_linear",
     stop_at_frontier: bool = False,
     surface: SmoothedSurvivalSurface | None = None,
-    counts: np.ndarray | None = None,
 ) -> QuantileCurveFit:
     """Solve the instrumental system at every point of the quantile grid.
 
@@ -447,24 +446,13 @@ def fit_curve(
     the first point that hits the frontier cushion are left NaN, which is
     enough for anything that only consumes reported points.
 
-    ``counts`` gives each record's multiplicity, so that a bootstrap
-    replicate is fitted on the sample itself with no resampled copy; None
-    counts every record once.  It enters every sample statistic: the
-    surface, the support bounds and the cushions.  Such a fit is
-    ``fit_replicates``' block of one row, and takes no ``surface``.
+    Count-weighted replicates of the data take ``fit_replicates``.
 
     The fit keeps the surface it solved on, the one given or the one
     built, as ``fit.surface``, so outer sets and diagnostics taken after
     the fit need not build it again.
     """
     grid = grid or QuantileGrid.default()
-    if counts is not None:
-        if surface is not None:
-            raise ValueError("a surface cannot be given with counts; the counts build it")
-        (fit,) = fit_replicates(data, np.asarray(counts)[None], grid, V, bandwidth, delta, kind, stop_at_frontier)
-        if isinstance(fit, Exception):
-            raise fit
-        return fit
     if surface is None:
         surface = assemble_surface(data, bandwidth=bandwidth, kind=kind)
     y_hat = estimate_y1(data)

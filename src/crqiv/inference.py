@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rng import stream, substream_seed
 from .data import Dataset
-from .estimator import fit_curve, fit_replicates
+from .estimator import QuantileGrid, fit_curve, fit_replicates
 
 __all__ = [
     "BootstrapConfig",
@@ -270,9 +270,10 @@ def coverage_study(
     simulation spec it defaults to the design's true ``contrast``, and it is
     required otherwise. ``band_fn`` replaces the band constructor (same
     signature as bootstrap_band).  ``fits`` may carry each repetition's
-    full-sample fit, such as ``McResult.fits`` of the same spec and grid:
+    full-sample fit, ``McResult.fits`` of the same spec and fit settings:
     each band then takes it as its point estimate instead of fitting the
-    repetition's data again.
+    repetition's data again.  There must be one per repetition, each on
+    the bands' grid.
     Repetitions run in turn, each with its own data and bootstrap seeds
     derived from its index.
     """
@@ -281,6 +282,11 @@ def coverage_study(
     boot = boot or BootstrapConfig()
     if band_fn is None:
         band_fn = bootstrap_band
+    if fits is not None:
+        if len(fits) != reps:
+            raise ValueError(f"fits holds {len(fits)} fits for {reps} repetitions")
+        # the band checks each fit's grid against this one
+        fit_kwargs.setdefault("grid", QuantileGrid.default())
 
     if callable(dgp):
         if truth is None:

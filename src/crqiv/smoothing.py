@@ -63,22 +63,14 @@ def rule_of_thumb_bandwidth(sigma: float, n: int) -> float:
     return 2.34 * float(sigma) * float(n) ** (-0.2)
 
 
-def default_bandwidth(sample, counts=None) -> float:
+def default_bandwidth(sample) -> float:
     """Rule-of-thumb bandwidth with robust scale min(sd, IQR/1.349).
 
-    ``counts`` gives each sample point's multiplicity, as in a bootstrap
-    replicate; the sample must then be in ascending order, and the
-    quartiles are its exact order statistics under numpy's default
-    ``linear`` percentile rule.  Raises ValueError on degenerate samples
-    (fewer than 2 points or zero spread); pass an explicit bandwidth in
-    that case.
+    Raises ValueError on degenerate samples (fewer than 2 points or zero
+    spread); pass an explicit bandwidth in that case.  Count-weighted
+    samples take ``bandwidth_rows``.
     """
     x = np.asarray(sample, dtype=np.float64).ravel()
-    if counts is not None:
-        (h,), (reason,) = bandwidth_rows(x, np.asarray(counts)[None])
-        if reason:
-            raise ValueError(reason)
-        return float(h)
     if x.size < 2:
         raise ValueError(_TOO_FEW)
     sd = float(np.std(x, ddof=1))
@@ -97,9 +89,11 @@ def bandwidth_rows(x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, list]
     """``default_bandwidth`` of ascending ``x`` under each row of counts (B, n).
 
     Returns the B bandwidths, NaN where the rule fails, and per row the
-    reason it fails or None.  The moments are fixed-order ufunc
-    reductions, one row at a time along the last axis, so each row's bits
-    do not depend on B or on how many threads a BLAS library would use.
+    reason it fails or None.  The quartiles are each row's exact order
+    statistics under numpy's default ``linear`` percentile rule.  The
+    moments are fixed-order ufunc reductions, one row at a time along the
+    last axis, so each row's bits do not depend on B or on how many
+    threads a BLAS library would use.
     """
     size = counts.sum(axis=1)
     h = np.full(size.shape, np.nan)
@@ -128,8 +122,8 @@ def _weighted_percentile(x: np.ndarray, cum: np.ndarray, size: np.ndarray, q: fl
     """
     virtual = (size - 1) * q
     lo = np.floor(virtual).astype(np.intp)
-    # searchsorted(cum, v, side="right") per row, counted on the whole row at once
-    a, b = (x[np.count_nonzero(cum <= v[:, None], axis=1)] for v in (lo, lo + 1))
+    # the first position whose cumulative count passes v, in each row
+    a, b = (x[_rows_searchsorted(cum, v[:, None], "right")[:, 0]] for v in (lo, lo + 1))
     gamma = virtual - lo
     diff = b - a
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
@@ -142,7 +136,7 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _rows_searchsorted(a: np.ndarray, v: np.ndarray, side: str = "left") -> np.ndarray:
     """``np.searchsorted`` of each row of v (B, Q) in the same row of a (B, P)."""
-    return np.stack([np.searchsorted(ar, vr, side) for ar, vr in zip(a, v)])
+    return np.array([np.searchsorted(ar, vr, side) for ar, vr in zip(a, v)], dtype=np.intp).reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,7 @@ def _window_sums(x, w, t, lo, hi, degree: int, width=None) -> list:
 
     Rows are independent: x and w are (B, P), each row of x ascending (a
     row may end in padding above every window), and t, lo and hi are
-    (B, Q); 1-D arguments are one row, and w = None weighs every point 1.
+    (B, Q); w = None weighs every point 1.
     A row of ascending ``x`` is cut into blocks [b width, (b + 1) width),
     with ``width`` one value per row, or is one block from 0 without it.
     A window's piece in each block expands binomially about the block's
@@ -172,9 +166,6 @@ def _window_sums(x, w, t, lo, hi, degree: int, width=None) -> list:
     eps |w| width^p whatever the range of x.  Prefix sums run along each
     row, so every row gets the bits it would get alone.
     """
-    if np.ndim(x) == 1:
-        x, w, t, lo, hi, width = (a if a is None else np.asarray(a)[None] for a in (x, w, t, lo, hi, width))
-        return [s[0] for s in _window_sums(x, w, t, lo, hi, degree, width)]
     B, P = x.shape
     if P == 0:
         return [np.zeros(t.shape) for _ in range(degree + 1)]
@@ -298,7 +289,7 @@ def left_pack(mask: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
     """Each row's values under mask (B, P), packed left in a (B, largest count) array padded with fill."""
     values = np.broadcast_to(values, mask.shape)
     if len(mask) == 1:
-        return values[mask][None]
+        return np.compress(mask[0], values, axis=1)
     size = mask.sum(axis=1)
     out = np.full((len(mask), size.max(initial=0)), fill)
     out[np.arange(out.shape[1]) < size[:, None]] = values[mask]

@@ -15,13 +15,14 @@ size.  Cells declared structurally unreachable are rows of zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .data import CellIndex, DataValidationError, Dataset
-from .smoothing import bandwidth_rows, default_bandwidth, left_pack, smooth_rows
+from .smoothing import bandwidth_rows, default_bandwidth, left_pack, smooth, smooth_rows
 from .survival import aalen_johansen_cause1, build_counting_processes, incidence_values, presort
 
 __all__ = ["EstimationError", "SmoothedSurvivalSurface", "assemble_surface"]
@@ -96,10 +97,14 @@ def _resolve_bandwidth(policy, data: Dataset, cell: CellIndex) -> float:
         except ValueError as exc:
             raise _thin_cell(data, cell, exc) from None
     if isinstance(policy, dict):
-        return float(policy[tuple(cell)])
-    if callable(policy):
-        return float(policy(data, cell))
-    return float(policy)
+        h = float(policy[tuple(cell)])
+    elif callable(policy):
+        h = float(policy(data, cell))
+    else:
+        h = float(policy)
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("bandwidth must be positive")
+    return h
 
 
 def _thin_cell(data: Dataset, cell: CellIndex, reason) -> EstimationError:
@@ -121,17 +126,22 @@ def assemble_surface(
     of the data take ``assemble_surfaces``.
     """
     cp = build_counting_processes(data)
-    L, K = data.n_treatment_levels, data.n_instrument_levels
-    p_hat = np.zeros((1, L, K))
-    jumps, bandwidths = {}, {}
+    p_hat = np.zeros((data.n_treatment_levels, data.n_instrument_levels))
+    steps, bandwidths = {}, {}
     for cell in data.cells():
         if cell in data.structural_zeros:
             continue
-        p_hat[0, cell.z, cell.w] = cp.cell(cell).size / cp.instrument_sizes[cell.w]
-        step = aalen_johansen_cause1(cp, cell)
-        jumps[cell] = step.jump_times[None], step.values[None]
-        bandwidths[cell] = np.array([_resolve_bandwidth(bandwidth, data, cell)])
-    return _surfaces(data, p_hat, jumps, bandwidths, kind)[0]
+        p_hat[cell.z, cell.w] = cp.cell(cell).size / cp.instrument_sizes[cell.w]
+        steps[cell] = aalen_johansen_cause1(cp, cell)
+        bandwidths[cell] = _resolve_bandwidth(bandwidth, data, cell)
+    t_max = max(s.jump_times.max(initial=0.0) + bandwidths[cell] for cell, s in steps.items())
+    grid = np.linspace(0.0, t_max, GRID_POINTS)
+    values = np.zeros(p_hat.shape + (GRID_POINTS,))
+    for cell, step in steps.items():
+        values[cell.z, cell.w] = smooth(step, bandwidths[cell], kind, grid).values * p_hat[cell.z, cell.w]
+    return SmoothedSurvivalSurface(
+        grid, values, p_hat, bandwidths, kind, list(data.treatment_levels), list(data.instrument_levels)
+    )
 
 
 def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: str = "local_linear") -> list:
@@ -152,15 +162,15 @@ def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: s
     cells = presort(data).cells
     sizes = np.zeros((B, L, K), np.int64)
     empty = np.zeros(B, bool)
-    bandwidths, thin = {}, {}
+    bandwidths, thin, ordered = {}, {}, {}
     for cell, sc in cells.items():
-        c = counts[:, sc.order]
+        c = ordered[cell] = counts[:, sc.order]
         sizes[:, cell.z, cell.w] = c.sum(axis=1)
         empty |= sizes[:, cell.z, cell.w] == 0
         if bandwidth is None:
             bandwidths[cell], thin[cell] = bandwidth_rows(sc.y, c)
         else:
-            bandwidths[cell] = np.full(B, float(bandwidth[tuple(cell)] if isinstance(bandwidth, dict) else bandwidth))
+            bandwidths[cell] = np.full(B, _resolve_bandwidth(bandwidth, data, cell))
     # a row's first error, in the order its resampled dataset meets them:
     # an emptied cell, then the first cell too thin for the bandwidth rule
     out: list = [None] * B
@@ -180,7 +190,7 @@ def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: s
         p_hat = sizes[live] / sizes[live].sum(axis=1, keepdims=True)
     jumps = {}
     for cell, sc in cells.items():
-        proc = sc.process(counts[live])
+        proc = sc.process(ordered.pop(cell)[live])
         # a row's jumps are the times its counted records fail at by cause 1
         jumping = proc.dn1 > 0
         inc = incidence_values(proc, proc.dn1)

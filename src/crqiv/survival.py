@@ -141,25 +141,21 @@ class SortedCell:
         cause1 = (event[failing] == 1).astype(np.int64)
         return cls(order, y, times, failing, starts, cause1, np.searchsorted(y, times, side="left"))
 
-    def process(self, counts: np.ndarray) -> CellProcess:
-        """The cell's counting processes under each row of counts (B, n), record i counted counts[b, i] times.
+    def process(self, c: np.ndarray) -> CellProcess:
+        """The cell's counting processes under each row of counts (B, cell size) in ``order``.
 
-        dn1, dn and at_risk are (B, T) on the sample's failure times, size is (B,).
-        Every entry is a whole count, so each is exact.
+        dn1, dn and at_risk are (B, T) on the sample's failure times, size is
+        (B,).  Every entry is a whole count, so each is exact.
         """
-        c = counts[:, self.order]
         cum = np.cumsum(c, axis=1)
         size = cum[:, -1]
         # Y(t) = size - the counted records below t
         at_risk = size[:, None] - np.where(self.first_at_risk > 0, cum[:, self.first_at_risk - 1], 0)
         del cum
-        if not self.times.size:
-            empty = np.zeros((len(c), 0))
-            return CellProcess(self.times, empty, empty, empty, size)
         failed = c[:, self.failing]
-        dn = np.add.reduceat(failed, self.starts, axis=1).astype(np.float64)
-        dn1 = np.add.reduceat(failed * self.cause1, self.starts, axis=1).astype(np.float64)
-        return CellProcess(self.times, dn1, dn, at_risk.astype(np.float64), size)
+        dn = np.add.reduceat(failed, self.starts, axis=1)
+        dn1 = np.add.reduceat(failed * self.cause1, self.starts, axis=1)
+        return CellProcess(self.times, dn1.astype(np.float64), dn.astype(np.float64), at_risk.astype(np.float64), size)
 
 
 @dataclass(frozen=True)
@@ -243,17 +239,17 @@ def incidence_values(proc: CellProcess, dnj: np.ndarray) -> np.ndarray:
 
     A time with dN = 0 (a block's sample failure time that no counted
     record fails at, where Y may be 0 too) multiplies the survival by
-    exactly 1 and adds exactly 0.
+    exactly 1 and adds exactly 0: Y is taken as at least 1, which changes
+    it only where dN = 0.
     """
-    surv = np.divide(proc.dn, proc.at_risk, out=np.zeros(proc.dn.shape), where=proc.dn > 0)
-    np.subtract(1.0, surv, out=surv)
-    np.cumprod(surv, axis=-1, out=surv)
+    at_risk = np.maximum(proc.at_risk, 1.0)
+    surv = np.cumprod(1.0 - proc.dn / at_risk, axis=-1)
     # S(s-) dN_j(s): the survival just before s, 1 before the first time
     inc = np.empty(dnj.shape)
     inc[..., :1] = dnj[..., :1]
     np.multiply(surv[..., :-1], dnj[..., 1:], out=inc[..., 1:])
     del surv
-    np.divide(inc, proc.at_risk, out=inc, where=inc > 0)
+    inc /= at_risk
     return np.cumsum(inc, axis=-1, out=inc)
 
 

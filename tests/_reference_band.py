@@ -1,10 +1,9 @@
 """The bootstrap band one replicate at a time: the reference for ``bootstrap_band``.
 
-``reference_band`` fits replicate b on its own, from the same draw of
-``stream(seed, "bootstrap", b)`` as the band's count blocks: as a
-resampled ``Dataset`` by default, or as that draw's record counts on the
-one sample with ``counts=True`` (a count block of one row).  Its
-percentile step takes one grid point at a time.  ``fit_fn(dataset,
+``reference_band`` fits replicate b on its own, as the resampled
+``Dataset`` of the same draw of ``stream(seed, "bootstrap", b)`` that the
+band's count blocks take as record counts.  Its percentile step takes one
+grid point at a time.  ``fit_fn(dataset,
 **fit_kwargs)`` replaces the replicate fitter, so that a test can fit the
 replicates on surfaces of its own.
 """
@@ -23,7 +22,7 @@ def _fit(data, **kw):
     return fit_curve(data, stop_at_frontier=True, **kw)
 
 
-def reference_band(data, boot=None, contrast=(1, 0), fit=None, fit_fn=None, counts=False, **fit_kwargs):
+def reference_band(data, boot=None, contrast=(1, 0), fit=None, fit_fn=None, **fit_kwargs):
     boot = boot or BootstrapConfig()
     fit_fn = fit_fn or _fit
     if fit is None:
@@ -37,13 +36,8 @@ def reference_band(data, boot=None, contrast=(1, 0), fit=None, fit_fn=None, coun
     vals = np.full((boot.draws, M), np.nan)
     failures = []
     for b in range(boot.draws):
-        rng = stream(boot.seed, "bootstrap", b)
         try:
-            if counts:
-                draw = np.bincount(rng.integers(0, data.n, data.n), minlength=data.n)
-                refit = fit_fn(data, counts=draw, **fit_kwargs)
-            else:
-                refit = fit_fn(resample(data, rng), **fit_kwargs)
+            refit = fit_fn(resample(data, stream(boot.seed, "bootstrap", b)), **fit_kwargs)
             vals[b] = refit.qte(level_hi, level_lo)
         except (DataValidationError, EstimationError) as exc:
             failures.append((b, str(exc)))

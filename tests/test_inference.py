@@ -331,6 +331,20 @@ def test_coverage_truth_follows_the_contrast():
     assert np.array_equal(backward.n_valid, forward.n_valid)
 
 
+def test_coverage_fits_must_match_the_repetitions():
+    # one precomputed fit per repetition, each on the bands' grid
+    from crqiv.simulate import mc_study
+
+    spec, grid = DgpSpec(design=2, n=500, seed=0), QuantileGrid(np.array([0.1, 0.2, 0.3]))
+    fits = mc_study(spec, reps=2, grid=grid, naive=False).fits
+    boot = BootstrapConfig(draws=4, seed=0)
+    with pytest.raises(ValueError, match="2 fits for 3 repetitions"):
+        coverage_study(spec, 3, boot, fits=fits, grid=grid)
+    with pytest.raises(ValueError, match="does not match"):
+        coverage_study(spec, 2, boot, fits=fits)  # the default grid
+    assert coverage_study(spec, 2, boot, fits=fits, grid=grid).reps == 2
+
+
 def test_coverage_custom_generator_and_truth():
     base, _ = generate(DgpSpec(design=2, n=500, seed=3))
 

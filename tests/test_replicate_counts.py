@@ -2,9 +2,9 @@
 
 ``bootstrap_band`` fits ``block_size(n)`` replicates at a time as one
 (B, n) count matrix.  Its band must equal the one-replicate-at-a-time
-reference (``tests/_reference_band.py``) to 1e-10 when each replicate is
-a resampled ``Dataset``, and bit for bit when each is a count block of one
-row; both must fail on the same replicates for the same reasons.
+reference (``tests/_reference_band.py``), which fits each replicate as a
+resampled ``Dataset``, to 1e-10, and fail on the same replicates for the
+same reasons; its bits must not depend on the block size.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from crqiv.estimator import EstimationError, QuantileGrid, WeightingPolicy, fit_
 from crqiv.inference import BootstrapConfig, block_size, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import bandwidth_rows, default_bandwidth, rule_of_thumb_bandwidth
+from crqiv.surface import assemble_surface
 from crqiv.survival import build_counting_processes, presort
 
 from test_inference import thin_cell_data
@@ -23,10 +24,9 @@ from tests._reference_band import assert_same_band, reference_band
 
 
 def compare(data, boot, **kw):
-    """The band, after checking it against both one-at-a-time references."""
+    """The band, after checking it against the one-at-a-time reference."""
     band = bootstrap_band(data, boot, **kw)
     assert_same_band(band, reference_band(data, boot, **kw), tol=1e-10)
-    assert_same_band(band, reference_band(data, boot, counts=True, **kw))
     return band
 
 
@@ -71,7 +71,6 @@ def test_estimate_boot_settings(seed):
     boot = BootstrapConfig(draws=40, seed=1)
     band = bootstrap_band(data, boot, fit=fit)
     assert_same_band(band, reference_band(data, boot, fit=fit, grid=grid), tol=1e-10)
-    assert_same_band(band, reference_band(data, boot, fit=fit, grid=grid, counts=True))
     assert band.n_failed_replicates == 0
     assert band.valid.sum() >= 20
 
@@ -183,13 +182,11 @@ def test_failing_rows_inside_a_block():
             return fit_curve(re, grid=grid, stop_at_frontier=True)
 
         if texts[b] is not None:
-            for fitter in (resampled,
-                           lambda: fit_curve(data, grid=grid, stop_at_frontier=True, counts=c)):
-                with pytest.raises((DataValidationError, EstimationError)) as exc:
-                    fitter()
-                assert str(exc.value) == texts[b]
+            with pytest.raises((DataValidationError, EstimationError)) as exc:
+                resampled()
+            assert str(exc.value) == str(fit_replicates(data, c[None], grid, stop_at_frontier=True)[0]) == texts[b]
             continue
-        alone = fit_curve(data, grid=grid, stop_at_frontier=True, counts=c)
+        (alone,) = fit_replicates(data, c[None], grid, stop_at_frontier=True)
         assert fits[b].theta.tobytes() == alone.theta.tobytes()
         assert fits[b].reported_mask.tobytes() == alone.reported_mask.tobytes()
         ref = resampled()
@@ -207,7 +204,25 @@ def test_callable_bandwidth_is_rejected():
                        bandwidth=lambda d, cell: 0.05)
     # counts on the full sample would hand the callable the wrong records
     with pytest.raises(ValueError, match="callable bandwidth"):
-        fit_curve(data, bandwidth=lambda d, cell: 0.05, counts=np.ones(data.n, dtype=np.int64))
+        fit_replicates(data, np.ones((1, data.n), dtype=np.int64), bandwidth=lambda d, cell: 0.05)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.1, float("nan"), {(0, 0): 0.04, (0, 1): 0.0, (1, 1): 0.05}])
+def test_bad_bandwidth_is_rejected(bandwidth):
+    # a given bandwidth must be finite and positive wherever it enters:
+    # the full-sample surface and fit, and a band's count blocks
+    data, _ = generate(DgpSpec(design=2, n=800, seed=0))
+    grid = QuantileGrid.default(20)
+    fit = fit_curve(data, grid=grid)
+    boot = BootstrapConfig(draws=5, seed=0)
+    bad = 0.0 if isinstance(bandwidth, dict) else bandwidth
+    for call in (lambda: assemble_surface(data, bandwidth=bandwidth),
+                 lambda: assemble_surface(data, bandwidth=lambda d, cell: bad),
+                 lambda: fit_curve(data, grid=grid, bandwidth=bandwidth),
+                 lambda: bootstrap_band(data, boot, grid=grid, bandwidth=bandwidth),
+                 lambda: bootstrap_band(data, boot, fit=fit, bandwidth=bandwidth)):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            call()
 
 
 def test_counts_reproduce_the_resampled_statistics():
@@ -215,7 +230,7 @@ def test_counts_reproduce_the_resampled_statistics():
     draws = [np.random.default_rng(s).integers(0, data.n, data.n) for s in (7, 8, 9)]
     counts = np.stack([np.bincount(idx, minlength=data.n) for idx in draws])
     for cell, sc in presort(data).cells.items():
-        block = sc.process(counts)
+        block = sc.process(counts[:, sc.order])
         for b in range(len(counts)):
             re = resample(data, np.random.default_rng(7 + b))
             direct = build_counting_processes(re).cell(cell)
@@ -228,15 +243,14 @@ def test_counts_reproduce_the_resampled_statistics():
     re = resample(data, np.random.default_rng(7))
     mask = data.cell_mask((0, 1))
     order = np.argsort(data.y[mask], kind="stable")
-    h = default_bandwidth(data.y[mask][order], counts[0][mask][order])
+    (h,), _ = bandwidth_rows(data.y[mask][order], counts[:1, mask][:, order])
     assert h == pytest.approx(default_bandwidth(re.y[re.cell_mask((0, 1))]), rel=1e-13)
     ties = np.array([0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 0.7])
-    c = np.array([3, 0, 2, 1, 0, 4, 1])
-    assert default_bandwidth(ties, c) == pytest.approx(default_bandwidth(np.repeat(ties, c)), rel=1e-13)
-    with pytest.raises(ValueError, match="zero spread"):
-        default_bandwidth(ties, np.array([2, 5, 0, 0, 0, 0, 0]))
-    with pytest.raises(ValueError, match="at least 2"):
-        default_bandwidth(ties, np.array([0, 0, 0, 1, 0, 0, 0]))
+    c = np.array([[3, 0, 2, 1, 0, 4, 1], [2, 5, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0]])
+    h, reasons = bandwidth_rows(ties, c)
+    assert h[0] == pytest.approx(default_bandwidth(np.repeat(ties, c[0])), rel=1e-13)
+    assert reasons[0] is None and np.isnan(h[1:]).all()
+    assert "zero spread" in reasons[1] and "at least 2" in reasons[2]
 
 
 def test_weighted_moments_are_fixed_order_reductions():
@@ -256,4 +270,4 @@ def test_weighted_moments_are_fixed_order_reductions():
             q75, q25 = np.percentile(np.repeat(x, c), [75.0, 25.0])
             want = rule_of_thumb_bandwidth(min(sd, (q75 - q25) / 1.349), m)
             assert reasons[b] is None
-            assert h[b] == want == default_bandwidth(x, c)
+            assert h[b] == want

@@ -303,8 +303,9 @@ def test_window_sums_keep_the_expanded_local_linear_bits():
         lo = np.searchsorted(x, tq - h, side="left")
         hi = np.searchsorted(x, tq + h, side="right")
         d, e = expanded_window_sums(x, g, tq, lo, hi)
-        got_d = smoothing._window_sums(x, np.ones_like(x), tq, lo, hi, 4)
-        got_e = smoothing._window_sums(x, g, tq, lo, hi, 3)
+        # one row of the block
+        got_d, got_e = ([s[0] for s in smoothing._window_sums(x[None], w[None], tq[None], lo[None], hi[None], p)]
+                        for w, p in ((np.ones_like(x), 4), (g, 3)))
         assert all(np.array_equal(a, b) for a, b in zip(got_d + got_e, d + e))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _run_flags
 from .estimator import QuantileCurveFit, estimate_caps, estimate_y1, residual_vector
 
 __all__ = [
@@ -235,8 +235,8 @@ def outer_set_2d(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
 
 def _level_knots(surface, level: int, cap: float) -> np.ndarray:
     knots = np.asarray(surface.level_knots(level), dtype=np.float64)
-    knots = knots[(knots > 0) & (knots <= cap)]
-    return np.unique(np.concatenate(([0.0], knots)))
+    knots = np.sort(np.concatenate(([0.0], knots[(knots > 0) & (knots <= cap)])))
+    return knots[_run_flags(knots)]
 
 
 def outer_set_recursive(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:

@@ -395,7 +395,7 @@ def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, 
             str(raw, "utf-8")  # the row loop raises on a byte that is not UTF-8, in any column
 
     parsed = np.loadtxt(path, dtype=_FIELDS, usecols=usecols, **_LOADTXT)
-    # owned copies, so that the record array is freed before np.unique
+    # owned copies, so that the record array is freed before the distinct labels are taken
     y, *text = (parsed[name].copy() for name in _FIELDS.names)
     del parsed
     if not (np.isfinite(y) & (y >= 0)).all():
@@ -432,16 +432,37 @@ def _distinct_text(path, usecols: list[int], columns: list[np.ndarray]) -> list[
     out = []
     for usecol in usecols:
         col = columns.pop(0)
-        distinct, first, inverse = np.unique(col.view("<u8"), return_index=True, return_inverse=True)
+        distinct, first, inverse = _distinct(col.view("<u8"))
         strings = distinct.view(col.dtype).tolist()
         width = col.dtype.itemsize
         while any(len(s) == width for s in strings):
             width *= 4
-            wide = np.loadtxt(path, dtype=f"S{width}", usecols=usecol, **_LOADTXT)
-            distinct, first, inverse = np.unique(wide, return_index=True, return_inverse=True)
+            distinct, first, inverse = _distinct(np.loadtxt(path, dtype=f"S{width}", usecols=usecol, **_LOADTXT))
             strings = distinct.tolist()
         out.append(([s.decode("utf-8") for s in strings], first, inverse))
     return out
+
+
+def _distinct(keys: np.ndarray) -> tuple:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` of a 1-d array, without its stable argsort.
+
+    The distinct keys come from one sort; the first row of each is the
+    least row with its index.
+    """
+    ascending = np.sort(keys)
+    distinct = np.compress(_run_flags(ascending), ascending)
+    del ascending
+    inverse = np.searchsorted(distinct, keys)
+    first = np.full(distinct.shape, keys.size, dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(keys.size))
+    return distinct, first, inverse
+
+
+def _run_flags(x: np.ndarray) -> np.ndarray:
+    """True at each position of ascending x that begins a run of equal values."""
+    new = np.ones(x.shape, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return new
 
 
 def _level_codes(column: tuple, order: list | None):

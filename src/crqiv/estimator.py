@@ -31,7 +31,7 @@ from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
 from .smoothing import bandwidth_rows, default_bandwidth
 from .surface import EstimationError, SmoothedSurvivalSurface, assemble_surface, assemble_surfaces
-from .survival import _cell_process, incidence_from, presort
+from .survival import _sorted_process, incidence_from, presort, sorted_level
 
 __all__ = [
     "EstimationError",
@@ -230,7 +230,7 @@ def estimate_y1(data: Dataset) -> np.ndarray:
     """Largest follow-up time with a primary-cause event, per treatment level."""
     out = np.empty(data.n_treatment_levels)
     for zi in range(data.n_treatment_levels):
-        times = data.y[(data.z == zi) & (data.event == 1)]
+        times = np.compress((data.z == zi) & (data.event == 1), data.y)
         if not times.size:
             raise _no_primary_events(data, zi)
         out[zi] = times.max()
@@ -247,7 +247,7 @@ def _no_primary_events(data: Dataset, level: int) -> EstimationError:
 def default_delta(data: Dataset, level: int) -> float:
     """Frontier cushion: bandwidth rule on the level's primary-cause event times."""
     try:
-        return default_bandwidth(data.y[(data.z == level) & (data.event == 1)])
+        return default_bandwidth(np.compress((data.z == level) & (data.event == 1), data.y))
     except ValueError as exc:
         raise _no_cushion(data, level, exc) from None
 
@@ -287,7 +287,7 @@ def estimate_caps(data: Dataset) -> np.ndarray:
         mask = data.z == zi
         if not mask.any():
             raise EstimationError(f"no records at treatment level {data.treatment_levels[zi]!r}")
-        out[zi] = data.y[mask].max()
+        out[zi] = np.compress(mask, data.y).max()
     return out
 
 
@@ -297,7 +297,7 @@ def _resolve_delta(delta, data: Dataset, L: int) -> np.ndarray:
     arr = np.asarray(delta, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(L, float(arr))
-    if arr.shape != (L,) or (arr <= 0).any():
+    if arr.shape != (L,) or not (np.isfinite(arr) & (arr > 0)).all():
         raise ValueError("delta must be a positive scalar or one positive value per level")
     return arr
 
@@ -572,8 +572,8 @@ def naive_curve(data: Dataset, grid: QuantileGrid | None = None) -> np.ndarray:
     M, L = grid.size, data.n_treatment_levels
     out = np.full((M, L), np.inf)
     for zi in range(L):
-        mask = data.z == zi
-        inc = incidence_from(_cell_process(data.y[mask], data.event[mask]), cause=1)
+        y, event, _ = sorted_level(data, zi)
+        inc = incidence_from(_sorted_process(y, event), cause=1)
         if inc.jump_times.size == 0:
             continue
         idx = np.searchsorted(inc.values, grid.points, side="left")

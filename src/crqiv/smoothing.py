@@ -66,15 +66,18 @@ def rule_of_thumb_bandwidth(sigma: float, n: int) -> float:
 def default_bandwidth(sample) -> float:
     """Rule-of-thumb bandwidth with robust scale min(sd, IQR/1.349).
 
-    Raises ValueError on degenerate samples (fewer than 2 points or zero
-    spread); pass an explicit bandwidth in that case.  Count-weighted
+    The sd is taken in the sample's order and the quartiles are order
+    statistics of it sorted, under numpy's default ``linear`` percentile
+    rule.  Raises ValueError on degenerate samples (fewer than 2 points or
+    zero spread); pass an explicit bandwidth in that case.  Count-weighted
     samples take ``bandwidth_rows``.
     """
     x = np.asarray(sample, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValueError(_TOO_FEW)
     sd = float(np.std(x, ddof=1))
-    q75, q25 = np.percentile(x, [75.0, 25.0])
+    x = np.sort(x)
+    q75, q25 = (_sorted_percentile(x, q) for q in (0.75, 0.25))
     sigma = min(sd, (q75 - q25) / 1.349)
     if sigma <= 0 or not np.isfinite(sigma):
         raise ValueError(_NO_SPREAD)
@@ -117,14 +120,24 @@ def _weighted_percentile(x: np.ndarray, cum: np.ndarray, size: np.ndarray, q: fl
     """np.percentile(.., 100 q) of ascending x with point i repeated as each row of cum's increments.
 
     Interpolates between the order statistics at floor and floor + 1 of the
-    virtual index (size - 1) q, both found on the cumulative counts, in
-    numpy's own lerp form, so the result is numpy's to the bit.
+    virtual index (size - 1) q, both found on the cumulative counts.
     """
     virtual = (size - 1) * q
     lo = np.floor(virtual).astype(np.intp)
     # the first position whose cumulative count passes v, in each row
     a, b = (x[_rows_searchsorted(cum, v[:, None], "right")[:, 0]] for v in (lo, lo + 1))
-    gamma = virtual - lo
+    return _lerp(a, b, virtual - lo)
+
+
+def _sorted_percentile(x: np.ndarray, q: float) -> float:
+    """np.percentile(x, 100 q) of ascending x, for q < 1."""
+    virtual = (x.size - 1) * q
+    lo = math.floor(virtual)
+    return float(_lerp(x[lo], x[lo + 1], virtual - lo))
+
+
+def _lerp(a, b, gamma):
+    """Between the order statistics a and b at fraction gamma, in numpy's percentile form to the bit."""
     diff = b - a
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 

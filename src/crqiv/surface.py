@@ -93,7 +93,7 @@ class SmoothedSurvivalSurface:
 def _resolve_bandwidth(policy, data: Dataset, cell: CellIndex) -> float:
     if policy is None:
         try:
-            return default_bandwidth(data.y[data.cell_mask(cell)])
+            return default_bandwidth(np.compress(data.cell_mask(cell), data.y))
         except ValueError as exc:
             raise _thin_cell(data, cell, exc) from None
     if isinstance(policy, dict):

@@ -214,6 +214,40 @@ def test_bounds_missing_data_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_estimate_non_finite_delta_exits_1(tmp_path, sim_dir, capsys, delta):
+    out = tmp_path / "o"
+    code = run(["estimate", "--data", sim_dir / "data.csv", "--out", out, "--grid", 5, f"--delta={delta}"])
+    assert code == 1
+    assert "delta must be a positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_commands_do_not_load_numpy_ma(tmp_path, sim_dir, est_dir):
+    # numpy.ma costs a command about 14 ms and 1 MB to import, and nothing needs it
+    script = (
+        "import sys\n"
+        "from crqiv.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert main(argv.split('|')) == 0, argv\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    data = sim_dir / "data.csv"
+    commands = [
+        ["estimate", "--data", data, "--out", tmp_path / "e", "--grid", 10, "--naive", "--derived",
+         "--boot-draws", 4, "--seed", 1],
+        ["bounds", "--data", data, "--fit-json", est_dir / "fit.json", "--u", 0.6, "--u", 0.75,
+         "--lattice", 5, "--out", tmp_path / "b"],
+        ["mc", "--design", 2, "--n", 600, "--reps", 2, "--boot-draws", 4, "--grid", 10, "--seed", 0,
+         "--out", tmp_path / "m"],
+    ]
+    src = str(Path(crqiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *("|".join(map(str, c)) for c in commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_estimate_data_directory_exits_1(tmp_path, capsys):
     code = run(["estimate", "--data", tmp_path, "--out", tmp_path / "o"])
     assert code == 1

@@ -367,6 +367,13 @@ def _case(*rows, header="time,event,treatment,instrument", nl="\n", **kwargs):
 @example(_case("3,1,0,0", " ", "3,1,1,1"))  # a whitespace-only line
 @example(_case("3,1,abcdefgh,0", "3,1,abcdefgh,1"))  # an 8-byte label beside 1-byte ones
 @example(_case("3,censored_x,0,0", event_labels={"censored_x": 0}))  # an event label past 8 bytes
+# labels whose first appearance is not their sorted order, in both label columns
+@example(_case("3,1,z,1", "3,2,z,0", "3,1,a,1", "3,0,a,0"))
+# labels alike in their first 8 bytes, and one past 32: read again at 32 bytes, then at 128
+@example(_case(*(f"3,1,{z},{w}" for z in ("treatment_group_a", "treatment_group_b", "arm_" + "x" * 36)
+                 for w in (0, 1))))
+# thousands of distinct instrument labels, first seen in no sorted order
+@example(_case(*(f"{1 + j % 7},{j % 3},{z},i{j * 7919 % 2003}" for j in range(2003) for z in (0, 1))))
 # a byte that is not UTF-8, in a column neither reader parses, past the header's first 8 KiB read
 @example((b"time,event,treatment,instrument,note\n1.5,1,0,1," + b"x" * 9000 + b"\n3,1,0,0,\xff\n3.5,2,1,0,x\n4.5,0,1,1,x\n",
           {}, None))
@@ -377,6 +384,15 @@ def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
     if sidecar is not None:
         (p.parent / "d.csv.levels.json").write_text(json.dumps(sidecar))
     assert _outcome(p, **kwargs) == _row_loop_outcome(p, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=60), st.sampled_from(["<u8", "S3"]))
+def test_distinct_labels_match_unique(values, dtype):
+    keys = np.array(values, dtype=np.uint64) if dtype == "<u8" else np.array([str(v).encode() for v in values], dtype)
+    got, want = data_module._distinct(keys), np.unique(keys, return_index=True, return_inverse=True)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("labels", [

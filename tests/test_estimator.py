@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from crqiv.estimator import (
     residual_system,
     residual_vector,
 )
+from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.optim import CERT_TOL, minimize_box_multistart
 from crqiv.simulate import DgpSpec, GroundTruth, generate
 from crqiv.smoothing import SmoothedCurve
@@ -345,6 +347,16 @@ def test_delta_validation(d2_fit):
         fit_curve(data, grid=QuantileGrid.default(5), delta=-0.1)
     with pytest.raises(ValueError, match="positive"):
         fit_curve(data, grid=QuantileGrid.default(5), delta=[0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, [0.1, math.nan], [math.inf, 0.1]])
+def test_non_finite_delta_is_rejected(d2_fit, delta):
+    # NaN would report a NaN cushion and no frontier, inf would put the frontier at the first point
+    data, fit = d2_fit
+    with pytest.raises(ValueError, match="positive"):
+        fit_curve(data, grid=QuantileGrid.default(5), delta=delta)
+    with pytest.raises(ValueError, match="positive"):
+        bootstrap_band(data, BootstrapConfig(draws=2, seed=0), fit=fit, delta=delta)
 
 
 # -- full curve fits ---------------------------------------------------------

@@ -1,0 +1,122 @@
+"""The full-sample statistics from sorted levels against their record-order reference, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from crqiv.data import Dataset
+from crqiv.estimator import EstimationError, QuantileGrid, default_delta, estimate_y1, naive_curve
+from crqiv.smoothing import default_bandwidth
+from crqiv.survival import _cell_process, build_counting_processes
+from tests import _reference_full_sample as ref
+
+# few distinct times, so that failures of both causes, censorings and zero
+# follow-up times tie; and a continuous range besides
+_TIMES = st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5]),
+                   st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+
+
+@st.composite
+def _datasets(draw):
+    L, K = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    zero = draw(st.sampled_from([None, None, (L - 1, 0)]))
+    cells = [(z, w) for z in range(L) for w in range(K) if (z, w) != zero]
+    # one record in every open cell, then any number more
+    rows = [(draw(_TIMES), draw(st.integers(0, 2)), z, w) for z, w in cells]
+    for _ in range(draw(st.integers(0, 40))):
+        z, w = draw(st.sampled_from(cells))
+        rows.append((draw(_TIMES), draw(st.integers(0, 2)), z, w))
+    order = draw(st.permutations(range(len(rows))))
+    y, event, z, w = zip(*(rows[i] for i in order))
+    if draw(st.booleans()):
+        # a level whose cells see no primary-cause event, or none at all
+        level, code = draw(st.integers(0, L - 1)), draw(st.sampled_from([0, 2]))
+        event = [code if zi == level and e == 1 else e for e, zi in zip(event, z)]
+    return Dataset(y, event, z, w, [f"z{i}" for i in range(L)], [f"w{i}" for i in range(K)],
+                   [] if zero is None else [zero])
+
+
+def _same(fn, ref_fn, *args):
+    """fn and ref_fn give the same bytes, or raise the same error with the same text."""
+    try:
+        want = ref_fn(*args)
+    except (ValueError, EstimationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            fn(*args)
+        assert str(got.value) == str(exc)
+        return
+    assert np.asarray(fn(*args)).tobytes() == np.asarray(want).tobytes()
+
+
+def _tied(y, event, z, w):
+    return Dataset(y, event, z, w, ["a", "b"], ["u", "v"])
+
+
+# failures of both causes at one time, censorings tied with them, zero times
+_TIES = _tied([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 1.0, 1.0, 0.0, 3.0],
+              [1, 2, 0, 1, 1, 0, 2, 0, 1, 2, 0, 1],
+              [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1],
+              [0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1])
+# cell (b, v) has no failures, and level b no primary-cause events
+_NO_PRIMARY = _tied([1.0, 2.0, 2.0, 0.0, 1.0, 4.0, 4.0],
+                    [1, 2, 1, 0, 2, 0, 0],
+                    [0, 0, 0, 1, 1, 1, 1],
+                    [0, 1, 1, 0, 0, 1, 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_datasets())
+@example(_TIES)
+@example(_NO_PRIMARY)
+def test_full_sample_statistics_match_record_order(data):
+    cp, want = build_counting_processes(data), ref.build_counting_processes(data)
+    assert list(cp.cells) == list(want.cells)
+    for cell, proc in cp.cells.items():
+        other = want.cells[cell]
+        assert proc.size == other.size
+        for a, b in ((proc.times, other.times), (proc.dn1, other.dn1), (proc.dn, other.dn),
+                     (proc.at_risk, other.at_risk)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert cp.instrument_sizes == want.instrument_sizes and cp.n == want.n
+
+    grid = QuantileGrid.default(25)
+    _same(naive_curve, ref.naive_curve, data, grid)
+    for cell in data.cells():
+        _same(default_bandwidth, ref.default_bandwidth, data.y[data.cell_mask(cell)])
+    _same(estimate_y1, ref.estimate_y1, data)
+    for level in range(data.n_treatment_levels):
+        _same(default_delta, ref.default_delta, data, level)
+
+
+def test_edge_datasets_meet_their_edges():
+    cp = build_counting_processes(_NO_PRIMARY)
+    assert cp.cell((1, 1)).times.size == 0 and cp.cell((1, 1)).size == 2
+    for fn in (estimate_y1, lambda d: default_delta(d, 1)):
+        with pytest.raises(EstimationError, match="'b'"):
+            fn(_NO_PRIMARY)
+    tied = build_counting_processes(_TIES).cell((0, 1))
+    assert tied.times.tolist() == [0.0, 1.0] and tied.dn.tolist() == [1.0, 1.0]
+    assert tied.at_risk.tolist() == [3.0, 2.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TIMES, st.integers(0, 2)), max_size=30))
+def test_cell_process_matches_record_order(records):
+    y = np.array([r[0] for r in records], dtype=np.float64)
+    event = np.array([r[1] for r in records], dtype=np.int64)
+    got, want = _cell_process(y, event), ref.cell_process(y, event)
+    assert got.size == want.size
+    for name in ("times", "dn1", "dn", "at_risk"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_TIMES, st.floats(allow_nan=False, allow_infinity=True, width=64)), max_size=40))
+@example([1.0])
+@example([2.0, 2.0, 2.0])
+@example([0.0, 0.0, 0.0, 1.0])
+@example([1e308, -1e308, 3.0])
+def test_bandwidth_rule_matches_percentile(sample):
+    with np.errstate(all="ignore"):  # huge and infinite values overflow both alike
+        _same(default_bandwidth, ref.default_bandwidth, np.array(sample, dtype=np.float64))

@@ -87,6 +87,9 @@ class Dataset:
         validate: bool = True,
     ):
         self.y = np.ascontiguousarray(y, dtype=np.float64)
+        if np.signbit(self.y).any():
+            # -0.0 ties 0.0 in a sort, so record order would pick the sign; + 0.0 gives +0.0, in a copy
+            self.y = self.y + 0.0
         self.event = np.ascontiguousarray(event, dtype=np.int64)
         self.z = np.ascontiguousarray(z, dtype=np.int64)
         self.w = np.ascontiguousarray(w, dtype=np.int64)

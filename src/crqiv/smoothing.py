@@ -21,8 +21,9 @@ flat past its own range, the last jump plus the bandwidth, where it has
 reached its final value.
 
 ``smooth_rows`` smooths a block of step functions, one per row of padded
-arrays, as a bootstrap block needs; each row gets the bits it would get
-alone, and ``smooth`` is the block of one row.
+arrays; each row gets the bits it would get alone, and ``smooth`` is the
+block of one row.  Likewise ``default_bandwidth`` is ``bandwidth_rows``
+under one row of ones.
 """
 
 from __future__ import annotations
@@ -66,22 +67,16 @@ def rule_of_thumb_bandwidth(sigma: float, n: int) -> float:
 def default_bandwidth(sample) -> float:
     """Rule-of-thumb bandwidth with robust scale min(sd, IQR/1.349).
 
-    The sd is taken in the sample's order and the quartiles are order
-    statistics of it sorted, under numpy's default ``linear`` percentile
-    rule.  Raises ValueError on degenerate samples (fewer than 2 points or
-    zero spread); pass an explicit bandwidth in that case.  Count-weighted
-    samples take ``bandwidth_rows``.
+    ``bandwidth_rows`` of the sorted sample under one row of ones, so the
+    sd is summed in ascending order and the result does not depend on the
+    sample's order.  Raises ValueError on degenerate samples (fewer than 2
+    points or zero spread); pass an explicit bandwidth in that case.
     """
-    x = np.asarray(sample, dtype=np.float64).ravel()
-    if x.size < 2:
-        raise ValueError(_TOO_FEW)
-    sd = float(np.std(x, ddof=1))
-    x = np.sort(x)
-    q75, q25 = (_sorted_percentile(x, q) for q in (0.75, 0.25))
-    sigma = min(sd, (q75 - q25) / 1.349)
-    if sigma <= 0 or not np.isfinite(sigma):
-        raise ValueError(_NO_SPREAD)
-    return rule_of_thumb_bandwidth(sigma, x.size)
+    x = np.sort(np.asarray(sample, dtype=np.float64).ravel())
+    (h,), (reason,) = bandwidth_rows(x, np.ones((1, x.size), np.int8))
+    if reason:
+        raise ValueError(reason)
+    return float(h)
 
 
 _TOO_FEW = "bandwidth rule needs at least 2 observations; pass an explicit bandwidth"
@@ -89,7 +84,7 @@ _NO_SPREAD = "degenerate sample (zero spread); pass an explicit bandwidth"
 
 
 def bandwidth_rows(x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, list]:
-    """``default_bandwidth`` of ascending ``x`` under each row of counts (B, n).
+    """The rule-of-thumb bandwidth of ascending ``x`` under each row of counts (B, n).
 
     Returns the B bandwidths, NaN where the rule fails, and per row the
     reason it fails or None.  The quartiles are each row's exact order
@@ -127,13 +122,6 @@ def _weighted_percentile(x: np.ndarray, cum: np.ndarray, size: np.ndarray, q: fl
     # the first position whose cumulative count passes v, in each row
     a, b = (x[_rows_searchsorted(cum, v[:, None], "right")[:, 0]] for v in (lo, lo + 1))
     return _lerp(a, b, virtual - lo)
-
-
-def _sorted_percentile(x: np.ndarray, q: float) -> float:
-    """np.percentile(x, 100 q) of ascending x, for q < 1."""
-    virtual = (x.size - 1) * q
-    lo = math.floor(virtual)
-    return float(_lerp(x[lo], x[lo + 1], virtual - lo))
 
 
 def _lerp(a, b, gamma):

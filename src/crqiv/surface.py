@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import CellIndex, DataValidationError, Dataset
-from .smoothing import bandwidth_rows, default_bandwidth, left_pack, smooth, smooth_rows
-from .survival import aalen_johansen_cause1, build_counting_processes, incidence_values, presort
+from .smoothing import bandwidth_rows, default_bandwidth, left_pack, smooth_rows
+from .survival import CellProcess, build_counting_processes, incidence_values, presort
 
 __all__ = ["EstimationError", "SmoothedSurvivalSurface", "assemble_surface"]
 
@@ -122,26 +122,25 @@ def assemble_surface(
     ``bandwidth`` may be None (per-cell rule of thumb on the cell's
     follow-up times), a number applied to every cell, a dict keyed by
     (z, w), or a callable (data, cell) -> float.  A cell too thin for the
-    rule of thumb raises ``EstimationError``.  Count-weighted replicates
-    of the data take ``assemble_surfaces``.
+    rule of thumb raises ``EstimationError``.  The counting processes go
+    through ``_surfaces`` as a block of one row, so the surface is that of
+    ``assemble_surfaces`` under a row of ones, bit for bit, whatever the
+    order of the records.
     """
+    # before the counting processes exist, so the rule's sorted cell samples do not add to their peak
+    bandwidths = {
+        cell: np.array([_resolve_bandwidth(bandwidth, data, cell)])
+        for cell in data.cells()
+        if cell not in data.structural_zeros
+    }
     cp = build_counting_processes(data)
-    p_hat = np.zeros((data.n_treatment_levels, data.n_instrument_levels))
-    steps, bandwidths = {}, {}
-    for cell in data.cells():
-        if cell in data.structural_zeros:
-            continue
-        p_hat[cell.z, cell.w] = cp.cell(cell).size / cp.instrument_sizes[cell.w]
-        steps[cell] = aalen_johansen_cause1(cp, cell)
-        bandwidths[cell] = _resolve_bandwidth(bandwidth, data, cell)
-    t_max = max(s.jump_times.max(initial=0.0) + bandwidths[cell] for cell, s in steps.items())
-    grid = np.linspace(0.0, t_max, GRID_POINTS)
-    values = np.zeros(p_hat.shape + (GRID_POINTS,))
-    for cell, step in steps.items():
-        values[cell.z, cell.w] = smooth(step, bandwidths[cell], kind, grid).values * p_hat[cell.z, cell.w]
-    return SmoothedSurvivalSurface(
-        grid, values, p_hat, bandwidths, kind, list(data.treatment_levels), list(data.instrument_levels)
-    )
+    sizes = np.zeros((1, data.n_treatment_levels, data.n_instrument_levels), np.int64)
+    processes = []
+    for cell in bandwidths:
+        c = cp.cells[cell]
+        sizes[0, cell.z, cell.w] = c.size
+        processes.append((cell, CellProcess(c.times, c.dn1[None], c.dn[None], c.at_risk[None], np.array([c.size]))))
+    return _surfaces(data, sizes, processes, bandwidths, kind)[0]
 
 
 def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: str = "local_linear") -> list:
@@ -186,25 +185,31 @@ def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: s
     live = np.array([o is None for o in out], dtype=bool)
     if not live.any():
         return out
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_hat = sizes[live] / sizes[live].sum(axis=1, keepdims=True)
-    jumps = {}
-    for cell, sc in cells.items():
-        proc = sc.process(ordered.pop(cell)[live])
-        # a row's jumps are the times its counted records fail at by cause 1
-        jumping = proc.dn1 > 0
-        inc = incidence_values(proc, proc.dn1)
-        jumps[cell] = left_pack(jumping, proc.times, np.inf), left_pack(jumping, 1.0 - inc, 0.0)
-        del proc, inc
-    surfaces = _surfaces(data, p_hat, jumps, {cell: h[live] for cell, h in bandwidths.items()}, kind)
+    processes = ((cell, sc.process(ordered.pop(cell)[live])) for cell, sc in cells.items())
+    surfaces = _surfaces(data, sizes[live], processes, {cell: h[live] for cell, h in bandwidths.items()}, kind)
     for b, surface in zip(np.flatnonzero(live).tolist(), surfaces):
         out[b] = surface
     return out
 
 
-def _surfaces(data: Dataset, p_hat: np.ndarray, jumps: dict, bandwidths: dict, kind: str) -> list:
-    """Surfaces from per-row cell shares (B, L, K), cause-1 step rows and bandwidths (B,) per cell."""
-    B = len(p_hat)
+def _surfaces(data: Dataset, sizes: np.ndarray, processes, bandwidths: dict, kind: str) -> list:
+    """Surfaces from per-row cell sizes (B, L, K), (cell, process rows) pairs and bandwidths (B,) per cell.
+
+    dn1, dn and at_risk are (B, T); a block passes the pairs as a
+    generator, so that one cell's rows live at a time.  Every stage runs
+    along the rows: the full sample, one row, gets a block row's bits.
+    """
+    B = len(sizes)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_hat = sizes / sizes.sum(axis=1, keepdims=True)
+    jumps = {}
+    for cell, proc in processes:
+        # a row's jumps are the times its counted records fail at by cause 1
+        jumping = proc.dn1 > 0
+        inc = incidence_values(proc, proc.dn1)
+        np.subtract(1.0, inc, out=inc)  # 1 - F_hat in place: one (B, T) array less at the peak
+        jumps[cell] = left_pack(jumping, proc.times, np.inf), left_pack(jumping, inc, 0.0)
+        del proc, inc
     # every cell's own range is its last jump plus its bandwidth
     t_max = np.max([np.max(j, axis=1, where=np.isfinite(j), initial=0.0) + bandwidths[cell]
                     for cell, (j, _) in jumps.items()], axis=0)

@@ -12,7 +12,8 @@ every record with y >= t, and all failures at t leave together.
 The full sample's counting processes come from each treatment level sorted
 once by follow-up time and split by instrument level, with no ``np.unique``:
 failure times are the runs of equal y among the failing records, and the
-at-risk count at t starts from the first record of the run at t.
+at-risk count at t starts from the first record of the run at t.  The
+surface reads each as a block of one row, as it reads a bootstrap block.
 
 A bootstrap replicate may be given as per-record counts on the sample
 instead of as a resampled dataset, and a block of B replicates as a (B, n)

@@ -4,10 +4,11 @@ Each function here is the record-order form of its namesake in
 ``crqiv``: a cell's counting processes from ``np.unique`` and
 ``np.bincount`` on its failure times and a ``searchsorted`` of them in its
 sorted follow-up times, every cell picked out by a mask; the naive curve
-from the same on a level's pooled records; the bandwidth rule's quartiles
-from ``np.percentile``; the support bound and cushion from a mask of the
-level's primary-cause records.
-"""
+from the same on a level's pooled records; the bandwidth rule's sd from
+``np.std`` of the sorted sample, as the rule does not depend on the
+order of the records, and its quartiles from ``np.percentile``; the
+support bound and cushion from a mask of the level's primary-cause
+records."""
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def default_bandwidth(sample):
     x = np.asarray(sample, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValueError(_TOO_FEW)
-    sd = float(np.std(x, ddof=1))
+    sd = float(np.std(np.sort(x), ddof=1))
     q75, q25 = np.percentile(x, [75.0, 25.0])
     sigma = min(sd, (q75 - q25) / 1.349)
     if sigma <= 0 or not np.isfinite(sigma):

@@ -200,6 +200,23 @@ def test_estimate_deterministic(tmp_path, sim_dir, est_dir):
         assert (again / name).read_bytes() == (est_dir / name).read_bytes(), name
 
 
+def test_estimate_does_not_depend_on_record_order(tmp_path, sim_dir):
+    # 80 primary-cause failures at time 0, half written as -0, tie across the cells
+    header, *rows = (sim_dir / "data.csv").read_text().splitlines()
+    rows = [f"{('0', '-0')[i % 2]},1,{row.split(',', 2)[2]}" if i < 80 else row for i, row in enumerate(rows)]
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    outs = []
+    for name, body in (("kept", rows), ("shuffled", shuffled)):
+        path = tmp_path / name / "data.csv"
+        path.parent.mkdir()
+        path.write_text("\n".join([header, *body]) + "\n")
+        (tmp_path / name / "data.csv.levels.json").write_bytes((sim_dir / "data.csv.levels.json").read_bytes())
+        outs.append(tmp_path / name / "out")
+        assert run(["estimate", "--data", path, "--out", outs[-1], "--grid", 20, "--naive", "--derived"]) == 0
+    for name in ("fit.json", "curves.csv", "qte.csv", "derived.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_estimate_missing_data_exits_2(tmp_path, capsys):
     code = run(["estimate", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o"])
     assert code == 2

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crqiv.data import Dataset
-from crqiv.estimator import EstimationError, QuantileGrid, default_delta, estimate_y1, naive_curve
+from crqiv.estimator import EstimationError, QuantileGrid, default_delta, estimate_y1, fit_curve, naive_curve
+from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import default_bandwidth
 from crqiv.survival import _cell_process, build_counting_processes
 from tests import _reference_full_sample as ref
@@ -120,3 +121,46 @@ def test_cell_process_matches_record_order(records):
 def test_bandwidth_rule_matches_percentile(sample):
     with np.errstate(all="ignore"):  # huge and infinite values overflow both alike
         _same(default_bandwidth, ref.default_bandwidth, np.array(sample, dtype=np.float64))
+
+
+def test_negative_zero_times_are_stored_as_zero():
+    # -0.0 and 0.0 failures tie in cell (a, u); either row order gives +0.0
+    y = np.array([-0.0, 0.0, 0.4, 0.4, 1.0, 0.2, 0.7, 1.5])
+    rows = ([1, 1, 1, 2, 0, 1, 1, 2], [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 0, 1, 0, 1])
+    swap = [1, 0, 2, 3, 4, 5, 6, 7]
+    both = [_tied(y[order], *(np.array(col)[order] for col in rows)) for order in (slice(None), swap)]
+    assert np.signbit(y[0])  # the caller's array is left as it is
+    grid = QuantileGrid.default(25)
+    for data in both:
+        assert not np.signbit(data.y).any()
+    times = [build_counting_processes(data).cell((0, 0)).times for data in both]
+    assert times[0].tobytes() == times[1].tobytes() and times[0].tolist() == [0.0, 0.4]
+    assert not np.signbit(times[0]).any()
+    naive = [naive_curve(data, grid) for data in both]
+    assert naive[0].tobytes() == naive[1].tobytes() and not np.signbit(naive[0]).any()
+
+
+@pytest.mark.parametrize("kind", ["local_linear", "convolution"])
+@pytest.mark.parametrize("design, seed", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+def test_fit_does_not_depend_on_record_order(design, seed, kind):
+    data, _ = generate(DgpSpec(design=design, n=1_500, seed=seed))
+    rng = np.random.default_rng(seed)
+    y = data.y.copy()
+    # zero follow-up times, half of them written as -0.0, tie across causes
+    zeros = rng.choice(data.n, 60, replace=False)
+    y[zeros] = np.where(np.arange(60) % 2, -0.0, 0.0)
+    columns = (y, data.event, data.z, data.w)
+    levels = (data.treatment_levels, data.instrument_levels, data.structural_zeros)
+    fits, naive = [], []
+    for order in (np.arange(data.n), rng.permutation(data.n)):
+        permuted = Dataset(*(c[order] for c in columns), *levels)
+        fits.append(fit_curve(permuted, kind=kind))
+        naive.append(naive_curve(permuted).tobytes())
+    a, b = fits
+    assert naive[0] == naive[1]
+    pairs = [(a.theta, b.theta), (a.reported_mask, b.reported_mask)]
+    pairs += [(getattr(a.frontiers, f), getattr(b.frontiers, f)) for f in ("y_hat", "delta", "u_hat", "m_hat")]
+    pairs += [(getattr(a.surface, f), getattr(b.surface, f)) for f in ("grid", "values", "p_hat")]
+    for x, z in pairs:
+        assert np.asarray(x).tobytes() == np.asarray(z).tobytes()
+    assert a.surface.bandwidths == b.surface.bandwidths and a.warnings == b.warnings

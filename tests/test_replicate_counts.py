@@ -271,3 +271,82 @@ def test_weighted_moments_are_fixed_order_reductions():
             want = rule_of_thumb_bandwidth(min(sd, (q75 - q25) / 1.349), m)
             assert reasons[b] is None
             assert h[b] == want
+
+
+def design(d, n=2_000, seed=0):
+    return generate(DgpSpec(design=d, n=n, seed=seed))[0]
+
+
+def zero_and_tied_times():
+    """Design 2 with 40 zero follow-up times and 40% of the records censored at one time."""
+    data = design(2, seed=3)
+    y, e = data.y.copy(), data.event.copy()
+    y[:40] = 0.0
+    tied = np.arange(100, 900)
+    y[tied], e[tied] = np.median(data.y), 0
+    return Dataset(y, e, data.z, data.w, [0, 1], [0, 1], structural_zeros=data.structural_zeros)
+
+
+def split_instrument():
+    """Design 2 with its w = 1 arm split at random in two: K = 3 > L = 2, so the fit runs Gauss-Newton."""
+    data = design(2, seed=1)
+    w = data.w + ((data.w == 1) & (np.random.default_rng(0).uniform(size=data.n) < 0.5))
+    return Dataset(data.y, data.event, data.z, w, [0, 1], [0, 1, 2], structural_zeros=[(1, 0)])
+
+
+def degenerate_cell():
+    """``thin_cell_data`` with its thin cell's three records at one time: the full fit fails."""
+    data = thin_cell_data()
+    y = data.y.copy()
+    y[data.cell_mask((0, 1))] = 0.5
+    return Dataset(y, data.event, data.z, data.w, [0, 1], [0, 1], structural_zeros=data.structural_zeros)
+
+
+def no_primary_level():
+    """Design 2 with every primary-cause event at treatment level 1 made secondary: the full fit fails."""
+    data = design(2, n=600)
+    e = np.where((data.z == 1) & (data.event == 1), 2, data.event)
+    return Dataset(data.y, e, data.z, data.w, [0, 1], [0, 1], structural_zeros=data.structural_zeros)
+
+
+def _bits(fit_or_surface, names):
+    return [np.asarray(getattr(fit_or_surface, name)).tobytes() for name in names]
+
+
+@pytest.mark.parametrize("make, kw", [
+    pytest.param(lambda: design(1), {}, id="design1"),
+    pytest.param(lambda: design(1), {"kind": "convolution"}, id="design1-convolution"),
+    pytest.param(lambda: design(2), {}, id="design2"),
+    pytest.param(lambda: design(2), {"kind": "convolution"}, id="design2-convolution"),
+    pytest.param(lambda: design(2, seed=2), {"bandwidth": 0.05}, id="bandwidth-number"),
+    pytest.param(lambda: design(2, seed=2), {"bandwidth": {(0, 0): 0.04, (0, 1): 0.06, (1, 1): 0.05}},
+                 id="bandwidth-dict"),
+    pytest.param(lambda: design(1, seed=1), {"delta": [0.05, 0.08]}, id="delta"),
+    pytest.param(zero_and_tied_times, {}, id="zero-and-tied-times"),
+    pytest.param(three_by_three, {}, id="three-levels"),
+    pytest.param(no_structural_zero, {"grid": QuantileGrid.default(30)}, id="every-cell-open"),
+    pytest.param(split_instrument, {"grid": QuantileGrid.default(30)}, id="more-instruments"),
+    pytest.param(degenerate_cell, {}, id="thin-cell"),
+    pytest.param(no_primary_level, {}, id="no-primary-level"),
+])
+def test_fit_is_its_all_ones_replicate(make, kw):
+    # the full-sample fit is the replicate counting every record once, bit
+    # for bit, or fails with its error and text
+    data = make()
+    (rep,) = fit_replicates(data, np.ones((1, data.n), np.int32), **kw)
+    if isinstance(rep, Exception):
+        with pytest.raises((DataValidationError, EstimationError)) as exc:
+            fit_curve(data, **kw)
+        assert type(exc.value) is type(rep) and str(exc.value) == str(rep)
+        return
+    fit = fit_curve(data, **kw)
+    fields = ("theta", "objective", "residual", "converged", "reported_mask")
+    assert _bits(fit, fields) == _bits(rep, fields)
+    fields = ("y_hat", "delta", "u_hat", "m_hat", "u_prev", "triggered")
+    assert _bits(fit.frontiers, fields) == _bits(rep.frontiers, fields)
+    assert fit.warnings == rep.warnings
+    fields = ("grid", "values", "p_hat")
+    assert _bits(fit.surface, fields) == _bits(rep.surface, fields)
+    assert list(fit.surface.bandwidths) == list(rep.surface.bandwidths)
+    assert (np.array(list(fit.surface.bandwidths.values())).tobytes()
+            == np.array(list(rep.surface.bandwidths.values())).tobytes())

@@ -169,23 +169,3 @@ def test_zero_times_and_heavy_ties_fit_and_name_what_they_miss():
     assert missed.any()
     us = ", ".join(f"{u:g}" for u in fit.grid.points[missed])
     assert any(w.startswith(f"no certified root (residual > 1e-12) at u = {us} (") for w in fit.warnings)
-
-
-def test_full_sample_cells_go_through_smooth(monkeypatch):
-    # each open cell of a full-sample surface is one ``smooth`` call, which
-    # the bench's span tracer times as the smoothing layer
-    import crqiv.surface
-
-    calls = []
-    real = crqiv.surface.smooth
-
-    def counted(step, bandwidth, kind, grid):
-        calls.append(bandwidth)
-        return real(step, bandwidth, kind, grid)
-
-    data, _ = generate(DgpSpec(design=2, n=1_000, seed=0))
-    plain = assemble_surface(data)
-    monkeypatch.setattr(crqiv.surface, "smooth", counted)
-    surface = assemble_surface(data)
-    assert sorted(calls) == sorted(surface.bandwidths.values()) and len(calls) == 3
-    assert surface.values.tobytes() == plain.values.tobytes()

@@ -165,8 +165,8 @@ def _boot(cfg: dict) -> BootstrapConfig | None:
 
 def cmd_simulate(cfg: dict) -> int:
     spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
-    out = _outdir(cfg)
     data, _ = generate(spec)
+    out = _outdir(cfg)
     data_path = out / "data.csv"
     save_csv(data, data_path)
     _write_manifest(out, "simulate", cfg, cfg["seed"], [])
@@ -273,9 +273,10 @@ def cmd_bounds(cfg: dict) -> int:
 def cmd_mc(cfg: dict) -> int:
     boot = _boot(cfg)
     spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
-    out = _outdir(cfg)
     fit_kwargs = _fit_kwargs(cfg)
     res = mc_study(spec, cfg["reps"], **fit_kwargs)
+    cov = None if boot is None else coverage_study(spec, cfg["reps"], boot, fits=res.fits, **fit_kwargs)
+    out = _outdir(cfg)
 
     means, counts = res.mean_qte()
     naive_means = res.mean_naive_qte()
@@ -305,8 +306,7 @@ def cmd_mc(cfg: dict) -> int:
         ],
     )
 
-    if boot is not None:
-        cov = coverage_study(spec, cfg["reps"], boot, fits=res.fits, **fit_kwargs)
+    if cov is not None:
         _write_csv(out / "mc_coverage.csv", ["u", "coverage", "hits", "n_valid"], cov.rows())
 
     _write_manifest(out, "mc", cfg, cfg["seed"], [])
@@ -394,11 +394,20 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             if type(value) is not int or value < low:
                 kind = "positive" if low else "non-negative"
                 raise ValueError(f"{key} must be a {kind} integer, got {value!r}")
-        # the float flags --level and the repeated --u; a bool is not a number
+        # the float flags --level, --bandwidth and --delta and the repeated --u;
+        # a bool is not a number
         if "level" in overrides:
             if type(overrides["level"]) not in (int, float):
                 raise ValueError(f"level must be a number, got {overrides['level']!r}")
             overrides["level"] = float(overrides["level"])
+        for key, takes in (("bandwidth", "a number"), ("delta", "a number, a list of numbers")):
+            value = overrides.get(key)
+            if type(value) in (int, float):
+                overrides[key] = float(value)
+            elif key == "delta" and isinstance(value, list) and all(type(v) in (int, float) for v in value):
+                overrides[key] = [float(v) for v in value]
+            elif value is not None:
+                raise ValueError(f"{key} must be {takes} or null, got {value!r}")
         if "u" in overrides:
             us = overrides["u"]
             if not (isinstance(us, list) and us and all(type(v) in (int, float) for v in us)):

@@ -29,9 +29,9 @@ import numpy as np
 
 from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
-from .smoothing import bandwidth_rows, default_bandwidth
+from .smoothing import bandwidth_rows
 from .surface import EstimationError, SmoothedSurvivalSurface, assemble_surface, assemble_surfaces
-from .survival import _sorted_process, incidence_from, presort, sorted_level
+from .survival import SortedCell, incidence_from, level_order, sorted_level
 
 __all__ = [
     "EstimationError",
@@ -230,11 +230,25 @@ def estimate_y1(data: Dataset) -> np.ndarray:
     """Largest follow-up time with a primary-cause event, per treatment level."""
     out = np.empty(data.n_treatment_levels)
     for zi in range(data.n_treatment_levels):
-        times = np.compress((data.z == zi) & (data.event == 1), data.y)
+        times, _ = _primary_times(data, zi, None)
         if not times.size:
             raise _no_primary_events(data, zi)
-        out[zi] = times.max()
+        out[zi] = times[-1]
     return out
+
+
+def _primary_times(data: Dataset, level: int, counts) -> tuple:
+    """A level's primary-cause times, ascending, from ``sorted_level``, and their counts in each row of counts (B, n).
+
+    Without counts, every record counts once, as one row.
+    """
+    y, event, _ = sorted_level(data, level)
+    primary = event == 1
+    times = np.compress(primary, y)
+    if counts is None:
+        return times, np.ones((1, times.size), np.int8)
+    records, order = level_order(data, level)
+    return times, counts[:, records[np.compress(primary, order)]]
 
 
 def _no_primary_events(data: Dataset, level: int) -> EstimationError:
@@ -246,27 +260,28 @@ def _no_primary_events(data: Dataset, level: int) -> EstimationError:
 
 def default_delta(data: Dataset, level: int) -> float:
     """Frontier cushion: bandwidth rule on the level's primary-cause event times."""
-    try:
-        return default_bandwidth(np.compress((data.z == level) & (data.event == 1), data.y))
-    except ValueError as exc:
-        raise _no_cushion(data, level, exc) from None
+    (h,), (reason,) = bandwidth_rows(*_primary_times(data, level, None))
+    if reason:
+        raise _no_cushion(data, level, reason)
+    return float(h)
 
 
 def _no_cushion(data: Dataset, level: int, reason) -> EstimationError:
     return EstimationError(f"frontier cushion at treatment level {data.treatment_levels[level]!r}: {reason}")
 
 
-def _frontier_rows(data: Dataset, counts: np.ndarray, delta) -> tuple:
-    """``estimate_y1`` and the cushions under each row of counts (B, n): (y1 (B, L), delta (B, L), errors).
+def _frontier_rows(data: Dataset, counts, delta) -> tuple:
+    """Support bounds and cushions under each row of counts (B, n), or of the sample (counts None, one row).
 
-    errors[b] is the first error row b meets, in the order ``fit_curve``
-    meets them (support bounds, then cushions, level by level), or None.
+    Returns (y1 (B, L), delta (B, L), errors).  errors[b] is the first
+    error row b meets (support bounds, then cushions, level by level), or
+    None.
     """
-    B, L = len(counts), data.n_treatment_levels
+    B, L = 1 if counts is None else len(counts), data.n_treatment_levels
     y1, deltas = np.full((B, L), np.nan), np.full((B, L), np.nan)
     bound_errors, cushion_errors = [None] * B, [None] * B
-    for level, idx in enumerate(presort(data).cause1):
-        times, c = data.y[idx], counts[:, idx]
+    for level in range(L):
+        times, c = _primary_times(data, level, counts)
         y1[:, level] = np.where(c > 0, times, -np.inf).max(axis=1, initial=-np.inf)
         for b in np.flatnonzero(~(c > 0).any(axis=1)).tolist():
             bound_errors[b] = bound_errors[b] or _no_primary_events(data, level)
@@ -276,7 +291,10 @@ def _frontier_rows(data: Dataset, counts: np.ndarray, delta) -> tuple:
                 if reason:
                     cushion_errors[b] = cushion_errors[b] or _no_cushion(data, level, reason)
     if delta is not None:
-        deltas[:] = _resolve_delta(delta, data, L)
+        given = np.asarray(delta, dtype=np.float64)
+        if given.shape not in ((), (L,)) or not (np.isfinite(given) & (given > 0)).all():
+            raise ValueError("delta must be a positive scalar or one positive value per level")
+        deltas[:] = given
     return y1, deltas, [a or b for a, b in zip(bound_errors, cushion_errors)]
 
 
@@ -289,17 +307,6 @@ def estimate_caps(data: Dataset) -> np.ndarray:
             raise EstimationError(f"no records at treatment level {data.treatment_levels[zi]!r}")
         out[zi] = np.compress(mask, data.y).max()
     return out
-
-
-def _resolve_delta(delta, data: Dataset, L: int) -> np.ndarray:
-    if delta is None:
-        return np.array([default_delta(data, l) for l in range(L)])
-    arr = np.asarray(delta, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(L, float(arr))
-    if arr.shape != (L,) or not (np.isfinite(arr) & (arr > 0)).all():
-        raise ValueError("delta must be a positive scalar or one positive value per level")
-    return arr
 
 
 def residual_system(surface, V: WeightingPolicy | None = None):
@@ -446,7 +453,8 @@ def fit_curve(
     the first point that hits the frontier cushion are left NaN, which is
     enough for anything that only consumes reported points.
 
-    Count-weighted replicates of the data take ``fit_replicates``.
+    Count-weighted replicates of the data take ``fit_replicates``; the
+    sample is its row that counts every record once.
 
     The fit keeps the surface it solved on, the one given or the one
     built, as ``fit.surface``, so outer sets and diagnostics taken after
@@ -455,9 +463,10 @@ def fit_curve(
     grid = grid or QuantileGrid.default()
     if surface is None:
         surface = assemble_surface(data, bandwidth=bandwidth, kind=kind)
-    y_hat = estimate_y1(data)
-    return _solve(data, surface, y_hat, _resolve_delta(delta, data, data.n_treatment_levels), grid, V,
-                  stop_at_frontier)
+    y1, deltas, (error,) = _frontier_rows(data, None, delta)
+    if error:
+        raise error
+    return _solve(data, surface, y1[0], deltas[0], grid, V, stop_at_frontier)
 
 
 def fit_replicates(
@@ -573,7 +582,7 @@ def naive_curve(data: Dataset, grid: QuantileGrid | None = None) -> np.ndarray:
     out = np.full((M, L), np.inf)
     for zi in range(L):
         y, event, _ = sorted_level(data, zi)
-        inc = incidence_from(_sorted_process(y, event), cause=1)
+        inc = incidence_from(SortedCell.of(y, event).process(), cause=1)
         if inc.jump_times.size == 0:
             continue
         idx = np.searchsorted(inc.values, grid.points, side="left")

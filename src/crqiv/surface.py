@@ -10,7 +10,10 @@ which is the quantity entering the instrumental system of equations.
 Every cell lives on one uniform grid of ``GRID_POINTS`` points, from 0 to
 the largest "last primary-cause jump + bandwidth" over the cells, so the
 surface is that grid plus an (L, K, G) value array whatever the sample
-size.  Cells declared structurally unreachable are rows of zeros.
+size.  Cells declared structurally unreachable are rows of zeros.  The
+sample and each row of a bootstrap block of record counts run one
+assembly, which takes a cell from its sorted records to its cause-1
+jumps before it starts the next.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import CellIndex, DataValidationError, Dataset
-from .smoothing import bandwidth_rows, default_bandwidth, left_pack, smooth_rows
-from .survival import CellProcess, build_counting_processes, incidence_values, presort
+from .smoothing import bandwidth_rows, left_pack, smooth_rows
+from .survival import incidence_values, level_cells, sorted_cells
 
 __all__ = ["EstimationError", "SmoothedSurvivalSurface", "assemble_surface"]
 
@@ -91,11 +94,7 @@ class SmoothedSurvivalSurface:
 
 
 def _resolve_bandwidth(policy, data: Dataset, cell: CellIndex) -> float:
-    if policy is None:
-        try:
-            return default_bandwidth(np.compress(data.cell_mask(cell), data.y))
-        except ValueError as exc:
-            raise _thin_cell(data, cell, exc) from None
+    """A given bandwidth of the cell: a number, a dict value, or a callable's result, finite and positive."""
     if isinstance(policy, dict):
         h = float(policy[tuple(cell)])
     elif callable(policy):
@@ -122,25 +121,15 @@ def assemble_surface(
     ``bandwidth`` may be None (per-cell rule of thumb on the cell's
     follow-up times), a number applied to every cell, a dict keyed by
     (z, w), or a callable (data, cell) -> float.  A cell too thin for the
-    rule of thumb raises ``EstimationError``.  The counting processes go
-    through ``_surfaces`` as a block of one row, so the surface is that of
-    ``assemble_surfaces`` under a row of ones, bit for bit, whatever the
-    order of the records.
+    rule of thumb raises ``EstimationError``.  The sample runs the
+    assembly of ``assemble_surfaces`` as one row that counts every record
+    once, so the surface is that of ``assemble_surfaces`` under a row of
+    ones, bit for bit, whatever the order of the records.
     """
-    # before the counting processes exist, so the rule's sorted cell samples do not add to their peak
-    bandwidths = {
-        cell: np.array([_resolve_bandwidth(bandwidth, data, cell)])
-        for cell in data.cells()
-        if cell not in data.structural_zeros
-    }
-    cp = build_counting_processes(data)
-    sizes = np.zeros((1, data.n_treatment_levels, data.n_instrument_levels), np.int64)
-    processes = []
-    for cell in bandwidths:
-        c = cp.cells[cell]
-        sizes[0, cell.z, cell.w] = c.size
-        processes.append((cell, CellProcess(c.times, c.dn1[None], c.dn[None], c.at_risk[None], np.array([c.size]))))
-    return _surfaces(data, sizes, processes, bandwidths, kind)[0]
+    (out,) = _assemble(data, None, bandwidth, kind)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: str = "local_linear") -> list:
@@ -157,23 +146,43 @@ def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: s
     """
     if callable(bandwidth):
         raise ValueError("a callable bandwidth needs the replicate as a dataset; pass it resampled")
-    B, L, K = len(counts), data.n_treatment_levels, data.n_instrument_levels
-    cells = presort(data).cells
-    sizes = np.zeros((B, L, K), np.int64)
-    empty = np.zeros(B, bool)
-    bandwidths, thin, ordered = {}, {}, {}
-    for cell, sc in cells.items():
-        c = ordered[cell] = counts[:, sc.order]
-        sizes[:, cell.z, cell.w] = c.sum(axis=1)
-        empty |= sizes[:, cell.z, cell.w] == 0
+    return _assemble(data, counts, bandwidth, kind)
+
+
+def _assemble(data: Dataset, counts, bandwidth, kind: str) -> list:
+    """The surface, or the first error, of each row of counts (B, n), or of the sample itself (counts None).
+
+    Each cell goes from its sorted records through its bandwidths and
+    counting processes to its left-packed cause-1 jumps before the next
+    cell starts, so that one cell's record-sized arrays live at a time.
+    The sample's cells are built as the loop goes and not kept; a block's
+    come from ``sorted_cells``, kept across blocks.  Every stage runs along
+    the rows: the sample, one row, gets a block row's bits.
+    """
+    B = 1 if counts is None else len(counts)
+    sizes = np.zeros((B, data.n_treatment_levels, data.n_instrument_levels), np.int64)
+    bandwidths, thin, jumps = {}, {}, {}
+    for cell, sc in level_cells(data) if counts is None else sorted_cells(data).items():
+        if cell in data.structural_zeros:
+            continue
+        c = None if counts is None else counts[:, sc.records]
         if bandwidth is None:
-            bandwidths[cell], thin[cell] = bandwidth_rows(sc.y, c)
+            bandwidths[cell], thin[cell] = bandwidth_rows(sc.y, np.ones((1, sc.y.size), np.int8) if c is None else c)
         else:
             bandwidths[cell] = np.full(B, _resolve_bandwidth(bandwidth, data, cell))
+        proc = sc.process(c)
+        del c, sc  # a sample cell's record-sized arrays go before its incidence is built
+        sizes[:, cell.z, cell.w] = proc.size
+        # a row's jumps are the times its counted records fail at by cause 1
+        jumping = np.atleast_2d(proc.dn1 > 0)
+        inc = incidence_values(proc, proc.dn1)
+        np.subtract(1.0, inc, out=inc)  # 1 - F_hat in place: one (B, T) array less at the peak
+        jumps[cell] = left_pack(jumping, proc.times, np.inf), left_pack(jumping, inc, 0.0)
+        del proc, inc
     # a row's first error, in the order its resampled dataset meets them:
     # an emptied cell, then the first cell too thin for the bandwidth rule
     out: list = [None] * B
-    for b in np.flatnonzero(empty).tolist():
+    for b in range(B):
         try:
             data.check_occupancy(sizes[b] > 0)
         except DataValidationError as exc:
@@ -182,45 +191,24 @@ def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: s
         for b, reason in enumerate(reasons):
             if reason and out[b] is None:
                 out[b] = _thin_cell(data, cell, reason)
-    live = np.array([o is None for o in out], dtype=bool)
-    if not live.any():
+    live = np.flatnonzero([o is None for o in out])
+    if not live.size:
         return out
-    processes = ((cell, sc.process(ordered.pop(cell)[live])) for cell, sc in cells.items())
-    surfaces = _surfaces(data, sizes[live], processes, {cell: h[live] for cell, h in bandwidths.items()}, kind)
-    for b, surface in zip(np.flatnonzero(live).tolist(), surfaces):
-        out[b] = surface
-    return out
-
-
-def _surfaces(data: Dataset, sizes: np.ndarray, processes, bandwidths: dict, kind: str) -> list:
-    """Surfaces from per-row cell sizes (B, L, K), (cell, process rows) pairs and bandwidths (B,) per cell.
-
-    dn1, dn and at_risk are (B, T); a block passes the pairs as a
-    generator, so that one cell's rows live at a time.  Every stage runs
-    along the rows: the full sample, one row, gets a block row's bits.
-    """
-    B = len(sizes)
+    sizes = sizes[live]
     with np.errstate(invalid="ignore", divide="ignore"):
         p_hat = sizes / sizes.sum(axis=1, keepdims=True)
-    jumps = {}
-    for cell, proc in processes:
-        # a row's jumps are the times its counted records fail at by cause 1
-        jumping = proc.dn1 > 0
-        inc = incidence_values(proc, proc.dn1)
-        np.subtract(1.0, inc, out=inc)  # 1 - F_hat in place: one (B, T) array less at the peak
-        jumps[cell] = left_pack(jumping, proc.times, np.inf), left_pack(jumping, inc, 0.0)
-        del proc, inc
+    bandwidths = {cell: h[live] for cell, h in bandwidths.items()}
+    jumps = {cell: (j[live], v[live]) for cell, (j, v) in jumps.items()}
     # every cell's own range is its last jump plus its bandwidth
     t_max = np.max([np.max(j, axis=1, where=np.isfinite(j), initial=0.0) + bandwidths[cell]
                     for cell, (j, _) in jumps.items()], axis=0)
     grid = np.linspace(0.0, t_max, GRID_POINTS, axis=-1)
     values = np.zeros(p_hat.shape + (GRID_POINTS,))
     for cell, (j, v) in jumps.items():
-        curves = smooth_rows(j, v, np.ones(B), bandwidths[cell], kind, grid)
+        curves = smooth_rows(j, v, np.ones(live.size), bandwidths[cell], kind, grid)
         values[:, cell.z, cell.w] = curves * p_hat[:, cell.z, cell.w, None]
     levels = list(data.treatment_levels), list(data.instrument_levels)
-    return [
-        SmoothedSurvivalSurface(grid[b], values[b], p_hat[b], {cell: float(h[b]) for cell, h in bandwidths.items()},
-                                kind, *levels)
-        for b in range(B)
-    ]
+    for i, b in enumerate(live.tolist()):
+        out[b] = SmoothedSurvivalSurface(grid[i], values[i], p_hat[i],
+                                         {cell: float(h[i]) for cell, h in bandwidths.items()}, kind, *levels)
+    return out

@@ -9,21 +9,17 @@ Ties at a time point are handled with the standard convention that
 failures are processed before censorings: the at-risk count at t includes
 every record with y >= t, and all failures at t leave together.
 
-The full sample's counting processes come from each treatment level sorted
-once by follow-up time and split by instrument level, with no ``np.unique``:
-failure times are the runs of equal y among the failing records, and the
-at-risk count at t starts from the first record of the run at t.  The
-surface reads each as a block of one row, as it reads a bootstrap block.
-
-A bootstrap replicate may be given as per-record counts on the sample
-instead of as a resampled dataset, and a block of B replicates as a (B, n)
-count matrix.  Their counting processes then come from the sample's cells
-sorted once by follow-up time (``presort``): dN by one ``add.reduceat``
-over each cell's failure-time groups, at-risk counts by a cumulative sum,
-both along each row.  A block keeps every sample failure time;
-one that no counted record fails at has dN = 0, adds exactly 0 to the
-cumulative incidence, and is no jump of it, so each row's step function
-equals that of its resampled dataset.
+The sample and its bootstrap blocks share one front end.  Each treatment
+level is argsorted by follow-up time once per dataset (``level_order``,
+cached until another dataset is sorted) and split by instrument level into
+``SortedCell``s, with no ``np.unique``: failure times are the runs of equal
+y among the failing records.  A cell's counting processes come from those
+groups, with every record counted once, or along each row of a block of B
+bootstrap replicates given as a (B, cell size) count matrix: dN by one
+``add.reduceat`` over the groups, at-risk counts by a cumulative sum.  A
+block keeps every sample failure time; one that no counted record fails at
+has dN = 0, adds exactly 0 to the cumulative incidence, and is no jump of
+it, so each row's step function equals that of its resampled dataset.
 """
 
 from __future__ import annotations
@@ -109,138 +105,133 @@ class CountingProcesses:
 def _cell_process(y: np.ndarray, event: np.ndarray) -> CellProcess:
     """A cell's counting processes from its records in any order."""
     order = np.argsort(y)
-    return _sorted_process(y[order], event[order])
+    return SortedCell.of(y[order], event[order]).process()
 
 
-def _sorted_process(y: np.ndarray, event: np.ndarray) -> CellProcess:
-    """A cell's counting processes from its records in ascending y, in any order within ties.
+@dataclass(frozen=True)
+class SortedCell:
+    """One cell's records in ascending follow-up time, with its failure-time groups.
 
-    The failures at one time are a run of the failing records, so dN is a
-    run length and dN1 an ``add.reduceat`` over the runs; Y(t) counts the
-    records from the first of the run of records at t on.  Every count is
-    a whole number, so each matches any other order exactly.
+    Ties come in the order of their level's sort.  ``records`` holds the
+    records' indices in the dataset, by which a block of counts is
+    gathered; a cell of the sample alone leaves it None.
     """
-    size = y.shape[0]
-    failing = np.flatnonzero(event)
-    if not failing.size:
-        empty = np.empty(0)
-        return CellProcess(empty, empty.copy(), empty.copy(), empty.copy(), size)
-    starts = np.flatnonzero(_run_flags(y[failing]))
-    first = failing[starts]  # the first failing record at each time
-    dn1 = np.add.reduceat(event[failing] == 1, starts, dtype=np.float64)
-    dn = np.diff(starts, append=failing.size).astype(np.float64)
-    del failing, starts
-    # the first position of the run of equal y that each position is in
-    run = np.arange(size)
-    run *= _run_flags(y)
-    np.maximum.accumulate(run, out=run)
-    at_risk = np.subtract(size, run[first], dtype=np.float64)
-    return CellProcess(y[first], dn1, dn, at_risk, size)
+
+    y: np.ndarray  # follow-up times, ascending
+    times: np.ndarray  # distinct failure times (any cause)
+    failing: np.ndarray  # positions in y of the failing records
+    starts: np.ndarray  # index into failing of the first record failing at each time
+    cause1: np.ndarray  # 1 for each failing record of cause 1, else 0
+    records: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, y: np.ndarray, event: np.ndarray, records: np.ndarray | None = None) -> "SortedCell":
+        """The cell of records with ascending times y and event codes event."""
+        failing = np.flatnonzero(event)
+        starts = np.flatnonzero(_run_flags(y[failing]))
+        times = y[failing[starts]]
+        cause1 = (event[failing] == 1).astype(np.int8)
+        return cls(y, times, failing, starts, cause1, records)
+
+    def process(self, c: np.ndarray | None = None) -> CellProcess:
+        """The cell's counting processes under each row of counts (B, cell size) in y's order.
+
+        dn1, dn and at_risk are (B, T) on the sample's failure times, size
+        is (B,); without counts, every record counts once, and they are (T,)
+        with an int size.  Every entry is a whole count, so each is exact.
+        """
+        # Y(t) = size - the counted records below t; the records from t on
+        # start at the run of equal y that t's first failing record is in
+        first = np.arange(self.y.size)
+        first *= _run_flags(self.y)
+        np.maximum.accumulate(first, out=first)
+        first = first[self.failing[self.starts]]
+        if c is None:  # no count row to sum: a cell of the sample sets the fit's peak memory
+            at_risk = np.subtract(self.y.size, first, dtype=np.float64)
+            del first
+            dn = np.diff(self.starts, append=self.failing.size).astype(np.float64)
+            return CellProcess(self.times, np.add.reduceat(self.cause1, self.starts, dtype=np.float64), dn, at_risk,
+                               self.y.size)
+        # the counted records before each position, and in all
+        below = np.zeros((len(c), self.y.size + 1), np.int64)
+        np.cumsum(c, axis=1, out=below[:, 1:])
+        size = below[:, -1]
+        at_risk = np.subtract(size[:, None], below[:, first], dtype=np.float64)
+        del below, first
+        failed = c[:, self.failing]
+        dn = np.add.reduceat(failed, self.starts, axis=1, dtype=np.float64)
+        dn1 = np.add.reduceat(failed * self.cause1, self.starts, axis=1, dtype=np.float64)
+        return CellProcess(self.times, dn1, dn, at_risk, size)
+
+
+_SORTED: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _sorted(data: Dataset, key, make):
+    """``make()``, taken once per dataset and key: a level's ``level_order``, or ``sorted_cells``.
+
+    It is kept while the dataset lives and until another dataset is
+    sorted: a fit, its naive curve and its bootstrap blocks take one
+    sample at a time.
+    """
+    if data not in _SORTED:
+        _SORTED.clear()
+        _SORTED[data] = {}
+    cache = _SORTED[data]
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
+def level_order(data: Dataset, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """A treatment level's record indices, ascending, and their permutation into ascending follow-up time.
+
+    The permutation is one ``argsort`` of the level's times, taken once per
+    dataset and cached in the narrowest unsigned type (4 bytes a record at
+    n = 10^6); ties come in any order.
+    """
+    records = np.flatnonzero(data.z == level)
+    return records, _sorted(data, level, lambda: np.argsort(data.y[records]).astype(np.min_scalar_type(records.size)))
 
 
 def sorted_level(data: Dataset, level: int) -> tuple:
     """A treatment level's follow-up times, event codes and instrument indices, in ascending y.
 
-    One ``argsort`` of the level's times; ties come in any order.  The
-    codes and indices are held in the narrowest integer type that fits.
+    Each column is gathered in record order, then permuted by
+    ``level_order``.  The codes and indices are held in the narrowest
+    integer type that fits.
     """
-    records = np.flatnonzero(data.z == level)
-    y = data.y[records]
-    order = np.argsort(y)
+    records, order = level_order(data, level)
     w_type = np.min_scalar_type(data.n_instrument_levels - 1)
-    return y[order], data.event[records].astype(np.int8)[order], data.w[records].astype(w_type)[order]
+    return data.y[records][order], data.event[records].astype(np.int8)[order], data.w[records].astype(w_type)[order]
 
 
-def _by_y(data: Dataset, records: np.ndarray) -> np.ndarray:
-    return records[np.argsort(data.y[records], kind="stable")]
+def level_cells(data: Dataset, indexed: bool = False):
+    """(cell, ``SortedCell``) of every cell in (z, w) order, built a level at a time from ``sorted_level``.
 
-
-@dataclass(frozen=True)
-class SortedCell:
-    """One cell's records in ascending follow-up time, with its failure-time groups."""
-
-    order: np.ndarray  # record indices, ascending y (stable)
-    y: np.ndarray  # y[order]
-    times: np.ndarray  # distinct failure times (any cause)
-    failing: np.ndarray  # positions in order of the failing records
-    starts: np.ndarray  # index into failing of the first record failing at each time
-    cause1: np.ndarray  # 1 for each failing record of cause 1, else 0
-    first_at_risk: np.ndarray  # first position in order with y >= times[j]
-
-    @classmethod
-    def of(cls, data: Dataset, records: np.ndarray) -> "SortedCell":
-        order = _by_y(data, records)
-        y, event = data.y[order], data.event[order]
-        failing = np.flatnonzero(event != 0)
-        starts = np.flatnonzero(_run_flags(y[failing]))
-        times = y[failing[starts]]
-        cause1 = (event[failing] == 1).astype(np.int64)
-        return cls(order, y, times, failing, starts, cause1, np.searchsorted(y, times, side="left"))
-
-    def process(self, c: np.ndarray) -> CellProcess:
-        """The cell's counting processes under each row of counts (B, cell size) in ``order``.
-
-        dn1, dn and at_risk are (B, T) on the sample's failure times, size is
-        (B,).  Every entry is a whole count, so each is exact.
-        """
-        cum = np.cumsum(c, axis=1)
-        size = cum[:, -1]
-        # Y(t) = size - the counted records below t
-        at_risk = size[:, None] - np.where(self.first_at_risk > 0, cum[:, self.first_at_risk - 1], 0)
-        del cum
-        failed = c[:, self.failing]
-        dn = np.add.reduceat(failed, self.starts, axis=1)
-        dn1 = np.add.reduceat(failed * self.cause1, self.starts, axis=1)
-        return CellProcess(self.times, dn1.astype(np.float64), dn.astype(np.float64), at_risk.astype(np.float64), size)
-
-
-@dataclass(frozen=True)
-class Presorted:
-    """A dataset's sort orders, built once for count-weighted replicates of it."""
-
-    cells: dict[CellIndex, SortedCell]  # every cell not declared a structural zero
-    cause1: list  # per treatment level: its primary-cause record indices, ascending y
-
-
-_PRESORTED: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def presort(data: Dataset) -> Presorted:
-    """The dataset's ``Presorted``, built on first use.
-
-    It is kept while the dataset lives and until another dataset is
-    presorted: replicates of one sample at a time need no more.
+    With ``indexed``, each cell keeps its records' indices in the dataset.
     """
-    out = _PRESORTED.get(data)
-    if out is None:
-        cells = {
-            cell: SortedCell.of(data, np.flatnonzero(data.cell_mask(cell)))
-            for cell in data.cells()
-            if cell not in data.structural_zeros
-        }
-        cause1 = [
-            _by_y(data, np.flatnonzero((data.z == zi) & (data.event == 1)))
-            for zi in range(data.n_treatment_levels)
-        ]
-        _PRESORTED.clear()
-        out = _PRESORTED[data] = Presorted(cells, cause1)
-    return out
-
-
-def build_counting_processes(data: Dataset) -> CountingProcesses:
-    """Counting processes of every cell, each record counted once.
-
-    Each treatment level is sorted by follow-up time once, and each of its
-    cells keeps its records in that order.  A count-weighted replicate's
-    come from ``presort(data)``'s cells.
-    """
-    cells: dict[CellIndex, CellProcess] = {}
     for zi in range(data.n_treatment_levels):
         y, event, w = sorted_level(data, zi)
+        index = None
+        if indexed:
+            records, order = level_order(data, zi)
+            index = records[order]
         for wi in range(data.n_instrument_levels):
             # np.compress takes what a boolean index takes, in about a quarter of the time
             inst = w == wi
-            cells[CellIndex(zi, wi)] = _sorted_process(np.compress(inst, y), np.compress(inst, event))
+            yield CellIndex(zi, wi), SortedCell.of(np.compress(inst, y), np.compress(inst, event),
+                                                   None if index is None else np.compress(inst, index))
+
+
+def sorted_cells(data: Dataset) -> dict[CellIndex, SortedCell]:
+    """``level_cells`` indexed for blocks of counts, taken once and cached."""
+    return _sorted(data, "cells", lambda: dict(level_cells(data, indexed=True)))
+
+
+def build_counting_processes(data: Dataset) -> CountingProcesses:
+    """Counting processes of every cell, each record counted once, from ``level_cells``."""
+    cells = {cell: sc.process() for cell, sc in level_cells(data)}
     inst_sizes = {
         wi: sum(c.size for cell, c in cells.items() if cell.w == wi) for wi in range(data.n_instrument_levels)
     }

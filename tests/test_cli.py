@@ -326,6 +326,14 @@ def test_file_that_is_not_json_is_named_exits_1(tmp_path, sim_dir, capsys, flag)
     ("simulate", {"seed": True}, "seed must be a non-negative integer, got True"),
     ("simulate", {"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
     ("estimate", {"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ("estimate", {"bandwidth": [0.1]}, "bandwidth must be a number or null, got [0.1]"),
+    ("estimate", {"bandwidth": {"a": 0.1}}, "bandwidth must be a number or null, got {'a': 0.1}"),
+    ("estimate", {"bandwidth": True}, "bandwidth must be a number or null, got True"),
+    ("bounds", {"bandwidth": "0.1"}, "bandwidth must be a number or null, got '0.1'"),
+    ("estimate", {"delta": {"a": 1}}, "delta must be a number, a list of numbers or null, got {'a': 1}"),
+    ("estimate", {"delta": "0.1"}, "delta must be a number, a list of numbers or null, got '0.1'"),
+    ("estimate", {"delta": [0.1, False]}, "delta must be a number, a list of numbers or null, got [0.1, False]"),
+    ("bounds", {"delta": True}, "delta must be a number, a list of numbers or null, got True"),
 ])
 def test_bad_number_in_config_exits_1(tmp_path, sim_dir, capsys, command, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -361,6 +369,29 @@ def test_config_u_and_level_are_read_as_the_flags_are(tmp_path, sim_dir):
     cfg.write_text(json.dumps({"level": 1}))
     level = _resolve_config(args)["level"]
     assert type(level) is float and level == 1.0
+
+
+def test_config_bandwidth_and_delta_are_read_as_numbers(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    args = build_parser().parse_args(["estimate", "--data", "d.csv", "--out", "o", "--config", str(cfg)])
+    for doc, want in [({"bandwidth": 1, "delta": [1, 0.5]}, (1.0, [1.0, 0.5])),
+                      ({"bandwidth": None, "delta": 2}, (None, 2.0)),
+                      ({"bandwidth": 0.1, "delta": None}, (0.1, None))]:
+        cfg.write_text(json.dumps(doc))
+        resolved = _resolve_config(args)
+        got = resolved["bandwidth"], resolved["delta"]
+        assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--design", 1, "--n", 2], "empty cell (z=0, w=1)"),
+    (["mc", "--design", 2, "--n", 3, "--reps", 1], "bandwidth rule needs at least 2 observations"),
+])
+def test_failed_simulate_and_mc_leave_no_out_dir(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_directory_exits_2(tmp_path, capsys):

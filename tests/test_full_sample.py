@@ -1,5 +1,9 @@
 """The full-sample statistics from sorted levels against their record-order reference, bit for bit."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +13,7 @@ from crqiv.data import Dataset
 from crqiv.estimator import EstimationError, QuantileGrid, default_delta, estimate_y1, fit_curve, naive_curve
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import default_bandwidth
-from crqiv.survival import _cell_process, build_counting_processes
+from crqiv.survival import _cell_process, build_counting_processes, level_order
 from tests import _reference_full_sample as ref
 
 # few distinct times, so that failures of both causes, censorings and zero
@@ -164,3 +168,39 @@ def test_fit_does_not_depend_on_record_order(design, seed, kind):
     for x, z in pairs:
         assert np.asarray(x).tobytes() == np.asarray(z).tobytes()
     assert a.surface.bandwidths == b.surface.bandwidths and a.warnings == b.warnings
+
+
+def test_level_sort_is_cached_until_another_dataset_is_sorted():
+    a, b = (generate(DgpSpec(design=2, n=2_000, seed=seed))[0] for seed in (0, 1))
+    order = level_order(a, 1)[1]
+    assert level_order(a, 1)[1] is order and order.dtype == np.uint16
+    kept = weakref.ref(order)
+    del order
+    level_order(b, 0)
+    gc.collect()
+    assert kept() is None
+
+
+def test_naive_curve_after_the_fit_sorts_no_level(monkeypatch):
+    data, _ = generate(DgpSpec(design=1, n=2_000, seed=0))
+    fit_curve(data, grid=QuantileGrid.default(20))
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(a) or argsort(*a, **kw))
+    naive_curve(data)
+    assert calls == []
+
+
+def test_fit_memory_peak():
+    # the fit builds one cell's counting processes at a time (6,992,172 traced
+    # bytes at the peak on this dataset with numpy 2.4); holding every cell's
+    # at once, as the fit did before it shared the bootstrap blocks' front
+    # end, peaked at 7,704,798
+    data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
+    tracemalloc.start()
+    try:
+        fit_curve(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7_704_798

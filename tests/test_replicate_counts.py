@@ -17,7 +17,7 @@ from crqiv.inference import BootstrapConfig, block_size, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import bandwidth_rows, default_bandwidth, rule_of_thumb_bandwidth
 from crqiv.surface import assemble_surface
-from crqiv.survival import build_counting_processes, presort
+from crqiv.survival import build_counting_processes, sorted_cells
 
 from test_inference import thin_cell_data
 from tests._reference_band import assert_same_band, reference_band
@@ -135,8 +135,10 @@ def test_block_size_budget():
         assert 8 * block_size(n) * (n + 512) <= inference.BLOCK_BYTES
 
 
-@pytest.mark.parametrize("make, draws", [(thin_cell_data, 40), (sparse_level_data, 40), (three_by_three, 9)])
+@pytest.mark.parametrize("make, draws", [(thin_cell_data, 40), (sparse_level_data, 40), (three_by_three, 9),
+                                         (lambda: zero_and_tied_times(), 40)])
 def test_band_bits_do_not_depend_on_block_size(make, draws, monkeypatch):
+    # tied records enter a block's weighted sums in the order of their level's sort
     data = make()
     boot = BootstrapConfig(draws=draws, seed=1)
     grid = QuantileGrid.default(30)
@@ -147,6 +149,7 @@ def test_band_bits_do_not_depend_on_block_size(make, draws, monkeypatch):
         bands.append(bootstrap_band(data, boot, grid=grid))
     for band in bands[1:]:
         assert_same_band(band, bands[0])
+    assert_same_band(bands[0], reference_band(data, boot, grid=grid), tol=1e-10)
 
 
 def test_failing_rows_inside_a_block():
@@ -229,8 +232,8 @@ def test_counts_reproduce_the_resampled_statistics():
     data, _ = generate(DgpSpec(design=2, n=1_500, seed=5))
     draws = [np.random.default_rng(s).integers(0, data.n, data.n) for s in (7, 8, 9)]
     counts = np.stack([np.bincount(idx, minlength=data.n) for idx in draws])
-    for cell, sc in presort(data).cells.items():
-        block = sc.process(counts[:, sc.order])
+    for cell, sc in sorted_cells(data).items():
+        block = sc.process(counts[:, sc.records])
         for b in range(len(counts)):
             re = resample(data, np.random.default_rng(7 + b))
             direct = build_counting_processes(re).cell(cell)

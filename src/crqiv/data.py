@@ -61,6 +61,17 @@ class CellIndex(NamedTuple):
     w: int
 
 
+def code_type(count: int) -> np.dtype:
+    """The narrowest signed integer type holding 0 .. count - 1: int8 for up to 128 codes."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if count - 1 <= np.iinfo(t).max)
+
+
+def _integers(a) -> np.ndarray:
+    """A code column as given if it holds integers, else cast to int64 (a float is truncated)."""
+    a = np.ascontiguousarray(a)
+    return a if a.dtype.kind in "iu" else a.astype(np.int64)
+
+
 class Dataset:
     """Validated immutable sample of (y, event, z, w) records.
 
@@ -68,7 +79,10 @@ class Dataset:
     ----------
     y, event, z, w : array-like
         Per-record columns. ``z`` and ``w`` are integer indices into the
-        level registries.
+        level registries. They are stored read-only: ``y`` as float64, and
+        ``event``, ``z`` and ``w`` each in the narrowest signed type that
+        holds its codes (``code_type``), int8 for up to 128 levels.  Codes
+        are checked as given, before they are narrowed.
     treatment_levels, instrument_levels : sequence
         Ordered distinct labels. At least 2 of each.
     structural_zeros : iterable of (z_index, w_index)
@@ -90,14 +104,16 @@ class Dataset:
         if np.signbit(self.y).any():
             # -0.0 ties 0.0 in a sort, so record order would pick the sign; + 0.0 gives +0.0, in a copy
             self.y = self.y + 0.0
-        self.event = np.ascontiguousarray(event, dtype=np.int64)
-        self.z = np.ascontiguousarray(z, dtype=np.int64)
-        self.w = np.ascontiguousarray(w, dtype=np.int64)
+        self.event, self.z, self.w = (_integers(a) for a in (event, z, w))
         self.treatment_levels = list(treatment_levels)
         self.instrument_levels = list(instrument_levels)
         self.structural_zeros = frozenset((int(a), int(b)) for a, b in structural_zeros)
         if validate:
             self._validate()
+        # narrowed once checked, so that an out-of-range code is named as given
+        self.event = np.ascontiguousarray(self.event, dtype=code_type(3))
+        self.z = np.ascontiguousarray(self.z, dtype=code_type(len(self.treatment_levels)))
+        self.w = np.ascontiguousarray(self.w, dtype=code_type(len(self.instrument_levels)))
         for a in (self.y, self.event, self.z, self.w):
             a.setflags(write=False)
 
@@ -398,12 +414,13 @@ def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, 
             str(raw, "utf-8")  # the row loop raises on a byte that is not UTF-8, in any column
 
     parsed = np.loadtxt(path, dtype=_FIELDS, usecols=usecols, **_LOADTXT)
-    # owned copies, so that the record array is freed before the distinct labels are taken
-    y, *text = (parsed[name].copy() for name in _FIELDS.names)
-    del parsed
-    if not (np.isfinite(y) & (y >= 0)).all():
+    if not (np.isfinite(parsed["y"]) & (parsed["y"] >= 0)).all():
         return None
-    ev_col, z_col, w_col = _distinct_text(path, usecols[1:], text)
+    # the text columns are read as views of the record array, which goes
+    # once their codes and an owned copy of the times are taken
+    ev_col, z_col, w_col = _distinct_text(path, usecols[1:], [parsed[name] for name in _FIELDS.names[1:]])
+    y = parsed["y"].copy()
+    del parsed
 
     strings, _, inverse = ev_col
     codes = [
@@ -412,7 +429,7 @@ def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, 
     ]
     if not set(codes) <= {CENSORED, CAUSE1, CAUSE2}:
         return None
-    event = np.array(codes, dtype=np.int64)[inverse]
+    event = np.array(codes, dtype=code_type(3))[inverse]
 
     z = _level_codes(z_col, t_order)
     w = _level_codes(w_col, i_order)
@@ -425,16 +442,14 @@ def _distinct_text(path, usecols: list[int], columns: list[np.ndarray]) -> list[
     """(distinct strings, first row of each, per-row index into them) per text column.
 
     ``columns`` are the columns at ``usecols`` as 8-byte strings, parsed
-    through latin-1 so that every byte of the UTF-8 file passes as it is;
-    the list is emptied as it goes, so that each column is freed once its
-    distinct values are taken. Those are found on the 8 bytes viewed as one
-    integer, so no strings are sorted, and only they are decoded. A
-    distinct value that fills the width may have been cut; then that column
-    alone is read again, four times as wide, until none does.
+    through latin-1 so that every byte of the UTF-8 file passes as it is.
+    Their distinct values are found on the 8 bytes viewed as one integer,
+    so no strings are sorted, and only they are decoded. A distinct value
+    that fills the width may have been cut; then that column alone is read
+    again, four times as wide, until none does.
     """
     out = []
-    for usecol in usecols:
-        col = columns.pop(0)
+    for usecol, col in zip(usecols, columns):
         distinct, first, inverse = _distinct(col.view("<u8"))
         strings = distinct.view(col.dtype).tolist()
         width = col.dtype.itemsize
@@ -446,18 +461,31 @@ def _distinct_text(path, usecols: list[int], columns: list[np.ndarray]) -> list[
     return out
 
 
+# up to this many distinct keys, each row's index is summed from one comparison per key
+_FEW_KEYS = 16
+
+
 def _distinct(keys: np.ndarray) -> tuple:
     """``np.unique(keys, return_index=True, return_inverse=True)`` of a 1-d array, without its stable argsort.
 
-    The distinct keys come from one sort; the first row of each is the
-    least row with its index.
+    The distinct keys come from one sort.  The inverse is held in the
+    narrowest unsigned type that fits: with few keys it counts the keys at
+    or below each row's, and the first row of each index is found by a
+    scan that stops there; with many, it is a ``searchsorted``.
     """
     ascending = np.sort(keys)
     distinct = np.compress(_run_flags(ascending), ascending)
     del ascending
-    inverse = np.searchsorted(distinct, keys)
-    first = np.full(distinct.shape, keys.size, dtype=np.intp)
-    np.minimum.at(first, inverse, np.arange(keys.size))
+    index_type = np.min_scalar_type(distinct.size - 1)
+    if distinct.size > _FEW_KEYS:
+        inverse = np.searchsorted(distinct, keys).astype(index_type)
+        first = np.full(distinct.shape, keys.size, dtype=np.intp)
+        np.minimum.at(first, inverse, np.arange(keys.size))
+        return distinct, first, inverse
+    inverse = np.zeros(keys.shape, index_type)
+    for key in distinct[1:]:
+        inverse += keys >= key
+    first = np.array([np.argmax(inverse == j) for j in range(distinct.size)], dtype=np.intp)
     return distinct, first, inverse
 
 
@@ -485,7 +513,7 @@ def _level_codes(column: tuple, order: list | None):
     lookup = {lab: i for i, lab in enumerate(order)}
     if any(lab not in lookup for lab in labels):
         return None
-    return order, np.array([lookup[lab] for lab in labels], dtype=np.int64)[inverse]
+    return order, np.array([lookup[lab] for lab in labels], dtype=code_type(len(order)))[inverse]
 
 
 def _read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: list | None):
@@ -532,7 +560,7 @@ def _read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: li
 
     def index_of(labels: list, registry_: list, what: str) -> np.ndarray:
         lookup = {lab: i for i, lab in enumerate(registry_)}
-        out = np.empty(len(labels), dtype=np.int64)
+        out = np.empty(len(labels), dtype=code_type(len(registry_)))
         for i, lab in enumerate(labels):
             if lab not in lookup:
                 raise DataValidationError(f"row {i + 1}: {what} level {lab!r} not in the supplied ordering")
@@ -541,7 +569,7 @@ def _read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: li
 
     z_idx = index_of(z_labels, t_levels, "treatment")
     w_idx = index_of(w_labels, i_levels, "instrument")
-    return np.array(y_raw), np.array(e_raw), z_idx, w_idx, t_levels, i_levels
+    return np.array(y_raw), np.array(e_raw, dtype=code_type(3)), z_idx, w_idx, t_levels, i_levels
 
 
 def _csv_line(fields: list) -> str:
@@ -566,7 +594,8 @@ def save_csv(data: Dataset, path) -> None:
         fh.write(_csv_line(["time", "event", "treatment", "instrument"]))
         for lo in range(0, data.n, _SAVE_CHUNK):
             part = slice(lo, lo + _SAVE_CHUNK)
-            key = (data.event[part] * len(t_levels) + data.z[part]) * len(i_levels) + data.w[part]
+            # in intp: past 128 tails the key would wrap in the codes' int8
+            key = (data.event[part].astype(np.intp) * len(t_levels) + data.z[part]) * len(i_levels) + data.w[part]
             times = map(repr, data.y[part].tolist())
             fh.write("".join(map(operator.add, times, map(tails.__getitem__, key.tolist()))))
     sidecar = {

@@ -238,17 +238,14 @@ def estimate_y1(data: Dataset) -> np.ndarray:
 
 
 def _primary_times(data: Dataset, level: int, counts) -> tuple:
-    """A level's primary-cause times, ascending, from ``sorted_level``, and their counts in each row of counts (B, n).
+    """A level's primary-cause times, ascending, and their counts in each row of counts (B, n), or None.
 
-    Without counts, every record counts once, as one row.
+    Only the level's event codes are gathered whole, in ``level_order``;
+    the times are those of its primary-cause records alone.
     """
-    y, event, _ = sorted_level(data, level)
-    primary = event == 1
-    times = np.compress(primary, y)
-    if counts is None:
-        return times, np.ones((1, times.size), np.int8)
     records, order = level_order(data, level)
-    return times, counts[:, records[np.compress(primary, order)]]
+    primary = records[np.compress(data.event[records][order] == 1, order)]
+    return data.y[primary], None if counts is None else counts[:, primary]
 
 
 def _no_primary_events(data: Dataset, level: int) -> EstimationError:
@@ -282,8 +279,9 @@ def _frontier_rows(data: Dataset, counts, delta) -> tuple:
     bound_errors, cushion_errors = [None] * B, [None] * B
     for level in range(L):
         times, c = _primary_times(data, level, counts)
-        y1[:, level] = np.where(c > 0, times, -np.inf).max(axis=1, initial=-np.inf)
-        for b in np.flatnonzero(~(c > 0).any(axis=1)).tolist():
+        counted = np.ones((1, times.size), bool) if c is None else c > 0
+        y1[:, level] = np.where(counted, times, -np.inf).max(axis=1, initial=-np.inf)
+        for b in np.flatnonzero(~counted.any(axis=1)).tolist():
             bound_errors[b] = bound_errors[b] or _no_primary_events(data, level)
         if delta is None:
             deltas[:, level], reasons = bandwidth_rows(times, c)
@@ -581,8 +579,8 @@ def naive_curve(data: Dataset, grid: QuantileGrid | None = None) -> np.ndarray:
     M, L = grid.size, data.n_treatment_levels
     out = np.full((M, L), np.inf)
     for zi in range(L):
-        y, event, _ = sorted_level(data, zi)
-        inc = incidence_from(SortedCell.of(y, event).process(), cause=1)
+        # the level's columns go with its sorted cell, once its counting processes are taken
+        inc = incidence_from(SortedCell.of(*sorted_level(data, zi)[:2]).process(), cause=1)
         if inc.jump_times.size == 0:
             continue
         idx = np.searchsorted(inc.values, grid.points, side="left")

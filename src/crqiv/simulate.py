@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import stream, substream_seed
-from .data import Dataset
+from .data import Dataset, code_type
 
 __all__ = [
     "DgpSpec",
@@ -42,6 +42,7 @@ _CENSOR_WINDOW = {1: (1.0 / 3.0, 2.0 / 3.0), 2: (1.0 / 3.0, 1.5)}
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SLOPE_STEP = 1e-7  # forward-difference step of TrueSurface slopes
+_CODE = code_type(3)  # the dataset's type for event codes and for two treatment or instrument levels
 
 
 @dataclass(frozen=True)
@@ -217,13 +218,13 @@ def generate(spec: DgpSpec) -> tuple[Dataset, LatentTrace]:
     n = spec.n
     u = stream(spec.seed, "rank").uniform(0.0, 1.0, n)
     eps = stream(spec.seed, "takeup").standard_normal(n)
-    w = (stream(spec.seed, "instrument").uniform(0.0, 1.0, n) < _P_INSTRUMENT).astype(np.int64)
+    w = (stream(spec.seed, "instrument").uniform(0.0, 1.0, n) < _P_INSTRUMENT).astype(_CODE)
     lo, hi = _CENSOR_WINDOW[spec.design]
     c = stream(spec.seed, "censor").uniform(lo, hi, n)
 
-    z = ((4.0 * u + eps - 1.0 >= 0.0) & (w == 1)).astype(np.int64)
+    z = ((4.0 * u + eps - 1.0 >= 0.0) & (w == 1)).astype(_CODE)
     p_cause1 = np.where(z == 1, _P_CAUSE1[1], _P_CAUSE1[0])
-    e = np.where(u < p_cause1, 1, 2).astype(np.int64)
+    e = np.where(u < p_cause1, _CODE.type(1), _CODE.type(2))
 
     t = np.where(
         e == 1,
@@ -232,7 +233,7 @@ def generate(spec: DgpSpec) -> tuple[Dataset, LatentTrace]:
     )
     y = np.minimum(t, c)
     observed = t <= c
-    event = np.where(observed, e, 0).astype(np.int64)
+    event = np.where(observed, e, _CODE.type(0))
 
     data = Dataset(
         y,

@@ -72,8 +72,7 @@ def default_bandwidth(sample) -> float:
     sample's order.  Raises ValueError on degenerate samples (fewer than 2
     points or zero spread); pass an explicit bandwidth in that case.
     """
-    x = np.sort(np.asarray(sample, dtype=np.float64).ravel())
-    (h,), (reason,) = bandwidth_rows(x, np.ones((1, x.size), np.int8))
+    (h,), (reason,) = bandwidth_rows(np.sort(np.asarray(sample, dtype=np.float64).ravel()))
     if reason:
         raise ValueError(reason)
     return float(h)
@@ -83,7 +82,7 @@ _TOO_FEW = "bandwidth rule needs at least 2 observations; pass an explicit bandw
 _NO_SPREAD = "degenerate sample (zero spread); pass an explicit bandwidth"
 
 
-def bandwidth_rows(x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, list]:
+def bandwidth_rows(x: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """The rule-of-thumb bandwidth of ascending ``x`` under each row of counts (B, n).
 
     Returns the B bandwidths, NaN where the rule fails, and per row the
@@ -91,16 +90,27 @@ def bandwidth_rows(x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, list]
     statistics under numpy's default ``linear`` percentile rule.  The
     moments are fixed-order ufunc reductions, one row at a time along the
     last axis, so each row's bits do not depend on B or on how many
-    threads a BLAS library would use.
+    threads a BLAS library would use.  Without counts, every point counts
+    once, as one row: that row's bits, with no product by the counts, no
+    sum of them and no search for the quartiles.
     """
-    size = counts.sum(axis=1)
+    if counts is None and x.size < 2:
+        return np.array([np.nan]), [_TOO_FEW]
+    size = np.array([x.size]) if counts is None else counts.sum(axis=1)
     h = np.full(size.shape, np.nan)
     reasons = [None if m >= 2 else _TOO_FEW for m in size.tolist()]
     ok = np.flatnonzero(size >= 2)
-    c, m = counts[ok], size[ok]
-    mean = np.add.reduce(c * x, axis=1) / m
-    sd = np.sqrt(np.add.reduce(c * (x - mean[:, None]) ** 2, axis=1) / (m - 1))
-    cum = np.cumsum(c, axis=1)
+    m = size[ok]
+    if counts is None:
+        mean = np.add.reduce(x[None], axis=1) / m
+        sd = np.sqrt(np.add.reduce((x[None] - mean[:, None]) ** 2, axis=1) / (m - 1))
+        cum = None
+    else:
+        c = counts[ok]
+        mean = np.add.reduce(c * x, axis=1) / m
+        sd = np.sqrt(np.add.reduce(c * (x - mean[:, None]) ** 2, axis=1) / (m - 1))
+        cum = np.cumsum(c, axis=1)
+        del c
     q75, q25 = (_weighted_percentile(x, cum, m, q) for q in (0.75, 0.25))
     sigma = np.minimum(sd, (q75 - q25) / 1.349)
     for b, s, mb in zip(ok.tolist(), sigma.tolist(), m.tolist()):
@@ -111,16 +121,17 @@ def bandwidth_rows(x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, list]
     return h, reasons
 
 
-def _weighted_percentile(x: np.ndarray, cum: np.ndarray, size: np.ndarray, q: float) -> np.ndarray:
+def _weighted_percentile(x: np.ndarray, cum: np.ndarray | None, size: np.ndarray, q: float) -> np.ndarray:
     """np.percentile(.., 100 q) of ascending x with point i repeated as each row of cum's increments.
 
     Interpolates between the order statistics at floor and floor + 1 of the
-    virtual index (size - 1) q, both found on the cumulative counts.
+    virtual index (size - 1) q, both found on the cumulative counts, or,
+    with cum None (every point once), at those positions.
     """
     virtual = (size - 1) * q
     lo = np.floor(virtual).astype(np.intp)
     # the first position whose cumulative count passes v, in each row
-    a, b = (x[_rows_searchsorted(cum, v[:, None], "right")[:, 0]] for v in (lo, lo + 1))
+    a, b = (x[v if cum is None else _rows_searchsorted(cum, v[:, None], "right")[:, 0]] for v in (lo, lo + 1))
     return _lerp(a, b, virtual - lo)
 
 

@@ -167,7 +167,7 @@ def _assemble(data: Dataset, counts, bandwidth, kind: str) -> list:
             continue
         c = None if counts is None else counts[:, sc.records]
         if bandwidth is None:
-            bandwidths[cell], thin[cell] = bandwidth_rows(sc.y, np.ones((1, sc.y.size), np.int8) if c is None else c)
+            bandwidths[cell], thin[cell] = bandwidth_rows(sc.y, c)
         else:
             bandwidths[cell] = np.full(B, _resolve_bandwidth(bandwidth, data, cell))
         proc = sc.process(c)

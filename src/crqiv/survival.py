@@ -11,7 +11,8 @@ every record with y >= t, and all failures at t leave together.
 
 The sample and its bootstrap blocks share one front end.  Each treatment
 level is argsorted by follow-up time once per dataset (``level_order``,
-cached until another dataset is sorted) and split by instrument level into
+cached until a dataset with other times or levels is sorted, so a cause
+swap sorts nothing again) and split by instrument level into
 ``SortedCell``s, with no ``np.unique``: failure times are the runs of equal
 y among the failing records.  A cell's counting processes come from those
 groups, with every record counted once, or along each row of a block of B
@@ -164,69 +165,79 @@ class SortedCell:
         return CellProcess(self.times, dn1, dn, at_risk, size)
 
 
-_SORTED: WeakKeyDictionary = WeakKeyDictionary()
+# a fit, its naive curve and its bootstrap blocks take one sample at a time
+_ORDERS: WeakKeyDictionary = WeakKeyDictionary()  # dataset -> {level: permutation}
+_CELLS: WeakKeyDictionary = WeakKeyDictionary()  # dataset -> its sorted_cells
 
 
-def _sorted(data: Dataset, key, make):
-    """``make()``, taken once per dataset and key: a level's ``level_order``, or ``sorted_cells``.
+def _level_orders(data: Dataset) -> dict:
+    """The cached level orders of ``data``, kept while it lives and until a dataset with other times or levels is sorted.
 
-    It is kept while the dataset lives and until another dataset is
-    sorted: a fit, its naive curve and its bootstrap blocks take one
-    sample at a time.
+    They depend only on the follow-up times and treatment levels, so the
+    live datasets that share both arrays (a sample and its causes swapped)
+    share one dict of them.
     """
-    if data not in _SORTED:
-        _SORTED.clear()
-        _SORTED[data] = {}
-    cache = _SORTED[data]
-    if key not in cache:
-        cache[key] = make()
-    return cache[key]
+    if data not in _ORDERS:
+        orders = next((o for other, o in _ORDERS.items() if other.y is data.y and other.z is data.z), None)
+        if orders is None:
+            _ORDERS.clear()
+            orders = {}
+        _ORDERS[data] = orders
+    return _ORDERS[data]
 
 
 def level_order(data: Dataset, level: int) -> tuple[np.ndarray, np.ndarray]:
     """A treatment level's record indices, ascending, and their permutation into ascending follow-up time.
 
     The permutation is one ``argsort`` of the level's times, taken once per
-    dataset and cached in the narrowest unsigned type (4 bytes a record at
-    n = 10^6); ties come in any order.
+    dataset (``_level_orders``) and cached in the narrowest unsigned type
+    (4 bytes a record at n = 10^6); ties come in any order.
     """
     records = np.flatnonzero(data.z == level)
-    return records, _sorted(data, level, lambda: np.argsort(data.y[records]).astype(np.min_scalar_type(records.size)))
+    orders = _level_orders(data)
+    if level not in orders:
+        orders[level] = np.argsort(data.y[records]).astype(np.min_scalar_type(records.size))
+    return records, orders[level]
 
 
 def sorted_level(data: Dataset, level: int) -> tuple:
     """A treatment level's follow-up times, event codes and instrument indices, in ascending y.
 
     Each column is gathered in record order, then permuted by
-    ``level_order``.  The codes and indices are held in the narrowest
-    integer type that fits.
+    ``level_order``.
     """
     records, order = level_order(data, level)
-    w_type = np.min_scalar_type(data.n_instrument_levels - 1)
-    return data.y[records][order], data.event[records].astype(np.int8)[order], data.w[records].astype(w_type)[order]
+    return tuple(column[records][order] for column in (data.y, data.event, data.w))
 
 
 def level_cells(data: Dataset, indexed: bool = False):
     """(cell, ``SortedCell``) of every cell in (z, w) order, built a level at a time from ``sorted_level``.
 
     With ``indexed``, each cell keeps its records' indices in the dataset.
+    A level's columns are split into its cells and dropped before the
+    first cell is built, so no cell is used while its level's columns are
+    alive, and a used cell can be freed before the next is built.
     """
     for zi in range(data.n_treatment_levels):
-        y, event, w = sorted_level(data, zi)
-        index = None
+        *columns, w = sorted_level(data, zi)
         if indexed:
-            records, order = level_order(data, zi)
-            index = records[order]
+            columns.append(np.take(*level_order(data, zi)))
+        parts = []
         for wi in range(data.n_instrument_levels):
             # np.compress takes what a boolean index takes, in about a quarter of the time
             inst = w == wi
-            yield CellIndex(zi, wi), SortedCell.of(np.compress(inst, y), np.compress(inst, event),
-                                                   None if index is None else np.compress(inst, index))
+            parts.append([np.compress(inst, col) for col in columns])
+        del columns, w, inst
+        for wi in range(data.n_instrument_levels):
+            yield CellIndex(zi, wi), SortedCell.of(*parts.pop(0))
 
 
 def sorted_cells(data: Dataset) -> dict[CellIndex, SortedCell]:
-    """``level_cells`` indexed for blocks of counts, taken once and cached."""
-    return _sorted(data, "cells", lambda: dict(level_cells(data, indexed=True)))
+    """``level_cells`` indexed for blocks of counts, taken once and cached until another dataset's are."""
+    if data not in _CELLS:
+        _CELLS.clear()
+        _CELLS[data] = dict(level_cells(data, indexed=True))
+    return _CELLS[data]
 
 
 def build_counting_processes(data: Dataset) -> CountingProcesses:

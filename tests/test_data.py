@@ -3,6 +3,7 @@ import io
 import json
 import os
 import signal
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -21,6 +22,7 @@ from crqiv.data import (
     save_csv,
     swap_causes,
 )
+from crqiv.estimator import QuantileGrid, fit_curve
 from crqiv.simulate import DgpSpec, generate
 
 
@@ -84,6 +86,34 @@ def test_arrays_read_only():
     d = toy()
     with pytest.raises(ValueError):
         d.y[0] = 9.0
+
+
+@pytest.mark.parametrize("column, codes, message", [
+    ("event", [1, 300], "row 2: event code must be in {0, 1, 2}, got 300"),
+    ("event", [-1, 1], "row 1: event code must be in {0, 1, 2}, got -1"),
+    ("z", [0, -1], "row 2: treatment index out of range, got -1"),
+    ("z", [0, 300], "row 2: treatment index out of range, got 300"),
+    ("w", [256, 1], "row 1: instrument index out of range, got 256"),
+])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_codes_are_checked_as_given_before_they_are_narrowed(column, codes, message, as_array):
+    cols = {"event": [1, 1], "z": [0, 1], "w": [0, 1]}
+    cols[column] = np.array(codes) if as_array else codes
+    with pytest.raises(DataValidationError) as err:
+        Dataset((1.0, 2.0), cols["event"], cols["z"], cols["w"], [0, 1], [0, 1], [(1, 0), (0, 1)])
+    assert str(err.value) == message
+
+
+def test_code_columns_are_held_narrow():
+    d = toy()
+    assert d.event.dtype == d.z.dtype == d.w.dtype == np.int8
+    many = Dataset(np.ones(200), np.ones(200, np.int64), np.arange(200) % 2, np.arange(200), [0, 1], list(range(200)),
+                   [(1, k) for k in range(0, 200, 2)] + [(0, k) for k in range(1, 200, 2)])
+    assert many.z.dtype == np.int8 and many.w.dtype == np.int16 and many.w.tolist() == list(range(200))
+    sim, _ = generate(DgpSpec(design=2, n=500, seed=0))
+    records = Dataset.from_records(sim.records, [0, 1], [0, 1], sim.structural_zeros)
+    for d2 in (sim, resample(sim, np.random.default_rng(0)), swap_causes(sim), records):
+        assert d2.event.dtype == d2.z.dtype == d2.w.dtype == np.int8
 
 
 # -- helpers ------------------------------------------------------------
@@ -391,8 +421,20 @@ def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
 def test_distinct_labels_match_unique(values, dtype):
     keys = np.array(values, dtype=np.uint64) if dtype == "<u8" else np.array([str(v).encode() for v in values], dtype)
     got, want = data_module._distinct(keys), np.unique(keys, return_index=True, return_inverse=True)
+    # the inverse is held in the narrowest unsigned type that indexes the distinct keys
+    dtypes = (want[0].dtype, want[1].dtype, np.min_scalar_type(want[0].size - 1))
+    for a, b, dtype in zip(got, want, dtypes):
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("distinct", [16, 17, 300])
+def test_distinct_keys_past_the_comparison_sum_match_unique(distinct):
+    keys = np.random.default_rng(distinct).integers(0, distinct, 5_000).astype(np.uint64)
+    keys[:distinct] = np.arange(distinct)[::-1]  # every key present
+    got, want = data_module._distinct(keys), np.unique(keys, return_index=True, return_inverse=True)
+    assert got[2].dtype == np.min_scalar_type(distinct - 1)
     for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("labels", [
@@ -447,6 +489,52 @@ def test_loaded_columns_own_their_data(tmp_path):
     for back in (load_csv(p), row_by_row):
         for a in (back.y, back.event, back.z, back.w):
             assert a.flags.c_contiguous and not a.flags.writeable and a.base is None
+
+
+def test_twelve_levels_round_trip_and_fit_past_the_narrow_key(tmp_path):
+    # save_csv's key (event L + z) K + w reaches 431 at L = K = 12: it
+    # would wrap in the columns' int8, so it is taken in intp
+    L = K = 12
+    rng = np.random.default_rng(12)
+    cells = [(z, w) for z in range(L) for w in range(K) if z <= w]
+    z, w = (np.repeat(c, 40) for c in zip(*cells))
+    n = z.size
+    event = rng.integers(0, 3, n)
+    event[::40] = 1  # a primary-cause event in every cell
+    event[-1] = 2
+    d = Dataset(rng.exponential(size=n), event, z, w, list(range(L)), [f"w{k}" for k in range(K)],
+                [(a, b) for a in range(L) for b in range(K) if a > b])
+    assert ((d.event[-1:] * L + d.z[-1:]) * K + d.w[-1:])[0] != 431  # the narrow arithmetic wraps
+    p = tmp_path / "twelve.csv"
+    save_csv(d, p)
+    with open(p, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(int(e), int(a), b) for _, e, a, b in rows] == [(int(e), int(a), f"w{b}") for e, a, b in zip(event, z, w)]
+    back = load_csv(p)
+    for a, b in zip((back.y, back.event, back.z, back.w), (d.y, d.event, d.z, d.w)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    fit = fit_curve(back, grid=QuantileGrid.default(10))
+    counts = np.zeros((L, K))
+    np.add.at(counts, (z, w), 1)
+    assert np.array_equal(fit.surface.p_hat, counts / counts.sum(axis=0))
+    y1 = [back.y[(event == 1) & (z == level)].max() for level in range(L)]
+    assert fit.frontiers.y_hat.tolist() == y1 and fit.theta.shape == (10, L)
+
+
+def test_load_csv_memory_peak(tmp_path):
+    # the text columns are read as views of the parsed records and coded in
+    # int8: 8,696,875 traced bytes at the peak on this file with numpy 2.4,
+    # where full copies of every column and int64 codes peaked at 12,896,448
+    data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
+    p = tmp_path / "sim.csv"
+    save_csv(data, p)
+    tracemalloc.start()
+    try:
+        load_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_750_000
 
 
 def test_path_that_is_not_a_regular_file_is_rejected_unopened(tmp_path):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crqiv.data import Dataset
+from crqiv.cli import main
+from crqiv.data import Dataset, save_csv
 from crqiv.estimator import EstimationError, QuantileGrid, default_delta, estimate_y1, fit_curve, naive_curve
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import default_bandwidth
@@ -191,11 +192,34 @@ def test_naive_curve_after_the_fit_sorts_no_level(monkeypatch):
     assert calls == []
 
 
+def test_derived_band_run_sorts_each_level_once(tmp_path, monkeypatch):
+    # the cause-2 fit's dataset shares the sample's times and levels, so it
+    # takes over the sample's level sorts, and the band finds them again
+    data, _ = generate(DgpSpec(design=2, n=2_000, seed=0))
+    save_csv(data, tmp_path / "data.csv")
+    sorted_sizes = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 1 and np.asarray(a).dtype == np.float64:  # follow-up times
+            sorted_sizes.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    argv = ["estimate", "--data", tmp_path / "data.csv", "--out", tmp_path / "out", "--grid", 20, "--naive",
+            "--derived", "--boot-draws", 6, "--threads", 1]
+    assert main([str(a) for a in argv]) == 0
+    assert (tmp_path / "out" / "derived.csv").exists() and (tmp_path / "out" / "band.csv").exists()
+    assert sorted_sizes == [int(np.count_nonzero(data.z == level)) for level in range(2)]
+
+
 def test_fit_memory_peak():
-    # the fit builds one cell's counting processes at a time (6,992,172 traced
-    # bytes at the peak on this dataset with numpy 2.4); holding every cell's
-    # at once, as the fit did before it shared the bootstrap blocks' front
-    # end, peaked at 7,704,798
+    # the fit builds one cell's counting processes at a time, with its
+    # level's columns already split into cells and dropped (5,920,016 traced
+    # bytes at the peak on this dataset with numpy 2.4); with the level's
+    # columns kept it peaked at 6,992,172, and holding every cell's
+    # processes at once, as the fit did before it shared the bootstrap
+    # blocks' front end, at 7,704,798
     data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
     tracemalloc.start()
     try:
@@ -203,4 +227,4 @@ def test_fit_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7_704_798
+    assert peak <= 5_950_000

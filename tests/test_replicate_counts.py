@@ -256,6 +256,21 @@ def test_counts_reproduce_the_resampled_statistics():
     assert "zero spread" in reasons[1] and "at least 2" in reasons[2]
 
 
+@pytest.mark.parametrize("x", [
+    np.array([]), np.array([0.3]), np.array([-0.0, 0.0]), np.zeros(5), np.array([-0.0, -0.0, 0.0, 0.5, 1.0]),
+    np.array([0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 0.7]), np.array([-0.0, 0.0, 0.0, 0.0, 2.0, 2.0]),
+    *(np.sort(np.random.default_rng(size).gamma(2.0, size=size)) for size in (2, 3, 9, 130, 5_001)),
+    np.round(np.sort(np.random.default_rng(1).gamma(2.0, size=40_000)), 1),
+])
+def test_unit_counts_take_the_bits_of_a_row_of_ones(x):
+    # without counts, the rule skips the product by the counts, their sum
+    # and the search for the quartiles, and keeps the bits of a row of ones
+    fast = bandwidth_rows(x)
+    for ones in (np.ones((1, x.size), np.int8), np.ones((1, x.size), np.int64)):
+        slow = bandwidth_rows(x, ones)
+        assert fast[0].tobytes() == slow[0].tobytes() and fast[1] == slow[1]
+
+
 def test_weighted_moments_are_fixed_order_reductions():
     # the rule's mean and sd are plain left-to-right ufunc reductions of
     # contiguous 1-D arrays, never a BLAS dot product, so a row's bits

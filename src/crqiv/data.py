@@ -72,6 +72,16 @@ def _integers(a) -> np.ndarray:
     return a if a.dtype.kind in "iu" else a.astype(np.int64)
 
 
+def _narrow(a: np.ndarray, name: str, dtype: np.dtype, checked: bool) -> np.ndarray:
+    """Code column ``a`` in ``dtype``; unless its codes were checked, raise if one would not survive the cast."""
+    if not checked and a.size and not np.can_cast(a.dtype, dtype):
+        info = np.iinfo(dtype)
+        low, high = a.min(), a.max()
+        if low < info.min or high > info.max:
+            raise DataValidationError(f"{name} codes must lie in [{info.min}, {info.max}], got {low} .. {high}")
+    return np.ascontiguousarray(a, dtype)
+
+
 class Dataset:
     """Validated immutable sample of (y, event, z, w) records.
 
@@ -87,6 +97,9 @@ class Dataset:
         Ordered distinct labels. At least 2 of each.
     structural_zeros : iterable of (z_index, w_index)
         Cells declared unreachable; the only cells allowed to be empty.
+    validate : bool
+        False skips the checks for columns already checked, but a code
+        that the narrow type cannot hold still raises.
     """
 
     def __init__(
@@ -111,9 +124,11 @@ class Dataset:
         if validate:
             self._validate()
         # narrowed once checked, so that an out-of-range code is named as given
-        self.event = np.ascontiguousarray(self.event, dtype=code_type(3))
-        self.z = np.ascontiguousarray(self.z, dtype=code_type(len(self.treatment_levels)))
-        self.w = np.ascontiguousarray(self.w, dtype=code_type(len(self.instrument_levels)))
+        self.event, self.z, self.w = (
+            _narrow(a, name, code_type(count), validate)
+            for a, name, count in ((self.event, "event", 3), (self.z, "treatment", len(self.treatment_levels)),
+                                   (self.w, "instrument", len(self.instrument_levels)))
+        )
         for a in (self.y, self.event, self.z, self.w):
             a.setflags(write=False)
 
@@ -461,7 +476,11 @@ def _distinct_text(path, usecols: list[int], columns: list[np.ndarray]) -> list[
     return out
 
 
-# up to this many distinct keys, each row's index is summed from one comparison per key
+# up to this many distinct keys, each row's index is summed from one comparison per key.
+# On 10^6 rows (one CPU, numpy 2.4) the sum took 0.9 ms at 2 keys, 5.5 at 8 and 11.6 at
+# 16; the search 7.9, 9.8 and 11.2 ms when rows come grouped by key, and 18.6, 33.8 and
+# 45.4 ms when they come shuffled.  Past 16 keys the search wins on grouped rows (11.6
+# against 14.4 ms at 20, 13.6 against 48.1 at 64), on shuffled rows only past about 90.
 _FEW_KEYS = 16
 
 
@@ -469,9 +488,10 @@ def _distinct(keys: np.ndarray) -> tuple:
     """``np.unique(keys, return_index=True, return_inverse=True)`` of a 1-d array, without its stable argsort.
 
     The distinct keys come from one sort.  The inverse is held in the
-    narrowest unsigned type that fits: with few keys it counts the keys at
-    or below each row's, and the first row of each index is found by a
-    scan that stops there; with many, it is a ``searchsorted``.
+    narrowest unsigned type that fits.  With few keys it counts the keys at
+    or below each row's, one comparison pass per key, and the first row of
+    each index is the ``argmax`` of one more pass; with many, it is a
+    ``searchsorted`` and the first rows one ``minimum.at``.
     """
     ascending = np.sort(keys)
     distinct = np.compress(_run_flags(ascending), ascending)

@@ -94,8 +94,6 @@ def bandwidth_rows(x: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.
     once, as one row: that row's bits, with no product by the counts, no
     sum of them and no search for the quartiles.
     """
-    if counts is None and x.size < 2:
-        return np.array([np.nan]), [_TOO_FEW]
     size = np.array([x.size]) if counts is None else counts.sum(axis=1)
     h = np.full(size.shape, np.nan)
     reasons = [None if m >= 2 else _TOO_FEW for m in size.tolist()]

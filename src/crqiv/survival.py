@@ -175,12 +175,14 @@ def _level_orders(data: Dataset) -> dict:
 
     They depend only on the follow-up times and treatment levels, so the
     live datasets that share both arrays (a sample and its causes swapped)
-    share one dict of them.
+    share one dict of them.  Cells are built on a dataset's orders, so
+    every cached cell goes when the orders do.
     """
     if data not in _ORDERS:
         orders = next((o for other, o in _ORDERS.items() if other.y is data.y and other.z is data.z), None)
         if orders is None:
             _ORDERS.clear()
+            _CELLS.clear()
             orders = {}
         _ORDERS[data] = orders
     return _ORDERS[data]
@@ -233,7 +235,7 @@ def level_cells(data: Dataset, indexed: bool = False):
 
 
 def sorted_cells(data: Dataset) -> dict[CellIndex, SortedCell]:
-    """``level_cells`` indexed for blocks of counts, taken once and cached until another dataset's are."""
+    """``level_cells`` indexed for blocks of counts, taken once and cached until another dataset's cells or sorts are."""
     if data not in _CELLS:
         _CELLS.clear()
         _CELLS[data] = dict(level_cells(data, indexed=True))

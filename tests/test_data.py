@@ -104,6 +104,19 @@ def test_codes_are_checked_as_given_before_they_are_narrowed(column, codes, mess
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("column", ["event", "z", "w"])
+@pytest.mark.parametrize("bad", [256, -129])
+def test_unchecked_codes_that_would_wrap_when_narrowed_raise(column, bad):
+    cols = {"event": [1, 1], "z": [0, 1], "w": [0, 1]}
+    cols[column] = np.array([0, bad])
+    name = {"event": "event", "z": "treatment", "w": "instrument"}[column]
+    with pytest.raises(DataValidationError, match=rf"^{name} codes must lie in \[-128, 127\], got "):
+        Dataset((1.0, 2.0), cols["event"], cols["z"], cols["w"], [0, 1], [0, 1], validate=False)
+    # codes that fit pass through unchecked, as they always have
+    cols[column] = np.array([0, 100])
+    assert Dataset((1.0, 2.0), cols["event"], cols["z"], cols["w"], [0, 1], [0, 1], validate=False).n == 2
+
+
 def test_code_columns_are_held_narrow():
     d = toy()
     assert d.event.dtype == d.z.dtype == d.w.dtype == np.int8

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crqiv.cli import main
-from crqiv.data import Dataset, save_csv
+from crqiv.data import Dataset, save_csv, swap_causes
 from crqiv.estimator import EstimationError, QuantileGrid, default_delta, estimate_y1, fit_curve, naive_curve
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import default_bandwidth
-from crqiv.survival import _cell_process, build_counting_processes, level_order
+from crqiv.survival import _cell_process, build_counting_processes, level_order, sorted_cells
 from tests import _reference_full_sample as ref
 
 # few distinct times, so that failures of both causes, censorings and zero
@@ -175,11 +175,16 @@ def test_level_sort_is_cached_until_another_dataset_is_sorted():
     a, b = (generate(DgpSpec(design=2, n=2_000, seed=seed))[0] for seed in (0, 1))
     order = level_order(a, 1)[1]
     assert level_order(a, 1)[1] is order and order.dtype == np.uint16
-    kept = weakref.ref(order)
-    del order
+    cell = next(iter(sorted_cells(a).values()))
+    assert next(iter(sorted_cells(a).values())) is cell
+    # the cause-swapped sample shares the orders and keeps the sample's cells
+    level_order(swap_causes(a), 0)
+    assert next(iter(sorted_cells(a).values())) is cell
+    kept = weakref.ref(order), weakref.ref(cell)
+    del order, cell
     level_order(b, 0)
     gc.collect()
-    assert kept() is None
+    assert kept[0]() is None and kept[1]() is None
 
 
 def test_naive_curve_after_the_fit_sorts_no_level(monkeypatch):

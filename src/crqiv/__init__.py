@@ -7,91 +7,67 @@ instrument to handle treatment endogeneity. Point estimates cover the
 quantile range where the system is point identified; beyond it, outer
 bounds are computed. Bootstrap bands, synthetic-data designs with known
 truth, and a Monte Carlo harness round out the toolkit.
+
+The public names below are resolved on first use (PEP 562), so ``import
+crqiv`` loads neither numpy nor any submodule. Each access returns the
+defining module's current object; nothing is cached here.
 """
 
-from ._rng import stream, substream_seed
-from .data import (
-    CAUSE1,
-    CAUSE2,
-    CENSORED,
-    CellIndex,
-    DataValidationError,
-    Dataset,
-    ObservationRecord,
-    cell_counts,
-    load_csv,
-    resample,
-    save_csv,
-    swap_causes,
-)
-from .survival import (
-    CellProcess,
-    CountingProcesses,
-    StepFunction,
-    aalen_johansen_cause1,
-    aalen_johansen_incidence,
-    build_counting_processes,
-    incidence_from,
-    product_limit_survival,
-)
-from .smoothing import (
-    SmoothedCurve,
-    default_bandwidth,
-    epanechnikov_cdf,
-    rule_of_thumb_bandwidth,
-    smooth,
-)
-from .surface import SmoothedSurvivalSurface, assemble_surface
-from .optim import CERT_TOL, MinimizeResult, minimize_box_multistart
-from .estimator import (
-    EstimationError,
-    FrontierEstimates,
-    QuantileCurveFit,
-    QuantileGrid,
-    WeightingPolicy,
-    default_delta,
-    estimate_caps,
-    estimate_y1,
-    fit_curve,
-    naive_curve,
-    objective,
-    residual_system,
-    residual_vector,
-)
-from .derived import (
-    DerivedLevel,
-    MonotoneCurve,
-    RankConditionReport,
-    derived_quantities,
-    rank_condition_diagnostic,
-)
-from .bounds import (
-    BoundFrontiers,
-    IntervalProduct,
-    OuterSet,
-    capped_residual,
-    outer_set,
-    outer_set_2d,
-    outer_set_recursive,
-    verify_membership,
-)
-from .inference import (
-    BootstrapConfig,
-    ConfidenceBand,
-    CoverageResult,
-    bootstrap_band,
-    coverage_study,
-    percentile_bounds,
-)
-from .simulate import (
-    DgpSpec,
-    GroundTruth,
-    LatentTrace,
-    McResult,
-    TrueSurface,
-    generate,
-    mc_study,
-    true_phi,
-)
+import importlib
 
+_EXPORTS = {
+    "_rng": ("stream", "substream_seed"),
+    "data": (
+        "CAUSE1", "CAUSE2", "CENSORED", "CellIndex", "DataValidationError", "Dataset",
+        "ObservationRecord", "cell_counts", "load_csv", "resample", "save_csv", "swap_causes",
+    ),
+    "survival": (
+        "CellProcess", "CountingProcesses", "StepFunction", "aalen_johansen_cause1",
+        "aalen_johansen_incidence", "build_counting_processes", "incidence_from",
+        "product_limit_survival",
+    ),
+    "smoothing": (
+        "SmoothedCurve", "default_bandwidth", "epanechnikov_cdf", "rule_of_thumb_bandwidth", "smooth",
+    ),
+    "surface": ("EstimationError", "SmoothedSurvivalSurface", "assemble_surface"),
+    "optim": ("CERT_TOL", "MinimizeResult", "minimize_box_multistart"),
+    "estimator": (
+        "FrontierEstimates", "QuantileCurveFit", "QuantileGrid", "WeightingPolicy", "default_delta",
+        "estimate_caps", "estimate_y1", "fit_curve", "naive_curve", "objective", "residual_system",
+        "residual_vector",
+    ),
+    "derived": (
+        "DerivedLevel", "MonotoneCurve", "RankConditionReport", "derived_quantities",
+        "rank_condition_diagnostic",
+    ),
+    "bounds": (
+        "BoundFrontiers", "IntervalProduct", "OuterSet", "capped_residual", "outer_set",
+        "outer_set_2d", "outer_set_recursive", "verify_membership",
+    ),
+    "inference": (
+        "BootstrapConfig", "ConfidenceBand", "CoverageResult", "bootstrap_band", "coverage_study",
+        "percentile_bounds",
+    ),
+    "simulate": (
+        "DgpSpec", "GroundTruth", "LatentTrace", "McResult", "TrueSurface", "generate", "mc_study",
+        "true_phi",
+    ),
+}
+# public name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a library module, reachable from ``import crqiv`` as before
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

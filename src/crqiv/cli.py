@@ -17,16 +17,10 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bounds import BoundFrontiers, outer_set, verify_membership
-from .data import DataValidationError, load_csv, save_csv, swap_causes
-from .derived import derived_quantities
-from .estimator import EstimationError, QuantileGrid, estimate_caps, estimate_y1, fit_curve, naive_curve
-from .inference import BootstrapConfig, bootstrap_band, coverage_study
-from .simulate import DgpSpec, generate, mc_study
-from .surface import assemble_surface
+
+# numpy and the library modules are imported in the commands that use them,
+# so a run loads only what its command needs (``--version`` loads neither)
 
 __all__ = ["main", "build_parser"]
 
@@ -68,7 +62,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _lattice_rows(axes: list[np.ndarray]) -> list[str]:
+def _lattice_rows(axes: list) -> list[str]:
     """Coordinate text ``"theta_0,...,theta_{L-1},"`` of each lattice row.
 
     Rows follow ``np.meshgrid(*axes, indexing="ij")`` in C order (last axis
@@ -82,7 +76,7 @@ def _lattice_rows(axes: list[np.ndarray]) -> list[str]:
     return rows
 
 
-def _write_lattice(path: Path, header: list[str], rows: list[str], member: np.ndarray) -> None:
+def _write_lattice(path: Path, header: list[str], rows: list[str], member) -> None:
     """``_write_csv`` of each lattice row plus its 0/1 verdict, joined 4,096 rows at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -138,10 +132,12 @@ def _load_data(cfg: dict):
     path = Path(cfg["data"])
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
+    from .data import load_csv
     return load_csv(path), path
 
 
-def _grid(cfg: dict) -> QuantileGrid:
+def _grid(cfg: dict):
+    from .estimator import QuantileGrid
     return QuantileGrid.default(cfg["grid"])
 
 
@@ -154,16 +150,21 @@ def _fit_kwargs(cfg: dict) -> dict:
     }
 
 
-def _boot(cfg: dict) -> BootstrapConfig | None:
+def _boot(cfg: dict):
     """The bootstrap settings, or None when ``boot_draws`` is 0 (no band)."""
-    draws = cfg["boot_draws"]
-    return BootstrapConfig(draws=draws, seed=cfg["seed"], level=cfg["level"]) if draws else None
+    if not cfg["boot_draws"]:
+        return None
+    from .inference import BootstrapConfig
+    return BootstrapConfig(draws=cfg["boot_draws"], seed=cfg["seed"], level=cfg["level"])
 
 
 # -- commands ----------------------------------------------------------
 
 
 def cmd_simulate(cfg: dict) -> int:
+    from .data import save_csv
+    from .simulate import DgpSpec, generate
+
     spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
     data, _ = generate(spec)
     out = _outdir(cfg)
@@ -175,6 +176,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_estimate(cfg: dict) -> int:
+    from .estimator import fit_curve, naive_curve
+
     boot = _boot(cfg)
     data, data_path = _load_data(cfg)
     kwargs = _fit_kwargs(cfg)
@@ -211,6 +214,8 @@ def cmd_estimate(cfg: dict) -> int:
     )
 
     if cfg.get("derived"):
+        from .data import swap_causes
+        from .derived import derived_quantities
         cause2 = fit_curve(swap_causes(data), **kwargs)
         levels = derived_quantities(fit, cause2)
         rows = [
@@ -225,6 +230,7 @@ def cmd_estimate(cfg: dict) -> int:
         )
 
     if boot is not None:
+        from .inference import bootstrap_band
         band = bootstrap_band(data, boot, fit=fit, **kwargs)
         _write_csv(out / "band.csv", ["u", "lower", "point", "upper", "n_reported"], band.rows())
         extra["bootstrap_failures"] = [[b, reason] for b, reason in band.failures]
@@ -235,6 +241,12 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_bounds(cfg: dict) -> int:
+    import numpy as np
+
+    from .bounds import BoundFrontiers, outer_set, verify_membership
+    from .estimator import estimate_caps, estimate_y1, fit_curve
+    from .surface import assemble_surface
+
     npts = cfg["lattice"]
     names = [f"bounds_lattice_u{u:g}.csv" for u in cfg["u"]] if npts else []
     for i, name in enumerate(names):
@@ -271,11 +283,16 @@ def cmd_bounds(cfg: dict) -> int:
 
 
 def cmd_mc(cfg: dict) -> int:
+    from .simulate import DgpSpec, mc_study
+
     boot = _boot(cfg)
     spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
     fit_kwargs = _fit_kwargs(cfg)
     res = mc_study(spec, cfg["reps"], **fit_kwargs)
-    cov = None if boot is None else coverage_study(spec, cfg["reps"], boot, fits=res.fits, **fit_kwargs)
+    cov = None
+    if boot is not None:
+        from .inference import coverage_study
+        cov = coverage_study(spec, cfg["reps"], boot, fits=res.fits, **fit_kwargs)
     out = _outdir(cfg)
 
     means, counts = res.mean_qte()
@@ -426,7 +443,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # an input path that is missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataValidationError, EstimationError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # DataValidationError and EstimationError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,11 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+import crqiv
 
 # (number, label, passed, detail) tuples appended by acceptance tests
 ACCEPTANCE_LOG: list = []
@@ -24,6 +29,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  [{detail}]"
         terminalreporter.write_line(line, green=passed, red=not passed)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment of a child interpreter that imports this crqiv."""
+    src = str(Path(crqiv.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

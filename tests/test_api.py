@@ -3,7 +3,10 @@
 exports nothing else."""
 
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -32,3 +35,47 @@ def test_package_exports_only_declared_names():
         n for n in dir(crqiv) if not n.startswith("_") and not isinstance(getattr(crqiv, n), types.ModuleType)
     }
     assert public <= declared, f"exported but declared by no module: {sorted(public - declared)}"
+
+
+def declared_names():
+    return {n for name in LIBRARY for n in importlib.import_module(f"crqiv.{name}").__all__}
+
+
+def test_import_loads_no_submodule_and_no_numpy(child_env):
+    # a library module is still reachable as an attribute once needed
+    script = "import json, sys, crqiv; loaded = sorted(sys.modules); crqiv.data.code_type; print(json.dumps(loaded))"
+    done = subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(done.stdout)
+    assert "numpy" not in modules
+    assert [m for m in modules if m.startswith("crqiv.")] == []
+
+
+def test_star_import_binds_exactly_the_declared_names():
+    namespace = {}
+    exec("from crqiv import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == declared_names()
+    for name, value in namespace.items():
+        assert value is getattr(crqiv, name), name
+    assert set(dir(crqiv)) >= declared_names()
+
+
+def test_names_resolve_to_the_current_object(monkeypatch):
+    # nothing is cached in the package, so a patched function is what it returns
+    import crqiv.estimator
+
+    def patched(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(crqiv.estimator, "fit_curve", patched)
+    assert crqiv.fit_curve is patched
+    monkeypatch.undo()
+    assert crqiv.fit_curve is crqiv.estimator.fit_curve is not patched
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        crqiv.no_such_name
+    assert not hasattr(crqiv, "no_such_name")
+    assert getattr(crqiv, "pava_nondecreasing", None) is None  # a module's private helper

@@ -3,12 +3,10 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import crqiv
 from crqiv.cli import _fmt, _lattice_rows, _resolve_config, _write_csv, _write_lattice, build_parser, main
 from crqiv.data import load_csv
 
@@ -96,11 +94,9 @@ def test_version_flag(capsys):
     assert "crqiv" in capsys.readouterr().out
 
 
-def test_python_m_crqiv_runs_the_cli():
-    src = str(Path(crqiv.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def test_python_m_crqiv_runs_the_cli(child_env):
     for module in ("crqiv", "crqiv.cli"):
-        done = subprocess.run([sys.executable, "-m", module, "--version"], env=env, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-m", module, "--version"], env=child_env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("crqiv "), module
 
@@ -240,7 +236,7 @@ def test_estimate_non_finite_delta_exits_1(tmp_path, sim_dir, capsys, delta):
     assert not out.exists()
 
 
-def test_commands_do_not_load_numpy_ma(tmp_path, sim_dir, est_dir):
+def test_commands_do_not_load_numpy_ma(tmp_path, sim_dir, est_dir, child_env):
     # numpy.ma costs a command about 14 ms and 1 MB to import, and nothing needs it
     script = (
         "import sys\n"
@@ -258,11 +254,57 @@ def test_commands_do_not_load_numpy_ma(tmp_path, sim_dir, est_dir):
         ["mc", "--design", 2, "--n", 600, "--reps", 2, "--boot-draws", 4, "--grid", 10, "--seed", 0,
          "--out", tmp_path / "m"],
     ]
-    src = str(Path(crqiv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script, *("|".join(map(str, c)) for c in commands)],
+                          env=child_env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def modules_loaded_by(argv, env):
+    """(exit code, sorted(sys.modules)) of ``main(argv)`` run in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "from crqiv.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_load_no_library_code(flag, child_env):
+    code, modules = modules_loaded_by([flag], child_env)
+    assert code == 0
+    assert "numpy" not in modules
+    assert [m for m in modules if m.startswith("crqiv.")] == ["crqiv.cli"]
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path, sim_dir, est_dir, child_env):
+    # every module a run imports is compiled again where no bytecode cache
+    # is written, so a command that skips one starts faster
+    data = sim_dir / "data.csv"
+    cases = [
+        (["simulate", "--design", 2, "--n", 100, "--out", tmp_path / "s"],
+         ["estimator", "surface", "smoothing", "survival", "optim", "bounds", "inference", "derived"]),
+        (["estimate", "--data", data, "--out", tmp_path / "e", "--grid", 10, "--naive"],
+         ["inference", "_rng", "bounds", "simulate", "derived"]),
+        (["bounds", "--data", data, "--fit-json", est_dir / "fit.json", "--u", 0.9, "--lattice", 3,
+          "--out", tmp_path / "b"],
+         ["inference", "simulate", "derived", "_rng"]),
+        (["mc", "--design", 2, "--n", 600, "--reps", 2, "--boot-draws", 4, "--grid", 10, "--out", tmp_path / "m"],
+         ["bounds", "derived"]),
+    ]
+    for argv, absent in cases:
+        code, modules = modules_loaded_by(argv, child_env)
+        assert code == 0, argv[0]
+        assert not {f"crqiv.{m}" for m in absent} & set(modules), argv[0]
+        if argv[0] == "estimate":
+            assert "numpy.random" not in modules
 
 
 def test_estimate_data_directory_exits_1(tmp_path, capsys):
@@ -530,8 +572,8 @@ def test_bounds_fit_json_without_numeric_u_hat_exits_1(tmp_path, sim_dir, capsys
 
 
 def test_bounds_assembles_the_surface_once(tmp_path, sim_dir, monkeypatch):
-    import crqiv.cli
     import crqiv.estimator
+    import crqiv.surface
     from crqiv.surface import assemble_surface
 
     calls = []
@@ -540,7 +582,7 @@ def test_bounds_assembles_the_surface_once(tmp_path, sim_dir, monkeypatch):
         calls.append(1)
         return assemble_surface(*args, **kwargs)
 
-    monkeypatch.setattr(crqiv.cli, "assemble_surface", counted)
+    monkeypatch.setattr(crqiv.surface, "assemble_surface", counted)
     monkeypatch.setattr(crqiv.estimator, "assemble_surface", counted)
     code = run([
         "bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b",
@@ -672,19 +714,17 @@ def test_mc_fits_each_repetition_once(tmp_path, monkeypatch, seed):
     assert (out / "mc_coverage.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
 
-def test_band_bytes_do_not_depend_on_blas_threads(tmp_path):
+def test_band_bytes_do_not_depend_on_blas_threads(tmp_path, child_env):
     # design 2 at n = 3e4 has cells above 10,000 records, where OpenBLAS
     # splits a long dot product across its threads; the band's moments are
     # fixed-order reductions, so one and two threads write the same bytes
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs 2 or more CPUs: on one, OpenBLAS runs one thread whatever it is told")
     assert run(["simulate", "--design", 2, "--n", 30_000, "--seed", 1, "--out", tmp_path]) == 0
-    src = str(Path(crqiv.__file__).resolve().parents[1])
     bands = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {**child_env, "OPENBLAS_NUM_THREADS": threads}
         subprocess.run([sys.executable, "-m", "crqiv.cli", "estimate", "--data", str(tmp_path / "data.csv"),
                         "--grid", "20", "--boot-draws", "8", "--seed", "1", "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)

@@ -10,17 +10,15 @@ passed with --config overrides command-line flags key by key.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 
-# numpy and the library modules are imported in the commands that use them,
-# so a run loads only what its command needs (``--version`` loads neither)
+# numpy, the library modules and the JSON, hashing and clock modules are
+# imported where they are used, so a run loads only what its command needs
+# (``--version`` and ``--help`` load none of them)
 
 __all__ = ["main", "build_parser"]
 
@@ -86,12 +84,16 @@ def _write_lattice(path: Path, header: list[str], rows: list[str], member) -> No
 
 
 def _write_json(path: Path, obj) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -100,6 +102,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: list[Path], extra=None) -> None:
+    from datetime import datetime, timezone
+
     manifest = {
         "command": command,
         "config": config,
@@ -113,6 +117,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: lis
 
 
 def _read_json(path: Path, what: str):
+    import json
+
     if not path.exists():
         raise FileNotFoundError(f"{what} file not found: {path}")
     with open(path, encoding="utf-8") as fh:

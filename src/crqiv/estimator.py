@@ -29,9 +29,9 @@ import numpy as np
 
 from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
-from .smoothing import bandwidth_rows
+from .smoothing import _rows_searchsorted, _take_rows, bandwidth_rows
 from .surface import EstimationError, SmoothedSurvivalSurface, assemble_surface, assemble_surfaces
-from .survival import SortedCell, incidence_from, level_order, sorted_level
+from .survival import SortedCell, incidence_from, primary_records, sorted_level
 
 __all__ = [
     "EstimationError",
@@ -240,12 +240,11 @@ def estimate_y1(data: Dataset) -> np.ndarray:
 def _primary_times(data: Dataset, level: int, counts) -> tuple:
     """A level's primary-cause times, ascending, and their counts in each row of counts (B, n), or None.
 
-    Only the level's event codes are gathered whole, in ``level_order``;
-    the times are those of its primary-cause records alone.
+    A block of counts takes the level's primary-cause records from the
+    cache that ``primary_records`` keeps for blocks.
     """
-    records, order = level_order(data, level)
-    primary = records[np.compress(data.event[records][order] == 1, order)]
-    return data.y[primary], None if counts is None else counts[:, primary]
+    primary = primary_records(data, level, cache=counts is not None)
+    return np.take(data.y, primary), None if counts is None else np.take(counts, primary, axis=1)
 
 
 def _no_primary_events(data: Dataset, level: int) -> EstimationError:
@@ -358,42 +357,47 @@ def _triangular_order(p_hat: np.ndarray):
     return order
 
 
-def _generalized_inverse(grid: np.ndarray, row: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """inf{t >= 0 : v(t) <= target} per target, v the piecewise-linear row on grid.
+def _generalized_inverse(grid: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """inf{t >= 0 : v(t) <= target} per target (B, M), v each piecewise-linear row (B, G) on its grid (B, G).
 
-    ``np.searchsorted`` on the negated running minimum of the row finds the
+    ``np.searchsorted`` on the negated running minimum of a row finds the
     first knot at or below the target; the crossing is then interpolated
     inside the segment ending there.  A target at or above v(0) gives 0, so
     a flat stretch at the target gives its left end; a target below every
     value gives inf.
     """
-    low = np.minimum.accumulate(row)
-    i = np.searchsorted(-low, -target)
-    hi = np.minimum(i, grid.size - 1)
+    G = grid.shape[1]
+    low = np.minimum.accumulate(rows, axis=1)
+    i = _rows_searchsorted(-low, -target)
+    hi = np.minimum(i, G - 1)
     lo = np.maximum(hi - 1, 0)
+    g_hi, v_hi = _take_rows(grid, hi), _take_rows(rows, hi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = grid[hi] - (target - row[hi]) / (row[lo] - row[hi]) * (grid[hi] - grid[lo])
-    return np.where(i == 0, 0.0, np.where(i == grid.size, np.inf, t))
+        t = g_hi - (target - v_hi) / (_take_rows(rows, lo) - v_hi) * (g_hi - _take_rows(grid, lo))
+    return np.where(i == 0, 0.0, np.where(i == G, np.inf, t))
 
 
-def _triangular_sweep(surface: SmoothedSurvivalSurface, order, u: np.ndarray, upper: np.ndarray):
-    """theta (M, L) solving a triangular system over the whole grid u, clipped to [0, upper].
+def _triangular_sweep(surfaces: list, order, u: np.ndarray, upper: np.ndarray):
+    """theta (B, M, L) solving a triangular system on each surface over the whole grid u, clipped to [0, upper (B, L)].
 
-    Also returns, per grid point, the first step whose inversion left the
-    box as (k, l, face) with face "below" or "above", or None.
+    Also returns, per row and grid point, the first step whose inversion
+    left the box, as 2 i for step i of the order below the box and 2 i + 1
+    above it, or -1.
     """
-    theta = np.zeros((u.size, surface.n_treatment_levels))
-    no_root = [None] * u.size
-    for k, l in order:
-        target = 1.0 - u
-        for j in np.flatnonzero(surface.p_hat[:, k]):
+    B, L = upper.shape
+    grid, values = (np.stack([getattr(s, name) for s in surfaces]) for name in ("grid", "values"))
+    theta = np.zeros((B, u.size, L))
+    no_root = np.full((B, u.size), -1)
+    for i, (k, l) in enumerate(order):
+        target = np.broadcast_to(1.0 - u, (B, u.size))
+        for j in np.flatnonzero(surfaces[0].p_hat[:, k]):
             if j != l:
-                target = target - surface.evaluate(theta[:, j], j, k)
-        raw = _generalized_inverse(surface.grid, surface.values[l, k], target)
-        theta[:, l] = np.clip(raw, 0.0, upper[l])
-        for face, out in (("below", target > surface.evaluate(0.0, l, k)), ("above", raw > upper[l])):
-            for m in np.flatnonzero(out):
-                no_root[m] = no_root[m] or (k, l, face)
+                target = target - np.stack([s.evaluate(t, j, k) for s, t in zip(surfaces, theta[:, :, j])])
+        raw = _generalized_inverse(grid, values[:, l, k], target)
+        theta[:, :, l] = np.clip(raw, 0.0, upper[:, l, None])
+        below = target > np.array([[s.evaluate(0.0, l, k)] for s in surfaces])
+        for face, out in enumerate((below, raw > upper[:, l, None])):
+            no_root[out & (no_root < 0)] = 2 * i + face
     return theta, no_root
 
 
@@ -464,7 +468,7 @@ def fit_curve(
     y1, deltas, (error,) = _frontier_rows(data, None, delta)
     if error:
         raise error
-    return _solve(data, surface, y1[0], deltas[0], grid, V, stop_at_frontier)
+    return _solve_rows(data, [surface], y1, deltas, grid, V, stop_at_frontier)[0]
 
 
 def fit_replicates(
@@ -480,91 +484,97 @@ def fit_replicates(
     """``fit_curve`` of each count-weighted replicate of ``data``, one per row of counts (B, n).
 
     The surfaces, support bounds and cushions are taken for the whole block
-    at once (``assemble_surfaces``); then each row is solved on its own
-    surface.  Every row gets the bits of ``fit_curve`` on its resampled
-    dataset.  An entry is the row's ``QuantileCurveFit``, or the
-    ``DataValidationError`` or ``EstimationError`` that stops it, with
-    the text its resampled dataset would raise.
+    at once (``assemble_surfaces``), and so is the solve.  Every row gets
+    the bits of ``fit_curve`` on its resampled dataset.  An entry is the
+    row's ``QuantileCurveFit``, or the ``DataValidationError`` or
+    ``EstimationError`` that stops it, with the text its resampled dataset
+    would raise.
     """
     grid = grid or QuantileGrid.default()
     out = assemble_surfaces(data, counts, bandwidth, kind)
     y1, deltas, errors = _frontier_rows(data, counts, delta)
     for b, surface in enumerate(out):
-        if not isinstance(surface, Exception):
-            out[b] = errors[b] or _solve(data, surface, y1[b], deltas[b], grid, V, stop_at_frontier)
+        if not isinstance(surface, Exception) and errors[b]:
+            out[b] = errors[b]
+    live = [b for b, surface in enumerate(out) if not isinstance(surface, Exception)]
+    if live:
+        fits = _solve_rows(data, [out[b] for b in live], y1[live], deltas[live], grid, V, stop_at_frontier)
+        for b, fit in zip(live, fits):
+            out[b] = fit
     return out
 
 
-def _solve(data: Dataset, surface, y_hat: np.ndarray, deltas: np.ndarray, grid: QuantileGrid, V,
-           stop_at_frontier: bool) -> QuantileCurveFit:
-    """``fit_curve`` on a surface with the given support bounds and cushions."""
+def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.ndarray, grid: QuantileGrid, V,
+                stop_at_frontier: bool) -> list:
+    """``fit_curve`` on each surface, with its row of support bounds y_hat (B, L) and cushions (B, L).
+
+    The surfaces share one grid size and one pattern of open cells, as the
+    rows of one assembly do.  With a triangular order the rows are solved
+    together, a step of the order at a time; otherwise each runs
+    Gauss-Newton.  The frontier, the NaN rows past it and the certificate
+    are then taken for every row at once, from each row's residual, so each
+    row gets the bits it would get alone.
+    """
+    u, M = grid.points, grid.size
+    B, K = len(surfaces), surfaces[0].n_instrument_levels
     upper = y_hat * (1.0 - BOX_CLAMP)
     edge = y_hat - deltas  # the frontier cushion
-    u = grid.points
-    M = grid.size
-    warnings: list[str] = []
-
-    order = _triangular_order(surface.p_hat)
+    order = _triangular_order(surfaces[0].p_hat)
     if order is None:
-        theta = _gauss_newton_sweep(surface, V, u, edge, upper, stop_at_frontier)
-        no_root = [None] * M
+        theta = np.stack([_gauss_newton_sweep(s, V, u, edge[b], upper[b], stop_at_frontier)
+                          for b, s in enumerate(surfaces)])
+        no_root = np.full((B, M), -1)
     else:
-        theta, no_root = _triangular_sweep(surface, order, u, upper)
+        theta, no_root = _triangular_sweep(surfaces, order, u, upper)
 
-    hit = np.flatnonzero((theta >= edge).any(axis=1))
-    triggered = hit.size > 0
-    m_hat = int(hit[0]) if triggered else M - 1
+    hit = (theta >= edge[:, None]).any(axis=2)
+    triggered = hit.any(axis=1)
+    m_hat = np.where(triggered, hit.argmax(axis=1), M - 1)
     if stop_at_frontier:
-        theta[m_hat + 1 :] = np.nan
-    r = residual_vector(theta, u, surface)
+        theta[np.arange(M) > m_hat[:, None]] = np.nan
+    r = np.stack([residual_vector(t, u, s) for t, s in zip(theta, surfaces)])
     if V is not None and not V.is_identity:
-        r = np.stack([V.factor(float(x), r.shape[1]) @ row for x, row in zip(u, r)])
-    obj_vals = np.einsum("mk,mk->m", r, r)
-    resid = np.abs(r).max(axis=1)
+        factors = [V.factor(float(x), K) for x in u]
+        r = np.stack([np.stack([ct @ row for ct, row in zip(factors, rb)]) for rb in r])
+    resid = np.abs(r).max(axis=2)
     converged = resid <= CERT_TOL
-    before = (np.arange(M) < m_hat) | (not triggered)
-    reported = converged & before
+    before = (np.arange(M) < m_hat[:, None]) | ~triggered[:, None]
     missed = before & ~converged
-    if missed.any():
-        warnings.append(
-            f"no certified root (residual > {CERT_TOL:g}) at u = "
-            + ", ".join(f"{x:g}" for x in u[missed])
-            + f" (largest residual {resid[missed].max():.3g}); they are not reported"
-        )
-    reasons: dict = {}
-    for m in np.flatnonzero(missed):
-        if no_root[m] is not None:
-            reasons.setdefault(no_root[m], []).append(u[m])
-    for (k, l, face), us in reasons.items():
-        bound = "0" if face == "below" else f"{y_hat[l]:g}"
-        warnings.append(
-            "no root in the box at u = "
-            + ", ".join(f"{x:g}" for x in us)
-            + f": instrument level {data.instrument_levels[k]} needs treatment level "
-            + f"{data.treatment_levels[l]} {face} {bound}"
-        )
-    if not triggered:
-        warnings.append(
-            "frontier cushion never reached on the grid; reporting the whole grid "
-            "(the identification frontier may exceed the grid range)"
-        )
-    u_hat = float(u[m_hat])
-    u_prev = float(u[m_hat - 1]) if m_hat > 0 else 0.0
 
-    frontiers = FrontierEstimates(y_hat, deltas, u_hat, m_hat, u_prev, triggered)
-    return QuantileCurveFit(
-        grid,
-        theta,
-        obj_vals,
-        resid,
-        converged,
-        reported,
-        frontiers,
-        list(data.treatment_levels),
-        list(data.instrument_levels),
-        warnings,
-        surface,
-    )
+    fits = []
+    for b, surface in enumerate(surfaces):
+        warnings = []
+        if missed[b].any():
+            warnings.append(
+                f"no certified root (residual > {CERT_TOL:g}) at u = "
+                + ", ".join(f"{x:g}" for x in u[missed[b]].tolist())
+                + f" (largest residual {resid[b, missed[b]].max():.3g}); they are not reported"
+            )
+        reasons: dict = {}
+        why = missed[b] & (no_root[b] >= 0)
+        for i, x in zip(no_root[b, why].tolist(), u[why].tolist()):
+            reasons.setdefault(i, []).append(x)
+        for i, us in reasons.items():
+            (k, l), face = order[i // 2], ("below", "above")[i % 2]
+            bound = "0" if face == "below" else f"{y_hat[b, l]:g}"
+            warnings.append(
+                "no root in the box at u = "
+                + ", ".join(f"{x:g}" for x in us)
+                + f": instrument level {data.instrument_levels[k]} needs treatment level "
+                + f"{data.treatment_levels[l]} {face} {bound}"
+            )
+        if not triggered[b]:
+            warnings.append(
+                "frontier cushion never reached on the grid; reporting the whole grid "
+                "(the identification frontier may exceed the grid range)"
+            )
+        m = int(m_hat[b])
+        frontiers = FrontierEstimates(y_hat[b], deltas[b], float(u[m]), m, float(u[m - 1]) if m > 0 else 0.0,
+                                      bool(triggered[b]))
+        fits.append(QuantileCurveFit(grid, theta[b], np.einsum("mk,mk->m", r[b], r[b]), resid[b], converged[b],
+                                     converged[b] & before[b], frontiers, list(data.treatment_levels),
+                                     list(data.instrument_levels), warnings, surface))
+    return fits
 
 
 def naive_curve(data: Dataset, grid: QuantileGrid | None = None) -> np.ndarray:
@@ -580,7 +590,7 @@ def naive_curve(data: Dataset, grid: QuantileGrid | None = None) -> np.ndarray:
     out = np.full((M, L), np.inf)
     for zi in range(L):
         # the level's columns go with its sorted cell, once its counting processes are taken
-        inc = incidence_from(SortedCell.of(*sorted_level(data, zi)[:2]).process(), cause=1)
+        inc = incidence_from(SortedCell.of(*sorted_level(data, zi, ("y", "event"))).process(), cause=1)
         if inc.jump_times.size == 0:
             continue
         idx = np.searchsorted(inc.values, grid.points, side="left")

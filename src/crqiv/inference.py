@@ -2,7 +2,8 @@
 
 Resampling unit: whole records, i.i.d. with replacement (pairs bootstrap).
 Intervals are pointwise percentile intervals over the replicates that
-report the grid point; points reported by too few replicates are masked.
+report the grid point; points that the full-sample fit does not report, or
+that too few replicates report, are masked.
 Every replicate draws from its own counter-based stream keyed by
 (seed, replicate index).  A replicate is the count of each record in its
 draw: it is fitted as count weights on the one sample, sorted once, with
@@ -120,7 +121,8 @@ class ConfidenceBand:
 # bytes of one float64 row block: B replicates of n records and of the
 # local-linear smoother's 512 sample points; a smaller block costs more
 # fixed overhead per replicate, a larger one more peak memory per block
-BLOCK_BYTES = 1 << 18
+# (B = 26 / 6 / 1 at n = 2,000 / 10^4 / 10^5)
+BLOCK_BYTES = 1 << 19
 
 
 def block_size(n: int) -> int:
@@ -173,15 +175,20 @@ def bootstrap_band(
     failures = []
     # blocks of near-equal size, none above block_size(n)
     for block in np.array_split(np.arange(boot.draws), -(-boot.draws // block_size(data.n))):
-        counts = np.empty((block.size, data.n), np.int32)  # a record's count is at most n
-        for row, b in zip(counts, block.tolist()):
-            row[:] = np.bincount(stream(boot.seed, "bootstrap", b).integers(0, data.n, data.n), minlength=data.n)
+        # a byte a count; a count above 255 (a record's count is at most n) widens the block
+        counts = np.empty((block.size, data.n), np.uint8)
+        for i, b in enumerate(block.tolist()):
+            row = np.bincount(stream(boot.seed, "bootstrap", b).integers(0, data.n, data.n), minlength=data.n)
+            if row.max() > np.iinfo(counts.dtype).max:
+                counts = counts.astype(np.min_scalar_type(data.n))
+            counts[i] = row
         refits = fit_replicates(data, counts, stop_at_frontier=True, **fit_kwargs)
         for b, refit in zip(block.tolist(), refits):
             if isinstance(refit, Exception):
                 failures.append((b, str(refit)))
             else:
                 vals[b] = refit.qte(level_hi, level_lo)
+        del counts, row, refits, refit  # the next block's peak meets none of this block's arrays
     n_failed = len(failures)
     if n_failed == boot.draws:
         raise RuntimeError("every bootstrap replicate failed")
@@ -189,7 +196,8 @@ def bootstrap_band(
     # the percentile ranks of every column at once: its reported values
     # sorted to the top, NaN below them
     n_reported = np.count_nonzero(np.isfinite(vals), axis=0)
-    valid = n_reported / boot.draws >= boot.report_threshold - 1e-12
+    # a point is valid only where the fit reports it, and enough replicates do
+    valid = (n_reported / boot.draws >= boot.report_threshold - 1e-12) & np.isfinite(point)
     lo_rank, hi_rank = _ranks(n_reported, boot.level)
     cols = np.flatnonzero(valid & (n_reported > 0))
     ordered = np.sort(vals[:, cols], axis=0)
@@ -197,12 +205,10 @@ def bootstrap_band(
     upper = np.full(M, np.nan)
     lower[cols] = ordered[lo_rank[cols] - 1, np.arange(cols.size)]
     upper[cols] = ordered[hi_rank[cols] - 1, np.arange(cols.size)]
-    scored = np.zeros(M, bool)
-    scored[cols] = np.isfinite(point[cols])
-    raw_total = int(np.count_nonzero(scored))
-    raw_hits = int(np.count_nonzero(scored & (lower <= point) & (point <= upper)))
-    lower[scored] = np.minimum(lower[scored], point[scored])
-    upper[scored] = np.maximum(upper[scored], point[scored])
+    raw_total = cols.size
+    raw_hits = int(np.count_nonzero((lower[cols] <= point[cols]) & (point[cols] <= upper[cols])))
+    lower[cols] = np.minimum(lower[cols], point[cols])
+    upper[cols] = np.maximum(upper[cols], point[cols])
     raw_containment = raw_hits / raw_total if raw_total else math.nan
     notes = []
     if n_failed:

@@ -204,7 +204,9 @@ def _window_sums(x, w, t, lo, hi, degree: int, width=None) -> list:
     prefix = np.zeros((B, P + 1))
     for k in range(degree + 1):
         term = dx**k
-        np.cumsum(term if w is None else w * term, axis=1, out=prefix[:, 1:])
+        if w is not None:
+            np.multiply(w, term, out=term)
+        np.cumsum(term, axis=1, out=prefix[:, 1:])
         del term
         for m, (a, b, _) in zip(moments, pieces):
             m.append(np.take(prefix, b) - np.take(prefix, a))
@@ -265,15 +267,16 @@ def _smooth_local_linear(jumps, padded, bandwidth, knots, t_max) -> np.ndarray:
 
     lo = _rows_searchsorted(x, tq - h, "left")
     hi = _rows_searchsorted(x, tq + h, "right")
-    d0, d1, d2, d3, d4 = _window_sums(x, None, tq, lo, hi, 4)
-    e0, e1, e2, e3 = _window_sums(x, g, tq, lo, hi, 3)
-
+    # each set of window sums is folded into its moments before the next is taken, so fewer arrays are alive
     with np.errstate(divide="ignore", invalid="ignore"):
         h2 = h**2
+        d0, d1, d2, d3, d4 = _window_sums(x, None, tq, lo, hi, 4)
         s0 = d0 - d2 / h2
         s1 = d1 - d3 / h2
         s2 = d2 - d4 / h2
         del d0, d1, d2, d3, d4
+        e0, e1, e2, e3 = _window_sums(x, g, tq, lo, hi, 3)
+        del x, g, lo, hi
         u0 = e0 - e2 / h2
         u1 = e1 - e3 / h2
         del e0, e1, e2, e3
@@ -285,10 +288,11 @@ def _smooth_local_linear(jumps, padded, bandwidth, knots, t_max) -> np.ndarray:
     # holds too few points for a degree-1 fit
     det_ok = np.isfinite(det) & (det > 1e-12 * np.maximum(s0 * s2, 1e-300))
     out = np.where(det_ok, beta0, np.where(np.isfinite(local_const) & (s0 > 0), local_const, np.nan))
-    if np.isfinite(out).all():
-        return out
-    step = _take_rows(padded, _rows_searchsorted(jumps, knots, "right"))
-    return np.where(np.isfinite(out), out, step)
+    # (in practice only at t = 0, where the window is empty)
+    raw = ~np.isfinite(out)
+    for b in np.flatnonzero(raw.any(axis=1)).tolist():
+        out[b, raw[b]] = padded[b, np.searchsorted(jumps[b], knots[b, raw[b]], "right")]
+    return out
 
 
 # padding past a row's own points, above every window (the abscissa is in [0, 1])
@@ -302,7 +306,8 @@ def left_pack(mask: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
         return np.compress(mask[0], values, axis=1)
     size = mask.sum(axis=1)
     out = np.full((len(mask), size.max(initial=0)), fill)
-    out[np.arange(out.shape[1]) < size[:, None]] = values[mask]
+    for row, m, v, k in zip(out, mask, values, size.tolist()):
+        np.compress(m, v, out=row[:k])  # a row at a time, with no array of every packed value
     return out
 
 

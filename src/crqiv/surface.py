@@ -152,33 +152,39 @@ def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: s
 def _assemble(data: Dataset, counts, bandwidth, kind: str) -> list:
     """The surface, or the first error, of each row of counts (B, n), or of the sample itself (counts None).
 
-    Each cell goes from its sorted records through its bandwidths and
-    counting processes to its left-packed cause-1 jumps before the next
-    cell starts, so that one cell's record-sized arrays live at a time.
-    The sample's cells are built as the loop goes and not kept; a block's
-    come from ``sorted_cells``, kept across blocks.  Every stage runs along
-    the rows: the sample, one row, gets a block row's bits.
+    A first pass takes each cell's sizes, bandwidths and range (its last
+    cause-1 jump plus its bandwidth), which give a row's errors and grid.
+    The sample's cells are built as it goes and not kept, so each goes on
+    to its left-packed jumps in that pass.  A block's cells come from
+    ``sorted_cells``, kept across blocks, and a second pass takes each from
+    the counts of the rows without an error to its jumps and smooths them
+    at once, so that one cell's jumps live at a time.  Every stage runs
+    along the rows: the sample, one row, gets a block row's bits.
     """
     B = 1 if counts is None else len(counts)
     sizes = np.zeros((B, data.n_treatment_levels, data.n_instrument_levels), np.int64)
-    bandwidths, thin, jumps = {}, {}, {}
-    for cell, sc in level_cells(data) if counts is None else sorted_cells(data).items():
+    bandwidths, thin, ranges, kept = {}, {}, [], {}
+    block_cells = None if counts is None else sorted_cells(data)
+    for cell, sc in level_cells(data) if counts is None else block_cells.items():
         if cell in data.structural_zeros:
             continue
-        c = None if counts is None else counts[:, sc.records]
+        c = None if counts is None else np.take(counts, sc.records, axis=1)
         if bandwidth is None:
             bandwidths[cell], thin[cell] = bandwidth_rows(sc.y, c)
         else:
             bandwidths[cell] = np.full(B, _resolve_bandwidth(bandwidth, data, cell))
-        proc = sc.process(c)
-        del c, sc  # a sample cell's record-sized arrays go before its incidence is built
-        sizes[:, cell.z, cell.w] = proc.size
-        # a row's jumps are the times its counted records fail at by cause 1
-        jumping = np.atleast_2d(proc.dn1 > 0)
-        inc = incidence_values(proc, proc.dn1)
-        np.subtract(1.0, inc, out=inc)  # 1 - F_hat in place: one (B, T) array less at the peak
-        jumps[cell] = left_pack(jumping, proc.times, np.inf), left_pack(jumping, inc, 0.0)
-        del proc, inc
+        sizes[:, cell.z, cell.w] = sc.y.size if c is None else c.sum(axis=1)
+        # the latest time a counted record fails at by cause 1, 0 without one
+        primary = np.compress(sc.cause1, sc.failing)
+        counted = np.ones((1, primary.size), bool) if c is None else np.take(c, primary, axis=1) > 0
+        ranges.append(np.max(np.broadcast_to(sc.y[primary], counted.shape), axis=1, where=counted, initial=0.0)
+                      + bandwidths[cell])
+        del c, primary, counted
+        if counts is None:
+            proc = sc.process()
+            del sc  # a sample cell's record-sized arrays go before its incidence is built
+            kept[cell] = _jumps(proc)
+            del proc
     # a row's first error, in the order its resampled dataset meets them:
     # an emptied cell, then the first cell too thin for the bandwidth rule
     out: list = [None] * B
@@ -194,21 +200,33 @@ def _assemble(data: Dataset, counts, bandwidth, kind: str) -> list:
     live = np.flatnonzero([o is None for o in out])
     if not live.size:
         return out
-    sizes = sizes[live]
+    if live.size < B:
+        sizes, ranges, counts = sizes[live], [r[live] for r in ranges], counts[live]
+        bandwidths = {cell: h[live] for cell, h in bandwidths.items()}
     with np.errstate(invalid="ignore", divide="ignore"):
         p_hat = sizes / sizes.sum(axis=1, keepdims=True)
-    bandwidths = {cell: h[live] for cell, h in bandwidths.items()}
-    jumps = {cell: (j[live], v[live]) for cell, (j, v) in jumps.items()}
-    # every cell's own range is its last jump plus its bandwidth
-    t_max = np.max([np.max(j, axis=1, where=np.isfinite(j), initial=0.0) + bandwidths[cell]
-                    for cell, (j, _) in jumps.items()], axis=0)
-    grid = np.linspace(0.0, t_max, GRID_POINTS, axis=-1)
+    grid = np.linspace(0.0, np.max(ranges, axis=0), GRID_POINTS, axis=-1)
     values = np.zeros(p_hat.shape + (GRID_POINTS,))
-    for cell, (j, v) in jumps.items():
+    for cell in bandwidths:
+        if counts is None:
+            j, v = kept.pop(cell)
+        else:
+            sc = block_cells[cell]
+            j, v = _jumps(sc.process(np.take(counts, sc.records, axis=1)))
         curves = smooth_rows(j, v, np.ones(live.size), bandwidths[cell], kind, grid)
+        del j, v
         values[:, cell.z, cell.w] = curves * p_hat[:, cell.z, cell.w, None]
     levels = list(data.treatment_levels), list(data.instrument_levels)
     for i, b in enumerate(live.tolist()):
         out[b] = SmoothedSurvivalSurface(grid[i], values[i], p_hat[i],
                                          {cell: float(h[i]) for cell, h in bandwidths.items()}, kind, *levels)
     return out
+
+
+def _jumps(proc) -> tuple:
+    """The cause-1 jump times of each row of a cell's processes and 1 - F_hat there, left-packed; overwrites proc."""
+    # a row's jumps are the times its counted records fail at by cause 1
+    jumping = np.atleast_2d(proc.dn1 > 0)
+    inc = incidence_values(proc, proc.dn1, overwrite=True)
+    np.subtract(1.0, inc, out=inc)  # 1 - F_hat in place: one (B, T) array less at the peak
+    return left_pack(jumping, proc.times, np.inf), left_pack(jumping, inc, 0.0)

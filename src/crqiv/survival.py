@@ -132,6 +132,8 @@ class SortedCell:
         starts = np.flatnonzero(_run_flags(y[failing]))
         times = y[failing[starts]]
         cause1 = (event[failing] == 1).astype(np.int8)
+        if records is not None:  # a cell kept for blocks holds its indices in the narrowest type
+            failing, starts = (a.astype(np.min_scalar_type(y.size)) for a in (failing, starts))
         return cls(y, times, failing, starts, cause1, records)
 
     def process(self, c: np.ndarray | None = None) -> CellProcess:
@@ -153,21 +155,27 @@ class SortedCell:
             dn = np.diff(self.starts, append=self.failing.size).astype(np.float64)
             return CellProcess(self.times, np.add.reduceat(self.cause1, self.starts, dtype=np.float64), dn, at_risk,
                                self.y.size)
-        # the counted records before each position, and in all
-        below = np.zeros((len(c), self.y.size + 1), np.int64)
+        # the counted records before each position, and in all; the sums are
+        # taken in the counts' integer type, so no float copy of a count array is made
+        wide = np.promote_types(c.dtype, np.int32)
+        below = np.zeros((len(c), self.y.size + 1), wide)
         np.cumsum(c, axis=1, out=below[:, 1:])
-        size = below[:, -1]
-        at_risk = np.subtract(size[:, None], below[:, first], dtype=np.float64)
+        size = below[:, -1].astype(np.int64)
+        at_risk = np.subtract(size[:, None], np.take(below, first, axis=1), dtype=np.float64)
         del below, first
-        failed = c[:, self.failing]
-        dn = np.add.reduceat(failed, self.starts, axis=1, dtype=np.float64)
-        dn1 = np.add.reduceat(failed * self.cause1, self.starts, axis=1, dtype=np.float64)
-        return CellProcess(self.times, dn1, dn, at_risk, size)
+        failed = np.take(c, self.failing, axis=1).astype(wide, copy=False)
+        counted = np.add.reduceat(failed, self.starts, axis=1, dtype=wide)
+        dn = counted.astype(np.float64)
+        np.multiply(failed, self.cause1, out=failed)
+        np.add.reduceat(failed, self.starts, axis=1, dtype=wide, out=counted)
+        del failed
+        return CellProcess(self.times, counted.astype(np.float64), dn, at_risk, size)
 
 
 # a fit, its naive curve and its bootstrap blocks take one sample at a time
 _ORDERS: WeakKeyDictionary = WeakKeyDictionary()  # dataset -> {level: permutation}
 _CELLS: WeakKeyDictionary = WeakKeyDictionary()  # dataset -> its sorted_cells
+_PRIMARY: WeakKeyDictionary = WeakKeyDictionary()  # dataset -> {level: its primary_records}
 
 
 def _level_orders(data: Dataset) -> dict:
@@ -175,14 +183,15 @@ def _level_orders(data: Dataset) -> dict:
 
     They depend only on the follow-up times and treatment levels, so the
     live datasets that share both arrays (a sample and its causes swapped)
-    share one dict of them.  Cells are built on a dataset's orders, so
-    every cached cell goes when the orders do.
+    share one dict of them.  Cells and primary-cause records are taken on
+    a dataset's orders, so every cached one goes when the orders do.
     """
     if data not in _ORDERS:
         orders = next((o for other, o in _ORDERS.items() if other.y is data.y and other.z is data.z), None)
         if orders is None:
             _ORDERS.clear()
             _CELLS.clear()
+            _PRIMARY.clear()
             orders = {}
         _ORDERS[data] = orders
     return _ORDERS[data]
@@ -202,14 +211,29 @@ def level_order(data: Dataset, level: int) -> tuple[np.ndarray, np.ndarray]:
     return records, orders[level]
 
 
-def sorted_level(data: Dataset, level: int) -> tuple:
-    """A treatment level's follow-up times, event codes and instrument indices, in ascending y.
+def primary_records(data: Dataset, level: int, cache: bool = False) -> np.ndarray:
+    """A treatment level's primary-cause record indices in ascending follow-up time.
+
+    Only the level's event codes are gathered whole, in ``level_order``.
+    With ``cache``, for blocks of counts, they are kept with the level orders.
+    """
+    if level not in _PRIMARY.get(data, {}):
+        records, order = level_order(data, level)
+        primary = records[np.compress(data.event[records][order] == 1, order)]
+        if not cache:
+            return primary
+        _PRIMARY.setdefault(data, {})[level] = primary.astype(np.min_scalar_type(data.n))
+    return _PRIMARY[data][level]
+
+
+def sorted_level(data: Dataset, level: int, columns: tuple = ("y", "event", "w")) -> tuple:
+    """A treatment level's columns (follow-up times, event codes and instrument indices by default), in ascending y.
 
     Each column is gathered in record order, then permuted by
     ``level_order``.
     """
     records, order = level_order(data, level)
-    return tuple(column[records][order] for column in (data.y, data.event, data.w))
+    return tuple(getattr(data, name)[records][order] for name in columns)
 
 
 def level_cells(data: Dataset, indexed: bool = False):
@@ -223,7 +247,7 @@ def level_cells(data: Dataset, indexed: bool = False):
     for zi in range(data.n_treatment_levels):
         *columns, w = sorted_level(data, zi)
         if indexed:
-            columns.append(np.take(*level_order(data, zi)))
+            columns.append(np.take(*level_order(data, zi)).astype(np.min_scalar_type(data.n)))
         parts = []
         for wi in range(data.n_instrument_levels):
             # np.compress takes what a boolean index takes, in about a quarter of the time
@@ -279,20 +303,23 @@ def incidence_from(proc: CellProcess, cause: int) -> StepFunction:
     return StepFunction(np.compress(keep, proc.times), np.compress(keep, incidence_values(proc, dnj)), 0.0)
 
 
-def incidence_values(proc: CellProcess, dnj: np.ndarray) -> np.ndarray:
+def incidence_values(proc: CellProcess, dnj: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """The cumulative incidence of the failures dnj at each of proc's times, along the last axis.
 
     A time with dN = 0 (a block's sample failure time that no counted
     record fails at, where Y may be 0 too) multiplies the survival by
     exactly 1 and adds exactly 0: Y is taken as at least 1, which changes
-    it only where dN = 0.
+    it only where dN = 0.  With ``overwrite`` the result is written over
+    dnj, and proc's at_risk and dn are overwritten on the way, so that no
+    array of their size is made.
     """
-    at_risk = np.maximum(proc.at_risk, 1.0)
-    surv = np.cumprod(1.0 - proc.dn / at_risk, axis=-1)
+    at_risk = np.maximum(proc.at_risk, 1.0, out=proc.at_risk if overwrite else None)
+    surv = np.divide(proc.dn, at_risk, out=proc.dn if overwrite else None)
+    np.subtract(1.0, surv, out=surv)
+    np.cumprod(surv, axis=-1, out=surv)
     # S(s-) dN_j(s): the survival just before s, 1 before the first time
-    inc = np.empty(dnj.shape)
-    inc[..., :1] = dnj[..., :1]
-    np.multiply(surv[..., :-1], dnj[..., 1:], out=inc[..., 1:])
+    inc = dnj if overwrite else dnj.astype(np.float64)
+    np.multiply(inc[..., 1:], surv[..., :-1], out=inc[..., 1:])
     del surv
     inc /= at_risk
     return np.cumsum(inc, axis=-1, out=inc)

@@ -43,7 +43,7 @@ def reference_band(data, boot=None, contrast=(1, 0), fit=None, fit_fn=None, **fi
             failures.append((b, str(exc)))
 
     n_reported = np.count_nonzero(np.isfinite(vals), axis=0)
-    valid = n_reported / boot.draws >= boot.report_threshold - 1e-12
+    valid = (n_reported / boot.draws >= boot.report_threshold - 1e-12) & np.isfinite(point)
     lower = np.full(M, np.nan)
     upper = np.full(M, np.nan)
     raw_hits = raw_total = 0

@@ -262,13 +262,15 @@ def test_commands_do_not_load_numpy_ma(tmp_path, sim_dir, est_dir, child_env):
 def modules_loaded_by(argv, env):
     """(exit code, sorted(sys.modules)) of ``main(argv)`` run in a fresh interpreter."""
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "from crqiv.cli import main\n"
         "try:\n"
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, modules]))\n"
     )
     done = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=300)
@@ -282,6 +284,8 @@ def test_version_and_help_load_no_library_code(flag, child_env):
     assert code == 0
     assert "numpy" not in modules
     assert [m for m in modules if m.startswith("crqiv.")] == ["crqiv.cli"]
+    # the manifest's JSON, hashing and clock modules load only with a manifest
+    assert not {"json", "hashlib", "datetime"} & set(modules)
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path, sim_dir, est_dir, child_env):

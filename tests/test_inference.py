@@ -89,6 +89,22 @@ def test_band_masks_unsupported_points(small_band):
             assert lo <= hi
 
 
+@pytest.mark.parametrize("seed, u", [(0, 0.425), (10, 0.025)])
+def test_band_is_valid_only_where_the_fit_reports(seed, u):
+    # the fit leaves u unreported, at its frontier (seed 0) or where no root
+    # lies in the box (seed 10), while at least half of the replicates
+    # report it: the band is not valid there, so band.csv writes no
+    # interval beside a NaN point and coverage does not count it
+    data, _ = generate(DgpSpec(design=2, n=2_000, seed=seed))
+    band = bootstrap_band(data, BootstrapConfig(draws=20, seed=0), grid=QuantileGrid.default(40))
+    m = int(np.argmin(np.abs(band.u - u)))
+    assert np.isnan(band.point[m]) and band.n_reported[m] >= 10
+    assert not band.valid[m] and not (band.valid & np.isnan(band.point)).any()
+    _, lo, _, hi, _ = list(band.rows())[m]
+    assert math.isnan(lo) and math.isnan(hi)
+    assert band.valid.sum() >= 10
+
+
 def test_band_deterministic_and_worker_invariant(small_band):
     data, boot, band = small_band
     again = bootstrap_band(data, boot, grid=GRID13)
@@ -377,9 +393,10 @@ def test_scaled_coverage_design1():
         boot=BootstrapConfig(draws=100, seed=0),
         grid=GRID13,
     )
-    for u in (0.1, 0.2):
+    # one repetition's fit does not report u = 0.1, so its band is not valid there
+    for u, n_valid in ((0.1, 49), (0.2, 50)):
         m = int(np.argmin(np.abs(res.u - u)))
-        assert res.n_valid[m] == 50
+        assert res.n_valid[m] == n_valid
         cov = res.at(u)
         assert 0.85 <= cov <= 1.0, f"coverage {cov} at u={u}"
     # u = 0.3 sits 0.03 below the frontier; the conservative frontier

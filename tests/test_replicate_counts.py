@@ -7,10 +7,13 @@ resampled ``Dataset``, to 1e-10, and fail on the same replicates for the
 same reasons; its bits must not depend on the block size.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crqiv import inference
+from crqiv._rng import stream
 from crqiv.data import DataValidationError, Dataset, resample
 from crqiv.estimator import EstimationError, QuantileGrid, WeightingPolicy, fit_curve, fit_replicates
 from crqiv.inference import BootstrapConfig, block_size, bootstrap_band
@@ -127,12 +130,26 @@ def test_sparse_primary_cause_level_failures_match():
     assert "frontier cushion at treatment level 1" in reasons
 
 
-def test_block_size_budget():
-    # every (B, n + 512) float64 working array of a block fits the budget,
-    # or the block is one replicate
-    assert [block_size(n) for n in (2_000, 10_000, 100_000, 10**6)] == [13, 3, 1, 1]
-    for n in (2_000, 10_000, 30_000):
-        assert 8 * block_size(n) * (n + 512) <= inference.BLOCK_BYTES
+def test_block_memory_peak():
+    # one block of block_size(10^4) replicates at n = 10^4, drawn as the
+    # band draws them, one byte a count.  The block takes a cell at a time
+    # from its counts to its smoothed curve, with every cell's sizes,
+    # bandwidths and ranges taken first (1,236,831 traced bytes at the peak
+    # with numpy 2.4, B = 6).  Before, at the old budget's B = 3, a block
+    # peaked at 869,652, with 4-byte counts and every cell's jumps alive at once
+    data, _ = generate(DgpSpec(design=2, n=10_000, seed=0))
+    n, B = data.n, block_size(data.n)
+    counts = np.stack([np.bincount(stream(1, "bootstrap", b).integers(0, n, n), minlength=n) for b in range(B)])
+    counts = counts.astype(np.uint8)
+    grid = QuantileGrid.default(100)
+    fit_replicates(data, counts[:1], grid, stop_at_frontier=True)  # the sorted cells, kept across blocks
+    tracemalloc.start()
+    try:
+        fit_replicates(data, counts, grid, stop_at_frontier=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_250_000
 
 
 @pytest.mark.parametrize("make, draws", [(thin_cell_data, 40), (sparse_level_data, 40), (three_by_three, 9),
@@ -143,13 +160,19 @@ def test_band_bits_do_not_depend_on_block_size(make, draws, monkeypatch):
     boot = BootstrapConfig(draws=draws, seed=1)
     grid = QuantileGrid.default(30)
     bands = []
-    for B in (1, 3, draws):
+    for B in (1, 3, block_size(10_000), draws):
         monkeypatch.setattr(inference, "BLOCK_BYTES", 8 * B * (data.n + 512))
         assert block_size(data.n) == B
         bands.append(bootstrap_band(data, boot, grid=grid))
     for band in bands[1:]:
         assert_same_band(band, bands[0])
     assert_same_band(bands[0], reference_band(data, boot, grid=grid), tol=1e-10)
+
+
+def resampled(data, c):
+    """The dataset that repeats each record as often as its count."""
+    return Dataset(data.y.repeat(c), data.event.repeat(c), data.z.repeat(c), data.w.repeat(c),
+                   data.treatment_levels, data.instrument_levels, structural_zeros=data.structural_zeros)
 
 
 def test_failing_rows_inside_a_block():
@@ -179,24 +202,59 @@ def test_failing_rows_inside_a_block():
     assert texts[3].startswith("cell (treatment 0, instrument 1): bandwidth rule needs at least 2")
     assert "frontier cushion at treatment level 1" in texts[5]
     for b, c in enumerate(counts):
-        def resampled():
-            re = Dataset(data.y.repeat(c), data.event.repeat(c), data.z.repeat(c), data.w.repeat(c),
-                         data.treatment_levels, data.instrument_levels, structural_zeros=data.structural_zeros)
-            return fit_curve(re, grid=grid, stop_at_frontier=True)
-
         if texts[b] is not None:
             with pytest.raises((DataValidationError, EstimationError)) as exc:
-                resampled()
+                fit_curve(resampled(data, c), grid=grid, stop_at_frontier=True)
             assert str(exc.value) == str(fit_replicates(data, c[None], grid, stop_at_frontier=True)[0]) == texts[b]
             continue
         (alone,) = fit_replicates(data, c[None], grid, stop_at_frontier=True)
         assert fits[b].theta.tobytes() == alone.theta.tobytes()
         assert fits[b].reported_mask.tobytes() == alone.reported_mask.tobytes()
-        ref = resampled()
+        ref = fit_curve(resampled(data, c), grid=grid, stop_at_frontier=True)
         assert np.array_equal(fits[b].reported_mask, ref.reported_mask)
         rep = fits[b].reported_mask
         assert np.abs(fits[b].theta[rep] - ref.theta[rep]).max(initial=0.0) <= 1e-10
     assert [t is None for t in texts] == [True, False, False, False, False, False, True]
+
+
+@pytest.mark.parametrize("make, kw", [
+    pytest.param(lambda: design(2), {}, id="design2"),
+    pytest.param(lambda: design(1, seed=1), {"V": WeightingPolicy(np.array([[2.0, 0.5], [0.5, 1.0]]))},
+                 id="design1-weighted"),
+    pytest.param(three_by_three, {"grid": QuantileGrid.default(40)}, id="three-levels"),
+    pytest.param(thin_cell_data, {"grid": QuantileGrid.default(40)}, id="failing-rows"),
+    pytest.param(no_structural_zero, {"grid": QuantileGrid.default(20)}, id="gauss-newton"),
+])
+def test_block_solve_equals_each_rows_fit(make, kw):
+    # a block's rows are solved together; each row has the bits of its own
+    # one-row block, and the reported points, frontier and warnings of
+    # fit_curve on its resampled dataset, with theta and the residual
+    # within the rounding of the count-weighted sums
+    data = make()
+    rng = np.random.default_rng(4)
+    counts = np.stack([np.bincount(rng.integers(0, data.n, data.n), minlength=data.n) for _ in range(8)])
+    fits = fit_replicates(data, counts, stop_at_frontier=True, **kw)
+    solved = 0
+    for c, fit in zip(counts, fits):
+        (alone,) = fit_replicates(data, c[None], stop_at_frontier=True, **kw)
+        try:
+            ref = fit_curve(resampled(data, c), stop_at_frontier=True, **kw)
+        except (DataValidationError, EstimationError) as exc:
+            assert type(fit) is type(alone) is type(exc) and str(fit) == str(alone) == str(exc)
+            continue
+        solved += 1
+        fields = ("theta", "objective", "residual", "converged", "reported_mask")
+        assert _bits(fit, fields) == _bits(alone, fields)
+        frontier = ("y_hat", "delta", "u_hat", "m_hat", "u_prev", "triggered")
+        assert _bits(fit.frontiers, frontier) == _bits(alone.frontiers, frontier)
+        assert fit.warnings == alone.warnings
+        assert np.array_equal(fit.reported_mask, ref.reported_mask)
+        assert (fit.frontiers.u_hat, fit.frontiers.m_hat) == (ref.frontiers.u_hat, ref.frontiers.m_hat)
+        assert [w.split(" (largest")[0] for w in fit.warnings] == [w.split(" (largest")[0] for w in ref.warnings]
+        rep = fit.reported_mask
+        assert np.abs(fit.theta[rep] - ref.theta[rep]).max(initial=0.0) <= 1e-10
+        assert np.allclose(fit.residual, ref.residual, rtol=0.0, atol=1e-12, equal_nan=True)
+    assert solved >= 4
 
 
 def test_callable_bandwidth_is_rejected():

@@ -4,7 +4,7 @@ Every command writes its outputs plus a manifest JSON describing the run
 (command, resolved configuration, seed, tool version, input hash,
 timestamps). Outputs are deterministic given the configuration; the
 manifest's timestamps are provenance, not inputs. A JSON config file
-passed with --config overrides command-line flags key by key.
+passed with --config overrides flags key by key; each value passes its flag's check.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ def _at_least(low: int, what: str):
 
 _positive_int, _non_negative_int = _at_least(1, "positive"), _at_least(0, "non-negative")
 
-# integer options and their least value; a --config value bypasses argparse,
-# so it gets the flag's check in ``_resolve_config``
-_INTEGER_KEYS = {"grid": 1, "n": 1, "reps": 1, "bins": 1, "threads": 1, "lattice": 0, "boot_draws": 0, "seed": 0}
+# per argparse type of a flag: the JSON types of a --config value for it, and their name
+_JSON_FORMS = {None: ((str,), "a string"), int: ((int,), "an integer"), float: ((int, float), "a number"),
+               _positive_int: ((int,), "a positive integer"), _non_negative_int: ((int,), "a non-negative integer")}
 
 
 def _fmt(v) -> str:
@@ -398,45 +398,53 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_mc)
 
+    for p in sub.choices.values():
+        p.set_defaults(flags=p._actions)  # for the checks of --config values
     return parser
 
 
+def _config_value(flag: argparse.Action, value):
+    """A --config value as its flag parses it, or ValueError naming what the flag takes.
+
+    The value must have the JSON type of the flag's text and pass its type
+    and choices, or be null where an optional flag defaults to None.
+    """
+    nullable = flag.default is None and not flag.required
+    if value is None and nullable:
+        return None
+    kinds, takes = ((bool,), "true or false") if flag.nargs == 0 else _JSON_FORMS[flag.type]
+    repeated = isinstance(flag, argparse._AppendAction)
+    if flag.choices:
+        takes = "one of " + ", ".join(map(repr, flag.choices))
+    elif repeated:
+        takes = f"a non-empty list of {takes[2:]}s"
+    elif flag.dest == "delta":  # one value per treatment level, a form no flag gives
+        takes += f", a list of {takes[2:]}s"
+    listed = isinstance(value, list) and (repeated or flag.dest == "delta")
+    items = value if listed else [value]
+    try:
+        if (repeated and not (listed and value)) or any(type(v) not in kinds for v in items):
+            raise ValueError
+        parsed = [v if flag.type is None else flag.type(str(v)) for v in items]
+        if flag.choices and not set(parsed) <= set(flag.choices):
+            raise ValueError
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{flag.dest} must be {takes}{' or null' if nullable else ''}, got {value!r}") from None
+    return parsed if listed else parsed[0]
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "flags", "config")}
     if args.config:
         overrides = _read_json(Path(args.config), "config")
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(overrides) - set(cfg)
+        # every flag of the command but --help and --config
+        flags = {flag.dest: flag for flag in args.flags if flag.dest in cfg}
+        unknown = set(overrides) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in overrides.items():
-            low = _INTEGER_KEYS.get(key)
-            if low is None or (key == "threads" and value is None):
-                continue
-            if type(value) is not int or value < low:
-                kind = "positive" if low else "non-negative"
-                raise ValueError(f"{key} must be a {kind} integer, got {value!r}")
-        # the float flags --level, --bandwidth and --delta and the repeated --u;
-        # a bool is not a number
-        if "level" in overrides:
-            if type(overrides["level"]) not in (int, float):
-                raise ValueError(f"level must be a number, got {overrides['level']!r}")
-            overrides["level"] = float(overrides["level"])
-        for key, takes in (("bandwidth", "a number"), ("delta", "a number, a list of numbers")):
-            value = overrides.get(key)
-            if type(value) in (int, float):
-                overrides[key] = float(value)
-            elif key == "delta" and isinstance(value, list) and all(type(v) in (int, float) for v in value):
-                overrides[key] = [float(v) for v in value]
-            elif value is not None:
-                raise ValueError(f"{key} must be {takes} or null, got {value!r}")
-        if "u" in overrides:
-            us = overrides["u"]
-            if not (isinstance(us, list) and us and all(type(v) in (int, float) for v in us)):
-                raise ValueError(f"u must be a non-empty list of numbers, got {us!r}")
-            overrides["u"] = [float(v) for v in us]
-        cfg.update(overrides)
+        cfg.update({key: _config_value(flags[key], value) for key, value in overrides.items()})
     return cfg
 
 

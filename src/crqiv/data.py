@@ -72,16 +72,6 @@ def _integers(a) -> np.ndarray:
     return a if a.dtype.kind in "iu" else a.astype(np.int64)
 
 
-def _narrow(a: np.ndarray, name: str, dtype: np.dtype, checked: bool) -> np.ndarray:
-    """Code column ``a`` in ``dtype``; unless its codes were checked, raise if one would not survive the cast."""
-    if not checked and a.size and not np.can_cast(a.dtype, dtype):
-        info = np.iinfo(dtype)
-        low, high = a.min(), a.max()
-        if low < info.min or high > info.max:
-            raise DataValidationError(f"{name} codes must lie in [{info.min}, {info.max}], got {low} .. {high}")
-    return np.ascontiguousarray(a, dtype)
-
-
 class Dataset:
     """Validated immutable sample of (y, event, z, w) records.
 
@@ -97,9 +87,6 @@ class Dataset:
         Ordered distinct labels. At least 2 of each.
     structural_zeros : iterable of (z_index, w_index)
         Cells declared unreachable; the only cells allowed to be empty.
-    validate : bool
-        False skips the checks for columns already checked, but a code
-        that the narrow type cannot hold still raises.
     """
 
     def __init__(
@@ -111,7 +98,6 @@ class Dataset:
         treatment_levels: Sequence,
         instrument_levels: Sequence,
         structural_zeros: Iterable[tuple[int, int]] = (),
-        validate: bool = True,
     ):
         self.y = np.ascontiguousarray(y, dtype=np.float64)
         if np.signbit(self.y).any():
@@ -121,13 +107,11 @@ class Dataset:
         self.treatment_levels = list(treatment_levels)
         self.instrument_levels = list(instrument_levels)
         self.structural_zeros = frozenset((int(a), int(b)) for a, b in structural_zeros)
-        if validate:
-            self._validate()
+        self._validate()
         # narrowed once checked, so that an out-of-range code is named as given
         self.event, self.z, self.w = (
-            _narrow(a, name, code_type(count), validate)
-            for a, name, count in ((self.event, "event", 3), (self.z, "treatment", len(self.treatment_levels)),
-                                   (self.w, "instrument", len(self.instrument_levels)))
+            np.ascontiguousarray(a, code_type(count))
+            for a, count in ((self.event, 3), (self.z, self.n_treatment_levels), (self.w, self.n_instrument_levels))
         )
         for a in (self.y, self.event, self.z, self.w):
             a.setflags(write=False)
@@ -244,6 +228,7 @@ def swap_causes(data: Dataset) -> Dataset:
     """Relabel event causes 1 <-> 2 (censoring code 0 unchanged).
 
     Lets any primary-cause routine target the secondary cause instead.
+    It shares the source's time and level arrays, so their cached sorts too.
     """
     ev = data.event.copy()
     ev[data.event == 1] = 2
@@ -256,7 +241,6 @@ def swap_causes(data: Dataset) -> Dataset:
         data.treatment_levels,
         data.instrument_levels,
         structural_zeros=data.structural_zeros,
-        validate=False,
     )
 
 
@@ -271,10 +255,9 @@ def cell_counts(data: Dataset) -> dict[CellIndex, int]:
 def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
     """Bootstrap resample of whole records, i.i.d. with replacement.
 
-    The default bootstrap fitter takes the same draw as record counts,
-    ``np.bincount(idx, minlength=n)``, and copies nothing; this copy is for
-    fitters that need a dataset.  Raises DataValidationError if the
-    resample empties an undeclared cell.
+    The bootstrap band takes the same draw as record counts,
+    ``np.bincount(idx, minlength=n)``, and copies nothing.  Raises
+    DataValidationError if the resample empties an undeclared cell.
     """
     idx = rng.integers(0, data.n, data.n)
     return Dataset(
@@ -376,7 +359,8 @@ def load_csv(
     except FileNotFoundError:
         pass
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet "CSV UTF-8" exports write, is not part of the first name
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = csv.DictReader(fh).fieldnames
     if header is None:
         raise DataValidationError("missing header row")
@@ -542,7 +526,7 @@ def _read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: li
     The reference for ``_read_columns``, and the path that reads what it
     declines: it names the first offending row of a bad file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         y_raw: list[float] = []
         e_raw: list[int] = []
         z_raw: list[str] = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -145,27 +144,20 @@ def bootstrap_band(
     ``stream(seed, "bootstrap", b)``, fitted on ``data`` itself with no
     resampled copy; ``block_size(n)`` replicates at a time are fitted as
     one (B, n) count block (``fit_replicates``), and each gets the bits it
-    would get alone.  A callable bandwidth, which needs each replicate as
-    a dataset, is rejected.  A replicate whose estimation or validation
+    would get alone.  A replicate whose estimation or validation
     fails (an emptied cell, a cell too thin for the bandwidth rule, a
     level without primary-cause events) is dropped; ``failures`` holds its
     index and the error's text.  A replicate that fits but reports no
     point is not a failure.
     """
     boot = boot or BootstrapConfig()
-    if callable(fit_kwargs.get("bandwidth")):
-        raise ValueError("a callable bandwidth needs each replicate as a dataset; the band fits record counts")
     if fit is None:
         fit = fit_curve(data, stop_at_frontier=True, **fit_kwargs)
     else:
         # replicates must live on the precomputed fit's grid
-        grid = fit_kwargs.get("grid")
-        if grid is None:
-            fit_kwargs["grid"] = fit.grid
-        else:
-            pts = np.asarray(getattr(grid, "points", grid), dtype=np.float64)
-            if not np.array_equal(pts, fit.grid.points):
-                raise ValueError("grid does not match the precomputed fit's grid")
+        fit_kwargs["grid"] = grid = fit_kwargs.get("grid") or fit.grid
+        if not np.array_equal(grid.points, fit.grid.points):
+            raise ValueError("grid does not match the precomputed fit's grid")
     level_hi, level_lo = contrast
     point = fit.qte(level_hi, level_lo)
     grid_pts = fit.grid.points
@@ -259,10 +251,9 @@ class CoverageResult:
 
 
 def coverage_study(
-    dgp,
+    spec,
     reps: int,
     boot: BootstrapConfig | None = None,
-    truth=None,
     contrast: tuple[int, int] = (1, 0),
     band_fn=None,
     fits=None,
@@ -270,12 +261,10 @@ def coverage_study(
 ) -> CoverageResult:
     """Fraction of fresh-data replications whose band covers the truth.
 
-    ``dgp`` is either a simulation spec (anything with design/n/seed, run
-    through the bundled generator) or a callable rep_index -> Dataset.
-    ``truth`` maps a quantile level to the true contrast value; for a
-    simulation spec it defaults to the design's true ``contrast``, and it is
-    required otherwise. ``band_fn`` replaces the band constructor (same
-    signature as bootstrap_band).  ``fits`` may carry each repetition's
+    Repetition r draws ``spec``'s design (a ``DgpSpec``) on the seed that
+    ``mc_study`` gives it, and the truth is the design's true ``contrast``.
+    ``band_fn`` replaces the band constructor (same signature as
+    bootstrap_band).  ``fits`` may carry each repetition's
     full-sample fit, ``McResult.fits`` of the same spec and fit settings:
     each band then takes it as its point estimate instead of fitting the
     repetition's data again.  There must be one per repetition, each on
@@ -294,22 +283,11 @@ def coverage_study(
         # the band checks each fit's grid against this one
         fit_kwargs.setdefault("grid", QuantileGrid.default())
 
-    if callable(dgp):
-        if truth is None:
-            raise ValueError("truth callable is required with a custom data generator")
-        make_data = dgp
-    else:
-        from .simulate import DgpSpec, GroundTruth, generate
-
-        spec = dgp if isinstance(dgp, DgpSpec) else DgpSpec(dgp.design, dgp.n, dgp.seed)
-        if truth is None:
-            truth = partial(GroundTruth(spec.design).qte, level=contrast[0], baseline=contrast[1])
-
-        def make_data(r: int) -> Dataset:
-            return generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))[0]
+    from .simulate import DgpSpec, GroundTruth, generate
 
     bands = [
-        band_fn(make_data(r), boot=replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)),
+        band_fn(generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))[0],
+                boot=replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)),
                 contrast=contrast, fit=None if fits is None else fits[r], **fit_kwargs)
         for r in range(reps)
     ]
@@ -317,7 +295,8 @@ def coverage_study(
     M = u.size
     hits = np.zeros(M)
     n_valid = np.zeros(M)
-    tvals = np.array([truth(float(x)) for x in u])
+    truth = GroundTruth(spec.design)
+    tvals = np.array([truth.qte(float(x), *contrast) for x in u])
     for band in bands:
         ok = band.valid & np.isfinite(band.lower) & np.isfinite(band.upper)
         n_valid += ok

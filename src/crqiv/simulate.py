@@ -38,11 +38,16 @@ __all__ = [
 
 _P_INSTRUMENT = 2.0 / 3.0
 _P_CAUSE1 = (0.5, 0.75)
-_CENSOR_WINDOW = {1: (1.0 / 3.0, 2.0 / 3.0), 2: (1.0 / 3.0, 1.5)}
+_CENSOR_WINDOW = {1: (1.0 / 3.0, 2.0 / 3.0), 2: (1.0 / 3.0, 1.5)}  # per design; its keys are the designs
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SLOPE_STEP = 1e-7  # forward-difference step of TrueSurface slopes
 _CODE = code_type(3)  # the dataset's type for event codes and for two treatment or instrument levels
+
+
+def _check_design(design) -> None:
+    if design not in _CENSOR_WINDOW:
+        raise ValueError(f"design must be {' or '.join(map(str, _CENSOR_WINDOW))}, got {design}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,7 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.design not in (1, 2):
-            raise ValueError(f"design must be 1 or 2, got {self.design}")
+        _check_design(self.design)
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -88,15 +92,12 @@ def _cdf_integral(a: float, b: float) -> float:
     return _cdf_antiderivative(b) - _cdf_antiderivative(a)
 
 
-def true_phi(design: int, z: int, u: float) -> float:
-    """Structural u-quantile of the cause-1 duration at treatment level z.
+def true_phi(z: int, u: float) -> float:
+    """Structural u-quantile of the cause-1 duration at treatment level z, in every design.
 
     Infinite beyond the level's cause-1 share (the rank then draws
-    cause 2). Identical across designs; the argument is kept so call
-    sites carry their design explicitly.
+    cause 2).
     """
-    if design not in (1, 2):
-        raise ValueError(f"design must be 1 or 2, got {design}")
     if z not in (0, 1):
         raise ValueError(f"z must be 0 or 1, got {z}")
     if not (0.0 <= u <= 1.0):
@@ -110,8 +111,7 @@ class GroundTruth:
     """Closed-form population quantities for one design."""
 
     def __init__(self, design: int):
-        if design not in (1, 2):
-            raise ValueError(f"design must be 1 or 2, got {design}")
+        _check_design(design)
         self.design = design
         self.p_z = _P_CAUSE1
         self.u_e = 0.5
@@ -125,7 +125,7 @@ class GroundTruth:
         )
 
     def phi1(self, z: int, u: float) -> float:
-        return true_phi(self.design, z, u)
+        return true_phi(z, u)
 
     def qte(self, u: float, level: int = 1, baseline: int = 0) -> float:
         """phi1(level, u) - phi1(baseline, u), as ``QuantileCurveFit.qte``; NaN where both are infinite."""
@@ -270,7 +270,7 @@ class McResult:
     theta: np.ndarray  # (R, M, L)
     reported: np.ndarray  # (R, M) bool
     qte: np.ndarray  # (R, M), NaN outside reported ranges
-    naive: np.ndarray | None  # (R, M, L), inf past attained incidence
+    naive: np.ndarray  # (R, M, L), inf past attained incidence
     # each replication's fit, for a coverage pass that bands the same fits;
     # left out of repr and ==
     fits: list = field(default_factory=list, repr=False, compare=False)
@@ -284,8 +284,6 @@ class McResult:
         return _masked_column_mean(self.qte)
 
     def mean_naive_qte(self) -> np.ndarray:
-        if self.naive is None:
-            raise ValueError("naive curves were not collected")
         with np.errstate(invalid="ignore"):
             diff = self.naive[:, :, 1] - self.naive[:, :, 0]
         return _masked_column_mean(diff)[0]
@@ -299,10 +297,9 @@ def mc_study(
     spec: DgpSpec,
     reps: int,
     grid=None,
-    naive: bool = True,
     **fit_kwargs,
 ) -> McResult:
-    """Replicate generate -> fit on fresh seeds and stack the results.
+    """Replicate generate -> fit and naive curve on fresh seeds and stack the results.
 
     Each replication derives its own child seed from (seed, index), so
     any subset of replications can be reproduced in isolation.
@@ -319,8 +316,7 @@ def mc_study(
         rep_spec = DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r))
         data, _ = generate(rep_spec)
         fit = fit_curve(data, grid=grid, **fit_kwargs)
-        nv = naive_curve(data, grid) if naive else None
-        return fit, nv
+        return fit, naive_curve(data, grid)
 
     results = [one_rep(r) for r in range(reps)]
 
@@ -336,7 +332,7 @@ def mc_study(
         theta=np.stack([f.theta for f, _ in results]),
         reported=np.stack([f.reported_mask for f, _ in results]),
         qte=np.stack([f.qte() for f, _ in results]),
-        naive=np.stack([nv for _, nv in results]) if naive else None,
+        naive=np.stack([nv for _, nv in results]),
         fits=[f for f, _ in results],
     )
     assert out.theta.shape == (reps, M, L)

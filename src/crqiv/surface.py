@@ -19,6 +19,7 @@ jumps before it starts the next.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,17 +94,15 @@ class SmoothedSurvivalSurface:
         return self.grid
 
 
-def _resolve_bandwidth(policy, data: Dataset, cell: CellIndex) -> float:
-    """A given bandwidth of the cell: a number, a dict value, or a callable's result, finite and positive."""
-    if isinstance(policy, dict):
-        h = float(policy[tuple(cell)])
-    elif callable(policy):
-        h = float(policy(data, cell))
-    else:
-        h = float(policy)
-    if not (h > 0 and math.isfinite(h)):
+def _given_bandwidth(bandwidth) -> float | None:
+    """A given bandwidth as a float, None for the rule of thumb; it must be a finite positive number."""
+    if bandwidth is None:
+        return None
+    if not isinstance(bandwidth, numbers.Real):
+        raise ValueError(f"bandwidth must be a number or None, got {bandwidth!r}")
+    if not (bandwidth > 0 and math.isfinite(bandwidth)):
         raise ValueError("bandwidth must be positive")
-    return h
+    return float(bandwidth)
 
 
 def _thin_cell(data: Dataset, cell: CellIndex, reason) -> EstimationError:
@@ -119,9 +118,8 @@ def assemble_surface(
     """Estimate the full surface from a dataset.
 
     ``bandwidth`` may be None (per-cell rule of thumb on the cell's
-    follow-up times), a number applied to every cell, a dict keyed by
-    (z, w), or a callable (data, cell) -> float.  A cell too thin for the
-    rule of thumb raises ``EstimationError``.  The sample runs the
+    follow-up times) or a positive number applied to every cell.  A cell
+    too thin for the rule of thumb raises ``EstimationError``.  The sample runs the
     assembly of ``assemble_surfaces`` as one row that counts every record
     once, so the surface is that of ``assemble_surfaces`` under a row of
     ones, bit for bit, whatever the order of the records.
@@ -141,11 +139,8 @@ def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: s
     ``DataValidationError`` for an emptied cell, an ``EstimationError``
     for a cell too thin for the bandwidth rule, with the text its
     resampled dataset would raise.  ``bandwidth`` is as for
-    ``assemble_surface``, except that a callable, which needs each
-    replicate as a dataset, is rejected.
+    ``assemble_surface``.
     """
-    if callable(bandwidth):
-        raise ValueError("a callable bandwidth needs the replicate as a dataset; pass it resampled")
     return _assemble(data, counts, bandwidth, kind)
 
 
@@ -161,6 +156,7 @@ def _assemble(data: Dataset, counts, bandwidth, kind: str) -> list:
     at once, so that one cell's jumps live at a time.  Every stage runs
     along the rows: the sample, one row, gets a block row's bits.
     """
+    bandwidth = _given_bandwidth(bandwidth)
     B = 1 if counts is None else len(counts)
     sizes = np.zeros((B, data.n_treatment_levels, data.n_instrument_levels), np.int64)
     bandwidths, thin, ranges, kept = {}, {}, [], {}
@@ -172,7 +168,7 @@ def _assemble(data: Dataset, counts, bandwidth, kind: str) -> list:
         if bandwidth is None:
             bandwidths[cell], thin[cell] = bandwidth_rows(sc.y, c)
         else:
-            bandwidths[cell] = np.full(B, _resolve_bandwidth(bandwidth, data, cell))
+            bandwidths[cell] = np.full(B, bandwidth)
         sizes[:, cell.z, cell.w] = sc.y.size if c is None else c.sum(axis=1)
         # the latest time a counted record fails at by cause 1, 0 without one
         primary = np.compress(sc.cause1, sc.failing)

@@ -2,12 +2,14 @@
 ``__all__`` names exist and ``crqiv`` re-exports them, and ``crqiv``
 exports nothing else."""
 
+import ast
 import importlib
 import json
 import pkgutil
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +81,18 @@ def test_unknown_name_raises_attribute_error():
         crqiv.no_such_name
     assert not hasattr(crqiv, "no_such_name")
     assert getattr(crqiv, "pava_nondecreasing", None) is None  # a module's private helper
+
+
+def test_bench_names_resolve():
+    # the bench times every function in its tracer's TRACED list and varies
+    # BootstrapConfig.workers; a metric whose name is gone drops out of it
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    (traced,) = [node.value for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]]
+    traced = ast.literal_eval(traced)
+    assert traced
+    for module, name in traced:
+        assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+    from crqiv.inference import BootstrapConfig
+
+    assert [BootstrapConfig(draws=2, workers=w).workers for w in (1, 2)] == [1, 2]

@@ -464,6 +464,44 @@ def test_bad_integer_in_config_exits_1(tmp_path, sim_dir, capsys, key, command, 
     assert not out.exists()
 
 
+# the JSON types each command's --config keys take: a choice takes none of the
+# probes below (5 is neither design 1 nor 2, "5" no kind)
+_INT, _NUM, _PATH, _SWITCH, _NULL, _CHOICE = {int}, {int, float}, {str}, {bool}, {type(None)}, set()
+_COMMON = {"seed": _INT, "out": _PATH, "threads": _INT | _NULL}
+_FIT = {"grid": _INT, "bandwidth": _NUM | _NULL, "delta": _NUM | {list} | _NULL, "kind": _CHOICE}
+CONFIG_KEYS = {
+    "simulate": {"design": _CHOICE, "n": _INT, **_COMMON},
+    "estimate": {"data": _PATH, "naive": _SWITCH, "derived": _SWITCH, "boot_draws": _INT, "level": _NUM,
+                 **_COMMON, **_FIT},
+    "bounds": {"data": _PATH, "u": {list}, "fit_json": _PATH | _NULL, "lattice": _INT, **_COMMON, **_FIT},
+    "mc": {"design": _CHOICE, "n": _INT, "reps": _INT, "boot_draws": _INT, "level": _NUM, "bins": _INT,
+           **_COMMON, **_FIT},
+}
+_PROBES = ["5", True, 2.5, 5, [1], {"a": 1}, None]
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in CONFIG_KEYS.items() for k in keys])
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, sim_dir, capsys, command, key):
+    # every value a key's flag could not give is rejected, named, before any work
+    args = {
+        "simulate": ["--design", 2, "--n", 50],
+        "estimate": ["--data", sim_dir / "data.csv"],
+        "bounds": ["--data", sim_dir / "data.csv", "--u", 0.9],
+        "mc": ["--design", 2, "--n", 500, "--reps", 2],
+    }[command]
+    assert set(CONFIG_KEYS[command]) == set(_resolve_config(build_parser().parse_args(
+        [command, *map(str, args), "--out", "o"]))) - {"command"}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    wrong = [v for v in _PROBES if type(v) not in CONFIG_KEYS[command][key]]
+    assert wrong
+    for value in wrong:
+        cfg.write_text(json.dumps({key: value}))
+        assert run([command, *args, "--out", out, "--config", cfg]) == 1, value
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.endswith(f", got {value!r}\n"), err
+        assert err.count("\n") == 1 and not out.exists()
+
+
 # -- bounds ---------------------------------------------------------------------
 
 
@@ -610,7 +648,7 @@ def test_bad_threads_in_config_exits_1(tmp_path, capsys, value):
     cfg.write_text(json.dumps({"threads": value}))
     out = tmp_path / "o"
     assert run(["simulate", "--design", 1, "--n", 50, "--out", out, "--config", cfg]) == 1
-    assert f"threads must be a positive integer, got {value!r}" in capsys.readouterr().err
+    assert f"threads must be a positive integer or null, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

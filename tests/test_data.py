@@ -107,14 +107,14 @@ def test_codes_are_checked_as_given_before_they_are_narrowed(column, codes, mess
 @pytest.mark.parametrize("column", ["event", "z", "w"])
 @pytest.mark.parametrize("bad", [256, -129])
 def test_unchecked_codes_that_would_wrap_when_narrowed_raise(column, bad):
+    # no dataset skips the checks: a code that int8 would wrap is named as given
     cols = {"event": [1, 1], "z": [0, 1], "w": [0, 1]}
     cols[column] = np.array([0, bad])
-    name = {"event": "event", "z": "treatment", "w": "instrument"}[column]
-    with pytest.raises(DataValidationError, match=rf"^{name} codes must lie in \[-128, 127\], got "):
-        Dataset((1.0, 2.0), cols["event"], cols["z"], cols["w"], [0, 1], [0, 1], validate=False)
-    # codes that fit pass through unchecked, as they always have
-    cols[column] = np.array([0, 100])
-    assert Dataset((1.0, 2.0), cols["event"], cols["z"], cols["w"], [0, 1], [0, 1], validate=False).n == 2
+    what = {"event": "event code must be in {0, 1, 2}", "z": "treatment index out of range",
+            "w": "instrument index out of range"}[column]
+    with pytest.raises(DataValidationError) as err:
+        Dataset((1.0, 2.0), cols["event"], cols["z"], cols["w"], [0, 1], [0, 1])
+    assert str(err.value) == f"row 2: {what}, got {bad}"
 
 
 def test_code_columns_are_held_narrow():
@@ -205,6 +205,18 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.w, d.w)
     assert back.treatment_levels == d.treatment_levels
     assert back.instrument_levels == d.instrument_levels
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    d, _ = generate(DgpSpec(design=2, n=300, seed=4))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_csv(d, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (tmp_path / "marked.csv.levels.json").write_bytes((tmp_path / "plain.csv.levels.json").read_bytes())
+    want = _outcome(plain)
+    assert want[0] == "ok"
+    assert _outcome(marked) == _row_loop_outcome(marked) == want
 
 
 def test_csv_sidecar_preserves_registry_and_zeros(tmp_path):

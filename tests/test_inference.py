@@ -300,8 +300,6 @@ def test_coverage_result_accessors():
 def test_coverage_validation():
     with pytest.raises(ValueError, match="reps"):
         coverage_study(DgpSpec(design=1, n=100, seed=0), reps=0)
-    with pytest.raises(ValueError, match="truth"):
-        coverage_study(lambda r: None, reps=2)
 
 
 def test_coverage_with_injected_truth_band():
@@ -352,33 +350,13 @@ def test_coverage_fits_must_match_the_repetitions():
     from crqiv.simulate import mc_study
 
     spec, grid = DgpSpec(design=2, n=500, seed=0), QuantileGrid(np.array([0.1, 0.2, 0.3]))
-    fits = mc_study(spec, reps=2, grid=grid, naive=False).fits
+    fits = mc_study(spec, reps=2, grid=grid).fits
     boot = BootstrapConfig(draws=4, seed=0)
     with pytest.raises(ValueError, match="2 fits for 3 repetitions"):
         coverage_study(spec, 3, boot, fits=fits, grid=grid)
     with pytest.raises(ValueError, match="does not match"):
         coverage_study(spec, 2, boot, fits=fits)  # the default grid
     assert coverage_study(spec, 2, boot, fits=fits, grid=grid).reps == 2
-
-
-def test_coverage_custom_generator_and_truth():
-    base, _ = generate(DgpSpec(design=2, n=500, seed=3))
-
-    def dgp(r: int) -> Dataset:
-        data, _ = generate(DgpSpec(design=2, n=500, seed=100 + r))
-        return data
-
-    res = coverage_study(
-        dgp,
-        reps=2,
-        boot=BootstrapConfig(draws=8, seed=0),
-        truth=lambda u: -u,
-        grid=QuantileGrid(np.array([0.2, 0.3, 0.9, 1.0])),
-    )
-    assert res.u.size == 4
-    assert res.reps == 2
-    # nothing can be valid at u = 1
-    assert res.n_valid[-1] == 0
 
 
 @pytest.mark.slow

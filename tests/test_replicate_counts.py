@@ -19,7 +19,7 @@ from crqiv.estimator import EstimationError, QuantileGrid, WeightingPolicy, fit_
 from crqiv.inference import BootstrapConfig, block_size, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import bandwidth_rows, default_bandwidth, rule_of_thumb_bandwidth
-from crqiv.surface import assemble_surface
+from crqiv.surface import assemble_surface, assemble_surfaces
 from crqiv.survival import build_counting_processes, sorted_cells
 
 from test_inference import thin_cell_data
@@ -93,7 +93,7 @@ def test_convolution_kind():
     compare(data, BootstrapConfig(draws=6, seed=0), grid=QuantileGrid.default(20), kind="convolution")
 
 
-@pytest.mark.parametrize("bandwidth", [0.05, {(0, 0): 0.04, (0, 1): 0.06, (1, 1): 0.05}])
+@pytest.mark.parametrize("bandwidth", [0.05])
 def test_given_bandwidths(bandwidth):
     data, _ = generate(DgpSpec(design=2, n=2_000, seed=2))
     compare(data, BootstrapConfig(draws=12, seed=3), grid=QuantileGrid.default(40), bandwidth=bandwidth)
@@ -257,32 +257,34 @@ def test_block_solve_equals_each_rows_fit(make, kw):
     assert solved >= 4
 
 
-def test_callable_bandwidth_is_rejected():
-    # a callable bandwidth needs each replicate as a dataset
-    data, _ = generate(DgpSpec(design=2, n=800, seed=0))
-    with pytest.raises(ValueError, match="callable bandwidth"):
-        bootstrap_band(data, BootstrapConfig(draws=5, seed=0), grid=QuantileGrid.default(20),
-                       bandwidth=lambda d, cell: 0.05)
-    # counts on the full sample would hand the callable the wrong records
-    with pytest.raises(ValueError, match="callable bandwidth"):
-        fit_replicates(data, np.ones((1, data.n), dtype=np.int64), bandwidth=lambda d, cell: 0.05)
-
-
-@pytest.mark.parametrize("bandwidth", [0.0, -0.1, float("nan"), {(0, 0): 0.04, (0, 1): 0.0, (1, 1): 0.05}])
-def test_bad_bandwidth_is_rejected(bandwidth):
-    # a given bandwidth must be finite and positive wherever it enters:
-    # the full-sample surface and fit, and a band's count blocks
+def _bandwidth_entry_points(bandwidth):
+    """Every call a given bandwidth enters by: the full-sample surface and fit, a block's, and a band's."""
     data, _ = generate(DgpSpec(design=2, n=800, seed=0))
     grid = QuantileGrid.default(20)
     fit = fit_curve(data, grid=grid)
     boot = BootstrapConfig(draws=5, seed=0)
-    bad = 0.0 if isinstance(bandwidth, dict) else bandwidth
-    for call in (lambda: assemble_surface(data, bandwidth=bandwidth),
-                 lambda: assemble_surface(data, bandwidth=lambda d, cell: bad),
-                 lambda: fit_curve(data, grid=grid, bandwidth=bandwidth),
-                 lambda: bootstrap_band(data, boot, grid=grid, bandwidth=bandwidth),
-                 lambda: bootstrap_band(data, boot, fit=fit, bandwidth=bandwidth)):
-        with pytest.raises(ValueError, match="bandwidth must be positive"):
+    ones = np.ones((1, data.n), dtype=np.int64)
+    return (lambda: assemble_surface(data, bandwidth=bandwidth),
+            lambda: assemble_surfaces(data, ones, bandwidth=bandwidth),
+            lambda: fit_curve(data, grid=grid, bandwidth=bandwidth),
+            lambda: fit_replicates(data, ones, grid=grid, bandwidth=bandwidth),
+            lambda: bootstrap_band(data, boot, grid=grid, bandwidth=bandwidth),
+            lambda: bootstrap_band(data, boot, fit=fit, bandwidth=bandwidth))
+
+
+def test_callable_bandwidth_is_rejected():
+    # a bandwidth is a number or None
+    for call in _bandwidth_entry_points(lambda d, cell: 0.05):
+        with pytest.raises(ValueError, match="bandwidth must be a number or None"):
+            call()
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.1, float("nan"), {(0, 0): 0.04, (0, 1): 0.0, (1, 1): 0.05}])
+def test_bad_bandwidth_is_rejected(bandwidth):
+    # a given bandwidth must be a finite positive number wherever it enters; a per-cell dict is not one
+    message = "bandwidth must be a number or None" if isinstance(bandwidth, dict) else "bandwidth must be positive"
+    for call in _bandwidth_entry_points(bandwidth):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
@@ -395,8 +397,6 @@ def _bits(fit_or_surface, names):
     pytest.param(lambda: design(2), {}, id="design2"),
     pytest.param(lambda: design(2), {"kind": "convolution"}, id="design2-convolution"),
     pytest.param(lambda: design(2, seed=2), {"bandwidth": 0.05}, id="bandwidth-number"),
-    pytest.param(lambda: design(2, seed=2), {"bandwidth": {(0, 0): 0.04, (0, 1): 0.06, (1, 1): 0.05}},
-                 id="bandwidth-dict"),
     pytest.param(lambda: design(1, seed=1), {"delta": [0.05, 0.08]}, id="delta"),
     pytest.param(zero_and_tied_times, {}, id="zero-and-tied-times"),
     pytest.param(three_by_three, {}, id="three-levels"),

@@ -20,8 +20,10 @@ S1_D2_W1 = {0: 0.15751417065760134, 1: 0.6233718796134429}  # at t = 0.3
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="design"):
-        DgpSpec(design=3, n=10)
+    # the designs are the keys of one table, shared by the spec and the truth
+    for make in (lambda: DgpSpec(design=3, n=10), lambda: GroundTruth(3)):
+        with pytest.raises(ValueError, match=r"^design must be 1 or 2, got 3$"):
+            make()
     with pytest.raises(ValueError, match="n must"):
         DgpSpec(design=1, n=0)
 
@@ -30,22 +32,21 @@ def test_spec_validation():
 
 
 def test_true_phi_values_and_support():
+    assert true_phi(0, 0.2) == pytest.approx(0.4)
+    assert true_phi(1, 0.2) == pytest.approx(0.2)
+    assert true_phi(0, 0.5) == 1.0
+    assert math.isinf(true_phi(0, 0.51))
+    assert true_phi(1, 0.75) == 0.75
+    assert math.isinf(true_phi(1, 0.76))
     for design in (1, 2):
-        assert true_phi(design, 0, 0.2) == pytest.approx(0.4)
-        assert true_phi(design, 1, 0.2) == pytest.approx(0.2)
-        assert true_phi(design, 0, 0.5) == 1.0
-        assert math.isinf(true_phi(design, 0, 0.51))
-        assert true_phi(design, 1, 0.75) == 0.75
-        assert math.isinf(true_phi(design, 1, 0.76))
+        assert GroundTruth(design).phi1(0, 0.2) == true_phi(0, 0.2)
 
 
 def test_true_phi_validation():
-    with pytest.raises(ValueError, match="design"):
-        true_phi(0, 0, 0.5)
     with pytest.raises(ValueError, match="z must"):
-        true_phi(1, 2, 0.5)
+        true_phi(2, 0.5)
     with pytest.raises(ValueError, match="u must"):
-        true_phi(1, 0, 1.5)
+        true_phi(0, 1.5)
 
 
 def test_ground_truth_frontiers():
@@ -215,10 +216,9 @@ def test_mc_study_prefix_property():
 def test_mc_study_options():
     spec = DgpSpec(design=1, n=300, seed=6)
     grid = QuantileGrid(np.linspace(0.1, 1.0, 6))
-    res = mc_study(spec, reps=2, grid=grid, naive=False)
-    assert res.naive is None
-    with pytest.raises(ValueError, match="naive"):
-        res.mean_naive_qte()
+    res = mc_study(spec, reps=2, grid=grid)
+    assert res.naive.shape == (2, grid.size, 2)
+    assert res.mean_naive_qte().shape == (grid.size,)
     with pytest.raises(ValueError, match="reps"):
         mc_study(spec, reps=0)
 

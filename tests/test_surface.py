@@ -95,14 +95,6 @@ def test_bandwidth_policies():
     scalar = assemble_surface(data, bandwidth=0.4)
     assert all(bw == 0.4 for bw in scalar.bandwidths.values())
 
-    per_cell = {(z, w): 0.2 + 0.1 * z + 0.05 * w for z in (0, 1) for w in (0, 1)}
-    from_dict = assemble_surface(data, bandwidth=per_cell)
-    for cell, bw in from_dict.bandwidths.items():
-        assert bw == per_cell[(cell.z, cell.w)]
-
-    from_callable = assemble_surface(data, bandwidth=lambda d, cell: 0.3 + 0.01 * cell.z)
-    assert from_callable.bandwidths[CellIndex(1, 0)] == pytest.approx(0.31)
-
     auto = assemble_surface(data)
     assert all(bw > 0 for bw in auto.bandwidths.values())
 

@@ -269,7 +269,10 @@ def cmd_bounds(cfg: dict) -> int:
     surface = assemble_surface(data, bandwidth=kwargs["bandwidth"], kind=kwargs["kind"])
     if fit_path is None:
         u_y = fit_curve(data, stop_at_frontier=True, surface=surface, **kwargs).frontiers.u_hat
-    frontiers = BoundFrontiers(estimate_y1(data), estimate_caps(data), u_y)
+    y1 = estimate_y1(data)
+    if fit_path is not None and (fit_doc.get("y1_hat") != y1.tolist() or fit_doc.get("n") != data.n):
+        raise ValueError(f"{fit_path}: not a fit of {data_path}: its y1_hat and n must be {y1.tolist()} and {data.n}")
+    frontiers = BoundFrontiers(y1, estimate_caps(data), u_y)
     inputs = [data_path] if fit_path is None else [data_path, fit_path]
 
     if npts:

@@ -24,6 +24,7 @@ near-root on a box face.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -52,6 +53,9 @@ __all__ = [
 # relative clamp representing the half-open box [0, y1_hat): the optimizer
 # works on the closed box [0, y1_hat * (1 - BOX_CLAMP)]
 BOX_CLAMP = 1e-9
+
+# the status of a grid point in a fit, as QuantileCurveFit describes
+REPORTED, PAST_FRONTIER, NOT_CERTIFIED, NO_ROOT = range(4)
 
 
 @dataclass(frozen=True)
@@ -147,18 +151,48 @@ class FrontierEstimates:
 
 @dataclass
 class QuantileCurveFit:
+    """A fit's solution, residual and frontier on its grid, and the status of each point.
+
+    A status is ``REPORTED``, ``PAST_FRONTIER`` (at or past u_hat), ``NOT_CERTIFIED`` (below it, residual
+    above ``CERT_TOL``) or, on the triangular path, ``NO_ROOT + 2 (k L + l) + face``: instrument level k
+    needs treatment level l below the box (face 0) or above it (face 1).
+    """
+
     grid: QuantileGrid
     theta: np.ndarray  # (M, L) solution vectors
     objective: np.ndarray  # (M,) r' V r at theta
     residual: np.ndarray  # (M,) max |(C' r)_k| at theta, V = C C'
-    converged: np.ndarray  # (M,) bool: residual <= CERT_TOL
-    reported_mask: np.ndarray  # (M,) bool: u < u_hat and converged
+    status: np.ndarray  # (M,) int: REPORTED, or why the point is not reported
     frontiers: FrontierEstimates
     treatment_levels: list
     instrument_levels: list
-    warnings: list = field(default_factory=list)
     # the surface solved on; left out of repr, ==, and to_dict()
     surface: SmoothedSurvivalSurface | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def converged(self) -> np.ndarray:  # (M,) bool: residual <= CERT_TOL
+        return self.residual <= CERT_TOL
+
+    @property
+    def reported_mask(self) -> np.ndarray:  # (M,) bool: u < u_hat and converged
+        return self.status == REPORTED
+
+    @property
+    def warnings(self) -> list:
+        """Text on the points below the frontier that go unreported, and on a frontier never reached."""
+        u, missed, out = [f"{x:g}" for x in self.grid.points.tolist()], self.status >= NOT_CERTIFIED, []
+        if missed.any():
+            out.append(f"no certified root (residual > {CERT_TOL:g}) at u = {', '.join(compress(u, missed))} "
+                       f"(largest residual {self.residual[missed].max():.3g}); they are not reported")
+        for code in dict.fromkeys(self.status[self.status >= NO_ROOT].tolist()):
+            (k, l), face = divmod((code - NO_ROOT) // 2, len(self.treatment_levels)), (code - NO_ROOT) % 2
+            bound = f"above {self.frontiers.y_hat[l]:g}" if face else "below 0"
+            out.append(f"no root in the box at u = {', '.join(compress(u, self.status == code))}: instrument level "
+                       f"{self.instrument_levels[k]} needs treatment level {self.treatment_levels[l]} {bound}")
+        if not self.frontiers.triggered:
+            out.append("frontier cushion never reached on the grid; reporting the whole grid "
+                       "(the identification frontier may exceed the grid range)")
+        return out
 
     def qte(self, level: int = 1, baseline: int = 0, only_reported: bool = True) -> np.ndarray:
         """Quantile treatment effect curve; NaN outside the reported range."""
@@ -176,15 +210,15 @@ class QuantileCurveFit:
             "theta": [[_json_float(v) for v in row] for row in self.theta],
             "objective": [_json_float(v) for v in self.objective],
             "residual": [_json_float(v) for v in self.residual],
-            "converged": self.converged.astype(bool).tolist(),
-            "reported": self.reported_mask.astype(bool).tolist(),
+            "converged": self.converged.tolist(),
+            "reported": self.reported_mask.tolist(),
             "u_hat": fr.u_hat,
             "m_hat": fr.m_hat,
             "u_prev": fr.u_prev,
             "frontier_triggered": fr.triggered,
             "y1_hat": fr.y_hat.tolist(),
             "delta": fr.delta.tolist(),
-            "warnings": list(self.warnings),
+            "warnings": self.warnings,
         }
 
 
@@ -380,15 +414,15 @@ def _generalized_inverse(grid: np.ndarray, rows: np.ndarray, target: np.ndarray)
 def _triangular_sweep(surfaces: list, order, u: np.ndarray, upper: np.ndarray):
     """theta (B, M, L) solving a triangular system on each surface over the whole grid u, clipped to [0, upper (B, L)].
 
-    Also returns, per row and grid point, the first step whose inversion
-    left the box, as 2 i for step i of the order below the box and 2 i + 1
-    above it, or -1.
+    Also returns, per row and grid point, the status of the first step
+    (k, l) whose inversion left the box: ``NO_ROOT + 2 (k L + l)`` below
+    the box and one more above it, or ``NOT_CERTIFIED`` where none did.
     """
     B, L = upper.shape
     grid, values = (np.stack([getattr(s, name) for s in surfaces]) for name in ("grid", "values"))
     theta = np.zeros((B, u.size, L))
-    no_root = np.full((B, u.size), -1)
-    for i, (k, l) in enumerate(order):
+    why = np.full((B, u.size), NOT_CERTIFIED)
+    for k, l in order:
         target = np.broadcast_to(1.0 - u, (B, u.size))
         for j in np.flatnonzero(surfaces[0].p_hat[:, k]):
             if j != l:
@@ -397,8 +431,8 @@ def _triangular_sweep(surfaces: list, order, u: np.ndarray, upper: np.ndarray):
         theta[:, :, l] = np.clip(raw, 0.0, upper[:, l, None])
         below = target > np.array([[s.evaluate(0.0, l, k)] for s in surfaces])
         for face, out in enumerate((below, raw > upper[:, l, None])):
-            no_root[out & (no_root < 0)] = 2 * i + face
-    return theta, no_root
+            why[out & (why == NOT_CERTIFIED)] = NO_ROOT + 2 * (k * L + l) + face
+    return theta, why
 
 
 def _gauss_newton_sweep(surface, V, u: np.ndarray, edge: np.ndarray, upper, stop_at_frontier: bool):
@@ -511,21 +545,21 @@ def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.nda
     The surfaces share one grid size and one pattern of open cells, as the
     rows of one assembly do.  With a triangular order the rows are solved
     together, a step of the order at a time; otherwise each runs
-    Gauss-Newton.  The frontier, the NaN rows past it and the certificate
-    are then taken for every row at once, from each row's residual, so each
-    row gets the bits it would get alone.
+    Gauss-Newton.  The frontier, the NaN rows past it and each point's
+    status are then taken for every row at once, from each row's residual,
+    so each row gets the bits it would get alone.
     """
     u, M = grid.points, grid.size
-    B, K = len(surfaces), surfaces[0].n_instrument_levels
+    K = surfaces[0].n_instrument_levels
     upper = y_hat * (1.0 - BOX_CLAMP)
     edge = y_hat - deltas  # the frontier cushion
     order = _triangular_order(surfaces[0].p_hat)
     if order is None:
         theta = np.stack([_gauss_newton_sweep(s, V, u, edge[b], upper[b], stop_at_frontier)
                           for b, s in enumerate(surfaces)])
-        no_root = np.full((B, M), -1)
+        why = NOT_CERTIFIED
     else:
-        theta, no_root = _triangular_sweep(surfaces, order, u, upper)
+        theta, why = _triangular_sweep(surfaces, order, u, upper)
 
     hit = (theta >= edge[:, None]).any(axis=2)
     triggered = hit.any(axis=1)
@@ -537,43 +571,16 @@ def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.nda
         factors = [V.factor(float(x), K) for x in u]
         r = np.stack([np.stack([ct @ row for ct, row in zip(factors, rb)]) for rb in r])
     resid = np.abs(r).max(axis=2)
-    converged = resid <= CERT_TOL
     before = (np.arange(M) < m_hat[:, None]) | ~triggered[:, None]
-    missed = before & ~converged
+    status = np.where(before, np.where(resid <= CERT_TOL, REPORTED, why), PAST_FRONTIER)
 
     fits = []
     for b, surface in enumerate(surfaces):
-        warnings = []
-        if missed[b].any():
-            warnings.append(
-                f"no certified root (residual > {CERT_TOL:g}) at u = "
-                + ", ".join(f"{x:g}" for x in u[missed[b]].tolist())
-                + f" (largest residual {resid[b, missed[b]].max():.3g}); they are not reported"
-            )
-        reasons: dict = {}
-        why = missed[b] & (no_root[b] >= 0)
-        for i, x in zip(no_root[b, why].tolist(), u[why].tolist()):
-            reasons.setdefault(i, []).append(x)
-        for i, us in reasons.items():
-            (k, l), face = order[i // 2], ("below", "above")[i % 2]
-            bound = "0" if face == "below" else f"{y_hat[b, l]:g}"
-            warnings.append(
-                "no root in the box at u = "
-                + ", ".join(f"{x:g}" for x in us)
-                + f": instrument level {data.instrument_levels[k]} needs treatment level "
-                + f"{data.treatment_levels[l]} {face} {bound}"
-            )
-        if not triggered[b]:
-            warnings.append(
-                "frontier cushion never reached on the grid; reporting the whole grid "
-                "(the identification frontier may exceed the grid range)"
-            )
         m = int(m_hat[b])
         frontiers = FrontierEstimates(y_hat[b], deltas[b], float(u[m]), m, float(u[m - 1]) if m > 0 else 0.0,
                                       bool(triggered[b]))
-        fits.append(QuantileCurveFit(grid, theta[b], np.einsum("mk,mk->m", r[b], r[b]), resid[b], converged[b],
-                                     converged[b] & before[b], frontiers, list(data.treatment_levels),
-                                     list(data.instrument_levels), warnings, surface))
+        fits.append(QuantileCurveFit(grid, theta[b], np.einsum("mk,mk->m", r[b], r[b]), resid[b], status[b],
+                                     frontiers, list(data.treatment_levels), list(data.instrument_levels), surface))
     return fits
 
 

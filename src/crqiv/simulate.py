@@ -116,7 +116,10 @@ class GroundTruth:
         self.p_z = _P_CAUSE1
         self.u_e = 0.5
         self.censor_low, self.censor_high = _CENSOR_WINDOW[design]
-        self.u_c = 1.0 / 3.0 if design == 1 else 1.0
+        # the least rank whose cause-1 duration (2u at level 0, u at level 1) passes the window's top,
+        # within that level's cause-1 share; 1 when the window censors none
+        self.u_c = min((r for r, p in zip((self.censor_high / 2.0, self.censor_high), _P_CAUSE1) if r < p),
+                       default=1.0)
         self.u_y = min(self.u_e, self.u_c)
         self.t1 = (1.0, 0.75)
         self.y1 = (

@@ -124,28 +124,20 @@ def assemble_surface(
     once, so the surface is that of ``assemble_surfaces`` under a row of
     ones, bit for bit, whatever the order of the records.
     """
-    (out,) = _assemble(data, None, bandwidth, kind)
+    (out,) = assemble_surfaces(data, None, bandwidth, kind)
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def assemble_surfaces(data: Dataset, counts: np.ndarray, bandwidth=None, kind: str = "local_linear") -> list:
-    """The surface of each count-weighted replicate of ``data``, one per row of counts (B, n).
-
-    Every stage runs on the whole block along its rows, and each row gets
-    the bits of its own resampled dataset.  An entry is the row's
-    ``SmoothedSurvivalSurface``, or the error that stops it: a
-    ``DataValidationError`` for an emptied cell, an ``EstimationError``
-    for a cell too thin for the bandwidth rule, with the text its
-    resampled dataset would raise.  ``bandwidth`` is as for
-    ``assemble_surface``.
-    """
-    return _assemble(data, counts, bandwidth, kind)
-
-
-def _assemble(data: Dataset, counts, bandwidth, kind: str) -> list:
+def assemble_surfaces(data: Dataset, counts=None, bandwidth=None, kind: str = "local_linear") -> list:
     """The surface, or the first error, of each row of counts (B, n), or of the sample itself (counts None).
+
+    An entry is the row's ``SmoothedSurvivalSurface``, or the error that
+    stops it: a ``DataValidationError`` for an emptied cell, an
+    ``EstimationError`` for a cell too thin for the bandwidth rule, with
+    the text its resampled dataset would raise.  ``bandwidth`` is as for
+    ``assemble_surface``.
 
     A first pass takes each cell's sizes, bandwidths and range (its last
     cause-1 jump plus its bandwidth), which give a row's errors and grid.

@@ -96,3 +96,27 @@ def test_bench_names_resolve():
     from crqiv.inference import BootstrapConfig
 
     assert [BootstrapConfig(draws=2, workers=w).workers for w in (1, 2)] == [1, 2]
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_deprecation_met_inside_crqiv_fails(category, monkeypatch):
+    # numpy attributes a deprecation to its caller; pyproject.toml's
+    # filterwarnings turn the ones met in a crqiv module into errors
+    import warnings
+
+    import numpy as np
+
+    from crqiv.surface import SmoothedSurvivalSurface
+
+    interp = np.interp
+
+    def deprecated(*args, **kwargs):
+        warnings.warn("np.interp is deprecated", category, stacklevel=2)
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", deprecated)
+    surface = SmoothedSurvivalSurface(np.array([0.0, 1.0]), np.ones((1, 1, 2)), np.ones((1, 1)), {}, "local_linear")
+    with pytest.raises(category, match="np.interp is deprecated"):
+        surface.evaluate(0.5, 0, 0)
+    with pytest.warns(category):  # met outside crqiv, it stays a warning
+        deprecated(0.5, [0.0, 1.0], [1.0, 1.0])

@@ -613,6 +613,23 @@ def test_bounds_fit_json_without_numeric_u_hat_exits_1(tmp_path, sim_dir, capsys
     assert not (tmp_path / "b").exists()
 
 
+def test_bounds_fit_json_of_other_data_exits_1(tmp_path, sim_dir, est_dir, capsys):
+    # a design-1 fit, and the data's own fit with another n, used with design-2 data
+    other = tmp_path / "other"
+    assert run(["simulate", "--design", 1, "--n", 600, "--seed", 3, "--out", other]) == 0
+    assert run(["estimate", "--data", other / "data.csv", "--out", other, "--grid", 20]) == 0
+    doc = json.loads((est_dir / "fit.json").read_text())
+    (tmp_path / "fit.json").write_text(json.dumps({**doc, "n": doc["n"] + 1}))
+    capsys.readouterr()
+    for fit_path in (other / "fit.json", tmp_path / "fit.json"):
+        code = run(["bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b", "--u", 0.9,
+                    "--fit-json", fit_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fit_path}: not a fit of ") and err.count("\n") == 1
+        assert not (tmp_path / "b").exists()
+
+
 def test_bounds_assembles_the_surface_once(tmp_path, sim_dir, monkeypatch):
     import crqiv.estimator
     import crqiv.surface

@@ -11,7 +11,7 @@ from crqiv.derived import (
     rank_condition_diagnostic,
 )
 from crqiv.data import swap_causes
-from crqiv.estimator import FrontierEstimates, QuantileCurveFit, QuantileGrid, fit_curve
+from crqiv.estimator import PAST_FRONTIER, REPORTED, FrontierEstimates, QuantileCurveFit, QuantileGrid, fit_curve
 from crqiv.simulate import DgpSpec, GroundTruth, generate
 from crqiv.surface import assemble_surface
 
@@ -36,8 +36,7 @@ def make_fit(u_pts, theta, reported=None):
         theta,
         np.zeros(M),
         np.zeros(M),
-        np.ones(M, dtype=bool),
-        np.asarray(reported, dtype=bool),
+        np.where(reported, REPORTED, PAST_FRONTIER),
         fr,
         [0, 1],
         [0, 1],

@@ -5,7 +5,7 @@ import pytest
 
 from crqiv import inference
 from crqiv.data import Dataset
-from crqiv.estimator import EstimationError, QuantileGrid, fit_curve
+from crqiv.estimator import EstimationError, QuantileCurveFit, QuantileGrid, fit_curve
 from crqiv.inference import (
     BootstrapConfig,
     CoverageResult,
@@ -147,6 +147,22 @@ def test_band_inherits_grid_from_precomputed_fit(small_band):
     assert np.array_equal(band.lower, inherited.lower, equal_nan=True)
     with pytest.raises(ValueError, match="does not match"):
         bootstrap_band(data, boot, fit=fit, grid=QuantileGrid.default(7))
+
+
+def test_band_builds_no_warning_text(monkeypatch):
+    # a replicate's fit keeps its statuses; the text is built only where it is read
+    data, _ = generate(DgpSpec(design=2, n=2_000, seed=0))
+    fit = fit_curve(data)
+    boot = BootstrapConfig(draws=30, seed=0)
+    want = bootstrap_band(data, boot, fit=fit)
+
+    def refuse(self):
+        raise AssertionError("warning text built")
+
+    monkeypatch.setattr(QuantileCurveFit, "warnings", property(refuse))
+    got = bootstrap_band(data, boot, fit=fit)
+    assert got.lower.tobytes() == want.lower.tobytes()
+    assert got.upper.tobytes() == want.upper.tobytes()
 
 
 def test_zero_width_band_from_constant_replicates(small_band, monkeypatch):

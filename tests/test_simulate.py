@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crqiv import simulate
 from crqiv._rng import substream_seed
 from crqiv.estimator import QuantileGrid, fit_curve, naive_curve
 from crqiv.simulate import (
@@ -47,6 +48,15 @@ def test_true_phi_validation():
         true_phi(2, 0.5)
     with pytest.raises(ValueError, match="u must"):
         true_phi(0, 1.5)
+
+
+def test_censoring_window_top_sets_u_c(monkeypatch):
+    # the identified range ends where the window's top censors a level's
+    # cause-1 durations: 2u > 0.8 at level 0 from u = 0.4, within its share 0.5
+    monkeypatch.setitem(simulate._CENSOR_WINDOW, 3, (1.0 / 3.0, 0.8))
+    g = GroundTruth(3)
+    assert g.u_c == g.u_y == 0.4
+    assert GroundTruth(1).u_c == 1.0 / 3.0 and GroundTruth(2).u_c == 1.0
 
 
 def test_ground_truth_frontiers():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import crqiv.estimator as estimator
 from crqiv.data import CellIndex, Dataset
-from crqiv.estimator import QuantileGrid, fit_curve, residual_vector
+from crqiv.estimator import NO_ROOT, QuantileGrid, fit_curve, residual_vector
 from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.optim import CERT_TOL
 from crqiv.simulate import DgpSpec, generate
@@ -149,6 +149,7 @@ def test_root_past_box_named_in_warning():
     fit = fit_curve(data, grid=QuantileGrid(np.array([0.85, 0.9])), delta=1e-12, surface=surface)
     assert not fit.frontiers.triggered
     assert not fit.reported_mask.any()
+    assert fit.status.tolist() == [NO_ROOT + 1] * 2  # k = 0, l = 0, above
     assert "no root in the box at u = 0.85, 0.9: instrument level 0 needs treatment level 0 above 1" in fit.warnings
 
 
@@ -217,6 +218,7 @@ def test_design2_seed0_no_root_reason_named():
     fit = fit_curve(data, stop_at_frontier=True)
     assert not fit.reported_mask[0]
     assert fit.theta[0, 1] == 0.0
+    assert fit.status[0] == NO_ROOT + 2 * (1 * 2 + 1)  # k = 1, l = 1, below
     assert "no root in the box at u = 0.01: instrument level 1 needs treatment level 1 below 0" in fit.warnings
 
 

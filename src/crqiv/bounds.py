@@ -68,7 +68,7 @@ class IntervalProduct:
         return {"lower": [enc(v) for v in self.lower], "upper": [enc(v) for v in self.upper]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundFrontiers:
     """Per-level support bounds used by the outer-set construction.
 

@@ -182,13 +182,16 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_estimate(cfg: dict) -> int:
-    from .estimator import fit_curve, naive_curve
+    from .estimator import NO_ROOT, NOT_CERTIFIED, PAST_FRONTIER, REPORTED, fit_curve, naive_curve
 
     boot = _boot(cfg)
     data, data_path = _load_data(cfg)
     kwargs = _fit_kwargs(cfg)
-    extra = {}
     fit = fit_curve(data, **kwargs)
+    # grid points per status; every no-root code, whatever its level and face, counts as no root
+    codes = [min(code, NO_ROOT) for code in fit.status.tolist()]
+    kinds = {"reported": REPORTED, "past_frontier": PAST_FRONTIER, "not_certified": NOT_CERTIFIED, "no_root": NO_ROOT}
+    extra = {"status_counts": {kind: codes.count(code) for kind, code in kinds.items()}}
     u = fit.grid.points
     L = fit.theta.shape[1]
 

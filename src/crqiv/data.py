@@ -283,7 +283,9 @@ _ROW_BY_ROW = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _RECORD = re.compile(rb"[\r\n]+[^\r\n]")
 # latin-1 passes every byte of the UTF-8 file to the parser as it is
 _LOADTXT = {"delimiter": ",", "comments": None, "skiprows": 1, "encoding": "latin1", "ndmin": 1}
-_FIELDS = np.dtype([("y", "f8"), ("event", "S8"), ("z", "S8"), ("w", "S8")])
+# the label columns' widths are sampled from the records in this many bytes at the file's start
+_HEAD_BYTES = 1 << 16
+_LABELS = ("event", "z", "w")
 _SAVE_CHUNK = 1 << 16
 
 
@@ -333,8 +335,10 @@ def load_csv(
     raw event strings to codes in {0, 1, 2}.
 
     The body is parsed by one pass of numpy's C reader, with the time as
-    float64 and the other three columns as 8-byte strings (a column with a
-    longer label is read again, wider). A file that reader could read
+    float64 and each of the other three columns as strings of 2, 4 or 8
+    bytes, the narrowest with room past the longest label in the file's
+    first rows: 14 bytes a record for one-character codes (a column with a
+    label that fills its width is read again, wider). A file that reader could read
     differently from the csv module (quotes, NUL or the bytes \\x1c-\\x1f
     anywhere in it, number text such as ``2_0``), or that fails a check, is
     read row by row instead, which accepts it as before or names the
@@ -401,23 +405,25 @@ def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, 
     row loop if it holds a quote, NUL or one of \\x1c-\\x1f, or no record
     after the header, and a byte that is not UTF-8 raises. Then one
     np.loadtxt pass parses the time column as float64 and the event,
-    treatment and instrument columns as 8-byte strings; only their distinct
-    values reach Python. Returns None, or raises ValueError or TypeError,
-    wherever the row loop could read the file differently or would raise,
-    so that it runs instead.
+    treatment and instrument columns as strings of the widths that
+    ``_label_widths`` samples; only their distinct values reach Python.
+    Returns None, or raises ValueError or TypeError, wherever the row loop
+    could read the file differently or would raise, so that it runs instead.
     """
     with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
         if any(raw.find(b) >= 0 for b in _ROW_BY_ROW) or not _RECORD.search(raw):
             return None
         if np.frombuffer(raw, np.uint8).max() >= 0x80:
             str(raw, "utf-8")  # the row loop raises on a byte that is not UTF-8, in any column
+        widths = _label_widths(raw[:_HEAD_BYTES], usecols[1:])
 
-    parsed = np.loadtxt(path, dtype=_FIELDS, usecols=usecols, **_LOADTXT)
+    fields = np.dtype([("y", "f8")] + [(name, f"S{width}") for name, width in zip(_LABELS, widths)])
+    parsed = np.loadtxt(path, dtype=fields, usecols=usecols, **_LOADTXT)
     if not (np.isfinite(parsed["y"]) & (parsed["y"] >= 0)).all():
         return None
     # the text columns are read as views of the record array, which goes
     # once their codes and an owned copy of the times are taken
-    ev_col, z_col, w_col = _distinct_text(path, usecols[1:], [parsed[name] for name in _FIELDS.names[1:]])
+    ev_col, z_col, w_col = _distinct_text(path, usecols[1:], [parsed[name] for name in _LABELS])
     y = parsed["y"].copy()
     del parsed
 
@@ -437,19 +443,34 @@ def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, 
     return y, event, z[1], w[1], z[0], w[0]
 
 
+def _label_widths(head: bytes, usecols: list[int]) -> list[int]:
+    """A width of 2, 4 or 8 bytes per label column: the narrowest longer than its fields in the records of head.
+
+    head is the file's first bytes, split at commas (the file has no
+    quotes); the header and the last line, which may be cut, are left out.
+    A field of the width itself would fill it, as a cut label does, so
+    one-character codes take 2 bytes.  The widths only save memory: a
+    column with a longer label further on is read again, wider.
+    """
+    rows = [line.split(b",") for line in head.splitlines()[1:-1]]
+    longest = [max((len(r[col]) for r in rows if col < len(r)), default=0) for col in usecols]
+    return [next(w for w in (2, 4) if w > n) if n < 4 else 8 for n in longest]
+
+
 def _distinct_text(path, usecols: list[int], columns: list[np.ndarray]) -> list[tuple]:
     """(distinct strings, first row of each, per-row index into them) per text column.
 
-    ``columns`` are the columns at ``usecols`` as 8-byte strings, parsed
-    through latin-1 so that every byte of the UTF-8 file passes as it is.
-    Their distinct values are found on the 8 bytes viewed as one integer,
-    so no strings are sorted, and only they are decoded. A distinct value
-    that fills the width may have been cut; then that column alone is read
-    again, four times as wide, until none does.
+    ``columns`` are the columns at ``usecols`` as strings of 2, 4 or 8
+    bytes, parsed through latin-1 so that every byte of the UTF-8 file
+    passes as it is. Their distinct values are found on each string viewed
+    as one unsigned integer of its width, so no strings are sorted, and
+    only they are decoded. A distinct value that fills the width may have
+    been cut; then that column alone is read again, four times as wide,
+    until none does.
     """
     out = []
     for usecol, col in zip(usecols, columns):
-        distinct, first, inverse = _distinct(col.view("<u8"))
+        distinct, first, inverse = _distinct(col.view(f"<u{col.dtype.itemsize}"))
         strings = distinct.view(col.dtype).tolist()
         width = col.dtype.itemsize
         while any(len(s) == width for s in strings):

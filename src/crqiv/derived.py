@@ -51,7 +51,7 @@ def pava_nondecreasing(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneCurve:
     """Nondecreasing piecewise-linear curve through (0, 0) and given knots.
 
@@ -95,7 +95,7 @@ class MonotoneCurve:
         return np.interp(t, self.t[keep], self.u[keep])
 
 
-@dataclass
+@dataclass(eq=False)
 class DerivedLevel:
     """Derived curves for one treatment level, on its reported grid points."""
 

@@ -31,8 +31,8 @@ import numpy as np
 from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
 from .smoothing import _rows_searchsorted, _take_rows, bandwidth_rows
-from .surface import EstimationError, SmoothedSurvivalSurface, assemble_surface, assemble_surfaces
-from .survival import SortedCell, incidence_from, primary_records, sorted_level
+from .surface import EstimationError, SmoothedSurvivalSurface, _jumps, assemble_surface, assemble_surfaces
+from .survival import SortedCell, level_order, primary_records
 
 __all__ = [
     "EstimationError",
@@ -58,7 +58,7 @@ BOX_CLAMP = 1e-9
 REPORTED, PAST_FRONTIER, NOT_CERTIFIED, NO_ROOT = range(4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantileGrid:
     """Strictly increasing quantile levels in (0, 1]."""
 
@@ -137,7 +137,7 @@ class WeightingPolicy:
         return self._at(u, k)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontierEstimates:
     """Estimated support bounds and identification frontier."""
 
@@ -149,7 +149,7 @@ class FrontierEstimates:
     triggered: bool  # False when no grid point hit the cushion
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantileCurveFit:
     """A fit's solution, residual and frontier on its grid, and the status of each point.
 
@@ -166,8 +166,8 @@ class QuantileCurveFit:
     frontiers: FrontierEstimates
     treatment_levels: list
     instrument_levels: list
-    # the surface solved on; left out of repr, ==, and to_dict()
-    surface: SmoothedSurvivalSurface | None = field(default=None, repr=False, compare=False)
+    # the surface solved on; left out of repr and to_dict()
+    surface: SmoothedSurvivalSurface | None = field(default=None, repr=False)
 
     @property
     def converged(self) -> np.ndarray:  # (M,) bool: residual <= CERT_TOL
@@ -212,6 +212,7 @@ class QuantileCurveFit:
             "residual": [_json_float(v) for v in self.residual],
             "converged": self.converged.tolist(),
             "reported": self.reported_mask.tolist(),
+            "status": self.status.tolist(),
             "u_hat": fr.u_hat,
             "m_hat": fr.m_hat,
             "u_prev": fr.u_prev,
@@ -596,11 +597,11 @@ def naive_curve(data: Dataset, grid: QuantileGrid | None = None) -> np.ndarray:
     M, L = grid.size, data.n_treatment_levels
     out = np.full((M, L), np.inf)
     for zi in range(L):
-        # the level's columns go with its sorted cell, once its counting processes are taken
-        inc = incidence_from(SortedCell.of(*sorted_level(data, zi, ("y", "event"))).process(), cause=1)
-        if inc.jump_times.size == 0:
-            continue
-        idx = np.searchsorted(inc.values, grid.points, side="left")
-        hit = idx < inc.values.size
-        out[hit, zi] = inc.jump_times[idx[hit]]
+        # the level's records go as its counting processes are built, and those as its incidence is taken
+        order = level_order(data, zi)
+        (times,), (values,) = _jumps(SortedCell(np.take(data.y, order), np.take(data.event, order)).process())
+        idx = np.searchsorted(values, grid.points, side="left")
+        hit = idx < values.size
+        out[hit, zi] = times[idx[hit]]
+        del times, values  # before the next level is gathered
     return out

@@ -74,7 +74,7 @@ def _ranks(b: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-@dataclass
+@dataclass(eq=False)
 class ConfidenceBand:
     """Pointwise percentile band for a per-grid-point contrast.
 
@@ -228,7 +228,7 @@ def bootstrap_band(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class CoverageResult:
     u: np.ndarray
     hits: np.ndarray  # reps whose band contained the truth, per grid point

@@ -62,7 +62,7 @@ class DgpSpec:
             raise ValueError("n must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentTrace:
     """Latent variables kept for tests; estimators never see these."""
 
@@ -259,7 +259,7 @@ def _masked_column_mean(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, counts
 
 
-@dataclass
+@dataclass(eq=False)
 class McResult:
     """Per-replication fit summaries for one design."""
 
@@ -276,7 +276,7 @@ class McResult:
     naive: np.ndarray  # (R, M, L), inf past attained incidence
     # each replication's fit, for a coverage pass that bands the same fits;
     # left out of repr and ==
-    fits: list = field(default_factory=list, repr=False, compare=False)
+    fits: list = field(default_factory=list, repr=False)
 
     @property
     def reps(self) -> int:

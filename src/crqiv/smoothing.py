@@ -149,7 +149,7 @@ def _rows_searchsorted(a: np.ndarray, v: np.ndarray, side: str = "left") -> np.n
     return np.array([np.searchsorted(ar, vr, side) for ar, vr in zip(a, v)], dtype=np.intp).reshape(v.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothedCurve:
     """Piecewise-linear curve on a knot grid, flat beyond the ends."""
 

@@ -38,7 +38,7 @@ class EstimationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothedSurvivalSurface:
     """Evaluable S1_hat(t, z | w): cell curves on one shared grid."""
 
@@ -141,19 +141,19 @@ def assemble_surfaces(data: Dataset, counts=None, bandwidth=None, kind: str = "l
 
     A first pass takes each cell's sizes, bandwidths and range (its last
     cause-1 jump plus its bandwidth), which give a row's errors and grid.
-    The sample's cells are built as it goes and not kept, so each goes on
-    to its left-packed jumps in that pass.  A block's cells come from
-    ``sorted_cells``, kept across blocks, and a second pass takes each from
-    the counts of the rows without an error to its jumps and smooths them
-    at once, so that one cell's jumps live at a time.  Every stage runs
-    along the rows: the sample, one row, gets a block row's bits.
+    A second pass takes each cell from the counts of the rows without an
+    error to its jumps and smooths them at once, so that one cell's jumps
+    live at a time.  A block's cells come from ``sorted_cells``, kept
+    across blocks; the sample's are built by ``level_cells`` in each pass
+    and not kept.  Every stage runs along the rows: the sample, one row,
+    gets a block row's bits.
     """
     bandwidth = _given_bandwidth(bandwidth)
     B = 1 if counts is None else len(counts)
     sizes = np.zeros((B, data.n_treatment_levels, data.n_instrument_levels), np.int64)
-    bandwidths, thin, ranges, kept = {}, {}, [], {}
-    block_cells = None if counts is None else sorted_cells(data)
-    for cell, sc in level_cells(data) if counts is None else block_cells.items():
+    bandwidths, thin, ranges = {}, {}, []
+    cells = (lambda: level_cells(data)) if counts is None else sorted_cells(data).items
+    for cell, sc in cells():
         if cell in data.structural_zeros:
             continue
         c = None if counts is None else np.take(counts, sc.records, axis=1)
@@ -163,16 +163,11 @@ def assemble_surfaces(data: Dataset, counts=None, bandwidth=None, kind: str = "l
             bandwidths[cell] = np.full(B, bandwidth)
         sizes[:, cell.z, cell.w] = sc.y.size if c is None else c.sum(axis=1)
         # the latest time a counted record fails at by cause 1, 0 without one
-        primary = np.compress(sc.cause1, sc.failing)
+        primary = np.flatnonzero(sc.event == 1)
         counted = np.ones((1, primary.size), bool) if c is None else np.take(c, primary, axis=1) > 0
         ranges.append(np.max(np.broadcast_to(sc.y[primary], counted.shape), axis=1, where=counted, initial=0.0)
                       + bandwidths[cell])
-        del c, primary, counted
-        if counts is None:
-            proc = sc.process()
-            del sc  # a sample cell's record-sized arrays go before its incidence is built
-            kept[cell] = _jumps(proc)
-            del proc
+        del sc, c, primary, counted  # before the next cell is gathered
     # a row's first error, in the order its resampled dataset meets them:
     # an emptied cell, then the first cell too thin for the bandwidth rule
     out: list = [None] * B
@@ -195,12 +190,12 @@ def assemble_surfaces(data: Dataset, counts=None, bandwidth=None, kind: str = "l
         p_hat = sizes / sizes.sum(axis=1, keepdims=True)
     grid = np.linspace(0.0, np.max(ranges, axis=0), GRID_POINTS, axis=-1)
     values = np.zeros(p_hat.shape + (GRID_POINTS,))
-    for cell in bandwidths:
-        if counts is None:
-            j, v = kept.pop(cell)
-        else:
-            sc = block_cells[cell]
-            j, v = _jumps(sc.process(np.take(counts, sc.records, axis=1)))
+    for cell, sc in cells():
+        if cell not in bandwidths:
+            continue
+        # a sample cell is used once, and goes as its processes are built
+        j, v = _jumps(sc.process(None if counts is None else np.take(counts, sc.records, axis=1)))
+        np.subtract(1.0, v, out=v)  # 1 - F_hat; smooth_rows reads no value past a row's jumps
         curves = smooth_rows(j, v, np.ones(live.size), bandwidths[cell], kind, grid)
         del j, v
         values[:, cell.z, cell.w] = curves * p_hat[:, cell.z, cell.w, None]
@@ -212,9 +207,13 @@ def assemble_surfaces(data: Dataset, counts=None, bandwidth=None, kind: str = "l
 
 
 def _jumps(proc) -> tuple:
-    """The cause-1 jump times of each row of a cell's processes and 1 - F_hat there, left-packed; overwrites proc."""
+    """The cause-1 jump times of each row of a cell's processes and F_hat there, left-packed; overwrites proc.
+
+    Given the only reference to proc, its spent at-risk and failure counts
+    go before the jumps are packed.
+    """
     # a row's jumps are the times its counted records fail at by cause 1
     jumping = np.atleast_2d(proc.dn1 > 0)
-    inc = incidence_values(proc, proc.dn1, overwrite=True)
-    np.subtract(1.0, inc, out=inc)  # 1 - F_hat in place: one (B, T) array less at the peak
-    return left_pack(jumping, proc.times, np.inf), left_pack(jumping, inc, 0.0)
+    times, inc = proc.times, incidence_values(proc, proc.dn1, overwrite=True)
+    del proc
+    return left_pack(jumping, times, np.inf), left_pack(jumping, inc, 0.0)

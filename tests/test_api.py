@@ -98,10 +98,10 @@ def test_bench_names_resolve():
     assert [BootstrapConfig(draws=2, workers=w).workers for w in (1, 2)] == [1, 2]
 
 
-@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning, UserWarning])
 def test_deprecation_met_inside_crqiv_fails(category, monkeypatch):
-    # numpy attributes a deprecation to its caller; pyproject.toml's
-    # filterwarnings turn the ones met in a crqiv module into errors
+    # numpy attributes a deprecation or a user warning to its caller;
+    # pyproject.toml's filterwarnings turn the ones met in a crqiv module into errors
     import warnings
 
     import numpy as np

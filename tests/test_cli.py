@@ -9,6 +9,7 @@ import pytest
 
 from crqiv.cli import _fmt, _lattice_rows, _resolve_config, _write_csv, _write_lattice, build_parser, main
 from crqiv.data import load_csv
+from crqiv.estimator import NO_ROOT, PAST_FRONTIER, REPORTED
 
 
 def run(argv):
@@ -156,6 +157,13 @@ def test_estimate_outputs(est_dir):
     assert manifest["command"] == "estimate"
     assert len(manifest["inputs"]) == 1
     assert manifest["bootstrap_failures"] == []
+    # one status code per grid point in fit.json, and the manifest counts them by kind
+    assert [s == REPORTED for s in fit["status"]] == fit["reported"]
+    counts = manifest["status_counts"]
+    assert sorted(counts) == ["no_root", "not_certified", "past_frontier", "reported"]
+    assert counts["reported"] == sum(fit["reported"]) and sum(counts.values()) == 20
+    assert counts["past_frontier"] == fit["status"].count(PAST_FRONTIER)
+    assert counts["no_root"] == sum(s >= NO_ROOT for s in fit["status"])
 
 
 def test_estimate_manifest_names_failed_replicates(tmp_path):

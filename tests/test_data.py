@@ -481,6 +481,68 @@ def test_long_and_non_ascii_labels_read_alike(tmp_path, labels):
     assert back.z.tolist() == d.z.tolist() and back.w.tolist() == d.w.tolist()
 
 
+def _label_file(path, z_labels, w_labels, events=("1", "2", "0", "1"), rows=40, late=()):
+    """A file whose rows cycle through the labels, with every (treatment, instrument) pair, then the rows in late."""
+    lines = ["time,event,treatment,instrument"]
+    for i in range(rows):
+        lines.append(f"{1 + i % 9},{events[i % len(events)]},{z_labels[i % 2]},{w_labels[i // 2 % 2]}")
+    path.write_text("\n".join([*lines, *late]) + "\n", encoding="utf-8")
+
+
+def _read_alike(path, event_labels=None):
+    """``_read_columns``' result, checked to be ``_read_rows``' bit for bit."""
+    fast = data_module._read_columns(path, [0, 1, 2, 3], event_labels, None, None)
+    slow = data_module._read_rows(path, dict(data_module.DEFAULT_COLUMNS), event_labels, None, None)
+    assert fast is not None
+    for a, b in zip(fast[:4], slow[:4]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert fast[4:] == slow[4:]
+    return fast
+
+
+# rows enough that the later ones lie past the bytes the label widths are sampled from
+_PAST_HEAD = data_module._HEAD_BYTES // 8 + 100
+
+
+@pytest.mark.parametrize("z_labels, w_labels, width", [
+    (["a", "b"], ["x", "y"], 2),  # one-character codes: 14 bytes a record
+    (["ab", "cd"], ["xy", "xz"], 4),
+    (["abc", "abd"], ["xyz", "xy"], 4),
+    (["\xe9", "e"], ["\xe8t", "\xe8"], 4),  # a 2-byte UTF-8 label, and a 3-byte one
+])
+def test_sized_label_read_matches_row_loop(tmp_path, z_labels, w_labels, width):
+    p = tmp_path / "sized.csv"
+    _label_file(p, z_labels, w_labels)
+    assert data_module._label_widths(p.read_bytes(), [1, 2, 3]) == [2, width, width]
+    assert _read_alike(p)[4:] == (z_labels, w_labels)
+
+
+@pytest.mark.parametrize("late", ["ab", "abcd", "treatment_long_label", "\u20ac", "\xe9"])
+def test_label_past_the_sampled_width_reads_alike(tmp_path, late):
+    # a label longer than the sampled width, first met after the sampled bytes,
+    # fills its width as it is cut, so that the column is read again, wider
+    p = tmp_path / "late.csv"
+    _label_file(p, ["a", "b"], ["x", "y"], rows=_PAST_HEAD, late=[f"5,1,{late},x", f"6,2,{late},y"])
+    head = p.read_bytes()[:data_module._HEAD_BYTES]
+    assert late.encode() not in head and data_module._label_widths(head, [1, 2, 3]) == [2, 2, 2]
+    assert _read_alike(p)[4] == ["a", "b", late]
+
+
+@pytest.mark.parametrize("events, width, late", [
+    (("f", "k", "c"), 2, ()),
+    (("one", "two", "nil"), 4, ()),
+    (("fail", "comp", "cens"), 8, ()),
+    (("f", "k", "c"), 2, ("7,censored_late,a,x",)),  # a long event label past the sampled bytes
+])
+def test_event_label_strings_read_alike(tmp_path, events, width, late):
+    p = tmp_path / "events.csv"
+    codes = {"f": 1, "k": 2, "c": 0, "one": 1, "two": 2, "nil": 0, "fail": 1, "comp": 2, "cens": 0, "censored_late": 0}
+    _label_file(p, ["a", "b"], ["x", "y"], events=events, rows=_PAST_HEAD if late else 40, late=late)
+    assert data_module._label_widths(p.read_bytes()[:data_module._HEAD_BYTES], [1, 2, 3]) == [width, 2, 2]
+    event = _read_alike(p, codes)[1]
+    assert set(event.tolist()) == {0, 1, 2}
+
+
 def test_round_trip_with_quoted_levels_reads_row_by_row(tmp_path):
     d = Dataset((1.0, 2.5, 0.25, 4.0), (1, 2, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), ["a,b", 'say "hi"'], ["x", "y"])
     p = tmp_path / "q.csv"
@@ -547,9 +609,11 @@ def test_twelve_levels_round_trip_and_fit_past_the_narrow_key(tmp_path):
 
 
 def test_load_csv_memory_peak(tmp_path):
-    # the text columns are read as views of the parsed records and coded in
-    # int8: 8,696,875 traced bytes at the peak on this file with numpy 2.4,
-    # where full copies of every column and int64 codes peaked at 12,896,448
+    # the label columns are parsed at the narrowest width their first rows
+    # need (2 bytes, 14 a record), read as views of the parsed records and
+    # coded in int8: 5,128,038 traced bytes at the peak on this file with
+    # numpy 2.4; with 8-byte label fields (32 a record) it peaked at
+    # 8,696,875, and with full copies of every column and int64 codes at 12,896,448
     data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
     p = tmp_path / "sim.csv"
     save_csv(data, p)
@@ -559,7 +623,7 @@ def test_load_csv_memory_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8_750_000
+    assert peak <= 5_160_000
 
 
 def test_path_that_is_not_a_regular_file_is_rejected_unopened(tmp_path):

@@ -433,6 +433,17 @@ def test_no_trigger_warning():
     assert any("frontier" in w for w in fit.warnings)
 
 
+def test_fits_compare_by_identity_and_hash(d2_fit):
+    # array fields have no truth value, so == between two fits of the same
+    # data means identity rather than raising, and each object hashes
+    data, a = d2_fit
+    b = fit_curve(data, grid=QuantileGrid.default(50))
+    assert np.array_equal(a.theta, b.theta, equal_nan=True)
+    for x, y in ((a, b), (a.surface, b.surface), (a.frontiers, b.frontiers), (a.grid, b.grid)):
+        assert x == x and not x == y and x != y
+        assert len({x, y, x}) == 2
+
+
 def test_to_dict_is_json_ready(d2_fit):
     _, fit = d2_fit
     d = fit.to_dict()
@@ -441,6 +452,7 @@ def test_to_dict_is_json_ready(d2_fit):
     assert back["u_hat"] == fit.frontiers.u_hat
     assert len(back["theta"]) == fit.grid.size
     assert back["treatment_levels"] == ["0", "1"]
+    assert back["status"] == fit.status.tolist()
 
 
 # -- the fitted surface -------------------------------------------------------

@@ -173,8 +173,10 @@ def test_fit_does_not_depend_on_record_order(design, seed, kind):
 
 def test_level_sort_is_cached_until_another_dataset_is_sorted():
     a, b = (generate(DgpSpec(design=2, n=2_000, seed=seed))[0] for seed in (0, 1))
-    order = level_order(a, 1)[1]
-    assert level_order(a, 1)[1] is order and order.dtype == np.uint16
+    order = level_order(a, 1)
+    assert level_order(a, 1) is order and order.dtype == np.uint16
+    # one array per level: the level's record indices in ascending follow-up time
+    assert np.array_equal(np.sort(order), np.flatnonzero(a.z == 1)) and np.all(np.diff(a.y[order]) >= 0)
     cell = next(iter(sorted_cells(a).values()))
     assert next(iter(sorted_cells(a).values())) is cell
     # the cause-swapped sample shares the orders and keeps the sample's cells
@@ -219,13 +221,16 @@ def test_derived_band_run_sorts_each_level_once(tmp_path, monkeypatch):
 
 
 def test_fit_memory_peak():
-    # the fit builds one cell's counting processes at a time, with its
-    # level's columns already split into cells and dropped, and takes its
-    # incidence over the processes' own arrays (5,894,515 traced bytes at
-    # the peak on this dataset with numpy 2.4; 5,920,016 with a fresh array
-    # for each step of the incidence); with the level's columns kept it
-    # peaked at 6,992,172, and holding every cell's processes at once, as
-    # the fit did before it shared the bootstrap blocks' front end, at 7,704,798
+    # the sample's cells run the blocks' two passes: sizes, bandwidths and
+    # ranges first, then one cell at a time, gathered by the level's cached
+    # record order, to its smoothed curve; a cell's records go as its
+    # counting processes are built, which go as its jumps are packed
+    # (3,512,443 traced bytes at the peak on this dataset with numpy 2.4).
+    # Keeping every cell's jumps until the grid was known, with the cell's
+    # times alive beside its processes, it peaked at 5,894,515 (5,920,016 with
+    # a fresh array for each step of the incidence); with the level's columns
+    # kept at 6,992,172, and holding every cell's processes at once, as the
+    # fit did before it shared the bootstrap blocks' front end, at 7,704,798
     data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
     tracemalloc.start()
     try:
@@ -233,4 +238,20 @@ def test_fit_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5_920_000
+    assert peak <= 3_540_000
+
+
+def test_naive_curve_memory_peak():
+    # the naive curve sorts each level, builds its counting processes as the
+    # level's columns go, and takes the incidence over the processes' own
+    # arrays (3,519,703 traced bytes at the peak on this dataset with numpy
+    # 2.4, its level sorts included); with a fresh array for each step of
+    # the incidence and the level's columns alive beside the processes it peaked at 5,890,113
+    data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
+    tracemalloc.start()
+    try:
+        naive_curve(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_550_000

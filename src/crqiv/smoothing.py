@@ -203,13 +203,15 @@ def _window_sums(x, w, t, lo, hi, degree: int, width=None) -> list:
     dx = x if width is None else x - edge
     prefix = np.zeros((B, P + 1))
     for k in range(degree + 1):
-        term = dx**k
-        if w is not None:
-            np.multiply(w, term, out=term)
-        np.cumsum(term, axis=1, out=prefix[:, 1:])
-        del term
+        # dx^0 = 1 and dx^1 = dx exactly, so those powers are not taken, and unweighted points are counted
+        term = w if k == 0 else dx if k == 1 else dx**k
+        if w is not None and k:
+            term = np.multiply(w, term, out=term if k > 1 else None)
+        if term is not None:
+            np.cumsum(term, axis=1, out=prefix[:, 1:])
+        counted, term = term is None, None
         for m, (a, b, _) in zip(moments, pieces):
-            m.append(np.take(prefix, b) - np.take(prefix, a))
+            m.append(np.subtract(b, a, dtype=np.float64) if counted else np.take(prefix, b) - np.take(prefix, a))
     del prefix, dx
     sums = [None] * (degree + 1)
     for m, (_, _, d) in zip(moments, pieces):
@@ -258,9 +260,10 @@ def _smooth_local_linear(jumps, padded, bandwidth, knots, t_max) -> np.ndarray:
     last = np.concatenate((differs, np.ones((len(xs), 1), bool)), axis=1) & finite
     del differs, finite
     # normalize the abscissa so high-order moment sums stay well conditioned
-    x = left_pack(first, xs / t_max[:, None], _PAD)
+    x = left_pack(first, np.divide(xs, t_max[:, None], out=xs), _PAD)
+    del xs, first
     g = left_pack(last, _take_rows(padded, n_up_to), 0.0)
-    del xs, n_up_to, first, last
+    del n_up_to, last
 
     tq = knots / t_max[:, None]
     h = np.minimum((bandwidth / t_max)[:, None], tq)

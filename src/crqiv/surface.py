@@ -164,6 +164,7 @@ def assemble_surfaces(data: Dataset, counts=None, bandwidth=None, kind: str = "l
         sizes[:, cell.z, cell.w] = sc.y.size if c is None else c.sum(axis=1)
         # the latest time a counted record fails at by cause 1, 0 without one
         primary = np.flatnonzero(sc.event == 1)
+        primary = primary[-1:] if c is None else primary  # y ascends: the sample's latest is its last
         counted = np.ones((1, primary.size), bool) if c is None else np.take(c, primary, axis=1) > 0
         ranges.append(np.max(np.broadcast_to(sc.y[primary], counted.shape), axis=1, where=counted, initial=0.0)
                       + bandwidths[cell])

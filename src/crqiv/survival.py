@@ -14,9 +14,11 @@ level's record indices are argsorted by follow-up time once per dataset
 (``level_order``, cached until a dataset with other times or levels is
 sorted, so a cause swap sorts nothing again), and each cell is gathered by
 them as a ``SortedCell``, with no ``np.unique``: failure times are the runs
-of equal y among the failing records.  A cell's counting processes come
-from those groups, with every record counted once, or along each row of a block of B
-bootstrap replicates given as a (B, cell size) count matrix: dN by one
+of equal y among the failing records, and a time's first failing record's
+position counts the records below it, unless censored records tied with that
+one sort before it.  A cell's counting processes come from those groups,
+with every record counted once, or along each row of a block of B bootstrap
+replicates given as a (B, cell size) count matrix: dN by one
 ``add.reduceat`` over the groups, at-risk counts by a cumulative sum.  A
 block keeps every sample failure time; one that no counted record fails at
 has dN = 0, adds exactly 0 to the cumulative incidence, and is no jump of
@@ -111,20 +113,26 @@ def _cell_process(y: np.ndarray, event: np.ndarray) -> CellProcess:
 
 
 def _failure_groups(y: np.ndarray, event: np.ndarray) -> tuple:
-    """(times, starts, cause1) of records with ascending times y and event codes event.
+    """(times, starts, cause1, below) of records with ascending times y and event codes event.
 
-    The distinct failure times; the index among the failing records of the first one failing at each
-    time, in the narrowest unsigned type; and 1 for each failing record of cause 1, else 0.
+    The distinct failure times; the index among the failing records of the first one failing at each time, in
+    the narrowest unsigned type; 1 for each failing record of cause 1, else 0; and the number of records below
+    each time (intp): its first failing record's position, unless censored records tied with it come first.
     """
-    failing = np.flatnonzero(event)
-    cause1 = (event[failing] == 1).view(np.int8)
-    failed = y[failing]
-    del failing
-    new = _run_flags(failed)
-    # boolean indices, not np.compress, which would take an intp index array of the runs first
-    times = failed[new]
-    del failed
-    return times, np.arange(new.size, dtype=np.min_scalar_type(y.size))[new], cause1
+    below = np.flatnonzero(event)
+    cause1 = (event[below] == 1).view(np.int8)
+    new = _run_flags(y[below])
+    starts = np.arange(new.size, dtype=np.min_scalar_type(y.size))[new]
+    below = below[new]  # after starts, and the times last: in another order the 1e6 fit's heap grew 1.2 MB more
+    del new
+    # a time is searched only where the record before its first failing one is censored with the same y (before
+    # position 0: the last record, tied only if every record is, and the search then gives 0 alike)
+    tied = np.flatnonzero(np.take(event, below - 1) == 0)
+    tied = tied[np.take(y, below[tied] - 1) == np.take(y, below[tied])]
+    times = y[below]
+    if tied.size:
+        below[tied] = np.searchsorted(y, times[tied])
+    return times, starts, cause1, below
 
 
 @dataclass(eq=False)
@@ -143,8 +151,9 @@ class SortedCell:
 
     @cached_property
     def groups(self) -> tuple:
-        """The positions in y of the failing records (narrowest unsigned type) and ``_failure_groups``, for blocks."""
-        return np.flatnonzero(self.event).astype(np.min_scalar_type(self.y.size)), *_failure_groups(self.y, self.event)
+        """The positions in y of the failing records and ``_failure_groups``, every index in intp, for blocks."""
+        times, starts, cause1, below = _failure_groups(self.y, self.event)
+        return np.flatnonzero(self.event), times, starts.astype(np.intp), cause1, below
 
     def process(self, c: np.ndarray | None = None) -> CellProcess:
         """The cell's counting processes under each row of counts (B, cell size) in y's order.
@@ -152,32 +161,29 @@ class SortedCell:
         dn1, dn and at_risk are (B, T) on the sample's failure times, size
         is (B,); without counts, every record counts once, and they are (T,)
         with an int size.  Every entry is a whole count, so each is exact.
-        Y(t) is the count less that of the records below the run of equal y that t starts.
+        Y(t) is the count less that of the records below t, as ``_failure_groups`` finds them.
         """
         if c is None:  # a cell of the sample sets the fit's peak memory: its arrays go as they are spent
             y, event, self.y, self.event = self.y, self.event, None, None
-            times, starts, cause1 = _failure_groups(y, event)
-            del event
-            size, first = y.size, np.searchsorted(y, times)
-            del y
-            at_risk = np.subtract(size, first, dtype=np.float64)
-            del first
+            size, (times, starts, cause1, below) = y.size, _failure_groups(y, event)
+            del y, event
+            at_risk = np.subtract(size, below, dtype=np.float64)
+            del below
             # cause-1 failures are summed in the narrowest type that holds them all, not in a float copy of cause1
             dn1 = np.add.reduceat(cause1, starts, dtype=np.min_scalar_type(cause1.size)).astype(np.float64)
             dn = np.empty(times.size)
             np.subtract(starts[1:], starts[:-1], out=dn[:-1])
             dn[-1:] = cause1.size - starts[-1:]
             return CellProcess(times, dn1, dn, at_risk, size)
-        failing, times, starts, cause1 = self.groups
-        first = np.searchsorted(self.y, times)
+        failing, times, starts, cause1, below = self.groups
         # the counted records before each position, and in all; the sums are
         # taken in the counts' integer type, so no float copy of a count array is made
         wide = np.promote_types(c.dtype, np.int32)
-        below = np.zeros((len(c), self.y.size + 1), wide)
-        np.cumsum(c, axis=1, out=below[:, 1:])
-        size = below[:, -1].astype(np.int64)
-        at_risk = np.subtract(size[:, None], np.take(below, first, axis=1), dtype=np.float64)
-        del below, first
+        counted_below = np.zeros((len(c), self.y.size + 1), wide)
+        np.cumsum(c, axis=1, out=counted_below[:, 1:])
+        size = counted_below[:, -1].astype(np.int64)
+        at_risk = np.subtract(size[:, None], np.take(counted_below, below, axis=1), dtype=np.float64)
+        del counted_below
         failed = np.take(c, failing, axis=1).astype(wide, copy=False)
         counted = np.add.reduceat(failed, starts, axis=1, dtype=wide)
         dn = counted.astype(np.float64)

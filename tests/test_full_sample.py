@@ -1,6 +1,7 @@
 """The full-sample statistics from sorted levels against their record-order reference, bit for bit."""
 
 import gc
+import sys
 import tracemalloc
 import weakref
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crqiv import inference
 from crqiv.cli import main
 from crqiv.data import Dataset, save_csv, swap_causes
 from crqiv.estimator import EstimationError, QuantileGrid, default_delta, estimate_y1, fit_curve, naive_curve
+from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import default_bandwidth
-from crqiv.survival import _cell_process, build_counting_processes, level_order, sorted_cells
+from crqiv.survival import _cell_process, build_counting_processes, level_cells, level_order, sorted_cells
 from tests import _reference_full_sample as ref
 
 # few distinct times, so that failures of both causes, censorings and zero
@@ -70,11 +73,28 @@ _NO_PRIMARY = _tied([1.0, 2.0, 2.0, 0.0, 1.0, 4.0, 4.0],
                     [0, 0, 0, 1, 1, 1, 1],
                     [0, 1, 1, 0, 0, 1, 1])
 
+# censored records tied with a failure time sort before its first failing
+# record in the level's sort: at t = 0 as cell (a, u)'s first records, inside
+# cells (b, u) and (b, v), and at the only time of cell (b, v); cell (a, v)
+# holds a single record
+_CENSORED_FIRST = _tied([0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.7, 0.0, 1.5, 1.5, 1.5, 3.0, 3.0],
+                        [0, 0, 1, 0, 2, 1, 1, 2, 0, 0, 1, 0, 2],
+                        [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1],
+                        [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1])
+
+
+def _censored_first(y, event) -> bool:
+    """Whether a censored record sorts just before the first record failing at its time, in ascending y."""
+    failing = np.flatnonzero(event)
+    first = failing[np.unique(y[failing], return_index=True)[1]]
+    return bool(np.any((first > 0) & (event[first - 1] == 0) & (y[first - 1] == y[first])))
+
 
 @settings(max_examples=150, deadline=None)
 @given(_datasets())
 @example(_TIES)
 @example(_NO_PRIMARY)
+@example(_CENSORED_FIRST)
 def test_full_sample_statistics_match_record_order(data):
     cp, want = build_counting_processes(data), ref.build_counting_processes(data)
     assert list(cp.cells) == list(want.cells)
@@ -104,10 +124,24 @@ def test_edge_datasets_meet_their_edges():
     tied = build_counting_processes(_TIES).cell((0, 1))
     assert tied.times.tolist() == [0.0, 1.0] and tied.dn.tolist() == [1.0, 1.0]
     assert tied.at_risk.tolist() == [3.0, 2.0]
+    # the level sort puts the censored records first where _CENSORED_FIRST says, so that they are searched for
+    cells = {cell: _censored_first(sc.y, sc.event) for cell, sc in sorted_cells(_CENSORED_FIRST).items()}
+    assert cells == {(0, 0): True, (0, 1): False, (1, 0): True, (1, 1): True}
+    first = build_counting_processes(_CENSORED_FIRST)
+    assert first.cell((0, 0)).at_risk.tolist() == [6.0, 3.0, 1.0] and first.cell((1, 1)).at_risk.tolist() == [2.0]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_TIMES, st.integers(0, 2)), max_size=30))
+# censored records sorting before a time's first failing record: at t = 0 as
+# the cell's first records, inside the cell, and tied with every record, so
+# that the record before the first one is the last; single records
+@example([(0.0, 0), (0.0, 1), (1.0, 2)])
+@example([(0.0, 0), (0.0, 2), (0.0, 1), (1.0, 1)])
+@example([(0.5, 1), (1.0, 0), (1.0, 2), (2.0, 1)])
+@example([(1.0, 1), (1.0, 0)])
+@example([(1.0, 1)])
+@example([(1.0, 0)])
 def test_cell_process_matches_record_order(records):
     y = np.array([r[0] for r in records], dtype=np.float64)
     event = np.array([r[1] for r in records], dtype=np.int64)
@@ -220,17 +254,52 @@ def test_derived_band_run_sorts_each_level_once(tmp_path, monkeypatch):
     assert sorted_sizes == [int(np.count_nonzero(data.z == level)) for level in range(2)]
 
 
+def test_each_cell_searches_its_tied_times_once(monkeypatch):
+    # a time's at-risk count is its first failing record's position, searched
+    # for only where censored records tied with that record sort before it
+    searched = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "crqiv.survival":
+            searched.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    data, _ = generate(DgpSpec(design=1, n=2_000, seed=0))
+    for _, sc in level_cells(data):
+        sc.process()
+    fit_curve(data, grid=QuantileGrid.default(20))
+    naive_curve(data)
+    assert searched == []
+    # times rounded to 0.01 tie in every cell; a band of 3 blocks takes each
+    # cell's positions once, from the cell kept across blocks, and its fit once
+    tied = Dataset(np.round(data.y, 2), data.event, data.z, data.w, data.treatment_levels, data.instrument_levels,
+                   data.structural_zeros)
+    cells = sorted_cells(tied)
+    assert all(_censored_first(sc.y, sc.event) for sc in cells.values() if sc.y.size)
+    monkeypatch.setattr(inference, "BLOCK_BYTES", 8 * (tied.n + 512))
+    bootstrap_band(tied, BootstrapConfig(draws=3, seed=1), grid=QuantileGrid.default(20))
+    assert len(searched) == 2 * sum(sc.y.size > 0 for sc in cells.values())
+    for sc in cells.values():
+        failing, _, starts, _, below = sc.groups  # kept as intp, so that no block converts them
+        assert failing.dtype == starts.dtype == below.dtype == np.intp
+
+
 def test_fit_memory_peak():
     # the sample's cells run the blocks' two passes: sizes, bandwidths and
     # ranges first, then one cell at a time, gathered by the level's cached
     # record order, to its smoothed curve; a cell's records go as its
-    # counting processes are built, which go as its jumps are packed
-    # (3,512,443 traced bytes at the peak on this dataset with numpy 2.4).
-    # Keeping every cell's jumps until the grid was known, with the cell's
-    # times alive beside its processes, it peaked at 5,894,515 (5,920,016 with
-    # a fresh array for each step of the incidence); with the level's columns
-    # kept at 6,992,172, and holding every cell's processes at once, as the
-    # fit did before it shared the bootstrap blocks' front end, at 7,704,798
+    # counting processes are built, which go as its jumps are packed, and
+    # the local-linear smoother divides its sample grid in place and drops it
+    # once packed (3,363,423 traced bytes at the peak on this dataset with
+    # numpy 2.4; 3,513,696 with a divided copy beside the grid, under a
+    # guard of 3,540,000).  Keeping every cell's jumps until the grid was
+    # known, with the cell's times alive beside its processes, it peaked at
+    # 5,894,515 (5,920,016 with a fresh array for each step of the
+    # incidence); with the level's columns kept at 6,992,172, and holding
+    # every cell's processes at once, as the fit did before it shared the
+    # bootstrap blocks' front end, at 7,704,798
     data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
     tracemalloc.start()
     try:
@@ -238,7 +307,7 @@ def test_fit_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3_540_000
+    assert peak <= 3_390_000
 
 
 def test_naive_curve_memory_peak():

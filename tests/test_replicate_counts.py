@@ -24,7 +24,9 @@ from crqiv.smoothing import bandwidth_rows, default_bandwidth, rule_of_thumb_ban
 from crqiv.surface import assemble_surface, assemble_surfaces
 from crqiv.survival import build_counting_processes, sorted_cells
 
+from test_full_sample import _CENSORED_FIRST
 from test_inference import thin_cell_data
+from tests import _reference_full_sample as ref
 from tests._reference_band import assert_same_band, reference_band
 
 
@@ -316,6 +318,25 @@ def test_counts_reproduce_the_resampled_statistics():
     assert h[0] == pytest.approx(default_bandwidth(np.repeat(ties, c[0])), rel=1e-13)
     assert reasons[0] is None and np.isnan(h[1:]).all()
     assert "zero spread" in reasons[1] and "at least 2" in reasons[2]
+
+
+def test_block_counts_where_censored_records_sort_first():
+    # the ties of _CENSORED_FIRST under rows of counts: censored records sort
+    # before a time's first failing record, at t = 0 as a cell's first records
+    # and inside cells; the second and third rows give those failing records
+    # no count, drop a tied censored record and empty the single-record cell
+    counts = np.array([[1] * 13, [2, 1, 0, 1, 3, 1, 1, 1, 2, 0, 1, 1, 0], [0, 1, 1, 0, 0, 2, 0, 0, 1, 1, 0, 2, 1]],
+                      np.uint8)
+    for cell, sc in sorted_cells(_CENSORED_FIRST).items():
+        c = counts[:, sc.records]
+        block = sc.process(c)
+        for b, row in enumerate(c):
+            want = ref.cell_process(sc.y.repeat(row), sc.event.repeat(row))
+            keep = block.dn[b] > 0  # a time no counted record fails at is no time of the row
+            assert block.size[b] == want.size
+            for x, y in ((block.times[keep], want.times), (block.dn[b, keep], want.dn),
+                         (block.dn1[b, keep], want.dn1), (block.at_risk[b, keep], want.at_risk)):
+                assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("x", [

@@ -18,8 +18,8 @@ import importlib
 _EXPORTS = {
     "_rng": ("stream", "substream_seed"),
     "data": (
-        "CAUSE1", "CAUSE2", "CENSORED", "CellIndex", "DataValidationError", "Dataset",
-        "ObservationRecord", "cell_counts", "load_csv", "resample", "save_csv", "swap_causes",
+        "CAUSE1", "CAUSE2", "CENSORED", "CellIndex", "DataValidationError", "Dataset", "load_csv",
+        "resample", "save_csv", "swap_causes",
     ),
     "survival": (
         "CellProcess", "CountingProcesses", "StepFunction", "aalen_johansen_cause1",

@@ -17,10 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import mmap
 import operator
 import os
-import re
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -30,10 +28,8 @@ __all__ = [
     "CAUSE1",
     "CAUSE2",
     "DataValidationError",
-    "ObservationRecord",
     "CellIndex",
     "Dataset",
-    "cell_counts",
     "load_csv",
     "save_csv",
     "resample",
@@ -47,13 +43,6 @@ DEFAULT_COLUMNS = {"y": "time", "event": "event", "z": "treatment", "w": "instru
 
 class DataValidationError(ValueError):
     """Raised when input data violates the schema."""
-
-
-class ObservationRecord(NamedTuple):
-    y: float
-    event: int
-    z: int
-    w: int
 
 
 class CellIndex(NamedTuple):
@@ -191,13 +180,6 @@ class Dataset:
 
     # -- access helpers ------------------------------------------------
 
-    @property
-    def records(self) -> list[ObservationRecord]:
-        return [
-            ObservationRecord(float(a), int(b), int(c), int(d))
-            for a, b, c, d in zip(self.y, self.event, self.z, self.w)
-        ]
-
     def cell_mask(self, cell: CellIndex | tuple[int, int]) -> np.ndarray:
         zi, wi = cell
         return (self.z == zi) & (self.w == wi)
@@ -208,20 +190,6 @@ class Dataset:
             for zi in range(self.n_treatment_levels)
             for wi in range(self.n_instrument_levels)
         ]
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[ObservationRecord | tuple],
-        treatment_levels: Sequence,
-        instrument_levels: Sequence,
-        structural_zeros: Iterable[tuple[int, int]] = (),
-    ) -> "Dataset":
-        rows = [tuple(r) for r in records]
-        if not rows:
-            raise DataValidationError("empty record list")
-        y, event, z, w = (np.asarray(col) for col in zip(*rows))
-        return cls(y, event, z, w, treatment_levels, instrument_levels, structural_zeros)
 
 
 def swap_causes(data: Dataset) -> Dataset:
@@ -242,14 +210,6 @@ def swap_causes(data: Dataset) -> Dataset:
         data.instrument_levels,
         structural_zeros=data.structural_zeros,
     )
-
-
-def cell_counts(data: Dataset) -> dict[CellIndex, int]:
-    """Number of records in every (z, w) cell. Values sum to n."""
-    out: dict[CellIndex, int] = {}
-    for cell in data.cells():
-        out[cell] = int(np.count_nonzero(data.cell_mask(cell)))
-    return out
 
 
 def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
@@ -273,47 +233,28 @@ def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
 
 # -- CSV ingestion and serialization -----------------------------------
 
-# Bytes on which np.loadtxt and the csv module can read a file differently:
-# quotes; NUL (csv rejects it before Python 3.11, and numpy text drops it at
-# the end of a field); and the separators \x1c-\x1f, which np.loadtxt strips
-# around a number and float() does not. Blank lines need no guard: both
-# readers skip them, and the structured pass does so without a warning.
-_ROW_BY_ROW = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# a line end followed by a line that is not blank: the header has a record after it
-_RECORD = re.compile(rb"[\r\n]+[^\r\n]")
-# latin-1 passes every byte of the UTF-8 file to the parser as it is
-_LOADTXT = {"delimiter": ",", "comments": None, "skiprows": 1, "encoding": "latin1", "ndmin": 1}
-# the label columns' widths are sampled from the records in this many bytes at the file's start
-_HEAD_BYTES = 1 << 16
-_LABELS = ("event", "z", "w")
+# np.loadtxt splits and unquotes fields as the csv module does
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
+# bytes of the file read at a time: about 5,000 records of the built-in designs
+_CHUNK = 1 << 17
+_BLANK = ("\n", "\r", "\r\n")
+# str.splitlines ends a line at these as well
+_BREAKS = "\v\f\x1c\x1d\x1e\x85"
 _SAVE_CHUNK = 1 << 16
 
 
 def _coerce_labels(raw: list[str]) -> list:
-    try:
-        return [int(s) for s in raw]
-    except ValueError:
-        pass
-    try:
-        return [float(s) for s in raw]
-    except ValueError:
-        return raw
-
-
-def _first_appearance(labels: Iterable) -> list:
-    seen: list = []
-    for v in labels:
-        if v not in seen:
-            seen.append(v)
-    return seen
+    for kind in (int, float):
+        try:
+            return [kind(s) for s in raw]
+        except ValueError:
+            pass
+    return raw
 
 
 def _given_order(explicit: Sequence | None, side: dict | None, side_key: str) -> list | None:
-    if explicit is not None:
-        return list(explicit)
-    if side is not None and side_key in side:
-        return list(side[side_key])
-    return None
+    given = explicit if explicit is not None else (side or {}).get(side_key)
+    return None if given is None else list(given)
 
 
 def load_csv(
@@ -334,17 +275,14 @@ def load_csv(
     cells that are unreachable by design. ``event_labels`` optionally maps
     raw event strings to codes in {0, 1, 2}.
 
-    The body is parsed by one pass of numpy's C reader, with the time as
-    float64 and each of the other three columns as strings of 2, 4 or 8
-    bytes, the narrowest with room past the longest label in the file's
-    first rows: 14 bytes a record for one-character codes (a column with a
-    label that fills its width is read again, wider). A file that reader could read
-    differently from the csv module (quotes, NUL or the bytes \\x1c-\\x1f
-    anywhere in it, number text such as ``2_0``), or that fails a check, is
-    read row by row instead, which accepts it as before or names the
-    offending row. ``path`` must name a regular file, as it is read more
-    than once; anything else, such as a directory or a pipe, is rejected
-    before it is opened.
+    The body is parsed by numpy's C reader in chunks of whole lines: the
+    time as float64, the other three columns as 2-byte strings, widened
+    where a label fills its field. Labels are coded against registries kept
+    in order of first appearance. A record that fails a check is named by
+    its row, blank lines not counted: a time numpy cannot read (such as
+    ``2_0``), negative or not finite; an event code outside 0-2; too few
+    fields. ``path`` must name a regular file; anything else, such as a
+    directory or a pipe, is rejected before it is opened.
     """
     cols = dict(DEFAULT_COLUMNS)
     if schema:
@@ -355,35 +293,40 @@ def load_csv(
     if os.path.exists(path) and not os.path.isfile(path):
         raise DataValidationError(f"not a regular file: {path}")
 
-    sidecar = f"{path}.levels.json"
     side = None
     try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
+        with open(f"{path}.levels.json", "r", encoding="utf-8") as fh:
             side = json.load(fh)
     except FileNotFoundError:
         pass
 
     # utf-8-sig: a byte-order mark, as spreadsheet "CSV UTF-8" exports write, is not part of the first name
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = csv.DictReader(fh).fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
     if header is None:
         raise DataValidationError("missing header row")
     for logical, name in cols.items():
         if name not in header:
             raise DataValidationError(f"missing column '{name}' (for '{logical}')")
 
-    t_order = _given_order(treatment_order, side, "treatment_levels")
-    i_order = _given_order(instrument_order, side, "instrument_levels")
     # a repeated column name reads as its last copy, as in csv.DictReader
     position = {name: i for i, name in enumerate(header)}
-    usecols = [position[cols[key]] for key in ("y", "event", "z", "w")]
-    try:
-        parsed = _read_columns(path, usecols, event_labels, t_order, i_order)
-    except (ValueError, TypeError):
-        parsed = None
-    if parsed is None:
-        parsed = _read_rows(path, cols, event_labels, t_order, i_order)
-    y, event, z_idx, w_idx, t_levels, i_levels = parsed
+    body = _Body(header, [position[cols[key]] for key in ("y", "event", "z", "w")], event_labels, os.path.getsize(path))
+    with open(path, "rb") as fh:
+        skip = reader.line_num  # the header's lines
+        for block in _blocks(fh):
+            if not block.isascii():
+                block.decode("utf-8")  # raises on a byte that is not UTF-8, in any column
+            text = block.decode("latin-1")  # every byte passes to the parser as it is
+            # lines end at \r, \n and \r\n, as the csv module reads them
+            lines = list(io.StringIO(text, newline="")) if any(c in text for c in _BREAKS) else text.splitlines(True)
+            body.add(lines[skip:], len(block))
+            skip = max(0, skip - len(lines))
+    y, event, z_idx, w_idx, t_levels, i_levels = body.finish(
+        _given_order(treatment_order, side, "treatment_levels"),
+        _given_order(instrument_order, side, "instrument_levels"),
+    )
 
     zeros: set[tuple[int, int]] = set()
     declared = structural_zeros
@@ -398,120 +341,172 @@ def load_csv(
     return Dataset(y, event, z_idx, w_idx, t_levels, i_levels, zeros)
 
 
-def _read_columns(path, usecols: list[int], event_labels, t_order: list | None, i_order: list | None):
-    """``_read_rows``'s result without a Python object per row.
+def _blocks(fh):
+    """The file in blocks of whole lines, about ``_CHUNK`` bytes each, each ending past an even number of quotes."""
+    block = b""
+    while raw := fh.read(_CHUNK):
+        block += raw
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if cut and (block.find(b'"', 0, cut) < 0 or block.count(b'"', 0, cut) % 2 == 0):
+            yield block[:cut]
+            block = block[cut:]
+    yield block
 
-    The file is mapped and searched for single bytes only: it goes to the
-    row loop if it holds a quote, NUL or one of \\x1c-\\x1f, or no record
-    after the header, and a byte that is not UTF-8 raises. Then one
-    np.loadtxt pass parses the time column as float64 and the event,
-    treatment and instrument columns as strings of the widths that
-    ``_label_widths`` samples; only their distinct values reach Python.
-    Returns None, or raises ValueError or TypeError, wherever the row loop
-    could read the file differently or would raise, so that it runs instead.
+
+class _Labels:
+    """A label column's strings in order of first appearance, with the record each first appears in.
+
+    Its fields are parsed ``width`` bytes wide; at 2, ``table`` holds each field
+    value's string index, so that a chunk without a new string is one lookup.
     """
-    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
-        if any(raw.find(b) >= 0 for b in _ROW_BY_ROW) or not _RECORD.search(raw):
+
+    def __init__(self):
+        self.width, self.strings, self.index, self.first = 2, [], {}, []
+        # a string that leaves a 2-byte field unfilled is one byte or none: there are few
+        self.table = np.full(1 << 16, -1, np.int16)
+
+    def code(self, field: np.ndarray, start: int) -> np.ndarray | None:
+        """Each record's string index in a chunk's field, its records from start; None if a new string fills it.
+
+        Such a string may have been cut: the field is widened fourfold.
+        """
+        keys = field.view(f"<u{self.width}") if self.width in (2, 8) else field
+        if self.width == 2 and (codes := np.take(self.table, keys)).min() >= 0:
+            return codes
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        strings = distinct.view(field.dtype).tolist()
+        if any(len(s) == self.width for s in strings):
+            self.width *= 4
             return None
-        if np.frombuffer(raw, np.uint8).max() >= 0x80:
-            str(raw, "utf-8")  # the row loop raises on a byte that is not UTF-8, in any column
-        widths = _label_widths(raw[:_HEAD_BYTES], usecols[1:])
+        strings = [s.decode("utf-8") for s in strings]
+        for j in np.argsort(first).tolist():
+            if strings[j] not in self.index:
+                self.index[strings[j]] = len(self.strings)
+                self.strings.append(strings[j])
+                self.first.append(start + int(first[j]))
+        lut = np.array([self.index[s] for s in strings])
+        if self.width == 2:
+            self.table[distinct] = lut
+        return lut[inverse]
 
-    fields = np.dtype([("y", "f8")] + [(name, f"S{width}") for name, width in zip(_LABELS, widths)])
-    parsed = np.loadtxt(path, dtype=fields, usecols=usecols, **_LOADTXT)
-    if not (np.isfinite(parsed["y"]) & (parsed["y"] >= 0)).all():
-        return None
-    # the text columns are read as views of the record array, which goes
-    # once their codes and an owned copy of the times are taken
-    ev_col, z_col, w_col = _distinct_text(path, usecols[1:], [parsed[name] for name in _LABELS])
-    y = parsed["y"].copy()
-    del parsed
-
-    strings, _, inverse = ev_col
-    codes = [
-        int(event_labels[s]) if event_labels is not None and s in event_labels else int(s)
-        for s in strings
-    ]
-    if not set(codes) <= {CENSORED, CAUSE1, CAUSE2}:
-        return None
-    event = np.array(codes, dtype=code_type(3))[inverse]
-
-    z = _level_codes(z_col, t_order)
-    w = _level_codes(w_col, i_order)
-    if z is None or w is None:
-        return None
-    return y, event, z[1], w[1], z[0], w[0]
-
-
-def _label_widths(head: bytes, usecols: list[int]) -> list[int]:
-    """A width of 2, 4 or 8 bytes per label column: the narrowest longer than its fields in the records of head.
-
-    head is the file's first bytes, split at commas (the file has no
-    quotes); the header and the last line, which may be cut, are left out.
-    A field of the width itself would fill it, as a cut label does, so
-    one-character codes take 2 bytes.  The widths only save memory: a
-    column with a longer label further on is read again, wider.
-    """
-    rows = [line.split(b",") for line in head.splitlines()[1:-1]]
-    longest = [max((len(r[col]) for r in rows if col < len(r)), default=0) for col in usecols]
-    return [next(w for w in (2, 4) if w > n) if n < 4 else 8 for n in longest]
+    def levels(self, codes: np.ndarray, order: list | None, what: str) -> tuple[list, np.ndarray]:
+        """(level registry, each record's level) from its string index; the strings are coerced as one column."""
+        labels = _coerce_labels(self.strings)
+        if order is None:
+            # the registry holds a NaN label once per record, no NaN being equal to another
+            order = list(dict.fromkeys(labels)) + [
+                lab for j, lab in enumerate(labels) if lab != lab for _ in range(np.count_nonzero(codes == j) - 1)
+            ]
+        lookup = {lab: i for i, lab in enumerate(order)}
+        if missing := [j for j, lab in enumerate(labels) if lab not in lookup]:
+            j = min(missing, key=self.first.__getitem__)
+            raise DataValidationError(
+                f"row {self.first[j] + 1}: {what} level {labels[j]!r} not in the supplied ordering"
+            )
+        lut = np.array([lookup[lab] for lab in labels], code_type(len(order)))
+        return order, codes if codes.dtype == lut.dtype and (lut == np.arange(lut.size)).all() else lut[codes]
 
 
-def _distinct_text(path, usecols: list[int], columns: list[np.ndarray]) -> list[tuple]:
-    """(distinct strings, first row of each, per-row index into them) per text column.
+class _Body:
+    """A CSV body's records, added a chunk of lines at a time to arrays sized from the file's length."""
 
-    ``columns`` are the columns at ``usecols`` as strings of 2, 4 or 8
-    bytes, parsed through latin-1 so that every byte of the UTF-8 file
-    passes as it is. Their distinct values are found on each string viewed
-    as one unsigned integer of its width, so no strings are sorted, and
-    only they are decoded. A distinct value that fills the width may have
-    been cut; then that column alone is read again, four times as wide,
-    until none does.
-    """
-    out = []
-    for usecol, col in zip(usecols, columns):
-        distinct, first, inverse = _distinct(col.view(f"<u{col.dtype.itemsize}"))
-        strings = distinct.view(col.dtype).tolist()
-        width = col.dtype.itemsize
-        while any(len(s) == width for s in strings):
-            width *= 4
-            distinct, first, inverse = _distinct(np.loadtxt(path, dtype=f"S{width}", usecols=usecol, **_LOADTXT))
-            strings = distinct.tolist()
-        out.append(([s.decode("utf-8") for s in strings], first, inverse))
-    return out
+    def __init__(self, header: list[str], usecols: list[int], event_labels, size: int):
+        self.header, self.usecols, self.event_labels, self.size = header, usecols, event_labels, size
+        self.labels = [_Labels(), _Labels(), _Labels()]  # event, treatment, instrument
+        self.events: list[int] = []  # each event string's code
+        self.n = self.bytes = 0  # the records so far, and the bytes of their lines
+        self.arrays: list[np.ndarray] = []  # y, event, and each record's treatment and instrument string index
+
+    def add(self, lines: list[str], size: int) -> None:
+        """Parse, check and code a chunk of whole lines, of size bytes; parse it again while a label column widens."""
+        self.bytes += size
+        if all(line in _BLANK for line in lines):
+            return  # np.loadtxt warns on input without a record
+        seen = len(self.events)
+        while True:
+            fields = np.dtype([("y", "f8")] + [(f"label{i}", f"S{c.width}") for i, c in enumerate(self.labels)])
+            try:
+                parsed = np.loadtxt(lines, dtype=fields, usecols=self.usecols, **_LOADTXT)
+            except ValueError:
+                raise self._rejected(lines, fields) from None
+            codes = [c.code(parsed[f"label{i}"], self.n) for i, c in enumerate(self.labels)]
+            if all(got is not None for got in codes):
+                break
+
+        start, stop = self.n, self.n + parsed.size
+        room = stop * self.size * 17 // (16 * self.bytes)  # the file's length at the records per byte so far, and 1/16
+        if not self.arrays:  # from numpy's allocator, which asks for huge pages
+            self.arrays = [np.empty(room, t) for t in (np.float64, np.int8, np.int8, np.int8)]
+        elif stop > self.arrays[0].size:
+            for a in self.arrays:
+                a.resize(room, refcheck=False)
+        y = self.arrays[0][start:stop]
+        y[...] = parsed["y"]
+        bad = ~(np.isfinite(y) & (y >= 0))
+        errors = {int(np.argmax(bad)): None} if bad.any() else {}  # a row's time is checked before its event
+        for s, first in zip(self.labels[0].strings[seen:], self.labels[0].first[seen:]):
+            if self.event_labels is not None and s in self.event_labels:
+                code = int(self.event_labels[s])
+            else:
+                try:
+                    code = int(s)
+                except ValueError:
+                    errors.setdefault(first - start, f"non-integer event code {s!r}")
+                    continue
+            if code not in (CENSORED, CAUSE1, CAUSE2):
+                errors.setdefault(first - start, f"event code must be in {{0, 1, 2}}, got {s}")
+            self.events.append(code)
+        if errors:
+            k = min(errors)
+            if errors[k] is None:
+                errors[k] = f"follow-up time must be finite and >= 0, got {_rows(lines)[k][self.usecols[0]]}"
+            raise DataValidationError(f"row {start + k + 1}: {errors[k]}")
+
+        self.arrays[1][start:stop] = np.take(self.events, codes[0])
+        for i in (2, 3):
+            dtype = code_type(len(self.labels[i - 1].strings))
+            if dtype.itemsize > self.arrays[i].dtype.itemsize:
+                self.arrays[i] = self.arrays[i].astype(dtype)
+            self.arrays[i][start:stop] = codes[i - 1]
+        self.n = stop
+
+    def _rejected(self, lines: list[str], fields: np.dtype) -> DataValidationError:
+        """The error naming the first record np.loadtxt rejects (a time it cannot read, too few fields).
+
+        Its line is found by bisection; a record before it that fails a check is named instead.
+        """
+        lines = [line for line in lines if line not in _BLANK]
+        good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                np.loadtxt(lines[:mid], dtype=fields, usecols=self.usecols, **_LOADTXT)
+                good = mid
+            except ValueError:
+                bad = mid
+        self.add(lines[:good], 0)
+        row = _rows(lines[good:])[0]
+        missing = [c for c in self.usecols if c >= len(row)]
+        if missing:
+            return DataValidationError(f"row {self.n + 1}: no field for column {self.header[min(missing)]!r}")
+        return DataValidationError(f"row {self.n + 1}: non-numeric follow-up time {row[self.usecols[0]]!r}")
+
+    def finish(self, t_order: list | None, i_order: list | None) -> tuple:
+        """(y, event, z, w, treatment levels, instrument levels) of the records read, leaving the body empty."""
+        if self.n == 0:
+            raise DataValidationError("empty record list")
+        for a in self.arrays:
+            a.resize(self.n, refcheck=False)
+        (y, event, z, w), self.arrays = self.arrays, []
+        t_levels, z = self.labels[1].levels(z, t_order, "treatment")
+        i_levels, w = self.labels[2].levels(w, i_order, "instrument")
+        self.labels = []
+        return y, event, z, w, t_levels, i_levels
 
 
-# up to this many distinct keys, each row's index is summed from one comparison per key.
-# On 10^6 rows (one CPU, numpy 2.4) the sum took 0.9 ms at 2 keys, 5.5 at 8 and 11.6 at
-# 16; the search 7.9, 9.8 and 11.2 ms when rows come grouped by key, and 18.6, 33.8 and
-# 45.4 ms when they come shuffled.  Past 16 keys the search wins on grouped rows (11.6
-# against 14.4 ms at 20, 13.6 against 48.1 at 64), on shuffled rows only past about 90.
-_FEW_KEYS = 16
-
-
-def _distinct(keys: np.ndarray) -> tuple:
-    """``np.unique(keys, return_index=True, return_inverse=True)`` of a 1-d array, without its stable argsort.
-
-    The distinct keys come from one sort.  The inverse is held in the
-    narrowest unsigned type that fits.  With few keys it counts the keys at
-    or below each row's, one comparison pass per key, and the first row of
-    each index is the ``argmax`` of one more pass; with many, it is a
-    ``searchsorted`` and the first rows one ``minimum.at``.
-    """
-    ascending = np.sort(keys)
-    distinct = np.compress(_run_flags(ascending), ascending)
-    del ascending
-    index_type = np.min_scalar_type(distinct.size - 1)
-    if distinct.size > _FEW_KEYS:
-        inverse = np.searchsorted(distinct, keys).astype(index_type)
-        first = np.full(distinct.shape, keys.size, dtype=np.intp)
-        np.minimum.at(first, inverse, np.arange(keys.size))
-        return distinct, first, inverse
-    inverse = np.zeros(keys.shape, index_type)
-    for key in distinct[1:]:
-        inverse += keys >= key
-    first = np.array([np.argmax(inverse == j) for j in range(distinct.size)], dtype=np.intp)
-    return distinct, first, inverse
+def _rows(lines: list[str]) -> list[list[str]]:
+    """The csv module's rows of the latin-1 lines, blank ones skipped."""
+    return [row for row in csv.reader(line.encode("latin-1").decode("utf-8") for line in lines) if row]
 
 
 def _run_flags(x: np.ndarray) -> np.ndarray:
@@ -519,82 +514,6 @@ def _run_flags(x: np.ndarray) -> np.ndarray:
     new = np.ones(x.shape, dtype=bool)
     np.not_equal(x[1:], x[:-1], out=new[1:])
     return new
-
-
-def _level_codes(column: tuple, order: list | None):
-    """(registry, per-row index) of one label column, from its distinct strings.
-
-    None where the row loop could differ: a NaN label, which it enters in a
-    first-appearance registry once per row, or a label missing from
-    ``order``, whose first row it names.
-    """
-    strings, first, inverse = column
-    labels = _coerce_labels(strings)
-    if any(lab != lab for lab in labels):
-        return None
-    if order is None:
-        # a label's first row is the earliest row of any string coercing to it
-        order = _first_appearance(labels[j] for j in np.argsort(first).tolist())
-    lookup = {lab: i for i, lab in enumerate(order)}
-    if any(lab not in lookup for lab in labels):
-        return None
-    return order, np.array([lookup[lab] for lab in labels], dtype=code_type(len(order)))[inverse]
-
-
-def _read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: list | None):
-    """``load_csv``'s body parsed one csv row at a time.
-
-    The reference for ``_read_columns``, and the path that reads what it
-    declines: it names the first offending row of a bad file.
-    """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        y_raw: list[float] = []
-        e_raw: list[int] = []
-        z_raw: list[str] = []
-        w_raw: list[str] = []
-        for i, row in enumerate(csv.DictReader(fh), start=1):
-            s = row[cols["y"]]
-            try:
-                yv = float(s)
-            except (TypeError, ValueError):
-                raise DataValidationError(f"row {i}: non-numeric follow-up time {s!r}") from None
-            if not np.isfinite(yv) or yv < 0:
-                raise DataValidationError(f"row {i}: follow-up time must be finite and >= 0, got {s}")
-            ev_s = row[cols["event"]]
-            if event_labels is not None and ev_s in event_labels:
-                ev = int(event_labels[ev_s])
-            else:
-                try:
-                    ev = int(ev_s)
-                except (TypeError, ValueError):
-                    raise DataValidationError(f"row {i}: non-integer event code {ev_s!r}") from None
-            if ev not in (0, 1, 2):
-                raise DataValidationError(f"row {i}: event code must be in {{0, 1, 2}}, got {ev_s}")
-            y_raw.append(yv)
-            e_raw.append(ev)
-            z_raw.append(row[cols["z"]])
-            w_raw.append(row[cols["w"]])
-
-    if not y_raw:
-        raise DataValidationError("empty record list")
-
-    z_labels = _coerce_labels(z_raw)
-    w_labels = _coerce_labels(w_raw)
-    t_levels = _first_appearance(z_labels) if t_order is None else t_order
-    i_levels = _first_appearance(w_labels) if i_order is None else i_order
-
-    def index_of(labels: list, registry_: list, what: str) -> np.ndarray:
-        lookup = {lab: i for i, lab in enumerate(registry_)}
-        out = np.empty(len(labels), dtype=code_type(len(registry_)))
-        for i, lab in enumerate(labels):
-            if lab not in lookup:
-                raise DataValidationError(f"row {i + 1}: {what} level {lab!r} not in the supplied ordering")
-            out[i] = lookup[lab]
-        return out
-
-    z_idx = index_of(z_labels, t_levels, "treatment")
-    w_idx = index_of(w_labels, i_levels, "instrument")
-    return np.array(y_raw), np.array(e_raw, dtype=code_type(3)), z_idx, w_idx, t_levels, i_levels
 
 
 def _csv_line(fields: list) -> str:

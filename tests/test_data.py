@@ -5,7 +5,6 @@ import os
 import signal
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from crqiv import data as data_module
 from crqiv.data import (
     DataValidationError,
     Dataset,
-    cell_counts,
     load_csv,
     resample,
     save_csv,
@@ -24,6 +22,7 @@ from crqiv.data import (
 )
 from crqiv.estimator import QuantileGrid, fit_curve
 from crqiv.simulate import DgpSpec, generate
+from tests._reference_csv import load_rows
 
 
 def toy(y=(1.0, 2.0, 3.0, 4.0), event=(1, 2, 0, 1), z=(0, 1, 0, 1), w=(0, 0, 1, 1)):
@@ -124,7 +123,9 @@ def test_code_columns_are_held_narrow():
                    [(1, k) for k in range(0, 200, 2)] + [(0, k) for k in range(1, 200, 2)])
     assert many.z.dtype == np.int8 and many.w.dtype == np.int16 and many.w.tolist() == list(range(200))
     sim, _ = generate(DgpSpec(design=2, n=500, seed=0))
-    records = Dataset.from_records(sim.records, [0, 1], [0, 1], sim.structural_zeros)
+    # columns of Python numbers, as from a list of record tuples
+    records = Dataset(*(np.asarray(c.tolist()) for c in (sim.y, sim.event, sim.z, sim.w)), [0, 1], [0, 1],
+                      sim.structural_zeros)
     for d2 in (sim, resample(sim, np.random.default_rng(0)), swap_causes(sim), records):
         assert d2.event.dtype == d2.z.dtype == d2.w.dtype == np.int8
 
@@ -137,7 +138,7 @@ def test_cell_counts_balanced():
         np.arange(1.0, 9.0), [1] * 8, [0, 0, 1, 1, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1, 0, 1],
         [0, 1], [0, 1],
     )
-    assert all(c == 2 for c in cell_counts(d).values())
+    assert all(np.count_nonzero(d.cell_mask(c)) == 2 for c in d.cells())
 
 
 def test_resample_deterministic_and_shape():
@@ -179,14 +180,10 @@ def test_swap_causes_is_involution():
 
 
 def test_from_records_round_trip():
-    d = Dataset.from_records(
-        [(1.5, 1, 0, 0), (2.5, 0, 1, 0), (0.5, 2, 0, 1), (1.0, 1, 1, 1)],
-        [0, 1], [0, 1],
-    )
+    records = [(1.5, 1, 0, 0), (2.5, 0, 1, 0), (0.5, 2, 0, 1), (1.0, 1, 1, 1)]
+    d = Dataset(*(np.asarray(c) for c in zip(*records)), [0, 1], [0, 1])
     assert d.n == 4
-    assert [tuple(r) for r in d.records] == [
-        (1.5, 1, 0, 0), (2.5, 0, 1, 0), (0.5, 2, 0, 1), (1.0, 1, 1, 1)
-    ]
+    assert list(zip(d.y.tolist(), d.event.tolist(), d.z.tolist(), d.w.tolist())) == records
 
 
 # -- CSV I/O ------------------------------------------------------------
@@ -278,15 +275,15 @@ def test_csv_round_trip_property(tmp_path_factory, rows):
     assert np.array_equal(back.event, d.event)
 
 
-# -- columnar reader against the row loop --------------------------------
+# -- the chunked reader against the row loop ------------------------------
 
 
-def _outcome(path, **kwargs):
-    """What load_csv returns, bit for bit, or the error it raises; a warning is an error."""
+def _outcome(path, load=load_csv, **kwargs):
+    """What load returns, bit for bit, or the error it raises; a warning is an error."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = load_csv(path, **kwargs)
+            d = load(path, **kwargs)
     except Exception as exc:  # both readers must fail alike, whatever the error
         return ("error", type(exc).__name__, str(exc))
     arrays = tuple((a.dtype.str, a.tobytes()) for a in (d.y, d.event, d.z, d.w))
@@ -294,25 +291,26 @@ def _outcome(path, **kwargs):
 
 
 def _row_loop_outcome(path, **kwargs):
-    with mock.patch.object(data_module, "_read_columns", return_value=None):
-        return _outcome(path, **kwargs)
+    """What the reference reader, one csv row at a time, returns or raises."""
+    return _outcome(path, load_rows, **kwargs)
 
 
-# odd field text: each either read alike by both readers or declined by the columnar one
+# odd field text that both readers read alike; the text they read
+# differently is pinned in examples of the differential test
 _TIME_TEXT = st.sampled_from([
-    "1", "2.5", "0", "-0.0", " 3", "4 ", "\t7", "2_0", "1e3", "+5", ".5", "#5", "1e-400",
-    "nan", "inf", "-inf", "-1", "", "x", "1\x1c", "\x1f2", "\u0663", "\xa08", "5\x00",
+    "1", "2.5", "0", "-0.0", " 3", "4 ", "\t7", "1e3", "+5", ".5", "#5", "1e-400",
+    "nan", "inf", "-inf", "-1", "", "x", "5\x00",
 ])
 _EVENT_TEXT = st.sampled_from(
     ["0", "1", "2", "1.0", "+1", " 1", "2 ", "01", "3", "03", "+3", "-1", "", "x", "fail", "cens", "1_0", "nan"]
 )
 _LABEL_TEXT = st.sampled_from([
     "0", "1", "2", "01", "+1", " 1", "1.0", "1.5", "-0.0", "0.0", "a", "b", "a,b",
-    'say "hi"', "#x", "x#", "nan", "NaN", "inf", "\xe9", "", "1_0", "b\x00",
+    'say "hi"', "#x", "x#", "nan", "NaN", "inf", "\xe9", "", "1_0",
     "abcdefg", "abcdefgh", "abcdefghi", "caf\xe9 au", "\u20ac\u20ac\u20ac",
 ])
 _LEVEL_PAIRS = [("0", "1"), ("a", "b"), ("a,b", 'say "hi"'), ("1", "01"), ("-0.0", "0.0"), ("0", "1.5"), ("b", "a"),
-                ("nan", "1.5"), ("a", "a\x00"), ("control", "treated"), ("placebo_a", "placebo_b"),
+                ("nan", "1.5"), ("control", "treated"), ("placebo_a", "placebo_b"),
                 ("\xe9t\xe9", "hiver"), ("abcdefgh1", "abcdefgh2")]
 
 
@@ -399,11 +397,30 @@ def _case(*rows, header="time,event,treatment,instrument", nl="\n", **kwargs):
     return header + nl + nl.join([*rows, *block]) + nl, kwargs, None
 
 
+def _changed(case, now):
+    """A case that load_csv reads otherwise than the row loop: now is the error it raises, or a case read as it is."""
+    return (*case, now)
+
+
+def _write(directory, case):
+    text, _, sidecar = case[:3]
+    p = directory / "d.csv"
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    if sidecar is not None:
+        (directory / "d.csv.levels.json").write_text(json.dumps(sidecar))
+    return p
+
+
+def _error(message, kind="DataValidationError"):
+    return ("error", kind, message)
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 9056: invalid start byte"
+
+
 @settings(max_examples=400, deadline=None)
 @given(_csv_files())
 @example(("time,event,treatment,instrument\r\n", {}, None))
-@example(_case("1\x1c,1,0,0"))  # np.loadtxt reads 1.0, float() rejects it
-@example(_case("2_0,1,0,0"))  # float() reads 20.0, np.loadtxt rejects it
 @example(_case("-1,1,0,0"))
 @example(_case("nan,1,0,0"))
 @example(_case("3,+3,0,0"))
@@ -411,15 +428,12 @@ def _case(*rows, header="time,event,treatment,instrument", nl="\n", **kwargs):
 @example(_case("3, 1 ,0 ,\t1"))
 @example(_case('3,1,"0",1', '3,1,"1,0",1'))
 @example(_case('3,1,0,"say ""hi"""', '3,1,1,"say ""hi"""'))
-@example(_case("3,1,0,1\x00"))
 @example(_case("3,1,0,#x", "3,1,0,#x", "", nl="\r\n"))
 @example(_case("3,1,nan,0", "3,1,nan,1"))
 @example(_case("3,1,0,0,extra", "", header="\ufefftime,event,treatment,instrument", schema={"y": "\ufefftime"}))
-@example(_case("3,1,0,0", header="x,event,treatment,instrument,time", event_labels={"1": 2}))
 @example(_case("3,1,0,0", "", "", "3,1,1,1", "", nl="\r\n"))  # blank lines between records
 @example(_case("3,1,0,0", "", "", "3,1,1,1", "", nl="\r"))
 @example(("time,event,treatment,instrument\r\n\r\n\n", {}, None))  # blank lines and no record
-@example(_case("3,1,0,0", " ", "3,1,1,1"))  # a whitespace-only line
 @example(_case("3,1,abcdefgh,0", "3,1,abcdefgh,1"))  # an 8-byte label beside 1-byte ones
 @example(_case("3,censored_x,0,0", event_labels={"censored_x": 0}))  # an event label past 8 bytes
 # labels whose first appearance is not their sorted order, in both label columns
@@ -429,53 +443,59 @@ def _case(*rows, header="time,event,treatment,instrument", nl="\n", **kwargs):
                  for w in (0, 1))))
 # thousands of distinct instrument labels, first seen in no sorted order
 @example(_case(*(f"{1 + j % 7},{j % 3},{z},i{j * 7919 % 2003}" for j in range(2003) for z in (0, 1))))
-# a byte that is not UTF-8, in a column neither reader parses, past the header's first 8 KiB read
-@example((b"time,event,treatment,instrument,note\n1.5,1,0,1," + b"x" * 9000 + b"\n3,1,0,0,\xff\n3.5,2,1,0,x\n4.5,0,1,1,x\n",
-          {}, None))
+# a bad event before a row whose time np.loadtxt rejects, in the same chunk: the earlier row is named
+@example(_case("3,x,0,0", "x,1,0,0"))
+# labels holding characters at which str.splitlines, and not the csv module, ends a line
+@example(_case("3,1,a\x0bb,0", "3,1,a\x0cb,1", "3,2,c\x1ed,1", "3,0,\xc5,0", "3,1,\xc5,1"))
+# the cases read otherwise than by the row loop, each with its new outcome:
+# \x1c-\x1f beside a number, which np.loadtxt strips and float() does not
+@example(_changed(_case("1\x1c,1,0,0"), _case("1,1,0,0")))
+@example(_changed(_case("\x1f2,1,0,0"), _case("2,1,0,0")))
+# number text that float() reads and np.loadtxt does not: underscores, non-ASCII digits and spaces
+@example(_changed(_case("2_0,1,0,0"), _error("row 1: non-numeric follow-up time '2_0'")))
+@example(_changed(_case("\u0663,1,0,0"), _error("row 1: non-numeric follow-up time '\u0663'")))
+@example(_changed(_case("\xa08,1,0,0"), _error("row 1: non-numeric follow-up time '\\xa08'")))
+# NUL that ends a label or an event code, which the parsed fields drop
+@example(_changed(_case("3,1,0,1\x00"), _case("3,1,0,1")))
+@example(_changed(_case("3,1,a,0", "3,1,a\x00,1", "3,1,b,0", "3,1,b,1", header="time,event,instrument,treatment"),
+                  _case("3,1,a,0", "3,1,a,1", "3,1,b,0", "3,1,b,1", header="time,event,instrument,treatment")))
+@example(_changed(_case("3,1\x00,0,0"), _case("3,1,0,0")))
+# rows with too few fields for the columns read, a whitespace-only line among them
+@example(_changed(_case("3,1,0,0", " ", "3,1,1,1"), _error("row 2: no field for column 'event'")))
+@example(_changed(_case("3,1,0"), _error("row 1: no field for column 'instrument'")))
+@example(_changed(_case("3,1"), _error("row 1: no field for column 'treatment'")))
+@example(_changed(_case("3,1,0,0", header="x,event,treatment,instrument,time", event_labels={"1": 2}),
+                  _error("row 1: no field for column 'time'")))
+# a byte that is not UTF-8, in a column neither reader parses, past the header's first 8 KiB read:
+# the position is now counted from the start of the file's first chunk
+@example(_changed((b"time,event,treatment,instrument,note\n1.5,1,0,1," + b"x" * 9000
+                   + b"\n3,1,0,0,\xff\n3.5,2,1,0,x\n4.5,0,1,1,x\n", {}, None), _error(_NOT_UTF8, "UnicodeDecodeError")))
 def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
-    text, kwargs, sidecar = case
-    p = tmp_path_factory.mktemp("diff") / "d.csv"
-    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-    if sidecar is not None:
-        (p.parent / "d.csv.levels.json").write_text(json.dumps(sidecar))
-    assert _outcome(p, **kwargs) == _row_loop_outcome(p, **kwargs)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 12), min_size=1, max_size=60), st.sampled_from(["<u8", "S3"]))
-def test_distinct_labels_match_unique(values, dtype):
-    keys = np.array(values, dtype=np.uint64) if dtype == "<u8" else np.array([str(v).encode() for v in values], dtype)
-    got, want = data_module._distinct(keys), np.unique(keys, return_index=True, return_inverse=True)
-    # the inverse is held in the narrowest unsigned type that indexes the distinct keys
-    dtypes = (want[0].dtype, want[1].dtype, np.min_scalar_type(want[0].size - 1))
-    for a, b, dtype in zip(got, want, dtypes):
-        assert a.dtype == dtype and np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("distinct", [16, 17, 300])
-def test_distinct_keys_past_the_comparison_sum_match_unique(distinct):
-    keys = np.random.default_rng(distinct).integers(0, distinct, 5_000).astype(np.uint64)
-    keys[:distinct] = np.arange(distinct)[::-1]  # every key present
-    got, want = data_module._distinct(keys), np.unique(keys, return_index=True, return_inverse=True)
-    assert got[2].dtype == np.min_scalar_type(distinct - 1)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    text, kwargs, sidecar, *now = case
+    p = _write(tmp_path_factory.mktemp("diff"), case)
+    before = _row_loop_outcome(p, **kwargs)
+    if not now:
+        assert _outcome(p, **kwargs) == before
+        return
+    (now,) = now
+    want = now if now[0] == "error" else _row_loop_outcome(_write(tmp_path_factory.mktemp("now"), now), **kwargs)
+    assert want != before  # the change is real
+    assert _outcome(p, **kwargs) == want
 
 
 @pytest.mark.parametrize("labels", [
-    ["placebo_a", "placebo_b"],  # 9 bytes, alike in the first 8: read again, wider
+    ["placebo_a", "placebo_b"],  # 9 bytes, alike in the first 8
     ["abcdefgh", "abcdefg"],  # exactly 8 bytes
-    ["\xe9t\xe9", "\u20ac"],  # non-ASCII, under 8 bytes
-    ["\u20ac\u20ac\u20ac", "\u20ac\u20ac\u20ac\u20ac"],  # non-ASCII, 9 and 12 bytes
+    ["\xe9t\xe9", "€"],  # non-ASCII, under 8 bytes
+    ["€€€", "€€€€"],  # non-ASCII, 9 and 12 bytes
 ])
 def test_long_and_non_ascii_labels_read_alike(tmp_path, labels):
     d = Dataset((1.0, 2.5, 0.25, 4.0, 3.0), (1, 2, 0, 1, 2), (0, 1, 0, 1, 0), (0, 0, 1, 1, 1), labels, labels[::-1])
     p = tmp_path / "long.csv"
     save_csv(d, p)
     (tmp_path / "long.csv.levels.json").unlink()
-    assert data_module._read_columns(p, [0, 1, 2, 3], None, None, None) is not None
-    fast = _outcome(p)
-    assert fast[0] == "ok" and fast == _row_loop_outcome(p)
+    got = _outcome(p)
+    assert got[0] == "ok" and got == _row_loop_outcome(p)
     back = load_csv(p)
     assert back.treatment_levels == labels and back.instrument_levels == labels[::-1]
     assert back.z.tolist() == d.z.tolist() and back.w.tolist() == d.w.tolist()
@@ -489,21 +509,18 @@ def _label_file(path, z_labels, w_labels, events=("1", "2", "0", "1"), rows=40, 
     path.write_text("\n".join([*lines, *late]) + "\n", encoding="utf-8")
 
 
-def _read_alike(path, event_labels=None):
-    """``_read_columns``' result, checked to be ``_read_rows``' bit for bit."""
-    fast = data_module._read_columns(path, [0, 1, 2, 3], event_labels, None, None)
-    slow = data_module._read_rows(path, dict(data_module.DEFAULT_COLUMNS), event_labels, None, None)
-    assert fast is not None
-    for a, b in zip(fast[:4], slow[:4]):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert fast[4:] == slow[4:]
-    return fast
+def _read_alike(path, **kwargs):
+    """load_csv's dataset, checked to be the row loop's bit for bit."""
+    got = _outcome(path, **kwargs)
+    assert got[0] == "ok" and got == _row_loop_outcome(path, **kwargs)
+    return load_csv(path, **kwargs)
 
 
-# rows enough that the later ones lie past the bytes the label widths are sampled from
-_PAST_HEAD = data_module._HEAD_BYTES // 8 + 100
+# rows of _label_file enough that the later ones lie past the first chunk of the file
+_PAST_CHUNK = data_module._CHUNK // 8 + 100
 
 
+# width names each case: the narrowest of 2, 4 and 8 bytes with room past its labels
 @pytest.mark.parametrize("z_labels, w_labels, width", [
     (["a", "b"], ["x", "y"], 2),  # one-character codes: 14 bytes a record
     (["ab", "cd"], ["xy", "xz"], 4),
@@ -513,43 +530,42 @@ _PAST_HEAD = data_module._HEAD_BYTES // 8 + 100
 def test_sized_label_read_matches_row_loop(tmp_path, z_labels, w_labels, width):
     p = tmp_path / "sized.csv"
     _label_file(p, z_labels, w_labels)
-    assert data_module._label_widths(p.read_bytes(), [1, 2, 3]) == [2, width, width]
-    assert _read_alike(p)[4:] == (z_labels, w_labels)
+    back = _read_alike(p)
+    assert (back.treatment_levels, back.instrument_levels) == (z_labels, w_labels)
 
 
-@pytest.mark.parametrize("late", ["ab", "abcd", "treatment_long_label", "\u20ac", "\xe9"])
+@pytest.mark.parametrize("late", ["ab", "abcd", "treatment_long_label", "€", "\xe9"])
 def test_label_past_the_sampled_width_reads_alike(tmp_path, late):
-    # a label longer than the sampled width, first met after the sampled bytes,
-    # fills its width as it is cut, so that the column is read again, wider
+    # a label that fills the 2-byte field, first met in a later chunk, is
+    # cut there, so that the chunk is parsed again with the field wider
     p = tmp_path / "late.csv"
-    _label_file(p, ["a", "b"], ["x", "y"], rows=_PAST_HEAD, late=[f"5,1,{late},x", f"6,2,{late},y"])
-    head = p.read_bytes()[:data_module._HEAD_BYTES]
-    assert late.encode() not in head and data_module._label_widths(head, [1, 2, 3]) == [2, 2, 2]
-    assert _read_alike(p)[4] == ["a", "b", late]
+    _label_file(p, ["a", "b"], ["x", "y"], rows=_PAST_CHUNK, late=[f"5,1,{late},x", f"6,2,{late},y"])
+    assert late.encode() not in p.read_bytes()[:data_module._CHUNK]
+    assert _read_alike(p).treatment_levels == ["a", "b", late]
 
 
+# width names each case: the narrowest of 2, 4 and 8 bytes with room past its event labels
 @pytest.mark.parametrize("events, width, late", [
     (("f", "k", "c"), 2, ()),
     (("one", "two", "nil"), 4, ()),
     (("fail", "comp", "cens"), 8, ()),
-    (("f", "k", "c"), 2, ("7,censored_late,a,x",)),  # a long event label past the sampled bytes
+    (("f", "k", "c"), 2, ("7,censored_late,a,x",)),  # a long event label past the first chunk
 ])
 def test_event_label_strings_read_alike(tmp_path, events, width, late):
     p = tmp_path / "events.csv"
     codes = {"f": 1, "k": 2, "c": 0, "one": 1, "two": 2, "nil": 0, "fail": 1, "comp": 2, "cens": 0, "censored_late": 0}
-    _label_file(p, ["a", "b"], ["x", "y"], events=events, rows=_PAST_HEAD if late else 40, late=late)
-    assert data_module._label_widths(p.read_bytes()[:data_module._HEAD_BYTES], [1, 2, 3]) == [width, 2, 2]
-    event = _read_alike(p, codes)[1]
-    assert set(event.tolist()) == {0, 1, 2}
+    _label_file(p, ["a", "b"], ["x", "y"], events=events, rows=_PAST_CHUNK if late else 40, late=late)
+    assert set(_read_alike(p, event_labels=codes).event.tolist()) == {0, 1, 2}
 
 
 def test_round_trip_with_quoted_levels_reads_row_by_row(tmp_path):
+    # quoted labels, with a comma and with doubled quotes, load through the one reader
     d = Dataset((1.0, 2.5, 0.25, 4.0), (1, 2, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), ["a,b", 'say "hi"'], ["x", "y"])
     p = tmp_path / "q.csv"
     save_csv(d, p)
     assert '"a,b"' in p.read_text() and '"say ""hi"""' in p.read_text()
-    assert data_module._read_columns(p, [0, 1, 2, 3], None, None, None) is None  # quotes: the row loop reads it
-    back = load_csv(p)
+    (tmp_path / "q.csv.levels.json").unlink()
+    back = _read_alike(p)
     assert back.treatment_levels == ["a,b", 'say "hi"']
     for a, b in ((back.y, d.y), (back.event, d.event), (back.z, d.z), (back.w, d.w)):
         assert a.tobytes() == b.tobytes()
@@ -559,21 +575,18 @@ def test_simulated_1e5_rows_read_alike_by_both_paths(tmp_path):
     d, _ = generate(DgpSpec(design=1, n=100_000, seed=3))
     p = tmp_path / "sim.csv"
     save_csv(d, p)
-    assert data_module._read_columns(p, [0, 1, 2, 3], None, None, None) is not None
-    fast = _outcome(p)
-    assert fast[0] == "ok"
-    assert fast == _row_loop_outcome(p)
-    assert fast[1][0][1] == d.y.tobytes() and fast[1][1][1] == d.event.tobytes()
+    got = _outcome(p)
+    assert got[0] == "ok"
+    assert got == _row_loop_outcome(p)
+    assert got[1][0][1] == d.y.tobytes() and got[1][1][1] == d.event.tobytes()
 
 
 def test_loaded_columns_own_their_data(tmp_path):
-    # no column is a view onto the parse buffer, which would keep all of it alive
+    # no column is a view onto a chunk's parse, which would keep it alive
     d, _ = generate(DgpSpec(design=1, n=2000, seed=3))
     p = tmp_path / "sim.csv"
     save_csv(d, p)
-    with mock.patch.object(data_module, "_read_columns", return_value=None):
-        row_by_row = load_csv(p)
-    for back in (load_csv(p), row_by_row):
+    for back in (load_csv(p), load_rows(p)):
         for a in (back.y, back.event, back.z, back.w):
             assert a.flags.c_contiguous and not a.flags.writeable and a.base is None
 
@@ -609,11 +622,13 @@ def test_twelve_levels_round_trip_and_fit_past_the_narrow_key(tmp_path):
 
 
 def test_load_csv_memory_peak(tmp_path):
-    # the label columns are parsed at the narrowest width their first rows
-    # need (2 bytes, 14 a record), read as views of the parsed records and
-    # coded in int8: 5,128,038 traced bytes at the peak on this file with
-    # numpy 2.4; with 8-byte label fields (32 a record) it peaked at
-    # 8,696,875, and with full copies of every column and int64 codes at 12,896,448
+    # the body is parsed a chunk of lines at a time into arrays sized from
+    # the file's length, its label fields 2 bytes wide and coded in int8:
+    # 4,148,781 traced bytes at the peak on this file with numpy 2.4: its
+    # 2.2 MB of columns, sized a sixteenth over, and about 1.4 MB for one
+    # chunk's lines and parse (14,031,454 at 10^6 records, there set by the
+    # dataset's checks); parsing the whole body at once, with 2-byte label
+    # fields, it peaked at 5,128,038, and with 8-byte fields at 8,696,875
     data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
     p = tmp_path / "sim.csv"
     save_csv(data, p)
@@ -623,7 +638,90 @@ def test_load_csv_memory_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5_160_000
+    assert peak <= 4_190_000
+
+
+# -- chunk boundaries ------------------------------------------------------
+
+
+def _chunked_file(path, nl="\n", blank_every=0, before=(), after=()):
+    """The rows of before, clean rows over more than two chunks of the file, then those of after.
+
+    A blank line follows every blank_every-th clean row.  Returns the
+    number of records before the rows of after.
+    """
+    rows = 3 * data_module._CHUNK // 8
+    lines = ["time,event,treatment,instrument", *before]
+    for i in range(rows):
+        lines.append(f"{1 + i % 9},{(1, 2, 0)[i % 3]},{i % 2},{i // 2 % 2}")
+        if blank_every and i % blank_every == blank_every - 1:
+            lines.append("")
+    path.write_bytes(nl.join([*lines, *after, ""]).encode("utf-8"))
+    return len(before) + rows
+
+
+@pytest.mark.parametrize("nl", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("bad, message", [
+    ("x,1,0,0", "non-numeric follow-up time 'x'"),
+    ("-2,1,0,0", "follow-up time must be finite and >= 0, got -2"),
+    ("3,7,0,0", "event code must be in {0, 1, 2}, got 7"),
+    ("3,1,0", "no field for column 'instrument'"),
+])
+def test_bad_record_past_the_first_chunk_is_named_by_its_row(tmp_path, nl, bad, message):
+    # a row counts records: the blank lines of the chunks before it are not counted
+    p = tmp_path / "bad.csv"
+    records = _chunked_file(p, nl, blank_every=7, after=[bad, "4,1,1,1"])
+    got = _outcome(p)
+    assert got == ("error", "DataValidationError", f"row {records + 1}: {message}")
+    if bad != "3,1,0":  # the row loop reads a short row's missing fields as None
+        assert got == _row_loop_outcome(p)
+
+
+def test_label_first_seen_in_a_later_chunk_takes_the_next_code(tmp_path):
+    p = tmp_path / "late.csv"
+    n = _chunked_file(p, after=["5,1,2,0", "6,1,2,1", "7,2,0,2", "8,1,1,2", "9,0,2,2"])
+    back = _read_alike(p)
+    assert back.treatment_levels == [0, 1, 2] and back.instrument_levels == [0, 1, 2]
+    assert back.z[n:].tolist() == [2, 2, 0, 1, 2] and back.w[n:].tolist() == [0, 1, 2, 2, 2]
+
+
+def test_wide_label_first_met_in_a_later_chunk_reads_whole(tmp_path):
+    # 2-byte fields in the first chunks; 40 bytes, past even the once-widened field, in the last
+    wide = "arm_" + "x" * 36
+    p = tmp_path / "wide.csv"
+    n = _chunked_file(p, after=[f"5,1,{wide},0", f"6,1,{wide},1"])
+    back = _read_alike(p)
+    assert back.treatment_levels == ["0", "1", wide] and back.z[n:].tolist() == [2, 2]
+
+
+@pytest.mark.parametrize("nl", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("blank_every", [0, 3])
+def test_line_ends_across_chunks_read_alike(tmp_path, nl, blank_every):
+    # the arrays are sized from the file's length at the first chunk's bytes
+    # a record: long rows there leave them short, to grow; blank lines and
+    # the short rows after leave them long, to be trimmed
+    p = tmp_path / "ends.csv"
+    long_rows = [f"{1 / 3 + i!r},1,{i % 2},{i // 2 % 2}" for i in range(data_module._CHUNK // 20)]
+    n = _chunked_file(p, nl, blank_every, before=long_rows)
+    assert _read_alike(p).n == n
+
+
+def test_quoted_line_break_across_a_chunk_boundary_reads_alike(tmp_path):
+    # a quoted label holding line breaks, placed so that the first read of the
+    # file ends inside it: the chunk runs on to the quote that closes it
+    label = "two\nline\r\nlabel"
+    text = "time,event,treatment,instrument\n"
+    cells = ["1,1,0,0\n", "2,1,0,1\n", "3,2,1,0\n", "4,0,1,1\n"]
+    while data_module._CHUNK - len(text) - 10 >= 16:
+        text += cells[len(text) // 8 % 4]
+    text += "1" * (data_module._CHUNK - len(text) - 17) + ",1,0,0\n"
+    assert len(text) == data_module._CHUNK - 10
+    text += f'6,1,"{label}",0\n7,1,"{label}",1\n'
+    p = tmp_path / "quoted.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert text.index("\n", data_module._CHUNK - 10) < data_module._CHUNK < text.index('",0')
+    back = _read_alike(p)
+    assert back.treatment_levels == ["0", "1", label] and back.z[-2:].tolist() == [2, 2]
 
 
 def test_path_that_is_not_a_regular_file_is_rejected_unopened(tmp_path):

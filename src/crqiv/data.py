@@ -135,21 +135,19 @@ class Dataset:
             raise DataValidationError(f"K >= 2 required, got K={K} instrument level(s)")
         if L < 2:
             raise DataValidationError(f"L >= 2 required, got L={L} treatment level(s)")
-        bad = ~np.isfinite(self.y) | (self.y < 0)
-        if bad.any():
-            i = int(np.argmax(bad))
+        # each column's range from its least and greatest value (a NaN is both), with no n-length temporary;
+        # only a column out of range is searched for its first bad row
+        if not (self.y.min() >= 0 and self.y.max() < np.inf):
+            i = int(np.argmax(~np.isfinite(self.y) | (self.y < 0)))
             raise DataValidationError(f"row {i + 1}: follow-up time must be finite and >= 0, got {self.y[i]}")
-        bad = (self.event < 0) | (self.event > 2)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if not (self.event.min() >= 0 and self.event.max() <= 2):
+            i = int(np.argmax((self.event < 0) | (self.event > 2)))
             raise DataValidationError(f"row {i + 1}: event code must be in {{0, 1, 2}}, got {self.event[i]}")
-        bad = (self.z < 0) | (self.z >= L)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if not (self.z.min() >= 0 and self.z.max() < L):
+            i = int(np.argmax((self.z < 0) | (self.z >= L)))
             raise DataValidationError(f"row {i + 1}: treatment index out of range, got {self.z[i]}")
-        bad = (self.w < 0) | (self.w >= K)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if not (self.w.min() >= 0 and self.w.max() < K):
+            i = int(np.argmax((self.w < 0) | (self.w >= K)))
             raise DataValidationError(f"row {i + 1}: instrument index out of range, got {self.w[i]}")
         for zw in self.structural_zeros:
             if not (0 <= zw[0] < L and 0 <= zw[1] < K):
@@ -238,23 +236,30 @@ _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
 # bytes of the file read at a time: about 5,000 records of the built-in designs
 _CHUNK = 1 << 17
 _BLANK = ("\n", "\r", "\r\n")
+# where a byte of the body lies: at a field's start, in an unquoted field, in a quoted one, just past a quote in one
+_START, _FIELD, _QUOTED, _CLOSING = range(4)
 # str.splitlines ends a line at these as well
 _BREAKS = "\v\f\x1c\x1d\x1e\x85"
 _SAVE_CHUNK = 1 << 16
 
 
 def _coerce_labels(raw: list[str]) -> list:
-    for kind in (int, float):
-        try:
-            return [kind(s) for s in raw]
-        except ValueError:
-            pass
-    return raw
+    try:
+        return [int(s) for s in raw]
+    except ValueError:
+        pass
+    try:
+        return [float(s) for s in raw]
+    except ValueError:
+        return raw
 
 
 def _given_order(explicit: Sequence | None, side: dict | None, side_key: str) -> list | None:
-    given = explicit if explicit is not None else (side or {}).get(side_key)
-    return None if given is None else list(given)
+    if explicit is not None:
+        return list(explicit)
+    if side is not None and side_key in side:
+        return list(side[side_key])
+    return None
 
 
 def load_csv(
@@ -275,14 +280,15 @@ def load_csv(
     cells that are unreachable by design. ``event_labels`` optionally maps
     raw event strings to codes in {0, 1, 2}.
 
-    The body is parsed by numpy's C reader in chunks of whole lines: the
-    time as float64, the other three columns as 2-byte strings, widened
-    where a label fills its field. Labels are coded against registries kept
-    in order of first appearance. A record that fails a check is named by
-    its row, blank lines not counted: a time numpy cannot read (such as
-    ``2_0``), negative or not finite; an event code outside 0-2; too few
-    fields. ``path`` must name a regular file; anything else, such as a
-    directory or a pipe, is rejected before it is opened.
+    The body is parsed by numpy's C reader in chunks of whole lines, none
+    ending inside a quoted field: the time as float64, the other three
+    columns as 2-byte strings, widened where a label fills its field.
+    Labels are coded against registries kept in order of first appearance.
+    A record that fails a check is named by its row, blank lines not
+    counted: a time numpy cannot read (such as ``2_0``), negative or not
+    finite; an event code outside 0-2; too few fields. ``path`` must name
+    a regular file; anything else, such as a directory or a pipe, is
+    rejected before it is opened.
     """
     cols = dict(DEFAULT_COLUMNS)
     if schema:
@@ -293,9 +299,10 @@ def load_csv(
     if os.path.exists(path) and not os.path.isfile(path):
         raise DataValidationError(f"not a regular file: {path}")
 
+    sidecar = f"{path}.levels.json"
     side = None
     try:
-        with open(f"{path}.levels.json", "r", encoding="utf-8") as fh:
+        with open(sidecar, "r", encoding="utf-8") as fh:
             side = json.load(fh)
     except FileNotFoundError:
         pass
@@ -342,15 +349,43 @@ def load_csv(
 
 
 def _blocks(fh):
-    """The file in blocks of whole lines, about ``_CHUNK`` bytes each, each ending past an even number of quotes."""
-    block = b""
+    """The file in blocks of whole lines, about ``_CHUNK`` bytes each, none ending inside a quoted field."""
+    pieces, state = [], _START
     while raw := fh.read(_CHUNK):
-        block += raw
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
-        if cut and (block.find(b'"', 0, cut) < 0 or block.count(b'"', 0, cut) % 2 == 0):
-            yield block[:cut]
-            block = block[cut:]
-    yield block
+        end, state = _scan(raw, state)
+        if end:
+            yield b"".join([*pieces, raw[:end]])
+            pieces, raw = [], raw[end:]
+        pieces.append(raw)
+    yield b"".join(pieces)
+
+
+def _scan(text: bytes, state: int) -> tuple[int, int]:
+    """(the end of the last line of text that ends outside quotes, 0 if none; the quote state at text's end).
+
+    state is the quote state at text's start.  Each quote is read as the csv
+    module reads it: one at a field's start opens the field, and one in a
+    quoted field closes it unless doubled; any other is a plain character.
+    """
+    end = at = 0
+    while at < len(text):
+        if state == _QUOTED:
+            quote = text.find(b'"', at)
+            if quote < 0:
+                break
+            state, at = _CLOSING, quote + 1
+        elif state == _CLOSING and text[at] == 34:  # a doubled quote
+            state, at = _QUOTED, at + 1
+        else:
+            quote = text.find(b'"', at)
+            stop = len(text) if quote < 0 else quote
+            end = max(end, text.rfind(b"\n", at, stop) + 1, text.rfind(b"\r", at, stop) + 1)
+            if stop > at:
+                state = _START if text[stop - 1] in b",\r\n" else _FIELD
+            if quote < 0:
+                break
+            state, at = _QUOTED if state == _START else _FIELD, quote + 1
+    return end, state
 
 
 class _Labels:
@@ -442,8 +477,9 @@ class _Body:
                 a.resize(room, refcheck=False)
         y = self.arrays[0][start:stop]
         y[...] = parsed["y"]
-        bad = ~(np.isfinite(y) & (y >= 0))
-        errors = {int(np.argmax(bad)): None} if bad.any() else {}  # a row's time is checked before its event
+        errors = {}  # a row's time is checked before its event
+        if not (y.min() >= 0 and y.max() < np.inf):
+            errors[int(np.argmax(~(np.isfinite(y) & (y >= 0))))] = None
         for s, first in zip(self.labels[0].strings[seen:], self.labels[0].first[seen:]):
             if self.event_labels is not None and s in self.event_labels:
                 code = int(self.event_labels[s])
@@ -473,19 +509,29 @@ class _Body:
     def _rejected(self, lines: list[str], fields: np.dtype) -> DataValidationError:
         """The error naming the first record np.loadtxt rejects (a time it cannot read, too few fields).
 
-        Its line is found by bisection; a record before it that fails a check is named instead.
+        Its record is found by bisection over the chunk's records, each its
+        lines up to one that ends outside quotes; a record before it that
+        fails a check is named instead.
         """
-        lines = [line for line in lines if line not in _BLANK]
-        good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
+        records, record, state = [], [], _START
+        for line in lines:
+            record.append(line)
+            state = _scan(line.encode("latin-1"), state)[1]
+            if state != _QUOTED:
+                if record[0] not in _BLANK:
+                    records.append(record)
+                record = []
+        records += [record] if record else []
+        good, bad = 0, len(records)  # records[:good] parse, records[:bad] do not
         while bad - good > 1:
             mid = (good + bad) // 2
             try:
-                np.loadtxt(lines[:mid], dtype=fields, usecols=self.usecols, **_LOADTXT)
+                np.loadtxt(_joined(records[:mid]), dtype=fields, usecols=self.usecols, **_LOADTXT)
                 good = mid
             except ValueError:
                 bad = mid
-        self.add(lines[:good], 0)
-        row = _rows(lines[good:])[0]
+        self.add(_joined(records[:good]), 0)
+        row = _rows(records[good])[0]
         missing = [c for c in self.usecols if c >= len(row)]
         if missing:
             return DataValidationError(f"row {self.n + 1}: no field for column {self.header[min(missing)]!r}")
@@ -502,6 +548,10 @@ class _Body:
         i_levels, w = self.labels[2].levels(w, i_order, "instrument")
         self.labels = []
         return y, event, z, w, t_levels, i_levels
+
+
+def _joined(records: list[list[str]]) -> list[str]:
+    return [line for record in records for line in record]
 
 
 def _rows(lines: list[str]) -> list[list[str]]:

@@ -445,6 +445,8 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 9056: invalid star
 @example(_case(*(f"{1 + j % 7},{j % 3},{z},i{j * 7919 % 2003}" for j in range(2003) for z in (0, 1))))
 # a bad event before a row whose time np.loadtxt rejects, in the same chunk: the earlier row is named
 @example(_case("3,x,0,0", "x,1,0,0"))
+# a quoted label holding line breaks, a blank line among them, before a time np.loadtxt rejects in the same chunk
+@example(_case('3,1,"a\n\nb",0', '3,1,"a\n\nb",1', '4,2,"a\n\nb",1', "x,1,0,0"))
 # labels holding characters at which str.splitlines, and not the csv module, ends a line
 @example(_case("3,1,a\x0bb,0", "3,1,a\x0cb,1", "3,2,c\x1ed,1", "3,0,\xc5,0", "3,1,\xc5,1"))
 # the cases read otherwise than by the row loop, each with its new outcome:
@@ -624,10 +626,11 @@ def test_twelve_levels_round_trip_and_fit_past_the_narrow_key(tmp_path):
 def test_load_csv_memory_peak(tmp_path):
     # the body is parsed a chunk of lines at a time into arrays sized from
     # the file's length, its label fields 2 bytes wide and coded in int8:
-    # 4,148,781 traced bytes at the peak on this file with numpy 2.4: its
+    # 4,018,059 traced bytes at the peak on this file with numpy 2.4: its
     # 2.2 MB of columns, sized a sixteenth over, and about 1.4 MB for one
-    # chunk's lines and parse (14,031,454 at 10^6 records, there set by the
-    # dataset's checks); parsing the whole body at once, with 2-byte label
+    # chunk's lines and parse (13,341,873 at 10^6 records); before the
+    # range checks took min and max in place of bool temporaries it peaked
+    # at 4,148,781; parsing the whole body at once, with 2-byte label
     # fields, it peaked at 5,128,038, and with 8-byte fields at 8,696,875
     data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
     p = tmp_path / "sim.csv"
@@ -638,7 +641,7 @@ def test_load_csv_memory_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4_190_000
+    assert peak <= 4_060_000
 
 
 # -- chunk boundaries ------------------------------------------------------
@@ -706,22 +709,67 @@ def test_line_ends_across_chunks_read_alike(tmp_path, nl, blank_every):
     assert _read_alike(p).n == n
 
 
+def _padded(text: str, end: int) -> str:
+    """text and clean rows after it, ending 10 bytes before byte end of the file."""
+    cells = ["1,1,0,0\n", "2,1,0,1\n", "3,2,1,0\n", "4,0,1,1\n"]
+    while end - len(text) - 10 >= 16:
+        text += cells[len(text) // 8 % 4]
+    text += "1" * (end - len(text) - 17) + ",1,0,0\n"
+    assert len(text) == end - 10
+    return text
+
+
 def test_quoted_line_break_across_a_chunk_boundary_reads_alike(tmp_path):
     # a quoted label holding line breaks, placed so that the first read of the
     # file ends inside it: the chunk runs on to the quote that closes it
     label = "two\nline\r\nlabel"
-    text = "time,event,treatment,instrument\n"
-    cells = ["1,1,0,0\n", "2,1,0,1\n", "3,2,1,0\n", "4,0,1,1\n"]
-    while data_module._CHUNK - len(text) - 10 >= 16:
-        text += cells[len(text) // 8 % 4]
-    text += "1" * (data_module._CHUNK - len(text) - 17) + ",1,0,0\n"
-    assert len(text) == data_module._CHUNK - 10
+    text = _padded("time,event,treatment,instrument\n", data_module._CHUNK)
     text += f'6,1,"{label}",0\n7,1,"{label}",1\n'
     p = tmp_path / "quoted.csv"
     p.write_bytes(text.encode("utf-8"))
     assert text.index("\n", data_module._CHUNK - 10) < data_module._CHUNK < text.index('",0')
     back = _read_alike(p)
     assert back.treatment_levels == ["0", "1", label] and back.z[-2:].tolist() == [2, 2]
+
+
+def test_stray_quote_holds_no_chunk_open(tmp_path):
+    # a quote inside an unquoted field is a plain character, as the csv module
+    # reads it; two chunks on, the file's second read ends between the line
+    # break of a quoted label and its closing quote
+    text = _padded('time,event,treatment,instrument,note\n3,1,0,0,O"Brien\n', 2 * data_module._CHUNK)
+    text += '6,1,"two\nlines",0\n7,1,"two\nlines",1\n'
+    p = tmp_path / "stray.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert text.index("\n", 2 * data_module._CHUNK - 10) < 2 * data_module._CHUNK < text.index('",0')
+    with open(p, "rb") as fh:
+        assert max(map(len, data_module._blocks(fh))) < data_module._CHUNK + 20
+    back = _read_alike(p)
+    assert back.treatment_levels == ["0", "1", "two\nlines"] and back.z[-2:].tolist() == [2, 2]
+
+
+class _Trickle(io.BytesIO):
+    """A binary file that returns at most step bytes a read."""
+
+    def __init__(self, data: bytes, step: int):
+        super().__init__(data)
+        self.step = step
+
+    def read(self, size=-1):
+        return super().read(self.step)
+
+
+def _csv_rows(text: str) -> list:
+    return [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text('",\r\nab', max_size=40), st.integers(1, 9))
+@example('a"\n"b\nc",d\n"e\n"\n', 3)  # a stray quote, then a quoted line break across reads
+def test_blocks_end_only_between_csv_records(text, step):
+    # each block, read on its own by the csv module, gives the rows the whole text gives
+    blocks = list(data_module._blocks(_Trickle(text.encode(), step)))
+    assert b"".join(blocks).decode() == text
+    assert [row for block in blocks for row in _csv_rows(block.decode())] == _csv_rows(text)
 
 
 def test_path_that_is_not_a_regular_file_is_rejected_unopened(tmp_path):

@@ -32,9 +32,8 @@ _EXPORTS = {
     "surface": ("EstimationError", "SmoothedSurvivalSurface", "assemble_surface"),
     "optim": ("CERT_TOL", "MinimizeResult", "minimize_box_multistart"),
     "estimator": (
-        "FrontierEstimates", "QuantileCurveFit", "QuantileGrid", "WeightingPolicy", "default_delta",
-        "estimate_caps", "estimate_y1", "fit_curve", "naive_curve", "objective", "residual_system",
-        "residual_vector",
+        "FrontierEstimates", "QuantileCurveFit", "QuantileGrid", "estimate_caps", "estimate_y1", "fit_curve",
+        "naive_curve", "residual_vector",
     ),
     "derived": (
         "DerivedLevel", "MonotoneCurve", "RankConditionReport", "derived_quantities",

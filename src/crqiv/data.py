@@ -286,9 +286,9 @@ def load_csv(
     Labels are coded against registries kept in order of first appearance.
     A record that fails a check is named by its row, blank lines not
     counted: a time numpy cannot read (such as ``2_0``), negative or not
-    finite; an event code outside 0-2; too few fields. ``path`` must name
-    a regular file; anything else, such as a directory or a pipe, is
-    rejected before it is opened.
+    finite; an event code outside 0-2; too few fields; a byte that is not
+    UTF-8, in any column. ``path`` must name a regular file; anything else,
+    such as a directory or a pipe, is rejected before it is opened.
     """
     cols = dict(DEFAULT_COLUMNS)
     if schema:
@@ -308,11 +308,13 @@ def load_csv(
         pass
 
     # utf-8-sig: a byte-order mark, as spreadsheet "CSV UTF-8" exports write, is not part of the first name
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
     if header is None:
         raise DataValidationError("missing header row")
+    if bad := [c for name in header for c in name if "\udc80" <= c <= "\udcff"]:  # the escaped bytes
+        raise DataValidationError(f"header: byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8")
     for logical, name in cols.items():
         if name not in header:
             raise DataValidationError(f"missing column '{name}' (for '{logical}')")
@@ -323,11 +325,14 @@ def load_csv(
     with open(path, "rb") as fh:
         skip = reader.line_num  # the header's lines
         for block in _blocks(fh):
-            if not block.isascii():
-                block.decode("utf-8")  # raises on a byte that is not UTF-8, in any column
             text = block.decode("latin-1")  # every byte passes to the parser as it is
             # lines end at \r, \n and \r\n, as the csv module reads them
             lines = list(io.StringIO(text, newline="")) if any(c in text for c in _BREAKS) else text.splitlines(True)
+            if not block.isascii():
+                try:
+                    block.decode("utf-8")  # in any column
+                except UnicodeDecodeError as exc:
+                    raise body.undecodable(lines, skip, exc) from None
             body.add(lines[skip:], len(block))
             skip = max(0, skip - len(lines))
     y, event, z_idx, w_idx, t_levels, i_levels = body.finish(
@@ -513,15 +518,7 @@ class _Body:
         lines up to one that ends outside quotes; a record before it that
         fails a check is named instead.
         """
-        records, record, state = [], [], _START
-        for line in lines:
-            record.append(line)
-            state = _scan(line.encode("latin-1"), state)[1]
-            if state != _QUOTED:
-                if record[0] not in _BLANK:
-                    records.append(record)
-                record = []
-        records += [record] if record else []
+        records = [record for record in _records(lines) if record[0] not in _BLANK]
         good, bad = 0, len(records)  # records[:good] parse, records[:bad] do not
         while bad - good > 1:
             mid = (good + bad) // 2
@@ -537,6 +534,17 @@ class _Body:
             return DataValidationError(f"row {self.n + 1}: no field for column {self.header[min(missing)]!r}")
         return DataValidationError(f"row {self.n + 1}: non-numeric follow-up time {row[self.usecols[0]]!r}")
 
+    def undecodable(self, lines: list[str], skip: int, exc: UnicodeDecodeError) -> DataValidationError:
+        """The error naming the record that holds exc's byte, which is not UTF-8, in a chunk after skip header lines.
+
+        The chunk's records before it are added first, so that one of them
+        that fails a check is named instead.
+        """
+        records = _records(lines[skip:])
+        ends = np.cumsum([len("".join(record)) for record in records]) + len("".join(lines[:skip]))
+        self.add(_joined(records[:np.searchsorted(ends, exc.start, "right")]), exc.start)
+        return DataValidationError(f"row {self.n + 1}: byte {exc.object[exc.start]:#04x} is not UTF-8")
+
     def finish(self, t_order: list | None, i_order: list | None) -> tuple:
         """(y, event, z, w, treatment levels, instrument levels) of the records read, leaving the body empty."""
         if self.n == 0:
@@ -548,6 +556,18 @@ class _Body:
         i_levels, w = self.labels[2].levels(w, i_order, "instrument")
         self.labels = []
         return y, event, z, w, t_levels, i_levels
+
+
+def _records(lines: list[str]) -> list[list[str]]:
+    """The lines grouped into csv records, each its lines up to one that ends outside quotes; blank ones kept."""
+    records, record, state = [], [], _START
+    for line in lines:
+        record.append(line)
+        state = _scan(line.encode("latin-1"), state)[1]
+        if state != _QUOTED:
+            records.append(record)
+            record = []
+    return records + [record] if record else records
 
 
 def _joined(records: list[list[str]]) -> list[str]:

@@ -12,13 +12,12 @@ primary-cause event at level l.  When the system is square and its zero
 cells make it triangular (one-sided noncompliance, as in both designs),
 every unknown is an exact generalized inverse of one cell curve, taken
 over the whole grid at once; otherwise projected Gauss-Newton minimizes
-the weighted quadratic form r' V(u) r point by point.  Results are
-reported only below the estimated identification frontier u_hat, the
-first grid point where some coordinate of the solution comes within a
-cushion delta_l of its box edge, and only where the solution is
-certified: every component of its residual is at most ``optim.CERT_TOL``
-= 1e-12 in absolute value, a root to machine precision rather than a
-near-root on a box face.
+r' r point by point.  Results are reported only below the estimated
+identification frontier u_hat, the first grid point where some coordinate
+of the solution comes within a cushion delta_l of its box edge, and only
+where the solution is certified: every component of its residual is at
+most ``optim.CERT_TOL`` = 1e-12 in absolute value, a root to machine
+precision rather than a near-root on a box face.
 """
 
 from __future__ import annotations
@@ -37,14 +36,10 @@ from .survival import SortedCell, level_order, primary_records
 __all__ = [
     "EstimationError",
     "QuantileGrid",
-    "WeightingPolicy",
     "FrontierEstimates",
     "QuantileCurveFit",
     "residual_vector",
-    "objective",
-    "residual_system",
     "estimate_y1",
-    "default_delta",
     "estimate_caps",
     "fit_curve",
     "naive_curve",
@@ -83,60 +78,6 @@ class QuantileGrid:
         return self.points.size
 
 
-class WeightingPolicy:
-    """Residual weighting V(u): symmetric positive definite K x K.
-
-    ``value`` may be None (identity), a constant matrix, or a callable
-    u -> matrix. A constant matrix is checked and factored once, at
-    configuration time; a callable's matrix once per evaluation.
-    """
-
-    def __init__(self, value=None):
-        self._callable = None
-        self._matrix = self._factor = None
-        if value is None:
-            pass
-        elif callable(value):
-            self._callable = value
-        else:
-            self._matrix = np.asarray(value, dtype=np.float64)
-            self._factor = self._checked_factor(self._matrix)
-
-    @staticmethod
-    def _checked_factor(m: np.ndarray) -> np.ndarray:
-        """C' with m = C C', C lower triangular; raises unless m is symmetric positive definite."""
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("weighting matrix must be square")
-        if not np.allclose(m, m.T, atol=1e-10):
-            raise ValueError("weighting matrix must be symmetric")
-        try:
-            return np.linalg.cholesky(m).T
-        except np.linalg.LinAlgError:
-            raise ValueError("weighting matrix must be positive definite") from None
-
-    @property
-    def is_identity(self) -> bool:
-        return self._callable is None and self._matrix is None
-
-    def _at(self, u: float, k: int):
-        """(V(u), C') for a system of k instrument levels, both None for the identity."""
-        m, ct = self._matrix, self._factor
-        if self._callable is not None:
-            m = np.asarray(self._callable(u), dtype=np.float64)
-            ct = self._checked_factor(m)
-        if m is not None and m.shape[0] != k:
-            raise ValueError(f"weighting matrix is {m.shape[0]}x..., need {k}")
-        return m, ct
-
-    def matrix(self, u: float, k: int) -> np.ndarray:
-        m = self._at(u, k)[0]
-        return np.eye(k) if m is None else m
-
-    def factor(self, u: float, k: int) -> np.ndarray | None:
-        """C' with V(u) = C C', so that r' V(u) r = ||C' r||^2; None for the identity."""
-        return self._at(u, k)[1]
-
-
 @dataclass(frozen=True, eq=False)
 class FrontierEstimates:
     """Estimated support bounds and identification frontier."""
@@ -160,8 +101,8 @@ class QuantileCurveFit:
 
     grid: QuantileGrid
     theta: np.ndarray  # (M, L) solution vectors
-    objective: np.ndarray  # (M,) r' V r at theta
-    residual: np.ndarray  # (M,) max |(C' r)_k| at theta, V = C C'
+    objective: np.ndarray  # (M,) r' r at theta
+    residual: np.ndarray  # (M,) max |r_k| at theta
     status: np.ndarray  # (M,) int: REPORTED, or why the point is not reported
     frontiers: FrontierEstimates
     treatment_levels: list
@@ -252,15 +193,6 @@ def residual_vector(theta, u, surface: SmoothedSurvivalSurface) -> np.ndarray:
     return out
 
 
-def objective(theta, u: float, surface, V: WeightingPolicy | None = None) -> float:
-    """Weighted squared norm r(theta)' V(u) r(theta) = ||C' r||^2, V(u) = C C'; zero iff r = 0."""
-    r = residual_vector(theta, u, surface)
-    ct = None if V is None else V.factor(u, r.size)
-    if ct is not None:
-        r = ct @ r
-    return float(r @ r)
-
-
 def estimate_y1(data: Dataset) -> np.ndarray:
     """Largest follow-up time with a primary-cause event, per treatment level."""
     out = np.empty(data.n_treatment_levels)
@@ -289,18 +221,6 @@ def _no_primary_events(data: Dataset, level: int) -> EstimationError:
     )
 
 
-def default_delta(data: Dataset, level: int) -> float:
-    """Frontier cushion: bandwidth rule on the level's primary-cause event times."""
-    (h,), (reason,) = bandwidth_rows(*_primary_times(data, level, None))
-    if reason:
-        raise _no_cushion(data, level, reason)
-    return float(h)
-
-
-def _no_cushion(data: Dataset, level: int, reason) -> EstimationError:
-    return EstimationError(f"frontier cushion at treatment level {data.treatment_levels[level]!r}: {reason}")
-
-
 def _frontier_rows(data: Dataset, counts, delta) -> tuple:
     """Support bounds and cushions under each row of counts (B, n), or of the sample (counts None, one row).
 
@@ -311,7 +231,7 @@ def _frontier_rows(data: Dataset, counts, delta) -> tuple:
     B, L = 1 if counts is None else len(counts), data.n_treatment_levels
     y1, deltas = np.full((B, L), np.nan), np.full((B, L), np.nan)
     bound_errors, cushion_errors = [None] * B, [None] * B
-    for level in range(L):
+    for level, level_name in enumerate(data.treatment_levels):
         times, c = _primary_times(data, level, counts)
         counted = np.ones((1, times.size), bool) if c is None else c > 0
         y1[:, level] = np.where(counted, times, -np.inf).max(axis=1, initial=-np.inf)
@@ -320,8 +240,8 @@ def _frontier_rows(data: Dataset, counts, delta) -> tuple:
         if delta is None:
             deltas[:, level], reasons = bandwidth_rows(times, c)
             for b, reason in enumerate(reasons):
-                if reason:
-                    cushion_errors[b] = cushion_errors[b] or _no_cushion(data, level, reason)
+                if reason and not cushion_errors[b]:
+                    cushion_errors[b] = EstimationError(f"frontier cushion at treatment level {level_name!r}: {reason}")
     if delta is not None:
         given = np.asarray(delta, dtype=np.float64)
         if given.shape not in ((), (L,)) or not (np.isfinite(given) & (given > 0)).all():
@@ -339,31 +259,6 @@ def estimate_caps(data: Dataset) -> np.ndarray:
             raise EstimationError(f"no records at treatment level {data.treatment_levels[zi]!r}")
         out[zi] = np.compress(mask, data.y).max()
     return out
-
-
-def residual_system(surface, V: WeightingPolicy | None = None):
-    """u -> f, where f(theta) = (C' r, C' J) with V(u) = C C' (C' = I unweighted).
-
-    r is ``residual_vector`` at (theta, u) and J its Jacobian,
-    ``surface.slopes(theta)``: J[k, l] is the slope of cell (l, k)'s
-    segment at theta_l.  So ||C' r||^2 = r' V(u) r is the objective, and
-    f's residual at theta is the one ``fit_curve`` certifies there, bit for
-    bit.  Only the Gauss-Newton path of ``fit_curve`` (systems without a
-    triangular order, or with more instrument than treatment levels) builds
-    it, to propose theta.
-    """
-    K = surface.n_instrument_levels
-
-    def at(u: float):
-        ct = None if V is None else V.factor(u, K)
-
-        def f(theta):
-            r, J = residual_vector(theta, u, surface), surface.slopes(theta)
-            return (r, J) if ct is None else (ct @ r, ct @ J)
-
-        return f
-
-    return at
 
 
 def _triangular_order(p_hat: np.ndarray):
@@ -436,18 +331,20 @@ def _triangular_sweep(surfaces: list, order, u: np.ndarray, upper: np.ndarray):
     return theta, why
 
 
-def _gauss_newton_sweep(surface, V, u: np.ndarray, edge: np.ndarray, upper, stop_at_frontier: bool):
-    """theta (M, L) from per-point projected Gauss-Newton solves, each warm-started from the last.
+def _gauss_newton_sweep(surface, u: np.ndarray, edge: np.ndarray, upper, stop_at_frontier: bool):
+    """theta (M, L) from per-point Gauss-Newton solves on the certified residual, each warm-started from the last.
 
     Once a solution reaches the cushion edge the later solves make no
     restarts; with ``stop_at_frontier`` they are not made and stay NaN.
     """
     theta = np.full((u.size, edge.size), np.nan)
     lower = np.zeros(edge.size)
-    system = residual_system(surface, V)
     past, warm = False, None
     for m in range(u.size):
-        res = minimize_box_multistart(system(float(u[m])), lower, upper, warm=warm, restart=not past)
+        def f(x, at=float(u[m])):
+            return residual_vector(x, at, surface), surface.slopes(x)
+
+        res = minimize_box_multistart(f, lower, upper, warm=warm, restart=not past)
         theta[m] = warm = res.x
         past = past or bool(np.any(theta[m] >= edge))
         if past and stop_at_frontier:
@@ -458,7 +355,6 @@ def _gauss_newton_sweep(surface, V, u: np.ndarray, edge: np.ndarray, upper, stop
 def fit_curve(
     data: Dataset,
     grid: QuantileGrid | None = None,
-    V: WeightingPolicy | None = None,
     bandwidth=None,
     delta=None,
     kind: str = "local_linear",
@@ -473,22 +369,22 @@ def fit_curve(
     of a cell curve, taken over the whole grid at once, with the unknowns
     solved before it moved into the target.  A flat stretch at the target
     gives its left end.  Where a target has no crossing in the box the
-    unknown is clipped to the box face, whatever V is, and the fit's
-    warnings name the instrument level, treatment level and face.  Other
-    systems (no triangular order, or more instrument than treatment levels)
-    run projected Gauss-Newton point by point in increasing u, each solve
-    starting from the previous solution; until the frontier cushion is hit
-    a solve without a certified root restarts from a lattice of box points,
-    and past it, where no root exists, it does not.
+    unknown is clipped to the box face, and the fit's warnings name the
+    instrument level, treatment level and face.  Other systems (no
+    triangular order, or more instrument than treatment levels) run
+    projected Gauss-Newton on r' r point by point in increasing u, each
+    solve starting from the previous solution; until the frontier cushion
+    is hit a solve without a certified root restarts from a lattice of box
+    points, and past it, where no root exists, it does not.
 
     Either path only proposes theta; the frontier, the NaN rows past it and
     the certificate are then taken once, from one batched residual.  A
     point is reported only below the frontier and with every residual
-    component (of C' r under a weighting V = C C') at most ``CERT_TOL`` in
-    absolute value; a near-root on a box face, where no root lies inside
-    the box, is not reported.  With ``stop_at_frontier`` the results past
-    the first point that hits the frontier cushion are left NaN, which is
-    enough for anything that only consumes reported points.
+    component at most ``CERT_TOL`` in absolute value; a near-root on a box
+    face, where no root lies inside the box, is not reported.  With
+    ``stop_at_frontier`` the results past the first point that hits the
+    frontier cushion are left NaN, which is enough for anything that only
+    consumes reported points.
 
     Count-weighted replicates of the data take ``fit_replicates``; the
     sample is its row that counts every record once.
@@ -503,14 +399,13 @@ def fit_curve(
     y1, deltas, (error,) = _frontier_rows(data, None, delta)
     if error:
         raise error
-    return _solve_rows(data, [surface], y1, deltas, grid, V, stop_at_frontier)[0]
+    return _solve_rows(data, [surface], y1, deltas, grid, stop_at_frontier)[0]
 
 
 def fit_replicates(
     data: Dataset,
     counts: np.ndarray,
     grid: QuantileGrid | None = None,
-    V: WeightingPolicy | None = None,
     bandwidth=None,
     delta=None,
     kind: str = "local_linear",
@@ -533,13 +428,13 @@ def fit_replicates(
             out[b] = errors[b]
     live = [b for b, surface in enumerate(out) if not isinstance(surface, Exception)]
     if live:
-        fits = _solve_rows(data, [out[b] for b in live], y1[live], deltas[live], grid, V, stop_at_frontier)
+        fits = _solve_rows(data, [out[b] for b in live], y1[live], deltas[live], grid, stop_at_frontier)
         for b, fit in zip(live, fits):
             out[b] = fit
     return out
 
 
-def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.ndarray, grid: QuantileGrid, V,
+def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.ndarray, grid: QuantileGrid,
                 stop_at_frontier: bool) -> list:
     """``fit_curve`` on each surface, with its row of support bounds y_hat (B, L) and cushions (B, L).
 
@@ -551,12 +446,11 @@ def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.nda
     so each row gets the bits it would get alone.
     """
     u, M = grid.points, grid.size
-    K = surfaces[0].n_instrument_levels
     upper = y_hat * (1.0 - BOX_CLAMP)
     edge = y_hat - deltas  # the frontier cushion
     order = _triangular_order(surfaces[0].p_hat)
     if order is None:
-        theta = np.stack([_gauss_newton_sweep(s, V, u, edge[b], upper[b], stop_at_frontier)
+        theta = np.stack([_gauss_newton_sweep(s, u, edge[b], upper[b], stop_at_frontier)
                           for b, s in enumerate(surfaces)])
         why = NOT_CERTIFIED
     else:
@@ -568,9 +462,6 @@ def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.nda
     if stop_at_frontier:
         theta[np.arange(M) > m_hat[:, None]] = np.nan
     r = np.stack([residual_vector(t, u, s) for t, s in zip(theta, surfaces)])
-    if V is not None and not V.is_identity:
-        factors = [V.factor(float(x), K) for x in u]
-        r = np.stack([np.stack([ct @ row for ct, row in zip(factors, rb)]) for rb in r])
     resid = np.abs(r).max(axis=2)
     before = (np.arange(M) < m_hat[:, None]) | ~triggered[:, None]
     status = np.where(before, np.where(resid <= CERT_TOL, REPORTED, why), PAST_FRONTIER)

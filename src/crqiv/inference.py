@@ -35,13 +35,15 @@ __all__ = [
     "coverage_study",
 ]
 
+# a band point is valid only where at least this share of the replicates report it
+REPORT_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
     draws: int = 200
     seed: int = 0
     level: float = 0.95
-    report_threshold: float = 0.5  # min fraction of replicates reporting a point
     workers: int = 1  # accepted and checked; changes neither results nor speed
 
     def __post_init__(self):
@@ -49,8 +51,6 @@ class BootstrapConfig:
             raise ValueError("draws must be >= 2")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must be in (0, 1)")
-        if not (0.0 < self.report_threshold <= 1.0):
-            raise ValueError("report_threshold must be in (0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -189,7 +189,7 @@ def bootstrap_band(
     # sorted to the top, NaN below them
     n_reported = np.count_nonzero(np.isfinite(vals), axis=0)
     # a point is valid only where the fit reports it, and enough replicates do
-    valid = (n_reported / boot.draws >= boot.report_threshold - 1e-12) & np.isfinite(point)
+    valid = (n_reported / boot.draws >= REPORT_THRESHOLD - 1e-12) & np.isfinite(point)
     lo_rank, hi_rank = _ranks(n_reported, boot.level)
     cols = np.flatnonzero(valid & (n_reported > 0))
     ordered = np.sort(vals[:, cols], axis=0)

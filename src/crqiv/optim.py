@@ -5,12 +5,12 @@ as in both designs) exactly and calls this solver only for systems with
 no triangular order and for overidentified ones (more instrument than
 treatment levels).
 
-The caller supplies ``f(x) -> (r, J)``: a residual vector and its Jacobian.
-The objective is ||r(x)||^2 over the box [lower, upper].  Each step holds
-fixed the coordinates that sit on a box face with the gradient pointing out
-of the box, solves the linearized least-squares problem on the others,
-clips the step back into the box, and halves it until the objective
-decreases.  With as many residuals as unknowns the step is Newton's; on
+The caller supplies ``f(x) -> (r, J)``: a residual vector and its Jacobian;
+``fit_curve`` passes the residual it certifies.  The objective is ||r(x)||^2
+over the box [lower, upper].  Each step holds fixed the coordinates that
+sit on a box face with the gradient pointing out of the box, solves the
+linearized least-squares problem on the others, clips the step back into
+the box, and halves it until the objective decreases.  With as many residuals as unknowns the step is Newton's; on
 piecewise-linear residuals it lands on the root once every coordinate sits
 on the root's segment.
 

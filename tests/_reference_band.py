@@ -15,7 +15,7 @@ import numpy as np
 from crqiv._rng import stream
 from crqiv.data import DataValidationError, resample
 from crqiv.estimator import EstimationError, fit_curve
-from crqiv.inference import BootstrapConfig, ConfidenceBand, percentile_bounds
+from crqiv.inference import REPORT_THRESHOLD, BootstrapConfig, ConfidenceBand, percentile_bounds
 
 
 def _fit(data, **kw):
@@ -43,7 +43,7 @@ def reference_band(data, boot=None, contrast=(1, 0), fit=None, fit_fn=None, **fi
             failures.append((b, str(exc)))
 
     n_reported = np.count_nonzero(np.isfinite(vals), axis=0)
-    valid = (n_reported / boot.draws >= boot.report_threshold - 1e-12) & np.isfinite(point)
+    valid = (n_reported / boot.draws >= REPORT_THRESHOLD - 1e-12) & np.isfinite(point)
     lower = np.full(M, np.nan)
     upper = np.full(M, np.nan)
     raw_hits = raw_total = 0

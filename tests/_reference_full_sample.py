@@ -12,7 +12,7 @@ records."""
 
 import numpy as np
 
-from crqiv.estimator import QuantileGrid, _no_cushion, _no_primary_events
+from crqiv.estimator import EstimationError, QuantileGrid, _no_primary_events
 from crqiv.smoothing import _NO_SPREAD, _TOO_FEW, rule_of_thumb_bandwidth
 from crqiv.survival import CellProcess, CountingProcesses, incidence_from
 
@@ -84,4 +84,4 @@ def default_delta(data, level):
     try:
         return default_bandwidth(data.y[(data.z == level) & (data.event == 1)])
     except ValueError as exc:
-        raise _no_cushion(data, level, exc) from None
+        raise EstimationError(f"frontier cushion at treatment level {data.treatment_levels[level]!r}: {exc}") from None

@@ -18,6 +18,17 @@ import crqiv
 # command-line entry points, not part of the library namespace
 ENTRY_POINTS = {"cli", "__main__"}
 LIBRARY = sorted(m.name for m in pkgutil.iter_modules(crqiv.__path__) if m.name not in ENTRY_POINTS)
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names that nothing in src/, bench/ or the CLI calls, only tests, each with why it is still public;
+# a name leaves this list when it gets such a caller or leaves src/ (ROADMAP aim 2)
+TEST_ONLY = {
+    "default_bandwidth": "the bandwidth rule on one sample; the fit takes bandwidth_rows of whole blocks",
+    "epanechnikov_cdf": "the kernel's integral; the convolution smoother expands it in window sums",
+    "percentile_bounds": "one point's percentile interval; the band takes its ranks from _ranks",
+    "product_limit_survival": "a cell's Kaplan-Meier curve; criterion 1's hand oracle reads it",
+    "rank_condition_diagnostic": "documented in README, but no command writes it yet",
+}
 
 
 @pytest.mark.parametrize("name", LIBRARY)
@@ -83,13 +94,18 @@ def test_unknown_name_raises_attribute_error():
     assert getattr(crqiv, "pava_nondecreasing", None) is None  # a module's private helper
 
 
+def bench_traced() -> tuple:
+    """(module, function) of every function the bench's tracer times, from bench/tracer.py's TRACED."""
+    tracer = ROOT / "bench" / "tracer.py"
+    (traced,) = [node.value for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]]
+    return ast.literal_eval(traced)
+
+
 def test_bench_names_resolve():
     # the bench times every function in its tracer's TRACED list and varies
     # BootstrapConfig.workers; a metric whose name is gone drops out of it
-    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    (traced,) = [node.value for node in ast.parse(tracer.read_text(encoding="utf-8")).body
-                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]]
-    traced = ast.literal_eval(traced)
+    traced = bench_traced()
     assert traced
     for module, name in traced:
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
@@ -120,3 +136,26 @@ def test_deprecation_met_inside_crqiv_fails(category, monkeypatch):
         surface.evaluate(0.5, 0, 0)
     with pytest.warns(category):  # met outside crqiv, it stays a warning
         deprecated(0.5, [0.0, 1.0], [1.0, 1.0])
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # a name read in src/ (the CLI included) or bench/ counts as called, except
+    # inside its own top-level definition; the bench's tracer calls its TRACED
+    # functions by name.  __init__'s export table and the __all__ lists hold
+    # names as strings, so they call nothing
+    places = {}  # name -> {(module, top-level definition it is read in)}
+    for module, name in bench_traced():
+        places.setdefault(name, set()).add((module, None))
+    files = [p for p in (ROOT / "src" / "crqiv").glob("*.py") if p.name != "__init__.py"]
+    files += [p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
+    for path in files:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    places.setdefault(node.id, set()).add((path.stem, getattr(top, "name", None)))
+                elif isinstance(node, ast.Attribute):
+                    places.setdefault(node.attr, set()).add((path.stem, getattr(top, "name", None)))
+    uncalled = {name for module in LIBRARY for name in importlib.import_module(f"crqiv.{module}").__all__
+                if not places.get(name, set()) - {(module, name)}}
+    assert uncalled == set(TEST_ONLY), "give a new public name a caller, or a reason in TEST_ONLY; drop a called one"
+    assert all(reason and "\n" not in reason for reason in TEST_ONLY.values())

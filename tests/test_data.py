@@ -415,9 +415,6 @@ def _error(message, kind="DataValidationError"):
     return ("error", kind, message)
 
 
-_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 9056: invalid start byte"
-
-
 @settings(max_examples=400, deadline=None)
 @given(_csv_files())
 @example(("time,event,treatment,instrument\r\n", {}, None))
@@ -469,9 +466,10 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 9056: invalid star
 @example(_changed(_case("3,1,0,0", header="x,event,treatment,instrument,time", event_labels={"1": 2}),
                   _error("row 1: no field for column 'time'")))
 # a byte that is not UTF-8, in a column neither reader parses, past the header's first 8 KiB read:
-# the position is now counted from the start of the file's first chunk
+# the row loop raises a bare UnicodeDecodeError, load_csv names the record
 @example(_changed((b"time,event,treatment,instrument,note\n1.5,1,0,1," + b"x" * 9000
-                   + b"\n3,1,0,0,\xff\n3.5,2,1,0,x\n4.5,0,1,1,x\n", {}, None), _error(_NOT_UTF8, "UnicodeDecodeError")))
+                   + b"\n3,1,0,0,\xff\n3.5,2,1,0,x\n4.5,0,1,1,x\n", {}, None),
+                  _error("row 2: byte 0xff is not UTF-8")))
 def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
     text, kwargs, sidecar, *now = case
     p = _write(tmp_path_factory.mktemp("diff"), case)
@@ -650,8 +648,9 @@ def test_load_csv_memory_peak(tmp_path):
 def _chunked_file(path, nl="\n", blank_every=0, before=(), after=()):
     """The rows of before, clean rows over more than two chunks of the file, then those of after.
 
-    A blank line follows every blank_every-th clean row.  Returns the
-    number of records before the rows of after.
+    A blank line follows every blank_every-th clean row; a lone surrogate
+    in a row is written as the byte it escapes.  Returns the number of
+    records before the rows of after.
     """
     rows = 3 * data_module._CHUNK // 8
     lines = ["time,event,treatment,instrument", *before]
@@ -659,7 +658,7 @@ def _chunked_file(path, nl="\n", blank_every=0, before=(), after=()):
         lines.append(f"{1 + i % 9},{(1, 2, 0)[i % 3]},{i % 2},{i // 2 % 2}")
         if blank_every and i % blank_every == blank_every - 1:
             lines.append("")
-    path.write_bytes(nl.join([*lines, *after, ""]).encode("utf-8"))
+    path.write_bytes(nl.join([*lines, *after, ""]).encode("utf-8", "surrogateescape"))
     return len(before) + rows
 
 
@@ -669,6 +668,10 @@ def _chunked_file(path, nl="\n", blank_every=0, before=(), after=()):
     ("-2,1,0,0", "follow-up time must be finite and >= 0, got -2"),
     ("3,7,0,0", "event code must be in {0, 1, 2}, got 7"),
     ("3,1,0", "no field for column 'instrument'"),
+    # a byte that is not UTF-8: in a label, on the second line of a quoted label, in a column not read
+    ("3,1,caf\udce9,0", "byte 0xe9 is not UTF-8"),
+    ('3,1,"two\nlines \udcff",0', "byte 0xff is not UTF-8"),
+    ("3,1,0,0,note \udce9", "byte 0xe9 is not UTF-8"),
 ])
 def test_bad_record_past_the_first_chunk_is_named_by_its_row(tmp_path, nl, bad, message):
     # a row counts records: the blank lines of the chunks before it are not counted
@@ -676,8 +679,18 @@ def test_bad_record_past_the_first_chunk_is_named_by_its_row(tmp_path, nl, bad, 
     records = _chunked_file(p, nl, blank_every=7, after=[bad, "4,1,1,1"])
     got = _outcome(p)
     assert got == ("error", "DataValidationError", f"row {records + 1}: {message}")
-    if bad != "3,1,0":  # the row loop reads a short row's missing fields as None
+    # the row loop reads a short row's missing fields as None, and raises a bare UnicodeDecodeError
+    if bad != "3,1,0" and "UTF-8" not in message:
         assert got == _row_loop_outcome(p)
+
+
+def test_byte_not_utf8_in_the_header_or_before_a_bad_record(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"time,event,treatment,instrument,caf\xe9\n3,1,0,0,x\n")
+    assert _outcome(p) == ("error", "DataValidationError", "header: byte 0xe9 is not UTF-8")
+    # a record before the byte's that fails a check is named first, as load_csv reads the file in order
+    p.write_bytes(b"time,event,treatment,instrument\n3,1,0,0\nx,1,0,1\n3,1,\xe9,0\n")
+    assert _outcome(p) == ("error", "DataValidationError", "row 2: non-numeric follow-up time 'x'")
 
 
 def test_label_first_seen_in_a_later_chunk_takes_the_next_code(tmp_path):

@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crqiv import estimator
 from crqiv.bounds import BoundFrontiers, outer_set
 from crqiv.data import CellIndex, Dataset
 from crqiv.estimator import (
     EstimationError,
     QuantileGrid,
-    WeightingPolicy,
-    default_delta,
     estimate_caps,
     estimate_y1,
     fit_curve,
     naive_curve,
-    objective,
-    residual_system,
     residual_vector,
 )
 from crqiv.inference import BootstrapConfig, bootstrap_band
@@ -43,7 +40,7 @@ def d2_fit():
     return data, fit_curve(data, grid=QuantileGrid.default(50))
 
 
-# -- grid and weighting ----------------------------------------------------
+# -- grid ------------------------------------------------------------------
 
 
 def test_default_grid():
@@ -59,45 +56,12 @@ def test_grid_validation(pts):
         QuantileGrid(np.asarray(pts))
 
 
-def test_weighting_identity_and_matrix():
-    assert WeightingPolicy().is_identity
-    assert np.array_equal(WeightingPolicy().matrix(0.3, 2), np.eye(2))
-    v = WeightingPolicy([[2.0, 0.5], [0.5, 1.0]])
-    assert not v.is_identity
-    assert v.matrix(0.1, 2)[0, 0] == 2.0
-    with pytest.raises(ValueError, match="need 3"):
-        v.matrix(0.1, 3)
-    # a constant matrix is factored once: every u gets the same C', V = C C'
-    ct = v.factor(0.1, 2)
-    assert v.factor(0.7, 2) is ct
-    assert ct.T @ ct == pytest.approx(v.matrix(0.1, 2), abs=1e-15)
-    assert WeightingPolicy().factor(0.3, 2) is None
+# -- residuals on the exact population surface ------------------------------
 
 
-def test_weighting_validation():
-    with pytest.raises(ValueError, match="square"):
-        WeightingPolicy(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="symmetric"):
-        WeightingPolicy([[1.0, 0.9], [0.1, 1.0]])
-    with pytest.raises(ValueError, match="positive definite"):
-        WeightingPolicy([[1.0, 2.0], [2.0, 1.0]])
-
-
-def test_weighting_callable_checked_per_call():
-    v = WeightingPolicy(lambda u: np.eye(2) * (1.0 + u))
-    assert v.matrix(0.5, 2)[1, 1] == 1.5
-    bad = WeightingPolicy(lambda u: [[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(ValueError, match="positive definite"):
-        bad.matrix(0.5, 2)
-    # a callable's matrix of the wrong size gets the constant policy's message
-    wrong = WeightingPolicy(lambda u: 2.0 * np.eye(3))
-    system = residual_system(GroundTruth(1).surface(), wrong)
-    for use in (lambda: wrong.matrix(0.5, 2), lambda: wrong.factor(0.5, 2), lambda: system(0.5)):
-        with pytest.raises(ValueError, match=r"weighting matrix is 3x\.\.\., need 2"):
-            use()
-
-
-# -- residuals and objective on the exact population surface ----------------
+def _system(surface, u):
+    """f(theta) = (r, J) at u: the residual the fit certifies and its Jacobian, as Gauss-Newton solves on."""
+    return lambda theta: (residual_vector(theta, u, surface), surface.slopes(theta))
 
 
 @pytest.mark.parametrize("design", [1, 2])
@@ -115,8 +79,6 @@ def test_residual_at_origin_equals_u():
     for u in (0.1, 0.4, 0.9):
         r = residual_vector([0.0, 0.0], u, surf)
         assert r == pytest.approx([u, u], abs=1e-12)
-        # identity objective is the squared norm: K * u^2 here
-        assert objective([0.0, 0.0], u, surf) == pytest.approx(2 * u * u, abs=1e-12)
 
 
 def test_residual_monotone_in_theta():
@@ -135,23 +97,15 @@ def test_residual_length_check():
         residual_vector([0.1, 0.2, 0.3], 0.2, surf)
 
 
-def test_objective_scales_with_weighting():
-    surf = GroundTruth(1).surface()
-    theta, u = [0.35, 0.15], 0.24
-    base = objective(theta, u, surf)
-    assert objective(theta, u, surf, WeightingPolicy(5.0 * np.eye(2))) == pytest.approx(5 * base, rel=1e-12)
-    assert objective(theta, u, surf, WeightingPolicy(np.eye(2))) == pytest.approx(base, rel=1e-12)
-
-
 @pytest.mark.parametrize("design", [1, 2])
 def test_population_solution_recovered(design):
     # solve the exact-surface system cold (no warm start) and compare
     # against the known structural quantiles
     truth = GroundTruth(design)
-    system = residual_system(truth.surface())
+    surf = truth.surface()
     hi = [truth.y1[0], truth.y1[1]]
     for u in np.arange(0.05, truth.u_y - 0.02, 0.05):
-        res = minimize_box_multistart(system(float(u)), [0.0, 0.0], hi)
+        res = minimize_box_multistart(_system(surf, float(u)), [0.0, 0.0], hi)
         want = [truth.phi1(0, u), truth.phi1(1, u)]
         assert res.x == pytest.approx(want, abs=1e-2)
 
@@ -168,26 +122,25 @@ def _linear_surface(starts, ends, p_hat):
 
 def test_overidentified_weighted_least_squares_minimum():
     # K=3 > L=2 with affine residuals r = A theta - c: the minimum of
-    # r' V r over the box is the weighted least-squares solution
+    # r' r over the box is the least-squares solution, which no certificate passes
     starts = [[1.0, 0.9, 0.8], [1.0, 0.7, 0.95]]
     ends = [[0.2, 0.3, 0.1], [0.5, 0.1, 0.4]]
     p_hat = [[0.6, 0.5, 0.3], [0.4, 0.5, 0.7]]
     surf = _linear_surface(starts, ends, p_hat)
-    V = WeightingPolicy([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]])
     u = 0.4
     p = np.asarray(p_hat)
     A = (p * (np.asarray(ends) - np.asarray(starts))).T
     c = (1.0 - u) - (p * np.asarray(starts)).sum(axis=0)
-    Vm = V.matrix(u, 3)
-    want = np.linalg.solve(A.T @ Vm @ A, A.T @ Vm @ c)
+    want = np.linalg.solve(A.T @ A, A.T @ c)
     assert np.all((want > 0.05) & (want < 0.95))  # interior: the box does not bind
-    min_obj = float((A @ want - c) @ Vm @ (A @ want - c))
+    min_obj = float((A @ want - c) @ (A @ want - c))
     assert np.abs(A @ want - c).max() > CERT_TOL  # no root: the system is overidentified
 
-    res = minimize_box_multistart(residual_system(surf, V)(u), [0.0, 0.0], [1.0, 1.0], warm=[0.9, 0.1])
+    res = minimize_box_multistart(_system(surf, u), [0.0, 0.0], [1.0, 1.0], warm=[0.9, 0.1])
     assert res.x == pytest.approx(want, abs=1e-10)
     assert res.fun == pytest.approx(min_obj, rel=1e-10)
-    assert res.fun == pytest.approx(objective(res.x, u, surf, V), rel=1e-12)
+    r = residual_vector(res.x, u, surf)
+    assert res.fun == pytest.approx(float(r @ r), rel=1e-12)
     assert not res.converged
 
 
@@ -228,51 +181,54 @@ def planted_root_surfaces(draw):
 def test_random_monotone_surfaces_certify_planted_root(case):
     surf, u, theta_star, warm = case
     assert np.all(np.abs(residual_vector(theta_star, u, surf)) < 1e-12)
-    res = minimize_box_multistart(residual_system(surf)(u), [0.0, 0.0], [1.0, 1.0], warm=warm)
+    res = minimize_box_multistart(_system(surf, u), [0.0, 0.0], [1.0, 1.0], warm=warm)
     assert res.converged
     assert np.abs(residual_vector(res.x, u, surf)).max() <= CERT_TOL
     assert res.x == pytest.approx(theta_star, abs=1e-4)
 
 
 @pytest.mark.parametrize(
-    "design, n, V",
-    [(1, 4_000, None), (2, 4_000, None)]
-    + [("two-sided", n, V) for n in (2_000, 10_000) for V in (None, WeightingPolicy([[2.0, 0.3], [0.3, 1.0]]))],
-    ids=["1", "2", "two-sided-2000", "two-sided-2000-V", "two-sided-10000", "two-sided-10000-V"],
+    "design, n",
+    [(1, 4_000), (2, 4_000), ("two-sided", 2_000), ("two-sided", 10_000)],
+    ids=["1", "2", "two-sided-2000", "two-sided-10000"],
 )
-def test_every_reported_point_is_certified(design, n, V):
-    # the weighted residual C' r at each reported point, recomputed through
-    # the surface's vectorized evaluator, is within the certificate, and the
+def test_every_reported_point_is_certified(design, n):
+    # the residual r at each reported point, recomputed through the
+    # surface's vectorized evaluator, is within the certificate, and the
     # fit's objective is its squared norm.  The two-sided data have no
     # triangular order, so they run the Gauss-Newton path
-    ct = np.eye(2) if V is None else np.linalg.cholesky(V.matrix(0.5, 2)).T
     for seed in range(4):
         if design == "two-sided":
             data = no_structural_zero(n, seed)
         else:
             data, _ = generate(DgpSpec(design=design, n=n, seed=seed))
         surf = assemble_surface(data)
-        fit = fit_curve(data, V=V, surface=surf)
+        fit = fit_curve(data, surface=surf)
         assert fit.reported_mask.sum() >= 10
         for m in np.flatnonzero(fit.reported_mask):
-            cr = ct @ residual_vector(fit.theta[m], float(fit.grid.points[m]), surf)
+            r = residual_vector(fit.theta[m], float(fit.grid.points[m]), surf)
             assert fit.residual[m] <= CERT_TOL
-            assert np.abs(cr).max() <= CERT_TOL
-            assert fit.objective[m] == pytest.approx(cr @ cr, rel=1e-12, abs=0.0)
+            assert np.abs(r).max() <= CERT_TOL
+            assert fit.objective[m] == pytest.approx(r @ r, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("V", [None, WeightingPolicy([[2.0, 0.3], [0.3, 1.0]])], ids=["identity", "V"])
-def test_solver_residual_is_the_certified_residual(V):
+def test_solver_residual_is_the_certified_residual(monkeypatch):
     # Gauss-Newton's restart test and fit_curve's certificate read the same
-    # bits: f's residual at each reported point is C' residual_vector there
+    # bits: the f that grid point m's solve ran on gives, at each reported
+    # point, the residual the fit certified there
+    systems = []
+
+    def recording(f, *args, **kwargs):
+        systems.append(f)
+        return minimize_box_multistart(f, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "minimize_box_multistart", recording)
     for seed in range(2):
-        data = no_structural_zero(2_000, seed)
-        surf = assemble_surface(data)
-        fit = fit_curve(data, V=V, surface=surf)
-        system = residual_system(surf, V)
-        assert fit.reported_mask.sum() >= 10
+        systems.clear()
+        fit = fit_curve(no_structural_zero(2_000, seed))
+        assert len(systems) == fit.grid.size and fit.reported_mask.sum() >= 10
         for m in np.flatnonzero(fit.reported_mask):
-            r, J = system(float(fit.grid.points[m]))(fit.theta[m])
+            r, J = systems[m](fit.theta[m])
             assert np.abs(r).max() == fit.residual[m]
             assert J.shape == (2, 2)
 
@@ -336,9 +292,9 @@ def test_estimate_y1_errors_name_the_level():
 
 
 def test_default_delta_positive(d2_fit):
-    data, _ = d2_fit
-    assert default_delta(data, 0) > 0
-    assert default_delta(data, 1) > 0
+    _, fit = d2_fit
+    assert fit.frontiers.delta.shape == (2,)
+    assert (fit.frontiers.delta > 0).all()
 
 
 def test_delta_validation(d2_fit):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from crqiv import inference
 from crqiv.cli import main
 from crqiv.data import Dataset, save_csv, swap_causes
-from crqiv.estimator import EstimationError, QuantileGrid, default_delta, estimate_y1, fit_curve, naive_curve
+from crqiv.estimator import EstimationError, QuantileGrid, _frontier_rows, estimate_y1, fit_curve, naive_curve
 from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import default_bandwidth
@@ -56,6 +56,20 @@ def _same(fn, ref_fn, *args):
         assert str(got.value) == str(exc)
         return
     assert np.asarray(fn(*args)).tobytes() == np.asarray(want).tobytes()
+
+
+def _frontiers(data):
+    """The support bounds and cushions a fit takes, as fit.frontiers holds them, or the first error they meet."""
+    y1, delta, (error,) = _frontier_rows(data, None, None)
+    if error:
+        raise error
+    return np.concatenate([y1[0], delta[0]])
+
+
+def _ref_frontiers(data):
+    """The same from the record-order reference, level by level."""
+    levels = range(data.n_treatment_levels)
+    return np.concatenate([ref.estimate_y1(data), [ref.default_delta(data, level) for level in levels]])
 
 
 def _tied(y, event, z, w):
@@ -111,14 +125,13 @@ def test_full_sample_statistics_match_record_order(data):
     for cell in data.cells():
         _same(default_bandwidth, ref.default_bandwidth, data.y[data.cell_mask(cell)])
     _same(estimate_y1, ref.estimate_y1, data)
-    for level in range(data.n_treatment_levels):
-        _same(default_delta, ref.default_delta, data, level)
+    _same(_frontiers, _ref_frontiers, data)
 
 
 def test_edge_datasets_meet_their_edges():
     cp = build_counting_processes(_NO_PRIMARY)
     assert cp.cell((1, 1)).times.size == 0 and cp.cell((1, 1)).size == 2
-    for fn in (estimate_y1, lambda d: default_delta(d, 1)):
+    for fn in (estimate_y1, _frontiers):
         with pytest.raises(EstimationError, match="'b'"):
             fn(_NO_PRIMARY)
     tied = build_counting_processes(_TIES).cell((0, 1))
@@ -203,6 +216,9 @@ def test_fit_does_not_depend_on_record_order(design, seed, kind):
     for x, z in pairs:
         assert np.asarray(x).tobytes() == np.asarray(z).tobytes()
     assert a.surface.bandwidths == b.surface.bandwidths and a.warnings == b.warnings
+    # the fit's cushions are the record-order reference's, bit for bit
+    want = [ref.default_delta(permuted, level) for level in range(permuted.n_treatment_levels)]
+    assert a.frontiers.delta.tobytes() == np.array(want).tobytes()
 
 
 def test_level_sort_is_cached_until_another_dataset_is_sorted():

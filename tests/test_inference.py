@@ -35,8 +35,6 @@ def test_config_validation():
         BootstrapConfig(draws=1)
     with pytest.raises(ValueError, match="level"):
         BootstrapConfig(level=1.0)
-    with pytest.raises(ValueError, match="report_threshold"):
-        BootstrapConfig(report_threshold=0.0)
     with pytest.raises(ValueError, match="workers"):
         BootstrapConfig(workers=0)
 

@@ -15,8 +15,8 @@ import pytest
 from crqiv import inference
 from crqiv._rng import stream
 from crqiv.data import DataValidationError, Dataset, resample
-from crqiv.estimator import (NO_ROOT, PAST_FRONTIER, REPORTED, EstimationError, QuantileGrid, WeightingPolicy,
-                             _triangular_order, fit_curve, fit_replicates)
+from crqiv.estimator import (NO_ROOT, PAST_FRONTIER, REPORTED, EstimationError, QuantileGrid, _triangular_order,
+                             fit_curve, fit_replicates)
 from crqiv.inference import BootstrapConfig, block_size, bootstrap_band
 from crqiv.optim import CERT_TOL
 from crqiv.simulate import DgpSpec, generate
@@ -101,12 +101,6 @@ def test_convolution_kind():
 def test_given_bandwidths(bandwidth):
     data, _ = generate(DgpSpec(design=2, n=2_000, seed=2))
     compare(data, BootstrapConfig(draws=12, seed=3), grid=QuantileGrid.default(40), bandwidth=bandwidth)
-
-
-def test_constant_weighting():
-    data, _ = generate(DgpSpec(design=1, n=2_000, seed=2))
-    V = WeightingPolicy(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    compare(data, BootstrapConfig(draws=12, seed=3), grid=QuantileGrid.default(40), V=V)
 
 
 def test_thin_cell_failures_match():
@@ -223,8 +217,7 @@ def test_failing_rows_inside_a_block():
 
 @pytest.mark.parametrize("make, kw", [
     pytest.param(lambda: design(2), {}, id="design2"),
-    pytest.param(lambda: design(1, seed=1), {"V": WeightingPolicy(np.array([[2.0, 0.5], [0.5, 1.0]]))},
-                 id="design1-weighted"),
+    pytest.param(lambda: design(1, seed=1), {}, id="design1"),
     pytest.param(three_by_three, {"grid": QuantileGrid.default(40)}, id="three-levels"),
     pytest.param(thin_cell_data, {"grid": QuantileGrid.default(40)}, id="failing-rows"),
     pytest.param(no_structural_zero, {"grid": QuantileGrid.default(20)}, id="gauss-newton"),

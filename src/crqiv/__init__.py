@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "inference": (
         "BootstrapConfig", "ConfidenceBand", "CoverageResult", "bootstrap_band", "coverage_study",
-        "percentile_bounds",
     ),
     "simulate": (
         "DgpSpec", "GroundTruth", "LatentTrace", "McResult", "TrueSurface", "generate", "mc_study",

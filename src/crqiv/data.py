@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 import os
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -240,7 +239,8 @@ _BLANK = ("\n", "\r", "\r\n")
 _START, _FIELD, _QUOTED, _CLOSING = range(4)
 # str.splitlines ends a line at these as well
 _BREAKS = "\v\f\x1c\x1d\x1e\x85"
-_SAVE_CHUNK = 1 << 16
+# records written at a time; building a chunk's text peaks at about 130 traced bytes a record
+_SAVE_CHUNK = 1 << 15
 
 
 def _coerce_labels(raw: list[str]) -> list:
@@ -596,22 +596,28 @@ def _csv_line(fields: list) -> str:
 def save_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV plus a level-registry JSON sidecar.
 
-    Follow-up times are written with shortest round-tripping decimal form,
-    so load_csv(save_csv(d)) reproduces record values bit-exactly. The rest
-    of each row is one of the few (event, treatment, instrument) tails,
-    each formatted once by csv.writer, so labels holding commas or quotes
-    stay quoted; rows are written a bounded chunk at a time.
+    Each follow-up time is written as repr writes it, the shortest decimal
+    that reads back bit-exactly, so load_csv(save_csv(d)) reproduces record
+    values. The text is built a chunk of records at a time in numpy (see
+    ``crqiv._csv_text``): times from 1e-4 up to 2**53 get their digits from
+    array arithmetic, and the rest (zeros, smaller or larger times, powers
+    of two, and the rare value whose digits that arithmetic cannot settle)
+    from repr, so the file is byte-identical to one written by csv.writer
+    with repr(y) row by row. The rest of each row is one of the few
+    (event, treatment, instrument) tails, each formatted once by
+    csv.writer, so labels holding commas or quotes stay quoted.
     """
+    from ._csv_text import Rows  # imported here, so that commands which only read data never load it
+
     t_levels, i_levels = data.treatment_levels, data.instrument_levels
-    tails = [_csv_line(["", ev, zl, wl]) for ev in (CENSORED, CAUSE1, CAUSE2) for zl in t_levels for wl in i_levels]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_line(["time", "event", "treatment", "instrument"]))
+    rows = Rows([_csv_line(["", ev, zl, wl]) for ev in (CENSORED, CAUSE1, CAUSE2) for zl in t_levels for wl in i_levels])
+    with open(path, "wb") as fh:
+        fh.write(_csv_line(["time", "event", "treatment", "instrument"]).encode("utf-8"))
         for lo in range(0, data.n, _SAVE_CHUNK):
             part = slice(lo, lo + _SAVE_CHUNK)
             # in intp: past 128 tails the key would wrap in the codes' int8
             key = (data.event[part].astype(np.intp) * len(t_levels) + data.z[part]) * len(i_levels) + data.w[part]
-            times = map(repr, data.y[part].tolist())
-            fh.write("".join(map(operator.add, times, map(tails.__getitem__, key.tolist()))))
+            fh.write(rows.text(data.y[part], key))
     sidecar = {
         "treatment_levels": data.treatment_levels,
         "instrument_levels": data.instrument_levels,

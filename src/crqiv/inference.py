@@ -30,7 +30,6 @@ __all__ = [
     "BootstrapConfig",
     "ConfidenceBand",
     "CoverageResult",
-    "percentile_bounds",
     "bootstrap_band",
     "coverage_study",
 ]
@@ -53,15 +52,6 @@ class BootstrapConfig:
             raise ValueError("level must be in (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-def percentile_bounds(sorted_values: np.ndarray, level: float) -> tuple[float, float]:
-    """Percentile interval endpoints: order statistics at ranks
-    ceil(alpha/2 * B) and ceil((1 - alpha/2) * B), 1-indexed, B = len(values)."""
-    if sorted_values.size == 0:
-        return math.nan, math.nan
-    lo_rank, hi_rank = _ranks(np.array([sorted_values.size]), level)
-    return float(sorted_values[lo_rank[0] - 1]), float(sorted_values[hi_rank[0] - 1])
 
 
 def _ranks(b: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@
 ``reference_band`` fits replicate b on its own, as the resampled
 ``Dataset`` of the same draw of ``stream(seed, "bootstrap", b)`` that the
 band's count blocks take as record counts.  Its percentile step takes one
-grid point at a time.  ``fit_fn(dataset,
+grid point at a time, through ``percentile_bounds``.  ``fit_fn(dataset,
 **fit_kwargs)`` replaces the replicate fitter, so that a test can fit the
 replicates on surfaces of its own.
 """
@@ -15,7 +15,16 @@ import numpy as np
 from crqiv._rng import stream
 from crqiv.data import DataValidationError, resample
 from crqiv.estimator import EstimationError, fit_curve
-from crqiv.inference import REPORT_THRESHOLD, BootstrapConfig, ConfidenceBand, percentile_bounds
+from crqiv.inference import REPORT_THRESHOLD, BootstrapConfig, ConfidenceBand, _ranks
+
+
+def percentile_bounds(sorted_values: np.ndarray, level: float) -> tuple[float, float]:
+    """Percentile interval endpoints: order statistics at ranks
+    ceil(alpha/2 * B) and ceil((1 - alpha/2) * B), 1-indexed, B = len(values)."""
+    if sorted_values.size == 0:
+        return math.nan, math.nan
+    lo_rank, hi_rank = _ranks(np.array([sorted_values.size]), level)
+    return float(sorted_values[lo_rank[0] - 1]), float(sorted_values[hi_rank[0] - 1])
 
 
 def _fit(data, **kw):

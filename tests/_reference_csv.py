@@ -5,19 +5,27 @@ it goes; it names the first offending row of a bad file.  ``load_rows``
 is ``load_csv`` with ``read_rows`` as its body reader: the same schema,
 sidecar, header and structural-zero handling, so that the two can be
 compared on any file.
+
+``write_rows`` is ``save_csv``'s CSV with one ``repr`` call a record: the
+reference for its text built in numpy.
 """
 
 import csv
 import json
+import operator
 import os
 
 import numpy as np
 
 from crqiv.data import (
+    CAUSE1,
+    CAUSE2,
+    CENSORED,
     DEFAULT_COLUMNS,
     DataValidationError,
     Dataset,
     _coerce_labels,
+    _csv_line,
     _given_order,
     code_type,
 )
@@ -128,3 +136,13 @@ def read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: lis
     z_idx = index_of(z_labels, t_levels, "treatment")
     w_idx = index_of(w_labels, i_levels, "instrument")
     return np.array(y_raw), np.array(e_raw, dtype=code_type(3)), z_idx, w_idx, t_levels, i_levels
+
+
+def write_rows(data: Dataset, path) -> None:
+    """``save_csv``'s CSV file, without its sidecar, each time written by ``repr``."""
+    t_levels, i_levels = data.treatment_levels, data.instrument_levels
+    tails = [_csv_line(["", ev, zl, wl]) for ev in (CENSORED, CAUSE1, CAUSE2) for zl in t_levels for wl in i_levels]
+    key = (data.event.astype(np.intp) * len(t_levels) + data.z) * len(i_levels) + data.w
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_line(["time", "event", "treatment", "instrument"]))
+        fh.write("".join(map(operator.add, map(repr, data.y.tolist()), map(tails.__getitem__, key.tolist()))))

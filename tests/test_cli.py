@@ -298,23 +298,25 @@ def test_version_and_help_load_no_library_code(flag, child_env):
 
 def test_each_command_loads_only_what_it_runs(tmp_path, sim_dir, est_dir, child_env):
     # every module a run imports is compiled again where no bytecode cache
-    # is written, so a command that skips one starts faster
+    # is written, so a command that skips one starts faster; only simulate
+    # writes a data file, so only it loads save_csv's text kernel
     data = sim_dir / "data.csv"
     cases = [
         (["simulate", "--design", 2, "--n", 100, "--out", tmp_path / "s"],
          ["estimator", "surface", "smoothing", "survival", "optim", "bounds", "inference", "derived"]),
         (["estimate", "--data", data, "--out", tmp_path / "e", "--grid", 10, "--naive"],
-         ["inference", "_rng", "bounds", "simulate", "derived"]),
+         ["inference", "_rng", "bounds", "simulate", "derived", "_csv_text"]),
         (["bounds", "--data", data, "--fit-json", est_dir / "fit.json", "--u", 0.9, "--lattice", 3,
           "--out", tmp_path / "b"],
-         ["inference", "simulate", "derived", "_rng"]),
+         ["inference", "simulate", "derived", "_rng", "_csv_text"]),
         (["mc", "--design", 2, "--n", 600, "--reps", 2, "--boot-draws", 4, "--grid", 10, "--out", tmp_path / "m"],
-         ["bounds", "derived"]),
+         ["bounds", "derived", "_csv_text"]),
     ]
     for argv, absent in cases:
         code, modules = modules_loaded_by(argv, child_env)
         assert code == 0, argv[0]
         assert not {f"crqiv.{m}" for m in absent} & set(modules), argv[0]
+        assert ("crqiv._csv_text" in modules) == (argv[0] == "simulate"), argv[0]
         if argv[0] == "estimate":
             assert "numpy.random" not in modules
 

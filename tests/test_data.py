@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import signal
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crqiv import data as data_module
+from crqiv._csv_text import Rows, shortest
 from crqiv.data import (
     DataValidationError,
     Dataset,
@@ -22,7 +24,7 @@ from crqiv.data import (
 )
 from crqiv.estimator import QuantileGrid, fit_curve
 from crqiv.simulate import DgpSpec, generate
-from tests._reference_csv import load_rows
+from tests._reference_csv import load_rows, write_rows
 
 
 def toy(y=(1.0, 2.0, 3.0, 4.0), event=(1, 2, 0, 1), z=(0, 1, 0, 1), w=(0, 0, 1, 1)):
@@ -591,19 +593,25 @@ def test_loaded_columns_own_their_data(tmp_path):
             assert a.flags.c_contiguous and not a.flags.writeable and a.base is None
 
 
-def test_twelve_levels_round_trip_and_fit_past_the_narrow_key(tmp_path):
-    # save_csv's key (event L + z) K + w reaches 431 at L = K = 12: it
-    # would wrap in the columns' int8, so it is taken in intp
+def twelve_levels(treatment_labels, instrument_labels) -> tuple:
+    """(dataset, event, z, w): twelve treatment and twelve instrument levels, 40 records in each cell z <= w."""
     L = K = 12
     rng = np.random.default_rng(12)
     cells = [(z, w) for z in range(L) for w in range(K) if z <= w]
     z, w = (np.repeat(c, 40) for c in zip(*cells))
-    n = z.size
-    event = rng.integers(0, 3, n)
+    event = rng.integers(0, 3, z.size)
     event[::40] = 1  # a primary-cause event in every cell
     event[-1] = 2
-    d = Dataset(rng.exponential(size=n), event, z, w, list(range(L)), [f"w{k}" for k in range(K)],
+    d = Dataset(rng.exponential(size=z.size), event, z, w, treatment_labels, instrument_labels,
                 [(a, b) for a in range(L) for b in range(K) if a > b])
+    return d, event, z, w
+
+
+def test_twelve_levels_round_trip_and_fit_past_the_narrow_key(tmp_path):
+    # save_csv's key (event L + z) K + w reaches 431 at L = K = 12: it
+    # would wrap in the columns' int8, so it is taken in intp
+    L = K = 12
+    d, event, z, w = twelve_levels(list(range(L)), [f"w{k}" for k in range(K)])
     assert ((d.event[-1:] * L + d.z[-1:]) * K + d.w[-1:])[0] != 431  # the narrow arithmetic wraps
     p = tmp_path / "twelve.csv"
     save_csv(d, p)
@@ -804,13 +812,87 @@ def test_path_that_is_not_a_regular_file_is_rejected_unopened(tmp_path):
 
 
 def test_save_csv_matches_row_by_row_csv_writer(tmp_path):
-    d, _ = generate(DgpSpec(design=2, n=10_000, seed=4))
-    p = tmp_path / "new.csv"
+    # design 1 at 10^5 has times below 1e-4, which repr writes as "e-05";
+    # the twelve-level tails hold commas, quotes and a two-byte character
+    quoted = twelve_levels([f'arm "{k}", ü' for k in range(12)], [f"w,{k}" for k in range(12)])[0]
+    cases = [(generate(DgpSpec(design=2, n=10_000, seed=4))[0], b"\r\n"),
+             (generate(DgpSpec(design=1, n=100_000, seed=0))[0], b"e-05,"),
+             (quoted, '"arm ""11"", ü","w,11"\r\n'.encode("utf-8"))]
+    for d, shown in cases:
+        p = tmp_path / "new.csv"
+        save_csv(d, p)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "event", "treatment", "instrument"])
+            for yv, ev, zi, wi in zip(d.y, d.event, d.z, d.w):
+                writer.writerow([repr(float(yv)), int(ev), d.treatment_levels[zi], d.instrument_levels[wi]])
+        assert p.read_bytes() == ref.read_bytes()
+        assert shown in p.read_bytes()
+
+
+# the times at each edge of save_csv's digit arithmetic, and lengths of shortest text
+_EDGE_TIMES = [
+    [0.0, 5e-324],  # zero and the least subnormal: repr's
+    [math.nextafter(1e-4, 0), 1e-4],  # either side of the least time written without an exponent
+    [2.0**-14, 2.0**-13, 0.5, 1.0, 2.0, 2.0**52],  # powers of two, whose gap below is half as wide
+    [0.1 + 0.2, 1 / 3, 12.0],
+    [1e15, math.nextafter(1e16, 0), 1e16, 2.0**53, 2.0**53 + 2, 1e20],  # the top of the range and past it
+    [0.7, 0.123456789012345, 0.1234567890123456, 0.12345678901234568],  # 1, 15, 16 and 17 digits
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0, allow_nan=False, allow_infinity=False), min_size=1, max_size=24))
+@example(_EDGE_TIMES[0])
+@example(_EDGE_TIMES[1])
+@example(_EDGE_TIMES[2])
+@example(_EDGE_TIMES[3])
+@example(_EDGE_TIMES[4])
+@example(_EDGE_TIMES[5])
+def test_save_csv_matches_write_rows(tmp_path_factory, times):
+    n = -(-len(times) // 4) * 4  # the toy's four cells, repeated, with the times repeated to fill them
+    d = Dataset(np.resize(times, n), np.resize([1, 2, 0, 1], n), np.resize([0, 1, 0, 1], n),
+                np.resize([0, 0, 1, 1], n), [0, 1], [0, 1])
+    p = tmp_path_factory.mktemp("csv") / "new.csv"
     save_csv(d, p)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "event", "treatment", "instrument"])
-        for yv, ev, zi, wi in zip(d.y, d.event, d.z, d.w):
-            writer.writerow([repr(float(yv)), int(ev), d.treatment_levels[zi], d.instrument_levels[wi]])
+    ref = p.with_name("ref.csv")
+    write_rows(d, ref)
     assert p.read_bytes() == ref.read_bytes()
+
+
+def _finite_bit_patterns(rng, n):
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)]
+
+
+@pytest.mark.parametrize("draw, fast", [
+    (lambda rng, n: rng.uniform(0, 1, n), 0.999),
+    (lambda rng, n: rng.exponential(size=n), 0.999),
+    (lambda rng, n: rng.uniform(1e-4, 1e-3, n), 1.0),
+    (lambda rng, n: np.round(rng.uniform(0, 100, n), 3), 0.999),
+    (_finite_bit_patterns, 0.0),
+], ids=["uniform", "exponential", "uniform-1e-4-1e-3", "rounded-to-3", "bit-patterns"])
+def test_time_text_is_repr(draw, fast):
+    # the digit arithmetic itself, against repr; it must carry nearly all of
+    # each sample but the bit patterns, most of which lie outside its range
+    y = draw(np.random.default_rng(29), 100_000)
+    got = Rows(["\n"]).text(y, np.zeros(y.size, np.intp)).tobytes()
+    assert got == "".join(f"{t!r}\n" for t in y.tolist()).encode("ascii")
+    assert shortest(y)[2].mean() >= fast
+
+
+def test_save_csv_memory_peak(tmp_path):
+    # the text is built a chunk of 2^15 records at a time: 4,040,081 traced
+    # bytes at the peak here with numpy 2.4; one Python repr a record, with
+    # 2^16-record chunks, peaked at 8,662,792
+    data, _ = generate(DgpSpec(design=1, n=200_000, seed=0))
+    save_csv(data, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        save_csv(data, tmp_path / "sim.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_100_000

@@ -11,9 +11,9 @@ from crqiv.inference import (
     CoverageResult,
     bootstrap_band,
     coverage_study,
-    percentile_bounds,
 )
 from crqiv.simulate import DgpSpec, generate
+from tests._reference_band import percentile_bounds
 
 GRID13 = QuantileGrid(np.array(
     [0.1, 0.2, 0.3, 0.4, 0.44, 0.48, 0.52, 0.56, 0.62, 0.7, 0.8, 0.9, 1.0]

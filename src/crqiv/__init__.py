@@ -26,9 +26,7 @@ _EXPORTS = {
         "aalen_johansen_incidence", "build_counting_processes", "incidence_from",
         "product_limit_survival",
     ),
-    "smoothing": (
-        "SmoothedCurve", "default_bandwidth", "epanechnikov_cdf", "rule_of_thumb_bandwidth", "smooth",
-    ),
+    "smoothing": ("SmoothedCurve", "rule_of_thumb_bandwidth", "smooth"),
     "surface": ("EstimationError", "SmoothedSurvivalSurface", "assemble_surface"),
     "optim": ("CERT_TOL", "MinimizeResult", "minimize_box_multistart"),
     "estimator": (

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _run_flags
-from .estimator import QuantileCurveFit, estimate_caps, estimate_y1, residual_vector
+from .estimator import estimate_caps, estimate_y1, residual_vector
 
 __all__ = [
     "IntervalProduct",
@@ -95,8 +95,8 @@ class BoundFrontiers:
         object.__setattr__(self, "caps", caps)
 
     @classmethod
-    def from_data(cls, data: Dataset, fit: QuantileCurveFit | None = None) -> "BoundFrontiers":
-        u_y = fit.frontiers.u_hat if fit is not None else None
+    def from_data(cls, data: Dataset, u_y: float | None = None) -> "BoundFrontiers":
+        """The data's support bounds and caps, with the frontier quantile ``u_y``, a fit's u_hat."""
         return cls(estimate_y1(data), estimate_caps(data), u_y)
 
 
@@ -134,10 +134,6 @@ class OuterSet:
             if not any(p.lower[l] >= y1[l] for l in range(p.dims)):
                 raise ValueError("piece overlaps the open point-identified box")
         object.__setattr__(self, "pieces", pieces)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.pieces
 
     def contains(self, theta) -> bool:
         return any(p.contains(theta) for p in self.pieces)

@@ -223,8 +223,11 @@ def cmd_estimate(cfg: dict) -> int:
     )
 
     if cfg.get("derived"):
+        from dataclasses import asdict
+
         from .data import swap_causes
-        from .derived import derived_quantities
+        from .derived import derived_quantities, rank_condition_diagnostic
+        extra["rank_condition"] = asdict(rank_condition_diagnostic(fit.surface, fit.frontiers.y_hat))
         cause2 = fit_curve(swap_causes(data), **kwargs)
         levels = derived_quantities(fit, cause2)
         rows = [
@@ -253,7 +256,7 @@ def cmd_bounds(cfg: dict) -> int:
     import numpy as np
 
     from .bounds import BoundFrontiers, outer_set, verify_membership
-    from .estimator import estimate_caps, estimate_y1, fit_curve
+    from .estimator import fit_curve
     from .surface import assemble_surface
 
     npts = cfg["lattice"]
@@ -272,10 +275,10 @@ def cmd_bounds(cfg: dict) -> int:
     surface = assemble_surface(data, bandwidth=kwargs["bandwidth"], kind=kwargs["kind"])
     if fit_path is None:
         u_y = fit_curve(data, stop_at_frontier=True, surface=surface, **kwargs).frontiers.u_hat
-    y1 = estimate_y1(data)
-    if fit_path is not None and (fit_doc.get("y1_hat") != y1.tolist() or fit_doc.get("n") != data.n):
-        raise ValueError(f"{fit_path}: not a fit of {data_path}: its y1_hat and n must be {y1.tolist()} and {data.n}")
-    frontiers = BoundFrontiers(y1, estimate_caps(data), u_y)
+    frontiers = BoundFrontiers.from_data(data, u_y)
+    y1 = frontiers.y1.tolist()
+    if fit_path is not None and (fit_doc.get("y1_hat") != y1 or fit_doc.get("n") != data.n):
+        raise ValueError(f"{fit_path}: not a fit of {data_path}: its y1_hat and n must be {y1} and {data.n}")
     inputs = [data_path] if fit_path is None else [data_path, fit_path]
 
     if npts:
@@ -375,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="fit quantile curves from a CSV dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--naive", action="store_true", help="include the treatment-only comparator")
-    p.add_argument("--derived", action="store_true", help="emit incidence/hazard curves")
+    p.add_argument("--derived", action="store_true",
+                   help="emit incidence/hazard curves, and the rank-condition screen to the manifest")
     p.add_argument("--boot-draws", type=_non_negative_int, default=0, dest="boot_draws",
                    help="bootstrap draws for the band (0: no band)")
     p.add_argument("--level", type=float, default=0.95)

@@ -175,19 +175,6 @@ class Dataset:
                         "declare it in structural_zeros if it is unreachable by design"
                     )
 
-    # -- access helpers ------------------------------------------------
-
-    def cell_mask(self, cell: CellIndex | tuple[int, int]) -> np.ndarray:
-        zi, wi = cell
-        return (self.z == zi) & (self.w == wi)
-
-    def cells(self) -> list[CellIndex]:
-        return [
-            CellIndex(zi, wi)
-            for zi in range(self.n_treatment_levels)
-            for wi in range(self.n_instrument_levels)
-        ]
-
 
 def swap_causes(data: Dataset) -> Dataset:
     """Relabel event causes 1 <-> 2 (censoring code 0 unchanged).

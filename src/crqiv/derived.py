@@ -55,9 +55,9 @@ def pava_nondecreasing(values: np.ndarray) -> np.ndarray:
 class MonotoneCurve:
     """Nondecreasing piecewise-linear curve through (0, 0) and given knots.
 
-    ``forward`` maps quantile level to time; ``inverse`` is the
-    left-continuous generalized inverse inf{u : curve(u) >= t}, which is
-    the cumulative incidence when the curve is a quantile function.
+    It maps quantile level to time; ``inverse`` is the left-continuous
+    generalized inverse inf{u : curve(u) >= t}, which is the cumulative
+    incidence when the curve is a quantile function.
     """
 
     u: np.ndarray
@@ -82,13 +82,6 @@ class MonotoneCurve:
     def t_max(self) -> float:
         return float(self.t[-1])
 
-    @property
-    def u_max(self) -> float:
-        return float(self.u[-1])
-
-    def forward(self, u):
-        return np.interp(u, self.u, self.t)
-
     def inverse(self, t):
         # keep the first u of every flat stretch so the inverse is the inf
         keep = np.concatenate(([True], np.diff(self.t) > 0))
@@ -109,11 +102,7 @@ class DerivedLevel:
     cause_hazard: np.ndarray  # density / (1 - u - F2(t)); NaN where undefined
     cause_hazard_valid: np.ndarray  # bool mask for the line above
     isotonic_adjusted: bool
-    curve: MonotoneCurve
-
-    def incidence_at(self, t):
-        """Cumulative incidence of the primary cause at time t (on the curve's range)."""
-        return self.curve.inverse(t)
+    curve: MonotoneCurve  # its inverse is the primary-cause cumulative incidence
 
 
 def _level_points(fit: QuantileCurveFit, level: int):
@@ -198,59 +187,37 @@ class RankConditionReport:
     passed: bool
 
 
+# a determinant at most this share of the largest density squared counts as zero
+DEGENERATE_RTOL = 1e-9
+
+
 def _density_profile(surface: SmoothedSurvivalSurface, z: int, w: int, ts: np.ndarray, step: float):
     lo = surface.evaluate(np.maximum(ts - step, 0.0), z, w)
     hi = surface.evaluate(ts + step, z, w)
     return (np.asarray(lo) - np.asarray(hi)) / (ts + step - np.maximum(ts - step, 0.0))
 
 
-def rank_condition_diagnostic(
-    surface: SmoothedSurvivalSurface,
-    t1_grid=None,
-    t2_grid=None,
-    y1=None,
-    diff_step: float | None = None,
-    degenerate_rtol: float = 1e-9,
-) -> RankConditionReport:
+def rank_condition_diagnostic(surface: SmoothedSurvivalSurface, y1) -> RankConditionReport:
     """Sign-agreement screen for the two-level, two-instrument system.
 
-    Supply either explicit time grids for the two treatment levels or the
-    per-level support bounds ``y1`` (grids then span their interiors).
-    Density estimates are symmetric difference quotients of the smoothed
-    survival surface with half-width ``diff_step`` (default: half the
-    largest curve bandwidth). Not applicable unless L = K = 2.
+    Each treatment level's time grid spans the interior of its support
+    bound in ``y1``, from 5% to 90% of it.  Density estimates are
+    symmetric difference quotients of the smoothed survival surface with
+    half-width half the largest curve bandwidth (5% of the largest grid
+    time when no curve has one). Not applicable unless L = K = 2.
     """
     if surface.n_treatment_levels != 2 or surface.n_instrument_levels != 2:
         return RankConditionReport(False, 0, 0, 0, 0, 0.0, False)
-    if t1_grid is None or t2_grid is None:
-        if y1 is None:
-            raise ValueError("pass t1_grid and t2_grid, or y1 to build default grids")
-        fr = np.linspace(0.05, 0.90, 18)
-        t1_grid = fr * float(y1[0])
-        t2_grid = fr * float(y1[1])
-    t1 = np.asarray(t1_grid, dtype=np.float64)
-    t2 = np.asarray(t2_grid, dtype=np.float64)
-    if diff_step is None:
-        diff_step = 0.5 * max(surface.bandwidths.values(), default=0.0)
-        if diff_step <= 0:
-            diff_step = 0.05 * max(t1.max(), t2.max())
-
-    f00 = _density_profile(surface, 0, 0, t1, diff_step)
-    f01 = _density_profile(surface, 0, 1, t1, diff_step)
-    f10 = _density_profile(surface, 1, 0, t2, diff_step)
-    f11 = _density_profile(surface, 1, 1, t2, diff_step)
+    fr = np.linspace(0.05, 0.90, 18)
+    t1, t2 = fr * float(y1[0]), fr * float(y1[1])
+    step = 0.5 * max(surface.bandwidths.values(), default=0.0) or 0.05 * max(t1.max(), t2.max())
+    f00, f01 = (_density_profile(surface, 0, w, t1, step) for w in (0, 1))
+    f10, f11 = (_density_profile(surface, 1, w, t2, step) for w in (0, 1))
 
     det = np.outer(f00, f11) - np.outer(f01, f10)
-    neg = (
-        (f00 < 0)[:, None] | (f01 < 0)[:, None] | (f10 < 0)[None, :] | (f11 < 0)[None, :]
-    )
-    fscale = max(
-        float(np.max(np.abs(f00), initial=0.0)),
-        float(np.max(np.abs(f01), initial=0.0)),
-        float(np.max(np.abs(f10), initial=0.0)),
-        float(np.max(np.abs(f11), initial=0.0)),
-    )
-    tol = degenerate_rtol * max(fscale, 1e-300) ** 2
+    neg = (f00 < 0)[:, None] | (f01 < 0)[:, None] | (f10 < 0)[None, :] | (f11 < 0)[None, :]
+    fscale = max(float(np.max(np.abs(f), initial=0.0)) for f in (f00, f01, f10, f11))
+    tol = DEGENERATE_RTOL * max(fscale, 1e-300) ** 2
 
     n_skipped = int(np.count_nonzero(neg))
     use = ~neg
@@ -266,6 +233,4 @@ def rank_condition_diagnostic(
         majority = 1 if n_pos >= n_neg else -1
         agreement = (n_pos if majority > 0 else n_neg) / n_evaluated if n_evaluated else 0.0
     passed = n_evaluated > 0 and agreement == 1.0
-    return RankConditionReport(
-        True, n_evaluated, n_skipped, n_degenerate, majority, agreement, passed
-    )
+    return RankConditionReport(True, n_evaluated, n_skipped, n_degenerate, majority, agreement, passed)

@@ -135,12 +135,9 @@ class QuantileCurveFit:
                        "(the identification frontier may exceed the grid range)")
         return out
 
-    def qte(self, level: int = 1, baseline: int = 0, only_reported: bool = True) -> np.ndarray:
+    def qte(self, level: int = 1, baseline: int = 0) -> np.ndarray:
         """Quantile treatment effect curve; NaN outside the reported range."""
-        out = self.theta[:, level] - self.theta[:, baseline]
-        if only_reported:
-            out = np.where(self.reported_mask, out, np.nan)
-        return out
+        return np.where(self.reported_mask, self.theta[:, level] - self.theta[:, baseline], np.nan)
 
     def to_dict(self) -> dict:
         fr = self.frontiers
@@ -352,6 +349,14 @@ def _gauss_newton_sweep(surface, u: np.ndarray, edge: np.ndarray, upper, stop_at
     return theta
 
 
+def _check_identified(data: Dataset) -> None:
+    """Raise unless the instrument has at least as many levels as the treatment (K >= L)."""
+    L, K = data.n_treatment_levels, data.n_instrument_levels
+    if K < L:
+        raise EstimationError(f"K = {K} instrument levels cannot point-identify L = {L} treatment levels; "
+                              "that needs K >= L")
+
+
 def fit_curve(
     data: Dataset,
     grid: QuantileGrid | None = None,
@@ -386,13 +391,16 @@ def fit_curve(
     frontier cushion are left NaN, which is enough for anything that only
     consumes reported points.
 
-    Count-weighted replicates of the data take ``fit_replicates``; the
-    sample is its row that counts every record once.
+    Fewer instrument than treatment levels (K < L) leave the system
+    underdetermined, so such data raise ``EstimationError`` before any
+    surface is built.  Count-weighted replicates of the data take
+    ``fit_replicates``; the sample is its row that counts every record once.
 
     The fit keeps the surface it solved on, the one given or the one
     built, as ``fit.surface``, so outer sets and diagnostics taken after
     the fit need not build it again.
     """
+    _check_identified(data)
     grid = grid or QuantileGrid.default()
     if surface is None:
         surface = assemble_surface(data, bandwidth=bandwidth, kind=kind)
@@ -420,6 +428,7 @@ def fit_replicates(
     ``EstimationError`` that stops it, with the text its resampled dataset
     would raise.
     """
+    _check_identified(data)
     grid = grid or QuantileGrid.default()
     out = assemble_surfaces(data, counts, bandwidth, kind)
     y1, deltas, errors = _frontier_rows(data, counts, delta)

@@ -245,7 +245,6 @@ def coverage_study(
     reps: int,
     boot: BootstrapConfig | None = None,
     contrast: tuple[int, int] = (1, 0),
-    band_fn=None,
     fits=None,
     **fit_kwargs,
 ) -> CoverageResult:
@@ -253,20 +252,16 @@ def coverage_study(
 
     Repetition r draws ``spec``'s design (a ``DgpSpec``) on the seed that
     ``mc_study`` gives it, and the truth is the design's true ``contrast``.
-    ``band_fn`` replaces the band constructor (same signature as
-    bootstrap_band).  ``fits`` may carry each repetition's
-    full-sample fit, ``McResult.fits`` of the same spec and fit settings:
-    each band then takes it as its point estimate instead of fitting the
-    repetition's data again.  There must be one per repetition, each on
-    the bands' grid.
+    ``fits`` may carry each repetition's full-sample fit, ``McResult.fits``
+    of the same spec and fit settings: each band then takes it as its
+    point estimate instead of fitting the repetition's data again.  There
+    must be one per repetition, each on the bands' grid.
     Repetitions run in turn, each with its own data and bootstrap seeds
     derived from its index.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     boot = boot or BootstrapConfig()
-    if band_fn is None:
-        band_fn = bootstrap_band
     if fits is not None:
         if len(fits) != reps:
             raise ValueError(f"fits holds {len(fits)} fits for {reps} repetitions")
@@ -276,9 +271,9 @@ def coverage_study(
     from .simulate import DgpSpec, GroundTruth, generate
 
     bands = [
-        band_fn(generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))[0],
-                boot=replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)),
-                contrast=contrast, fit=None if fits is None else fits[r], **fit_kwargs)
+        bootstrap_band(generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))[0],
+                       boot=replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)),
+                       contrast=contrast, fit=None if fits is None else fits[r], **fit_kwargs)
         for r in range(reps)
     ]
     u = bands[0].u

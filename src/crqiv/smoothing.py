@@ -22,8 +22,7 @@ reached its final value.
 
 ``smooth_rows`` smooths a block of step functions, one per row of padded
 arrays; each row gets the bits it would get alone, and ``smooth`` is the
-block of one row.  Likewise ``default_bandwidth`` is ``bandwidth_rows``
-under one row of ones.
+block of one row.
 """
 
 from __future__ import annotations
@@ -38,21 +37,13 @@ from .survival import StepFunction
 __all__ = [
     "SmoothedCurve",
     "smooth",
-    "default_bandwidth",
     "rule_of_thumb_bandwidth",
-    "epanechnikov_cdf",
 ]
 
 SMOOTHER_KINDS = ("local_linear", "convolution")
 
 # density of the local-linear smoother's internal sample grid
 _SAMPLE_POINTS = 512
-
-
-def epanechnikov_cdf(x):
-    """Integral of K(s) = 3/4 (1 - s^2) on [-1, 1] from -1 to x."""
-    x = np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
-    return 0.75 * (x - x**3 / 3.0) + 0.5
 
 
 def rule_of_thumb_bandwidth(sigma: float, n: int) -> float:
@@ -64,20 +55,6 @@ def rule_of_thumb_bandwidth(sigma: float, n: int) -> float:
     return 2.34 * float(sigma) * float(n) ** (-0.2)
 
 
-def default_bandwidth(sample) -> float:
-    """Rule-of-thumb bandwidth with robust scale min(sd, IQR/1.349).
-
-    ``bandwidth_rows`` of the sorted sample under one row of ones, so the
-    sd is summed in ascending order and the result does not depend on the
-    sample's order.  Raises ValueError on degenerate samples (fewer than 2
-    points or zero spread); pass an explicit bandwidth in that case.
-    """
-    (h,), (reason,) = bandwidth_rows(np.sort(np.asarray(sample, dtype=np.float64).ravel()))
-    if reason:
-        raise ValueError(reason)
-    return float(h)
-
-
 _TOO_FEW = "bandwidth rule needs at least 2 observations; pass an explicit bandwidth"
 _NO_SPREAD = "degenerate sample (zero spread); pass an explicit bandwidth"
 
@@ -85,12 +62,12 @@ _NO_SPREAD = "degenerate sample (zero spread); pass an explicit bandwidth"
 def bandwidth_rows(x: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """The rule-of-thumb bandwidth of ascending ``x`` under each row of counts (B, n).
 
-    Returns the B bandwidths, NaN where the rule fails, and per row the
-    reason it fails or None.  The quartiles are each row's exact order
-    statistics under numpy's default ``linear`` percentile rule.  The
-    moments are fixed-order ufunc reductions, one row at a time along the
-    last axis, so each row's bits do not depend on B or on how many
-    threads a BLAS library would use.  Without counts, every point counts
+    Its scale is min(sd, IQR/1.349).  Returns the B bandwidths, NaN where
+    the rule fails, and per row the reason it fails or None.  The
+    quartiles are each row's exact order statistics under numpy's default
+    ``linear`` percentile rule.  The moments are fixed-order ufunc
+    reductions, one row at a time along the last axis, so each row's bits
+    do not depend on B or on how many threads a BLAS library would use.  Without counts, every point counts
     once, as one row: that row's bits, with no product by the counts, no
     sum of them and no search for the quartiles.
     """

@@ -106,12 +106,6 @@ class CountingProcesses:
         return self.cells[CellIndex(*cell)]
 
 
-def _cell_process(y: np.ndarray, event: np.ndarray) -> CellProcess:
-    """A cell's counting processes from its records in any order."""
-    order = np.argsort(y)
-    return SortedCell(y[order], event[order]).process()
-
-
 def _failure_groups(y: np.ndarray, event: np.ndarray) -> tuple:
     """(times, starts, cause1, below) of records with ascending times y and event codes event.
 

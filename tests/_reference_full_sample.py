@@ -12,6 +12,7 @@ records."""
 
 import numpy as np
 
+from crqiv.data import CellIndex
 from crqiv.estimator import EstimationError, QuantileGrid, _no_primary_events
 from crqiv.smoothing import _NO_SPREAD, _TOO_FEW, rule_of_thumb_bandwidth
 from crqiv.survival import CellProcess, CountingProcesses, incidence_from
@@ -34,9 +35,10 @@ def cell_process(y, event):
 
 def build_counting_processes(data):
     cells = {}
-    for cell in data.cells():
-        mask = data.cell_mask(cell)
-        cells[cell] = cell_process(data.y[mask], data.event[mask])
+    for zi in range(data.n_treatment_levels):
+        for wi in range(data.n_instrument_levels):
+            mask = (data.z == zi) & (data.w == wi)
+            cells[CellIndex(zi, wi)] = cell_process(data.y[mask], data.event[mask])
     inst_sizes = {
         wi: sum(c.size for cell, c in cells.items() if cell.w == wi) for wi in range(data.n_instrument_levels)
     }

@@ -24,8 +24,8 @@ from crqiv.inference import BootstrapConfig, coverage_study
 from crqiv.simulate import DgpSpec, GroundTruth, generate
 from crqiv.surface import assemble_surface
 from crqiv.survival import (
+    SortedCell,
     StepFunction,
-    _cell_process,
     aalen_johansen_cause1,
     build_counting_processes,
     incidence_from,
@@ -86,7 +86,7 @@ def test_criterion_2_uncensored_reduction(record):
     for _ in range(1000):
         n = int(rng.integers(1, 60))
         ys = rng.uniform(0.01, 5.0, size=n)
-        proc = _cell_process(ys, np.ones(n, dtype=np.int64))
+        proc = SortedCell(np.sort(ys), np.ones(n, dtype=np.int64)).process()
         inc = incidence_from(proc, 1)
         surv = StepFunction(inc.jump_times, 1.0 - inc.values, 1.0)
         probe = np.concatenate([ys, rng.uniform(0.0, 6.0, size=5)])

@@ -25,10 +25,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # public names that nothing in src/, bench/ or the CLI calls, only tests, each with why it is still public;
 # a name leaves this list when it gets such a caller or leaves src/ (ROADMAP aim 2)
 TEST_ONLY = {
-    "default_bandwidth": "the bandwidth rule on one sample; the fit takes bandwidth_rows of whole blocks",
-    "epanechnikov_cdf": "the kernel's integral; the convolution smoother expands it in window sums",
     "product_limit_survival": "a cell's Kaplan-Meier curve; criterion 1's hand oracle reads it",
-    "rank_condition_diagnostic": "documented in README, but no command writes it yet",
+}
+# the same for the public methods, properties and classmethods of the classes those names export
+TEST_ONLY_MEMBERS = {
+    "OuterSet.contains": "membership in the outer set's pieces; README's outer-set example calls it",
 }
 
 
@@ -145,24 +146,61 @@ def test_deprecation_met_inside_crqiv_fails(category, monkeypatch):
         deprecated(0.5, [0.0, 1.0], [1.0, 1.0])
 
 
-def test_every_public_name_has_a_caller_or_a_reason():
-    # a name read in src/ (the CLI included) or bench/ counts as called, except
-    # inside its own top-level definition; the bench's tracer calls its TRACED
-    # functions by name.  __init__'s export table and the __all__ lists hold
-    # names as strings, so they call nothing
-    places = {}  # name -> {(module, top-level definition it is read in)}
+def read_places() -> dict:
+    """name -> {(module, top-level definition, member of a top-level class)} of each place src/ or bench/ reads it.
+
+    A name or attribute read in src/ (the CLI included) or bench/ counts;
+    the bench's tracer calls its TRACED functions by name.  __init__'s
+    export table and the __all__ lists hold names as strings, so they call
+    nothing.
+    """
+    places = {}
     for module, name in bench_traced():
-        places.setdefault(name, set()).add((module, None))
+        places.setdefault(name, set()).add((module, None, None))
     files = [p for p in (ROOT / "src" / "crqiv").glob("*.py") if p.name != "__init__.py"]
     files += [p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
     for path in files:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            owner = {id(node): part.name for part in members if hasattr(part, "name") for node in ast.walk(part)}
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    places.setdefault(node.id, set()).add((path.stem, getattr(top, "name", None)))
+                    name = node.id
                 elif isinstance(node, ast.Attribute):
-                    places.setdefault(node.attr, set()).add((path.stem, getattr(top, "name", None)))
+                    name = node.attr
+                else:
+                    continue
+                places.setdefault(name, set()).add((path.stem, getattr(top, "name", None), owner.get(id(node))))
+    return places
+
+
+def public_members():
+    """(module, class, member) of each public method, property and classmethod of a class a module exports."""
+    for module in LIBRARY:
+        for name in importlib.import_module(f"crqiv.{module}").__all__:
+            cls = getattr(crqiv, name)
+            if isinstance(cls, type) and cls.__module__ == f"crqiv.{module}":
+                for member, value in vars(cls).items():
+                    if not member.startswith("_") and isinstance(
+                            value, (types.FunctionType, property, classmethod, staticmethod)):
+                        yield module, name, member
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # a name counts as called where it is read outside its own top-level definition
+    places = read_places()
     uncalled = {name for module in LIBRARY for name in importlib.import_module(f"crqiv.{module}").__all__
-                if not places.get(name, set()) - {(module, name)}}
+                if not {p[:2] for p in places.get(name, ())} - {(module, name)}}
     assert uncalled == set(TEST_ONLY), "give a new public name a caller, or a reason in TEST_ONLY; drop a called one"
     assert all(reason and "\n" not in reason for reason in TEST_ONLY.values())
+
+
+def test_every_public_member_has_a_caller_or_a_reason():
+    # a member counts as called where its name is read outside its own definition, so a
+    # member whose name another one shares counts as called: the check errs toward passing
+    places = read_places()
+    uncalled = {f"{cls}.{member}" for module, cls, member in public_members()
+                if not places.get(member, set()) - {(module, cls, member)}}
+    assert uncalled == set(TEST_ONLY_MEMBERS), (
+        "give a new public member a caller, or a reason in TEST_ONLY_MEMBERS; drop a called one")
+    assert all(reason and "\n" not in reason for reason in TEST_ONLY_MEMBERS.values())

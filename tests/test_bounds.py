@@ -73,7 +73,7 @@ def test_frontiers_from_data():
 
     data, _ = generate(DgpSpec(design=2, n=3_000, seed=2))
     fit = fit_curve(data, grid=QuantileGrid.default(25), stop_at_frontier=True)
-    fr = BoundFrontiers.from_data(data, fit)
+    fr = BoundFrontiers.from_data(data, fit.frontiers.u_hat)
     assert fr.u_y == fit.frontiers.u_hat
     assert np.all(fr.caps >= fr.y1)
     assert BoundFrontiers.from_data(data).u_y is None
@@ -196,7 +196,7 @@ def test_deterministic_empty_case():
     fr = BoundFrontiers(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     os_ = outer_set_2d(0.3, surf, fr)
     assert os_.case == "empty"
-    assert os_.is_empty
+    assert os_.pieces == ()
     assert "negative along both box edges" in os_.note
     assert not os_.contains((1.0, 1.0))
     json.dumps(os_.to_dict())
@@ -354,7 +354,7 @@ def test_recursive_u1_three_half_slabs():
     surface, y1, caps = random_step_surface(rng, L=3, K=3)
     fr = BoundFrontiers(y1, caps)
     os_ = outer_set_recursive(1.0, surface, fr)
-    assert not os_.is_empty
+    assert os_.pieces
     for _ in range(400):
         theta = rng.uniform(0.0, 2.5, size=3)
         assert os_.contains(theta) == bool(np.any(theta >= y1))

@@ -166,6 +166,34 @@ def test_estimate_outputs(est_dir):
     assert counts["no_root"] == sum(s >= NO_ROOT for s in fit["status"])
 
 
+def test_estimate_manifest_holds_the_rank_condition_only_with_derived(tmp_path, sim_dir, est_dir):
+    from dataclasses import asdict
+
+    from crqiv.derived import rank_condition_diagnostic
+    from crqiv.estimator import estimate_y1
+    from crqiv.surface import assemble_surface
+
+    data = load_csv(sim_dir / "data.csv")
+    want = asdict(rank_condition_diagnostic(assemble_surface(data), estimate_y1(data)))
+    assert len(want) == 7 and want["applicable"]
+    assert json.loads((est_dir / "manifest.json").read_text())["rank_condition"] == want
+    out = tmp_path / "est"
+    assert run(["estimate", "--data", sim_dir / "data.csv", "--out", out, "--grid", 20]) == 0
+    assert "rank_condition" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_estimate_fewer_instrument_than_treatment_levels_exits_1(tmp_path, capsys):
+    from crqiv.data import save_csv
+    from test_estimator import fewer_instrument_levels
+
+    save_csv(fewer_instrument_levels(), tmp_path / "data.csv")
+    out = tmp_path / "est"
+    assert run(["estimate", "--data", tmp_path / "data.csv", "--out", out, "--grid", 20, "--derived"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: K = 2 instrument levels cannot point-identify L = 3 ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_estimate_manifest_names_failed_replicates(tmp_path):
     from crqiv.data import save_csv
     from test_inference import thin_cell_data
@@ -594,6 +622,16 @@ def test_bounds_reuses_fit_json(tmp_path, sim_dir, est_dir):
     assert doc["u_y"] == fit["u_hat"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["inputs"]) == 2
+
+
+def test_bounds_frontier_from_the_fit_or_the_data_is_the_same(tmp_path, sim_dir, est_dir):
+    # est_dir's fit is on the same 20-point grid, so its u_hat is the frontier a fit inside bounds finds
+    docs = []
+    for extra in ([], ["--fit-json", est_dir / "fit.json"]):
+        out = tmp_path / str(len(docs))
+        assert run(["bounds", "--data", sim_dir / "data.csv", "--out", out, "--grid", 20, "--u", 0.9, *extra]) == 0
+        docs.append((out / "bounds.json").read_bytes())
+    assert docs[0] == docs[1]
 
 
 def test_bounds_missing_fit_json_exits_2(tmp_path, sim_dir):

@@ -140,7 +140,7 @@ def test_cell_counts_balanced():
         np.arange(1.0, 9.0), [1] * 8, [0, 0, 1, 1, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1, 0, 1],
         [0, 1], [0, 1],
     )
-    assert all(np.count_nonzero(d.cell_mask(c)) == 2 for c in d.cells())
+    assert all(np.count_nonzero((d.z == z) & (d.w == w)) == 2 for z, w in np.ndindex(2, 2))
 
 
 def test_resample_deterministic_and_shape():

@@ -68,11 +68,9 @@ def test_pava_properties(vals):
 
 def test_monotone_curve_anchored_at_origin():
     c = MonotoneCurve(np.array([0.2, 0.4]), np.array([0.4, 0.8]))
-    assert c.u[0] == 0.0 and c.t[0] == 0.0
-    assert c.forward(0.1) == pytest.approx(0.2)
+    assert c.u.tolist() == [0.0, 0.2, 0.4] and c.t.tolist() == [0.0, 0.4, 0.8]
     assert c.inverse(0.6) == pytest.approx(0.3)
     assert c.t_max == 0.8
-    assert c.u_max == 0.4
 
 
 def test_monotone_curve_inverse_of_flat_stretch_is_inf():
@@ -84,7 +82,6 @@ def test_monotone_curve_inverse_of_flat_stretch_is_inf():
 
 def test_monotone_curve_clamps_outside_range():
     c = MonotoneCurve(np.array([0.5]), np.array([1.0]))
-    assert c.forward(2.0) == 1.0
     assert c.inverse(5.0) == 0.5
     assert c.inverse(-1.0) == 0.0
 
@@ -174,8 +171,8 @@ def test_isotonic_projection_applied():
 
 def test_incidence_inverts_quantile_curve(truth_fit):
     lv0 = derived_quantities(truth_fit)[0]
-    assert lv0.incidence_at(0.2) == pytest.approx(0.1)
-    assert lv0.incidence_at(np.array([0.1, 0.3])) == pytest.approx([0.05, 0.15])
+    assert lv0.curve.inverse(0.2) == pytest.approx(0.1)
+    assert lv0.curve.inverse(np.array([0.1, 0.3])) == pytest.approx([0.05, 0.15])
 
 
 def test_unreported_levels_dropped():
@@ -213,17 +210,12 @@ def test_rank_screen_not_applicable_off_2x2():
         n_treatment_levels = 3
         n_instrument_levels = 2
 
-    rep = rank_condition_diagnostic(ThreeLevel())
+    rep = rank_condition_diagnostic(ThreeLevel(), (1.0, 1.0, 1.0))
     assert rep == RankConditionReport(False, 0, 0, 0, 0, 0.0, False)
 
 
-def test_rank_screen_needs_grid_or_support():
-    with pytest.raises(ValueError, match="y1"):
-        rank_condition_diagnostic(ProportionalSurface())
-
-
 def test_rank_screen_degenerate_surface_fails():
-    rep = rank_condition_diagnostic(ProportionalSurface(), y1=(1.0, 0.75))
+    rep = rank_condition_diagnostic(ProportionalSurface(), (1.0, 0.75))
     assert rep.applicable
     assert rep.n_evaluated > 0
     assert rep.n_degenerate == rep.n_evaluated
@@ -234,7 +226,7 @@ def test_rank_screen_degenerate_surface_fails():
 
 def test_rank_screen_passes_on_population_surface():
     truth = GroundTruth(2)
-    rep = rank_condition_diagnostic(truth.surface(), y1=truth.y1)
+    rep = rank_condition_diagnostic(truth.surface(), truth.y1)
     assert rep.applicable
     assert rep.passed
     assert rep.agreement == 1.0
@@ -246,18 +238,14 @@ def test_rank_screen_passes_on_estimated_surface():
     surf = assemble_surface(data)
     from crqiv.estimator import estimate_y1
 
-    rep = rank_condition_diagnostic(surf, y1=estimate_y1(data))
+    rep = rank_condition_diagnostic(surf, estimate_y1(data))
     assert rep.applicable
     assert rep.passed
 
 
-def test_rank_screen_explicit_grids():
+def test_rank_screen_grid_spans_the_support_bounds():
+    # 18 times per level, from 5% to 90% of its support bound: 18 x 18 pairs
     truth = GroundTruth(1)
-    rep = rank_condition_diagnostic(
-        truth.surface(),
-        t1_grid=np.linspace(0.1, 0.5, 5),
-        t2_grid=np.linspace(0.1, 0.5, 4),
-        diff_step=0.02,
-    )
-    assert rep.n_evaluated + rep.n_skipped == 20
+    rep = rank_condition_diagnostic(truth.surface(), truth.y1)
+    assert rep.n_evaluated + rep.n_skipped == 18 * 18
     assert rep.passed

@@ -15,6 +15,7 @@ from crqiv.estimator import (
     estimate_caps,
     estimate_y1,
     fit_curve,
+    fit_replicates,
     naive_curve,
     residual_vector,
 )
@@ -118,6 +119,39 @@ def _linear_surface(starts, ends, p_hat):
         for k in range(len(starts[0]))
     }
     return surface_on_union_grid(curves, p_hat)
+
+
+def fewer_instrument_levels(n=2_000, seed=0):
+    """Three treatment levels but two instrument levels (K < L), with cell (2, 0) structurally empty.
+
+    Treatment is exogenous and the cause-1 time at level z is uniform on
+    [0, 1 + z/2], so its u-quantile is u (1 + z/2).
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.integers(0, 2, n)
+    z = rng.integers(0, 2 + w)  # treatment level 2 only under instrument level 1
+    t1, t2, c = rng.uniform(size=(3, n)) * [[1.0], [3.0], [4.0]]
+    t1 = t1 * (1 + z / 2)
+    event = np.where(c < np.minimum(t1, t2), 0, np.where(t1 <= t2, 1, 2))
+    return Dataset(np.minimum(np.minimum(t1, t2), c), event, z, w, ["a", "b", "c"], ["u", "v"],
+                   structural_zeros=[(2, 0)])
+
+
+def test_fewer_instrument_than_treatment_levels_raise_before_assembly(monkeypatch):
+    # K equations in L > K unknowns have a continuum of roots: a solver would certify an arbitrary one
+    data = fewer_instrument_levels()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a surface was built")
+
+    monkeypatch.setattr(estimator, "assemble_surface", never)
+    monkeypatch.setattr(estimator, "assemble_surfaces", never)
+    for fit in (lambda: fit_curve(data), lambda: fit_replicates(data, np.ones((2, data.n), np.uint8))):
+        with pytest.raises(EstimationError, match=r"^K = 2 instrument levels cannot point-identify L = 3 "):
+            fit()
+    # the treatment-only comparator solves no system
+    naive = naive_curve(data, QuantileGrid.default(20))
+    assert naive.shape == (20, 3) and np.isfinite(naive[:4]).all()
 
 
 def test_overidentified_weighted_least_squares_minimum():
@@ -351,10 +385,10 @@ def test_qte_masks_unreported(d2_fit):
     _, fit = d2_fit
     masked = fit.qte()
     assert np.isnan(masked[~fit.reported_mask]).all()
-    raw = fit.qte(only_reported=False)
+    raw = fit.theta[:, 1] - fit.theta[:, 0]
     assert np.isfinite(raw).all()
-    flipped = fit.qte(level=0, baseline=1, only_reported=False)
-    assert flipped == pytest.approx(-raw)
+    assert masked[fit.reported_mask].tolist() == raw[fit.reported_mask].tolist()
+    assert fit.qte(level=0, baseline=1) == pytest.approx(-masked, nan_ok=True)
 
 
 def test_stop_at_frontier_prefix_equal(d2_fit):
@@ -442,11 +476,11 @@ def test_fit_keeps_the_surface_it_built(d2_fit, monkeypatch):
 
 def test_outer_set_on_the_fitted_surface(d2_fit):
     data, fit = d2_fit
-    frontiers = BoundFrontiers.from_data(data, fit)
+    frontiers = BoundFrontiers.from_data(data, fit.frontiers.u_hat)
     got = outer_set(0.9, fit.surface, frontiers)
     assert got.to_dict() == outer_set(0.9, assemble_surface(data), frontiers).to_dict()
     assert got.case in ("i", "ii", "iii", "iv")
-    assert not got.is_empty
+    assert got.pieces
     with pytest.raises(ValueError, match="point-identified"):
         outer_set(0.01, fit.surface, frontiers)
 

@@ -16,8 +16,8 @@ from crqiv.data import Dataset, save_csv, swap_causes
 from crqiv.estimator import EstimationError, QuantileGrid, _frontier_rows, estimate_y1, fit_curve, naive_curve
 from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
-from crqiv.smoothing import default_bandwidth
-from crqiv.survival import _cell_process, build_counting_processes, level_cells, level_order, sorted_cells
+from crqiv.smoothing import bandwidth_rows
+from crqiv.survival import SortedCell, build_counting_processes, level_cells, level_order, sorted_cells
 from tests import _reference_full_sample as ref
 
 # few distinct times, so that failures of both causes, censorings and zero
@@ -56,6 +56,14 @@ def _same(fn, ref_fn, *args):
         assert str(got.value) == str(exc)
         return
     assert np.asarray(fn(*args)).tobytes() == np.asarray(want).tobytes()
+
+
+def _bandwidth(sample):
+    """The bandwidth rule on one sample: ``bandwidth_rows`` of it sorted, or the reason it fails as ValueError."""
+    (h,), (reason,) = bandwidth_rows(np.sort(sample))
+    if reason:
+        raise ValueError(reason)
+    return h
 
 
 def _frontiers(data):
@@ -122,8 +130,8 @@ def test_full_sample_statistics_match_record_order(data):
 
     grid = QuantileGrid.default(25)
     _same(naive_curve, ref.naive_curve, data, grid)
-    for cell in data.cells():
-        _same(default_bandwidth, ref.default_bandwidth, data.y[data.cell_mask(cell)])
+    for z, w in np.ndindex(data.n_treatment_levels, data.n_instrument_levels):
+        _same(_bandwidth, ref.default_bandwidth, data.y[(data.z == z) & (data.w == w)])
     _same(estimate_y1, ref.estimate_y1, data)
     _same(_frontiers, _ref_frontiers, data)
 
@@ -158,7 +166,8 @@ def test_edge_datasets_meet_their_edges():
 def test_cell_process_matches_record_order(records):
     y = np.array([r[0] for r in records], dtype=np.float64)
     event = np.array([r[1] for r in records], dtype=np.int64)
-    got, want = _cell_process(y, event), ref.cell_process(y, event)
+    o = np.argsort(y)
+    got, want = SortedCell(y[o], event[o]).process(), ref.cell_process(y, event)
     assert got.size == want.size
     for name in ("times", "dn1", "dn", "at_risk"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -172,7 +181,7 @@ def test_cell_process_matches_record_order(records):
 @example([1e308, -1e308, 3.0])
 def test_bandwidth_rule_matches_percentile(sample):
     with np.errstate(all="ignore"):  # huge and infinite values overflow both alike
-        _same(default_bandwidth, ref.default_bandwidth, np.array(sample, dtype=np.float64))
+        _same(_bandwidth, ref.default_bandwidth, np.array(sample, dtype=np.float64))
 
 
 def test_negative_zero_times_are_stored_as_zero():

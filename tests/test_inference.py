@@ -209,8 +209,9 @@ def test_failed_replicates_counted(small_band, monkeypatch):
 def thin_cell_data():
     """Design 2 at n=400 with cell (0, 1) cut to 3 records; the full fit works."""
     data, _ = generate(DgpSpec(design=2, n=400, seed=0))
-    keep = ~data.cell_mask((0, 1))
-    keep[np.flatnonzero(data.cell_mask((0, 1)))[:3]] = True
+    cell = (data.z == 0) & (data.w == 1)
+    keep = ~cell
+    keep[np.flatnonzero(cell)[:3]] = True
     return Dataset(data.y[keep], data.event[keep], data.z[keep], data.w[keep],
                    data.treatment_levels, data.instrument_levels,
                    structural_zeros=data.structural_zeros)
@@ -261,8 +262,9 @@ def test_replicate_reporting_no_point_is_not_a_failure(small_band, monkeypatch):
 
 def test_thin_cell_and_level_errors_name_them():
     data = thin_cell_data()
-    one = ~data.cell_mask((0, 1))
-    one[np.flatnonzero(data.cell_mask((0, 1)))[0]] = True
+    cell = (data.z == 0) & (data.w == 1)
+    one = ~cell
+    one[np.flatnonzero(cell)[0]] = True
     thin = Dataset(data.y[one], data.event[one], data.z[one], data.w[one], [0, 1], [0, 1],
                    structural_zeros=data.structural_zeros)
     with pytest.raises(EstimationError, match=r"cell \(treatment 0, instrument 1\): .*at least 2"):
@@ -316,7 +318,7 @@ def test_coverage_validation():
         coverage_study(DgpSpec(design=1, n=100, seed=0), reps=0)
 
 
-def test_coverage_with_injected_truth_band():
+def test_coverage_with_injected_truth_band(monkeypatch):
     # a band builder that always brackets the truth gives coverage 1
     grid = QuantileGrid(np.array([0.1, 0.2, 0.3]))
 
@@ -336,12 +338,8 @@ def test_coverage_with_injected_truth_band():
             contrast,
         )
 
-    res = coverage_study(
-        DgpSpec(design=1, n=200, seed=0),
-        reps=3,
-        boot=BootstrapConfig(draws=2, seed=0),
-        band_fn=sure_band,
-    )
+    monkeypatch.setattr(inference, "bootstrap_band", sure_band)
+    res = coverage_study(DgpSpec(design=1, n=200, seed=0), reps=3, boot=BootstrapConfig(draws=2, seed=0))
     assert np.all(res.coverage == 1.0)
     assert np.all(res.n_valid == 3)
 

@@ -20,7 +20,7 @@ from crqiv.estimator import (NO_ROOT, PAST_FRONTIER, REPORTED, EstimationError, 
 from crqiv.inference import BootstrapConfig, block_size, bootstrap_band
 from crqiv.optim import CERT_TOL
 from crqiv.simulate import DgpSpec, generate
-from crqiv.smoothing import bandwidth_rows, default_bandwidth, rule_of_thumb_bandwidth
+from crqiv.smoothing import bandwidth_rows, rule_of_thumb_bandwidth
 from crqiv.surface import assemble_surface, assemble_surfaces
 from crqiv.survival import build_counting_processes, sorted_cells
 
@@ -178,7 +178,7 @@ def test_failing_rows_inside_a_block():
     # too thin for the bandwidth rule, leave treatment level 1 without
     # primary-cause events, or leave it one for the cushion
     data = thin_cell_data()
-    thin = np.flatnonzero(data.cell_mask((0, 1)))
+    thin = np.flatnonzero((data.z == 0) & (data.w == 1))
     level1 = np.flatnonzero((data.z == 1) & (data.event == 1))
     rng = np.random.default_rng(3)
     rows = [np.bincount(rng.integers(0, data.n, data.n), minlength=data.n) for _ in range(6)]
@@ -301,14 +301,14 @@ def test_counts_reproduce_the_resampled_statistics():
                 assert x.tobytes() == y.tobytes()
     # the bandwidth rule's quartiles are numpy's to the bit; its sd to rounding
     re = resample(data, np.random.default_rng(7))
-    mask = data.cell_mask((0, 1))
+    mask = (data.z == 0) & (data.w == 1)
     order = np.argsort(data.y[mask], kind="stable")
     (h,), _ = bandwidth_rows(data.y[mask][order], counts[:1, mask][:, order])
-    assert h == pytest.approx(default_bandwidth(re.y[re.cell_mask((0, 1))]), rel=1e-13)
+    assert h == pytest.approx(ref.default_bandwidth(re.y[(re.z == 0) & (re.w == 1)]), rel=1e-13)
     ties = np.array([0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 0.7])
     c = np.array([[3, 0, 2, 1, 0, 4, 1], [2, 5, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0]])
     h, reasons = bandwidth_rows(ties, c)
-    assert h[0] == pytest.approx(default_bandwidth(np.repeat(ties, c[0])), rel=1e-13)
+    assert h[0] == pytest.approx(ref.default_bandwidth(np.repeat(ties, c[0])), rel=1e-13)
     assert reasons[0] is None and np.isnan(h[1:]).all()
     assert "zero spread" in reasons[1] and "at least 2" in reasons[2]
 
@@ -392,7 +392,7 @@ def degenerate_cell():
     """``thin_cell_data`` with its thin cell's three records at one time: the full fit fails."""
     data = thin_cell_data()
     y = data.y.copy()
-    y[data.cell_mask((0, 1))] = 0.5
+    y[(data.z == 0) & (data.w == 1)] = 0.5
     return Dataset(y, data.event, data.z, data.w, [0, 1], [0, 1], structural_zeros=data.structural_zeros)
 
 

@@ -8,13 +8,7 @@ from crqiv._rng import stream
 from crqiv.estimator import QuantileGrid, fit_curve
 from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
-from crqiv.smoothing import (
-    SmoothedCurve,
-    default_bandwidth,
-    epanechnikov_cdf,
-    rule_of_thumb_bandwidth,
-    smooth,
-)
+from crqiv.smoothing import SmoothedCurve, bandwidth_rows, rule_of_thumb_bandwidth, smooth
 from crqiv.surface import SmoothedSurvivalSurface
 from crqiv.survival import StepFunction
 
@@ -27,7 +21,13 @@ GRID = np.linspace(0.0, 4.0, 601)  # holds 0.5 and 1.0 exactly
 CONVOLUTION_TOL = 1e-12
 
 
-# -- kernel CDF ----------------------------------------------------------
+# -- kernel CDF, the knot loop's weights -----------------------------------------
+
+
+def epanechnikov_cdf(x):
+    """Integral of K(s) = 3/4 (1 - s^2) on [-1, 1] from -1 to x."""
+    x = np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
+    return 0.75 * (x - x**3 / 3.0) + 0.5
 
 
 def test_epanechnikov_cdf_anchor_values():
@@ -64,18 +64,19 @@ def test_rule_of_thumb_validation():
         rule_of_thumb_bandwidth(1.0, 1)
 
 
-def test_default_bandwidth_normal_sample():
+def test_bandwidth_rule_normal_sample():
     rng = stream(3, "test")
     x = rng.normal(size=10_000)
     # sigma-hat close to 1, so close to 2.34 * 10000^(-0.2) = 0.37085
-    assert default_bandwidth(x) == pytest.approx(2.34 * 10_000 ** -0.2, abs=0.02)
+    (h,), (reason,) = bandwidth_rows(np.sort(x))
+    assert reason is None
+    assert h == pytest.approx(2.34 * 10_000 ** -0.2, abs=0.02)
 
 
-def test_default_bandwidth_degenerate():
-    with pytest.raises(ValueError, match="at least 2"):
-        default_bandwidth([1.0])
-    with pytest.raises(ValueError, match="zero spread"):
-        default_bandwidth([2.0, 2.0, 2.0])
+def test_bandwidth_rule_degenerate():
+    for sample, why in (([1.0], "at least 2"), ([2.0, 2.0, 2.0], "zero spread")):
+        (h,), (reason,) = bandwidth_rows(np.array(sample))
+        assert np.isnan(h) and why in reason
 
 
 # -- smoothing of step functions -------------------------------------------
@@ -139,6 +140,20 @@ def test_range_and_monotone(step, kind, bw):
 @settings(max_examples=40, deadline=None)
 @given(random_step(), st.sampled_from(KINDS), st.floats(min_value=0.05, max_value=0.8))
 def test_window_oscillation_bound(step, kind, bw):
+    check_window_oscillation(step, kind, bw)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "local_linear returns values about 1.75e-12 below the step at the knots from t = 3.2 to the curve's range "
+    "3.25, where the window holds the tiny jump near its left edge: cancellation in the moment sums, past the "
+    "1e-12 allowance (the ringing slack is 5% of a 1.1e-16 drop); mending it changes smoothed bits"))
+def test_window_oscillation_tiny_last_jump():
+    # one jump at 2.75 from 1 to 1 - 2^-53, a draw that test_window_oscillation_bound can meet
+    check_window_oscillation(StepFunction(np.array([2.75]), np.array([np.nextafter(1.0, 0.0)]), 1.0),
+                             "local_linear", 0.5)
+
+
+def check_window_oscillation(step, kind, bw):
     # at its own knots the smoothed value stays inside the step's range over
     # the (boundary-shrunk) window; the linear fit rings at discontinuities,
     # but by well under 5% of the step's total variation
@@ -250,7 +265,7 @@ def test_convolution_matches_knot_loop(n, bw):
     jumps = np.unique(rng.uniform(0.0, 3.0, size=n // 4))
     drops = rng.exponential(size=jumps.size)
     step = StepFunction(jumps, 1.0 - 0.8 * np.cumsum(drops) / drops.sum(), 1.0)
-    bw = default_bandwidth(jumps) if bw is None else bw
+    bw = bandwidth_rows(jumps)[0][0] if bw is None else bw
     curve = smooth(step, bw, "convolution", GRID)
     want = convolution_loop(step, bw, np.minimum(GRID, jumps[-1] + bw))
     want = np.minimum.accumulate(np.clip(want, 0.0, 1.0))

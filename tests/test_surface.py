@@ -126,7 +126,7 @@ def test_grid_size_does_not_grow_with_n(n):
     assert surf.values.shape == (2, 2, GRID_POINTS)
     # the grid ends where the last cell finishes: last cause-1 jump + bandwidth
     ends = [
-        data.y[data.cell_mask(cell) & (data.event == 1)].max() + bw
+        data.y[(data.z == cell.z) & (data.w == cell.w) & (data.event == 1)].max() + bw
         for cell, bw in surf.bandwidths.items()
     ]
     assert surf.grid[-1] == max(ends)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from crqiv.data import Dataset
 from crqiv.survival import (
+    SortedCell,
     StepFunction,
-    _cell_process,
     aalen_johansen_cause1,
     aalen_johansen_incidence,
     build_counting_processes,
@@ -15,6 +15,12 @@ from crqiv.survival import (
 )
 
 FOUR = (np.array([1.0, 2.0, 3.0, 4.0]), np.array([1, 2, 0, 1]))
+
+
+def cell_process(y, event):
+    """A cell's counting processes from its records in any order."""
+    o = np.argsort(y)
+    return SortedCell(y[o], event[o]).process()
 
 
 # -- step functions -----------------------------------------------------
@@ -62,7 +68,7 @@ def test_step_function_matches_linear_scan(jumps, data):
 
 
 def test_counting_process_four_record_example():
-    proc = _cell_process(*FOUR)
+    proc = cell_process(*FOUR)
     assert np.array_equal(proc.times, [1.0, 2.0, 4.0])
     assert np.array_equal(proc.at_risk, [4.0, 3.0, 1.0])
     assert np.array_equal(proc.dn, [1.0, 1.0, 1.0])
@@ -71,7 +77,7 @@ def test_counting_process_four_record_example():
 
 
 def test_counting_process_all_censored():
-    proc = _cell_process(np.array([1.0, 2.0]), np.array([0, 0]))
+    proc = cell_process(np.array([1.0, 2.0]), np.array([0, 0]))
     assert proc.times.size == 0
     assert proc.size == 2
 
@@ -79,7 +85,7 @@ def test_counting_process_all_censored():
 def test_tie_failure_processed_before_censoring():
     # one cause-1 failure and one censoring at t=2: both counted at risk,
     # only the failure contributes dn, both leave afterwards
-    proc = _cell_process(np.array([1.0, 2.0, 2.0, 3.0]), np.array([1, 1, 0, 2]))
+    proc = cell_process(np.array([1.0, 2.0, 2.0, 3.0]), np.array([1, 1, 0, 2]))
     assert np.array_equal(proc.times, [1.0, 2.0, 3.0])
     assert np.array_equal(proc.at_risk, [4.0, 3.0, 1.0])
     assert np.array_equal(proc.dn, [1.0, 1.0, 1.0])
@@ -90,13 +96,13 @@ def test_tie_failure_processed_before_censoring():
 
 
 def test_product_limit_hand_values():
-    proc = _cell_process(*FOUR)
+    proc = cell_process(*FOUR)
     surv = np.cumprod(1.0 - proc.dn / proc.at_risk)
     assert np.allclose(surv, [3 / 4, 1 / 2, 0.0], atol=1e-12)
 
 
 def test_incidence_hand_values_and_complement():
-    proc = _cell_process(*FOUR)
+    proc = cell_process(*FOUR)
     inc1 = incidence_from(proc, 1)
     assert np.array_equal(inc1.jump_times, [1.0, 4.0])
     assert np.allclose(inc1.values, [1 / 4, 3 / 4], atol=1e-12)
@@ -109,7 +115,7 @@ def test_incidence_hand_values_and_complement():
 def test_tied_sample_decomposition():
     y = np.array([1.0, 1.0, 2.0])
     e = np.array([1, 2, 1])
-    proc = _cell_process(y, e)
+    proc = cell_process(y, e)
     surv = np.cumprod(1.0 - proc.dn / proc.at_risk)
     inc1 = incidence_from(proc, 1)
     inc2 = incidence_from(proc, 2)
@@ -120,7 +126,7 @@ def test_tied_sample_decomposition():
 
 def test_incidence_rejects_bad_cause():
     with pytest.raises(ValueError, match="cause"):
-        incidence_from(_cell_process(*FOUR), 3)
+        incidence_from(cell_process(*FOUR), 3)
 
 
 # -- cell-level interface -------------------------------------------------
@@ -149,7 +155,7 @@ def test_cell_accessors_and_survival_complement():
 
 
 def test_single_event_survival():
-    proc = _cell_process(np.array([5.0]), np.array([1]))
+    proc = cell_process(np.array([5.0]), np.array([1]))
     surv = np.cumprod(1.0 - proc.dn / proc.at_risk)
     f = StepFunction(proc.times, surv, 1.0)
     assert f(4.999) == 1.0
@@ -157,7 +163,7 @@ def test_single_event_survival():
 
 
 def test_all_censored_curves_are_flat():
-    proc = _cell_process(np.array([1.0, 2.0, 3.0]), np.array([0, 0, 0]))
+    proc = cell_process(np.array([1.0, 2.0, 3.0]), np.array([0, 0, 0]))
     inc = incidence_from(proc, 1)
     assert inc(50.0) == 0.0
     f = StepFunction(proc.times, np.empty(0), 1.0)
@@ -180,7 +186,7 @@ def censored_sample(draw):
 @given(censored_sample())
 def test_decomposition_sums_to_one(sample):
     y, e = sample
-    proc = _cell_process(y, e)
+    proc = cell_process(y, e)
     if proc.times.size == 0:
         return
     surv = np.cumprod(1.0 - proc.dn / proc.at_risk)
@@ -196,7 +202,7 @@ def test_decomposition_sums_to_one(sample):
 @given(censored_sample())
 def test_monotonicity_and_range(sample):
     y, e = sample
-    proc = _cell_process(y, e)
+    proc = cell_process(y, e)
     inc1 = incidence_from(proc, 1)
     vals = inc1(np.linspace(0, 11, 50))
     assert np.all(np.diff(vals) >= -1e-12)
@@ -207,7 +213,7 @@ def test_monotonicity_and_range(sample):
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0, allow_nan=False), min_size=1, max_size=50))
 def test_uncensored_single_cause_reduces_to_ecdf(ys):
     y = np.asarray(ys)
-    proc = _cell_process(y, np.ones(y.size, dtype=np.int64))
+    proc = cell_process(y, np.ones(y.size, dtype=np.int64))
     surv = aalen_johansen_cause1_like(proc)
     for t in np.concatenate([y, [0.0, 10.5]]):
         ecdf = np.count_nonzero(y <= t) / y.size

@@ -27,19 +27,16 @@ _EXPORTS = {
         "product_limit_survival",
     ),
     "smoothing": ("SmoothedCurve", "rule_of_thumb_bandwidth", "smooth"),
-    "surface": ("EstimationError", "SmoothedSurvivalSurface", "assemble_surface"),
+    "surface": ("EstimationError", "SmoothedSurvivalSurface", "assemble_surface", "residual_vector"),
     "optim": ("CERT_TOL", "MinimizeResult", "minimize_box_multistart"),
-    "estimator": (
-        "FrontierEstimates", "QuantileCurveFit", "QuantileGrid", "estimate_caps", "estimate_y1", "fit_curve",
-        "naive_curve", "residual_vector",
-    ),
+    "estimator": ("FrontierEstimates", "QuantileCurveFit", "QuantileGrid", "fit_curve", "naive_curve"),
     "derived": (
         "DerivedLevel", "MonotoneCurve", "RankConditionReport", "derived_quantities",
         "rank_condition_diagnostic",
     ),
     "bounds": (
-        "BoundFrontiers", "IntervalProduct", "OuterSet", "capped_residual", "outer_set",
-        "outer_set_2d", "outer_set_recursive", "verify_membership",
+        "BoundFrontiers", "IntervalProduct", "OuterSet", "capped_residual", "estimate_caps", "estimate_y1",
+        "outer_set", "outer_set_2d", "outer_set_recursive", "verify_membership",
     ),
     "inference": (
         "BootstrapConfig", "ConfidenceBand", "CoverageResult", "bootstrap_band", "coverage_study",

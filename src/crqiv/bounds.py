@@ -10,22 +10,29 @@ is nonnegative, where c_l caps evaluation at the observed support of
 follow-up times. Residuals are nonincreasing in each coordinate and the
 survival surface is flat past each support bound, so the set is a finite
 union of axis-aligned interval products found by scanning box boundaries.
+The support bounds y1_l and caps c_l are estimated here from the data, and
+the membership lattice the ``bounds`` command writes is streamed here, a
+block of rows at a time.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, _run_flags
-from .estimator import estimate_caps, estimate_y1, residual_vector
+from .surface import EstimationError, _no_primary_events, residual_vector
+from .survival import primary_records
 
 __all__ = [
     "IntervalProduct",
     "BoundFrontiers",
     "OuterSet",
+    "estimate_y1",
+    "estimate_caps",
     "capped_residual",
     "verify_membership",
     "outer_set_2d",
@@ -34,6 +41,8 @@ __all__ = [
 ]
 
 BISECT_RTOL = 1e-6
+# lattice rows per block: the lattice writer holds one block, whatever the lattice's size
+LATTICE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,28 @@ class BoundFrontiers:
         return cls(estimate_y1(data), estimate_caps(data), u_y)
 
 
+def estimate_y1(data: Dataset) -> np.ndarray:
+    """Largest follow-up time with a primary-cause event, per treatment level."""
+    out = np.empty(data.n_treatment_levels)
+    for zi in range(data.n_treatment_levels):
+        times = np.take(data.y, primary_records(data, zi))
+        if not times.size:
+            raise _no_primary_events(data, zi)
+        out[zi] = times[-1]
+    return out
+
+
+def estimate_caps(data: Dataset) -> np.ndarray:
+    """Upper support estimate per treatment level: max observed y, any event."""
+    out = np.empty(data.n_treatment_levels)
+    for zi in range(data.n_treatment_levels):
+        mask = data.z == zi
+        if not mask.any():
+            raise EstimationError(f"no records at treatment level {data.treatment_levels[zi]!r}")
+        out[zi] = np.compress(mask, data.y).max()
+    return out
+
+
 def capped_residual(theta, u: float, surface, caps) -> np.ndarray:
     """``residual_vector`` with evaluation capped at the support; batched likewise."""
     return residual_vector(np.minimum(theta, caps), u, surface)
@@ -113,6 +144,41 @@ def verify_membership(theta, u: float, surface, frontiers: BoundFrontiers):
     r = capped_residual(theta[member], u, surface, frontiers.caps)
     member[member] = np.min(r, axis=-1) >= 0.0
     return member if member.ndim else bool(member)
+
+
+def _write_lattice(paths: list, axes: list, verdicts) -> None:
+    """Write each lattice row ``theta_0,...,theta_{L-1},member`` to every path, with its own 0/1 verdict.
+
+    The rows run over ``np.meshgrid(*axes, indexing="ij")`` in C order (last
+    axis fastest), each coordinate as ``repr`` writes a finite float, so the
+    bytes are those of a cell-by-cell CSV writer.  ``verdicts(theta)`` maps a
+    block of rows (B, L) to one bool array (B,) per path.  A block takes its
+    coordinates from its rows' C-order indices and its text from one byte
+    table per axis, in which each axis value is formatted once, so no row
+    string, whole lattice or meshgrid is held.
+    """
+    shape = [axis.size for axis in axes]
+    rows = math.prod(shape)
+    # an axis's cells "repr(v)," as bytes, NUL-padded to the axis's widest
+    tables = [np.array([repr(v) + "," for v in axis.tolist()], dtype="S").view(np.uint8).reshape(n, -1)
+              for axis, n in zip(axes, shape)]
+    edges = np.cumsum([0] + [t.shape[1] for t in tables]).tolist()
+    header = ",".join([f"theta_{l}" for l in range(len(axes))] + ["member"]) + "\n"
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh in files:
+            fh.write(header.encode())
+        for a in range(0, rows, LATTICE_BLOCK):
+            index = np.unravel_index(np.arange(a, min(a + LATTICE_BLOCK, rows)), shape)
+            text = np.empty((index[0].size, edges[-1] + 2), np.uint8)
+            for table, i, lo, hi in zip(tables, index, edges, edges[1:]):
+                text[:, lo:hi] = table[i]
+            text[:, -2:] = (ord("0"), ord("\n"))
+            keep = text != 0  # the padding goes
+            theta = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+            for fh, member in zip(files, verdicts(theta)):
+                text[:, -2] = ord("0") + member
+                fh.write(text[keep].tobytes())
 
 
 @dataclass(frozen=True)

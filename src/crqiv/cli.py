@@ -60,29 +60,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _lattice_rows(axes: list) -> list[str]:
-    """Coordinate text ``"theta_0,...,theta_{L-1},"`` of each lattice row.
-
-    Rows follow ``np.meshgrid(*axes, indexing="ij")`` in C order (last axis
-    fastest). Each axis value is formatted once, as ``_fmt`` formats a finite
-    float.
-    """
-    rows = [""]
-    for axis in axes:
-        cells = [repr(v) + "," for v in axis.tolist()]
-        rows = [r + c for r in rows for c in cells]
-    return rows
-
-
-def _write_lattice(path: Path, header: list[str], rows: list[str], member) -> None:
-    """``_write_csv`` of each lattice row plus its 0/1 verdict, joined 4,096 rows at a time."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for a in range(0, len(rows), 4096):
-            verdicts = member[a:a + 4096].tolist()
-            fh.write("".join([r + ("0\n", "1\n")[m] for r, m in zip(rows[a:a + 4096], verdicts)]))
-
-
 def _write_json(path: Path, obj) -> None:
     import json
 
@@ -255,8 +232,7 @@ def cmd_estimate(cfg: dict) -> int:
 def cmd_bounds(cfg: dict) -> int:
     import numpy as np
 
-    from .bounds import BoundFrontiers, outer_set, verify_membership
-    from .estimator import fit_curve
+    from .bounds import BoundFrontiers, _write_lattice, outer_set, verify_membership
     from .surface import assemble_surface
 
     npts = cfg["lattice"]
@@ -271,26 +247,25 @@ def cmd_bounds(cfg: dict) -> int:
         if type(u_y) not in (int, float) or not math.isfinite(u_y):
             raise ValueError(f"{fit_path}: u_hat must be a number, got {u_y!r}")
     data, data_path = _load_data(cfg)
-    kwargs = _fit_kwargs(cfg)
-    surface = assemble_surface(data, bandwidth=kwargs["bandwidth"], kind=kwargs["kind"])
-    if fit_path is None:
-        u_y = fit_curve(data, stop_at_frontier=True, surface=surface, **kwargs).frontiers.u_hat
+    if fit_path is None:  # only a fit of its own loads the estimator and the solver
+        from .estimator import fit_curve
+        fit = fit_curve(data, stop_at_frontier=True, **_fit_kwargs(cfg))
+        surface, u_y = fit.surface, fit.frontiers.u_hat
     frontiers = BoundFrontiers.from_data(data, u_y)
     y1 = frontiers.y1.tolist()
-    if fit_path is not None and (fit_doc.get("y1_hat") != y1 or fit_doc.get("n") != data.n):
-        raise ValueError(f"{fit_path}: not a fit of {data_path}: its y1_hat and n must be {y1} and {data.n}")
+    if fit_path is not None:
+        if fit_doc.get("y1_hat") != y1 or fit_doc.get("n") != data.n:
+            raise ValueError(f"{fit_path}: not a fit of {data_path}: its y1_hat and n must be {y1} and {data.n}")
+        surface = assemble_surface(data, bandwidth=cfg.get("bandwidth"), kind=cfg.get("kind", "local_linear"))
     inputs = [data_path] if fit_path is None else [data_path, fit_path]
 
-    if npts:
-        L = frontiers.y1.size
-        axes = [np.linspace(0.0, 1.5 * frontiers.y1[l], npts) for l in range(L)]
-        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L)
-        # BoundFrontiers keeps y1 positive and finite, so every coordinate is finite
-        rows, header = _lattice_rows(axes), [f"theta_{l}" for l in range(L)] + ["member"]
     sets = [outer_set(u, surface, frontiers).to_dict() for u in cfg["u"]]
     out = _outdir(cfg)
-    for u, name in zip(cfg["u"], names):
-        _write_lattice(out / name, header, rows, verify_membership(lattice, u, surface, frontiers))
+    if npts:
+        # BoundFrontiers keeps y1 positive and finite, so every coordinate is finite
+        axes = [np.linspace(0.0, 1.5 * y, npts) for y in y1]
+        _write_lattice([out / name for name in names], axes,
+                       lambda theta: [verify_membership(theta, u, surface, frontiers) for u in cfg["u"]])
     _write_json(out / "bounds.json", {"u_y": frontiers.u_y, "sets": sets})
     _write_manifest(out, "bounds", cfg, cfg["seed"], inputs)
     print(f"wrote {out / 'bounds.json'} ({len(sets)} quantile(s))")

@@ -30,7 +30,8 @@ import numpy as np
 from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
 from .smoothing import _rows_searchsorted, _take_rows, bandwidth_rows
-from .surface import EstimationError, SmoothedSurvivalSurface, _jumps, assemble_surface, assemble_surfaces
+from .surface import (EstimationError, SmoothedSurvivalSurface, _jumps, _no_primary_events, assemble_surface,
+                      assemble_surfaces, residual_vector)
 from .survival import SortedCell, level_order, primary_records
 
 __all__ = [
@@ -38,9 +39,6 @@ __all__ = [
     "QuantileGrid",
     "FrontierEstimates",
     "QuantileCurveFit",
-    "residual_vector",
-    "estimate_y1",
-    "estimate_caps",
     "fit_curve",
     "naive_curve",
 ]
@@ -170,37 +168,6 @@ def _json_float(v: float):
     return v
 
 
-def residual_vector(theta, u, surface: SmoothedSurvivalSurface) -> np.ndarray:
-    """Instrument-level residuals at (theta, u), batched: theta (..., L) -> (..., K).
-
-    ``u`` is a float or an array of theta's leading shape, one level per
-    row.  Cells are evaluated on whole theta columns and summed over l in
-    order from 0.0, so each row equals its single-point result bit for bit.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    L, K = surface.n_treatment_levels, surface.n_instrument_levels
-    if theta.ndim == 0 or theta.shape[-1] != L:
-        raise ValueError(f"theta must have length {L}")
-    out = np.empty(theta.shape[:-1] + (K,))
-    for k in range(K):
-        s = 0.0
-        for l in range(L):
-            s = s + surface.evaluate(theta[..., l], l, k)
-        out[..., k] = s - (1.0 - u)
-    return out
-
-
-def estimate_y1(data: Dataset) -> np.ndarray:
-    """Largest follow-up time with a primary-cause event, per treatment level."""
-    out = np.empty(data.n_treatment_levels)
-    for zi in range(data.n_treatment_levels):
-        times, _ = _primary_times(data, zi, None)
-        if not times.size:
-            raise _no_primary_events(data, zi)
-        out[zi] = times[-1]
-    return out
-
-
 def _primary_times(data: Dataset, level: int, counts) -> tuple:
     """A level's primary-cause times, ascending, and their counts in each row of counts (B, n), or None.
 
@@ -209,13 +176,6 @@ def _primary_times(data: Dataset, level: int, counts) -> tuple:
     """
     primary = primary_records(data, level, cache=counts is not None)
     return np.take(data.y, primary), None if counts is None else np.take(counts, primary, axis=1)
-
-
-def _no_primary_events(data: Dataset, level: int) -> EstimationError:
-    return EstimationError(
-        f"treatment level {data.treatment_levels[level]!r} has no primary-cause events; "
-        "its quantile support bound cannot be estimated"
-    )
 
 
 def _frontier_rows(data: Dataset, counts, delta) -> tuple:
@@ -245,17 +205,6 @@ def _frontier_rows(data: Dataset, counts, delta) -> tuple:
             raise ValueError("delta must be a positive scalar or one positive value per level")
         deltas[:] = given
     return y1, deltas, [a or b for a, b in zip(bound_errors, cushion_errors)]
-
-
-def estimate_caps(data: Dataset) -> np.ndarray:
-    """Upper support estimate per treatment level: max observed y, any event."""
-    out = np.empty(data.n_treatment_levels)
-    for zi in range(data.n_treatment_levels):
-        mask = data.z == zi
-        if not mask.any():
-            raise EstimationError(f"no records at treatment level {data.treatment_levels[zi]!r}")
-        out[zi] = np.compress(mask, data.y).max()
-    return out
 
 
 def _triangular_order(p_hat: np.ndarray):

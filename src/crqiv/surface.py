@@ -6,7 +6,8 @@ cell share p_hat(z, w) = P(Z = z | W = w).  The surface evaluates
 
     S1_hat(t, z | w) = smoothed_curve_{z,w}(t) * p_hat(z, w)
 
-which is the quantity entering the instrumental system of equations.
+which is the quantity entering the instrumental system of equations;
+``residual_vector`` evaluates that system's residuals at a batch of theta.
 Every cell lives on one uniform grid of ``GRID_POINTS`` points, from 0 to
 the largest "last primary-cause jump + bandwidth" over the cells, so the
 surface is that grid plus an (L, K, G) value array whatever the sample
@@ -29,7 +30,7 @@ from .data import CellIndex, DataValidationError, Dataset
 from .smoothing import bandwidth_rows, left_pack, smooth_rows
 from .survival import incidence_values, level_cells, sorted_cells
 
-__all__ = ["EstimationError", "SmoothedSurvivalSurface", "assemble_surface"]
+__all__ = ["EstimationError", "SmoothedSurvivalSurface", "assemble_surface", "residual_vector"]
 
 GRID_POINTS = 601  # knots of the grid shared by a surface's cells
 
@@ -94,6 +95,26 @@ class SmoothedSurvivalSurface:
         return self.grid
 
 
+def residual_vector(theta, u, surface: SmoothedSurvivalSurface) -> np.ndarray:
+    """Instrument-level residuals at (theta, u), batched: theta (..., L) -> (..., K).
+
+    ``u`` is a float or an array of theta's leading shape, one level per
+    row.  Cells are evaluated on whole theta columns and summed over l in
+    order from 0.0, so each row equals its single-point result bit for bit.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    L, K = surface.n_treatment_levels, surface.n_instrument_levels
+    if theta.ndim == 0 or theta.shape[-1] != L:
+        raise ValueError(f"theta must have length {L}")
+    out = np.empty(theta.shape[:-1] + (K,))
+    for k in range(K):
+        s = 0.0
+        for l in range(L):
+            s = s + surface.evaluate(theta[..., l], l, k)
+        out[..., k] = s - (1.0 - u)
+    return out
+
+
 def _given_bandwidth(bandwidth) -> float | None:
     """A given bandwidth as a float, None for the rule of thumb; it must be a finite positive number."""
     if bandwidth is None:
@@ -108,6 +129,13 @@ def _given_bandwidth(bandwidth) -> float | None:
 def _thin_cell(data: Dataset, cell: CellIndex, reason) -> EstimationError:
     z, w = data.treatment_levels[cell.z], data.instrument_levels[cell.w]
     return EstimationError(f"cell (treatment {z!r}, instrument {w!r}): {reason}")
+
+
+def _no_primary_events(data: Dataset, level: int) -> EstimationError:
+    return EstimationError(
+        f"treatment level {data.treatment_levels[level]!r} has no primary-cause events; "
+        "its quantile support bound cannot be estimated"
+    )
 
 
 def assemble_surface(

@@ -10,14 +10,15 @@ from crqiv.bounds import (
     IntervalProduct,
     OuterSet,
     capped_residual,
+    estimate_caps,
+    estimate_y1,
     outer_set,
     outer_set_2d,
     outer_set_recursive,
     verify_membership,
 )
-from crqiv.estimator import estimate_caps, estimate_y1, residual_vector
 from crqiv.simulate import DgpSpec, GroundTruth, generate
-from crqiv.surface import SmoothedSurvivalSurface, assemble_surface
+from crqiv.surface import SmoothedSurvivalSurface, assemble_surface, residual_vector
 from tests._synthetic import StepSurface, compare_on_lattice, random_step_surface, reference_outer_set
 
 # bisection extents on the exact population surfaces (quadrature + brentq)

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crqiv.cli import _fmt, _lattice_rows, _resolve_config, _write_csv, _write_lattice, build_parser, main
+from crqiv.bounds import LATTICE_BLOCK, _write_lattice
+from crqiv.cli import _fmt, _resolve_config, _write_csv, build_parser, main
 from crqiv.data import load_csv
 from crqiv.estimator import NO_ROOT, PAST_FRONTIER, REPORTED
 
@@ -50,7 +52,8 @@ def test_fmt_cells():
 
 
 def test_lattice_writer_matches_row_writer(tmp_path):
-    # the lattice writer's reference is the cell-by-cell _fmt writer
+    # the streamed lattice writer's reference is the cell-by-cell _fmt writer;
+    # each case writes two files, each with its own verdicts
     rng = np.random.default_rng(0)
     cases = [
         ([0.7, 1.3], 150, "random"),
@@ -58,22 +61,35 @@ def test_lattice_writer_matches_row_writer(tmp_path):
         ([0.7, 1.3], 1, "random"),
         ([1e-5, 1e16], 9, "random"),  # axis values whose repr has an exponent
         ([1e-5, 0.5, 1e16], 4, "random"),
-        ([0.7, 1.3], 70, "zeros"),  # more rows than one write chunk
+        ([0.7, 1.3], 70, "zeros"),
         ([0.7, 1.3, 2.1], 7, "ones"),
+        ([0.7, 1.3, 2.1], 30, "random"),  # four blocks, each edge inside a run of the last axis
     ]
+    assert 3 * LATTICE_BLOCK < 30 ** 3 and LATTICE_BLOCK % 30
     for y1, npts, verdicts in cases:
         axes = [np.linspace(0.0, 1.5 * y, npts) for y in y1]
         lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(y1))
         if verdicts == "random":
-            member = rng.uniform(size=len(lattice)) < 0.5
+            member = rng.uniform(size=(2, len(lattice))) < 0.5
         else:
-            member = np.full(len(lattice), verdicts == "ones")
+            member = np.full((2, len(lattice)), verdicts == "ones")
+        done = [0]  # rows given verdicts so far
+
+        def block_verdicts(theta):
+            a = done[0]
+            done[0] += len(theta)
+            assert len(theta) <= LATTICE_BLOCK and np.array_equal(theta, lattice[a:done[0]])
+            return member[:, a:done[0]]
+
         header = [f"theta_{l}" for l in range(len(y1))] + ["member"]
-        _write_lattice(tmp_path / "lattice.csv", header, _lattice_rows(axes), member)
-        _write_csv(tmp_path / "rows.csv", header, zip(*lattice.T.tolist(), member.astype(int).tolist()))
-        got = (tmp_path / "lattice.csv").read_bytes()
-        assert got == (tmp_path / "rows.csv").read_bytes(), (y1, npts, verdicts)
-        assert got.count(b"\n") == npts ** len(y1) + 1
+        paths = [tmp_path / "lattice_a.csv", tmp_path / "lattice_b.csv"]
+        _write_lattice(paths, axes, block_verdicts)
+        assert done[0] == len(lattice)
+        for path, m in zip(paths, member):
+            _write_csv(tmp_path / "rows.csv", header, zip(*lattice.T.tolist(), m.astype(int).tolist()))
+            got = path.read_bytes()
+            assert got == (tmp_path / "rows.csv").read_bytes(), (y1, npts, verdicts)
+            assert got.count(b"\n") == npts ** len(y1) + 1
 
 
 def test_parser_requires_command_and_flags(capsys):
@@ -170,7 +186,7 @@ def test_estimate_manifest_holds_the_rank_condition_only_with_derived(tmp_path, 
     from dataclasses import asdict
 
     from crqiv.derived import rank_condition_diagnostic
-    from crqiv.estimator import estimate_y1
+    from crqiv.bounds import estimate_y1
     from crqiv.surface import assemble_surface
 
     data = load_csv(sim_dir / "data.csv")
@@ -336,7 +352,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, sim_dir, est_dir, child_
          ["inference", "_rng", "bounds", "simulate", "derived", "_csv_text"]),
         (["bounds", "--data", data, "--fit-json", est_dir / "fit.json", "--u", 0.9, "--lattice", 3,
           "--out", tmp_path / "b"],
-         ["inference", "simulate", "derived", "_rng", "_csv_text"]),
+         ["estimator", "optim", "inference", "simulate", "derived", "_rng", "_csv_text"]),
         (["mc", "--design", 2, "--n", 600, "--reps", 2, "--boot-draws", 4, "--grid", 10, "--out", tmp_path / "m"],
          ["bounds", "derived", "_csv_text"]),
     ]
@@ -661,8 +677,13 @@ def test_bounds_fit_json_without_numeric_u_hat_exits_1(tmp_path, sim_dir, capsys
     assert not (tmp_path / "b").exists()
 
 
-def test_bounds_fit_json_of_other_data_exits_1(tmp_path, sim_dir, est_dir, capsys):
-    # a design-1 fit, and the data's own fit with another n, used with design-2 data
+def test_bounds_fit_json_of_other_data_exits_1(tmp_path, sim_dir, est_dir, capsys, monkeypatch):
+    # a design-1 fit, and the data's own fit with another n, used with design-2 data,
+    # rejected from the data's support bounds before any surface is built
+    import crqiv.surface
+
+    calls = []
+    monkeypatch.setattr(crqiv.surface, "assemble_surface", lambda *args, **kwargs: calls.append(1))
     other = tmp_path / "other"
     assert run(["simulate", "--design", 1, "--n", 600, "--seed", 3, "--out", other]) == 0
     assert run(["estimate", "--data", other / "data.csv", "--out", other, "--grid", 20]) == 0
@@ -676,6 +697,26 @@ def test_bounds_fit_json_of_other_data_exits_1(tmp_path, sim_dir, est_dir, capsy
         err = capsys.readouterr().err
         assert err.startswith(f"error: {fit_path}: not a fit of ") and err.count("\n") == 1
         assert not (tmp_path / "b").exists()
+    assert calls == []
+
+
+def test_bounds_lattice_memory_does_not_grow_with_npts(tmp_path, sim_dir, est_dir):
+    # bounds streams its lattice a block of rows at a time, so 16 times the
+    # rows leave the traced peak where it was (1,764,531 and 1,800,562 bytes
+    # at npts 100 and 400 with numpy 2.4, each after a warm run); the
+    # allowance covers the axis byte tables, which grow with npts.  Holding
+    # every row's text, the lattice and its meshgrid, it peaked at 1,817,945
+    # and 24,490,214
+    peaks = []
+    for npts in (100, 400):
+        tracemalloc.start()
+        try:
+            assert run(["bounds", "--data", sim_dir / "data.csv", "--fit-json", est_dir / "fit.json", "--u", 0.9,
+                        "--lattice", npts, "--out", tmp_path / str(npts)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 250_000, peaks
 
 
 def test_bounds_assembles_the_surface_once(tmp_path, sim_dir, monkeypatch):

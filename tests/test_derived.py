@@ -236,7 +236,7 @@ def test_rank_screen_passes_on_population_surface():
 def test_rank_screen_passes_on_estimated_surface():
     data, _ = generate(DgpSpec(design=2, n=5_000, seed=8))
     surf = assemble_surface(data)
-    from crqiv.estimator import estimate_y1
+    from crqiv.bounds import estimate_y1
 
     rep = rank_condition_diagnostic(surf, estimate_y1(data))
     assert rep.applicable

@@ -7,23 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crqiv import estimator
-from crqiv.bounds import BoundFrontiers, outer_set
+from crqiv.bounds import BoundFrontiers, estimate_caps, estimate_y1, outer_set
 from crqiv.data import CellIndex, Dataset
-from crqiv.estimator import (
-    EstimationError,
-    QuantileGrid,
-    estimate_caps,
-    estimate_y1,
-    fit_curve,
-    fit_replicates,
-    naive_curve,
-    residual_vector,
-)
+from crqiv.estimator import EstimationError, QuantileGrid, fit_curve, fit_replicates, naive_curve
 from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.optim import CERT_TOL, minimize_box_multistart
 from crqiv.simulate import DgpSpec, GroundTruth, generate
 from crqiv.smoothing import SmoothedCurve
-from crqiv.surface import assemble_surface
+from crqiv.surface import assemble_surface, residual_vector
 from test_replicate_counts import no_structural_zero
 from tests._synthetic import surface_on_union_grid
 

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crqiv import inference
+from crqiv.bounds import estimate_y1
 from crqiv.cli import main
 from crqiv.data import Dataset, save_csv, swap_causes
-from crqiv.estimator import EstimationError, QuantileGrid, _frontier_rows, estimate_y1, fit_curve, naive_curve
+from crqiv.estimator import EstimationError, QuantileGrid, _frontier_rows, fit_curve, naive_curve
 from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import bandwidth_rows

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 import crqiv.estimator as estimator
 from crqiv.data import CellIndex, Dataset
-from crqiv.estimator import NO_ROOT, QuantileGrid, fit_curve, residual_vector
+from crqiv.estimator import NO_ROOT, QuantileGrid, fit_curve
 from crqiv.inference import BootstrapConfig, bootstrap_band
 from crqiv.optim import CERT_TOL
 from crqiv.simulate import DgpSpec, generate
 from crqiv.smoothing import SmoothedCurve
-from crqiv.surface import assemble_surface
+from crqiv.surface import assemble_surface, residual_vector
 from tests._synthetic import surface_on_union_grid
 
 

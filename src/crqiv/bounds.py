@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .data import Dataset, _run_flags
-from .surface import EstimationError, _no_primary_events, residual_vector
+from .surface import EstimationError, _columns, _no_primary_events, residual_vector
 from .survival import primary_records
 
 __all__ = [
@@ -136,13 +137,17 @@ def capped_residual(theta, u: float, surface, caps) -> np.ndarray:
     return residual_vector(np.minimum(theta, caps), u, surface)
 
 
+def _nonnegative(r: np.ndarray) -> np.ndarray:
+    """Whether every residual of each row of r (..., K) is nonnegative."""
+    return reduce(np.minimum, _columns(r)) >= 0.0
+
+
 def verify_membership(theta, u: float, surface, frontiers: BoundFrontiers):
     """Direct check of both membership conditions: theta (..., L) -> verdicts (...)."""
     theta = np.asarray(theta, dtype=np.float64)
-    member = np.asarray(np.any(theta >= frontiers.y1, axis=-1))
+    member = np.asarray(reduce(np.logical_or, _columns(theta >= frontiers.y1)))
     # residuals only where the point left the box; the rest are not members
-    r = capped_residual(theta[member], u, surface, frontiers.caps)
-    member[member] = np.min(r, axis=-1) >= 0.0
+    member[member] = _nonnegative(capped_residual(theta[member], u, surface, frontiers.caps))
     return member if member.ndim else bool(member)
 
 
@@ -238,7 +243,7 @@ def _extents(u: float, surface, caps, points, c: int, top: float, tol: float) ->
 
     def nonneg(x):
         theta[:, c] = x
-        return np.min(capped_residual(theta, u, surface, caps), axis=-1) >= 0.0
+        return _nonnegative(capped_residual(theta, u, surface, caps))
 
     start, stop = nonneg(0.0), nonneg(top)
     out = np.where(start, math.inf, math.nan)
@@ -270,7 +275,7 @@ def outer_set_2d(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
     caps = frontiers.caps
     inf = math.inf
 
-    if np.min(capped_residual(frontiers.y1, u, surface, caps)) >= 0.0:
+    if _nonnegative(capped_residual(frontiers.y1, u, surface, caps)):
         pieces = (
             IntervalProduct((0.0, y1v), (y0, inf)),
             IntervalProduct((y0, 0.0), (inf, y1v)),

@@ -275,14 +275,7 @@ def cmd_bounds(cfg: dict) -> int:
 def cmd_mc(cfg: dict) -> int:
     from .simulate import DgpSpec, mc_study
 
-    boot = _boot(cfg)
-    spec = DgpSpec(cfg["design"], cfg["n"], cfg["seed"])
-    fit_kwargs = _fit_kwargs(cfg)
-    res = mc_study(spec, cfg["reps"], **fit_kwargs)
-    cov = None
-    if boot is not None:
-        from .inference import coverage_study
-        cov = coverage_study(spec, cfg["reps"], boot, fits=res.fits, **fit_kwargs)
+    res = mc_study(DgpSpec(cfg["design"], cfg["n"], cfg["seed"]), cfg["reps"], boot=_boot(cfg), **_fit_kwargs(cfg))
     out = _outdir(cfg)
 
     means, counts = res.mean_qte()
@@ -313,8 +306,8 @@ def cmd_mc(cfg: dict) -> int:
         ],
     )
 
-    if cov is not None:
-        _write_csv(out / "mc_coverage.csv", ["u", "coverage", "hits", "n_valid"], cov.rows())
+    if res.coverage is not None:
+        _write_csv(out / "mc_coverage.csv", ["u", "coverage", "hits", "n_valid"], res.coverage.rows())
 
     _write_manifest(out, "mc", cfg, cfg["seed"], [])
     print(f"mc done: {res.reps} replications -> {out}")

@@ -23,6 +23,7 @@ precision rather than a near-root on a box face.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
 
 import numpy as np
@@ -30,8 +31,8 @@ import numpy as np
 from .data import Dataset
 from .optim import CERT_TOL, minimize_box_multistart
 from .smoothing import _rows_searchsorted, _take_rows, bandwidth_rows
-from .surface import (EstimationError, SmoothedSurvivalSurface, _jumps, _no_primary_events, assemble_surface,
-                      assemble_surfaces, residual_vector)
+from .surface import (EstimationError, SmoothedSurvivalSurface, _columns, _jumps, _no_primary_events,
+                      assemble_surface, assemble_surfaces, residual_vector)
 from .survival import SortedCell, level_order, primary_records
 
 __all__ = [
@@ -356,7 +357,7 @@ def fit_curve(
     y1, deltas, (error,) = _frontier_rows(data, None, delta)
     if error:
         raise error
-    return _solve_rows(data, [surface], y1, deltas, grid, stop_at_frontier)[0]
+    return _solve_rows(data, [surface], y1, deltas, grid, np.array([stop_at_frontier], bool))[0]
 
 
 def fit_replicates(
@@ -366,13 +367,14 @@ def fit_replicates(
     bandwidth=None,
     delta=None,
     kind: str = "local_linear",
-    stop_at_frontier: bool = False,
+    stop_at_frontier: bool | np.ndarray = False,
 ) -> list:
     """``fit_curve`` of each count-weighted replicate of ``data``, one per row of counts (B, n).
 
     The surfaces, support bounds and cushions are taken for the whole block
     at once (``assemble_surfaces``), and so is the solve.  Every row gets
-    the bits of ``fit_curve`` on its resampled dataset.  An entry is the
+    the bits of ``fit_curve`` on its resampled dataset, under one
+    ``stop_at_frontier`` or one per row.  An entry is the
     row's ``QuantileCurveFit``, or the ``DataValidationError`` or
     ``EstimationError`` that stops it, with the text its resampled dataset
     would raise.
@@ -386,15 +388,16 @@ def fit_replicates(
             out[b] = errors[b]
     live = [b for b, surface in enumerate(out) if not isinstance(surface, Exception)]
     if live:
-        fits = _solve_rows(data, [out[b] for b in live], y1[live], deltas[live], grid, stop_at_frontier)
+        stop = np.broadcast_to(np.asarray(stop_at_frontier, bool), len(out))[live]
+        fits = _solve_rows(data, [out[b] for b in live], y1[live], deltas[live], grid, stop)
         for b, fit in zip(live, fits):
             out[b] = fit
     return out
 
 
 def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.ndarray, grid: QuantileGrid,
-                stop_at_frontier: bool) -> list:
-    """``fit_curve`` on each surface, with its row of support bounds y_hat (B, L) and cushions (B, L).
+                stop: np.ndarray) -> list:
+    """``fit_curve`` on each surface, with its row of support bounds y_hat (B, L), cushions (B, L) and stop (B,).
 
     The surfaces share one grid size and one pattern of open cells, as the
     rows of one assembly do.  With a triangular order the rows are solved
@@ -408,19 +411,18 @@ def _solve_rows(data: Dataset, surfaces: list, y_hat: np.ndarray, deltas: np.nda
     edge = y_hat - deltas  # the frontier cushion
     order = _triangular_order(surfaces[0].p_hat)
     if order is None:
-        theta = np.stack([_gauss_newton_sweep(s, u, edge[b], upper[b], stop_at_frontier)
+        theta = np.stack([_gauss_newton_sweep(s, u, edge[b], upper[b], bool(stop[b]))
                           for b, s in enumerate(surfaces)])
         why = NOT_CERTIFIED
     else:
         theta, why = _triangular_sweep(surfaces, order, u, upper)
 
-    hit = (theta >= edge[:, None]).any(axis=2)
+    hit = reduce(np.logical_or, _columns(theta >= edge[:, None]))
     triggered = hit.any(axis=1)
     m_hat = np.where(triggered, hit.argmax(axis=1), M - 1)
-    if stop_at_frontier:
-        theta[np.arange(M) > m_hat[:, None]] = np.nan
+    theta[stop[:, None] & (np.arange(M) > m_hat[:, None])] = np.nan
     r = np.stack([residual_vector(t, u, s) for t, s in zip(theta, surfaces)])
-    resid = np.abs(r).max(axis=2)
+    resid = reduce(np.maximum, np.abs(_columns(r)))
     before = (np.arange(M) < m_hat[:, None]) | ~triggered[:, None]
     status = np.where(before, np.where(resid <= CERT_TOL, REPORTED, why), PAST_FRONTIER)
 

@@ -9,22 +9,24 @@ Every replicate draws from its own counter-based stream keyed by
 draw: it is fitted as count weights on the one sample, sorted once, with
 no resampled copy, which is an exchangeably weighted bootstrap with
 multinomial weights and the same statistic as the resampled dataset.
-Replicates are fitted in blocks: ``block_size(n)`` draws form one (B, n)
-count matrix that every stage carries along its rows, so the fixed cost
-of a fit is paid once per block, and each row gets the bits it would get
-alone, whatever B is.  Monte Carlo repetitions run one after another.
+Replicates are fitted in blocks: up to ``block_size(n)`` rows form one
+(B, n) count matrix that every stage carries along its rows, so the fixed
+cost of a fit is paid once per block, and each row gets the bits it would
+get alone, whatever B is.  The sample is the row of ones, so a band given
+no fit fits it as its first row.  The coverage study is ``simulate.mc_study``'s
+one loop, which draws each repetition once and bands it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import stream, substream_seed
+from ._rng import stream
 from .data import Dataset
-from .estimator import QuantileGrid, fit_curve, fit_replicates
+from .estimator import QuantileGrid, fit_replicates
 
 __all__ = [
     "BootstrapConfig",
@@ -86,6 +88,7 @@ class ConfidenceBand:
     n_failed_replicates: int = 0
     notes: list = field(default_factory=list)
     failures: list = field(default_factory=list)  # (replicate index, reason) per failed replicate
+    fit: object = field(default=None, repr=False)  # the point estimate's QuantileCurveFit
 
     def __post_init__(self):
         ok = self.valid & np.isfinite(self.point)
@@ -130,9 +133,12 @@ def bootstrap_band(
     theta_[contrast[0]] - theta_[contrast[1]] at every grid point.
 
     ``fit`` may carry a precomputed full-sample fit to reuse as the point
-    estimate.  Replicate b is the record counts of its draw from
+    estimate.  Without one, the sample is fitted as the row that counts
+    every record once, leading the first block, with ``fit_curve``'s bits
+    and, if it fails, its error; the band keeps that fit as ``band.fit``.
+    Replicate b is the record counts of its draw from
     ``stream(seed, "bootstrap", b)``, fitted on ``data`` itself with no
-    resampled copy; ``block_size(n)`` replicates at a time are fitted as
+    resampled copy; up to ``block_size(n)`` rows at a time are fitted as
     one (B, n) count block (``fit_replicates``), and each gets the bits it
     would get alone.  A replicate whose estimation or validation
     fails (an emptied cell, a cell too thin for the bandwidth rule, a
@@ -141,39 +147,43 @@ def bootstrap_band(
     point is not a failure.
     """
     boot = boot or BootstrapConfig()
-    if fit is None:
-        fit = fit_curve(data, stop_at_frontier=True, **fit_kwargs)
-    else:
-        # replicates must live on the precomputed fit's grid
-        fit_kwargs["grid"] = grid = fit_kwargs.get("grid") or fit.grid
-        if not np.array_equal(grid.points, fit.grid.points):
-            raise ValueError("grid does not match the precomputed fit's grid")
-    level_hi, level_lo = contrast
-    point = fit.qte(level_hi, level_lo)
-    grid_pts = fit.grid.points
-    M = grid_pts.size
+    fit_kwargs["grid"] = grid = fit_kwargs.get("grid") or (QuantileGrid.default() if fit is None else fit.grid)
+    # replicates must live on the precomputed fit's grid
+    if fit is not None and not np.array_equal(grid.points, fit.grid.points):
+        raise ValueError("grid does not match the precomputed fit's grid")
+    M = grid.size
 
     vals = np.full((boot.draws, M), np.nan)
     failures = []
-    # blocks of near-equal size, none above block_size(n)
-    for block in np.array_split(np.arange(boot.draws), -(-boot.draws // block_size(data.n))):
+    # the rows, the sample (-1) first when it is fitted here, in blocks of near-equal size, none above block_size(n)
+    rows = np.arange(-(fit is None), boot.draws)
+    for block in np.array_split(rows, -(-rows.size // block_size(data.n))):
         # a byte a count; a count above 255 (a record's count is at most n) widens the block
-        counts = np.empty((block.size, data.n), np.uint8)
+        counts = np.ones((block.size, data.n), np.uint8)
         for i, b in enumerate(block.tolist()):
+            if b < 0:
+                continue  # the sample's row counts every record once
             row = np.bincount(stream(boot.seed, "bootstrap", b).integers(0, data.n, data.n), minlength=data.n)
             if row.max() > np.iinfo(counts.dtype).max:
                 counts = counts.astype(np.min_scalar_type(data.n))
             counts[i] = row
-        refits = fit_replicates(data, counts, stop_at_frontier=True, **fit_kwargs)
+            del row
+        # the sample is fitted past its frontier, as fit_curve fits it; a replicate stops there
+        refits = fit_replicates(data, counts, stop_at_frontier=block >= 0, **fit_kwargs)
         for b, refit in zip(block.tolist(), refits):
-            if isinstance(refit, Exception):
+            if b < 0:
+                if isinstance(refit, Exception):
+                    raise refit
+                fit = refit
+            elif isinstance(refit, Exception):
                 failures.append((b, str(refit)))
             else:
-                vals[b] = refit.qte(level_hi, level_lo)
-        del counts, row, refits, refit  # the next block's peak meets none of this block's arrays
+                vals[b] = refit.qte(*contrast)
+        del counts, refits, refit  # the next block's peak meets none of this block's arrays
     n_failed = len(failures)
     if n_failed == boot.draws:
         raise RuntimeError("every bootstrap replicate failed")
+    point = fit.qte(*contrast)
 
     # the percentile ranks of every column at once: its reported values
     # sorted to the top, NaN below them
@@ -202,7 +212,7 @@ def bootstrap_band(
             f"of {raw_total} points; band widened to include it"
         )
     return ConfidenceBand(
-        grid_pts,
+        grid.points,
         np.asarray(point, dtype=np.float64),
         lower,
         upper,
@@ -215,6 +225,7 @@ def bootstrap_band(
         n_failed,
         notes,
         failures,
+        fit,
     )
 
 
@@ -245,46 +256,10 @@ def coverage_study(
     reps: int,
     boot: BootstrapConfig | None = None,
     contrast: tuple[int, int] = (1, 0),
-    fits=None,
     **fit_kwargs,
 ) -> CoverageResult:
-    """Fraction of fresh-data replications whose band covers the truth.
+    """Fraction of fresh-data replications whose band covers the truth: ``mc_study(...).coverage`` of
+    ``spec`` (a ``DgpSpec``) with ``boot``, whose repetitions each band their data once."""
+    from .simulate import mc_study
 
-    Repetition r draws ``spec``'s design (a ``DgpSpec``) on the seed that
-    ``mc_study`` gives it, and the truth is the design's true ``contrast``.
-    ``fits`` may carry each repetition's full-sample fit, ``McResult.fits``
-    of the same spec and fit settings: each band then takes it as its
-    point estimate instead of fitting the repetition's data again.  There
-    must be one per repetition, each on the bands' grid.
-    Repetitions run in turn, each with its own data and bootstrap seeds
-    derived from its index.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    boot = boot or BootstrapConfig()
-    if fits is not None:
-        if len(fits) != reps:
-            raise ValueError(f"fits holds {len(fits)} fits for {reps} repetitions")
-        # the band checks each fit's grid against this one
-        fit_kwargs.setdefault("grid", QuantileGrid.default())
-
-    from .simulate import DgpSpec, GroundTruth, generate
-
-    bands = [
-        bootstrap_band(generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))[0],
-                       boot=replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)),
-                       contrast=contrast, fit=None if fits is None else fits[r], **fit_kwargs)
-        for r in range(reps)
-    ]
-    u = bands[0].u
-    M = u.size
-    hits = np.zeros(M)
-    n_valid = np.zeros(M)
-    truth = GroundTruth(spec.design)
-    tvals = np.array([truth.qte(float(x), *contrast) for x in u])
-    for band in bands:
-        ok = band.valid & np.isfinite(band.lower) & np.isfinite(band.upper)
-        n_valid += ok
-        inside = ok & (band.lower <= tvals) & (tvals <= band.upper)
-        hits += inside
-    return CoverageResult(u, hits, n_valid, reps)
+    return mc_study(spec, reps, boot=boot or BootstrapConfig(), contrast=contrast, **fit_kwargs).coverage

@@ -18,7 +18,7 @@ standard normal CDF, exposed as an exact surface for oracle tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,7 +261,7 @@ def _masked_column_mean(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class McResult:
-    """Per-replication fit summaries for one design."""
+    """Per-replication fit summaries for one design, and with a band the coverage of its truth."""
 
     design: int
     n: int
@@ -274,9 +274,7 @@ class McResult:
     reported: np.ndarray  # (R, M) bool
     qte: np.ndarray  # (R, M), NaN outside reported ranges
     naive: np.ndarray  # (R, M, L), inf past attained incidence
-    # each replication's fit, for a coverage pass that bands the same fits;
-    # left out of repr and ==
-    fits: list = field(default_factory=list, repr=False)
+    coverage: object = None  # the bands' inference.CoverageResult, or None without a band
 
     @property
     def reps(self) -> int:
@@ -300,43 +298,51 @@ def mc_study(
     spec: DgpSpec,
     reps: int,
     grid=None,
+    boot=None,
+    contrast: tuple[int, int] = (1, 0),
     **fit_kwargs,
 ) -> McResult:
-    """Replicate generate -> fit and naive curve on fresh seeds and stack the results.
+    """Replicate generate -> fit, naive curve and, with ``boot``, band on fresh seeds, and stack the results.
 
-    Each replication derives its own child seed from (seed, index), so
-    any subset of replications can be reproduced in isolation.
-    Replications run in turn.
+    Repetition r draws its data once, on ``substream_seed(seed, "mcrep", r)``,
+    so any subset of repetitions can be reproduced in isolation.  With
+    ``boot`` (an ``inference.BootstrapConfig``) its data are banded at once
+    on ``substream_seed(boot.seed, "coverage-rep", r)``, its fit is the
+    band's (the first row of its first block), and ``coverage`` counts per
+    grid point the repetitions whose band is valid there and holds the
+    design's true ``contrast``.  A repetition leaves only its summaries, no
+    fit or block.  Repetitions run in turn.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     from .estimator import QuantileGrid, fit_curve, naive_curve
 
     grid = grid or QuantileGrid.default()
-    M = grid.size
+    if boot is not None:
+        from .inference import CoverageResult, bootstrap_band
 
-    def one_rep(r: int):
-        rep_spec = DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r))
-        data, _ = generate(rep_spec)
-        fit = fit_curve(data, grid=grid, **fit_kwargs)
-        return fit, naive_curve(data, grid)
+        truth = GroundTruth(spec.design)
+        tvals = np.array([truth.qte(float(x), *contrast) for x in grid.points])
+        hits, n_valid = np.zeros(grid.size), np.zeros(grid.size)
 
-    results = [one_rep(r) for r in range(reps)]
+    summaries = []
+    for r in range(reps):
+        data, _ = generate(DgpSpec(spec.design, spec.n, substream_seed(spec.seed, "mcrep", r)))
+        if boot is None:
+            fit = fit_curve(data, grid=grid, **fit_kwargs)
+        else:
+            band = bootstrap_band(data, replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)), contrast,
+                                  grid=grid, **fit_kwargs)
+            ok = band.valid & np.isfinite(band.lower) & np.isfinite(band.upper)
+            n_valid += ok
+            hits += ok & (band.lower <= tvals) & (tvals <= band.upper)
+            fit = band.fit
+            del band
+        fr = fit.frontiers
+        summaries.append((fr.u_hat, fr.u_prev, fr.triggered, fr.y_hat.copy(), fit.theta.copy(), fit.reported_mask,
+                          fit.qte(), naive_curve(data, grid)))
+        del data, fit, fr  # the next repetition's peak meets none of this one's arrays
 
-    L = results[0][0].theta.shape[1]
-    out = McResult(
-        design=spec.design,
-        n=spec.n,
-        grid=grid.points,
-        u_hat=np.array([f.frontiers.u_hat for f, _ in results]),
-        u_prev=np.array([f.frontiers.u_prev for f, _ in results]),
-        triggered=np.array([f.frontiers.triggered for f, _ in results]),
-        y1_hat=np.vstack([f.frontiers.y_hat for f, _ in results]),
-        theta=np.stack([f.theta for f, _ in results]),
-        reported=np.stack([f.reported_mask for f, _ in results]),
-        qte=np.stack([f.qte() for f, _ in results]),
-        naive=np.stack([nv for _, nv in results]),
-        fits=[f for f, _ in results],
-    )
-    assert out.theta.shape == (reps, M, L)
-    return out
+    coverage = None if boot is None else CoverageResult(grid.points, hits, n_valid, reps)
+    # u_hat, u_prev, triggered, y1_hat, theta, reported, qte and naive, each stacked over the repetitions
+    return McResult(spec.design, spec.n, grid.points, *(np.array(column) for column in zip(*summaries)), coverage)

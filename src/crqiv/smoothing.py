@@ -82,11 +82,16 @@ def bandwidth_rows(x: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.
         cum = None
     else:
         c = counts[ok]
-        mean = np.add.reduce(c * x, axis=1) / m
-        sd = np.sqrt(np.add.reduce(c * (x - mean[:, None]) ** 2, axis=1) / (m - 1))
+        # one (B, n) buffer takes c x, then x - mean, its square and c (x - mean)^2 in turn
+        buf = np.multiply(c, x)
+        mean = np.add.reduce(buf, axis=1) / m
+        np.subtract(x, mean[:, None], out=buf)
+        np.multiply(c, np.square(buf, out=buf), out=buf)
+        sd = np.sqrt(np.add.reduce(buf, axis=1) / (m - 1))
+        del buf
         cum = np.cumsum(c, axis=1)
         del c
-    q75, q25 = (_weighted_percentile(x, cum, m, q) for q in (0.75, 0.25))
+    q75, q25 = _quartiles(x, cum, m).T
     sigma = np.minimum(sd, (q75 - q25) / 1.349)
     for b, s, mb in zip(ok.tolist(), sigma.tolist(), m.tolist()):
         if s > 0 and math.isfinite(s):
@@ -96,18 +101,20 @@ def bandwidth_rows(x: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.
     return h, reasons
 
 
-def _weighted_percentile(x: np.ndarray, cum: np.ndarray | None, size: np.ndarray, q: float) -> np.ndarray:
-    """np.percentile(.., 100 q) of ascending x with point i repeated as each row of cum's increments.
+def _quartiles(x: np.ndarray, cum: np.ndarray | None, size: np.ndarray) -> np.ndarray:
+    """np.percentile(.., [75, 25]) of ascending x with point i repeated as each row of cum's increments, (B, 2).
 
-    Interpolates between the order statistics at floor and floor + 1 of the
-    virtual index (size - 1) q, both found on the cumulative counts, or,
-    with cum None (every point once), at those positions.
+    Interpolates between the order statistics at floor and floor + 1 of
+    each virtual index (size - 1) q, all four found on the cumulative
+    counts in one search a row, or, with cum None (every point once), at
+    those positions.
     """
-    virtual = (size - 1) * q
+    virtual = (size - 1)[:, None] * np.array([0.75, 0.25])
     lo = np.floor(virtual).astype(np.intp)
-    # the first position whose cumulative count passes v, in each row
-    a, b = (x[v if cum is None else _rows_searchsorted(cum, v[:, None], "right")[:, 0]] for v in (lo, lo + 1))
-    return _lerp(a, b, virtual - lo)
+    at = np.concatenate((lo, lo + 1), axis=1)
+    # the first position whose cumulative count passes each index, in each row
+    stats = x[at if cum is None else _rows_searchsorted(cum, at, "right")]
+    return _lerp(stats[:, :2], stats[:, 2:], virtual - lo)
 
 
 def _lerp(a, b, gamma):

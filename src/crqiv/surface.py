@@ -115,6 +115,11 @@ def residual_vector(theta, u, surface: SmoothedSurvivalSurface) -> np.ndarray:
     return out
 
 
+def _columns(a: np.ndarray) -> np.ndarray:
+    """a's slices along its last axis, a short one (L or K), which numpy combines far faster than it reduces it."""
+    return np.moveaxis(a, -1, 0)
+
+
 def _given_bandwidth(bandwidth) -> float | None:
     """A given bandwidth as a float, None for the rule of thumb; it must be a finite positive number."""
     if bandwidth is None:

@@ -835,27 +835,40 @@ def test_mc_coverage_and_thread_invariance(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_mc_fits_each_repetition_once(tmp_path, monkeypatch, seed):
-    # the coverage pass bands mc_study's own data and fits: one point fit per
-    # repetition, and mc_coverage.csv as a pass that generates and fits again
+    # one loop: each repetition is drawn once and banded, its sample fitted
+    # once, as the all-ones row of its band's first block, and mc_coverage.csv
+    # is coverage_study's
     import crqiv.estimator
     import crqiv.inference
+    import crqiv.simulate
     from crqiv.inference import BootstrapConfig, coverage_study
     from crqiv.simulate import DgpSpec
 
-    calls = []
-    real = crqiv.estimator.fit_curve
+    drawn, sample_fits = [], []
+    real_generate, real_fit = crqiv.simulate.generate, crqiv.estimator.fit_curve
+    real_rows = crqiv.inference.fit_replicates
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def generate(*args, **kwargs):
+        drawn.append(1)
+        return real_generate(*args, **kwargs)
+
+    def fit_curve(*args, **kwargs):
+        sample_fits.append(1)
+        return real_fit(*args, **kwargs)
+
+    def fit_replicates(data, counts, *args, **kwargs):
+        sample_fits.extend([1] * int(np.count_nonzero((counts == 1).all(axis=1))))
+        return real_rows(data, counts, *args, **kwargs)
 
     out = tmp_path / "mc"
     with monkeypatch.context() as mp:
-        mp.setattr(crqiv.estimator, "fit_curve", counted)
-        mp.setattr(crqiv.inference, "fit_curve", counted)
+        mp.setattr(crqiv.simulate, "generate", generate)
+        mp.setattr(crqiv.estimator, "fit_curve", fit_curve)
+        mp.setattr(crqiv.inference, "fit_replicates", fit_replicates)
         assert run(["mc", "--design", 2, "--n", 2000, "--reps", 3, "--grid", 20,
                     "--boot-draws", 10, "--seed", seed, "--out", out]) == 0
-    assert len(calls) == 3
+    assert len(drawn) == 3
+    assert len(sample_fits) == 3
     grid = crqiv.estimator.QuantileGrid.default(20)
     again = coverage_study(DgpSpec(2, 2000, seed), 3, BootstrapConfig(draws=10, seed=seed), grid=grid)
     _write_csv(tmp_path / "again.csv", ["u", "coverage", "hits", "n_valid"], again.rows())

@@ -298,15 +298,15 @@ def test_each_cell_searches_its_tied_times_once(monkeypatch):
     fit_curve(data, grid=QuantileGrid.default(20))
     naive_curve(data)
     assert searched == []
-    # times rounded to 0.01 tie in every cell; a band of 3 blocks takes each
-    # cell's positions once, from the cell kept across blocks, and its fit once
+    # times rounded to 0.01 tie in every cell; a band of 4 one-row blocks, the
+    # sample's fit first, takes each cell's positions once, from the cell kept across blocks
     tied = Dataset(np.round(data.y, 2), data.event, data.z, data.w, data.treatment_levels, data.instrument_levels,
                    data.structural_zeros)
     cells = sorted_cells(tied)
     assert all(_censored_first(sc.y, sc.event) for sc in cells.values() if sc.y.size)
     monkeypatch.setattr(inference, "BLOCK_BYTES", 8 * (tied.n + 512))
     bootstrap_band(tied, BootstrapConfig(draws=3, seed=1), grid=QuantileGrid.default(20))
-    assert len(searched) == 2 * sum(sc.y.size > 0 for sc in cells.values())
+    assert len(searched) == sum(sc.y.size > 0 for sc in cells.values())
     for sc in cells.values():
         failing, _, starts, _, below = sc.groups  # kept as intp, so that no block converts them
         assert failing.dtype == starts.dtype == below.dtype == np.intp

@@ -197,10 +197,11 @@ def replace_rows(monkeypatch, make):
 
 def test_failed_replicates_counted(small_band, monkeypatch):
     data, _, _ = small_band
-    # three blocks of four replicates; every third replicate fails
+    # three blocks of four replicates, the sample's fit given; every third replicate fails
+    fit = fit_curve(data, grid=GRID13)
     monkeypatch.setattr(inference, "BLOCK_BYTES", 8 * 4 * (data.n + 512))
     replace_rows(monkeypatch, lambda b, fit: EstimationError("synthetic failure") if b % 3 == 1 else fit)
-    band = bootstrap_band(data, BootstrapConfig(draws=12, seed=5), grid=GRID13)
+    band = bootstrap_band(data, BootstrapConfig(draws=12, seed=5), fit=fit)
     assert band.n_failed_replicates == 4
     assert band.failures == [(b, "synthetic failure") for b in (1, 4, 7, 10)]
     assert any("failed" in note for note in band.notes)
@@ -321,25 +322,15 @@ def test_coverage_validation():
 def test_coverage_with_injected_truth_band(monkeypatch):
     # a band builder that always brackets the truth gives coverage 1
     grid = QuantileGrid(np.array([0.1, 0.2, 0.3]))
+    real = inference.bootstrap_band
 
     def sure_band(data, boot=None, contrast=(1, 0), **kw):
-        from crqiv.inference import ConfidenceBand
-
-        M = grid.size
-        return ConfidenceBand(
-            grid.points,
-            -grid.points,
-            np.full(M, -2.0),
-            np.full(M, 2.0),
-            np.ones(M, dtype=bool),
-            np.full(M, 10, dtype=np.int64),
-            10,
-            0.95,
-            contrast,
-        )
+        band = real(data, boot, contrast, **kw)  # for its fit, which the study summarizes
+        band.lower[:], band.upper[:], band.valid[:] = -2.0, 2.0, True
+        return band
 
     monkeypatch.setattr(inference, "bootstrap_band", sure_band)
-    res = coverage_study(DgpSpec(design=1, n=200, seed=0), reps=3, boot=BootstrapConfig(draws=2, seed=0))
+    res = coverage_study(DgpSpec(design=1, n=200, seed=0), reps=3, boot=BootstrapConfig(draws=2, seed=0), grid=grid)
     assert np.all(res.coverage == 1.0)
     assert np.all(res.n_valid == 3)
 
@@ -357,18 +348,36 @@ def test_coverage_truth_follows_the_contrast():
     assert np.array_equal(backward.n_valid, forward.n_valid)
 
 
-def test_coverage_fits_must_match_the_repetitions():
-    # one precomputed fit per repetition, each on the bands' grid
-    from crqiv.simulate import mc_study
+def test_mc_study_bands_each_repetition_with_its_own_fit():
+    # the one Monte Carlo loop: a repetition's fit is the first row of its
+    # band, so banding leaves every summary of mc_study as it is without a
+    # band, and the coverage is that of bands given each repetition's fit_curve fit
+    from dataclasses import replace
 
-    spec, grid = DgpSpec(design=2, n=500, seed=0), QuantileGrid(np.array([0.1, 0.2, 0.3]))
-    fits = mc_study(spec, reps=2, grid=grid).fits
-    boot = BootstrapConfig(draws=4, seed=0)
-    with pytest.raises(ValueError, match="2 fits for 3 repetitions"):
-        coverage_study(spec, 3, boot, fits=fits, grid=grid)
-    with pytest.raises(ValueError, match="does not match"):
-        coverage_study(spec, 2, boot, fits=fits)  # the default grid
-    assert coverage_study(spec, 2, boot, fits=fits, grid=grid).reps == 2
+    from crqiv._rng import substream_seed
+    from crqiv.simulate import GroundTruth, mc_study
+
+    spec, grid = DgpSpec(design=2, n=500, seed=0), QuantileGrid(np.array([0.1, 0.2, 0.3, 0.4, 0.6]))
+    boot = BootstrapConfig(draws=4, seed=3)
+    banded, plain = mc_study(spec, 3, grid, boot), mc_study(spec, 3, grid)
+    assert plain.coverage is None
+    for name in ("u_hat", "u_prev", "triggered", "y1_hat", "theta", "reported", "qte", "naive"):
+        assert getattr(banded, name).tobytes() == getattr(plain, name).tobytes(), name
+    truth = np.array([GroundTruth(2).qte(u) for u in grid.points])
+    hits, n_valid = np.zeros(grid.size), np.zeros(grid.size)
+    for r in range(3):
+        data, _ = generate(DgpSpec(2, 500, substream_seed(0, "mcrep", r)))
+        band = bootstrap_band(data, replace(boot, seed=substream_seed(3, "coverage-rep", r)),
+                              fit=fit_curve(data, grid=grid))
+        ok = band.valid & np.isfinite(band.lower) & np.isfinite(band.upper)
+        n_valid += ok
+        hits += ok & (band.lower <= truth) & (truth <= band.upper)
+    cov = banded.coverage
+    assert (cov.u.tobytes(), cov.hits.tobytes(), cov.n_valid.tobytes(), cov.reps) == (
+        grid.points.tobytes(), hits.tobytes(), n_valid.tobytes(), 3)
+    assert n_valid.sum() > 0
+    again = coverage_study(spec, 3, boot, grid=grid)
+    assert (again.hits.tobytes(), again.n_valid.tobytes()) == (hits.tobytes(), n_valid.tobytes())
 
 
 @pytest.mark.slow

@@ -167,6 +167,39 @@ def test_band_bits_do_not_depend_on_block_size(make, draws, monkeypatch):
     assert_same_band(bands[0], reference_band(data, boot, grid=grid), tol=1e-10)
 
 
+@pytest.mark.parametrize("make, draws", [(thin_cell_data, 40), (sparse_level_data, 40), (three_by_three, 9),
+                                         (lambda: zero_and_tied_times(), 40)])
+def test_band_fits_its_sample_as_the_first_row(make, draws, monkeypatch):
+    # with no fit given, the sample is the all-ones row leading the first
+    # block: the band and its fit are fit_curve's fit and the band given it,
+    # bit for bit, at every block size
+    data = make()
+    boot = BootstrapConfig(draws=draws, seed=1)
+    grid = QuantileGrid.default(30)
+    fit = fit_curve(data, grid=grid)
+    for B in (1, 3, block_size(10_000), draws + 1):
+        monkeypatch.setattr(inference, "BLOCK_BYTES", 8 * B * (data.n + 512))
+        assert block_size(data.n) == B
+        folded = bootstrap_band(data, boot, grid=grid)
+        assert_same_band(folded, bootstrap_band(data, boot, fit=fit))
+        fields = ("theta", "objective", "residual", "status")
+        assert _bits(folded.fit, fields) == _bits(fit, fields)
+        fields = ("y_hat", "delta", "u_hat", "m_hat", "u_prev", "triggered")
+        assert _bits(folded.fit.frontiers, fields) == _bits(fit.frontiers, fields)
+        assert _bits(folded.fit.surface, ("grid", "values", "p_hat")) == _bits(fit.surface, ("grid", "values", "p_hat"))
+
+
+@pytest.mark.parametrize("make", [lambda: degenerate_cell(), lambda: no_primary_level()])
+def test_band_raises_its_failing_sample_fits_error(make):
+    # a sample whose fit fails stops the band with fit_curve's error and text
+    data = make()
+    with pytest.raises((DataValidationError, EstimationError)) as want:
+        fit_curve(data)
+    with pytest.raises(type(want.value)) as got:
+        bootstrap_band(data, BootstrapConfig(draws=5, seed=0))
+    assert str(got.value) == str(want.value)
+
+
 def resampled(data, c):
     """The dataset that repeats each record as often as its count."""
     return Dataset(data.y.repeat(c), data.event.repeat(c), data.z.repeat(c), data.w.repeat(c),

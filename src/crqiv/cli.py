@@ -159,7 +159,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_estimate(cfg: dict) -> int:
-    from .estimator import NO_ROOT, NOT_CERTIFIED, PAST_FRONTIER, REPORTED, fit_curve, naive_curve
+    from .estimator import NO_ROOT, NOT_CERTIFIED, PAST_FRONTIER, REPORTED, EstimationError, fit_curve, naive_curve
 
     boot = _boot(cfg)
     data, data_path = _load_data(cfg)
@@ -171,6 +171,29 @@ def cmd_estimate(cfg: dict) -> int:
     extra = {"status_counts": {kind: codes.count(code) for kind, code in kinds.items()}}
     u = fit.grid.points
     L = fit.theta.shape[1]
+
+    # the stages that can fail after the fit run before --out is created
+    if cfg.get("derived"):
+        from dataclasses import asdict
+
+        from .data import swap_causes
+        from .derived import derived_quantities, rank_condition_diagnostic
+        extra["rank_condition"] = asdict(rank_condition_diagnostic(fit.surface, fit.frontiers.y_hat))
+        try:
+            cause2 = fit_curve(swap_causes(data), **kwargs)
+        except EstimationError as exc:  # swap_causes made the secondary cause the fit's primary one
+            text = str(exc).replace("primary-cause", "secondary-cause")
+            raise EstimationError(f"the secondary-cause fit of --derived failed: {text}") from None
+        levels = derived_quantities(fit, cause2)
+        derived_rows = [
+            (d.label, *(float(c[i]) for c in (d.u, d.t, d.density, d.subdist_hazard, d.cause_hazard)))
+            for _, d in sorted(levels.items())
+            for i in range(d.u.size)
+        ]
+    if boot is not None:
+        from .inference import bootstrap_band
+        band = bootstrap_band(data, boot, fit=fit, **kwargs)
+        extra["bootstrap_failures"] = [[b, reason] for b, reason in band.failures]
 
     fit_json = fit.to_dict()
     fit_json["n"] = data.n
@@ -200,29 +223,10 @@ def cmd_estimate(cfg: dict) -> int:
     )
 
     if cfg.get("derived"):
-        from dataclasses import asdict
-
-        from .data import swap_causes
-        from .derived import derived_quantities, rank_condition_diagnostic
-        extra["rank_condition"] = asdict(rank_condition_diagnostic(fit.surface, fit.frontiers.y_hat))
-        cause2 = fit_curve(swap_causes(data), **kwargs)
-        levels = derived_quantities(fit, cause2)
-        rows = [
-            (d.label, *(float(c[i]) for c in (d.u, d.t, d.density, d.subdist_hazard, d.cause_hazard)))
-            for _, d in sorted(levels.items())
-            for i in range(d.u.size)
-        ]
-        _write_csv(
-            out / "derived.csv",
-            ["level", "u", "t", "density", "subdist_hazard", "cause_hazard"],
-            rows,
-        )
+        _write_csv(out / "derived.csv", ["level", "u", "t", "density", "subdist_hazard", "cause_hazard"], derived_rows)
 
     if boot is not None:
-        from .inference import bootstrap_band
-        band = bootstrap_band(data, boot, fit=fit, **kwargs)
         _write_csv(out / "band.csv", ["u", "lower", "point", "upper", "n_reported"], band.rows())
-        extra["bootstrap_failures"] = [[b, reason] for b, reason in band.failures]
 
     _write_manifest(out, "estimate", cfg, cfg["seed"], [data_path], extra)
     print(f"estimate done: u_hat={fit.frontiers.u_hat} -> {out}")

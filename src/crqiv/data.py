@@ -10,6 +10,12 @@ Cells (z, w) must be nonempty unless explicitly declared structurally
 unreachable (one-sided noncompliance: subjects with instrument w can never
 end up at treatment z).  Estimators treat declared-empty cells as having
 probability zero.
+
+A CSV file has one layout: the columns ``time,event,treatment,instrument``
+and event codes 0, 1 and 2.  Level orders and structural zeros come from
+its ``<path>.levels.json`` sidecar, which ``save_csv`` writes.  Data in
+another layout is converted before it is loaded, or built as a ``Dataset``
+from arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import csv
 import io
 import json
 import os
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +43,7 @@ __all__ = [
 
 CENSORED, CAUSE1, CAUSE2 = 0, 1, 2
 
-DEFAULT_COLUMNS = {"y": "time", "event": "event", "z": "treatment", "w": "instrument"}
+COLUMNS = ("time", "event", "treatment", "instrument")
 
 
 class DataValidationError(ValueError):
@@ -241,31 +247,14 @@ def _coerce_labels(raw: list[str]) -> list:
         return raw
 
 
-def _given_order(explicit: Sequence | None, side: dict | None, side_key: str) -> list | None:
-    if explicit is not None:
-        return list(explicit)
-    if side is not None and side_key in side:
-        return list(side[side_key])
-    return None
+def load_csv(path) -> Dataset:
+    """Read a dataset from a CSV file with a header row naming ``COLUMNS``, in any order.
 
-
-def load_csv(
-    path,
-    schema: Mapping[str, str] | None = None,
-    treatment_order: Sequence | None = None,
-    instrument_order: Sequence | None = None,
-    structural_zeros: Iterable[tuple] | None = None,
-    event_labels: Mapping[str, int] | None = None,
-) -> Dataset:
-    """Read a dataset from a CSV file with a header row.
-
-    ``schema`` remaps logical column names; defaults are
-    time/event/treatment/instrument. Level registries are built from
-    distinct values in order of first appearance unless explicit orderings
-    are supplied (or found in a ``<path>.levels.json`` sidecar).
-    ``structural_zeros`` lists (treatment_label, instrument_label) pairs of
-    cells that are unreachable by design. ``event_labels`` optionally maps
-    raw event strings to codes in {0, 1, 2}.
+    Level registries are built from distinct values in order of first
+    appearance, unless a ``<path>.levels.json`` sidecar gives their orders
+    (``treatment_levels``, ``instrument_levels``); its ``structural_zeros``
+    lists (treatment label, instrument label) pairs of cells that are
+    unreachable by design.  Event codes are 0, 1 and 2.
 
     The body is parsed by numpy's C reader in chunks of whole lines, none
     ending inside a quoted field: the time as float64, the other three
@@ -273,23 +262,17 @@ def load_csv(
     Labels are coded against registries kept in order of first appearance.
     A record that fails a check is named by its row, blank lines not
     counted: a time numpy cannot read (such as ``2_0``), negative or not
-    finite; an event code outside 0-2; too few fields; a byte that is not
-    UTF-8, in any column. ``path`` must name a regular file; anything else,
-    such as a directory or a pipe, is rejected before it is opened.
+    finite; an event code outside 0-2; a label that reads as NaN; too few
+    fields; a byte that is not UTF-8, in any column. ``path`` must name a
+    regular file; anything else, such as a directory or a pipe, is rejected
+    before it is opened.
     """
-    cols = dict(DEFAULT_COLUMNS)
-    if schema:
-        unknown = set(schema) - set(cols)
-        if unknown:
-            raise DataValidationError(f"unknown schema keys: {sorted(unknown)}")
-        cols.update(schema)
     if os.path.exists(path) and not os.path.isfile(path):
         raise DataValidationError(f"not a regular file: {path}")
 
-    sidecar = f"{path}.levels.json"
-    side = None
+    side = {}
     try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
+        with open(f"{path}.levels.json", "r", encoding="utf-8") as fh:
             side = json.load(fh)
     except FileNotFoundError:
         pass
@@ -302,13 +285,13 @@ def load_csv(
         raise DataValidationError("missing header row")
     if bad := [c for name in header for c in name if "\udc80" <= c <= "\udcff"]:  # the escaped bytes
         raise DataValidationError(f"header: byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8")
-    for logical, name in cols.items():
+    for name in COLUMNS:
         if name not in header:
-            raise DataValidationError(f"missing column '{name}' (for '{logical}')")
+            raise DataValidationError(f"missing column '{name}'")
 
     # a repeated column name reads as its last copy, as in csv.DictReader
     position = {name: i for i, name in enumerate(header)}
-    body = _Body(header, [position[cols[key]] for key in ("y", "event", "z", "w")], event_labels, os.path.getsize(path))
+    body = _Body(header, [position[name] for name in COLUMNS], os.path.getsize(path))
     with open(path, "rb") as fh:
         skip = reader.line_num  # the header's lines
         for block in _blocks(fh):
@@ -322,20 +305,14 @@ def load_csv(
                     raise body.undecodable(lines, skip, exc) from None
             body.add(lines[skip:], len(block))
             skip = max(0, skip - len(lines))
-    y, event, z_idx, w_idx, t_levels, i_levels = body.finish(
-        _given_order(treatment_order, side, "treatment_levels"),
-        _given_order(instrument_order, side, "instrument_levels"),
-    )
+    y, event, z_idx, w_idx, t_levels, i_levels = body.finish(side.get("treatment_levels"),
+                                                              side.get("instrument_levels"))
 
     zeros: set[tuple[int, int]] = set()
-    declared = structural_zeros
-    if declared is None and side is not None:
-        declared = [tuple(p) for p in side.get("structural_zeros", [])]
-    if declared:
-        for z_lab, w_lab in declared:
-            if z_lab not in t_levels or w_lab not in i_levels:
-                raise DataValidationError(f"structural zero ({z_lab!r}, {w_lab!r}) names unknown levels")
-            zeros.add((t_levels.index(z_lab), i_levels.index(w_lab)))
+    for z_lab, w_lab in side.get("structural_zeros", []):
+        if z_lab not in t_levels or w_lab not in i_levels:
+            raise DataValidationError(f"structural zero ({z_lab!r}, {w_lab!r}) names unknown levels")
+        zeros.add((t_levels.index(z_lab), i_levels.index(w_lab)))
 
     return Dataset(y, event, z_idx, w_idx, t_levels, i_levels, zeros)
 
@@ -417,19 +394,20 @@ class _Labels:
         return lut[inverse]
 
     def levels(self, codes: np.ndarray, order: list | None, what: str) -> tuple[list, np.ndarray]:
-        """(level registry, each record's level) from its string index; the strings are coerced as one column."""
+        """(level registry, each record's level) from its string index; the strings are coerced as one column.
+
+        The first record whose label reads as NaN, which equals no level, or
+        is missing from ``order`` is named.
+        """
         labels = _coerce_labels(self.strings)
-        if order is None:
-            # the registry holds a NaN label once per record, no NaN being equal to another
-            order = list(dict.fromkeys(labels)) + [
-                lab for j, lab in enumerate(labels) if lab != lab for _ in range(np.count_nonzero(codes == j) - 1)
-            ]
+        order = list(dict.fromkeys(labels)) if order is None else order
         lookup = {lab: i for i, lab in enumerate(order)}
-        if missing := [j for j, lab in enumerate(labels) if lab not in lookup]:
-            j = min(missing, key=self.first.__getitem__)
-            raise DataValidationError(
-                f"row {self.first[j] + 1}: {what} level {labels[j]!r} not in the supplied ordering"
-            )
+        if bad := [j for j, lab in enumerate(labels) if lab != lab or lab not in lookup]:
+            j = min(bad, key=self.first.__getitem__)
+            row = self.first[j] + 1
+            if labels[j] != labels[j]:
+                raise DataValidationError(f"row {row}: {what} level {self.strings[j]!r} reads as NaN")
+            raise DataValidationError(f"row {row}: {what} level {labels[j]!r} not in the supplied ordering")
         lut = np.array([lookup[lab] for lab in labels], code_type(len(order)))
         return order, codes if codes.dtype == lut.dtype and (lut == np.arange(lut.size)).all() else lut[codes]
 
@@ -437,8 +415,8 @@ class _Labels:
 class _Body:
     """A CSV body's records, added a chunk of lines at a time to arrays sized from the file's length."""
 
-    def __init__(self, header: list[str], usecols: list[int], event_labels, size: int):
-        self.header, self.usecols, self.event_labels, self.size = header, usecols, event_labels, size
+    def __init__(self, header: list[str], usecols: list[int], size: int):
+        self.header, self.usecols, self.size = header, usecols, size
         self.labels = [_Labels(), _Labels(), _Labels()]  # event, treatment, instrument
         self.events: list[int] = []  # each event string's code
         self.n = self.bytes = 0  # the records so far, and the bytes of their lines
@@ -473,14 +451,11 @@ class _Body:
         if not (y.min() >= 0 and y.max() < np.inf):
             errors[int(np.argmax(~(np.isfinite(y) & (y >= 0))))] = None
         for s, first in zip(self.labels[0].strings[seen:], self.labels[0].first[seen:]):
-            if self.event_labels is not None and s in self.event_labels:
-                code = int(self.event_labels[s])
-            else:
-                try:
-                    code = int(s)
-                except ValueError:
-                    errors.setdefault(first - start, f"non-integer event code {s!r}")
-                    continue
+            try:
+                code = int(s)
+            except ValueError:
+                errors.setdefault(first - start, f"non-integer event code {s!r}")
+                continue
             if code not in (CENSORED, CAUSE1, CAUSE2):
                 errors.setdefault(first - start, f"event code must be in {{0, 1, 2}}, got {s}")
             self.events.append(code)
@@ -599,7 +574,7 @@ def save_csv(data: Dataset, path) -> None:
     t_levels, i_levels = data.treatment_levels, data.instrument_levels
     rows = Rows([_csv_line(["", ev, zl, wl]) for ev in (CENSORED, CAUSE1, CAUSE2) for zl in t_levels for wl in i_levels])
     with open(path, "wb") as fh:
-        fh.write(_csv_line(["time", "event", "treatment", "instrument"]).encode("utf-8"))
+        fh.write(_csv_line(COLUMNS).encode("utf-8"))
         for lo in range(0, data.n, _SAVE_CHUNK):
             part = slice(lo, lo + _SAVE_CHUNK)
             # in intp: past 128 tails the key would wrap in the codes' int8

@@ -110,16 +110,14 @@ def _level_points(fit: QuantileCurveFit, level: int):
     return fit.grid.points[mask], fit.theta[mask, level]
 
 
-def derived_quantities(
-    fit: QuantileCurveFit, cause2_fit: QuantileCurveFit | None = None
-) -> dict[int, DerivedLevel]:
+def derived_quantities(fit: QuantileCurveFit, cause2_fit: QuantileCurveFit) -> dict[int, DerivedLevel]:
     """Incidence, density, and hazards per treatment level.
 
     Uses only reported grid points. Non-monotone quantile values are
     projected onto nondecreasing sequences first (flagged per level).
     Slopes use centered differences inside the reported range and one-sided
     differences at its ends. The cause-specific hazard needs the
-    secondary-cause incidence: pass ``cause2_fit``, a curve fit of the
+    secondary-cause incidence, from ``cause2_fit``, a curve fit of the
     secondary cause (for instance on ``swap_causes(data)``); points where
     it gives no usable value are NaN and flagged invalid.
     """
@@ -142,16 +140,14 @@ def derived_quantities(
             subdist = density / (1.0 - u)
         cause = np.full(u.size, np.nan)
         valid = np.zeros(u.size, dtype=bool)
-        if cause2_fit is not None:
-            u2, t2 = _level_points(cause2_fit, level)
-            if u2.size:
-                c2 = MonotoneCurve(u2, t2)
-                inside = t <= c2.t_max
-                f2 = np.where(inside, c2.inverse(np.minimum(t, c2.t_max)), np.nan)
-                denom = 1.0 - u - f2
-                ok = inside & np.isfinite(density) & np.isfinite(denom) & (denom > 0)
-                cause[ok] = density[ok] / denom[ok]
-                valid = ok
+        u2, t2 = _level_points(cause2_fit, level)
+        if u2.size:
+            c2 = MonotoneCurve(u2, t2)
+            inside = t <= c2.t_max
+            f2 = np.where(inside, c2.inverse(np.minimum(t, c2.t_max)), np.nan)
+            denom = 1.0 - u - f2
+            valid = inside & np.isfinite(density) & np.isfinite(denom) & (denom > 0)
+            cause[valid] = density[valid] / denom[valid]
         out[level] = DerivedLevel(
             level,
             fit.treatment_levels[level],

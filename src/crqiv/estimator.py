@@ -134,9 +134,9 @@ class QuantileCurveFit:
                        "(the identification frontier may exceed the grid range)")
         return out
 
-    def qte(self, level: int = 1, baseline: int = 0) -> np.ndarray:
-        """Quantile treatment effect curve; NaN outside the reported range."""
-        return np.where(self.reported_mask, self.theta[:, level] - self.theta[:, baseline], np.nan)
+    def qte(self) -> np.ndarray:
+        """Quantile treatment effect curve theta_1 - theta_0; NaN outside the reported range."""
+        return np.where(self.reported_mask, self.theta[:, 1] - self.theta[:, 0], np.nan)
 
     def to_dict(self) -> dict:
         fr = self.frontiers

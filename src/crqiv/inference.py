@@ -1,5 +1,8 @@
 """Bootstrap confidence bands and Monte Carlo coverage evaluation.
 
+A band is taken of one contrast, the quantile treatment effect
+theta_1 - theta_0 of ``QuantileCurveFit.qte``, and a coverage study counts
+how often it holds the design's true one.
 Resampling unit: whole records, i.i.d. with replacement (pairs bootstrap).
 Intervals are pointwise percentile intervals over the replicates that
 report the grid point; points that the full-sample fit does not report, or
@@ -68,7 +71,7 @@ def _ranks(b: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class ConfidenceBand:
-    """Pointwise percentile band for a per-grid-point contrast.
+    """Pointwise percentile band for the quantile treatment effect theta_1 - theta_0.
 
     lower <= point <= upper wherever all three are defined (the band is
     widened to include the point estimate if the raw percentile interval
@@ -83,7 +86,6 @@ class ConfidenceBand:
     n_reported: np.ndarray
     draws: int
     level: float
-    contrast: tuple
     raw_containment: float = math.nan
     n_failed_replicates: int = 0
     notes: list = field(default_factory=list)
@@ -122,15 +124,8 @@ def block_size(n: int) -> int:
     return max(1, BLOCK_BYTES // (8 * (n + 512)))
 
 
-def bootstrap_band(
-    data: Dataset,
-    boot: BootstrapConfig | None = None,
-    contrast: tuple[int, int] = (1, 0),
-    fit=None,
-    **fit_kwargs,
-) -> ConfidenceBand:
-    """Pairs-bootstrap percentile band for the quantile contrast
-    theta_[contrast[0]] - theta_[contrast[1]] at every grid point.
+def bootstrap_band(data: Dataset, boot: BootstrapConfig, fit=None, **fit_kwargs) -> ConfidenceBand:
+    """Pairs-bootstrap percentile band for the quantile treatment effect theta_1 - theta_0 at every grid point.
 
     ``fit`` may carry a precomputed full-sample fit to reuse as the point
     estimate.  Without one, the sample is fitted as the row that counts
@@ -146,7 +141,6 @@ def bootstrap_band(
     index and the error's text.  A replicate that fits but reports no
     point is not a failure.
     """
-    boot = boot or BootstrapConfig()
     fit_kwargs["grid"] = grid = fit_kwargs.get("grid") or (QuantileGrid.default() if fit is None else fit.grid)
     # replicates must live on the precomputed fit's grid
     if fit is not None and not np.array_equal(grid.points, fit.grid.points):
@@ -178,12 +172,12 @@ def bootstrap_band(
             elif isinstance(refit, Exception):
                 failures.append((b, str(refit)))
             else:
-                vals[b] = refit.qte(*contrast)
+                vals[b] = refit.qte()
         del counts, refits, refit  # the next block's peak meets none of this block's arrays
     n_failed = len(failures)
     if n_failed == boot.draws:
         raise RuntimeError("every bootstrap replicate failed")
-    point = fit.qte(*contrast)
+    point = fit.qte()
 
     # the percentile ranks of every column at once: its reported values
     # sorted to the top, NaN below them
@@ -220,7 +214,6 @@ def bootstrap_band(
         n_reported.astype(np.int64),
         boot.draws,
         boot.level,
-        contrast,
         raw_containment,
         n_failed,
         notes,
@@ -241,25 +234,15 @@ class CoverageResult:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(self.n_valid > 0, self.hits / self.n_valid, np.nan)
 
-    def at(self, u_value: float) -> float:
-        m = int(np.argmin(np.abs(self.u - u_value)))
-        return float(self.coverage[m])
-
     def rows(self):
         cov = self.coverage
         for m in range(self.u.size):
             yield (float(self.u[m]), float(cov[m]), int(self.hits[m]), int(self.n_valid[m]))
 
 
-def coverage_study(
-    spec,
-    reps: int,
-    boot: BootstrapConfig | None = None,
-    contrast: tuple[int, int] = (1, 0),
-    **fit_kwargs,
-) -> CoverageResult:
-    """Fraction of fresh-data replications whose band covers the truth: ``mc_study(...).coverage`` of
+def coverage_study(spec, reps: int, boot: BootstrapConfig, **fit_kwargs) -> CoverageResult:
+    """Fraction of fresh-data replications whose band covers the true QTE: ``mc_study(...).coverage`` of
     ``spec`` (a ``DgpSpec``) with ``boot``, whose repetitions each band their data once."""
     from .simulate import mc_study
 
-    return mc_study(spec, reps, boot=boot or BootstrapConfig(), contrast=contrast, **fit_kwargs).coverage
+    return mc_study(spec, reps, boot=boot, **fit_kwargs).coverage

@@ -130,9 +130,9 @@ class GroundTruth:
     def phi1(self, z: int, u: float) -> float:
         return true_phi(z, u)
 
-    def qte(self, u: float, level: int = 1, baseline: int = 0) -> float:
-        """phi1(level, u) - phi1(baseline, u), as ``QuantileCurveFit.qte``; NaN where both are infinite."""
-        a, b = self.phi1(level, u), self.phi1(baseline, u)
+    def qte(self, u: float) -> float:
+        """phi1(1, u) - phi1(0, u), as ``QuantileCurveFit.qte``; NaN where both are infinite."""
+        a, b = self.phi1(1, u), self.phi1(0, u)
         if math.isinf(a) and math.isinf(b):
             return math.nan
         return a - b
@@ -299,7 +299,6 @@ def mc_study(
     reps: int,
     grid=None,
     boot=None,
-    contrast: tuple[int, int] = (1, 0),
     **fit_kwargs,
 ) -> McResult:
     """Replicate generate -> fit, naive curve and, with ``boot``, band on fresh seeds, and stack the results.
@@ -310,7 +309,7 @@ def mc_study(
     on ``substream_seed(boot.seed, "coverage-rep", r)``, its fit is the
     band's (the first row of its first block), and ``coverage`` counts per
     grid point the repetitions whose band is valid there and holds the
-    design's true ``contrast``.  A repetition leaves only its summaries, no
+    design's true QTE.  A repetition leaves only its summaries, no
     fit or block.  Repetitions run in turn.
     """
     if reps < 1:
@@ -322,7 +321,7 @@ def mc_study(
         from .inference import CoverageResult, bootstrap_band
 
         truth = GroundTruth(spec.design)
-        tvals = np.array([truth.qte(float(x), *contrast) for x in grid.points])
+        tvals = np.array([truth.qte(float(x)) for x in grid.points])
         hits, n_valid = np.zeros(grid.size), np.zeros(grid.size)
 
     summaries = []
@@ -331,8 +330,8 @@ def mc_study(
         if boot is None:
             fit = fit_curve(data, grid=grid, **fit_kwargs)
         else:
-            band = bootstrap_band(data, replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)), contrast,
-                                  grid=grid, **fit_kwargs)
+            band = bootstrap_band(data, replace(boot, seed=substream_seed(boot.seed, "coverage-rep", r)), grid=grid,
+                                  **fit_kwargs)
             ok = band.valid & np.isfinite(band.lower) & np.isfinite(band.upper)
             n_valid += ok
             hits += ok & (band.lower <= tvals) & (tvals <= band.upper)

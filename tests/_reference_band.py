@@ -15,7 +15,7 @@ import numpy as np
 from crqiv._rng import stream
 from crqiv.data import DataValidationError, resample
 from crqiv.estimator import EstimationError, fit_curve
-from crqiv.inference import REPORT_THRESHOLD, BootstrapConfig, ConfidenceBand, _ranks
+from crqiv.inference import REPORT_THRESHOLD, ConfidenceBand, _ranks
 
 
 def percentile_bounds(sorted_values: np.ndarray, level: float) -> tuple[float, float]:
@@ -31,15 +31,13 @@ def _fit(data, **kw):
     return fit_curve(data, stop_at_frontier=True, **kw)
 
 
-def reference_band(data, boot=None, contrast=(1, 0), fit=None, fit_fn=None, **fit_kwargs):
-    boot = boot or BootstrapConfig()
+def reference_band(data, boot, fit=None, fit_fn=None, **fit_kwargs):
     fit_fn = fit_fn or _fit
     if fit is None:
         fit = fit_fn(data, **fit_kwargs)
     else:
         fit_kwargs.setdefault("grid", fit.grid)
-    level_hi, level_lo = contrast
-    point = np.asarray(fit.qte(level_hi, level_lo), dtype=np.float64)
+    point = np.asarray(fit.qte(), dtype=np.float64)
     M = fit.grid.points.size
 
     vals = np.full((boot.draws, M), np.nan)
@@ -47,7 +45,7 @@ def reference_band(data, boot=None, contrast=(1, 0), fit=None, fit_fn=None, **fi
     for b in range(boot.draws):
         try:
             refit = fit_fn(resample(data, stream(boot.seed, "bootstrap", b)), **fit_kwargs)
-            vals[b] = refit.qte(level_hi, level_lo)
+            vals[b] = refit.qte()
         except (DataValidationError, EstimationError) as exc:
             failures.append((b, str(exc)))
 
@@ -71,7 +69,7 @@ def reference_band(data, boot=None, contrast=(1, 0), fit=None, fit_fn=None, **fi
         lower[m], upper[m] = lo, hi
     raw_containment = raw_hits / raw_total if raw_total else math.nan
     return ConfidenceBand(fit.grid.points, point, lower, upper, valid, n_reported.astype(np.int64),
-                          boot.draws, boot.level, contrast, raw_containment, len(failures), [], failures)
+                          boot.draws, boot.level, raw_containment, len(failures), [], failures)
 
 
 def assert_same_band(band, ref, tol=0.0):

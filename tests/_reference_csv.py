@@ -2,9 +2,9 @@
 
 ``read_rows`` parses a body with ``csv.DictReader`` and checks each row as
 it goes; it names the first offending row of a bad file.  ``load_rows``
-is ``load_csv`` with ``read_rows`` as its body reader: the same schema,
-sidecar, header and structural-zero handling, so that the two can be
-compared on any file.
+is ``load_csv`` with ``read_rows`` as its body reader: the same sidecar,
+header and structural-zero handling, so that the two can be compared on
+any file.
 
 ``write_rows`` is ``save_csv``'s CSV with one ``repr`` call a record: the
 reference for its text built in numpy.
@@ -21,12 +21,11 @@ from crqiv.data import (
     CAUSE1,
     CAUSE2,
     CENSORED,
-    DEFAULT_COLUMNS,
+    COLUMNS,
     DataValidationError,
     Dataset,
     _coerce_labels,
     _csv_line,
-    _given_order,
     code_type,
 )
 
@@ -39,14 +38,12 @@ def _first_appearance(labels) -> list:
     return seen
 
 
-def load_rows(path, schema=None, treatment_order=None, instrument_order=None, structural_zeros=None,
-              event_labels=None) -> Dataset:
-    cols = dict(DEFAULT_COLUMNS)
-    if schema:
-        unknown = set(schema) - set(cols)
-        if unknown:
-            raise DataValidationError(f"unknown schema keys: {sorted(unknown)}")
-        cols.update(schema)
+def _side_order(side: dict | None, key: str) -> list | None:
+    """A level order the sidecar gives, or None."""
+    return list(side[key]) if side is not None and key in side else None
+
+
+def load_rows(path) -> Dataset:
     if os.path.exists(path) and not os.path.isfile(path):
         raise DataValidationError(f"not a regular file: {path}")
 
@@ -61,18 +58,15 @@ def load_rows(path, schema=None, treatment_order=None, instrument_order=None, st
         header = csv.DictReader(fh).fieldnames
     if header is None:
         raise DataValidationError("missing header row")
-    for logical, name in cols.items():
+    for name in COLUMNS:
         if name not in header:
-            raise DataValidationError(f"missing column '{name}' (for '{logical}')")
+            raise DataValidationError(f"missing column '{name}'")
 
-    t_order = _given_order(treatment_order, side, "treatment_levels")
-    i_order = _given_order(instrument_order, side, "instrument_levels")
-    y, event, z_idx, w_idx, t_levels, i_levels = read_rows(path, cols, event_labels, t_order, i_order)
+    t_order, i_order = _side_order(side, "treatment_levels"), _side_order(side, "instrument_levels")
+    y, event, z_idx, w_idx, t_levels, i_levels = read_rows(path, t_order, i_order)
 
     zeros = set()
-    declared = structural_zeros
-    if declared is None and side is not None:
-        declared = [tuple(p) for p in side.get("structural_zeros", [])]
+    declared = None if side is None else [tuple(p) for p in side.get("structural_zeros", [])]
     if declared:
         for z_lab, w_lab in declared:
             if z_lab not in t_levels or w_lab not in i_levels:
@@ -82,7 +76,7 @@ def load_rows(path, schema=None, treatment_order=None, instrument_order=None, st
     return Dataset(y, event, z_idx, w_idx, t_levels, i_levels, zeros)
 
 
-def read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: list | None):
+def read_rows(path, t_order: list | None, i_order: list | None):
     """``load_csv``'s body parsed one csv row at a time.
 
     The reference for ``load_csv``'s chunked reader: it names the first
@@ -94,27 +88,24 @@ def read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: lis
         z_raw: list[str] = []
         w_raw: list[str] = []
         for i, row in enumerate(csv.DictReader(fh), start=1):
-            s = row[cols["y"]]
+            s = row["time"]
             try:
                 yv = float(s)
             except (TypeError, ValueError):
                 raise DataValidationError(f"row {i}: non-numeric follow-up time {s!r}") from None
             if not np.isfinite(yv) or yv < 0:
                 raise DataValidationError(f"row {i}: follow-up time must be finite and >= 0, got {s}")
-            ev_s = row[cols["event"]]
-            if event_labels is not None and ev_s in event_labels:
-                ev = int(event_labels[ev_s])
-            else:
-                try:
-                    ev = int(ev_s)
-                except (TypeError, ValueError):
-                    raise DataValidationError(f"row {i}: non-integer event code {ev_s!r}") from None
+            ev_s = row["event"]
+            try:
+                ev = int(ev_s)
+            except (TypeError, ValueError):
+                raise DataValidationError(f"row {i}: non-integer event code {ev_s!r}") from None
             if ev not in (0, 1, 2):
                 raise DataValidationError(f"row {i}: event code must be in {{0, 1, 2}}, got {ev_s}")
             y_raw.append(yv)
             e_raw.append(ev)
-            z_raw.append(row[cols["z"]])
-            w_raw.append(row[cols["w"]])
+            z_raw.append(row["treatment"])
+            w_raw.append(row["instrument"])
 
     if not y_raw:
         raise DataValidationError("empty record list")
@@ -124,17 +115,19 @@ def read_rows(path, cols: dict, event_labels, t_order: list | None, i_order: lis
     t_levels = _first_appearance(z_labels) if t_order is None else t_order
     i_levels = _first_appearance(w_labels) if i_order is None else i_order
 
-    def index_of(labels: list, registry_: list, what: str) -> np.ndarray:
+    def index_of(labels: list, raw: list, registry_: list, what: str) -> np.ndarray:
         lookup = {lab: i for i, lab in enumerate(registry_)}
         out = np.empty(len(labels), dtype=code_type(len(registry_)))
         for i, lab in enumerate(labels):
+            if lab != lab:
+                raise DataValidationError(f"row {i + 1}: {what} level {raw[i]!r} reads as NaN")
             if lab not in lookup:
                 raise DataValidationError(f"row {i + 1}: {what} level {lab!r} not in the supplied ordering")
             out[i] = lookup[lab]
         return out
 
-    z_idx = index_of(z_labels, t_levels, "treatment")
-    w_idx = index_of(w_labels, i_levels, "instrument")
+    z_idx = index_of(z_labels, z_raw, t_levels, "treatment")
+    w_idx = index_of(w_labels, w_raw, i_levels, "instrument")
     return np.array(y_raw), np.array(e_raw, dtype=code_type(3)), z_idx, w_idx, t_levels, i_levels
 
 
@@ -144,5 +137,5 @@ def write_rows(data: Dataset, path) -> None:
     tails = [_csv_line(["", ev, zl, wl]) for ev in (CENSORED, CAUSE1, CAUSE2) for zl in t_levels for wl in i_levels]
     key = (data.event.astype(np.intp) * len(t_levels) + data.z) * len(i_levels) + data.w
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_line(["time", "event", "treatment", "instrument"]))
+        fh.write(_csv_line(COLUMNS))
         fh.write("".join(map(operator.add, map(repr, data.y.tolist()), map(tails.__getitem__, key.tolist()))))

@@ -194,7 +194,7 @@ def test_criterion_7_coverage(record):
         boot=BootstrapConfig(draws=100, seed=0),
         grid=GRID13,
     )
-    covs = {u: res.at(u) for u in (0.1, 0.2, 0.3, 0.4)}
+    covs = {u: float(res.coverage[grid_index(res.u, u)]) for u in (0.1, 0.2, 0.3, 0.4)}
     ok = all(lo <= c <= hi for c in covs.values())
     detail = f"{label} n={n}, reps={reps}: " + ", ".join(
         f"u={u}: {c:.3f}" for u, c in covs.items()

@@ -5,6 +5,7 @@ exports nothing else."""
 import ast
 import importlib
 import json
+import math
 import pkgutil
 import subprocess
 import sys
@@ -30,6 +31,10 @@ TEST_ONLY = {
 # the same for the public methods, properties and classmethods of the classes those names export
 TEST_ONLY_MEMBERS = {
     "OuterSet.contains": "membership in the outer set's pieces; README's outer-set example calls it",
+}
+# the same for the optional parameters of the functions and methods written in src/, as "function(parameter)"
+TEST_ONLY_OPTIONS = {
+    "fit_curve(surface)": "the seam through which tests fit on a surface of their own, such as a design's true one",
 }
 
 
@@ -146,25 +151,29 @@ def test_deprecation_met_inside_crqiv_fails(category, monkeypatch):
         deprecated(0.5, [0.0, 1.0], [1.0, 1.0])
 
 
-def read_places() -> dict:
+def caller_files() -> list:
+    """The files whose calls count: src/ (the CLI included, __init__ not) and bench/ but its tests."""
+    files = [p for p in (ROOT / "src" / "crqiv").glob("*.py") if p.name != "__init__.py"]
+    return files + [p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
+
+
+def read_places(attributes_only=False) -> dict:
     """name -> {(module, top-level definition, member of a top-level class)} of each place src/ or bench/ reads it.
 
-    A name or attribute read in src/ (the CLI included) or bench/ counts;
-    the bench's tracer calls its TRACED functions by name.  __init__'s
-    export table and the __all__ lists hold names as strings, so they call
-    nothing.
+    A name or attribute read in src/ (the CLI included) or bench/ counts,
+    only an attribute with attributes_only; the bench's tracer calls its
+    TRACED functions by name.  __init__'s export table and the __all__
+    lists hold names as strings, so they call nothing.
     """
     places = {}
     for module, name in bench_traced():
         places.setdefault(name, set()).add((module, None, None))
-    files = [p for p in (ROOT / "src" / "crqiv").glob("*.py") if p.name != "__init__.py"]
-    files += [p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
-    for path in files:
+    for path in caller_files():
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             members = top.body if isinstance(top, ast.ClassDef) else []
             owner = {id(node): part.name for part in members if hasattr(part, "name") for node in ast.walk(part)}
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
@@ -196,11 +205,78 @@ def test_every_public_name_has_a_caller_or_a_reason():
 
 
 def test_every_public_member_has_a_caller_or_a_reason():
-    # a member counts as called where its name is read outside its own definition, so a
-    # member whose name another one shares counts as called: the check errs toward passing
-    places = read_places()
+    # a member counts as called where an attribute of its name is read outside its own definition,
+    # so a member whose name another one shares counts as called: the check errs toward passing
+    places = read_places(attributes_only=True)
     uncalled = {f"{cls}.{member}" for module, cls, member in public_members()
                 if not places.get(member, set()) - {(module, cls, member)}}
     assert uncalled == set(TEST_ONLY_MEMBERS), (
         "give a new public member a caller, or a reason in TEST_ONLY_MEMBERS; drop a called one")
     assert all(reason and "\n" not in reason for reason in TEST_ONLY_MEMBERS.values())
+
+
+def defined_options():
+    """("function(parameter)", the name a call gives, parameter, its position in a call or None) of each
+    optional parameter of a function or method written at the top level of a module or class in src/.
+
+    A method's position leaves out its self or cls, and an __init__ is
+    called by its class's name; dataclass-generated __init__s are not
+    written, so they are left out.
+    """
+    for path in sorted((ROOT / "src" / "crqiv").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.FunctionDef):
+                defs = [(None, top)]
+            elif isinstance(top, ast.ClassDef):
+                defs = [(top.name, node) for node in top.body if isinstance(node, ast.FunctionDef)]
+            else:
+                continue
+            for owner, fn in defs:
+                bound = owner is not None and "staticmethod" not in [getattr(d, "id", None) for d in fn.decorator_list]
+                called = owner if fn.name == "__init__" else fn.name
+                label = fn.name if owner is None else f"{owner}.{fn.name}"
+                positional = fn.args.posonlyargs + fn.args.args
+                for i, arg in enumerate(positional[len(positional) - len(fn.args.defaults):]):
+                    yield f"{label}({arg.arg})", called, arg.arg, len(positional) - len(fn.args.defaults) + i - bound
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        yield f"{label}({arg.arg})", called, arg.arg, None
+
+
+def passed_arguments() -> tuple:
+    """({(name called, parameter name or position)} of each argument a call in src/ or bench/ passes,
+    {name called: first position a *-argument covers}, the keys of cli._fit_kwargs' dict).
+
+    A call's name is that of the function or attribute called.  A
+    **-argument sets nothing, except the dict _fit_kwargs builds, whose
+    keys every command passes through to the fit.
+    """
+    passed, starred, keys = set(), {}, set()
+    for path in caller_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.stem == "cli" and isinstance(node, ast.FunctionDef) and node.name == "_fit_kwargs":
+                (returned,) = [n.value for n in ast.walk(node) if isinstance(n, ast.Return)]
+                keys.update(key.value for key in returned.keys)
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    starred[name] = min(i, starred.get(name, i))
+                    break
+                passed.add((name, i))
+            passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return passed, starred, keys
+
+
+def test_every_public_option_has_a_caller_or_a_reason():
+    # an optional parameter counts as set where a call of its function's name in src/ or bench/
+    # passes it by keyword or position, so a method whose name another one shares counts as
+    # set too; a fit option _fit_kwargs names counts as set wherever it is a parameter
+    passed, starred, keys = passed_arguments()
+    unset = {label for label, called, param, position in defined_options()
+             if (called, param) not in passed and (called, position) not in passed and param not in keys
+             and (position is None or position < starred.get(called, math.inf))}
+    assert unset == set(TEST_ONLY_OPTIONS), (
+        "give a new option a caller or a reason in TEST_ONLY_OPTIONS, or delete it; drop a set one")
+    assert all(reason and "\n" not in reason for reason in TEST_ONLY_OPTIONS.values())

@@ -11,7 +11,8 @@ import pytest
 from crqiv.bounds import LATTICE_BLOCK, _write_lattice
 from crqiv.cli import _fmt, _resolve_config, _write_csv, build_parser, main
 from crqiv.data import load_csv
-from crqiv.estimator import NO_ROOT, PAST_FRONTIER, REPORTED
+from crqiv.estimator import NO_ROOT, PAST_FRONTIER, REPORTED, EstimationError
+from crqiv.simulate import DgpSpec
 
 
 def run(argv):
@@ -207,6 +208,37 @@ def test_estimate_fewer_instrument_than_treatment_levels_exits_1(tmp_path, capsy
     assert run(["estimate", "--data", tmp_path / "data.csv", "--out", out, "--grid", 20, "--derived"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: K = 2 instrument levels cannot point-identify L = 3 ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def no_secondary_events_at_level_1():
+    """Design-2 data whose treatment level 1 has no secondary-cause events: its cause-2 fit fails."""
+    from crqiv.data import Dataset
+    from crqiv.simulate import generate
+
+    data, _ = generate(DgpSpec(design=2, n=600, seed=3))
+    event = np.where((data.event == 2) & (data.z == 1), 0, data.event)
+    return Dataset(data.y, event, data.z, data.w, data.treatment_levels, data.instrument_levels,
+                   data.structural_zeros)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--derived"], "error: the secondary-cause fit of --derived failed: treatment level 1 has no "
+                    "secondary-cause events; its quantile support bound cannot be estimated\n"),
+    (["--boot-draws", 5], "error: every bootstrap replicate failed\n"),
+], ids=["derived", "band"])
+def test_estimate_that_fails_after_its_fit_leaves_no_out_dir(tmp_path, capsys, monkeypatch, flags, message):
+    from crqiv import inference
+    from crqiv.data import save_csv
+
+    def every_replicate_fails(data, counts, **kwargs):
+        return [EstimationError("nope")] * len(counts)
+
+    monkeypatch.setattr(inference, "fit_replicates", every_replicate_fails)
+    save_csv(no_secondary_events_at_level_1(), tmp_path / "data.csv")
+    out = tmp_path / "est"
+    assert run(["estimate", "--data", tmp_path / "data.csv", "--out", out, "--grid", 20, "--naive", *flags]) == 1
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

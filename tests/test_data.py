@@ -230,28 +230,6 @@ def test_csv_sidecar_preserves_registry_and_zeros(tmp_path):
     assert back.structural_zeros == {(1, 0)}
 
 
-def test_schema_remap_and_event_labels(tmp_path):
-    p = tmp_path / "odd.csv"
-    p.write_text(
-        "dur,status,arm,assigned\n1.5,primary,0,0\n2.0,other,1,0\n0.5,lost,0,1\n3.5,primary,1,1\n"
-    )
-    d = load_csv(
-        p,
-        schema={"y": "dur", "event": "status", "z": "arm", "w": "assigned"},
-        event_labels={"primary": 1, "other": 2, "lost": 0},
-    )
-    assert np.array_equal(d.event, [1, 2, 0, 1])
-    assert d.y[3] == 3.5
-
-
-def test_explicit_level_order_wins(tmp_path):
-    p = tmp_path / "lv.csv"
-    p.write_text("time,event,treatment,instrument\n1,1,b,0\n2,1,a,0\n3,1,b,1\n4,1,a,1\n")
-    d = load_csv(p, treatment_order=["a", "b"])
-    assert d.treatment_levels == ["a", "b"]
-    assert np.array_equal(d.z, [1, 0, 1, 0])
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -280,21 +258,21 @@ def test_csv_round_trip_property(tmp_path_factory, rows):
 # -- the chunked reader against the row loop ------------------------------
 
 
-def _outcome(path, load=load_csv, **kwargs):
+def _outcome(path, load=load_csv):
     """What load returns, bit for bit, or the error it raises; a warning is an error."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = load(path, **kwargs)
+            d = load(path)
     except Exception as exc:  # both readers must fail alike, whatever the error
         return ("error", type(exc).__name__, str(exc))
     arrays = tuple((a.dtype.str, a.tobytes()) for a in (d.y, d.event, d.z, d.w))
     return ("ok", arrays, repr(d.treatment_levels), repr(d.instrument_levels), sorted(d.structural_zeros))
 
 
-def _row_loop_outcome(path, **kwargs):
+def _row_loop_outcome(path):
     """What the reference reader, one csv row at a time, returns or raises."""
-    return _outcome(path, load_rows, **kwargs)
+    return _outcome(path, load_rows)
 
 
 # odd field text that both readers read alike; the text they read
@@ -324,12 +302,8 @@ def _orders(pair):
 
 @st.composite
 def _csv_files(draw):
-    """CSV text that the row loop reads or rejects, and load_csv keyword arguments."""
+    """CSV text that the row loop reads or rejects, and the level sidecar beside it, or None."""
     names = {"y": "time", "event": "event", "z": "treatment", "w": "instrument"}
-    kwargs = {}
-    if draw(st.booleans()):
-        names = {"y": "dur", "event": "status", "z": "arm", "w": "assigned"}
-        kwargs["schema"] = dict(names)
     header = draw(st.permutations([*names.values(), *draw(st.sampled_from([[], ["note"], ["note", "time"]]))]))
     # a block covering every (z, w) cell and clean rows, so that many draws
     # load; a few odd rows, so that many do not
@@ -379,24 +353,21 @@ def _csv_files(draw):
     bom = draw(st.sampled_from(["", "", "", "", "", "\ufeff"]))
     text = bom + nl.join(lines) + draw(st.sampled_from(["", nl, nl, nl + nl]))
 
-    if draw(st.booleans()):
-        kwargs["event_labels"] = {"fail": 1, "cens": 0, "01": 2}
-    kwargs["treatment_order"] = draw(_orders(z_pair))
-    kwargs["instrument_order"] = draw(_orders(w_pair))
-    kwargs["structural_zeros"] = draw(st.sampled_from([None, None, [], [(z_pair[0], "other")]]))
-    sidecar = draw(st.sampled_from([
-        None,
-        None,
-        {"treatment_levels": data_module._coerce_labels(list(z_pair))[::-1]},
-        {"instrument_levels": [0, 1], "structural_zeros": [[1, 0]]},
-    ]))
-    return text, {k: v for k, v in kwargs.items() if v is not None}, sidecar
+    # each part of the sidecar drawn on its own: level orders, and structural zeros
+    # that are none, name an unknown level, or name a cell that holds records
+    parts = {
+        "treatment_levels": draw(_orders(z_pair)),
+        "instrument_levels": draw(_orders(w_pair)),
+        "structural_zeros": draw(st.sampled_from([None, None, [], [[z_pair[0], "other"]], [[1, 0]]])),
+    }
+    sidecar = {key: part for key, part in parts.items() if part is not None}
+    return text, draw(st.sampled_from([None, sidecar]))
 
 
-def _case(*rows, header="time,event,treatment,instrument", nl="\n", **kwargs):
-    """A file with one cell-covering block of clean rows after ``rows``."""
+def _case(*rows, header="time,event,treatment,instrument", nl="\n"):
+    """A file with one cell-covering block of clean rows after ``rows``, and no sidecar."""
     block = ["1.5,1,0,0", "2.5,1,0,1", "3.5,2,1,0", "4.5,0,1,1"]
-    return header + nl + nl.join([*rows, *block]) + nl, kwargs, None
+    return header + nl + nl.join([*rows, *block]) + nl, None
 
 
 def _changed(case, now):
@@ -405,7 +376,7 @@ def _changed(case, now):
 
 
 def _write(directory, case):
-    text, _, sidecar = case[:3]
+    text, sidecar = case[:2]
     p = directory / "d.csv"
     p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     if sidecar is not None:
@@ -419,7 +390,7 @@ def _error(message, kind="DataValidationError"):
 
 @settings(max_examples=400, deadline=None)
 @given(_csv_files())
-@example(("time,event,treatment,instrument\r\n", {}, None))
+@example(("time,event,treatment,instrument\r\n", None))
 @example(_case("-1,1,0,0"))
 @example(_case("nan,1,0,0"))
 @example(_case("3,+3,0,0"))
@@ -429,12 +400,12 @@ def _error(message, kind="DataValidationError"):
 @example(_case('3,1,0,"say ""hi"""', '3,1,1,"say ""hi"""'))
 @example(_case("3,1,0,#x", "3,1,0,#x", "", nl="\r\n"))
 @example(_case("3,1,nan,0", "3,1,nan,1"))
-@example(_case("3,1,0,0,extra", "", header="\ufefftime,event,treatment,instrument", schema={"y": "\ufefftime"}))
+@example(_case("3,1,0,0,extra", "", header="\ufefftime,event,treatment,instrument"))
 @example(_case("3,1,0,0", "", "", "3,1,1,1", "", nl="\r\n"))  # blank lines between records
 @example(_case("3,1,0,0", "", "", "3,1,1,1", "", nl="\r"))
-@example(("time,event,treatment,instrument\r\n\r\n\n", {}, None))  # blank lines and no record
+@example(("time,event,treatment,instrument\r\n\r\n\n", None))  # blank lines and no record
 @example(_case("3,1,abcdefgh,0", "3,1,abcdefgh,1"))  # an 8-byte label beside 1-byte ones
-@example(_case("3,censored_x,0,0", event_labels={"censored_x": 0}))  # an event label past 8 bytes
+@example(_case("3,censored_x,0,0"))  # an event text past 8 bytes
 # labels whose first appearance is not their sorted order, in both label columns
 @example(_case("3,1,z,1", "3,2,z,0", "3,1,a,1", "3,0,a,0"))
 # labels alike in their first 8 bytes, and one past 32: read again at 32 bytes, then at 128
@@ -465,24 +436,37 @@ def _error(message, kind="DataValidationError"):
 @example(_changed(_case("3,1,0,0", " ", "3,1,1,1"), _error("row 2: no field for column 'event'")))
 @example(_changed(_case("3,1,0"), _error("row 1: no field for column 'instrument'")))
 @example(_changed(_case("3,1"), _error("row 1: no field for column 'treatment'")))
-@example(_changed(_case("3,1,0,0", header="x,event,treatment,instrument,time", event_labels={"1": 2}),
+@example(_changed(_case("3,1,0,0", header="x,event,treatment,instrument,time"),
                   _error("row 1: no field for column 'time'")))
 # a byte that is not UTF-8, in a column neither reader parses, past the header's first 8 KiB read:
 # the row loop raises a bare UnicodeDecodeError, load_csv names the record
 @example(_changed((b"time,event,treatment,instrument,note\n1.5,1,0,1," + b"x" * 9000
-                   + b"\n3,1,0,0,\xff\n3.5,2,1,0,x\n4.5,0,1,1,x\n", {}, None),
+                   + b"\n3,1,0,0,\xff\n3.5,2,1,0,x\n4.5,0,1,1,x\n", None),
                   _error("row 2: byte 0xff is not UTF-8")))
 def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
-    text, kwargs, sidecar, *now = case
+    text, sidecar, *now = case
     p = _write(tmp_path_factory.mktemp("diff"), case)
-    before = _row_loop_outcome(p, **kwargs)
+    before = _row_loop_outcome(p)
     if not now:
-        assert _outcome(p, **kwargs) == before
+        assert _outcome(p) == before
         return
     (now,) = now
-    want = now if now[0] == "error" else _row_loop_outcome(_write(tmp_path_factory.mktemp("now"), now), **kwargs)
+    want = now if now[0] == "error" else _row_loop_outcome(_write(tmp_path_factory.mktemp("now"), now))
     assert want != before  # the change is real
-    assert _outcome(p, **kwargs) == want
+    assert _outcome(p) == want
+
+
+@pytest.mark.parametrize("rows, sidecar, message", [
+    # a label that reads as NaN equals no level, not even itself; it was read as one level a record
+    (("3,1,nan,0", "3,1,nan,1"), None, "row 1: treatment level 'nan' reads as NaN"),
+    (("3,1,0,0", "3,1,1,NaN"), None, "row 2: instrument level 'NaN' reads as NaN"),
+    (("3,1,0,1.5", "3,1,1,nan"), {"instrument_levels": [0, 1, 1.5]}, "row 2: instrument level 'nan' reads as NaN"),
+    # an ordering that misses a label before the NaN one is named first
+    (("3,1,2,0", "3,1,nan,0"), {"treatment_levels": [0, 1]}, "row 1: treatment level 2.0 not in the supplied ordering"),
+], ids=["treatment", "instrument", "ordered", "unordered-first"])
+def test_nan_label_is_named_by_its_row(tmp_path, rows, sidecar, message):
+    p = _write(tmp_path, (_case(*rows)[0], sidecar))
+    assert _outcome(p) == _row_loop_outcome(p) == _error(message)
 
 
 @pytest.mark.parametrize("labels", [
@@ -511,11 +495,11 @@ def _label_file(path, z_labels, w_labels, events=("1", "2", "0", "1"), rows=40, 
     path.write_text("\n".join([*lines, *late]) + "\n", encoding="utf-8")
 
 
-def _read_alike(path, **kwargs):
+def _read_alike(path):
     """load_csv's dataset, checked to be the row loop's bit for bit."""
-    got = _outcome(path, **kwargs)
-    assert got[0] == "ok" and got == _row_loop_outcome(path, **kwargs)
-    return load_csv(path, **kwargs)
+    got = _outcome(path)
+    assert got[0] == "ok" and got == _row_loop_outcome(path)
+    return load_csv(path)
 
 
 # rows of _label_file enough that the later ones lie past the first chunk of the file
@@ -546,18 +530,18 @@ def test_label_past_the_sampled_width_reads_alike(tmp_path, late):
     assert _read_alike(p).treatment_levels == ["a", "b", late]
 
 
-# width names each case: the narrowest of 2, 4 and 8 bytes with room past its event labels
+# width names each case: the event field's width, of 2, 8 and 32 bytes, with room past its event texts
 @pytest.mark.parametrize("events, width, late", [
-    (("f", "k", "c"), 2, ()),
-    (("one", "two", "nil"), 4, ()),
-    (("fail", "comp", "cens"), 8, ()),
-    (("f", "k", "c"), 2, ("7,censored_late,a,x",)),  # a long event label past the first chunk
+    (("1", "2", "0"), 2, ()),
+    (("01", "+2", "00"), 8, ()),
+    (("0001", "0002", "0000"), 8, ()),
+    (("00000001", "00000002", "00000000"), 32, ()),
+    (("1", "2", "0"), 2, ("7,00000000000,a,x",)),  # a long event text past the first chunk
 ])
-def test_event_label_strings_read_alike(tmp_path, events, width, late):
+def test_event_code_texts_read_alike(tmp_path, events, width, late):
     p = tmp_path / "events.csv"
-    codes = {"f": 1, "k": 2, "c": 0, "one": 1, "two": 2, "nil": 0, "fail": 1, "comp": 2, "cens": 0, "censored_late": 0}
     _label_file(p, ["a", "b"], ["x", "y"], events=events, rows=_PAST_CHUNK if late else 40, late=late)
-    assert set(_read_alike(p, event_labels=codes).event.tolist()) == {0, 1, 2}
+    assert set(_read_alike(p).event.tolist()) == {0, 1, 2}
 
 
 def test_round_trip_with_quoted_levels_reads_row_by_row(tmp_path):

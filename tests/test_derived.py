@@ -43,6 +43,10 @@ def make_fit(u_pts, theta, reported=None):
     )
 
 
+# a secondary-cause fit that reports no point: no cause-specific hazard is taken
+NO_CAUSE2 = make_fit([0.5, 0.6], [[0.5, 0.5], [0.6, 0.6]], reported=[False, False])
+
+
 # -- isotonic projection ------------------------------------------------------
 
 
@@ -106,7 +110,7 @@ def truth_fit():
 
 
 def test_density_and_subdist_hazard(truth_fit):
-    out = derived_quantities(truth_fit)
+    out = derived_quantities(truth_fit, NO_CAUSE2)
     lv0, lv1 = out[0], out[1]
     assert not lv0.isotonic_adjusted
     assert lv0.slope == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
@@ -119,7 +123,7 @@ def test_density_and_subdist_hazard(truth_fit):
     assert lv1.subdist_hazard == pytest.approx(
         [1.0526315789473684, 1.1111111111111112, 1.1764705882352942], rel=1e-12
     )
-    # no secondary-cause fit supplied
+    # the secondary-cause fit reports no point
     assert np.isnan(lv0.cause_hazard).all()
     assert not lv0.cause_hazard_valid.any()
 
@@ -144,7 +148,7 @@ def test_cause_specific_hazard_with_secondary_fit(truth_fit):
 def test_secondary_fit_from_swapped_causes():
     data, _ = generate(DgpSpec(design=2, n=2_000, seed=6))
     fit = fit_curve(data, grid=QuantileGrid.default(25))
-    base = derived_quantities(fit)
+    base = derived_quantities(fit, NO_CAUSE2)
     assert not any(lv.cause_hazard_valid.any() for lv in base.values())
     with_c2 = derived_quantities(fit, fit_curve(swap_causes(data), grid=fit.grid))
     assert any(lv.cause_hazard_valid.any() for lv in with_c2.values())
@@ -163,26 +167,26 @@ def test_cause_hazard_invalid_past_secondary_range(truth_fit):
 
 def test_isotonic_projection_applied():
     fit = make_fit([0.05, 0.10, 0.15], [[0.10, 0.05], [0.30, 0.10], [0.20, 0.15]])
-    out = derived_quantities(fit)
+    out = derived_quantities(fit, NO_CAUSE2)
     assert out[0].isotonic_adjusted
     assert out[0].t == pytest.approx([0.10, 0.25, 0.25])
     assert not out[1].isotonic_adjusted
 
 
 def test_incidence_inverts_quantile_curve(truth_fit):
-    lv0 = derived_quantities(truth_fit)[0]
+    lv0 = derived_quantities(truth_fit, NO_CAUSE2)[0]
     assert lv0.curve.inverse(0.2) == pytest.approx(0.1)
     assert lv0.curve.inverse(np.array([0.1, 0.3])) == pytest.approx([0.05, 0.15])
 
 
 def test_unreported_levels_dropped():
     fit = make_fit([0.05, 0.10], [[0.1, 0.05], [0.2, 0.1]], reported=[False, False])
-    assert derived_quantities(fit) == {}
+    assert derived_quantities(fit, NO_CAUSE2) == {}
 
 
 def test_single_point_level_has_nan_slope():
     fit = make_fit([0.05, 0.10], [[0.1, 0.05], [0.2, 0.1]], reported=[True, False])
-    out = derived_quantities(fit)
+    out = derived_quantities(fit, NO_CAUSE2)
     assert np.isnan(out[0].slope).all()
     assert np.isnan(out[0].density).all()
 

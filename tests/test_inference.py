@@ -69,7 +69,6 @@ def test_band_shapes_and_ordering(small_band):
     assert np.all(band.point[ok] <= band.upper[ok])
     assert band.draws == boot.draws
     assert band.level == 0.95
-    assert band.contrast == (1, 0)
 
 
 def test_band_masks_unsupported_points(small_band):
@@ -287,15 +286,6 @@ def test_all_replicates_failing_raises(small_band, monkeypatch):
         bootstrap_band(data, BootstrapConfig(draws=5, seed=0), fit=first)
 
 
-def test_contrast_negation(small_band):
-    data, boot, band = small_band
-    flipped = bootstrap_band(data, boot, contrast=(0, 1), grid=GRID13)
-    ok = band.valid & flipped.valid
-    assert flipped.point[ok] == pytest.approx(-band.point[ok])
-    assert flipped.lower[ok] == pytest.approx(-band.upper[ok])
-    assert flipped.upper[ok] == pytest.approx(-band.lower[ok])
-
-
 # -- coverage -------------------------------------------------------------------
 
 
@@ -308,7 +298,6 @@ def test_coverage_result_accessors():
     )
     assert res.coverage[0] == pytest.approx(0.9)
     assert math.isnan(res.coverage[1])
-    assert res.at(0.11) == pytest.approx(0.9)
     rows = list(res.rows())
     assert rows[0] == (0.1, 0.9, 18, 20)
     assert len(rows) == 2
@@ -316,7 +305,7 @@ def test_coverage_result_accessors():
 
 def test_coverage_validation():
     with pytest.raises(ValueError, match="reps"):
-        coverage_study(DgpSpec(design=1, n=100, seed=0), reps=0)
+        coverage_study(DgpSpec(design=1, n=100, seed=0), reps=0, boot=BootstrapConfig(draws=2))
 
 
 def test_coverage_with_injected_truth_band(monkeypatch):
@@ -324,8 +313,8 @@ def test_coverage_with_injected_truth_band(monkeypatch):
     grid = QuantileGrid(np.array([0.1, 0.2, 0.3]))
     real = inference.bootstrap_band
 
-    def sure_band(data, boot=None, contrast=(1, 0), **kw):
-        band = real(data, boot, contrast, **kw)  # for its fit, which the study summarizes
+    def sure_band(data, boot, **kw):
+        band = real(data, boot, **kw)  # for its fit, which the study summarizes
         band.lower[:], band.upper[:], band.valid[:] = -2.0, 2.0, True
         return band
 
@@ -333,19 +322,6 @@ def test_coverage_with_injected_truth_band(monkeypatch):
     res = coverage_study(DgpSpec(design=1, n=200, seed=0), reps=3, boot=BootstrapConfig(draws=2, seed=0), grid=grid)
     assert np.all(res.coverage == 1.0)
     assert np.all(res.n_valid == 3)
-
-
-def test_coverage_truth_follows_the_contrast():
-    # the default truth of a simulation spec is the contrast asked for: with
-    # 20 draws at 95% the band is the replicates' range, so swapping the
-    # contrast negates every band and covers exactly as often
-    kwargs = dict(reps=3, boot=BootstrapConfig(draws=20, seed=0), grid=QuantileGrid(np.array([0.1, 0.2, 0.3])))
-    spec = DgpSpec(design=2, n=2_000, seed=0)
-    forward = coverage_study(spec, contrast=(1, 0), **kwargs)
-    backward = coverage_study(spec, contrast=(0, 1), **kwargs)
-    assert forward.hits.sum() > 0
-    assert np.array_equal(backward.hits, forward.hits)
-    assert np.array_equal(backward.n_valid, forward.n_valid)
 
 
 def test_mc_study_bands_each_repetition_with_its_own_fit():
@@ -396,7 +372,7 @@ def test_scaled_coverage_design1():
     for u, n_valid in ((0.1, 49), (0.2, 50)):
         m = int(np.argmin(np.abs(res.u - u)))
         assert res.n_valid[m] == n_valid
-        cov = res.at(u)
+        cov = res.coverage[m]
         assert 0.85 <= cov <= 1.0, f"coverage {cov} at u={u}"
     # u = 0.3 sits 0.03 below the frontier; the conservative frontier
     # estimate reports it only rarely at this sample size

@@ -21,12 +21,16 @@ import math
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset, _run_flags
 from .surface import EstimationError, _columns, _no_primary_events, residual_vector
-from .survival import primary_records
+
+# data and survival are imported where the data are read, so that bounds
+# on a fit's saved surface loads neither
+if TYPE_CHECKING:
+    from .data import Dataset
 
 __all__ = [
     "IntervalProduct",
@@ -112,6 +116,8 @@ class BoundFrontiers:
 
 def estimate_y1(data: Dataset) -> np.ndarray:
     """Largest follow-up time with a primary-cause event, per treatment level."""
+    from .survival import primary_records
+
     out = np.empty(data.n_treatment_levels)
     for zi in range(data.n_treatment_levels):
         times = np.take(data.y, primary_records(data, zi))
@@ -301,6 +307,8 @@ def outer_set_2d(u: float, surface, frontiers: BoundFrontiers) -> OuterSet:
 
 
 def _level_knots(surface, level: int, cap: float) -> np.ndarray:
+    from .data import _run_flags
+
     knots = np.asarray(surface.level_knots(level), dtype=np.float64)
     knots = np.sort(np.concatenate(([0.0], knots[(knots > 0) & (knots <= cap)])))
     return knots[_run_flags(knots)]

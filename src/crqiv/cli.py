@@ -35,9 +35,21 @@ def _at_least(low: int, what: str):
 
 _positive_int, _non_negative_int = _at_least(1, "positive"), _at_least(0, "non-negative")
 
+_KINDS = ("local_linear", "convolution")  # the smoothers of --kind
+
 # per argparse type of a flag: the JSON types of a --config value for it, and their name
 _JSON_FORMS = {None: ((str,), "a string"), int: ((int,), "an integer"), float: ((int, float), "a number"),
                _positive_int: ((int,), "a positive integer"), _non_negative_int: ((int,), "a non-negative integer")}
+
+
+def _is_number(v) -> bool:
+    """Whether a JSON value is a finite number; true and false are not numbers."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _numbers(v) -> bool:
+    """Whether a JSON value is a list of finite numbers."""
+    return isinstance(v, list) and all(map(_is_number, v))
 
 
 def _fmt(v) -> str:
@@ -78,7 +90,8 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: list[Path], extra=None) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: dict, extra=None) -> None:
+    """Write manifest.json; ``inputs`` maps each input path to its SHA-256 digest."""
     from datetime import datetime, timezone
 
     manifest = {
@@ -86,19 +99,24 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: lis
         "config": config,
         "seed": seed,
         "version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): digest for p, digest in inputs.items()},
         "created_utc": datetime.now(timezone.utc).isoformat(),
         **(extra or {}),
     }
     _write_json(out_dir / "manifest.json", manifest)
 
 
+def _existing(path: Path, what: str) -> Path:
+    """path, or FileNotFoundError naming it as the ``what`` file."""
+    if not path.exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    return path
+
+
 def _read_json(path: Path, what: str):
     import json
 
-    if not path.exists():
-        raise FileNotFoundError(f"{what} file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open(_existing(path, what), encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # bad JSON syntax or text that is not UTF-8
@@ -112,9 +130,7 @@ def _outdir(cfg: dict) -> Path:
 
 
 def _load_data(cfg: dict):
-    path = Path(cfg["data"])
-    if not path.exists():
-        raise FileNotFoundError(f"data file not found: {path}")
+    path = _existing(Path(cfg["data"]), "data")
     from .data import load_csv
     return load_csv(path), path
 
@@ -153,13 +169,14 @@ def cmd_simulate(cfg: dict) -> int:
     out = _outdir(cfg)
     data_path = out / "data.csv"
     save_csv(data, data_path)
-    _write_manifest(out, "simulate", cfg, cfg["seed"], [])
+    _write_manifest(out, "simulate", cfg, cfg["seed"], {})
     print(f"wrote {data_path} ({data.n} records)")
     return 0
 
 
 def cmd_estimate(cfg: dict) -> int:
     from .estimator import NO_ROOT, NOT_CERTIFIED, PAST_FRONTIER, REPORTED, EstimationError, fit_curve, naive_curve
+    from .survival import level_order
 
     boot = _boot(cfg)
     data, data_path = _load_data(cfg)
@@ -195,14 +212,22 @@ def cmd_estimate(cfg: dict) -> int:
         band = bootstrap_band(data, boot, fit=fit, **kwargs)
         extra["bootstrap_failures"] = [[b, reason] for b, reason in band.failures]
 
+    nv = naive_curve(data, fit.grid) if cfg.get("naive") else None
+    # hashed past the naive curve, which sets the run's memory peak, so that
+    # the OpenSSL that hashlib maps does not add to it
+    digest = _sha256(data_path)
     fit_json = fit.to_dict()
-    fit_json["n"] = data.n
+    # what bounds --fit-json needs besides the surface: the data's digest,
+    # the options the surface was made with and each level's largest
+    # follow-up time, the last record of its time order
+    fit_json.update(n=data.n, data_sha256=digest, kind=kwargs["kind"], bandwidth=kwargs["bandwidth"],
+                    caps=[float(data.y[level_order(data, l)[-1]]) for l in range(L)])
     out = _outdir(cfg)
     _write_json(out / "fit.json", fit_json)
+    fit.surface.save(out / "surface.npy")
 
     theta_cols = [f"theta_{lbl}" for lbl in fit.treatment_levels]
     rows = []
-    nv = naive_curve(data, fit.grid) if cfg.get("naive") else None
     header = ["u"] + theta_cols + ["reported"]
     if nv is not None:
         header += [f"naive_{lbl}" for lbl in fit.treatment_levels]
@@ -228,50 +253,85 @@ def cmd_estimate(cfg: dict) -> int:
     if boot is not None:
         _write_csv(out / "band.csv", ["u", "lower", "point", "upper", "n_reported"], band.rows())
 
-    _write_manifest(out, "estimate", cfg, cfg["seed"], [data_path], extra)
+    _write_manifest(out, "estimate", cfg, cfg["seed"], {data_path: digest}, extra)
     print(f"estimate done: u_hat={fit.frontiers.u_hat} -> {out}")
     return 0
+
+
+def _saved_fit(cfg: dict, fit_path: Path, data_path: Path) -> tuple:
+    """(surface, frontiers, input digests) of ``estimate``'s fit.json at fit_path and the surface.npy beside it.
+
+    Each value taken from the fit is checked, and a failure names the file:
+    the fit must hold every key this crqiv writes, the run's kind and
+    bandwidth, and the data's digest.  Neither the data nor the fit's
+    modules are loaded.
+    """
+    from .bounds import BoundFrontiers
+    from .surface import SmoothedSurvivalSurface
+
+    doc = _read_json(fit_path, "fit")
+    u_y = doc.get("u_hat") if isinstance(doc, dict) else None
+    if not _is_number(u_y):
+        raise ValueError(f"{fit_path}: u_hat must be a number, got {u_y!r}")
+
+    def value(key: str, ok, takes: str):
+        if key not in doc:
+            raise ValueError(f"{fit_path}: no {key!r}, as in a fit.json of an older crqiv; run estimate again")
+        if not ok(doc[key]):
+            raise ValueError(f"{fit_path}: {key} must be {takes}, got {doc[key]!r}")
+        return doc[key]
+
+    y1 = value("y1_hat", lambda v: _numbers(v) and len(v) >= 2, "a list of at least 2 numbers")
+    caps = value("caps", lambda v: _numbers(v) and len(v) == len(y1), f"a list of {len(y1)} numbers")
+    K = len(value("instrument_levels", lambda v: isinstance(v, list) and len(v) >= 2, "a list of at least 2 labels"))
+    made = {"kind": value("kind", lambda v: v in _KINDS, "one of " + ", ".join(map(repr, _KINDS))),
+            "bandwidth": value("bandwidth", lambda v: v is None or _is_number(v), "a number or null")}
+    fit_digest = value("data_sha256", lambda v: isinstance(v, str), "a string")
+    for key, made_with in made.items():
+        if cfg[key] != made_with:
+            raise ValueError(f"{fit_path}: its surface was made with {key} {made_with!r}, not {cfg[key]!r}; "
+                             f"bounds --fit-json takes the fit's {key}")
+    digest = _sha256(_existing(data_path, "data"))
+    if fit_digest != digest:
+        raise ValueError(f"{fit_path}: not a fit of {data_path}: its data_sha256 must be {digest}")
+
+    surface_path = _existing(fit_path.with_name("surface.npy"), "surface")
+    surface = SmoothedSurvivalSurface.load(surface_path, len(y1), K, made["kind"])
+    try:
+        frontiers = BoundFrontiers(y1, caps, u_y)
+    except ValueError as exc:  # a bound not positive, or a cap below its bound
+        raise ValueError(f"{fit_path}: {exc}") from None
+    return surface, frontiers, {data_path: digest, fit_path: _sha256(fit_path), surface_path: _sha256(surface_path)}
 
 
 def cmd_bounds(cfg: dict) -> int:
     import numpy as np
 
     from .bounds import BoundFrontiers, _write_lattice, outer_set, verify_membership
-    from .surface import assemble_surface
 
     npts = cfg["lattice"]
     names = [f"bounds_lattice_u{u:g}.csv" for u in cfg["u"]] if npts else []
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"u={cfg['u'][names.index(name)]!r} and u={cfg['u'][i]!r} would both write {name}")
-    fit_path = Path(cfg["fit_json"]) if cfg.get("fit_json") else None
-    if fit_path is not None:
-        fit_doc = _read_json(fit_path, "fit")
-        u_y = fit_doc.get("u_hat") if isinstance(fit_doc, dict) else None
-        if type(u_y) not in (int, float) or not math.isfinite(u_y):
-            raise ValueError(f"{fit_path}: u_hat must be a number, got {u_y!r}")
-    data, data_path = _load_data(cfg)
-    if fit_path is None:  # only a fit of its own loads the estimator and the solver
+    if cfg.get("fit_json"):
+        surface, frontiers, inputs = _saved_fit(cfg, Path(cfg["fit_json"]), Path(cfg["data"]))
+    else:  # only a fit of its own loads the data, the estimator and the solver
         from .estimator import fit_curve
+        data, data_path = _load_data(cfg)
         fit = fit_curve(data, stop_at_frontier=True, **_fit_kwargs(cfg))
-        surface, u_y = fit.surface, fit.frontiers.u_hat
-    frontiers = BoundFrontiers.from_data(data, u_y)
-    y1 = frontiers.y1.tolist()
-    if fit_path is not None:
-        if fit_doc.get("y1_hat") != y1 or fit_doc.get("n") != data.n:
-            raise ValueError(f"{fit_path}: not a fit of {data_path}: its y1_hat and n must be {y1} and {data.n}")
-        surface = assemble_surface(data, bandwidth=cfg.get("bandwidth"), kind=cfg.get("kind", "local_linear"))
-    inputs = [data_path] if fit_path is None else [data_path, fit_path]
+        surface, frontiers = fit.surface, BoundFrontiers.from_data(data, fit.frontiers.u_hat)
+        inputs = None  # the data are hashed last, past the run's memory peak
 
     sets = [outer_set(u, surface, frontiers).to_dict() for u in cfg["u"]]
     out = _outdir(cfg)
     if npts:
         # BoundFrontiers keeps y1 positive and finite, so every coordinate is finite
-        axes = [np.linspace(0.0, 1.5 * y, npts) for y in y1]
+        axes = [np.linspace(0.0, 1.5 * y, npts) for y in frontiers.y1.tolist()]
         _write_lattice([out / name for name in names], axes,
                        lambda theta: [verify_membership(theta, u, surface, frontiers) for u in cfg["u"]])
     _write_json(out / "bounds.json", {"u_y": frontiers.u_y, "sets": sets})
-    _write_manifest(out, "bounds", cfg, cfg["seed"], inputs)
+    _write_manifest(out, "bounds", cfg, cfg["seed"], inputs or {data_path: _sha256(data_path)})
     print(f"wrote {out / 'bounds.json'} ({len(sets)} quantile(s))")
     return 0
 
@@ -313,7 +373,7 @@ def cmd_mc(cfg: dict) -> int:
     if res.coverage is not None:
         _write_csv(out / "mc_coverage.csv", ["u", "coverage", "hits", "n_valid"], res.coverage.rows())
 
-    _write_manifest(out, "mc", cfg, cfg["seed"], [])
+    _write_manifest(out, "mc", cfg, cfg["seed"], {})
     print(f"mc done: {res.reps} replications -> {out}")
     return 0
 
@@ -339,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=_positive_int, default=100, help="quantile grid size M")
             p.add_argument("--bandwidth", type=float, default=None)
             p.add_argument("--delta", type=float, default=None, help="frontier cushion override")
-            p.add_argument("--kind", choices=["local_linear", "convolution"], default="local_linear")
+            p.add_argument("--kind", choices=_KINDS, default="local_linear")
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset")
     p.add_argument("--design", type=int, choices=[1, 2], required=True)

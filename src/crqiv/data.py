@@ -270,12 +270,7 @@ def load_csv(path) -> Dataset:
     if os.path.exists(path) and not os.path.isfile(path):
         raise DataValidationError(f"not a regular file: {path}")
 
-    side = {}
-    try:
-        with open(f"{path}.levels.json", "r", encoding="utf-8") as fh:
-            side = json.load(fh)
-    except FileNotFoundError:
-        pass
+    side = _sidecar(path)
 
     # utf-8-sig: a byte-order mark, as spreadsheet "CSV UTF-8" exports write, is not part of the first name
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
@@ -315,6 +310,34 @@ def load_csv(path) -> Dataset:
         zeros.add((t_levels.index(z_lab), i_levels.index(w_lab)))
 
     return Dataset(y, event, z_idx, w_idx, t_levels, i_levels, zeros)
+
+
+def _sidecar(path) -> dict:
+    """The ``<path>.levels.json`` sidecar, {} if there is none.
+
+    It must be a JSON object whose level orders are lists of strings and
+    numbers and whose ``structural_zeros`` is a list of (treatment,
+    instrument) pairs; a DataValidationError names the file and the key.
+    """
+    name = f"{path}.levels.json"
+    try:
+        with open(name, "r", encoding="utf-8") as fh:
+            side = json.load(fh)
+    except FileNotFoundError:
+        return {}
+    except ValueError as exc:  # bad JSON syntax or text that is not UTF-8
+        raise DataValidationError(f"{name}: not valid JSON: {exc}") from None
+    if not isinstance(side, dict):
+        raise DataValidationError(f"{name}: must hold a JSON object, got {side!r}")
+    for key in ("treatment_levels", "instrument_levels"):
+        order = side.get(key, [])
+        if not (isinstance(order, list) and all(isinstance(v, (str, int, float)) for v in order)):
+            raise DataValidationError(f"{name}: {key} must be a list of strings and numbers, got {order!r}")
+    zeros = side.get("structural_zeros", [])
+    if not (isinstance(zeros, list) and all(isinstance(p, list) and len(p) == 2 for p in zeros)):
+        raise DataValidationError(
+            f"{name}: structural_zeros must be a list of [treatment, instrument] pairs, got {zeros!r}")
+    return side
 
 
 def _blocks(fh):

@@ -23,12 +23,14 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import CellIndex, DataValidationError, Dataset
-from .smoothing import bandwidth_rows, left_pack, smooth_rows
-from .survival import incidence_values, level_cells, sorted_cells
+# data, smoothing and survival are imported where a surface is assembled,
+# so that one read back from a fit's file loads none of them
+if TYPE_CHECKING:
+    from .data import CellIndex, Dataset
 
 __all__ = ["EstimationError", "SmoothedSurvivalSurface", "assemble_surface", "residual_vector"]
 
@@ -41,23 +43,27 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SmoothedSurvivalSurface:
-    """Evaluable S1_hat(t, z | w): cell curves on one shared grid."""
+    """Evaluable S1_hat(t, z | w): cell curves on one shared grid.
+
+    ``save`` writes its grid and values, and a surface that ``load``
+    reads back has those only: its ``p_hat`` and ``bandwidths`` are None.
+    """
 
     grid: np.ndarray  # (G,) ascending knots from 0
     values: np.ndarray  # (L, K, G) curves scaled by p_hat; zero rows for structural zeros
-    p_hat: np.ndarray  # (L, K) cell shares, columns sum to 1
-    bandwidths: dict  # CellIndex -> float, absent for structural zeros
+    p_hat: np.ndarray | None  # (L, K) cell shares, columns sum to 1
+    bandwidths: dict | None  # CellIndex -> float, absent for structural zeros
     kind: str
     treatment_levels: list = field(default_factory=list)
     instrument_levels: list = field(default_factory=list)
 
     @property
     def n_treatment_levels(self) -> int:
-        return self.p_hat.shape[0]
+        return self.values.shape[0]
 
     @property
     def n_instrument_levels(self) -> int:
-        return self.p_hat.shape[1]
+        return self.values.shape[1]
 
     def evaluate(self, t, z: int, w: int):
         """S1_hat(t, z | w); vectorized over t, flat beyond the grid."""
@@ -93,6 +99,31 @@ class SmoothedSurvivalSurface:
     def level_knots(self, z: int) -> np.ndarray:
         """Knots on which every cell of level z is piecewise linear, for set tiling."""
         return self.grid
+
+    def save(self, path) -> None:
+        """Write the grid and values to path as one .npy array: row 0 the grid, then a row per cell in (z, w) order."""
+        np.save(path, np.vstack([self.grid, self.values.reshape(-1, self.grid.size)]))
+
+    @classmethod
+    def load(cls, path, L: int, K: int, kind: str) -> "SmoothedSurvivalSurface":
+        """The surface of L·K cells, made by ``kind``, that ``save`` wrote to path.
+
+        A file that is not a float64 array of 1 + L·K rows of two or more
+        finite values, the first ascending, raises ValueError naming it.
+        """
+        with open(path, "rb") as fh:
+            try:
+                rows = np.lib.format.read_array(fh, allow_pickle=False)
+            except ValueError as exc:  # not an .npy file, cut short, or holding objects
+                raise ValueError(f"{path}: not a surface file: {exc}") from None
+        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[0] != 1 + L * K or rows.shape[1] < 2:
+            raise ValueError(f"{path}: must hold float64 rows of 2 or more values, the grid and {L * K} cells, "
+                             f"got {rows.dtype} of shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{path}: holds a value that is not finite")
+        if not (np.diff(rows[0]) > 0).all():
+            raise ValueError(f"{path}: its grid, row 0, does not ascend")
+        return cls(rows[0], rows[1:].reshape(L, K, -1), None, None, kind)
 
 
 def residual_vector(theta, u, surface: SmoothedSurvivalSurface) -> np.ndarray:
@@ -181,6 +212,10 @@ def assemble_surfaces(data: Dataset, counts=None, bandwidth=None, kind: str = "l
     and not kept.  Every stage runs along the rows: the sample, one row,
     gets a block row's bits.
     """
+    from .data import DataValidationError
+    from .smoothing import bandwidth_rows, smooth_rows
+    from .survival import level_cells, sorted_cells
+
     bandwidth = _given_bandwidth(bandwidth)
     B = 1 if counts is None else len(counts)
     sizes = np.zeros((B, data.n_treatment_levels, data.n_instrument_levels), np.int64)
@@ -246,6 +281,9 @@ def _jumps(proc) -> tuple:
     Given the only reference to proc, its spent at-risk and failure counts
     go before the jumps are packed.
     """
+    from .smoothing import left_pack
+    from .survival import incidence_values
+
     # a row's jumps are the times its counted records fail at by cause 1
     jumping = np.atleast_2d(proc.dn1 > 0)
     times, inc = proc.times, incidence_values(proc, proc.dn1, overwrite=True)

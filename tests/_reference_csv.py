@@ -48,11 +48,25 @@ def load_rows(path) -> Dataset:
         raise DataValidationError(f"not a regular file: {path}")
 
     side = None
+    name = f"{path}.levels.json"
     try:
-        with open(f"{path}.levels.json", "r", encoding="utf-8") as fh:
+        with open(name, "r", encoding="utf-8") as fh:
             side = json.load(fh)
     except FileNotFoundError:
         pass
+    except ValueError as exc:
+        raise DataValidationError(f"{name}: not valid JSON: {exc}") from None
+    if side is not None:
+        if not isinstance(side, dict):
+            raise DataValidationError(f"{name}: must hold a JSON object, got {side!r}")
+        for key in ("treatment_levels", "instrument_levels"):
+            order = side.get(key, [])
+            if not isinstance(order, list) or any(not isinstance(v, (str, int, float)) for v in order):
+                raise DataValidationError(f"{name}: {key} must be a list of strings and numbers, got {order!r}")
+        zeros = side.get("structural_zeros", [])
+        if not isinstance(zeros, list) or any(not isinstance(p, list) or len(p) != 2 for p in zeros):
+            raise DataValidationError(
+                f"{name}: structural_zeros must be a list of [treatment, instrument] pairs, got {zeros!r}")
 
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = csv.DictReader(fh).fieldnames
@@ -80,7 +94,8 @@ def read_rows(path, t_order: list | None, i_order: list | None):
     """``load_csv``'s body parsed one csv row at a time.
 
     The reference for ``load_csv``'s chunked reader: it names the first
-    offending row of a bad file.
+    offending row of a bad file.  An event code or a label drops the NULs
+    that end it, as numpy's byte-string fields do.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         y_raw: list[float] = []
@@ -95,7 +110,7 @@ def read_rows(path, t_order: list | None, i_order: list | None):
                 raise DataValidationError(f"row {i}: non-numeric follow-up time {s!r}") from None
             if not np.isfinite(yv) or yv < 0:
                 raise DataValidationError(f"row {i}: follow-up time must be finite and >= 0, got {s}")
-            ev_s = row["event"]
+            ev_s = row["event"].rstrip("\x00")
             try:
                 ev = int(ev_s)
             except (TypeError, ValueError):
@@ -104,8 +119,8 @@ def read_rows(path, t_order: list | None, i_order: list | None):
                 raise DataValidationError(f"row {i}: event code must be in {{0, 1, 2}}, got {ev_s}")
             y_raw.append(yv)
             e_raw.append(ev)
-            z_raw.append(row["treatment"])
-            w_raw.append(row["instrument"])
+            z_raw.append(row["treatment"].rstrip("\x00"))
+            w_raw.append(row["instrument"].rstrip("\x00"))
 
     if not y_raw:
         raise DataValidationError("empty record list")

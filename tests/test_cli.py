@@ -8,11 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crqiv.bounds import LATTICE_BLOCK, _write_lattice
+from crqiv.bounds import LATTICE_BLOCK, _write_lattice, verify_membership
 from crqiv.cli import _fmt, _resolve_config, _write_csv, build_parser, main
 from crqiv.data import load_csv
 from crqiv.estimator import NO_ROOT, PAST_FRONTIER, REPORTED, EstimationError
 from crqiv.simulate import DgpSpec
+from test_replicate_counts import three_by_three
 
 
 def run(argv):
@@ -173,6 +174,9 @@ def test_estimate_outputs(est_dir):
     manifest = json.loads((est_dir / "manifest.json").read_text())
     assert manifest["command"] == "estimate"
     assert len(manifest["inputs"]) == 1
+    # the data's digest is taken once, for the fit and the manifest
+    assert list(manifest["inputs"].values()) == [fit["data_sha256"]]
+    assert (fit["kind"], fit["bandwidth"]) == ("local_linear", None)
     assert manifest["bootstrap_failures"] == []
     # one status code per grid point in fit.json, and the manifest counts them by kind
     assert [s == REPORTED for s in fit["status"]] == fit["reported"]
@@ -276,7 +280,7 @@ def test_estimate_deterministic(tmp_path, sim_dir, est_dir):
         "--seed", 1, "--threads", 3,
     ])
     assert code == 0
-    for name in ("fit.json", "curves.csv", "qte.csv", "derived.csv", "band.csv"):
+    for name in ("fit.json", "surface.npy", "curves.csv", "qte.csv", "derived.csv", "band.csv"):
         assert (again / name).read_bytes() == (est_dir / name).read_bytes(), name
 
 
@@ -293,8 +297,12 @@ def test_estimate_does_not_depend_on_record_order(tmp_path, sim_dir):
         (tmp_path / name / "data.csv.levels.json").write_bytes((sim_dir / "data.csv.levels.json").read_bytes())
         outs.append(tmp_path / name / "out")
         assert run(["estimate", "--data", path, "--out", outs[-1], "--grid", 20, "--naive", "--derived"]) == 0
-    for name in ("fit.json", "curves.csv", "qte.csv", "derived.csv"):
+    for name in ("surface.npy", "curves.csv", "qte.csv", "derived.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    # the fits differ only by their files' digests
+    fits = [json.loads((out / "fit.json").read_text()) for out in outs]
+    assert fits[0].pop("data_sha256") != fits[1].pop("data_sha256")
+    assert fits[0] == fits[1]
 
 
 def test_estimate_missing_data_exits_2(tmp_path, capsys):
@@ -384,7 +392,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, sim_dir, est_dir, child_
          ["inference", "_rng", "bounds", "simulate", "derived", "_csv_text"]),
         (["bounds", "--data", data, "--fit-json", est_dir / "fit.json", "--u", 0.9, "--lattice", 3,
           "--out", tmp_path / "b"],
-         ["estimator", "optim", "inference", "simulate", "derived", "_rng", "_csv_text"]),
+         ["data", "survival", "smoothing", "estimator", "optim", "inference", "simulate", "derived", "_rng",
+          "_csv_text"]),
         (["mc", "--design", 2, "--n", 600, "--reps", 2, "--boot-draws", 4, "--grid", 10, "--out", tmp_path / "m"],
          ["bounds", "derived", "_csv_text"]),
     ]
@@ -669,7 +678,10 @@ def test_bounds_reuses_fit_json(tmp_path, sim_dir, est_dir):
     fit = json.loads((est_dir / "fit.json").read_text())
     assert doc["u_y"] == fit["u_hat"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert len(manifest["inputs"]) == 2
+    # the data, the fit and its surface
+    assert sorted(manifest["inputs"]) == sorted(map(str, [sim_dir / "data.csv", est_dir / "fit.json",
+                                                          est_dir / "surface.npy"]))
+    assert manifest["inputs"][str(sim_dir / "data.csv")] == fit["data_sha256"]
 
 
 def test_bounds_frontier_from_the_fit_or_the_data_is_the_same(tmp_path, sim_dir, est_dir):
@@ -710,8 +722,8 @@ def test_bounds_fit_json_without_numeric_u_hat_exits_1(tmp_path, sim_dir, capsys
 
 
 def test_bounds_fit_json_of_other_data_exits_1(tmp_path, sim_dir, est_dir, capsys, monkeypatch):
-    # a design-1 fit, and the data's own fit with another n, used with design-2 data,
-    # rejected from the data's support bounds before any surface is built
+    # a design-1 fit, and the data's own fit with another data digest, used with design-2 data,
+    # rejected by the data's digest before any surface is built
     import crqiv.surface
 
     calls = []
@@ -720,7 +732,8 @@ def test_bounds_fit_json_of_other_data_exits_1(tmp_path, sim_dir, est_dir, capsy
     assert run(["simulate", "--design", 1, "--n", 600, "--seed", 3, "--out", other]) == 0
     assert run(["estimate", "--data", other / "data.csv", "--out", other, "--grid", 20]) == 0
     doc = json.loads((est_dir / "fit.json").read_text())
-    (tmp_path / "fit.json").write_text(json.dumps({**doc, "n": doc["n"] + 1}))
+    (tmp_path / "fit.json").write_text(json.dumps({**doc, "data_sha256": "0" * 64}))
+    (tmp_path / "surface.npy").write_bytes((est_dir / "surface.npy").read_bytes())
     capsys.readouterr()
     for fit_path in (other / "fit.json", tmp_path / "fit.json"):
         code = run(["bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b", "--u", 0.9,
@@ -728,8 +741,165 @@ def test_bounds_fit_json_of_other_data_exits_1(tmp_path, sim_dir, est_dir, capsy
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {fit_path}: not a fit of ") and err.count("\n") == 1
+        assert doc["data_sha256"] in err
         assert not (tmp_path / "b").exists()
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["design1", "design2", "three_levels"])
+def test_bounds_on_the_fits_surface_is_a_rebuild_from_the_data(tmp_path, case):
+    # bounds --fit-json reads the fit's surface.npy and never the data; its
+    # outputs are those of the surface and frontiers rebuilt from the data
+    from crqiv.bounds import BoundFrontiers, estimate_caps, outer_set
+    from crqiv.cli import _write_json
+    from crqiv.data import save_csv
+    from crqiv.estimator import QuantileGrid, fit_curve
+    from crqiv.surface import assemble_surface
+
+    data_path = tmp_path / "data.csv"
+    if case == "three_levels":
+        save_csv(three_by_three(), data_path)
+    else:
+        assert run(["simulate", "--design", case[-1], "--n", 800, "--seed", 5, "--out", tmp_path]) == 0
+    assert run(["estimate", "--data", data_path, "--out", tmp_path / "est", "--grid", 20]) == 0
+    fit_doc = json.loads((tmp_path / "est" / "fit.json").read_text())
+    us = [round(fit_doc["u_hat"] + (1 - fit_doc["u_hat"]) * f, 3) for f in (0.3, 0.8)]
+    # --grid and --delta do nothing with --fit-json
+    assert run(["bounds", "--data", data_path, "--fit-json", tmp_path / "est" / "fit.json", "--lattice", 6,
+                "--grid", 7, "--delta", 0.3, "--out", tmp_path / "b", *(a for u in us for a in ("--u", u))]) == 0
+
+    data = load_csv(data_path)
+    surface = assemble_surface(data)
+    frontiers = BoundFrontiers.from_data(data, fit_doc["u_hat"])
+    want = tmp_path / "want"
+    want.mkdir()
+    _write_json(want / "bounds.json", {"u_y": frontiers.u_y, "sets": [outer_set(u, surface, frontiers).to_dict()
+                                                                      for u in us]})
+    names = [f"bounds_lattice_u{u:g}.csv" for u in us]
+    _write_lattice([want / name for name in names], [np.linspace(0.0, 1.5 * y, 6) for y in frontiers.y1.tolist()],
+                   lambda theta: [verify_membership(theta, u, surface, frontiers) for u in us])
+    for name in ["bounds.json", *names]:
+        assert (tmp_path / "b" / name).read_bytes() == (want / name).read_bytes(), name
+
+    # surface.npy is the fit's surface bit for bit, and caps the data's
+    rows = np.load(tmp_path / "est" / "surface.npy", allow_pickle=False)
+    fitted = fit_curve(data, grid=QuantileGrid.default(20)).surface
+    assert rows.tobytes() == np.vstack([fitted.grid, fitted.values.reshape(-1, fitted.grid.size)]).tobytes()
+    assert rows.shape == (1 + data.n_treatment_levels * data.n_instrument_levels, fitted.grid.size)
+    assert fit_doc["caps"] == estimate_caps(data).tolist()
+
+
+@pytest.mark.parametrize("est_flags, bounds_flags, key", [
+    ([], ["--kind", "convolution"], "kind"),
+    (["--kind", "convolution"], [], "kind"),
+    ([], ["--bandwidth", 0.5], "bandwidth"),
+    (["--bandwidth", 0.5], ["--bandwidth", 0.25], "bandwidth"),
+])
+def test_bounds_fit_json_with_other_smoother_options_exits_1(tmp_path, sim_dir, capsys, est_flags, bounds_flags, key):
+    # the fit's surface was made with its own kind and bandwidth; bounds takes no other
+    assert run(["estimate", "--data", sim_dir / "data.csv", "--out", tmp_path / "est", "--grid", 20, *est_flags]) == 0
+    capsys.readouterr()
+    fit_path = tmp_path / "est" / "fit.json"
+    code = run(["bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b", "--u", 0.9,
+                "--fit-json", fit_path, *bounds_flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fit_path}: its surface was made with {key} ") and err.count("\n") == 1
+    assert not (tmp_path / "b").exists()
+    assert run(["bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b", "--u", 0.9,
+                "--fit-json", fit_path, *est_flags]) == 0
+
+
+def _fit_copy(est_dir, directory, doc=None):
+    """est_dir's fit.json, with the keys of doc put in, and its surface.npy, copied to directory."""
+    directory.mkdir()
+    fit = json.loads((est_dir / "fit.json").read_text())
+    (directory / "fit.json").write_text(json.dumps({**fit, **(doc or {})}))
+    (directory / "surface.npy").write_bytes((est_dir / "surface.npy").read_bytes())
+    return directory / "fit.json"
+
+
+def _bounds_error(tmp_path, sim_dir, capsys, fit_path):
+    """(exit code, error text) of bounds on fit_path, which must leave no --out."""
+    capsys.readouterr()
+    code = run(["bounds", "--data", sim_dir / "data.csv", "--out", tmp_path / "b", "--u", 0.9, "--fit-json", fit_path])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "b").exists()
+    return code, err
+
+
+def test_bounds_fit_json_without_its_surface_exits_2(tmp_path, sim_dir, est_dir, capsys):
+    fit_path = _fit_copy(est_dir, tmp_path / "fit")
+    (tmp_path / "fit" / "surface.npy").unlink()
+    code, err = _bounds_error(tmp_path, sim_dir, capsys, fit_path)
+    assert code == 2
+    assert err == f"error: surface file not found: {tmp_path / 'fit' / 'surface.npy'}\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda r: r[:-1], "must hold float64 rows"),
+    (lambda r: r[:, :1], "must hold float64 rows"),
+    (lambda r: r.ravel(), "must hold float64 rows"),
+    (lambda r: r.astype(np.float32), "must hold float64 rows"),
+    (lambda r: np.where(r == r[-1, -1], np.nan, r), "holds a value that is not finite"),
+    (lambda r: np.vstack([r[0, ::-1], r[1:]]), "its grid, row 0, does not ascend"),
+    (lambda r: np.array([r[0], None], dtype=object), "not a surface file"),
+    (lambda r: b"a,b\n1,2\n", "not a surface file"),
+    (lambda r: b"", "not a surface file"),
+], ids=["rows", "columns", "flat", "float32", "nan", "grid", "objects", "csv", "empty"])
+def test_bounds_fit_json_bad_surface_exits_1(tmp_path, sim_dir, est_dir, capsys, change, message):
+    fit_path = _fit_copy(est_dir, tmp_path / "fit")
+    surface_path = tmp_path / "fit" / "surface.npy"
+    rows = change(np.load(surface_path))
+    if isinstance(rows, bytes):
+        surface_path.write_bytes(rows)
+    else:
+        np.save(surface_path, rows, allow_pickle=True)
+    code, err = _bounds_error(tmp_path, sim_dir, capsys, fit_path)
+    assert code == 1
+    assert err.startswith(f"error: {surface_path}: {message}")
+
+
+@pytest.mark.parametrize("key", ["caps", "data_sha256", "kind", "bandwidth"])
+def test_bounds_fit_json_of_an_older_crqiv_exits_1(tmp_path, sim_dir, est_dir, capsys, key):
+    fit_path = _fit_copy(est_dir, tmp_path / "fit")
+    doc = json.loads(fit_path.read_text())
+    del doc[key]
+    fit_path.write_text(json.dumps(doc))
+    code, err = _bounds_error(tmp_path, sim_dir, capsys, fit_path)
+    assert code == 1
+    assert err == f"error: {fit_path}: no {key!r}, as in a fit.json of an older crqiv; run estimate again\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"caps": "1.0"}, "caps must be a list of 2 numbers, got '1.0'"),
+    ({"caps": [1.0]}, "caps must be a list of 2 numbers, got [1.0]"),
+    ({"caps": [1.0, True]}, "caps must be a list of 2 numbers, got [1.0, True]"),
+    ({"caps": [0.1, 0.1]}, "caps must not be below the per-level support bounds"),
+    ({"y1_hat": [1.0, "inf"]}, "y1_hat must be a list of at least 2 numbers"),
+    ({"y1_hat": [1.0, -1.0]}, "support bounds must be positive and finite"),
+    ({"instrument_levels": 2}, "instrument_levels must be a list of at least 2 labels, got 2"),
+    ({"data_sha256": 5}, "data_sha256 must be a string, got 5"),
+    ({"kind": "boxcar"}, "kind must be one of 'local_linear', 'convolution', got 'boxcar'"),
+    ({"bandwidth": "0.5"}, "bandwidth must be a number or null, got '0.5'"),
+], ids=["caps-text", "caps-short", "caps-bool", "caps-low", "y1-text", "y1-negative", "levels", "digest", "kind",
+        "bandwidth"])
+def test_bounds_fit_json_bad_key_exits_1(tmp_path, sim_dir, est_dir, capsys, doc, message):
+    fit_path = _fit_copy(est_dir, tmp_path / "fit", doc)
+    code, err = _bounds_error(tmp_path, sim_dir, capsys, fit_path)
+    assert code == 1
+    assert err.startswith(f"error: {fit_path}: {message}")
+
+
+def test_estimate_bad_levels_sidecar_exits_1(tmp_path, sim_dir, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes((sim_dir / "data.csv").read_bytes())
+    (tmp_path / "data.csv.levels.json").write_text("[]")
+    out = tmp_path / "o"
+    assert run(["estimate", "--data", data, "--out", out, "--grid", 5]) == 1
+    assert capsys.readouterr().err == f"error: {data}.levels.json: must hold a JSON object, got []\n"
+    assert not out.exists()
 
 
 def test_bounds_lattice_memory_does_not_grow_with_npts(tmp_path, sim_dir, est_dir):

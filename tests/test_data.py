@@ -419,6 +419,13 @@ def _error(message, kind="DataValidationError"):
 @example(_case('3,1,"a\n\nb",0', '3,1,"a\n\nb",1', '4,2,"a\n\nb",1', "x,1,0,0"))
 # labels holding characters at which str.splitlines, and not the csv module, ends a line
 @example(_case("3,1,a\x0bb,0", "3,1,a\x0cb,1", "3,2,c\x1ed,1", "3,0,\xc5,0", "3,1,\xc5,1"))
+# NUL that ends a label or an event code, which both readers drop, as numpy's byte-string fields do;
+# an unquoted label holding a comma moves the next field, here a time, into the event column
+@example(_case("3,1,0,1\x00"))
+@example(_case("3,1,a,0", "3,1,a\x00,1", "3,1,b,0", "3,1,b,1", header="time,event,instrument,treatment"))
+@example(_case("3,1\x00,0,0"))
+@example(_case("a,b,0,5\x00,1", header="treatment,instrument,time,event"))
+@example(_case("3,1,0,5\x00"))
 # the cases read otherwise than by the row loop, each with its new outcome:
 # \x1c-\x1f beside a number, which np.loadtxt strips and float() does not
 @example(_changed(_case("1\x1c,1,0,0"), _case("1,1,0,0")))
@@ -427,11 +434,6 @@ def _error(message, kind="DataValidationError"):
 @example(_changed(_case("2_0,1,0,0"), _error("row 1: non-numeric follow-up time '2_0'")))
 @example(_changed(_case("\u0663,1,0,0"), _error("row 1: non-numeric follow-up time '\u0663'")))
 @example(_changed(_case("\xa08,1,0,0"), _error("row 1: non-numeric follow-up time '\\xa08'")))
-# NUL that ends a label or an event code, which the parsed fields drop
-@example(_changed(_case("3,1,0,1\x00"), _case("3,1,0,1")))
-@example(_changed(_case("3,1,a,0", "3,1,a\x00,1", "3,1,b,0", "3,1,b,1", header="time,event,instrument,treatment"),
-                  _case("3,1,a,0", "3,1,a,1", "3,1,b,0", "3,1,b,1", header="time,event,instrument,treatment")))
-@example(_changed(_case("3,1\x00,0,0"), _case("3,1,0,0")))
 # rows with too few fields for the columns read, a whitespace-only line among them
 @example(_changed(_case("3,1,0,0", " ", "3,1,1,1"), _error("row 2: no field for column 'event'")))
 @example(_changed(_case("3,1,0"), _error("row 1: no field for column 'instrument'")))
@@ -467,6 +469,28 @@ def test_columnar_reader_matches_row_loop(tmp_path_factory, case):
 def test_nan_label_is_named_by_its_row(tmp_path, rows, sidecar, message):
     p = _write(tmp_path, (_case(*rows)[0], sidecar))
     assert _outcome(p) == _row_loop_outcome(p) == _error(message)
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ([], "must hold a JSON object, got []"),
+    ({"treatment_levels": 3}, "treatment_levels must be a list of strings and numbers, got 3"),
+    ({"instrument_levels": [[0], [1]]}, "instrument_levels must be a list of strings and numbers, got [[0], [1]]"),
+    ({"structural_zeros": 5}, "structural_zeros must be a list of [treatment, instrument] pairs, got 5"),
+    ({"structural_zeros": [[1]]}, "structural_zeros must be a list of [treatment, instrument] pairs, got [[1]]"),
+], ids=["list", "order", "unhashable-labels", "zeros", "pair"])
+def test_bad_sidecar_is_named_with_its_key(tmp_path, sidecar, message):
+    # each once raised a bare AttributeError or TypeError, or failed to unpack a pair
+    p = _write(tmp_path, (_case()[0], sidecar))
+    assert _outcome(p) == _row_loop_outcome(p) == _error(f"{p}.levels.json: {message}")
+
+
+def test_sidecar_that_is_not_json_is_named(tmp_path):
+    p = _write(tmp_path, _case())
+    (tmp_path / "d.csv.levels.json").write_text("{")
+    kind, name, message = _outcome(p)
+    assert (kind, name) == ("error", "DataValidationError")
+    assert message.startswith(f"{p}.levels.json: not valid JSON: ")
+    assert _row_loop_outcome(p) == (kind, name, message)
 
 
 @pytest.mark.parametrize("labels", [
